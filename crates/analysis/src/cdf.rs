@@ -3,7 +3,6 @@
 
 use sapsim_core::RunResult;
 use sapsim_telemetry::summary;
-use serde::Serialize;
 
 /// The paper's classification thresholds (Section 5.5): a VM is
 /// *underutilized* below 70 % of its requested resources, *optimally
@@ -22,7 +21,7 @@ pub enum VmResource {
 }
 
 /// One resource's Figure 14 result.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct UtilizationCdf {
     /// Which resource.
     pub resource: &'static str,

@@ -2,11 +2,11 @@
 //! `{"schema":"<id>",...}` and there is exactly one place that spells
 //! that out.
 //!
-//! Emitters built on serde keep their serializers (field order is part
-//! of their golden contract) but route the finished line through
-//! [`checked_line`], which asserts the envelope prefix against the
-//! registry. Hand-rolled emitters build the line here directly with
-//! [`object_line`] / [`metrics_line`].
+//! Emitters that encode a whole record (run summaries, sweep reports:
+//! field order is part of their golden contract) route the finished line
+//! through [`checked_line`], which asserts the envelope prefix against
+//! the registry. Field-by-field emitters build the line here directly
+//! with [`object_line`] / [`metrics_line`].
 
 use crate::error::ProtocolError;
 use crate::json;

@@ -6,11 +6,11 @@
 //! and the [`ProtocolError`] taxonomy whose variants project onto HTTP
 //! statuses and CLI exit codes from a single table.
 //!
-//! The crate is deliberately dependency-light (only the zero-dep
-//! metrics registry), so external clients of `sapsim serve` can embed
-//! it without dragging in the simulator. All JSON is read and written
-//! by the in-crate [`json`] module — deterministic bytes in, canonical
-//! bytes out.
+//! The crate is deliberately dependency-light (only the metrics
+//! registry and the JSON codec), so external clients of `sapsim serve`
+//! can embed it without dragging in the simulator. All JSON is read and
+//! written by the workspace codec, re-exported as [`json`] —
+//! deterministic bytes in, canonical bytes out.
 //!
 //! Versioning rules (the full contract lives in
 //! `docs/api-versioning.md`):
@@ -27,7 +27,7 @@
 
 pub mod envelope;
 mod error;
-pub mod json;
+pub use sapsim_json as json;
 pub mod request;
 pub mod response;
 mod schema;

@@ -101,6 +101,7 @@ pub(crate) fn parse_fault_spec(spec: &str) -> Result<FaultSpec, CliError> {
 
 /// Observability export destinations and recorder knobs, parsed from the
 /// shared `--obs-*` options.
+#[derive(Debug)]
 pub struct ObsArgs {
     /// Where to write the JSONL event log, if requested.
     pub jsonl_path: Option<String>,

@@ -20,7 +20,7 @@ use sapsim_core::obs::{bucket_index, bucket_upper_bound, Histogram};
 use sapsim_telemetry::exposition::{
     render_counters, render_metrics, PromData, PromFamily, PromHistogram,
 };
-use serde_json::Value;
+use sapsim_json::JsonValue;
 use std::collections::BTreeMap;
 use std::io::Write;
 
@@ -104,7 +104,7 @@ fn summarize(text: &str) -> Result<Summary, CliError> {
         if line.trim().is_empty() {
             continue;
         }
-        let v: Value = serde_json::from_str(line)
+        let v: JsonValue = sapsim_json::parse(line)
             .map_err(|e| CliError::Data(format!("line {}: invalid JSON: {e}", lineno + 1)))?;
         match v["type"].as_str() {
             Some("meta") => {
@@ -131,7 +131,7 @@ fn summarize(text: &str) -> Result<Summary, CliError> {
                 s.retries_total += retries;
                 s.retries_max = s.retries_max.max(retries);
                 s.candidates_total += v["candidates"].as_u64().unwrap_or(0);
-                if let Some(rej) = v["rejections"].as_object() {
+                if let Some(rej) = v["rejections"].as_obj() {
                     for (reason, count) in rej {
                         *s.rejections.entry(reason.clone()).or_insert(0) +=
                             count.as_u64().unwrap_or(0);
@@ -179,12 +179,12 @@ struct MetricsAgg {
 /// content is a data error tagged with the file path.
 fn merge_snapshot(text: &str, path: &str, agg: &mut MetricsAgg) -> Result<(), CliError> {
     let bad = |what: &str| CliError::Data(format!("{path}: {what}"));
-    let v: Value = serde_json::from_str(text.trim())
+    let v: JsonValue = sapsim_json::parse(text.trim())
         .map_err(|e| CliError::Data(format!("{path}: invalid JSON: {e}")))?;
     if v["schema"].as_str() != Some("sapsim.metrics/v1") {
         return Err(bad("not a sapsim.metrics/v1 snapshot"));
     }
-    for entry in v["counters"].as_array().into_iter().flatten() {
+    for entry in v["counters"].as_arr().into_iter().flatten() {
         let key = series_key(entry, path)?;
         let value = entry["value"]
             .as_u64()
@@ -194,14 +194,14 @@ fn merge_snapshot(text: &str, path: &str, agg: &mut MetricsAgg) -> Result<(), Cl
         let slot = agg.counters.entry(key).or_insert(0);
         *slot = slot.saturating_add(value);
     }
-    for entry in v["gauges"].as_array().into_iter().flatten() {
+    for entry in v["gauges"].as_arr().into_iter().flatten() {
         let key = series_key(entry, path)?;
         let value = entry["value"]
             .as_f64()
             .ok_or_else(|| bad("gauge value must be a number"))?;
         agg.gauges.insert(key, value);
     }
-    for entry in v["histograms"].as_array().into_iter().flatten() {
+    for entry in v["histograms"].as_arr().into_iter().flatten() {
         let key = series_key(entry, path)?;
         let field = |name: &str| {
             entry[name]
@@ -211,7 +211,7 @@ fn merge_snapshot(text: &str, path: &str, agg: &mut MetricsAgg) -> Result<(), Cl
         let (count, sum, min, max) = (field("count")?, field("sum")?, field("min")?, field("max")?);
         let mut buckets = Vec::new();
         for pair in entry["buckets"]
-            .as_array()
+            .as_arr()
             .ok_or_else(|| bad("histogram buckets must be an array"))?
         {
             let (Some(ub), Some(n)) = (pair[0].as_u64(), pair[1].as_u64()) else {
@@ -238,22 +238,18 @@ fn merge_snapshot(text: &str, path: &str, agg: &mut MetricsAgg) -> Result<(), Cl
 }
 
 /// The `name`/`label` identity of one snapshot entry.
-fn series_key(entry: &Value, path: &str) -> Result<SeriesKey, CliError> {
+fn series_key(entry: &JsonValue, path: &str) -> Result<SeriesKey, CliError> {
     let name = entry["name"]
         .as_str()
         .ok_or_else(|| CliError::Data(format!("{path}: metric entry without a name")))?;
     let label = match entry.get("label") {
         None => None,
         Some(obj) => {
-            let map = obj
-                .as_object()
-                .filter(|m| m.len() == 1)
-                .ok_or_else(|| {
-                    CliError::Data(format!(
-                        "{path}: metric label must be a single-pair object"
-                    ))
-                })?;
-            let (k, v) = map.iter().next().expect("len checked above");
+            let Some([(k, v)]) = obj.as_obj() else {
+                return Err(CliError::Data(format!(
+                    "{path}: metric label must be a single-pair object"
+                )));
+            };
             let v = v.as_str().ok_or_else(|| {
                 CliError::Data(format!("{path}: metric label value must be a string"))
             })?;

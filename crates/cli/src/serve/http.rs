@@ -188,7 +188,7 @@ mod tests {
 
     #[test]
     fn head_end_finds_the_blank_line() {
-        assert_eq!(head_end(b"GET / HTTP/1.1\r\n\r\nbody"), Some(16));
+        assert_eq!(head_end(b"GET / HTTP/1.1\r\n\r\nbody"), Some(14));
         assert_eq!(head_end(b"partial\r\n"), None);
     }
 }

@@ -34,7 +34,7 @@ use sapsim_obs::{Histogram, MetricKey, MetricsRegistry};
 use sapsim_scheduler::PolicyKind;
 use sapsim_telemetry::exposition::{render_metrics, PromData, PromFamily, PromHistogram};
 use service::{PendingTxn, Service};
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock};

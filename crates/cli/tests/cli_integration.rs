@@ -73,7 +73,7 @@ fn simulate_json_prints_one_versioned_summary_line() {
 
 #[test]
 fn simulate_rejects_bad_arguments() {
-    assert!(run_capture(&["simulate", "--scale", "9"]).is_err());
+    assert!(run_capture(&["simulate", "--scale", "900"]).is_err());
     assert!(run_capture(&["simulate", "--policy", "nope"]).is_err());
     assert!(run_capture(&["simulate", "stray-positional"]).is_err());
     assert!(run_capture(&["simulate", "--bogus"]).is_err());
@@ -88,7 +88,7 @@ fn exit_codes_separate_failure_classes() {
     );
     // Config: parseable arguments describing an invalid run.
     assert_eq!(
-        run_capture(&["simulate", "--scale", "9"])
+        run_capture(&["simulate", "--scale", "900"])
             .unwrap_err()
             .exit_code(),
         3

@@ -4,18 +4,18 @@ use crate::config::PlacementGranularity;
 use crate::error::SimError;
 use crate::hypervisor;
 use crate::viewcache::{HostViewCache, WorldRefs};
+use sapsim_json::json_codec;
 use sapsim_scheduler::{CandidateIndex, HostView};
 use sapsim_sim::{SimRng, SimTime, MILLIS_PER_DAY};
 use sapsim_topology::{BbId, NodeId, NodeState, Resources, Topology};
 use sapsim_workload::{UsageState, VmId, VmSpec, WorkloadClass};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// Runtime state of one placed VM. Serializable because each placed VM
 /// carries live mutable state — the demand-model noise and its private
 /// RNG stream — that a snapshot must transport verbatim for the resumed
 /// run to draw the same usage trajectory.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlacedVm {
     /// Index into the driver's spec list.
     pub spec_index: usize,
@@ -45,11 +45,16 @@ pub struct PlacedVm {
     pub movable: bool,
 }
 
+json_codec!(struct PlacedVm {
+    spec_index, id, node, resources, usage_state, rng, last_cpu_demand_cores, last_mem_used_mib,
+    last_disk_used_gib, departure, movable,
+});
+
 /// Serializable image of the cloud's mutable state: everything placement
 /// and fault events have changed since `Cloud::new`, and nothing that the
 /// scenario config re-derives (topology shape, virtual capacities, the
 /// host-view cache). See DESIGN.md, "Snapshot determinism contract".
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CloudState {
     /// Operational state per node, indexed by `NodeId::raw`. The state
     /// bit lives inside the (re-derived) topology at runtime, but
@@ -74,6 +79,11 @@ pub struct CloudState {
     /// Reserve building blocks, ascending id order.
     pub reserved_bbs: Vec<BbId>,
 }
+
+json_codec!(struct CloudState {
+    node_states, node_alloc, node_vms, node_contention, node_departure_sum_ms, bb_alloc,
+    vm_slots, vm_count, reserved_bbs,
+});
 
 /// Result of a placement attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -552,7 +562,8 @@ impl Cloud {
         self.bb_alloc[bb.index()] += vm.resources;
         self.view_cache.mark_node(node.index(), bb.index());
         vm.node = node;
-        *self.slot_entry_mut(vm.id, "readmission") = Some(vm);
+        let id = vm.id;
+        *self.slot_entry_mut(id, "readmission") = Some(vm);
         self.vm_count += 1;
     }
 
@@ -815,6 +826,7 @@ impl Cloud {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sapsim_json::ToJson;
     use sapsim_sim::SimDuration;
     use sapsim_topology::{BbPurpose, HardwareProfile, OvercommitPolicy};
     use sapsim_workload::{Archetype, UsageModel};
@@ -1227,8 +1239,8 @@ mod tests {
         // Capture is a deep copy: round-tripping through JSON and
         // restoring over a freshly built topology reproduces everything,
         // including per-VM RNG streams and f64 bookkeeping.
-        let json = serde_json::to_string(&state).unwrap();
-        let parsed: CloudState = serde_json::from_str(&json).unwrap();
+        let json = state.to_json_string();
+        let parsed: CloudState = sapsim_json::decode(&json).unwrap();
         assert_eq!(parsed, state);
 
         let (fresh, _) = tiny_cloud();

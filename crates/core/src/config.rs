@@ -2,12 +2,12 @@
 
 use crate::error::SimError;
 use sapsim_faults::FaultSpec;
+use sapsim_json::json_codec;
 use sapsim_scheduler::{DrsConfig, PolicyKind};
 use sapsim_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// At which granularity the initial-placement scheduler sees candidates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PlacementGranularity {
     /// The production architecture: Nova places onto building blocks
     /// (vSphere clusters); node assignment is a second, independent step.
@@ -19,6 +19,8 @@ pub enum PlacementGranularity {
     /// directly to individual hypervisors.
     Node,
 }
+
+json_codec!(enum PlacementGranularity { BuildingBlock, Node });
 
 impl PlacementGranularity {
     /// The stable CLI/manifest spelling (`bb` | `node`).
@@ -56,9 +58,9 @@ impl std::str::FromStr for PlacementGranularity {
 /// Marked `#[non_exhaustive]` so fields can be added without breaking
 /// embedders: construct one by mutating [`SimConfig::default`] (or
 /// [`SimConfig::smoke_test`] / [`SimConfig::paper_full`]), or use
-/// [`SimConfig::builder`] for a validated fluent form. The serde wire
+/// [`SimConfig::builder`] for a validated fluent form. The JSON wire
 /// format is unchanged by the attribute and is pinned by tests.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 pub struct SimConfig {
     /// Root RNG seed.
@@ -127,10 +129,6 @@ pub struct SimConfig {
     /// [`SimConfig::MAX_SCALE`]. Defaults to 1 and is skipped from the
     /// wire format at that value, so pre-existing serialized configs,
     /// scenario ids, and canonical bytes are unchanged.
-    #[serde(
-        default = "default_region_replicas",
-        skip_serializing_if = "is_default_region_replicas"
-    )]
     pub region_replicas: usize,
     /// Pre-observation warm-up in days: the initial population ramps in
     /// over this span with telemetry running, so placement policies that
@@ -147,23 +145,20 @@ pub struct SimConfig {
     /// reduction sequential, so results are bit-identical at any value —
     /// and it is therefore normalized away in canonical serializations.
     /// Ignored without the feature.
-    #[serde(default)]
     pub threads: usize,
     /// Fault injection: abrupt host failures (with evacuation through the
     /// normal scheduling pipeline), straggler nodes, and telemetry
     /// dropouts. Defaults to [`FaultSpec::none`], which is a behavioural
     /// no-op and is skipped when serialized so pre-fault configs and
     /// canonical bytes are unchanged.
-    #[serde(default, skip_serializing_if = "FaultSpec::is_none")]
     pub faults: FaultSpec,
     /// Equivalence oracle: rebuild every host view from scratch on every
     /// placement decision instead of using the incremental host-view
     /// cache and its candidate index. The cached and naive paths are
     /// bit-identical by contract (the equivalence suites pin it), so this
     /// is a pure execution knob for tests and benchmarks — it never
-    /// affects results and is therefore skipped in serialized configs and
-    /// canonical bytes.
-    #[serde(skip)]
+    /// affects results and is therefore left out of serialized configs
+    /// and canonical bytes.
     pub naive_host_views: bool,
     /// Equivalence oracle: drive the event loop from the retained
     /// binary-heap queue instead of the hierarchical timing wheel. Both
@@ -171,7 +166,6 @@ pub struct SimConfig {
     /// are bit-identical by contract (the queue differential suite pins
     /// it). A pure execution knob like [`SimConfig::naive_host_views`]:
     /// skipped in serialized configs and canonical bytes.
-    #[serde(skip)]
     pub heap_event_queue: bool,
     /// Shard workers for the spatially-partitioned event loop: `0` (the
     /// default) runs the classic sequential loop; `n >= 1` partitions a
@@ -182,7 +176,6 @@ pub struct SimConfig {
     /// (the shard-determinism suites pin it), snapshot capture always
     /// serializes the sequential prefix, and the knob is skipped in
     /// serialized configs, canonical bytes, and run summaries.
-    #[serde(skip)]
     pub shard_threads: usize,
     /// Emit a live progress heartbeat to stderr while the run executes
     /// (sim-day reached, events/s, live VM count, ETA). Pure observation
@@ -190,7 +183,6 @@ pub struct SimConfig {
     /// [`RunResult`](crate::RunResult) it can never feed back into
     /// simulation state, so it is skipped in serialized configs and
     /// canonical bytes.
-    #[serde(skip)]
     pub progress: bool,
 }
 
@@ -228,18 +220,25 @@ impl Default for SimConfig {
     }
 }
 
-/// Serde default for [`SimConfig::region_replicas`]: pre-existing
-/// serialized configs carry no field and mean a single studied region.
-fn default_region_replicas() -> usize {
-    1
-}
-
-/// Skip predicate keeping default single-region configs byte-identical
-/// to the pre-replica wire format.
+/// Omit predicate keeping single-region configs byte-identical to the
+/// pre-replica wire format (a missing key decodes to the default, 1).
 #[allow(clippy::trivially_copy_pass_by_ref)]
-fn is_default_region_replicas(n: &usize) -> bool {
+fn is_single_region(n: &usize) -> bool {
     *n == 1
 }
+
+// The wire format. Missing keys take their defaults, so configs written
+// before a field existed still load. The execution knobs
+// (`naive_host_views`, `heap_event_queue`, `shard_threads`, `progress`)
+// are not listed and therefore never leave the process; `threads` is on
+// the wire for compatibility and normalized to 0 by every canonical form.
+json_codec!(struct SimConfig: default {
+    seed, days, scale, policy, granularity, drs_enabled, drs, drs_interval, cross_bb_enabled,
+    cross_bb_interval, scrape_interval, os_gauge_interval, record_raw_host_series,
+    gp_cpu_overcommit, churn, reserve_bb_fraction, resize_probability,
+    maintenance_rate_per_month, maintenance_duration, region_replicas: is_single_region,
+    warmup_days, threads, faults: FaultSpec::is_none,
+});
 
 impl SimConfig {
     /// Upper bound on [`SimConfig::scale`]: 100 replicated regions
@@ -265,6 +264,21 @@ impl SimConfig {
             scale: 1.0,
             ..SimConfig::default()
         }
+    }
+
+    /// This config with every execution knob at its default (`threads`,
+    /// `shard_threads`, `naive_host_views`, `heap_event_queue`,
+    /// `progress`): the part that decides what a run computes. Canonical
+    /// bytes, scenario ids and run summaries are built from this form, so
+    /// they compare equal across runs that must be bit-identical.
+    pub fn canonical(mut self) -> SimConfig {
+        let defaults = SimConfig::default();
+        self.threads = defaults.threads;
+        self.shard_threads = defaults.shard_threads;
+        self.naive_host_views = defaults.naive_host_views;
+        self.heap_event_queue = defaults.heap_event_queue;
+        self.progress = defaults.progress;
+        self
     }
 
     /// Validate invariants; called by the driver before running.
@@ -368,7 +382,7 @@ impl SimConfig {
 /// [`SimConfig::default`] or the config passed to
 /// [`SimConfig::to_builder`]); [`SimConfigBuilder::build`] runs
 /// [`SimConfig::validate`] and hands back the finished value. Building
-/// never changes the serde wire format: a builder-built config serializes
+/// never changes the wire format: a builder-built config serializes
 /// byte-identically to the same config assembled by field mutation.
 #[derive(Debug, Clone)]
 #[must_use = "a builder does nothing until `.build()` is called"]
@@ -463,6 +477,7 @@ impl SimConfigBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sapsim_json::{decode, ToJson};
 
     #[test]
     fn default_matches_paper_sampling() {
@@ -562,12 +577,12 @@ mod tests {
 
     #[test]
     fn fault_free_config_serializes_like_the_pre_fault_format() {
-        let json = serde_json::to_string(&SimConfig::default()).expect("serializes");
+        let json = SimConfig::default().to_json_string();
         assert!(
             !json.contains("faults"),
             "FaultSpec::none() must vanish from serialized configs: {json}"
         );
-        let back: SimConfig = serde_json::from_str(&json).expect("deserializes");
+        let back: SimConfig = decode(&json).expect("deserializes");
         assert_eq!(back, SimConfig::default());
 
         let faulty = SimConfig {
@@ -577,9 +592,9 @@ mod tests {
             },
             ..SimConfig::default()
         };
-        let json = serde_json::to_string(&faulty).expect("serializes");
+        let json = faulty.to_json_string();
         assert!(json.contains("host_fail_rate_per_month"));
-        let back: SimConfig = serde_json::from_str(&json).expect("deserializes");
+        let back: SimConfig = decode(&json).expect("deserializes");
         assert_eq!(back, faulty);
     }
 
@@ -603,9 +618,9 @@ mod tests {
         mutated.warmup_days = 0;
         assert_eq!(built, mutated);
         assert_eq!(
-            serde_json::to_string(&built).expect("serializes"),
-            serde_json::to_string(&mutated).expect("serializes"),
-            "builder must not perturb the serde wire format"
+            built.to_json_string(),
+            mutated.to_json_string(),
+            "builder must not perturb the wire format"
         );
     }
 
@@ -627,14 +642,14 @@ mod tests {
         c.region_replicas = 3;
         assert!(c.validate().is_ok());
 
-        let json = serde_json::to_string(&SimConfig::default()).expect("serializes");
+        let json = SimConfig::default().to_json_string();
         assert!(
             !json.contains("region_replicas"),
             "single-region configs must keep the pre-replica wire format: {json}"
         );
-        let json = serde_json::to_string(&c).expect("serializes");
+        let json = c.to_json_string();
         assert!(json.contains("\"region_replicas\":3"));
-        let back: SimConfig = serde_json::from_str(&json).expect("deserializes");
+        let back: SimConfig = decode(&json).expect("deserializes");
         assert_eq!(back, c);
 
         let zero = SimConfig {
@@ -664,7 +679,7 @@ mod tests {
         let mut c = SimConfig::smoke_test();
         c.shard_threads = 8;
         assert!(c.validate().is_ok());
-        let json = serde_json::to_string(&c).expect("serializes");
+        let json = c.to_json_string();
         assert!(
             !json.contains("shard_threads"),
             "shard workers must never reach the wire format: {json}"

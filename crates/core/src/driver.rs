@@ -23,8 +23,8 @@ use crate::hypervisor::{self, NodeDemand};
 use crate::result::{DriverStats, FaultStats, RunResult, VmUsageSummary};
 use crate::shard::{self, DeltaEntry, PopulationBase, ShardScope};
 use crate::snapshot::SimSnapshot;
-use rand::Rng;
 use sapsim_faults::FaultPlan;
+use sapsim_json::{json_codec, variant, write_variant, FromJson, JsonValue, ToJson};
 use sapsim_obs::{
     DecisionOutcome, DecisionRecord, FaultEventKind, HostScore, NullRecorder, ObsEvent, Recorder,
     RunProfile, SpanKind, DECISION_TOP_K,
@@ -45,14 +45,14 @@ use sapsim_topology::{
 use sapsim_workload::{
     paper_flavor_catalog, GeneratorConfig, VmId, VmSpec, WorkloadClass, WorkloadGenerator,
 };
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Events of the cloud simulation. Serializable because the pending-event
-/// set travels inside a [`SimSnapshot`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// Events of the cloud simulation. They have a JSON form (`"Scrape"`,
+/// `{"VmArrival":17}`) because the pending-event set travels inside a
+/// [`SimSnapshot`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Event {
     /// A VM (by spec index) arrives and must be placed.
     VmArrival(usize),
@@ -83,15 +83,57 @@ pub(crate) enum Event {
     EvacRetry(VmId),
 }
 
+impl ToJson for Event {
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Event::VmArrival(spec) => write_variant(out, "VmArrival", spec),
+            Event::VmDeparture(vm) => write_variant(out, "VmDeparture", vm),
+            Event::VmResize(vm) => write_variant(out, "VmResize", vm),
+            Event::Scrape => "Scrape".write_json(out),
+            Event::OsGauge => "OsGauge".write_json(out),
+            Event::DrsRound => "DrsRound".write_json(out),
+            Event::CrossBbRound => "CrossBbRound".write_json(out),
+            Event::MaintenanceStart(node) => write_variant(out, "MaintenanceStart", node),
+            Event::MaintenanceEnd(node) => write_variant(out, "MaintenanceEnd", node),
+            Event::HostFail(node) => write_variant(out, "HostFail", node),
+            Event::HostRecover(node) => write_variant(out, "HostRecover", node),
+            Event::EvacRetry(vm) => write_variant(out, "EvacRetry", vm),
+        }
+    }
+}
+
+impl FromJson for Event {
+    fn from_json(value: &JsonValue) -> Result<Self, String> {
+        let (name, payload) = variant(value)?;
+        Ok(match (name, payload) {
+            ("VmArrival", spec) => Event::VmArrival(FromJson::from_json(spec)?),
+            ("VmDeparture", vm) => Event::VmDeparture(FromJson::from_json(vm)?),
+            ("VmResize", vm) => Event::VmResize(FromJson::from_json(vm)?),
+            ("Scrape", JsonValue::Null) => Event::Scrape,
+            ("OsGauge", JsonValue::Null) => Event::OsGauge,
+            ("DrsRound", JsonValue::Null) => Event::DrsRound,
+            ("CrossBbRound", JsonValue::Null) => Event::CrossBbRound,
+            ("MaintenanceStart", node) => Event::MaintenanceStart(FromJson::from_json(node)?),
+            ("MaintenanceEnd", node) => Event::MaintenanceEnd(FromJson::from_json(node)?),
+            ("HostFail", node) => Event::HostFail(FromJson::from_json(node)?),
+            ("HostRecover", node) => Event::HostRecover(FromJson::from_json(node)?),
+            ("EvacRetry", vm) => Event::EvacRetry(FromJson::from_json(vm)?),
+            _ => return Err(format!("unknown event `{name}`")),
+        })
+    }
+}
+
 /// A VM displaced by a host failure that found no capacity yet: it waits
 /// in the driver's pending queue between backoff retries, preserving its
-/// demand-model state for the eventual restart. Serializable because the
-/// queue travels inside a [`SimSnapshot`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// demand-model state for the eventual restart. The queue travels inside a
+/// [`SimSnapshot`].
+#[derive(Debug, Clone)]
 pub(crate) struct PendingEvac {
     pub(crate) vm: PlacedVm,
     pub(crate) retries: u32,
 }
+
+json_codec!(struct PendingEvac { vm, retries });
 
 /// Per-region context of the estate: AZ handles, capacity shares, and
 /// whether the region carves out a dedicated CI farm. At `scale ≤ 1`
@@ -474,7 +516,7 @@ impl SimDriver {
                         WorkloadClass::GeneralPurpose => &cum_gp,
                     };
                     let total = *cum.last().unwrap();
-                    let x = region_rng.gen_range(0.0..total.max(f64::MIN_POSITIVE));
+                    let x = region_rng.range_f64(0.0, total.max(f64::MIN_POSITIVE));
                     cum.partition_point(|&c| c <= x).min(regions.len() - 1) as u32
                 })
                 .collect()
@@ -494,7 +536,7 @@ impl SimDriver {
                     WorkloadClass::CiFarm => region.share_a.2,
                     WorkloadClass::GeneralPurpose => region.share_a.0,
                 };
-                if az_rng.gen_bool(share_a) {
+                if az_rng.bool(share_a) {
                     region.az_a
                 } else {
                     region.az_b
@@ -557,7 +599,7 @@ impl SimDriver {
                     let mut picks = gp_bbs;
                     // Deterministic partial shuffle: pick `count` blocks.
                     for i in 0..count.min(picks.len()) {
-                        let j = i + (reserve_rng.gen_range(0..(picks.len() - i) as u64)) as usize;
+                        let j = i + (reserve_rng.range(0, (picks.len() - i) as u64)) as usize;
                         picks.swap(i, j);
                         cloud.set_bb_reserved(picks[i], true);
                     }
@@ -624,10 +666,10 @@ impl SimDriver {
             let prob = (cfg.maintenance_rate_per_month * cfg.days as f64 / 30.0).clamp(0.0, 1.0);
             let obs_span_ms = (horizon - warmup).as_millis() as f64;
             for node in cloud.topology().nodes() {
-                if !mrng.gen_bool(prob) {
+                if !mrng.bool(prob) {
                     continue;
                 }
-                let frac: f64 = mrng.gen_range(0.05..0.85);
+                let frac: f64 = mrng.range_f64(0.05, 0.85);
                 let start =
                     warmup + sapsim_sim::SimDuration::from_millis((obs_span_ms * frac) as u64);
                 sim.schedule_at(start, Event::MaintenanceStart(node.id));

@@ -20,6 +20,7 @@ use crate::config::{PlacementGranularity, SimConfig};
 use crate::driver::SimDriver;
 use crate::error::SimError;
 use crate::scenario::fnv1a_64;
+use sapsim_json::ToJson;
 use sapsim_obs::DECISION_TOP_K;
 use sapsim_scheduler::{PlacementPolicy, PlacementRequest, Ranking};
 use sapsim_sim::{SimRng, SimTime};
@@ -158,7 +159,7 @@ impl PlacementEngine {
                     let mut picks = gp_bbs;
                     for i in 0..count.min(picks.len()) {
                         let j =
-                            i + (reserve_rng.gen_range(0..(picks.len() - i) as u64)) as usize;
+                            i + (reserve_rng.range(0, (picks.len() - i) as u64)) as usize;
                         picks.swap(i, j);
                         cloud.set_bb_reserved(picks[i], true);
                     }
@@ -251,9 +252,8 @@ impl PlacementEngine {
     /// 16 hex digits. Two engines that applied the same request
     /// sequence — whether over a socket or in-process — hash equal.
     pub fn state_hash(&self) -> String {
-        let bytes = serde_json::to_vec(&self.cloud.capture_state())
-            .expect("cloud state serializes");
-        format!("{:016x}", fnv1a_64(&bytes))
+        let json = self.cloud.capture_state().to_json_string();
+        format!("{:016x}", fnv1a_64(json.as_bytes()))
     }
 
     /// Deep-copy fork for what-if planning: an independent engine whose
@@ -620,7 +620,14 @@ mod tests {
         // (`root.split("reserve")`, per-region [dc_a, dc_b] order); a
         // full engine-vs-driver estate comparison runs in the serve CI
         // smoke via the state hash. Here: deterministic and non-empty
-        // at the default fraction.
+        // at the default fraction — on an estate with at least four
+        // general-purpose blocks per data center, below which an 8 %
+        // reserve rounds to none.
+        let half_region = || {
+            let mut cfg = small_cfg();
+            cfg.scale = 0.5;
+            cfg
+        };
         let reserved = |cfg: SimConfig| -> Vec<bool> {
             let engine = PlacementEngine::new(cfg).expect("valid config");
             engine
@@ -630,13 +637,13 @@ mod tests {
                 .map(|bb| engine.cloud.is_bb_reserved(bb.id))
                 .collect()
         };
-        let a = reserved(small_cfg());
-        assert_eq!(a, reserved(small_cfg()));
+        let a = reserved(half_region());
+        assert_eq!(a, reserved(half_region()));
         assert!(
             a.iter().any(|&r| r),
             "default reserve fraction selects at least one block"
         );
-        let mut no_reserve = small_cfg();
+        let mut no_reserve = half_region();
         no_reserve.reserve_bb_fraction = 0.0;
         assert!(reserved(no_reserve).iter().all(|&r| !r));
     }

@@ -2,14 +2,14 @@
 
 use crate::cloud::Cloud;
 use crate::config::SimConfig;
+use sapsim_json::{json_codec, ObjectWriter};
 use sapsim_obs::RunProfile;
 use sapsim_telemetry::{RunningStat, TsdbStore};
 use sapsim_workload::{VmId, VmSpec};
-use serde::{Deserialize, Serialize};
 
 /// Per-VM utilization summary over the whole window — the input to the
 /// Figure 14 CDFs and the Table 1/2 classifications.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct VmUsageSummary {
     /// The VM.
     pub id: VmId,
@@ -23,8 +23,10 @@ pub struct VmUsageSummary {
     pub mem_ratio: RunningStat,
 }
 
+json_codec!(struct VmUsageSummary { id, spec_index, placed, cpu_ratio, mem_ratio });
+
 /// Counters describing one run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DriverStats {
     /// Placement attempts (VM arrivals).
     pub placements_attempted: u64,
@@ -67,12 +69,18 @@ pub struct DriverStats {
     /// Fault-injection counters. All-zero (and skipped when serialized)
     /// unless the run had a non-empty fault plan, so pre-fault output
     /// stays byte-identical.
-    #[serde(default, skip_serializing_if = "FaultStats::is_zero")]
     pub faults: FaultStats,
 }
 
+json_codec!(struct DriverStats: default {
+    placements_attempted, placed, failed_no_candidate, failed_fragmented, placement_retries,
+    drs_migrations, cross_bb_migrations, resizes_attempted, resizes_in_place, resizes_migrated,
+    resizes_failed, maintenance_windows, maintenance_aborted, evacuations, departures, scrapes,
+    peak_vm_count, final_vm_count, faults: FaultStats::is_zero,
+});
+
 /// Counters describing the injected faults and their consequences.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Abrupt host failures applied (a planned failure on a node already
     /// out of service is skipped and not counted).
@@ -99,6 +107,11 @@ pub struct FaultStats {
     /// Node scrape samples suppressed by dropout windows.
     pub dropped_samples: u64,
 }
+
+json_codec!(struct FaultStats {
+    host_failures, host_recoveries, evacuated, evac_replaced, evac_retries, evac_pending_peak,
+    evac_pending_end, evac_lost, straggler_nodes, dropout_windows, dropped_samples,
+});
 
 impl FaultStats {
     /// True when no fault machinery left any trace in this run.
@@ -152,8 +165,8 @@ impl RunResult {
     ///   equal bytes.
     /// * **Execution-independent** — knobs and measurements that describe
     ///   *how* a run executes rather than *what* it simulates are left
-    ///   out: [`SimConfig::threads`] is normalized to its default and the
-    ///   wall-clock [`RunResult::profile`] is omitted entirely, so runs
+    ///   out: the config is written in its [`SimConfig::canonical`] form and
+    ///   the wall-clock [`RunResult::profile`] is omitted entirely, so runs
     ///   that must be bit-identical across thread counts and recorder
     ///   choices compare equal.
     ///
@@ -161,38 +174,30 @@ impl RunResult {
     /// placement list in id order; per-VM RNG internals are execution
     /// machinery and are not part of the canonical form.
     pub fn canonical_bytes(&self) -> Vec<u8> {
-        #[derive(Serialize)]
-        struct Canonical<'a> {
-            config: SimConfig,
-            store: &'a TsdbStore,
-            vm_stats: &'a [VmUsageSummary],
-            specs: &'a [VmSpec],
-            stats: &'a DriverStats,
-            placements: Vec<(u64, u32)>,
-        }
-        let mut config = self.config;
-        config.threads = 0;
+        let config = self.config.canonical();
         let placements: Vec<(u64, u32)> = self
             .specs
             .iter()
             .filter_map(|s| self.cloud.vm(s.id))
             .map(|vm| (vm.id.raw(), vm.node.index() as u32))
             .collect();
-        serde_json::to_vec(&Canonical {
-            config,
-            store: &self.store,
-            vm_stats: &self.vm_stats,
-            specs: &self.specs,
-            stats: &self.stats,
-            placements,
-        })
-        .expect("all RunResult components serialize")
+        let mut out = String::new();
+        let mut canonical = ObjectWriter::new(&mut out);
+        canonical.field("config", &config);
+        canonical.field("store", &self.store);
+        canonical.field("vm_stats", &self.vm_stats);
+        canonical.field("specs", &self.specs);
+        canonical.field("stats", &self.stats);
+        canonical.field("placements", &placements);
+        canonical.end();
+        out.into_bytes()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sapsim_json::{decode, ToJson};
 
     #[test]
     fn success_rate_handles_zero_attempts() {
@@ -208,13 +213,13 @@ mod tests {
 
     #[test]
     fn zero_fault_stats_vanish_from_serialized_stats() {
-        let clean = serde_json::to_string(&DriverStats::default()).expect("serializes");
+        let clean = DriverStats::default().to_json_string();
         assert!(
             !clean.contains("faults"),
             "fault-free stats must serialize exactly like the pre-fault format: {clean}"
         );
         // The pre-fault wire format (no `faults` key) still deserializes.
-        let back: DriverStats = serde_json::from_str(&clean).expect("deserializes");
+        let back: DriverStats = decode(&clean).expect("deserializes");
         assert!(back.faults.is_zero());
 
         let faulty = DriverStats {
@@ -225,9 +230,9 @@ mod tests {
             },
             ..DriverStats::default()
         };
-        let json = serde_json::to_string(&faulty).expect("serializes");
+        let json = faulty.to_json_string();
         assert!(json.contains("\"host_failures\":2"));
-        let back: DriverStats = serde_json::from_str(&json).expect("deserializes");
+        let back: DriverStats = decode(&json).expect("deserializes");
         assert_eq!(back, faulty);
     }
 }

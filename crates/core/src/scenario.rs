@@ -22,9 +22,9 @@ use crate::config::{PlacementGranularity, SimConfig};
 use crate::error::SimError;
 use crate::result::RunResult;
 use sapsim_faults::FaultSpec;
+use sapsim_json::{json_codec, ToJson};
 use sapsim_obs::Recorder;
 use sapsim_scheduler::PolicyKind;
-use serde::{Deserialize, Serialize};
 
 /// FNV-1a 64-bit content hash — the zero-dependency hash used for
 /// scenario ids and sweep determinism witnesses. Stable across platforms
@@ -36,16 +36,6 @@ pub fn fnv1a_64(bytes: &[u8]) -> u64 {
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
-}
-
-/// The canonical JSON form of a config: execution knobs normalized away
-/// (`threads` to its default; `naive_host_views` and an empty fault spec
-/// are skipped by serde), so configs that must produce identical results
-/// serialize identically.
-fn canonical_config_json(config: &SimConfig) -> String {
-    let mut canonical = *config;
-    canonical.threads = 0;
-    serde_json::to_string(&canonical).expect("SimConfig serializes")
 }
 
 /// One named, validated run descriptor.
@@ -89,10 +79,8 @@ impl Scenario {
     /// [`RunResult::canonical_bytes`], whatever their names or thread
     /// counts.
     pub fn id(&self) -> String {
-        format!(
-            "{:016x}",
-            fnv1a_64(canonical_config_json(&self.config).as_bytes())
-        )
+        let json = self.config.canonical().to_json_string();
+        format!("{:016x}", fnv1a_64(json.as_bytes()))
     }
 
     /// Execute the scenario without observability.
@@ -118,8 +106,7 @@ impl Scenario {
 /// granularity, DRS, faults, seed (innermost) — and derives a stable
 /// name per scenario from the axes that actually vary (the seed always
 /// appears, so names stay unique across the commonest sweeps).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(default)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepSpec {
     /// The config every scenario starts from.
     pub base: SimConfig,
@@ -136,6 +123,8 @@ pub struct SweepSpec {
     /// Workload/topology scales (empty: just the base scale).
     pub scales: Vec<f64>,
 }
+
+json_codec!(struct SweepSpec: default { base, seeds, policies, granularities, drs, faults, scales });
 
 impl Default for SweepSpec {
     fn default() -> Self {
@@ -357,18 +346,21 @@ mod tests {
     #[test]
     fn invalid_expanded_configs_are_rejected() {
         let mut spec = SweepSpec::new(base());
-        spec.scales = vec![0.02, 2.0];
+        spec.scales = vec![0.02, SimConfig::MAX_SCALE * 2.0];
         assert!(spec.expand().is_err());
     }
 
     #[test]
-    fn sweep_spec_round_trips_through_serde() {
+    fn sweep_spec_round_trips_through_json() {
         let mut spec = SweepSpec::new(base());
         spec.seeds = vec![1, 2];
         spec.drs = vec![true, false];
-        let json = serde_json::to_string(&spec).expect("serializes");
-        let back: SweepSpec = serde_json::from_str(&json).expect("deserializes");
+        let back: SweepSpec = sapsim_json::decode(&spec.to_json_string()).expect("decodes");
         assert_eq!(back, spec);
+        // Missing keys default: an axis-only document is a complete spec.
+        let sparse: SweepSpec = sapsim_json::decode(r#"{"seeds":[4,5]}"#).expect("decodes");
+        assert_eq!(sparse.base, SimConfig::default());
+        assert_eq!(sparse.seeds, vec![4, 5]);
     }
 
     #[test]

@@ -344,6 +344,7 @@ pub(crate) fn replay_population_peaks(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sapsim_json::ToJson;
     use crate::{SimConfig, SimDriver};
     use sapsim_sim::MILLIS_PER_DAY;
     use sapsim_topology::{paper_estate_replicated, NodeId, TopologyBuilder};
@@ -453,8 +454,8 @@ mod tests {
         assert_eq!(shard_total, base.vm_count, "partition conserves VMs");
         let merged = merge_cloud_states(shards, &spans, &vm_region);
         assert_eq!(
-            serde_json::to_vec(&merged).unwrap(),
-            serde_json::to_vec(base).unwrap(),
+            merged.to_json_string(),
+            base.to_json_string(),
             "partition → merge must be the identity on a quiescent state"
         );
     }

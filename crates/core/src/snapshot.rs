@@ -40,10 +40,10 @@ use crate::error::SimError;
 use crate::result::{DriverStats, VmUsageSummary};
 use crate::scenario::fnv1a_64;
 use sapsim_faults::{FaultPlan, FaultSpec};
+use sapsim_json::{decode, json_codec, ToJson};
 use sapsim_sim::{SimRng, SimTime, SimulationStats};
 use sapsim_telemetry::TsdbStore;
 use sapsim_topology::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// Schema identifier on the first line of every snapshot file. Bump the
 /// version when the serialized state changes shape; old readers reject
@@ -52,11 +52,13 @@ pub const SNAPSHOT_SCHEMA: &str = "sapsim.snapshot/v1";
 
 /// First line of the file format: schema name plus the witness hash of
 /// the body line.
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug)]
 struct SnapshotHeader {
     schema: String,
     canonical_hash: String,
 }
+
+json_codec!(struct SnapshotHeader { schema, canonical_hash });
 
 /// A simulation captured mid-flight, resumable via
 /// [`SimDriver::resume`](crate::SimDriver::resume).
@@ -69,7 +71,7 @@ struct SnapshotHeader {
 /// through [`refault`](Self::refault). A snapshot is immutable: every
 /// resume deep-copies its tables, so one snapshot can seed any number of
 /// independent continuations.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimSnapshot {
     pub(crate) config: SimConfig,
     pub(crate) now: SimTime,
@@ -85,6 +87,11 @@ pub struct SimSnapshot {
     pub(crate) region_placed: Vec<u64>,
     pub(crate) region_departed: Vec<u64>,
 }
+
+json_codec!(struct SimSnapshot {
+    config, now, sim_stats, next_seq, events, init_scheduled, cloud, stats, vm_stats, store,
+    pending, region_placed, region_departed,
+});
 
 impl SimSnapshot {
     /// The configuration the snapshot was captured under. A resume runs
@@ -102,7 +109,7 @@ impl SimSnapshot {
 
     /// Override the shard-worker count the resumed continuation runs
     /// with. `shard_threads` is an execution-only knob — it never touches
-    /// the serialized snapshot (serde-skipped) and the resumed result is
+    /// the serialized snapshot (it is not on the wire) and the resumed result is
     /// byte-identical at any value — so a snapshot captured sequentially
     /// can finish spatially partitioned and vice versa.
     pub fn set_shard_threads(&mut self, n: usize) {
@@ -111,12 +118,12 @@ impl SimSnapshot {
 
     /// Serialize to the two-line `sapsim.snapshot/v1` file format.
     pub fn to_file_string(&self) -> String {
-        let body = serde_json::to_string(self).expect("snapshot state serializes");
-        let header = serde_json::to_string(&SnapshotHeader {
+        let body = self.to_json_string();
+        let header = SnapshotHeader {
             schema: SNAPSHOT_SCHEMA.to_string(),
             canonical_hash: format!("{:016x}", fnv1a_64(body.as_bytes())),
-        })
-        .expect("snapshot header serializes");
+        }
+        .to_json_string();
         format!("{header}\n{body}\n")
     }
 
@@ -130,7 +137,7 @@ impl SimSnapshot {
                 "truncated snapshot: missing body".into(),
             ));
         };
-        let header: SnapshotHeader = serde_json::from_str(header_line)
+        let header: SnapshotHeader = decode(header_line)
             .map_err(|e| SimError::Snapshot(format!("malformed snapshot header: {e}")))?;
         if header.schema != SNAPSHOT_SCHEMA {
             return Err(SimError::Snapshot(format!(
@@ -151,8 +158,7 @@ impl SimSnapshot {
                 header.canonical_hash
             )));
         }
-        serde_json::from_str(body)
-            .map_err(|e| SimError::Snapshot(format!("malformed snapshot body: {e}")))
+        decode(body).map_err(|e| SimError::Snapshot(format!("malformed snapshot body: {e}")))
     }
 
     /// Enforce the fault-restatement rule for resuming from a file: a
@@ -218,9 +224,7 @@ impl SimSnapshot {
         // execution-only knobs, which are byte-identical by contract.
         let mut branch_base = *branch;
         branch_base.faults = FaultSpec::none();
-        let base_json = serde_json::to_string(&self.config).expect("config serializes");
-        let branch_json = serde_json::to_string(&branch_base).expect("config serializes");
-        if base_json != branch_json {
+        if self.config.to_json_string() != branch_base.to_json_string() {
             return Err(SimError::Snapshot(
                 "fork branch config differs from the snapshot beyond the fault spec".into(),
             ));
@@ -309,8 +313,8 @@ mod tests {
         assert_eq!(back.events, s.events);
         // Nothing the serializer can see changed across the round trip.
         assert_eq!(
-            serde_json::to_string(&back).unwrap(),
-            serde_json::to_string(&s).unwrap()
+            back.to_json_string(),
+            s.to_json_string()
         );
     }
 
@@ -344,9 +348,9 @@ mod tests {
     fn tampered_hash_is_rejected() {
         let text = snap().to_file_string();
         let (header_line, rest) = text.split_once('\n').unwrap();
-        let mut header: SnapshotHeader = serde_json::from_str(header_line).unwrap();
+        let mut header: SnapshotHeader = decode(header_line).unwrap();
         header.canonical_hash = "0000000000000000".into();
-        let tampered = format!("{}\n{rest}", serde_json::to_string(&header).unwrap());
+        let tampered = format!("{}\n{rest}", header.to_json_string());
         let err = SimSnapshot::from_file_str(&tampered).unwrap_err();
         assert!(err.to_string().contains("canonical_hash mismatch"), "{err}");
     }

@@ -27,9 +27,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use rand::Rng;
+use sapsim_json::json_codec;
 use sapsim_sim::{SimDuration, SimRng, SimTime, MILLIS_PER_DAY, MILLIS_PER_HOUR};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// What went wrong while validating or parsing a [`FaultSpec`].
@@ -69,8 +68,7 @@ impl std::error::Error for FaultError {}
 /// simulation config. The default value ([`FaultSpec::none`]) disables
 /// every fault kind and is serialized as an absent field, so configs
 /// written before the fault layer existed round-trip unchanged.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-#[serde(default)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultSpec {
     /// Expected abrupt host failures per node per 30 days (0 disables).
     pub host_fail_rate_per_month: f64,
@@ -96,6 +94,11 @@ pub struct FaultSpec {
     pub evac_retry_backoff_secs: u64,
 }
 
+json_codec!(struct FaultSpec: default {
+    host_fail_rate_per_month, host_downtime_hours, straggler_fraction, straggler_slowdown,
+    dropout_rate_per_month, dropout_duration_hours, evac_retry_limit, evac_retry_backoff_secs,
+});
+
 impl Default for FaultSpec {
     fn default() -> Self {
         FaultSpec::none()
@@ -119,8 +122,8 @@ impl FaultSpec {
     }
 
     /// True when every fault kind is disabled (rates all zero), i.e. the
-    /// expanded plan is guaranteed empty. Used by serde to skip the
-    /// config field so pre-fault output stays byte-identical.
+    /// expanded plan is guaranteed empty. An empty spec is left out of a
+    /// serialized config, so pre-fault output stays byte-identical.
     pub fn is_none(&self) -> bool {
         self.host_fail_rate_per_month == 0.0
             && self.straggler_fraction == 0.0
@@ -245,7 +248,7 @@ impl FaultSpec {
     /// Parse a JSON file body (the `--faults <FILE>` form). Absent fields
     /// fall back to [`FaultSpec::none`] defaults.
     pub fn from_json_str(text: &str) -> Result<Self, FaultError> {
-        let spec: FaultSpec = serde_json::from_str(text)
+        let spec: FaultSpec = sapsim_json::decode(text)
             .map_err(|e| FaultError::JsonSyntax(format!("faults: bad JSON spec: {e}")))?;
         spec.validate()?;
         Ok(spec)
@@ -341,12 +344,12 @@ impl FaultPlan {
             let mut rng = frng.split("host-fail");
             let prob = (spec.host_fail_rate_per_month * obs_months).clamp(0.0, 1.0);
             for node in 0..num_nodes as u32 {
-                if !rng.gen_bool(prob) {
+                if !rng.bool(prob) {
                     continue;
                 }
                 // Same placement idiom as maintenance windows: keep the
                 // failure inside the meat of the observation window.
-                let frac: f64 = rng.gen_range(0.05..0.85);
+                let frac: f64 = rng.range_f64(0.05, 0.85);
                 let at = warmup + SimDuration::from_millis((obs_span_ms * frac) as u64);
                 let recover_at = (spec.host_downtime_hours > 0.0).then(|| {
                     at + SimDuration::from_millis(
@@ -366,7 +369,7 @@ impl FaultPlan {
             let mut throughput = vec![1.0; num_nodes];
             let mut any = false;
             for t in throughput.iter_mut() {
-                if rng.gen_bool(spec.straggler_fraction) {
+                if rng.bool(spec.straggler_fraction) {
                     *t = spec.straggler_slowdown;
                     any = true;
                 }
@@ -382,10 +385,10 @@ impl FaultPlan {
             let mut dropouts = vec![Vec::new(); num_nodes];
             let mut any = false;
             for windows in dropouts.iter_mut() {
-                if !rng.gen_bool(prob) {
+                if !rng.bool(prob) {
                     continue;
                 }
-                let frac: f64 = rng.gen_range(0.0..0.9);
+                let frac: f64 = rng.range_f64(0.0, 0.9);
                 let from = warmup + SimDuration::from_millis((obs_span_ms * frac) as u64);
                 let until = from
                     + SimDuration::from_millis(
@@ -441,6 +444,7 @@ impl FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sapsim_json::ToJson;
 
     fn busy_spec() -> FaultSpec {
         FaultSpec {
@@ -554,6 +558,23 @@ mod tests {
         assert_eq!(spec.evac_retry_limit, FaultSpec::none().evac_retry_limit);
         assert!(FaultSpec::from_json_str("not json").is_err());
         assert!(FaultSpec::from_json_str(r#"{"straggler_fraction": 7.0}"#).is_err());
+        assert!(FaultSpec::from_json_str(r#"{"evac_retry_limit": 1.5}"#).is_err());
+    }
+
+    #[test]
+    fn json_round_trips_every_knob() {
+        let spec = FaultSpec {
+            host_fail_rate_per_month: 1.5,
+            host_downtime_hours: 0.0,
+            straggler_fraction: 0.25,
+            straggler_slowdown: 0.5,
+            dropout_rate_per_month: 3.0,
+            dropout_duration_hours: 0.75,
+            evac_retry_limit: 7,
+            evac_retry_backoff_secs: 45,
+        };
+        let json = spec.to_json_string();
+        assert_eq!(FaultSpec::from_json_str(&json), Ok(spec));
     }
 
     #[test]

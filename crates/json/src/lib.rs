@@ -1,14 +1,28 @@
-//! A minimal JSON reader/writer for the wire protocol.
+//! The workspace's one JSON codec.
 //!
-//! The service cannot lean on `serde_json` (the API crate is
-//! dependency-light by design, see `Cargo.toml`), so this module carries
-//! a small recursive-descent parser and the same deterministic emit
-//! helpers the observability crate uses. The parser is strict where the
-//! protocol needs it to be: it rejects trailing garbage, caps nesting
-//! depth, decodes every escape (including surrogate pairs), and refuses
-//! numbers that do not fit an `f64` round-trip.
+//! Everything that reads or writes JSON goes through this crate: the
+//! `sapsim.api/v1` wire protocol, the observability streams, run
+//! summaries, sweep manifests and reports, and the `sapsim.snapshot/v1`
+//! checkpoint format. It has three parts:
+//!
+//! * [`parse`] — a strict recursive-descent reader into [`JsonValue`]. It
+//!   rejects trailing garbage, caps nesting depth, decodes every escape
+//!   (including surrogate pairs), refuses numbers that overflow an `f64`,
+//!   and keeps non-negative integer literals exact up to `u64::MAX`
+//!   ([`JsonValue::Int`]) — RNG state words and histogram bucket bounds
+//!   use the full 64 bits.
+//! * [`push_str`] / [`push_u64`] / [`push_f64`] — deterministic emit
+//!   helpers appending to one `String`.
+//! * [`ToJson`] / [`FromJson`] and the [`json_codec!`] macro — typed
+//!   encode (streamed into one `String`, no intermediate tree) and decode
+//!   (from a parsed [`JsonValue`]) for plain records, unit enums and
+//!   newtypes.
 
-use std::fmt;
+mod codec;
+
+pub use codec::{decode, required, variant, write_variant, FromJson, ObjectWriter, ToJson};
+
+use std::fmt::{self, Write as _};
 
 /// Maximum nesting depth accepted by [`parse`]. Requests are flat
 /// objects; 32 levels is far beyond anything legitimate and keeps a
@@ -26,7 +40,10 @@ pub enum JsonValue {
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// Any JSON number (always carried as `f64`).
+    /// A non-negative integer literal (no fraction, no exponent) that
+    /// fits a `u64`, kept exact.
+    Int(u64),
+    /// Any other JSON number.
     Num(f64),
     /// A string, fully unescaped.
     Str(String),
@@ -57,20 +74,26 @@ impl JsonValue {
     /// The numeric payload, if this is a number.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            JsonValue::Int(n) => Some(*n as f64),
             JsonValue::Num(n) => Some(*n),
             _ => None,
         }
     }
 
-    /// The numeric payload as a non-negative integer. `None` when the
-    /// value is not a number, is negative, has a fractional part, or is
-    /// too large for an exact `f64` integer (2^53).
+    /// The numeric payload as a non-negative integer: exact for integer
+    /// literals up to `u64::MAX`. A number written with a fraction or an
+    /// exponent (`4.0`, `1e3`) counts when it is integral and below 2^53,
+    /// where every `f64` integer is exact; anything else is `None`.
     pub fn as_u64(&self) -> Option<u64> {
-        let n = self.as_f64()?;
-        if !n.is_finite() || n < 0.0 || n.fract() != 0.0 || n > 9_007_199_254_740_992.0 {
-            return None;
+        match self {
+            JsonValue::Int(n) => Some(*n),
+            JsonValue::Num(n)
+                if *n >= 0.0 && n.fract() == 0.0 && *n < 9_007_199_254_740_992.0 =>
+            {
+                Some(*n as u64)
+            }
+            _ => None,
         }
-        Some(n as u64)
     }
 
     /// The boolean payload, if this is a boolean.
@@ -98,9 +121,27 @@ impl JsonValue {
     }
 }
 
+/// `value["key"]`: the member, or `null` for missing keys and non-objects.
+impl std::ops::Index<&str> for JsonValue {
+    type Output = JsonValue;
+
+    fn index(&self, key: &str) -> &JsonValue {
+        self.get(key).unwrap_or(&JsonValue::Null)
+    }
+}
+
+/// `value[i]`: the element, or `null` past the end and for non-arrays.
+impl std::ops::Index<usize> for JsonValue {
+    type Output = JsonValue;
+
+    fn index(&self, i: usize) -> &JsonValue {
+        self.as_arr().and_then(|items| items.get(i)).unwrap_or(&JsonValue::Null)
+    }
+}
+
 /// A parse failure: byte offset plus a short message. Rendered as
-/// `"{msg} at byte {offset}"`, which the protocol layer wraps into
-/// [`crate::ProtocolError::Malformed`].
+/// `"{msg} at byte {offset}"`; the protocol layer wraps it into its
+/// `malformed` error.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
     /// Byte offset of the failure in the input.
@@ -339,6 +380,7 @@ impl<'a> Parser<'a> {
         if self.pos == digits_start {
             return Err(self.err("expected digits"));
         }
+        let digits_end = self.pos;
         if self.peek() == Some(b'.') {
             self.pos += 1;
             let frac_start = self.pos;
@@ -363,6 +405,13 @@ impl<'a> Parser<'a> {
             }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
+        // A bare run of digits stays an exact integer; one too long for a
+        // `u64` falls through to the float path like any other number.
+        if digits_start == start && self.pos == digits_end {
+            if let Ok(n) = text.parse::<u64>() {
+                return Ok(JsonValue::Int(n));
+            }
+        }
         let n: f64 = text.parse().map_err(|_| self.err("bad number"))?;
         if !n.is_finite() {
             return Err(self.err("number out of range"));
@@ -372,7 +421,7 @@ impl<'a> Parser<'a> {
 }
 
 // ---------------------------------------------------------------------
-// Deterministic emit helpers (mirrors sapsim-obs's private json module).
+// Deterministic emit helpers.
 // ---------------------------------------------------------------------
 
 /// Append a JSON string literal (quoted, escaped).
@@ -386,7 +435,7 @@ pub fn push_str(out: &mut String, s: &str) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
@@ -396,14 +445,14 @@ pub fn push_str(out: &mut String, s: &str) {
 
 /// Append an unsigned integer.
 pub fn push_u64(out: &mut String, v: u64) {
-    out.push_str(&v.to_string());
+    let _ = write!(out, "{v}");
 }
 
 /// Append an `f64` using Rust's shortest-round-trip `Display`; non-finite
 /// values become `null` (JSON has no NaN/Inf).
 pub fn push_f64(out: &mut String, v: f64) {
     if v.is_finite() {
-        out.push_str(&v.to_string());
+        let _ = write!(out, "{v}");
     } else {
         out.push_str("null");
     }
@@ -490,48 +539,88 @@ mod tests {
     }
 
     #[test]
-    fn emitters_match_serde_json() {
+    fn emitters_escape_and_render_deterministically() {
+        let emit = |s: &str| {
+            let mut out = String::new();
+            push_str(&mut out, s);
+            out
+        };
+        assert_eq!(emit("plain"), "\"plain\"");
+        assert_eq!(emit("a\"b\\c\nd\te\r\u{1}"), r#""a\"b\\c\nd\te\r\u0001""#);
+        // What the emitter escapes, the reader restores.
+        let nasty = "x\n\"\\\t\u{2}\u{1f}é😀";
+        assert_eq!(parse(&emit(nasty)).unwrap().as_str(), Some(nasty));
+
+        let float = |v: f64| {
+            let mut out = String::new();
+            push_f64(&mut out, v);
+            out
+        };
+        assert_eq!(float(0.25), "0.25");
+        assert_eq!(float(-3.0), "-3");
+        assert_eq!(float(f64::NAN), "null");
+        assert_eq!(float(f64::INFINITY), "null");
         let mut out = String::new();
-        push_str(&mut out, "a\"b\\c\nd\u{1}");
-        assert_eq!(out, serde_json::to_string("a\"b\\c\nd\u{1}").unwrap());
-        let mut out = String::new();
-        push_f64(&mut out, 0.25);
-        assert_eq!(out, "0.25");
-        let mut out = String::new();
-        push_f64(&mut out, f64::NAN);
-        assert_eq!(out, "null");
+        push_u64(&mut out, u64::MAX);
+        assert_eq!(out, "18446744073709551615");
     }
 
     #[test]
-    fn parser_agrees_with_serde_on_a_corpus() {
-        let corpus = [
-            r#"{"a":[1,2,{"b":null}],"c":"x","d":false,"e":1.25e2}"#,
-            r#"[[],{},"",0,-0.5]"#,
-            r#""Aß東""#,
+    fn integers_are_exact_up_to_u64_max() {
+        for n in [0, 1 << 53, (1 << 53) + 1, u64::MAX - 1, u64::MAX] {
+            let v = parse(&n.to_string()).unwrap();
+            assert_eq!(v, JsonValue::Int(n));
+            assert_eq!(v.as_u64(), Some(n), "{n}");
+            assert_eq!(v.as_f64(), Some(n as f64));
+        }
+        // One past `u64::MAX` is still a number, just not an exact one.
+        let v = parse("18446744073709551616").unwrap();
+        assert_eq!(v.as_u64(), None);
+        assert_eq!(v.as_f64(), Some(18_446_744_073_709_551_616.0));
+        // Fraction or exponent spellings count while they are exact.
+        assert_eq!(parse("4.0").unwrap().as_u64(), Some(4));
+        assert_eq!(parse("9007199254740993.0").unwrap().as_u64(), None);
+        assert_eq!(parse("-0").unwrap().as_u64(), Some(0));
+    }
+
+    #[test]
+    fn edge_documents_parse_to_the_expected_tree() {
+        use JsonValue::{Arr, Bool, Int, Null, Num, Obj, Str};
+        let table: [(&str, JsonValue); 8] = [
+            (
+                r#"{"a":[1,2,{"b":null}],"c":"x","d":false,"e":1.25e2}"#,
+                Obj(vec![
+                    ("a".into(), Arr(vec![Int(1), Int(2), Obj(vec![("b".into(), Null)])])),
+                    ("c".into(), Str("x".into())),
+                    ("d".into(), Bool(false)),
+                    ("e".into(), Num(125.0)),
+                ]),
+            ),
+            (
+                r#"[[],{},"",0,-0.5]"#,
+                Arr(vec![Arr(vec![]), Obj(vec![]), Str(String::new()), Int(0), Num(-0.5)]),
+            ),
+            (r#""Aß東""#, Str("Aß東".into())),
+            (" \t\r\n true \n", Bool(true)),
+            (r#"{"":{"":[]}}"#, Obj(vec![(String::new(), Obj(vec![(String::new(), Arr(vec![]))]))])),
+            (r#"{"k":1,"k":2}"#, Obj(vec![("k".into(), Int(1)), ("k".into(), Int(2))])),
+            ("-12", Num(-12.0)),
+            (r#""\u0041\/\b\f""#, Str("A/\u{8}\u{c}".into())),
         ];
-        for doc in corpus {
-            let ours = parse(doc).expect("ours parses");
-            let theirs: serde_json::Value = serde_json::from_str(doc).expect("serde parses");
-            assert_eq!(to_serde(&ours), theirs, "doc: {doc}");
+        for (doc, want) in table {
+            assert_eq!(parse(doc), Ok(want), "doc: {doc}");
+        }
+        for bad in ["01x", "[1,]", "{,}", "{\"a\" 1}", "\"\\x\"", "\"a\nb\"", "+1", ".5", "tru", "[", "\u{feff}1"] {
+            assert!(parse(bad).is_err(), "accepted: {bad:?}");
         }
     }
 
-    #[cfg(test)]
-    fn to_serde(v: &JsonValue) -> serde_json::Value {
-        match v {
-            JsonValue::Null => serde_json::Value::Null,
-            JsonValue::Bool(b) => serde_json::Value::Bool(*b),
-            JsonValue::Num(n) => serde_json::json!(*n),
-            JsonValue::Str(s) => serde_json::Value::String(s.clone()),
-            JsonValue::Arr(items) => {
-                serde_json::Value::Array(items.iter().map(to_serde).collect())
-            }
-            JsonValue::Obj(pairs) => serde_json::Value::Object(
-                pairs
-                    .iter()
-                    .map(|(k, v)| (k.clone(), to_serde(v)))
-                    .collect(),
-            ),
-        }
+    #[test]
+    fn indexing_yields_null_for_anything_missing() {
+        let v = parse(r#"{"a":[{"b":7}]}"#).unwrap();
+        assert_eq!(v["a"][0]["b"].as_u64(), Some(7));
+        assert_eq!(v["a"][1], JsonValue::Null);
+        assert_eq!(v["nope"]["deeper"], JsonValue::Null);
+        assert_eq!(v[0], JsonValue::Null);
     }
 }

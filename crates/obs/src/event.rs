@@ -1,6 +1,6 @@
 //! Typed observability events and their JSONL encoding.
 
-use crate::json;
+use sapsim_json as json;
 
 /// How many ranked survivors a [`DecisionRecord`] keeps per decision,
 /// with their combined and per-weigher scores. Five is enough to see why
@@ -288,12 +288,12 @@ impl ObsEvent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde_json::Value;
+    use sapsim_json::JsonValue;
 
-    fn line(ev: &ObsEvent) -> Value {
+    fn line(ev: &ObsEvent) -> JsonValue {
         let mut s = String::new();
         ev.write_json_line(&mut s);
-        serde_json::from_str(&s).expect("event lines are valid JSON")
+        sapsim_json::parse(&s).expect("event lines are valid JSON")
     }
 
     #[test]
@@ -313,10 +313,10 @@ mod tests {
             ts_us: 12,
             dur_us: 345,
         });
-        assert_eq!(v["type"], "span");
-        assert_eq!(v["kind"], "scrape");
-        assert_eq!(v["ts_us"], 12);
-        assert_eq!(v["dur_us"], 345);
+        assert_eq!(v["type"].as_str(), Some("span"));
+        assert_eq!(v["kind"].as_str(), Some("scrape"));
+        assert_eq!(v["ts_us"].as_u64(), Some(12));
+        assert_eq!(v["dur_us"].as_u64(), Some(345));
     }
 
     #[test]
@@ -335,18 +335,18 @@ mod tests {
                 weights: vec![("cpu", 0.5), ("ram", 1.0)],
             }],
         }));
-        assert_eq!(v["type"], "decision");
-        assert_eq!(v["vm_uid"], 42);
-        assert_eq!(v["candidates"], 17);
-        assert_eq!(v["retries"], 2);
-        assert_eq!(v["outcome"], "placed");
-        assert_eq!(v["chosen_host"], 9);
-        assert_eq!(v["rejections"]["insufficient_cpu"], 3);
-        assert_eq!(v["rejections"]["wrong_az"], 8);
-        assert_eq!(v["top_k"][0]["host"], 4);
-        assert_eq!(v["top_k"][0]["score"], 1.5);
-        assert_eq!(v["top_k"][0]["weights"]["cpu"], 0.5);
-        assert_eq!(v["top_k"][0]["weights"]["ram"], 1.0);
+        assert_eq!(v["type"].as_str(), Some("decision"));
+        assert_eq!(v["vm_uid"].as_u64(), Some(42));
+        assert_eq!(v["candidates"].as_u64(), Some(17));
+        assert_eq!(v["retries"].as_u64(), Some(2));
+        assert_eq!(v["outcome"].as_str(), Some("placed"));
+        assert_eq!(v["chosen_host"].as_u64(), Some(9));
+        assert_eq!(v["rejections"]["insufficient_cpu"].as_u64(), Some(3));
+        assert_eq!(v["rejections"]["wrong_az"].as_u64(), Some(8));
+        assert_eq!(v["top_k"][0]["host"].as_u64(), Some(4));
+        assert_eq!(v["top_k"][0]["score"].as_f64(), Some(1.5));
+        assert_eq!(v["top_k"][0]["weights"]["cpu"].as_f64(), Some(0.5));
+        assert_eq!(v["top_k"][0]["weights"]["ram"].as_f64(), Some(1.0));
     }
 
     #[test]
@@ -357,11 +357,11 @@ mod tests {
             node: 13,
             vm_uid: Some(99),
         });
-        assert_eq!(v["type"], "fault");
-        assert_eq!(v["kind"], "evac_replaced");
-        assert_eq!(v["sim_time_ms"], 777);
-        assert_eq!(v["node"], 13);
-        assert_eq!(v["vm_uid"], 99);
+        assert_eq!(v["type"].as_str(), Some("fault"));
+        assert_eq!(v["kind"].as_str(), Some("evac_replaced"));
+        assert_eq!(v["sim_time_ms"].as_u64(), Some(777));
+        assert_eq!(v["node"].as_u64(), Some(13));
+        assert_eq!(v["vm_uid"].as_u64(), Some(99));
 
         let v = line(&ObsEvent::Fault {
             kind: FaultEventKind::HostFail,
@@ -369,8 +369,8 @@ mod tests {
             node: 2,
             vm_uid: None,
         });
-        assert_eq!(v["kind"], "host_fail");
-        assert!(v["vm_uid"].is_null());
+        assert_eq!(v["kind"].as_str(), Some("host_fail"));
+        assert_eq!(v["vm_uid"], JsonValue::Null);
     }
 
     #[test]
@@ -399,8 +399,8 @@ mod tests {
             rejections: vec![("host_disabled", 3)],
             top_k: Vec::new(),
         }));
-        assert!(v["chosen_host"].is_null());
-        assert_eq!(v["outcome"], "no_candidate");
-        assert_eq!(v["top_k"].as_array().unwrap().len(), 0);
+        assert_eq!(v["chosen_host"], JsonValue::Null);
+        assert_eq!(v["outcome"].as_str(), Some("no_candidate"));
+        assert_eq!(v["top_k"].as_arr().unwrap().len(), 0);
     }
 }

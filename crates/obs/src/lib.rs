@@ -34,16 +34,14 @@
 //! uid through a SplitMix64 finalizer rather than drawing from any
 //! simulation RNG stream, so changing the rate can never perturb a run.
 //!
-//! The crate is intentionally dependency-free: JSON is emitted by a small
-//! hand-rolled writer ([`ObsEvent::write_json_line`]), which keeps the
-//! whole observability stack out of the dependency graph of the simulator
-//! core.
+//! The crate depends on nothing but the workspace's JSON codec: events are
+//! streamed field by field ([`ObsEvent::write_json_line`]) through its emit
+//! helpers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod event;
-mod json;
 mod metrics;
 mod profile;
 mod recorder;

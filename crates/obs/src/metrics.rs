@@ -23,7 +23,7 @@
 //! `sapsim.metrics/v1` schema: one line, self-describing histogram bucket
 //! upper bounds, stable field order.
 
-use crate::json;
+use sapsim_json as json;
 use std::collections::BTreeMap;
 
 /// Log-linear sub-bucket resolution: each power-of-two octave is split

@@ -6,7 +6,7 @@ use std::fmt;
 use std::io;
 
 use crate::event::{ObsEvent, SpanKind};
-use crate::json;
+use sapsim_json as json;
 use crate::metrics::MetricsRegistry;
 
 /// What went wrong while configuring an observability sink.
@@ -465,7 +465,7 @@ impl Recorder for JsonlRecorder {
 mod tests {
     use super::*;
     use crate::event::{DecisionOutcome, DecisionRecord};
-    use serde_json::Value;
+    use sapsim_json::JsonValue;
 
     #[test]
     fn obs_config_round_trips_through_its_display_form() {
@@ -597,20 +597,20 @@ mod tests {
         let mut buf = Vec::new();
         rec.write_jsonl(&mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
-        let lines: Vec<Value> = text
+        let lines: Vec<JsonValue> = text
             .lines()
-            .map(|l| serde_json::from_str(l).expect("valid JSON line"))
+            .map(|l| sapsim_json::parse(l).expect("valid JSON line"))
             .collect();
         assert_eq!(lines.len(), 4);
-        assert_eq!(lines[0]["type"], "meta");
-        assert_eq!(lines[0]["version"], 1);
-        assert_eq!(lines[0]["events"], 2);
-        assert_eq!(lines[0]["dropped"], 0);
-        assert_eq!(lines[1]["type"], "span");
-        assert_eq!(lines[2]["type"], "decision");
-        assert_eq!(lines[3]["type"], "counter");
-        assert_eq!(lines[3]["name"], "placements");
-        assert_eq!(lines[3]["value"], 1);
+        assert_eq!(lines[0]["type"].as_str(), Some("meta"));
+        assert_eq!(lines[0]["version"].as_u64(), Some(1));
+        assert_eq!(lines[0]["events"].as_u64(), Some(2));
+        assert_eq!(lines[0]["dropped"].as_u64(), Some(0));
+        assert_eq!(lines[1]["type"].as_str(), Some("span"));
+        assert_eq!(lines[2]["type"].as_str(), Some("decision"));
+        assert_eq!(lines[3]["type"].as_str(), Some("counter"));
+        assert_eq!(lines[3]["name"].as_str(), Some("placements"));
+        assert_eq!(lines[3]["value"].as_u64(), Some(1));
     }
 
     #[test]
@@ -667,17 +667,17 @@ mod tests {
         rec.record(span(SpanKind::DrsRound, 50, 10));
         let mut buf = Vec::new();
         rec.write_chrome_trace(&mut buf).unwrap();
-        let trace: Value = serde_json::from_slice(&buf).unwrap();
-        let events = trace.as_array().unwrap();
+        let trace: JsonValue = sapsim_json::parse(std::str::from_utf8(&buf).expect("utf8")).unwrap();
+        let events = trace.as_arr().unwrap();
         assert_eq!(events.len(), 3, "decisions are not trace events");
         let ts: Vec<u64> = events.iter().map(|e| e["ts"].as_u64().unwrap()).collect();
         assert_eq!(ts, vec![50, 100, 100], "ts must be monotone");
         // At equal ts the longer (enclosing) span comes first.
-        assert_eq!(events[1]["name"], "scrape");
-        assert_eq!(events[2]["name"], "scrape.sample");
+        assert_eq!(events[1]["name"].as_str(), Some("scrape"));
+        assert_eq!(events[2]["name"].as_str(), Some("scrape.sample"));
         for e in events {
-            assert_eq!(e["ph"], "X");
-            assert_eq!(e["cat"], "sim");
+            assert_eq!(e["ph"].as_str(), Some("X"));
+            assert_eq!(e["cat"].as_str(), Some("sim"));
             assert!(e["dur"].as_u64().is_some());
         }
     }

@@ -12,7 +12,6 @@
 
 use crate::request::HostView;
 use sapsim_topology::{ResourceKind, Resources};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An offline (decreasing) strategy was handed to the online
@@ -35,7 +34,7 @@ impl fmt::Display for OfflineStrategyError {
 impl std::error::Error for OfflineStrategyError {}
 
 /// The classic heuristics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PackingStrategy {
     /// First bin (in index order) with room.
     FirstFit,

@@ -597,8 +597,8 @@ mod tests {
         let mut s = spread_scheduler();
         let ranked = s.rank(&req(2, 50), &hosts).unwrap();
         assert_eq!(ranked.weigher_scores.len(), 2);
-        assert_eq!(ranked.weigher_scores[0].0, "cpu");
-        assert_eq!(ranked.weigher_scores[1].0, "ram");
+        assert_eq!(ranked.weigher_scores[0].0, "CPUWeigher");
+        assert_eq!(ranked.weigher_scores[1].0, "RAMWeigher");
         for (i, &total) in ranked.scores.iter().enumerate() {
             let sum: f64 = ranked.weigher_scores.iter().map(|(_, c)| c[i]).sum();
             assert!((sum - total).abs() < 1e-12, "column {i}: {sum} vs {total}");

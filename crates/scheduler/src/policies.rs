@@ -14,10 +14,9 @@ use crate::pipeline::{FilterScheduler, PipelineStats, RankOptions, Ranking, Sche
 use crate::request::{HostView, PlacementRequest};
 use crate::weigher::{ContentionWeigher, CpuWeigher, LifetimeAffinityWeigher, RamWeigher, Weigher};
 use sapsim_topology::BbPurpose;
-use serde::{Deserialize, Serialize};
 
 /// Which placement strategy to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PolicyKind {
     /// Load-balance everything (CPU + RAM spreading weighers) — vanilla
     /// Nova defaults.
@@ -34,6 +33,10 @@ pub enum PolicyKind {
     /// general-purpose pipeline (Section 7 extension).
     LifetimeAware,
 }
+
+sapsim_json::json_codec!(enum PolicyKind {
+    Spread, PackMemory, PaperDefault, ContentionAware, LifetimeAware,
+});
 
 impl PolicyKind {
     /// All policy kinds, in ablation order.

@@ -15,10 +15,9 @@
 //! a migration plan; the simulator applies the plan and charges migration
 //! costs.
 
-use serde::{Deserialize, Serialize};
 
 /// One VM's contribution to its host's load.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VmLoad {
     /// Caller-side VM identity.
     pub vm_uid: u64,
@@ -34,7 +33,7 @@ pub struct VmLoad {
 
 /// Load snapshot of one host (a node for DRS, a building block for the
 /// cross-BB rebalancer).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HostLoad<I> {
     /// Host identity.
     pub id: I,
@@ -71,7 +70,7 @@ impl<I> HostLoad<I> {
 }
 
 /// A planned migration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Migration<I> {
     /// The VM to move.
     pub vm_uid: u64,
@@ -82,7 +81,7 @@ pub struct Migration<I> {
 }
 
 /// Rebalancer tuning.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DrsConfig {
     /// Trigger threshold on the CPU-utilization gap (max − min) between
     /// hosts; VMware's default "migration threshold" behaviour maps to
@@ -95,6 +94,8 @@ pub struct DrsConfig {
     /// the destination stays below this fraction of memory capacity.
     pub mem_ceiling: f64,
 }
+
+sapsim_json::json_codec!(struct DrsConfig { cpu_gap_threshold, max_migrations, mem_ceiling });
 
 impl Default for DrsConfig {
     fn default() -> Self {

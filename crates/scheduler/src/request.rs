@@ -1,7 +1,6 @@
 //! Inputs to the placement pipeline: the request and the candidate views.
 
 use sapsim_topology::{AzId, BbId, BbPurpose, NodeId, Resources};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A placement request: what a VM asks of the scheduler.
@@ -11,7 +10,7 @@ use std::fmt;
 /// (purpose) the flavor is pinned to. The lifetime hint is an *extension*
 /// used only by the lifetime-aware policy (paper Section 7: "placement
 /// strategies that incorporate workload lifetime").
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlacementRequest {
     /// Caller-side VM identity, echoed in logs and rebalance plans.
     pub vm_uid: u64,
@@ -57,7 +56,7 @@ impl PlacementRequest {
 /// the holistic scheduler extension produces one view per node instead.
 /// The scheduler never mutates views — committing an allocation is the
 /// caller's job after it accepts a candidate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HostView {
     /// The building block this candidate belongs to.
     pub bb: BbId,
@@ -115,7 +114,7 @@ impl HostView {
 ///
 /// The derived `Ord` follows declaration order and gives every rejection
 /// report (stats dumps, error messages, audit logs) one stable ordering.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RejectReason {
     /// Candidate disabled / in maintenance.
     HostDisabled,

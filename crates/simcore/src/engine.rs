@@ -4,7 +4,7 @@
 use crate::queue::{EventHandle, EventQueue, QueueBackend};
 use crate::time::{SimDuration, SimTime};
 use crate::wheel::WheelStats;
-use serde::{Deserialize, Serialize};
+use sapsim_json::json_codec;
 
 /// An event that has fired, handed back to the caller for processing.
 #[derive(Debug)]
@@ -18,10 +18,11 @@ pub struct FiredEvent<E> {
     pub payload: E,
 }
 
-/// Counters describing an executed simulation. Serializable because they
-/// are part of the mutable state a snapshot must carry: a restored run
-/// continues the counters exactly where the captured one stood.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// Counters describing an executed simulation. They have a JSON form
+/// because they are part of the mutable state a snapshot must carry: a
+/// restored run continues the counters exactly where the captured one
+/// stood.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimulationStats {
     /// Events that fired (returned by `next_event`).
     pub fired: u64,
@@ -30,6 +31,8 @@ pub struct SimulationStats {
     /// Events cancelled before firing.
     pub cancelled: u64,
 }
+
+json_codec!(struct SimulationStats { fired, scheduled, cancelled });
 
 /// A discrete-event simulation: a virtual clock plus a pending-event set.
 ///

@@ -57,5 +57,5 @@ mod wheel;
 pub use engine::{FiredEvent, Simulation, SimulationStats};
 pub use queue::{EventHandle, EventQueue, QueueBackend, QueuedEvent};
 pub use wheel::{WheelStats, WHEEL_LEVELS};
-pub use rng::SimRng;
+pub use rng::{for_each_seed, SimRng};
 pub use time::{SimDuration, SimTime, MILLIS_PER_DAY, MILLIS_PER_HOUR, MILLIS_PER_MINUTE, MILLIS_PER_SECOND};

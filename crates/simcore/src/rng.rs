@@ -3,50 +3,63 @@
 //! Everything stochastic in the simulator — workload demand curves, VM
 //! arrival times, lifetime draws, scheduler tie-breaking — flows through
 //! [`SimRng`]. The type owns a fixed, self-contained algorithm
-//! (xoshiro256++ seeded through a SplitMix64 stream) so that results do
-//! not change under `rand`'s `SmallRng`/`StdRng` portability caveats, and
-//! adds *labelled stream splitting*: deriving a child RNG from a parent
-//! plus a string label yields a stream that is statistically independent
-//! of, and stable with respect to, every other label. Adding a new
-//! consumer of randomness in one subsystem therefore never perturbs the
-//! draws seen by another — a property the calibration tests rely on.
+//! (xoshiro256++ seeded through a SplitMix64 stream) and every draw built
+//! on it, so a result never depends on the version of an outside library,
+//! and adds *labelled stream splitting*: deriving a child RNG from a
+//! parent plus a string label yields a stream that is statistically
+//! independent of, and stable with respect to, every other label. Adding
+//! a new consumer of randomness in one subsystem therefore never perturbs
+//! the draws seen by another — a property the calibration tests rely on.
 //!
-//! The generator state is four plain `u64` words and serializes with
-//! serde, which is what makes full-run snapshots possible: a restored
-//! stream continues bit-for-bit where the captured one stopped. (The
-//! previous `StdRng`/ChaCha12 inner kept its counter private and could
-//! not be captured.)
+//! The generator state is four plain `u64` words and travels as JSON,
+//! which is what makes full-run snapshots possible: a restored stream
+//! continues bit-for-bit where the captured one stopped.
+//!
+//! # Draws
+//!
+//! Every draw is a fixed function of consecutive [`SimRng::next_u64`]
+//! outputs, pinned by known-answer tests:
+//!
+//! | draw | definition |
+//! |---|---|
+//! | [`next_f64`](SimRng::next_f64) | top 53 bits of one output, scaled to `[0, 1)` |
+//! | [`range`](SimRng::range) | `lo + ((output × span) >> 64)` — a widening multiply, bias below `span · 2⁻⁶⁴` |
+//! | [`range_f64`](SimRng::range_f64) | `lo + (hi − lo) · next_f64()`, mapped back to `lo` if rounding reaches `hi` |
+//! | [`bool`](SimRng::bool) | `next_f64() < p` |
+//! | [`normal`](SimRng::normal) | Box–Muller on two `next_f64` draws `u`, `v`: `√(−2 ln(1−u)) · cos(2πv)` |
+//! | [`lognormal`](SimRng::lognormal) | `exp(μ + σ · normal())` |
 
-use rand::RngCore;
-use serde::{Deserialize, Serialize};
+use sapsim_json::json_codec;
+use std::f64::consts::TAU;
 
 /// A deterministic random number generator with labelled stream splitting.
 ///
 /// ```
 /// use sapsim_sim::SimRng;
-/// use rand::Rng;
 ///
 /// let mut root = SimRng::seed_from(42);
 /// let mut workload = root.split("workload");
 /// let mut scheduler = root.split("scheduler");
 /// // Streams are independent and reproducible:
-/// let a: u64 = workload.gen();
-/// let b: u64 = SimRng::seed_from(42).split("workload").gen();
+/// let a = workload.next_u64();
+/// let b = SimRng::seed_from(42).split("workload").next_u64();
 /// assert_eq!(a, b);
-/// let c: u64 = scheduler.gen();
+/// let c = scheduler.next_u64();
 /// assert_ne!(a, c);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimRng {
-    /// xoshiro256++ state words. Fully public to serde (and only serde):
-    /// serializing and deserializing a stream resumes it mid-sequence,
-    /// the property the snapshot/restore layer is built on.
+    /// xoshiro256++ state words. Encoding and decoding a stream resumes
+    /// it mid-sequence, the property the snapshot/restore layer is built
+    /// on.
     state: [u64; 4],
     /// The seed material this stream was created from, kept so that `split`
     /// derives children from the stream identity rather than its mutable
     /// state (splitting is insensitive to how many draws happened before).
     lineage: u64,
 }
+
+json_codec!(struct SimRng { state, lineage });
 
 impl SimRng {
     /// Create a root stream from a 64-bit seed.
@@ -82,16 +95,10 @@ impl SimRng {
             lineage: child,
         }
     }
-}
 
-impl RngCore for SimRng {
-    fn next_u32(&mut self) -> u32 {
-        // Upper half: xoshiro's low bits are its weakest.
-        (self.next_u64() >> 32) as u32
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        // xoshiro256++ (Blackman & Vigna, 2019).
+    /// The next 64 uniformly random bits: one xoshiro256++ step
+    /// (Blackman & Vigna, 2019).
+    pub fn next_u64(&mut self) -> u64 {
         let s = &mut self.state;
         let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
         let t = s[1] << 17;
@@ -104,21 +111,77 @@ impl RngCore for SimRng {
         result
     }
 
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        let mut chunks = dest.chunks_exact_mut(8);
-        for chunk in &mut chunks {
-            chunk.copy_from_slice(&self.next_u64().to_le_bytes());
-        }
-        let rem = chunks.into_remainder();
-        if !rem.is_empty() {
-            let last = self.next_u64().to_le_bytes();
-            rem.copy_from_slice(&last[..rem.len()]);
+    /// Uniform in `[0, 1)`.
+    pub fn next_f64(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    }
+
+    /// Uniform integer in `[lo, hi)`.
+    ///
+    /// # Panics
+    /// Panics if the range is empty.
+    pub fn range(&mut self, lo: u64, hi: u64) -> u64 {
+        assert!(lo < hi, "cannot sample empty range");
+        lo + ((self.next_u64() as u128 * (hi - lo) as u128) >> 64) as u64
+    }
+
+    /// Uniform in `[lo, hi)`.
+    ///
+    /// # Panics
+    /// Panics if the range is empty.
+    pub fn range_f64(&mut self, lo: f64, hi: f64) -> f64 {
+        assert!(lo < hi, "cannot sample empty range");
+        let v = lo + (hi - lo) * self.next_f64();
+        // Rounding can land on the excluded end.
+        if v < hi {
+            v
+        } else {
+            lo
         }
     }
 
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
-        self.fill_bytes(dest);
-        Ok(())
+    /// `true` with probability `p`.
+    ///
+    /// # Panics
+    /// Panics if `p` is outside `[0, 1]`.
+    pub fn bool(&mut self, p: f64) -> bool {
+        assert!(
+            (0.0..=1.0).contains(&p),
+            "probability {p} is outside [0, 1]"
+        );
+        self.next_f64() < p
+    }
+
+    /// A standard normal deviate (mean 0, standard deviation 1).
+    pub fn normal(&mut self) -> f64 {
+        // 1 - u is in (0, 1], so the logarithm is finite.
+        let u = self.next_f64();
+        let v = self.next_f64();
+        (-2.0 * (1.0 - u).ln()).sqrt() * (TAU * v).cos()
+    }
+
+    /// A log-normal deviate: `exp(mu + sigma * z)` for a standard normal `z`.
+    pub fn lognormal(&mut self, mu: f64, sigma: f64) -> f64 {
+        (mu + sigma * self.normal()).exp()
+    }
+}
+
+/// Run `property` once per seed in `0..cases`, each case on a fresh
+/// `SimRng::seed_from(seed)` — how this workspace states randomized
+/// properties in tests. If the property panics, the failing seed is
+/// printed with the panic, so the case replays alone.
+pub fn for_each_seed(cases: u64, mut property: impl FnMut(&mut SimRng)) {
+    struct Replay(u64);
+    impl Drop for Replay {
+        fn drop(&mut self) {
+            if std::thread::panicking() {
+                eprintln!("property failed for SimRng::seed_from({})", self.0);
+            }
+        }
+    }
+    for seed in 0..cases {
+        let _replay = Replay(seed);
+        property(&mut SimRng::seed_from(seed));
     }
 }
 
@@ -166,7 +229,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::Rng;
+    use sapsim_json::{decode, ToJson};
 
     #[test]
     fn same_seed_same_stream() {
@@ -237,12 +300,42 @@ mod tests {
     }
 
     #[test]
-    fn gen_range_is_usable_through_rng_trait() {
+    fn ranges_stay_inside_their_bounds() {
         let mut rng = SimRng::seed_from(11);
-        for _ in 0..1000 {
-            let v: f64 = rng.gen_range(0.0..1.0);
-            assert!((0.0..1.0).contains(&v));
+        for _ in 0..10_000 {
+            assert!((0.25..0.75).contains(&rng.range_f64(0.25, 0.75)));
+            assert!((3..9).contains(&rng.range(3, 9)));
+            assert!((0.0..1.0).contains(&rng.next_f64()));
         }
+        assert_eq!(rng.range(7, 8), 7);
+    }
+
+    #[test]
+    fn bool_matches_its_probability() {
+        let mut rng = SimRng::seed_from(2);
+        let hits = (0..100_000).filter(|_| rng.bool(0.3)).count();
+        assert!((29_000..31_000).contains(&hits), "hits = {hits}");
+        assert!(!rng.bool(0.0));
+        assert!(rng.bool(1.0));
+    }
+
+    #[test]
+    fn normal_draws_have_unit_moments() {
+        let mut rng = SimRng::seed_from(5);
+        let n = 200_000;
+        let draws: Vec<f64> = (0..n).map(|_| rng.normal()).collect();
+        let mean = draws.iter().sum::<f64>() / n as f64;
+        let var = draws.iter().map(|z| (z - mean).powi(2)).sum::<f64>() / n as f64;
+        assert!(mean.abs() < 0.01, "mean = {mean}");
+        assert!((var - 1.0).abs() < 0.02, "variance = {var}");
+        // The median of a log-normal is exp(mu).
+        let mut logs: Vec<f64> = (0..20_001).map(|_| rng.lognormal(2.0, 0.5)).collect();
+        logs.sort_by(f64::total_cmp);
+        assert!(
+            (logs[10_000].ln() - 2.0).abs() < 0.02,
+            "median = {}",
+            logs[10_000]
+        );
     }
 
     #[test]
@@ -276,17 +369,55 @@ mod tests {
     }
 
     #[test]
-    fn serde_round_trip_resumes_mid_stream() {
-        // The property the snapshot layer is built on: serialize at an
-        // arbitrary point, deserialize, and the restored stream produces
+    fn draw_reference_vectors() {
+        // Known answers for every derived draw, computed independently
+        // from the definitions in the module docs on the reference state
+        // {1, 2, 3, 4} advanced four steps (outputs five and six are
+        // 0x8012a2019ac433cd and 0x8a69978acdee33ba). Changing any of them
+        // shifts every simulated run.
+        let reference = || {
+            let mut rng = SimRng {
+                state: [1, 2, 3, 4],
+                lineage: 0,
+            };
+            for _ in 0..4 {
+                rng.next_u64();
+            }
+            rng
+        };
+        let mut rng = reference();
+        assert_eq!(rng.next_f64(), 0.500_284_314_529_168_4);
+        assert_eq!(rng.next_f64(), 0.540_673_705_470_845);
+        let mut rng = reference();
+        assert_eq!((rng.range(10, 1000), rng.range(10, 1000)), (505, 545));
+        assert_eq!(reference().range_f64(0.25, 0.75), 0.500_142_157_264_584_2);
+        let mut rng = reference();
+        assert_eq!((rng.bool(0.5), rng.bool(0.6)), (false, true));
+        // The transcendental draws go through the platform's libm; allow
+        // it the last bit.
+        let close = |got: f64, want: f64| (got - want).abs() <= 4.0 * f64::EPSILON * want.abs();
+        let z = reference().normal();
+        assert!(close(z, -1.139_637_139_428_435), "normal = {z}");
+        let l = reference().lognormal(1.0, 0.5);
+        assert!(close(l, 1.537_536_453_922_543_6), "lognormal = {l}");
+    }
+
+    #[test]
+    fn json_round_trip_resumes_mid_stream() {
+        // The property the snapshot layer is built on: encode at an
+        // arbitrary point, decode, and the restored stream produces
         // exactly the continuation — while the original keeps advancing
         // independently (no shared state).
         let mut rng = SimRng::seed_from(77);
         for _ in 0..13 {
             rng.next_u64();
         }
-        let frozen = serde_json::to_string(&rng).expect("serializes");
-        let mut restored: SimRng = serde_json::from_str(&frozen).expect("parses");
+        let frozen = rng.to_json_string();
+        assert!(
+            rng.state.iter().any(|&w| w > 1 << 53),
+            "the state words use the full 64 bits: {frozen}"
+        );
+        let mut restored: SimRng = decode(&frozen).expect("parses");
         assert_eq!(restored, rng);
         let expect: Vec<u64> = (0..32).map(|_| rng.next_u64()).collect();
         let got: Vec<u64> = (0..32).map(|_| restored.next_u64()).collect();
@@ -296,18 +427,5 @@ mod tests {
             restored.split("child").next_u64(),
             SimRng::seed_from(77).split("child").next_u64()
         );
-    }
-
-    #[test]
-    fn fill_bytes_matches_next_u64_le() {
-        let mut a = SimRng::seed_from(9);
-        let mut b = SimRng::seed_from(9);
-        let mut buf = [0u8; 20];
-        a.fill_bytes(&mut buf);
-        let mut expect = [0u8; 20];
-        expect[..8].copy_from_slice(&b.next_u64().to_le_bytes());
-        expect[8..16].copy_from_slice(&b.next_u64().to_le_bytes());
-        expect[16..].copy_from_slice(&b.next_u64().to_le_bytes()[..4]);
-        assert_eq!(buf, expect);
     }
 }

@@ -5,7 +5,7 @@
 //! base unit. A `u64` of milliseconds covers ~584 million years, far beyond
 //! any observation window.
 
-use serde::{Deserialize, Serialize};
+use sapsim_json::json_codec;
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
@@ -22,12 +22,15 @@ pub const MILLIS_PER_DAY: u64 = 24 * MILLIS_PER_HOUR;
 /// the start of the simulation (the paper's epoch is 2024-07-31 00:00 UTC;
 /// the simulation clock starts at zero and the analysis layer maps day
 /// indices to calendar labels).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 /// A span of simulated time in milliseconds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
+
+json_codec!(newtype SimTime);
+json_codec!(newtype SimDuration);
 
 impl SimTime {
     /// The zero instant — the start of the simulation.

@@ -1,14 +1,21 @@
-//! Property-based tests for the discrete-event engine: ordering, clock
+//! Randomized properties of the discrete-event engine: ordering, clock
 //! monotonicity, and cancellation invariants under arbitrary schedules.
 
-use proptest::prelude::*;
-use sapsim_sim::{SimTime, Simulation};
+use sapsim_sim::{for_each_seed, SimRng, SimTime, Simulation};
 
-proptest! {
-    /// Events always fire in non-decreasing time order, and equal-time
-    /// events fire in insertion order, for any schedule.
-    #[test]
-    fn firing_order_is_stable_sort(times in proptest::collection::vec(0u64..1000, 1..200)) {
+/// `len` in `[1, max_len)` draws below `bound`.
+fn times(rng: &mut SimRng, max_len: u64, bound: u64) -> Vec<u64> {
+    (0..rng.range(1, max_len))
+        .map(|_| rng.range(0, bound))
+        .collect()
+}
+
+/// Events always fire in non-decreasing time order, and equal-time
+/// events fire in insertion order, for any schedule.
+#[test]
+fn firing_order_is_stable_sort() {
+    for_each_seed(256, |rng| {
+        let times = times(rng, 200, 1000);
         let mut sim = Simulation::new();
         for (i, &t) in times.iter().enumerate() {
             sim.schedule_at(SimTime::from_secs(t), i);
@@ -21,35 +28,36 @@ proptest! {
         let mut expected: Vec<(u64, usize)> =
             times.iter().enumerate().map(|(i, &t)| (t, i)).collect();
         expected.sort_by_key(|&(t, _)| t); // sort_by_key is stable
-        prop_assert_eq!(fired, expected);
-    }
+        assert_eq!(fired, expected);
+    });
+}
 
-    /// The clock never moves backwards, whatever mix of scheduling and
-    /// horizon-bounded stepping happens.
-    #[test]
-    fn clock_is_monotone(
-        times in proptest::collection::vec(0u64..500, 1..100),
-        horizon in 0u64..600,
-    ) {
+/// The clock never moves backwards, whatever mix of scheduling and
+/// horizon-bounded stepping happens.
+#[test]
+fn clock_is_monotone() {
+    for_each_seed(256, |rng| {
+        let times = times(rng, 100, 500);
+        let horizon = rng.range(0, 600);
         let mut sim = Simulation::new();
         for &t in &times {
             sim.schedule_at(SimTime::from_secs(t), ());
         }
         let mut last = sim.now();
         while let Some(e) = sim.next_event_until(SimTime::from_secs(horizon)) {
-            prop_assert!(e.time >= last);
+            assert!(e.time >= last);
             last = e.time;
         }
-        prop_assert!(sim.now() >= last);
-        prop_assert_eq!(sim.now(), SimTime::from_secs(horizon).max(last));
-    }
+        assert!(sim.now() >= last);
+        assert_eq!(sim.now(), SimTime::from_secs(horizon).max(last));
+    });
+}
 
-    /// Cancelling an arbitrary subset removes exactly those events.
-    #[test]
-    fn cancellation_removes_exactly_the_cancelled(
-        times in proptest::collection::vec(0u64..100, 1..100),
-        cancel_mask in proptest::collection::vec(any::<bool>(), 100),
-    ) {
+/// Cancelling an arbitrary subset removes exactly those events.
+#[test]
+fn cancellation_removes_exactly_the_cancelled() {
+    for_each_seed(256, |rng| {
+        let times = times(rng, 100, 100);
         let mut sim = Simulation::new();
         let handles: Vec<_> = times
             .iter()
@@ -58,8 +66,8 @@ proptest! {
             .collect();
         let mut expect_alive: Vec<usize> = Vec::new();
         for (i, h) in handles {
-            if cancel_mask[i % cancel_mask.len()] {
-                prop_assert!(sim.cancel(h));
+            if rng.bool(0.5) {
+                assert!(sim.cancel(h));
             } else {
                 expect_alive.push(i);
             }
@@ -70,12 +78,15 @@ proptest! {
         }
         fired.sort_unstable();
         expect_alive.sort_unstable();
-        prop_assert_eq!(fired, expect_alive);
-    }
+        assert_eq!(fired, expect_alive);
+    });
+}
 
-    /// Two engines fed the same schedule behave identically (determinism).
-    #[test]
-    fn replay_determinism(times in proptest::collection::vec(0u64..1000, 1..150)) {
+/// Two engines fed the same schedule behave identically (determinism).
+#[test]
+fn replay_determinism() {
+    for_each_seed(256, |rng| {
+        let times = times(rng, 150, 1000);
         let run = || {
             let mut sim = Simulation::new();
             for (i, &t) in times.iter().enumerate() {
@@ -87,6 +98,6 @@ proptest! {
             }
             out
         };
-        prop_assert_eq!(run(), run());
-    }
+        assert_eq!(run(), run());
+    });
 }

@@ -2,8 +2,9 @@
 //!
 //! A manifest is a small JSON file describing a sweep ergonomically —
 //! axes use the CLI's stable spellings (kebab-case policy names,
-//! `bb`/`node` granularities, inline fault specs) rather than the serde
-//! enum forms, and base-config overrides cover the common knobs:
+//! `bb`/`node` granularities, inline fault specs) rather than the variant
+//! names a serialized `SweepSpec` carries, and base-config overrides cover
+//! the common knobs:
 //!
 //! ```json
 //! {
@@ -32,12 +33,10 @@ use crate::SweepError;
 use sapsim_core::{PlacementGranularity, SimConfig, SweepSpec};
 use sapsim_faults::FaultSpec;
 use sapsim_scheduler::PolicyKind;
-use serde::Deserialize;
 
 /// The raw JSON shape. Every field optional; unknown fields rejected so
 /// typos fail loudly instead of silently sweeping nothing.
-#[derive(Debug, Default, Deserialize)]
-#[serde(default, deny_unknown_fields)]
+#[derive(Debug, Default)]
 struct RawManifest {
     name: Option<String>,
     seed: Option<u64>,
@@ -53,6 +52,11 @@ struct RawManifest {
     scales: Vec<f64>,
 }
 
+sapsim_json::json_codec!(struct RawManifest: default, deny_unknown {
+    name, seed, days, scale, warmup_days, cross_bb, seeds, policies, granularities, drs, faults,
+    scales,
+});
+
 /// A parsed sweep manifest: a display name plus the typed grid.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Manifest {
@@ -64,7 +68,7 @@ pub struct Manifest {
 
 /// Parse a manifest file body.
 pub fn parse_manifest(text: &str) -> Result<Manifest, SweepError> {
-    let raw: RawManifest = serde_json::from_str(text)
+    let raw: RawManifest = sapsim_json::decode(text)
         .map_err(|e| SweepError::Manifest(format!("bad sweep manifest: {e}")))?;
 
     let mut base = SimConfig::default();

@@ -10,7 +10,7 @@
 use crate::summary::RunSummary;
 use crate::SweepError;
 use sapsim_api::SchemaId;
-use serde::{Deserialize, Serialize};
+use sapsim_json::{decode, json_codec, ToJson};
 use std::fmt::Write as _;
 
 /// Schema identifier embedded in every serialized [`SweepReport`] —
@@ -18,7 +18,7 @@ use std::fmt::Write as _;
 pub const SWEEP_REPORT_SCHEMA: &str = SchemaId::SweepReportV1.as_str();
 
 /// One scenario's contribution to a sweep report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioOutcome {
     /// The scenario's report label (from [`SweepSpec::expand`]
     /// naming).
@@ -33,8 +33,10 @@ pub struct ScenarioOutcome {
     pub summary: RunSummary,
 }
 
+json_codec!(struct ScenarioOutcome { name, id, summary });
+
 /// The deterministic reduction of one sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepReport {
     /// Always [`SWEEP_REPORT_SCHEMA`]; rejected on mismatch when parsing.
     pub schema: String,
@@ -43,6 +45,8 @@ pub struct SweepReport {
     /// count.
     pub scenarios: Vec<ScenarioOutcome>,
 }
+
+json_codec!(struct SweepReport { schema, scenarios });
 
 impl SweepReport {
     /// Assemble a report from outcomes already in expansion order.
@@ -56,15 +60,12 @@ impl SweepReport {
     /// Single-line JSON form — the sweep's canonical output bytes,
     /// routed through the registry's envelope check.
     pub fn to_json(&self) -> String {
-        sapsim_api::envelope::checked_line(
-            SchemaId::SweepReportV1,
-            serde_json::to_string(self).expect("SweepReport serializes"),
-        )
+        sapsim_api::envelope::checked_line(SchemaId::SweepReportV1, self.to_json_string())
     }
 
     /// Parse a serialized report, rejecting unknown schema versions.
     pub fn from_json_str(text: &str) -> Result<SweepReport, SweepError> {
-        let report: SweepReport = serde_json::from_str(text)
+        let report: SweepReport = decode(text)
             .map_err(|e| SweepError::Manifest(format!("bad sweep report: {e}")))?;
         if sapsim_api::envelope::expect_schema(&report.schema, SchemaId::SweepReportV1).is_err() {
             return Err(SweepError::Manifest(format!(

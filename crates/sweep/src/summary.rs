@@ -13,7 +13,7 @@ use sapsim_analysis::contention::contention_aggregate;
 use sapsim_api::SchemaId;
 use sapsim_core::scenario::fnv1a_64;
 use sapsim_core::{DriverStats, RunResult, SimConfig};
-use serde::{Deserialize, Serialize};
+use sapsim_json::{decode, json_codec, ToJson};
 
 use crate::SweepError;
 
@@ -23,7 +23,7 @@ use crate::SweepError;
 pub const RUN_SUMMARY_SCHEMA: &str = SchemaId::RunSummaryV1.as_str();
 
 /// Average-alive VM count of one size class (a Table 1 or Table 2 row).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClassCount {
     /// Class label (`Small`, `Medium`, `Large`, `Extra Large`).
     pub class: String,
@@ -31,8 +31,10 @@ pub struct ClassCount {
     pub avg_vms: f64,
 }
 
+json_codec!(struct ClassCount { class, avg_vms });
+
 /// The Figure 14 under/optimal/over split for one resource.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UtilizationBands {
     /// Which resource (`cpu` or `memory`).
     pub resource: String,
@@ -46,14 +48,16 @@ pub struct UtilizationBands {
     pub over: f64,
 }
 
+json_codec!(struct UtilizationBands { resource, vms, under, optimal, over });
+
 /// Machine-readable summary of one finished run.
 ///
 /// Everything here is derived from the run's *canonical* content: the
-/// embedded config has `threads` normalized to its default, and
+/// embedded config is [`SimConfig::canonical`], and
 /// `canonical_hash` fingerprints [`RunResult::canonical_bytes`] — so two
 /// runs that must be bit-identical produce byte-identical summaries at
 /// any worker or thread count.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunSummary {
     /// Always [`RUN_SUMMARY_SCHEMA`]; rejected on mismatch when parsing.
     pub schema: String,
@@ -83,11 +87,15 @@ pub struct RunSummary {
     pub peak_p95_contention_pct: f64,
 }
 
+json_codec!(struct RunSummary {
+    schema, config, canonical_hash, stats, nodes, active_nodes, table1_by_vcpu, table2_by_ram,
+    utilization, peak_contention_pct, peak_mean_contention_pct, peak_p95_contention_pct,
+});
+
 impl RunSummary {
     /// Summarize a finished run.
     pub fn from_run(run: &RunResult) -> RunSummary {
-        let mut config = run.config;
-        config.threads = 0;
+        let config = run.config.canonical();
         let agg = contention_aggregate(run);
         let active_nodes = run
             .cloud
@@ -143,15 +151,12 @@ impl RunSummary {
     /// serializer drifting away from [`SchemaId::RunSummaryV1`] panics
     /// here instead of shipping misversioned bytes.
     pub fn to_json(&self) -> String {
-        sapsim_api::envelope::checked_line(
-            SchemaId::RunSummaryV1,
-            serde_json::to_string(self).expect("RunSummary serializes"),
-        )
+        sapsim_api::envelope::checked_line(SchemaId::RunSummaryV1, self.to_json_string())
     }
 
     /// Parse a serialized summary, rejecting unknown schema versions.
     pub fn from_json_str(text: &str) -> Result<RunSummary, SweepError> {
-        let summary: RunSummary = serde_json::from_str(text)
+        let summary: RunSummary = decode(text)
             .map_err(|e| SweepError::Manifest(format!("bad run summary: {e}")))?;
         if sapsim_api::envelope::expect_schema(&summary.schema, SchemaId::RunSummaryV1).is_err() {
             return Err(SweepError::Manifest(format!(

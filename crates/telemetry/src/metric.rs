@@ -1,12 +1,12 @@
 //! The metric catalog: every metric of the paper's Table 4, plus the
 //! entities they are recorded against.
 
+use sapsim_json::{json_codec, variant, write_variant, FromJson, JsonValue, ToJson};
 use sapsim_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which resource a metric describes (Table 4 "Resource" column).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MetricKind {
     /// CPU utilization / contention / ready time.
     Cpu,
@@ -22,7 +22,7 @@ pub enum MetricKind {
 
 /// Which level of the infrastructure a metric is recorded against
 /// (Table 4 "Subsystem" column).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Subsystem {
     /// Per compute node (the paper's Table 4 says "compute host"; its
     /// Section 5 terminology maps vROps host metrics to physical nodes).
@@ -37,7 +37,7 @@ pub enum Subsystem {
 ///
 /// * `vrops_*` — VMware vRealize Operations exporter, 300 s sampling.
 /// * `openstack_compute_*` — Nova database via MySQL exporter, 30 s.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum MetricId {
     /// `vrops_hostsystem_cpu_core_utilization_percentage` — utilization of
     /// CPU per compute host (percent, 0–100).
@@ -77,6 +77,12 @@ pub enum MetricId {
     /// regional deployment.
     OsInstancesTotal,
 }
+
+json_codec!(enum MetricId {
+    HostCpuUtilPct, HostCpuContentionPct, HostCpuReadyMs, HostMemUsagePct, HostNetTxKbps,
+    HostNetRxKbps, HostDiskUsageGb, VmCpuUsageRatio, VmMemConsumedRatio, OsVcpus, OsVcpusUsed,
+    OsMemoryMb, OsMemoryMbUsed, OsInstancesTotal,
+});
 
 impl MetricId {
     /// Number of metrics in the catalog — the row count of Table 4 and the
@@ -196,7 +202,7 @@ impl fmt::Display for MetricId {
 /// Raw integer ids are used so this crate stays independent of the topology
 /// and workload crates; `sapsim-core` converts its typed ids at the
 /// recording boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum EntityRef {
     /// A compute node, by topology arena index.
     Node(u32),
@@ -206,6 +212,29 @@ pub enum EntityRef {
     Vm(u64),
     /// The whole region.
     Region,
+}
+
+impl ToJson for EntityRef {
+    fn write_json(&self, out: &mut String) {
+        match *self {
+            EntityRef::Node(i) => write_variant(out, "Node", &i),
+            EntityRef::Bb(i) => write_variant(out, "Bb", &i),
+            EntityRef::Vm(uid) => write_variant(out, "Vm", &uid),
+            EntityRef::Region => "Region".write_json(out),
+        }
+    }
+}
+
+impl FromJson for EntityRef {
+    fn from_json(value: &JsonValue) -> Result<Self, String> {
+        match variant(value)? {
+            ("Node", i) => u32::from_json(i).map(EntityRef::Node),
+            ("Bb", i) => u32::from_json(i).map(EntityRef::Bb),
+            ("Vm", uid) => u64::from_json(uid).map(EntityRef::Vm),
+            ("Region", JsonValue::Null) => Ok(EntityRef::Region),
+            (other, _) => Err(format!("unknown entity kind `{other}`")),
+        }
+    }
 }
 
 impl fmt::Display for EntityRef {

@@ -6,11 +6,11 @@
 //! daily aggregates are consumed, so the recording loop can stream samples
 //! into a [`DailyRollup`] instead, which keeps O(days) memory per series.
 
+use sapsim_json::json_codec;
 use sapsim_sim::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Count/sum/min/max/sum-of-squares accumulator.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RunningStat {
     /// Number of samples.
     pub count: u64,
@@ -23,6 +23,8 @@ pub struct RunningStat {
     /// Maximum sample (meaningless when `count == 0`).
     pub max: f64,
 }
+
+json_codec!(struct RunningStat { count, sum, sum_sq, min, max });
 
 impl RunningStat {
     /// Fresh accumulator.
@@ -85,11 +87,13 @@ impl RunningStat {
 }
 
 /// Aggregates of one simulated day for one series.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DayCell {
     /// Statistics over the day's samples.
     pub stat: RunningStat,
 }
+
+json_codec!(struct DayCell { stat });
 
 impl DayCell {
     /// Daily mean; `None` for days without data (the white cells of the
@@ -100,10 +104,12 @@ impl DayCell {
 }
 
 /// Per-day aggregation of one series over a fixed observation window.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DailyRollup {
     days: Vec<DayCell>,
 }
+
+json_codec!(struct DailyRollup { days });
 
 impl DailyRollup {
     /// A rollup covering `days` simulated days (day 0 .. day `days-1`).

@@ -1,15 +1,17 @@
 //! A single append-only time series.
 
+use sapsim_json::json_codec;
 use sapsim_sim::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// An append-only sequence of `(time, value)` samples with non-decreasing
 /// timestamps — one exporter series in the dataset.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TimeSeries {
     times: Vec<SimTime>,
     values: Vec<f64>,
 }
+
+json_codec!(struct TimeSeries { times, values });
 
 impl TimeSeries {
     /// An empty series.

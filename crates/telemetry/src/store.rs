@@ -26,13 +26,13 @@
 use crate::metric::{EntityRef, MetricId};
 use crate::rollup::DailyRollup;
 use crate::series::TimeSeries;
+use sapsim_json::json_codec;
 use sapsim_sim::SimTime;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// The identity of one series: `(metric, entity)` — equivalent to a
 /// Prometheus metric name plus its label set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SeriesKey {
     /// Which metric.
     pub metric: MetricId,
@@ -40,37 +40,12 @@ pub struct SeriesKey {
     pub entity: EntityRef,
 }
 
+json_codec!(struct SeriesKey { metric, entity });
+
 impl SeriesKey {
     /// Construct a key.
     pub fn new(metric: MetricId, entity: EntityRef) -> Self {
         SeriesKey { metric, entity }
-    }
-}
-
-/// Serialize the dynamic fallback map as a sequence of `(key, value)`
-/// pairs. `SeriesKey` is a struct, which formats like JSON cannot use as a
-/// map key directly; a pair sequence round-trips everywhere, and `BTreeMap`
-/// iteration order makes the output deterministic.
-mod series_map {
-    use super::SeriesKey;
-    use serde::{Deserialize, Deserializer, Serialize, Serializer};
-    use std::collections::BTreeMap;
-
-    pub fn serialize<S, V>(map: &BTreeMap<SeriesKey, V>, ser: S) -> Result<S::Ok, S::Error>
-    where
-        S: Serializer,
-        V: Serialize,
-    {
-        ser.collect_seq(map.iter())
-    }
-
-    pub fn deserialize<'de, D, V>(de: D) -> Result<BTreeMap<SeriesKey, V>, D::Error>
-    where
-        D: Deserializer<'de>,
-        V: Deserialize<'de>,
-    {
-        let pairs = Vec::<(SeriesKey, V)>::deserialize(de)?;
-        Ok(pairs.into_iter().collect())
     }
 }
 
@@ -99,7 +74,7 @@ enum Slot {
 /// [`new`](TsdbStore::new) keeps every series in the dynamic map, which is
 /// what trace import wants when the entity universe is discovered on the
 /// fly. See the module docs for the layout details.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct TsdbStore {
     rollup_days: usize,
     /// Nodes covered by the dense tables; `Node(i)` with `i >= node_count`
@@ -117,11 +92,17 @@ pub struct TsdbStore {
     region_raw: Vec<Option<TimeSeries>>,
     region_rolled: Vec<Option<DailyRollup>>,
     /// Fallback for VM series and anything outside the dense range.
-    #[serde(with = "series_map")]
     dyn_raw: BTreeMap<SeriesKey, TimeSeries>,
-    #[serde(with = "series_map")]
     dyn_rolled: BTreeMap<SeriesKey, DailyRollup>,
 }
+
+// The dynamic maps travel as `[key, value]` pair sequences: a `SeriesKey`
+// is a record, which JSON cannot use as an object key, and `BTreeMap`
+// iteration order makes the output deterministic.
+json_codec!(struct TsdbStore {
+    rollup_days, node_count, bb_count, node_raw, node_rolled, bb_raw, bb_rolled, region_raw,
+    region_rolled, dyn_raw, dyn_rolled,
+});
 
 impl TsdbStore {
     /// A fully dynamic store whose rollups cover `rollup_days` days (the
@@ -414,6 +395,7 @@ impl TsdbStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sapsim_json::ToJson;
 
     fn t(s: u64) -> SimTime {
         SimTime::from_secs(s)
@@ -623,20 +605,20 @@ mod tests {
 
         let merged = TsdbStore::merge_region_partitions(&base, shards, &node_owner, &bb_owner);
         assert_eq!(
-            serde_json::to_string(&merged).unwrap(),
-            serde_json::to_string(&global).unwrap(),
+            merged.to_json_string(),
+            global.to_json_string(),
             "merged shard stores must be byte-identical to global recording"
         );
     }
 
     #[test]
-    fn dense_store_serde_roundtrips() {
+    fn dense_store_json_roundtrips() {
         let mut db = TsdbStore::with_topology(2, 2, 1);
         db.record(MetricId::HostCpuUtilPct, EntityRef::Node(0), t(0), 1.0);
-        db.record_rolled(MetricId::OsInstancesTotal, EntityRef::Region, t(30), 5.0);
+        db.record_rolled(MetricId::OsInstancesTotal, EntityRef::Region, t(86_400 + 30), 5.0);
         db.record(MetricId::VmCpuUsageRatio, EntityRef::Vm(9), t(0), 0.25);
-        let json = serde_json::to_string(&db).unwrap();
-        let back: TsdbStore = serde_json::from_str(&json).unwrap();
+        let json = db.to_json_string();
+        let back: TsdbStore = sapsim_json::decode(&json).unwrap();
         assert_eq!(back.rollup_days(), 2);
         assert_eq!(back.raw_series_count(), db.raw_series_count());
         assert_eq!(
@@ -652,6 +634,7 @@ mod tests {
             vec![None, Some(5.0)]
         );
         // Serialization is deterministic: same store, same bytes.
-        assert_eq!(json, serde_json::to_string(&db).unwrap());
+        assert_eq!(json, db.to_json_string());
+        assert_eq!(json, back.to_json_string());
     }
 }

@@ -10,7 +10,6 @@
 use crate::hardware::{HardwareProfile, OvercommitPolicy};
 use crate::ids::DcId;
 use crate::topology::{BbPurpose, Topology};
-use rand::Rng;
 use sapsim_sim::SimRng;
 
 /// Specification of one building block to create.
@@ -139,7 +138,7 @@ impl TopologyBuilder {
         let mut remaining = budget;
         let mut created = 0;
         while remaining >= 2 {
-            let want = rng.gen_range(lo..=hi).min(remaining);
+            let want = (rng.range(lo as u64, hi as u64 + 1) as usize).min(remaining);
             let size = if remaining - want == 1 {
                 // Never strand a single node: a 1-node remainder can't form
                 // a block, so absorb it.
@@ -150,14 +149,14 @@ impl TopologyBuilder {
             let size = size.min(128).min(remaining).max(2);
             let profile = match purpose {
                 BbPurpose::GeneralPurpose | BbPurpose::CiFarm => {
-                    if rng.gen_bool(self.dense_gp_fraction) {
+                    if rng.bool(self.dense_gp_fraction) {
                         HardwareProfile::general_purpose_dense()
                     } else {
                         HardwareProfile::general_purpose()
                     }
                 }
                 BbPurpose::Hana => {
-                    if rng.gen_bool(0.25) {
+                    if rng.bool(0.25) {
                         HardwareProfile::hana_xlarge()
                     } else {
                         HardwareProfile::hana_large()

@@ -6,12 +6,12 @@
 //! one vector type so that capacity arithmetic (fits? remaining? utilization
 //! ratio?) is uniform across the scheduler and the hypervisor model.
 
-use serde::{Deserialize, Serialize};
+use sapsim_json::json_codec;
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub, SubAssign};
 
 /// The resource dimensions tracked by the simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ResourceKind {
     /// CPU, counted in (virtual or physical) cores.
     Cpu,
@@ -40,7 +40,7 @@ impl fmt::Display for ResourceKind {
 ///
 /// Used both for *capacities* (what a node provides) and *requests* (what a
 /// flavor asks for). Units: cores / MiB / GiB.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Resources {
     /// CPU cores (vCPUs for requests, pCPU cores for node capacity).
     pub cpu_cores: u32,
@@ -49,6 +49,8 @@ pub struct Resources {
     /// Local disk in GiB.
     pub disk_gib: u64,
 }
+
+json_codec!(struct Resources { cpu_cores, memory_mib, disk_gib });
 
 impl Resources {
     /// The zero vector.
@@ -152,7 +154,7 @@ impl Resources {
 
 /// Per-dimension utilization ratios (0.0 = idle, 1.0 = full; may exceed 1.0
 /// under overcommitment).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ResourceRatios {
     /// CPU utilization ratio.
     pub cpu: f64,

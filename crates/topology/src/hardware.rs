@@ -7,10 +7,9 @@
 //! (paper Section 3.1: special-purpose building blocks for >3 TB flavors).
 
 use crate::capacity::Resources;
-use serde::{Deserialize, Serialize};
 
 /// A compute-node hardware configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HardwareProfile {
     /// Short machine-readable name, e.g. `"gp-48c-768g"`.
     pub name: String,
@@ -78,7 +77,7 @@ impl HardwareProfile {
 /// (Section 7, "Overprovisioning is still common") discusses the vCPU:pCPU
 /// overcommit factor as a first-order scheduling knob and motivates the A2
 /// overcommit-sweep ablation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OvercommitPolicy {
     /// vCPU : pCPU ratio (≥ 1.0). 4.0 means a 48-core node exposes 192
     /// schedulable vCPUs.

@@ -4,15 +4,13 @@
 //! [`Topology`](crate::Topology); these newtypes keep indices from being
 //! mixed up across levels at compile time.
 
-use serde::{Deserialize, Serialize};
+use sapsim_json::json_codec;
 use std::fmt;
 
 macro_rules! arena_id {
     ($(#[$doc:meta])* $name:ident, $prefix:literal) => {
         $(#[$doc])*
-        #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-        )]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
         pub struct $name(pub(crate) u32);
 
         impl $name {
@@ -26,6 +24,8 @@ macro_rules! arena_id {
                 self.0 as usize
             }
         }
+
+        json_codec!(newtype $name);
 
         impl fmt::Display for $name {
             fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

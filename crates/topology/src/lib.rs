@@ -37,8 +37,8 @@ pub use capacity::{Resources, ResourceKind};
 pub use hardware::{HardwareProfile, OvercommitPolicy};
 pub use ids::{AzId, BbId, DcId, NodeId, RegionId};
 pub use presets::{
-    paper_estate, paper_estate_custom, paper_region, paper_region_custom, paper_table5,
-    scaled_paper_region, DcPreset, PresetScale, RegionDcs,
+    paper_estate, paper_estate_custom, paper_estate_replicated, paper_region,
+    paper_region_custom, paper_table5, scaled_paper_region, DcPreset, PresetScale, RegionDcs,
 };
 pub use topology::{
     AvailabilityZone, BbPurpose, BuildingBlock, ComputeNode, DataCenter, NodeState, Region,

@@ -13,10 +13,9 @@ use crate::builder::TopologyBuilder;
 use crate::ids::{DcId, RegionId};
 use crate::topology::Topology;
 use sapsim_sim::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// One row of the paper's Table 5 (Appendix D).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DcPreset {
     /// Region id as printed in the table (1–16).
     pub region_id: u8,

@@ -3,7 +3,6 @@
 use crate::capacity::Resources;
 use crate::hardware::{HardwareProfile, OvercommitPolicy};
 use crate::ids::{AzId, BbId, DcId, NodeId, RegionId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A broken cross-reference found by [`Topology::validate`].
@@ -28,7 +27,7 @@ impl fmt::Display for TopologyError {
 impl std::error::Error for TopologyError {}
 
 /// A geographic region, the top of the hierarchy (paper Figure 1).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Region {
     /// Arena id.
     pub id: RegionId,
@@ -39,7 +38,7 @@ pub struct Region {
 }
 
 /// A logical grouping of independent, co-located data centers.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AvailabilityZone {
     /// Arena id.
     pub id: AzId,
@@ -53,7 +52,7 @@ pub struct AvailabilityZone {
 
 /// A data center — the placement and scheduling domain of the study
 /// (cross-DC migration is out of scope, paper Section 3.1).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DataCenter {
     /// Arena id.
     pub id: DcId,
@@ -71,7 +70,7 @@ pub struct DataCenter {
 /// flavors with special requirements such as GPU workload and more than 3 TB
 /// of memory. These special purpose building blocks do not accommodate other
 /// VMs."
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BbPurpose {
     /// Default pool for general-purpose VMs; load-balanced placement.
     GeneralPurpose,
@@ -99,7 +98,7 @@ impl BbPurpose {
 
 /// A building block: a vSphere cluster of homogeneous nodes, surfaced to
 /// Nova as a single *compute host*.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BuildingBlock {
     /// Arena id.
     pub id: BbId,
@@ -137,7 +136,7 @@ impl BuildingBlock {
 
 /// Operational state of a compute node. White cells in the paper's heatmaps
 /// correspond to nodes that were absent or in maintenance on a given day.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NodeState {
     /// In service, accepting and running VMs.
     Active,
@@ -150,8 +149,10 @@ pub enum NodeState {
     Failed,
 }
 
+sapsim_json::json_codec!(enum NodeState { Active, Maintenance, Failed });
+
 /// A physical hypervisor host (VMware ESXi in the paper).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ComputeNode {
     /// Arena id.
     pub id: NodeId,
@@ -170,7 +171,7 @@ pub struct ComputeNode {
 /// possible but the [`TopologyBuilder`](crate::TopologyBuilder) and
 /// [`paper_region`](crate::paper_region) presets are the intended entry
 /// points.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Topology {
     regions: Vec<Region>,
     azs: Vec<AvailabilityZone>,

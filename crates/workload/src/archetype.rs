@@ -6,11 +6,10 @@
 //! Kubernetes infrastructure). Each archetype carries the statistical
 //! parameters that drive its demand and lifetime models.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The application archetypes present in the modeled fleet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Archetype {
     /// SAP HANA in-memory database: memory-resident, long-lived, steady
     /// CPU with batch/housekeeping windows, slowly growing memory.
@@ -29,6 +28,10 @@ pub enum Archetype {
     /// Everything else: miscellaneous services with mixed behaviour.
     GenericService,
 }
+
+sapsim_json::json_codec!(enum Archetype {
+    HanaDb, AbapAppServer, CiCd, DevEnvironment, KubernetesNode, GenericService,
+});
 
 impl Archetype {
     /// All archetypes.
@@ -170,7 +173,7 @@ impl fmt::Display for Archetype {
 ///
 /// All CPU/memory quantities are fractions of the VM's *requested*
 /// resources (what `vrops_virtualmachine_*_ratio` reports in the dataset).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ArchetypeParams {
     /// Per-VM mean CPU utilization is drawn uniformly from this range
     /// (the cold majority; see `cpu_hot_prob`).

@@ -6,13 +6,12 @@
 //! full scale.
 
 use sapsim_topology::{BbPurpose, Resources};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::archetype::Archetype;
 
 /// Table 1 vCPU size classes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum CpuClass {
     /// ≤ 4 vCPUs.
     Small,
@@ -61,7 +60,7 @@ impl fmt::Display for CpuClass {
 }
 
 /// Table 2 RAM size classes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum RamClass {
     /// ≤ 2 GiB.
     Small,
@@ -110,7 +109,7 @@ impl fmt::Display for RamClass {
 }
 
 /// Which building-block class a VM must be placed on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WorkloadClass {
     /// General-purpose VM, load-balanced onto the general pool.
     GeneralPurpose,
@@ -121,6 +120,8 @@ pub enum WorkloadClass {
     /// CI/CD executor, pinned to the dedicated CI-farm blocks.
     CiFarm,
 }
+
+sapsim_json::json_codec!(enum WorkloadClass { GeneralPurpose, Hana, CiFarm });
 
 impl WorkloadClass {
     /// The building-block purpose this class must be placed on.
@@ -135,7 +136,7 @@ impl WorkloadClass {
 
 /// A VM flavor: a named resource template plus the workload archetype that
 /// instances of it run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Flavor {
     /// Flavor name, e.g. `"gp-c4-m32"` or `"hana-c48-m1024"`.
     pub name: String,
@@ -163,7 +164,7 @@ impl Flavor {
 }
 
 /// An ordered collection of flavors with calibration weights.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlavorCatalog {
     flavors: Vec<Flavor>,
 }

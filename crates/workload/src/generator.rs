@@ -18,13 +18,11 @@ use crate::flavor::FlavorCatalog;
 use crate::lifetime::LifetimeModel;
 use crate::usage::UsageModel;
 use crate::vmspec::{ResizeSpec, VmId, VmSpec};
-use rand::Rng;
 use sapsim_sim::{SimDuration, SimRng, SimTime};
 use sapsim_topology::Resources;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of one workload generation run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GeneratorConfig {
     /// Scale applied to the catalog populations (1.0 = the paper's 45,355
     /// average VMs; values above 1 grow the population proportionally for
@@ -102,11 +100,11 @@ impl WorkloadGenerator {
         use crate::flavor::WorkloadClass;
         if class != WorkloadClass::GeneralPurpose
             || self.config.resize_probability <= 0.0
-            || !rng.gen_bool(self.config.resize_probability.min(1.0))
+            || !rng.bool(self.config.resize_probability.min(1.0))
         {
             return None;
         }
-        let frac: f64 = rng.gen_range(0.1..0.9);
+        let frac: f64 = rng.range_f64(0.1, 0.9);
         Some(ResizeSpec {
             after: SimDuration::from_millis((residual.as_millis() as f64 * frac) as u64),
             resources: Resources::ZERO, // patched by the caller, which knows the flavor
@@ -132,14 +130,14 @@ impl WorkloadGenerator {
             for i in 0..scaled_count {
                 let mut rng = flavor_rng.split("initial").split_index(i as u64);
                 let lifetime = lifetime_model.draw_length_biased(&mut rng);
-                let age_frac: f64 = rng.gen_range(0.0..1.0);
+                let age_frac: f64 = rng.range_f64(0.0, 1.0);
                 let age = SimDuration::from_millis(
                     (lifetime.as_millis() as f64 * age_frac) as u64,
                 );
                 let arrival = if self.config.rampup_days == 0 {
                     SimTime::ZERO
                 } else {
-                    let frac: f64 = rng.gen_range(0.0..1.0);
+                    let frac: f64 = rng.range_f64(0.0, 1.0);
                     SimTime::from_millis(
                         (self.config.rampup_days as f64
                             * sapsim_sim::MILLIS_PER_DAY as f64
@@ -189,7 +187,7 @@ impl WorkloadGenerator {
                 let mut k: u64 = 0;
                 loop {
                     // Exponential inter-arrival via inverse transform.
-                    let u: f64 = arr_rng.gen_range(f64::MIN_POSITIVE..1.0);
+                    let u: f64 = arr_rng.range_f64(f64::MIN_POSITIVE, 1.0);
                     t_days += -u.ln() / rate_per_day;
                     if t_days >= total_days {
                         break;
@@ -200,7 +198,7 @@ impl WorkloadGenerator {
                     // reaches (not overshoots) steady state at ramp end.
                     if self.config.rampup_days > 0 {
                         let ramp = self.config.rampup_days as f64;
-                        if t_days < ramp && !arr_rng.gen_bool((t_days / ramp).clamp(0.0, 1.0)) {
+                        if t_days < ramp && !arr_rng.bool((t_days / ramp).clamp(0.0, 1.0)) {
                             continue;
                         }
                     }

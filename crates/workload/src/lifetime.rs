@@ -7,7 +7,6 @@
 //! to `[2 minutes, 3 years]`.
 
 use crate::archetype::Archetype;
-use rand_distr::{Distribution, LogNormal};
 use sapsim_sim::{SimDuration, SimRng};
 
 /// Shortest representable lifetime: 2 minutes.
@@ -19,8 +18,12 @@ pub const MAX_LIFETIME: SimDuration = SimDuration::from_days(3 * 365);
 /// Log-normal lifetime model for one archetype.
 #[derive(Debug, Clone, Copy)]
 pub struct LifetimeModel {
-    dist: LogNormal<f64>,
-    biased: LogNormal<f64>,
+    /// `ln(median days)`: for a log-normal, median = exp(μ).
+    mu: f64,
+    /// μ of the length-biased version: density ∝ L·f(L), which for a
+    /// log-normal is another log-normal with μ′ = μ + σ².
+    biased_mu: f64,
+    sigma: f64,
 }
 
 impl LifetimeModel {
@@ -29,24 +32,17 @@ impl LifetimeModel {
     /// and `lifetime_sigma`.
     pub fn for_archetype(archetype: Archetype) -> LifetimeModel {
         let p = archetype.params();
-        // For a log-normal, median = exp(mu).
         let mu = p.lifetime_median_days.ln();
         LifetimeModel {
-            dist: LogNormal::new(mu, p.lifetime_sigma)
-                .expect("archetype sigma is finite and positive"),
-            // Length-biased version: density ∝ L·f(L), which for a
-            // log-normal is another log-normal with μ′ = μ + σ².
-            biased: LogNormal::new(
-                mu + p.lifetime_sigma * p.lifetime_sigma,
-                p.lifetime_sigma,
-            )
-            .expect("archetype sigma is finite and positive"),
+            mu,
+            biased_mu: mu + p.lifetime_sigma * p.lifetime_sigma,
+            sigma: p.lifetime_sigma,
         }
     }
 
     /// Draw one lifetime (for a freshly created VM).
     pub fn draw(&self, rng: &mut SimRng) -> SimDuration {
-        let days: f64 = self.dist.sample(rng);
+        let days = rng.lognormal(self.mu, self.sigma);
         let d = SimDuration::from_secs_f64(days * 86_400.0);
         d.clamp(MIN_LIFETIME, MAX_LIFETIME)
     }
@@ -57,7 +53,7 @@ impl LifetimeModel {
     /// drawing them from the plain distribution would make the initial
     /// cohort die out faster than steady-state churn replenishes it.
     pub fn draw_length_biased(&self, rng: &mut SimRng) -> SimDuration {
-        let days: f64 = self.biased.sample(rng);
+        let days = rng.lognormal(self.biased_mu, self.sigma);
         let d = SimDuration::from_secs_f64(days * 86_400.0);
         d.clamp(MIN_LIFETIME, MAX_LIFETIME)
     }

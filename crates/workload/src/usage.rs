@@ -18,10 +18,8 @@
 //! * occasional spikes (builds, batch jobs) that drive contention tails.
 
 use crate::archetype::{Archetype, ArchetypeParams};
-use rand::Rng;
-use rand_distr::{Distribution, StandardNormal};
+use sapsim_json::json_codec;
 use sapsim_sim::{SimDuration, SimRng, SimTime};
-use serde::{Deserialize, Serialize};
 use std::f64::consts::TAU;
 
 /// Correlation time of the OU noise.
@@ -36,7 +34,7 @@ const CPU_HOT_RANGE: (f64, f64) = (0.60, 0.95);
 const MEM_HIGH_RANGE: (f64, f64) = (0.86, 0.99);
 
 /// Fixed demand parameters of one VM.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UsageModel {
     /// Long-run mean CPU utilization (fraction of requested vCPUs).
     pub cpu_mean: f64,
@@ -60,25 +58,30 @@ pub struct UsageModel {
     pub mem_daily_drift: f64,
 }
 
+json_codec!(struct UsageModel {
+    cpu_mean, cpu_diurnal_amp, cpu_noise_sigma, cpu_spike_prob, cpu_spike_mag, weekend_dampening,
+    peak_hour, mem_mean, mem_noise_sigma, mem_daily_drift,
+});
+
 impl UsageModel {
     /// Draw a model for one VM of the given archetype. Each VM gets its own
     /// mean levels and peak hour, which is what produces the population
     /// spread of Figure 14 rather than identical curves.
     pub fn draw(archetype: Archetype, rng: &mut SimRng) -> UsageModel {
         let p: ArchetypeParams = archetype.params();
-        let cpu_mean = if p.cpu_hot_prob > 0.0 && rng.gen_bool(p.cpu_hot_prob) {
-            rng.gen_range(CPU_HOT_RANGE.0..CPU_HOT_RANGE.1)
+        let cpu_mean = if p.cpu_hot_prob > 0.0 && rng.bool(p.cpu_hot_prob) {
+            rng.range_f64(CPU_HOT_RANGE.0, CPU_HOT_RANGE.1)
         } else {
-            rng.gen_range(p.cpu_mean_range.0..p.cpu_mean_range.1)
+            rng.range_f64(p.cpu_mean_range.0, p.cpu_mean_range.1)
         };
-        let mem_mean = if p.mem_high_prob > 0.0 && rng.gen_bool(p.mem_high_prob) {
-            rng.gen_range(MEM_HIGH_RANGE.0..MEM_HIGH_RANGE.1)
+        let mem_mean = if p.mem_high_prob > 0.0 && rng.bool(p.mem_high_prob) {
+            rng.range_f64(MEM_HIGH_RANGE.0, MEM_HIGH_RANGE.1)
         } else {
-            rng.gen_range(p.mem_mean_range.0..p.mem_mean_range.1)
+            rng.range_f64(p.mem_mean_range.0, p.mem_mean_range.1)
         };
         // Business-hours peak, mid-morning to late afternoon, with a little
         // per-VM jitter so load is not synchronized fleet-wide.
-        let peak_hour = rng.gen_range(8.0..18.0);
+        let peak_hour = rng.range_f64(8.0, 18.0);
         UsageModel {
             cpu_mean,
             cpu_diurnal_amp: p.cpu_diurnal_amp,
@@ -124,8 +127,8 @@ impl UsageModel {
     ) -> (f64, f64) {
         state.advance(self, dt, rng);
         let mut cpu = self.cpu_level(time) + state.ou_cpu;
-        if self.cpu_spike_prob > 0.0 && rng.gen_bool(self.cpu_spike_prob.min(1.0)) {
-            cpu += self.cpu_spike_mag * rng.gen_range(0.5..1.0);
+        if self.cpu_spike_prob > 0.0 && rng.bool(self.cpu_spike_prob.min(1.0)) {
+            cpu += self.cpu_spike_mag * rng.range_f64(0.5, 1.0);
         }
         let mem = self.mem_mean + self.mem_daily_drift * age.as_days_f64() + state.ou_mem;
         (cpu.clamp(0.0, 1.0), mem.clamp(0.02, 1.0))
@@ -133,13 +136,15 @@ impl UsageModel {
 }
 
 /// Evolving noise state of one VM.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct UsageState {
     /// OU deviation of CPU from its deterministic level.
     pub ou_cpu: f64,
     /// OU deviation of memory from its mean.
     pub ou_mem: f64,
 }
+
+json_codec!(struct UsageState { ou_cpu, ou_mem });
 
 impl UsageState {
     /// Fresh state with zero deviation.
@@ -154,8 +159,8 @@ impl UsageState {
     fn advance(&mut self, model: &UsageModel, dt: SimDuration, rng: &mut SimRng) {
         let alpha = (-dt.as_secs_f64() / OU_TAU_SECS).exp();
         let scale = (1.0 - alpha * alpha).sqrt();
-        let z_cpu: f64 = StandardNormal.sample(rng);
-        let z_mem: f64 = StandardNormal.sample(rng);
+        let z_cpu = rng.normal();
+        let z_mem = rng.normal();
         self.ou_cpu = alpha * self.ou_cpu + model.cpu_noise_sigma * scale * z_cpu;
         self.ou_mem = alpha * self.ou_mem + model.mem_noise_sigma * scale * z_mem;
     }

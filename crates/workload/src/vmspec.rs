@@ -4,15 +4,15 @@
 use crate::archetype::Archetype;
 use crate::flavor::WorkloadClass;
 use crate::usage::UsageModel;
+use sapsim_json::json_codec;
 use sapsim_topology::Resources;
 use sapsim_sim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A planned flavor change during the VM's life (the paper's telemetry
 /// records creation, **resize**, migration, and deletion events,
 /// Section 4).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResizeSpec {
     /// When the resize happens, measured from the VM's arrival.
     pub after: SimDuration,
@@ -20,9 +20,13 @@ pub struct ResizeSpec {
     pub resources: Resources,
 }
 
+json_codec!(struct ResizeSpec { after, resources });
+
 /// Unique VM identifier (stable across a run, never reused).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VmId(pub u64);
+
+json_codec!(newtype VmId);
 
 impl VmId {
     /// Raw id.
@@ -38,7 +42,7 @@ impl fmt::Display for VmId {
 }
 
 /// Everything the simulator needs to know about one VM before placement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VmSpec {
     /// Unique id.
     pub id: VmId,
@@ -65,6 +69,11 @@ pub struct VmSpec {
     /// Optional mid-life resize.
     pub resize: Option<ResizeSpec>,
 }
+
+json_codec!(struct VmSpec {
+    id, flavor_index, flavor_name, resources, archetype, class, usage, arrival, age_at_arrival,
+    lifetime, resize,
+});
 
 impl VmSpec {
     /// The resources requested at absolute simulation time `t` (before or

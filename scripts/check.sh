@@ -1,12 +1,11 @@
 #!/usr/bin/env bash
-# Full local gate: the roadmap's tier-1 check (release build + tests) plus
-# the lint ratchet. Run this before pushing; CI and the tier-1 definition
-# stay `cargo build --release && cargo test -q`, with clippy layered on top
-# here so new code lands warning-free without redefining the baseline gate.
+# Full local gate: the roadmap's tier-1 check (release build + tests), the
+# benchmark harness's own tests, and the lint ratchet. The workspace has no
+# external crates, so everything runs `--offline` with an empty registry.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cargo build --release
-cargo test -q
-cargo bench -p sapsim-bench --no-run
-cargo clippy --all-targets -- -D warnings
+cargo build --release --offline
+cargo test -q --offline
+bash bench/run.sh --self-test
+cargo clippy --offline --all-targets -- -D warnings

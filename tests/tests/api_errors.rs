@@ -4,11 +4,12 @@
 //! `Display` text — these goldens are the compatibility contract for
 //! anyone matching on messages (and for the CLI's exit-code mapping,
 //! which is pinned separately in `sapsim-cli`'s own tests). The second
-//! half pins the `SimConfig` builder and its serde wire format: the
+//! half pins the `SimConfig` builder and its JSON wire format: the
 //! `#[non_exhaustive]` refactor must not change a single serialized byte.
 
 use sapsim_core::prelude::*;
 use sapsim_core::FaultError;
+use sapsim_json::ToJson;
 use sapsim_obs::{ObsConfig, ObsError};
 use sapsim_sweep::{parse_manifest, run_sweep, SweepError, SweepOptions};
 use sapsim_topology::TopologyError;
@@ -26,8 +27,8 @@ fn config_errors_have_stable_golden_messages() {
     };
     golden(|c| c.days = 0, "invalid config: days must be at least 1");
     golden(
-        |c| c.scale = 3.0,
-        "invalid config: scale must be in (0, 1], got 3",
+        |c| c.scale = 300.0,
+        "invalid config: scale must be in (0, 100], got 300",
     );
     golden(
         |c| c.gp_cpu_overcommit = 0.0,
@@ -142,8 +143,8 @@ fn builder_and_mutation_construction_agree() {
     assert_eq!(built, mutated);
     // ... and therefore serialize to identical bytes.
     assert_eq!(
-        serde_json::to_string(&built).expect("serializes"),
-        serde_json::to_string(&mutated).expect("serializes"),
+        built.to_json_string(),
+        mutated.to_json_string(),
     );
 }
 
@@ -164,34 +165,33 @@ fn builder_validates_at_build_time() {
 
 #[test]
 fn wire_format_is_unchanged_by_the_api_refactor() {
-    let json = serde_json::to_string(&SimConfig::default()).expect("serializes");
+    let json = SimConfig::default().to_json_string();
 
     // An empty fault spec and the naive-host-views oracle are skipped, so
     // pre-fault / pre-refactor configs and canonical bytes are unchanged.
     assert!(!json.contains("\"faults\""), "empty faults must be skipped");
-    assert!(
-        !json.contains("naive_host_views"),
-        "execution oracle must never serialize"
-    );
+    for knob in ["naive_host_views", "heap_event_queue", "shard_threads", "progress"] {
+        assert!(!json.contains(knob), "execution knob `{knob}` must never serialize");
+    }
     assert!(json.contains("\"threads\":0"));
 
     // Round trip is lossless.
-    let back: SimConfig = serde_json::from_str(&json).expect("deserializes");
+    let back: SimConfig = sapsim_json::decode(&json).expect("deserializes");
     assert_eq!(back, SimConfig::default());
 
-    // `threads` is `#[serde(default)]`: configs serialized before the
-    // knob existed still deserialize.
+    // Missing keys default: configs serialized before the `threads` knob
+    // existed still deserialize.
     let trimmed = json.replace(",\"threads\":0}", "}");
     assert_ne!(trimmed, json, "threads is the final serialized field");
-    let back: SimConfig = serde_json::from_str(&trimmed).expect("old shape deserializes");
+    let back: SimConfig = sapsim_json::decode(&trimmed).expect("old shape deserializes");
     assert_eq!(back, SimConfig::default());
 
     // A non-empty fault spec does serialize — and round-trips.
     let mut with_faults = SimConfig::default();
     with_faults.faults = FaultSpec::parse_inline("fail=2,downtime=6").expect("valid spec");
-    let json = serde_json::to_string(&with_faults).expect("serializes");
+    let json = with_faults.to_json_string();
     assert!(json.contains("\"faults\""));
-    let back: SimConfig = serde_json::from_str(&json).expect("deserializes");
+    let back: SimConfig = sapsim_json::decode(&json).expect("deserializes");
     assert_eq!(back, with_faults);
 }
 

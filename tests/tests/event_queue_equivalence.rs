@@ -34,12 +34,12 @@ fn run_script(seed: u64, ops: usize, time_range: u64, tie_modulus: u64) {
     let mut last_popped = SimTime::ZERO;
 
     for op in 0..ops {
-        match rng.gen_range(0..10u64) {
+        match rng.range(0, 10) {
             // 5/10 push at a scattered time; ties are frequent when
             // `tie_modulus` is small.
             0..=4 => {
                 let t = SimTime::from_millis(
-                    (rng.gen_range(0..time_range) / tie_modulus) * tie_modulus,
+                    (rng.range(0, time_range) / tie_modulus) * tie_modulus,
                 );
                 let hw = wheel.push(t, payload);
                 let hh = heap.push(t, payload);
@@ -60,7 +60,7 @@ fn run_script(seed: u64, ops: usize, time_range: u64, tie_modulus: u64) {
                 if handles.is_empty() {
                     continue;
                 }
-                let h = handles[rng.gen_range(0..handles.len() as u64) as usize];
+                let h = handles[rng.range(0, handles.len() as u64) as usize];
                 assert_eq!(wheel.cancel(h), heap.cancel(h), "cancel outcome, op {op}");
             }
             // 2/10 pop.

@@ -10,7 +10,6 @@
 //! exact. A second test pins the indexed top-k rank against the naive
 //! full rank for a spread of requests.
 
-use rand::Rng;
 use sapsim_core::{Cloud, PlacementGranularity};
 use sapsim_scheduler::{PlacementPolicy, PlacementRequest, PolicyKind, RankOptions, Ranking};
 use sapsim_sim::{SimDuration, SimRng, SimTime};
@@ -65,9 +64,9 @@ fn build_world() -> Cloud {
 }
 
 fn spec(id: u64, arrival: SimTime, rng: &mut SimRng) -> VmSpec {
-    let cpu = rng.gen_range(1..8u64) as u32;
-    let mem_gib = rng.gen_range(4..64u64);
-    let lifetime_days = rng.gen_range(1..300u64);
+    let cpu = rng.range(1, 8) as u32;
+    let mem_gib = rng.range(4, 64);
+    let lifetime_days = rng.range(1, 300);
     VmSpec {
         id: VmId(id),
         flavor_index: 0,
@@ -137,11 +136,11 @@ fn randomized_mutation_sweep_keeps_cache_coherent() {
         let mut next_id = 0u64;
         let mut placed: Vec<VmId> = Vec::new();
         for step in 0..400 {
-            match rng.gen_range(0..10u64) {
+            match rng.range(0, 10) {
                 0..=2 => {
                     // Place onto a random block, if any of its nodes fits.
                     let s = spec(next_id, now, &mut rng);
-                    let bb = bb_ids[rng.gen_range(0..bb_ids.len() as u64) as usize];
+                    let bb = bb_ids[rng.range(0, bb_ids.len() as u64) as usize];
                     if let Some(node) = cloud.choose_node_within_bb(bb, &s.resources) {
                         cloud.place(next_id as usize, &s, node, SimRng::seed_from(next_id));
                         placed.push(s.id);
@@ -150,7 +149,7 @@ fn randomized_mutation_sweep_keeps_cache_coherent() {
                 }
                 3 => {
                     if !placed.is_empty() {
-                        let i = rng.gen_range(0..placed.len() as u64) as usize;
+                        let i = rng.range(0, placed.len() as u64) as usize;
                         let id = placed.swap_remove(i);
                         assert!(cloud.remove(id).is_some());
                     }
@@ -158,9 +157,9 @@ fn randomized_mutation_sweep_keeps_cache_coherent() {
                 4 => {
                     // Migrate a random VM to any node that fits it.
                     if !placed.is_empty() {
-                        let id = placed[rng.gen_range(0..placed.len() as u64) as usize];
+                        let id = placed[rng.range(0, placed.len() as u64) as usize];
                         let resources = cloud.vm(id).expect("placed").resources;
-                        let bb = bb_ids[rng.gen_range(0..bb_ids.len() as u64) as usize];
+                        let bb = bb_ids[rng.range(0, bb_ids.len() as u64) as usize];
                         if let Some(node) = cloud.choose_node_within_bb(bb, &resources) {
                             cloud.migrate(id, node);
                         }
@@ -169,9 +168,9 @@ fn randomized_mutation_sweep_keeps_cache_coherent() {
                 5 => {
                     // In-place resize (may fail for lack of headroom).
                     if !placed.is_empty() {
-                        let id = placed[rng.gen_range(0..placed.len() as u64) as usize];
+                        let id = placed[rng.range(0, placed.len() as u64) as usize];
                         let old = cloud.vm(id).expect("placed").resources;
-                        let new = if rng.gen_bool(0.5) {
+                        let new = if rng.bool(0.5) {
                             Resources {
                                 cpu_cores: old.cpu_cores * 2,
                                 ..old
@@ -186,15 +185,15 @@ fn randomized_mutation_sweep_keeps_cache_coherent() {
                     }
                 }
                 6 => {
-                    let node = node_ids[rng.gen_range(0..node_ids.len() as u64) as usize];
-                    cloud.set_node_contention(node, rng.gen_range(0.0..50.0));
+                    let node = node_ids[rng.range(0, node_ids.len() as u64) as usize];
+                    cloud.set_node_contention(node, rng.range_f64(0.0, 50.0));
                 }
                 7 => {
                     // Flip node state. VMs may be stranded on an inactive
                     // node — the cache must track the views regardless;
                     // only the driver's evacuation logic cares.
-                    let node = node_ids[rng.gen_range(0..node_ids.len() as u64) as usize];
-                    let state = match rng.gen_range(0..3u64) {
+                    let node = node_ids[rng.range(0, node_ids.len() as u64) as usize];
+                    let state = match rng.range(0, 3) {
                         0 => NodeState::Active,
                         1 => NodeState::Failed,
                         _ => NodeState::Maintenance,
@@ -202,11 +201,11 @@ fn randomized_mutation_sweep_keeps_cache_coherent() {
                     cloud.set_node_state(node, state);
                 }
                 8 => {
-                    let bb = bb_ids[rng.gen_range(0..bb_ids.len() as u64) as usize];
-                    cloud.set_bb_reserved(bb, rng.gen_bool(0.5));
+                    let bb = bb_ids[rng.range(0, bb_ids.len() as u64) as usize];
+                    cloud.set_bb_reserved(bb, rng.bool(0.5));
                 }
                 _ => {
-                    now = now + SimDuration::from_millis(rng.gen_range(1..3_600_000u64));
+                    now = now + SimDuration::from_millis(rng.range(1, 3_600_000));
                 }
             }
             if step % 7 == 0 {
@@ -244,15 +243,15 @@ fn indexed_top_k_rank_matches_naive_full_rank() {
         let mut naive_policy = PlacementPolicy::new(PolicyKind::PaperDefault);
         let mut cached_policy = PlacementPolicy::new(PolicyKind::PaperDefault);
         for case in 0..24u64 {
-            let purpose = match rng.gen_range(0..3u64) {
+            let purpose = match rng.range(0, 3) {
                 0 => BbPurpose::GeneralPurpose,
                 1 => BbPurpose::Hana,
                 _ => BbPurpose::CiFarm,
             };
             let mut request =
                 PlacementRequest::new(1000 + case, Resources::with_memory_gib(2, 16, 10), purpose);
-            if rng.gen_bool(0.5) {
-                request = request.in_az(AzId::from_raw(rng.gen_range(0..2u64) as u32));
+            if rng.bool(0.5) {
+                request = request.in_az(AzId::from_raw(rng.range(0, 2) as u32));
             }
             let naive_views = cloud.host_views(granularity, now);
             let naive = naive_policy.rank(&request, &naive_views);

@@ -4,7 +4,7 @@
 
 use sapsim_core::obs::{JsonlRecorder, ObsConfig, SpanKind};
 use sapsim_core::{SimConfig, SimDriver};
-use serde_json::Value;
+use sapsim_json::JsonValue;
 
 fn cfg(seed: u64) -> SimConfig {
     SimConfig::builder()
@@ -86,13 +86,13 @@ fn jsonl_export_honors_the_v1_schema() {
     rec.write_jsonl(&mut out).expect("write");
     let text = String::from_utf8(out).expect("utf8");
 
-    let lines: Vec<Value> = text
+    let lines: Vec<JsonValue> = text
         .lines()
-        .map(|l| serde_json::from_str(l).expect("every line is valid JSON"))
+        .map(|l| sapsim_json::parse(l).expect("every line is valid JSON"))
         .collect();
     assert!(lines.len() > 1);
-    assert_eq!(lines[0]["type"], "meta");
-    assert_eq!(lines[0]["version"], 1);
+    assert_eq!(lines[0]["type"].as_str(), Some("meta"));
+    assert_eq!(lines[0]["version"].as_u64(), Some(1));
     assert_eq!(lines[0]["events"].as_u64().unwrap(), rec.len() as u64);
 
     let kinds: Vec<&str> = SpanKind::ALL.iter().map(|k| k.name()).collect();
@@ -102,8 +102,8 @@ fn jsonl_export_honors_the_v1_schema() {
             "span" => {
                 spans += 1;
                 assert!(kinds.contains(&v["kind"].as_str().unwrap()));
-                assert!(v["ts_us"].is_u64());
-                assert!(v["dur_us"].is_u64());
+                assert!(v["ts_us"].as_u64().is_some());
+                assert!(v["dur_us"].as_u64().is_some());
             }
             "decision" => {
                 decisions += 1;
@@ -116,19 +116,19 @@ fn jsonl_export_honors_the_v1_schema() {
                     "rejections",
                     "top_k",
                 ] {
-                    assert!(!v[field].is_null(), "decision field {field} present");
+                    assert!(v[field] != JsonValue::Null, "decision field {field} present");
                 }
                 let outcome = v["outcome"].as_str().unwrap();
                 assert!(["placed", "fragmented", "no_candidate"].contains(&outcome));
                 if outcome == "placed" {
-                    assert!(v["chosen_host"].is_u64());
-                    assert!(!v["top_k"].as_array().unwrap().is_empty());
+                    assert!(v["chosen_host"].as_u64().is_some());
+                    assert!(!v["top_k"].as_arr().unwrap().is_empty());
                 }
             }
             "counter" => {
                 counters += 1;
-                assert!(v["name"].is_string());
-                assert!(v["value"].is_u64());
+                assert!(v["name"].as_str().is_some());
+                assert!(v["value"].as_u64().is_some());
             }
             other => panic!("unknown record type {other:?}"),
         }
@@ -145,16 +145,16 @@ fn chrome_trace_is_valid_and_time_ordered() {
     let (_, rec) = recorded_run(34, 1, ObsConfig::default());
     let mut out = Vec::new();
     rec.write_chrome_trace(&mut out).expect("write");
-    let trace: Value = serde_json::from_slice(&out).expect("trace is valid JSON");
-    let events = trace.as_array().expect("top-level array");
+    let trace: JsonValue = sapsim_json::parse(std::str::from_utf8(&out).expect("utf8")).expect("trace is valid JSON");
+    let events = trace.as_arr().expect("top-level array");
     assert!(!events.is_empty());
 
     let mut last_ts = 0u64;
     for e in events {
-        assert_eq!(e["ph"], "X");
-        assert_eq!(e["cat"], "sim");
-        assert!(e["name"].is_string());
-        assert!(e["dur"].is_u64());
+        assert_eq!(e["ph"].as_str(), Some("X"));
+        assert_eq!(e["cat"].as_str(), Some("sim"));
+        assert!(e["name"].as_str().is_some());
+        assert!(e["dur"].as_u64().is_some());
         let ts = e["ts"].as_u64().expect("ts");
         assert!(ts >= last_ts, "ts is monotone non-decreasing");
         last_ts = ts;
@@ -175,8 +175,8 @@ fn ring_overflow_is_reported_not_silent() {
 
     let mut out = Vec::new();
     rec.write_jsonl(&mut out).expect("write");
-    let meta: Value =
-        serde_json::from_str(String::from_utf8(out).expect("utf8").lines().next().unwrap())
+    let meta: JsonValue =
+        sapsim_json::parse(String::from_utf8(out).expect("utf8").lines().next().unwrap())
             .expect("meta line");
     assert_eq!(meta["events"].as_u64().unwrap(), 16);
     assert_eq!(meta["dropped"].as_u64().unwrap(), rec.dropped());

@@ -23,7 +23,7 @@ use sapsim_cli::serve::client;
 use sapsim_cli::serve::service::{self, Service};
 use sapsim_core::PlacementGranularity;
 use sapsim_scheduler::PolicyKind;
-use serde_json::Value;
+use sapsim_json::JsonValue;
 use std::collections::BTreeSet;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -129,7 +129,7 @@ fn body_of(response: &str) -> &str {
 }
 
 fn error_code(body: &str) -> String {
-    let value: Value = serde_json::from_str(body)
+    let value: JsonValue = sapsim_json::parse(body)
         .unwrap_or_else(|e| panic!("error body must be JSON ({e}): {body}"));
     value["code"]
         .as_str()
@@ -263,7 +263,7 @@ fn every_protocol_error_variant_is_exercised() {
     // conflict: the serialized-writer invariant. Plan a dry run, let a
     // live write overtake it, then commit the stale plan.
     let dry = ApiRequest::Place(PlaceRequest::new(2, 4096).dry_run()).to_json_line();
-    let plan: Value = serde_json::from_str(
+    let plan: JsonValue = sapsim_json::parse(
         &client::post_request(&addr, &dry).expect("dry run answers"),
     )
     .expect("plan is JSON");
@@ -391,8 +391,8 @@ fn scripted_session_is_byte_identical_online_and_offline() {
     let place2 = ApiRequest::Place(PlaceRequest::new(4, 16_384).with_count(2)).to_json_line();
     let probe = write_script("probe", &[place2.clone()]);
     let probe_out = offline_transcript(&probe);
-    let placed: Value =
-        serde_json::from_str(probe_out.lines().next().expect("one response")).expect("JSON");
+    let placed: JsonValue =
+        sapsim_json::parse(probe_out.lines().next().expect("one response")).expect("JSON");
     let vm = placed["placed"][0]["vm"].as_u64().expect("vm id");
     let node = placed["placed"][0]["node"].as_str().expect("node").to_string();
 
@@ -442,7 +442,7 @@ fn scripted_session_is_byte_identical_online_and_offline() {
         .lines()
         .find(|l| l.contains("\"hash\""))
         .expect("state response in transcript");
-    let state: Value = serde_json::from_str(state_line).expect("state is JSON");
+    let state: JsonValue = sapsim_json::parse(state_line).expect("state is JSON");
     assert_eq!(state["hash"].as_str().expect("hash").len(), 16);
 }
 
@@ -497,6 +497,6 @@ fn machine_readable_emitters_are_byte_stable_and_versioned() {
         line.starts_with("{\"schema\":\"sapsim.run-summary/v1\","),
         "{line}"
     );
-    let parsed: Value = serde_json::from_str(line.trim_end()).expect("valid JSON");
-    assert_eq!(parsed["schema"], "sapsim.run-summary/v1");
+    let parsed: JsonValue = sapsim_json::parse(line.trim_end()).expect("valid JSON");
+    assert_eq!(parsed["schema"].as_str(), Some("sapsim.run-summary/v1"));
 }

@@ -13,7 +13,6 @@
 //! report must be byte-identical at 1, 2, and 8 workers *and* to cold
 //! sequential runs of every scenario.
 
-use rand::RngCore;
 use sapsim_core::{FaultSpec, Scenario, SimConfig, SimDriver, SimSnapshot, SweepSpec};
 use sapsim_scheduler::PolicyKind;
 use sapsim_sim::{SimRng, SimTime, MILLIS_PER_DAY};

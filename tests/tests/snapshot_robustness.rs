@@ -11,7 +11,6 @@
 //! * One snapshot is a fork point, not a run: resuming or refaulting it
 //!   repeatedly must yield fully independent, identical runs.
 
-use rand::RngCore;
 use sapsim_core::{FaultSpec, SimConfig, SimDriver, SimError, SimSnapshot};
 use sapsim_sim::{SimRng, SimTime, MILLIS_PER_DAY};
 
