@@ -113,7 +113,9 @@ mod tests {
         let agg = contention_aggregate(&r);
         assert_eq!(agg.days.len(), r.config.days as usize);
         for d in &agg.days {
-            assert!(d.mean <= d.p95 + 1e-9, "mean ≤ p95 on day {}", d.day);
+            // Contention is zero-inflated: on a day when under 5 % of the
+            // node-samples are contended, p95 is 0 and the mean is not.
+            assert!(d.mean <= d.max + 1e-9, "mean ≤ max on day {}", d.day);
             assert!(d.p95 <= d.max + 1e-9, "p95 ≤ max on day {}", d.day);
             assert!(d.mean >= 0.0);
             assert!(d.max <= 100.0);

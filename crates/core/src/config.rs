@@ -609,13 +609,15 @@ mod tests {
             .warmup_days(0)
             .build()
             .expect("valid");
-        let mut mutated = SimConfig::default();
-        mutated.seed = 7;
-        mutated.scale = 0.05;
-        mutated.days = 5;
-        mutated.policy = PolicyKind::ContentionAware;
-        mutated.granularity = PlacementGranularity::Node;
-        mutated.warmup_days = 0;
+        let mutated = SimConfig {
+            seed: 7,
+            scale: 0.05,
+            days: 5,
+            policy: PolicyKind::ContentionAware,
+            granularity: PlacementGranularity::Node,
+            warmup_days: 0,
+            ..SimConfig::default()
+        };
         assert_eq!(built, mutated);
         assert_eq!(
             built.to_json_string(),

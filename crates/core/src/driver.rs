@@ -43,7 +43,8 @@ use sapsim_topology::{
     TopologyBuilder,
 };
 use sapsim_workload::{
-    paper_flavor_catalog, GeneratorConfig, VmId, VmSpec, WorkloadClass, WorkloadGenerator,
+    paper_flavor_catalog, DayPhase, GeneratorConfig, ScrapeTick, VmId, VmSpec, WorkloadClass,
+    WorkloadGenerator,
 };
 use std::ops::Range;
 use std::sync::Arc;
@@ -249,6 +250,9 @@ struct DerivedWorld {
     topo: sapsim_topology::Topology,
     regions: Vec<RegionCtx>,
     specs: Arc<Vec<VmSpec>>,
+    /// Per spec, the peak-hour phase of its usage model: what the scrape's
+    /// per-VM step reads instead of taking a cosine per VM.
+    peak_phases: Arc<Vec<DayPhase>>,
     vm_region: Arc<Vec<u32>>,
     vm_az: Arc<Vec<AzId>>,
     vm_rng_root: SimRng,
@@ -268,6 +272,7 @@ struct RunState {
     regions: Vec<RegionCtx>,
     cloud: Cloud,
     specs: Arc<Vec<VmSpec>>,
+    peak_phases: Arc<Vec<DayPhase>>,
     sim: Simulation<Event>,
     warmup: SimTime,
     horizon: SimTime,
@@ -477,6 +482,7 @@ impl SimDriver {
             },
         );
         let specs = generator.generate();
+        let peak_phases = specs.iter().map(|s| s.usage.peak_phase()).collect();
 
         // Per-VM region assignment: weight each region by its node
         // capacity for the VM's class, so replicated estates fill
@@ -549,6 +555,7 @@ impl SimDriver {
             topo,
             regions,
             specs: Arc::new(specs),
+            peak_phases: Arc::new(peak_phases),
             vm_region: Arc::new(vm_region),
             vm_az: Arc::new(vm_az),
             vm_rng_root,
@@ -568,6 +575,7 @@ impl SimDriver {
             topo,
             regions,
             specs,
+            peak_phases,
             vm_region,
             vm_az,
             vm_rng_root,
@@ -713,6 +721,7 @@ impl SimDriver {
             regions,
             cloud,
             specs,
+            peak_phases,
             sim,
             warmup,
             horizon,
@@ -844,6 +853,7 @@ impl SimDriver {
             regions: w.regions,
             cloud,
             specs: w.specs,
+            peak_phases: w.peak_phases,
             sim,
             warmup,
             horizon,
@@ -1054,6 +1064,7 @@ impl SimDriver {
                     regions: st.regions.clone(),
                     cloud,
                     specs: Arc::clone(&st.specs),
+                    peak_phases: Arc::clone(&st.peak_phases),
                     sim,
                     warmup: st.warmup,
                     horizon: st.horizon,
@@ -1301,6 +1312,7 @@ impl SimDriver {
                 Self::scrape(
                     &mut st.cloud,
                     &st.specs,
+                    &st.peak_phases,
                     &mut st.vm_stats,
                     &mut st.store,
                     &cfg,
@@ -2213,6 +2225,7 @@ impl SimDriver {
     fn scrape<R: Recorder>(
         cloud: &mut Cloud,
         specs: &[VmSpec],
+        peak_phases: &[DayPhase],
         vm_stats: &mut [VmUsageSummary],
         store: &mut TsdbStore,
         cfg: &SimConfig,
@@ -2239,6 +2252,7 @@ impl SimDriver {
         // and the generator numbers ids as consecutive spec indices, so
         // slot i of the dense VM table pairs with summary i.
         let t_sample = span_start::<R>();
+        let tick = ScrapeTick::new(now, interval);
         join_chunks2(
             cloud.vm_slots_mut(),
             vm_stats,
@@ -2249,9 +2263,13 @@ impl SimDriver {
                     debug_assert_eq!(vm.spec_index, offset + i, "slot table is id-indexed");
                     let spec = &specs[vm.spec_index];
                     let age = spec.age_at(now);
-                    let (cpu_ratio, mem_ratio) =
-                        spec.usage
-                            .sample(&mut vm.usage_state, now, interval, age, &mut vm.rng);
+                    let (cpu_ratio, mem_ratio) = spec.usage.step(
+                        peak_phases[vm.spec_index],
+                        &tick,
+                        &mut vm.usage_state,
+                        age,
+                        &mut vm.rng,
+                    );
                     // Demand scales with the *current* request (resizes
                     // apply); disk fills toward the original allocation.
                     let current = vm.resources;
@@ -2959,11 +2977,13 @@ mod tests {
     #[test]
     #[ignore = "full-region scale; run in release via CI"]
     fn multi_region_estates_fill_every_region_deterministically() {
-        let mut cfg = SimConfig::default();
-        cfg.scale = 1.02;
-        cfg.days = 1;
-        cfg.warmup_days = 0;
-        cfg.seed = 27;
+        let cfg = SimConfig {
+            scale: 1.02,
+            days: 1,
+            warmup_days: 0,
+            seed: 27,
+            ..SimConfig::default()
+        };
         let a = SimDriver::new(cfg).unwrap().run();
         let b = SimDriver::new(cfg).unwrap().run();
         assert_eq!(a.stats, b.stats);
@@ -3261,11 +3281,13 @@ mod tests {
     #[test]
     #[ignore = "full-region scale; run in release via CI"]
     fn multi_region_sharded_run_matches_sequential_at_scale() {
-        let mut cfg = SimConfig::default();
-        cfg.scale = 1.02; // replicates the studied region: 2 regions
-        cfg.days = 1;
-        cfg.warmup_days = 0;
-        cfg.seed = 45;
+        let mut cfg = SimConfig {
+            scale: 1.02, // replicates the studied region: 2 regions
+            days: 1,
+            warmup_days: 0,
+            seed: 45,
+            ..SimConfig::default()
+        };
         let sequential = SimDriver::new(cfg).unwrap().run();
         for workers in [2usize, 8] {
             cfg.shard_threads = workers;

@@ -515,10 +515,11 @@ mod tests {
     use super::*;
 
     fn small_cfg() -> SimConfig {
-        let mut cfg = SimConfig::default();
-        cfg.scale = 0.05;
-        cfg.seed = 7;
-        cfg
+        SimConfig {
+            scale: 0.05,
+            seed: 7,
+            ..SimConfig::default()
+        }
     }
 
     fn gp_order(cpus: u32, mem_mib: u64) -> PlaceSpec {

@@ -320,7 +320,7 @@ pub(crate) fn replay_population_peaks(
         for (region, log) in logs.iter().enumerate() {
             if let Some(e) = log.get(cursor[region]) {
                 let key = (e.time_ms, e.order, region);
-                if next.map_or(true, |best| key < best) {
+                if next.is_none_or(|best| key < best) {
                     next = Some(key);
                 }
             }

@@ -471,7 +471,7 @@ mod tests {
         // beyond the recorded max's bucket.
         let p50 = h.quantile(0.5).unwrap();
         let p99 = h.quantile(0.99).unwrap();
-        assert!(p50 >= 50 && p50 < 100, "p50 = {p50}");
+        assert!((50..100).contains(&p50), "p50 = {p50}");
         assert!(p99 >= 99, "p99 = {p99}");
         assert!(h.quantile(0.0).unwrap() >= 1);
         assert!(h.quantile(1.0).unwrap() >= p99);

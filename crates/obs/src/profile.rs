@@ -16,11 +16,7 @@ pub struct PhaseStat {
 impl PhaseStat {
     /// Mean span duration in microseconds (0 when no spans were seen).
     pub fn mean_us(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.total_us / self.count
-        }
+        self.total_us.checked_div(self.count).unwrap_or(0)
     }
 }
 

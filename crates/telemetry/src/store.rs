@@ -320,14 +320,14 @@ impl TsdbStore {
         }
         let mut merged = TsdbStore::with_topology(base.rollup_days, node_count, bb_count);
         for m in 0..MetricId::COUNT {
-            for i in 0..node_count {
-                let owner = node_owner[i] as usize;
+            for (i, &owner) in node_owner.iter().enumerate() {
+                let owner = owner as usize;
                 let idx = m * node_count + i;
                 merged.node_raw[idx] = shards[owner].node_raw[idx].take();
                 merged.node_rolled[idx] = shards[owner].node_rolled[idx].take();
             }
-            for i in 0..bb_count {
-                let owner = bb_owner[i] as usize;
+            for (i, &owner) in bb_owner.iter().enumerate() {
+                let owner = owner as usize;
                 let idx = m * bb_count + i;
                 merged.bb_raw[idx] = shards[owner].bb_raw[idx].take();
                 merged.bb_rolled[idx] = shards[owner].bb_rolled[idx].take();

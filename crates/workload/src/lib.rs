@@ -40,5 +40,5 @@ pub use flavor::{
 };
 pub use generator::{GeneratorConfig, WorkloadGenerator};
 pub use lifetime::LifetimeModel;
-pub use usage::{UsageModel, UsageState};
+pub use usage::{DayPhase, ScrapeTick, UsageModel, UsageState};
 pub use vmspec::{ResizeSpec, VmId, VmSpec};

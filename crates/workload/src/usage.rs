@@ -96,13 +96,23 @@ impl UsageModel {
         }
     }
 
+    /// Where this VM's load peaks on the 24-hour circle. Fixed for the
+    /// VM's life: a caller sampling many VMs per instant computes it once
+    /// per VM and hands it to every [`step`](Self::step).
+    pub fn peak_phase(&self) -> DayPhase {
+        DayPhase::of_hour(self.peak_hour)
+    }
+
     /// Deterministic expected CPU level at `time` (no noise, no spikes).
     /// Exposed for tests and for cheap contention estimation.
     pub fn cpu_level(&self, time: SimTime) -> f64 {
-        let hour = (time.as_millis() % sapsim_sim::MILLIS_PER_DAY) as f64
-            / sapsim_sim::MILLIS_PER_HOUR as f64;
-        let diurnal = (TAU * (hour - self.peak_hour) / 24.0).cos();
-        let weekday_scale = if time.is_weekend() {
+        self.level(self.peak_phase(), &ScrapeTick::new(time, SimDuration::ZERO))
+    }
+
+    /// The deterministic CPU level at the tick's instant.
+    fn level(&self, peak: DayPhase, tick: &ScrapeTick) -> f64 {
+        let diurnal = tick.hour.cos_of_difference(peak);
+        let weekday_scale = if tick.weekend {
             1.0 - self.weekend_dampening
         } else {
             1.0
@@ -116,7 +126,9 @@ impl UsageModel {
     /// Advance the VM's noise state by `dt` and sample the pair of
     /// utilization ratios at `time`, for a VM created `age` ago.
     ///
-    /// Returns `(cpu_ratio, mem_ratio)`, both in `[0, 1]`.
+    /// Returns `(cpu_ratio, mem_ratio)`, both in `[0, 1]`. This is the
+    /// single-VM entry: it builds the [`ScrapeTick`] and the peak phase
+    /// per call and runs the same [`step`](Self::step) a scrape does.
     pub fn sample(
         &self,
         state: &mut UsageState,
@@ -125,13 +137,87 @@ impl UsageModel {
         age: SimDuration,
         rng: &mut SimRng,
     ) -> (f64, f64) {
-        state.advance(self, dt, rng);
-        let mut cpu = self.cpu_level(time) + state.ou_cpu;
+        self.step(
+            self.peak_phase(),
+            &ScrapeTick::new(time, dt),
+            state,
+            age,
+            rng,
+        )
+    }
+
+    /// One VM's share of a scrape: advance its noise state over the
+    /// tick's step and sample `(cpu_ratio, mem_ratio)` at the tick's
+    /// instant. `peak` is this model's [`peak_phase`](Self::peak_phase).
+    pub fn step(
+        &self,
+        peak: DayPhase,
+        tick: &ScrapeTick,
+        state: &mut UsageState,
+        age: SimDuration,
+        rng: &mut SimRng,
+    ) -> (f64, f64) {
+        state.advance(self, tick, rng);
+        let mut cpu = self.level(peak, tick) + state.ou_cpu;
         if self.cpu_spike_prob > 0.0 && rng.bool(self.cpu_spike_prob.min(1.0)) {
             cpu += self.cpu_spike_mag * rng.range_f64(0.5, 1.0);
         }
         let mem = self.mem_mean + self.mem_daily_drift * age.as_days_f64() + state.ou_mem;
         (cpu.clamp(0.0, 1.0), mem.clamp(0.02, 1.0))
+    }
+}
+
+/// An hour of the day as a point on the 24-hour circle, held as cosine
+/// and sine of its angle.
+#[derive(Debug, Clone, Copy)]
+pub struct DayPhase {
+    cos: f64,
+    sin: f64,
+}
+
+impl DayPhase {
+    /// The phase of `hour` (in hours, any real; the circle wraps at 24).
+    pub fn of_hour(hour: f64) -> DayPhase {
+        let (sin, cos) = (TAU * hour / 24.0).sin_cos();
+        DayPhase { cos, sin }
+    }
+
+    /// The diurnal term `cos(τ(h − p)/24)` between the hours `h` of
+    /// `self` and `p` of `other`, by angle addition: two multiplies per
+    /// VM and scrape where the direct form costs a cosine.
+    fn cos_of_difference(self, other: DayPhase) -> f64 {
+        self.cos * other.cos + self.sin * other.sin
+    }
+}
+
+/// Everything about one scrape that is the same for every VM: the
+/// noise transition over the scrape interval and where the instant falls
+/// in the day and the week. Built once per scrape, read by every
+/// [`UsageModel::step`].
+#[derive(Debug, Clone, Copy)]
+pub struct ScrapeTick {
+    /// OU decay over the step, `α = exp(−dt/τ)`.
+    alpha: f64,
+    /// `√(1−α²)`: the fresh draw's share of the stationary deviation.
+    innovation: f64,
+    /// Hour of day of the instant.
+    hour: DayPhase,
+    /// Whether the instant falls on a weekend.
+    weekend: bool,
+}
+
+impl ScrapeTick {
+    /// The tick for sampling at `time`, `dt` after the previous sample.
+    pub fn new(time: SimTime, dt: SimDuration) -> ScrapeTick {
+        let alpha = (-dt.as_secs_f64() / OU_TAU_SECS).exp();
+        let hour = (time.as_millis() % sapsim_sim::MILLIS_PER_DAY) as f64
+            / sapsim_sim::MILLIS_PER_HOUR as f64;
+        ScrapeTick {
+            alpha,
+            innovation: (1.0 - alpha * alpha).sqrt(),
+            hour: DayPhase::of_hour(hour),
+            weekend: time.is_weekend(),
+        }
     }
 }
 
@@ -152,23 +238,22 @@ impl UsageState {
         Self::default()
     }
 
-    /// Exact OU transition over `dt`:
+    /// Exact OU transition over the tick's step:
     /// `x ← αx + σ√(1−α²)·z` with `α = exp(−dt/τ)`, which keeps the
     /// stationary distribution `N(0, σ²)` for any step size — scrape
     /// intervals of 30 s and 300 s therefore see the same marginal noise.
-    fn advance(&mut self, model: &UsageModel, dt: SimDuration, rng: &mut SimRng) {
-        let alpha = (-dt.as_secs_f64() / OU_TAU_SECS).exp();
-        let scale = (1.0 - alpha * alpha).sqrt();
+    fn advance(&mut self, model: &UsageModel, tick: &ScrapeTick, rng: &mut SimRng) {
         let z_cpu = rng.normal();
         let z_mem = rng.normal();
-        self.ou_cpu = alpha * self.ou_cpu + model.cpu_noise_sigma * scale * z_cpu;
-        self.ou_mem = alpha * self.ou_mem + model.mem_noise_sigma * scale * z_mem;
+        self.ou_cpu = tick.alpha * self.ou_cpu + model.cpu_noise_sigma * tick.innovation * z_cpu;
+        self.ou_mem = tick.alpha * self.ou_mem + model.mem_noise_sigma * tick.innovation * z_mem;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sapsim_sim::for_each_seed;
 
     fn model(archetype: Archetype, seed: u64) -> (UsageModel, SimRng) {
         let mut rng = SimRng::seed_from(seed);
@@ -285,10 +370,10 @@ mod tests {
         let spread = |step_secs: u64, seed: u64| {
             let (m, mut rng) = model(Archetype::GenericService, seed);
             let mut st = UsageState::new();
-            let dt = SimDuration::from_secs(step_secs);
+            let tick = ScrapeTick::new(SimTime::ZERO, SimDuration::from_secs(step_secs));
             let mut vals = Vec::new();
             for _ in 0..5000 {
-                st.advance(&m, dt, &mut rng);
+                st.advance(&m, &tick, &mut rng);
                 vals.push(st.ou_cpu);
             }
             let mean = vals.iter().sum::<f64>() / vals.len() as f64;
@@ -299,5 +384,51 @@ mod tests {
         let s300 = spread(300, 13);
         assert!((s30 - m.cpu_noise_sigma).abs() < 0.02, "s30={s30}");
         assert!((s300 - m.cpu_noise_sigma).abs() < 0.02, "s300={s300}");
+    }
+
+    #[test]
+    fn single_vm_sample_is_the_scrape_step() {
+        // `sample` and a scrape's tick-then-step are one code path: same
+        // bits out, same noise state and RNG position left behind.
+        for_each_seed(64, |rng| {
+            let archetype = Archetype::ALL[rng.range(0, Archetype::ALL.len() as u64) as usize];
+            let m = UsageModel::draw(archetype, rng);
+            let peak = m.peak_phase();
+            let dt = SimDuration::from_secs(rng.range(30, 21_600));
+            let mut time = SimTime::from_millis(rng.range(0, 40 * sapsim_sim::MILLIS_PER_DAY));
+            let (mut st_a, mut st_b) = (UsageState::new(), UsageState::new());
+            let (mut rng_a, mut rng_b) = (rng.clone(), rng.clone());
+            for _ in 0..50 {
+                let age = SimDuration::from_days(rng.range(0, 400));
+                let a = m.sample(&mut st_a, time, dt, age, &mut rng_a);
+                let tick = ScrapeTick::new(time, dt);
+                let b = m.step(peak, &tick, &mut st_b, age, &mut rng_b);
+                assert_eq!(
+                    (a.0.to_bits(), a.1.to_bits()),
+                    (b.0.to_bits(), b.1.to_bits())
+                );
+                assert_eq!((st_a, &rng_a), (st_b, &rng_b));
+                time += dt;
+            }
+        });
+    }
+
+    #[test]
+    fn angle_addition_matches_the_direct_cosine() {
+        // A day of 300 s scrapes against the whole 8–18 h peak range.
+        for step in 0..288u64 {
+            let time = SimTime::from_secs(300 * step);
+            let hour = 300.0 * step as f64 / 3600.0;
+            let tick = ScrapeTick::new(time, SimDuration::from_secs(300));
+            for quarter in 32..=72 {
+                let peak_hour = quarter as f64 / 4.0;
+                let direct = (TAU * (hour - peak_hour) / 24.0).cos();
+                let added = tick.hour.cos_of_difference(DayPhase::of_hour(peak_hour));
+                assert!(
+                    (added - direct).abs() < 1e-12,
+                    "hour {hour}, peak {peak_hour}: {added} vs {direct}"
+                );
+            }
+        }
     }
 }

@@ -205,14 +205,14 @@ fn randomized_mutation_sweep_keeps_cache_coherent() {
                     cloud.set_bb_reserved(bb, rng.bool(0.5));
                 }
                 _ => {
-                    now = now + SimDuration::from_millis(rng.range(1, 3_600_000));
+                    now += SimDuration::from_millis(rng.range(1, 3_600_000));
                 }
             }
             if step % 7 == 0 {
                 assert_coherent(&mut cloud, now, &format!("seed {seed} step {step}"));
             }
         }
-        now = now + SimDuration::from_days(1);
+        now += SimDuration::from_days(1);
         assert_coherent(&mut cloud, now, &format!("seed {seed} final"));
     }
 }

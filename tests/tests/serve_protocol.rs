@@ -27,7 +27,7 @@ use sapsim_json::JsonValue;
 use std::collections::BTreeSet;
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -146,7 +146,7 @@ fn write_script(name: &str, lines: &[String]) -> PathBuf {
     path
 }
 
-fn offline_transcript(script: &PathBuf) -> String {
+fn offline_transcript(script: &Path) -> String {
     let argv: Vec<String> = [
         "serve",
         "--script",
@@ -389,7 +389,7 @@ fn scripted_session_is_byte_identical_online_and_offline() {
     // Probe offline to learn the deterministic vm id and node name the
     // first placement produces (same default config everywhere).
     let place2 = ApiRequest::Place(PlaceRequest::new(4, 16_384).with_count(2)).to_json_line();
-    let probe = write_script("probe", &[place2.clone()]);
+    let probe = write_script("probe", std::slice::from_ref(&place2));
     let probe_out = offline_transcript(&probe);
     let placed: JsonValue =
         sapsim_json::parse(probe_out.lines().next().expect("one response")).expect("JSON");
