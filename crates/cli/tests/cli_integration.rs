@@ -66,7 +66,10 @@ fn simulate_json_prints_one_versioned_summary_line() {
     assert_eq!(text.lines().count(), 1, "one JSON object, nothing else");
     let summary = RunSummary::from_json_str(text.trim()).expect("valid summary");
     assert_eq!(summary.config.seed, 3);
-    assert_eq!(summary.config.threads, 0, "canonicalized config");
+    assert!(
+        text.contains(r#""warmup_days":0,"threads":0}"#),
+        "the config echo keeps its add-only `threads` key: {text}"
+    );
     assert!(summary.stats.placed > 0);
     assert_eq!(summary.canonical_hash.len(), 16);
 }
@@ -285,6 +288,9 @@ fn simulate_rejects_bad_fault_specs() {
     let err = run_capture(&["simulate", "--faults", "slowdown=0"]).unwrap_err();
     assert!(err.to_string().contains("slowdown"), "{err}");
     assert_eq!(err.exit_code(), 3, "invalid knob values are config errors");
+    let err = run_capture(&["simulate", "--overcommit", "nan"]).unwrap_err();
+    assert!(err.to_string().contains("invalid config"), "{err}");
+    assert_eq!(err.exit_code(), 3, "a non-finite ratio is a config error");
 }
 
 #[test]

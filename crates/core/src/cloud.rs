@@ -134,8 +134,8 @@ pub struct Cloud {
     /// All placed VMs, in a dense slot table indexed by `VmId::raw`.
     /// The workload generator numbers VM ids as consecutive spec indices,
     /// so the table stays compact, lookups are a bounds-checked index, and
-    /// the telemetry scrape can walk (and fan out over) all VMs in id
-    /// order without hashing. `None` marks never-placed or departed ids.
+    /// the telemetry scrape can walk all VMs in id order without hashing.
+    /// `None` marks never-placed or departed ids.
     vm_slots: Vec<Option<PlacedVm>>,
     /// Number of `Some` entries in `vm_slots`.
     vm_count: usize,
@@ -188,8 +188,8 @@ impl Cloud {
 
     /// Pre-size the VM slot table for ids `0..n` (the driver knows the
     /// spec count up front). Growing lazily also works; pre-sizing avoids
-    /// reallocation mid-run and lets the scrape fan-out zip the slot table
-    /// against per-spec state of the same length.
+    /// reallocation mid-run and lets the scrape zip the slot table against
+    /// per-spec state of the same length.
     pub fn reserve_vm_slots(&mut self, n: usize) {
         debug_assert!(
             n >= self.vm_slots.len() || self.vm_slots[n..].iter().all(Option::is_none),
@@ -292,9 +292,8 @@ impl Cloud {
     }
 
     /// The dense VM slot table, indexed by `VmId::raw` (`None` for ids not
-    /// currently placed). The telemetry scrape walks this mutably —
-    /// advancing each VM's independent demand model — and may partition it
-    /// across threads, because slots are disjoint per VM.
+    /// currently placed). The telemetry scrape walks this mutably,
+    /// advancing each VM's independent demand model.
     pub fn vm_slots_mut(&mut self) -> &mut [Option<PlacedVm>] {
         &mut self.vm_slots
     }

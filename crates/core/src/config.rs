@@ -138,14 +138,6 @@ pub struct SimConfig {
     /// stays anchored on the paper's Wednesday epoch. Telemetry and VM
     /// statistics cover only the observation window.
     pub warmup_days: u64,
-    /// Worker threads for the telemetry-scrape fan-out when the `parallel`
-    /// cargo feature is enabled: `0` = one per available CPU, `1` =
-    /// sequential, `n` = exactly `n`. This is a pure execution knob — the
-    /// scrape partitions VMs into fixed chunks and keeps every cross-VM
-    /// reduction sequential, so results are bit-identical at any value —
-    /// and it is therefore normalized away in canonical serializations.
-    /// Ignored without the feature.
-    pub threads: usize,
     /// Fault injection: abrupt host failures (with evacuation through the
     /// normal scheduling pipeline), straggler nodes, and telemetry
     /// dropouts. Defaults to [`FaultSpec::none`], which is a behavioural
@@ -171,11 +163,11 @@ pub struct SimConfig {
     /// default) runs the classic sequential loop; `n >= 1` partitions a
     /// multi-region estate into per-region sub-simulations and executes
     /// them on `min(n, regions)` `std::thread::scope` workers, merging
-    /// the shards back in fixed estate order. A pure execution knob like
-    /// [`SimConfig::threads`]: results are bit-identical at any value
-    /// (the shard-determinism suites pin it), snapshot capture always
-    /// serializes the sequential prefix, and the knob is skipped in
-    /// serialized configs, canonical bytes, and run summaries.
+    /// the shards back in fixed estate order. A pure execution knob:
+    /// results are bit-identical at any value (the shard-determinism
+    /// suites pin it), snapshot capture always serializes the sequential
+    /// prefix, and the knob is skipped in serialized configs, canonical
+    /// bytes, and run summaries.
     pub shard_threads: usize,
     /// Emit a live progress heartbeat to stderr while the run executes
     /// (sim-day reached, events/s, live VM count, ETA). Pure observation
@@ -210,7 +202,6 @@ impl Default for SimConfig {
             maintenance_duration: SimDuration::from_hours(18),
             region_replicas: 1,
             warmup_days: 7,
-            threads: 0,
             faults: FaultSpec::none(),
             naive_host_views: false,
             heap_event_queue: false,
@@ -230,14 +221,15 @@ fn is_single_region(n: &usize) -> bool {
 // The wire format. Missing keys take their defaults, so configs written
 // before a field existed still load. The execution knobs
 // (`naive_host_views`, `heap_event_queue`, `shard_threads`, `progress`)
-// are not listed and therefore never leave the process; `threads` is on
-// the wire for compatibility and normalized to 0 by every canonical form.
+// are not listed and therefore never leave the process. `threads` has no
+// field: the format is add-only, so the key a deleted knob left behind is
+// still written, always 0, in its old position, and ignored when read.
 json_codec!(struct SimConfig: default {
     seed, days, scale, policy, granularity, drs_enabled, drs, drs_interval, cross_bb_enabled,
     cross_bb_interval, scrape_interval, os_gauge_interval, record_raw_host_series,
     gp_cpu_overcommit, churn, reserve_bb_fraction, resize_probability,
     maintenance_rate_per_month, maintenance_duration, region_replicas: is_single_region,
-    warmup_days, threads, faults: FaultSpec::is_none,
+    warmup_days, threads = 0u64, faults: FaultSpec::is_none,
 });
 
 impl SimConfig {
@@ -266,14 +258,13 @@ impl SimConfig {
         }
     }
 
-    /// This config with every execution knob at its default (`threads`,
-    /// `shard_threads`, `naive_host_views`, `heap_event_queue`,
+    /// This config with every execution knob at its default
+    /// (`shard_threads`, `naive_host_views`, `heap_event_queue`,
     /// `progress`): the part that decides what a run computes. Canonical
     /// bytes, scenario ids and run summaries are built from this form, so
     /// they compare equal across runs that must be bit-identical.
     pub fn canonical(mut self) -> SimConfig {
         let defaults = SimConfig::default();
-        self.threads = defaults.threads;
         self.shard_threads = defaults.shard_threads;
         self.naive_host_views = defaults.naive_host_views;
         self.heap_event_queue = defaults.heap_event_queue;
@@ -297,7 +288,7 @@ impl SimConfig {
         if self.scrape_interval.is_zero() || self.os_gauge_interval.is_zero() {
             return invalid("scrape intervals must be positive".into());
         }
-        if self.gp_cpu_overcommit <= 0.0 {
+        if !self.gp_cpu_overcommit.is_finite() || self.gp_cpu_overcommit <= 0.0 {
             return invalid("gp_cpu_overcommit must be positive".into());
         }
         if self.drs_enabled && self.drs_interval.is_zero() {
@@ -309,7 +300,7 @@ impl SimConfig {
                 self.resize_probability
             ));
         }
-        if self.maintenance_rate_per_month < 0.0 {
+        if !self.maintenance_rate_per_month.is_finite() || self.maintenance_rate_per_month < 0.0 {
             return invalid("maintenance_rate_per_month must be non-negative".into());
         }
         if !self.warmup_days.is_multiple_of(7) {
@@ -451,8 +442,6 @@ impl SimConfigBuilder {
         region_replicas: usize,
         /// Pre-observation warm-up in days (multiple of 7).
         warmup_days: u64,
-        /// Worker threads for the telemetry-scrape fan-out.
-        threads: usize,
         /// Shard workers for the spatially-partitioned event loop
         /// (`0` = sequential).
         shard_threads: usize,
@@ -526,6 +515,14 @@ mod tests {
                 ..SimConfig::default()
             },
             SimConfig {
+                gp_cpu_overcommit: f64::NAN,
+                ..SimConfig::default()
+            },
+            SimConfig {
+                gp_cpu_overcommit: f64::INFINITY,
+                ..SimConfig::default()
+            },
+            SimConfig {
                 reserve_bb_fraction: 0.95,
                 ..SimConfig::default()
             },
@@ -538,8 +535,20 @@ mod tests {
                 ..SimConfig::default()
             },
             SimConfig {
+                maintenance_rate_per_month: f64::NAN,
+                ..SimConfig::default()
+            },
+            SimConfig {
                 faults: FaultSpec {
                     host_fail_rate_per_month: -1.0,
+                    ..FaultSpec::none()
+                },
+                ..SimConfig::default()
+            },
+            SimConfig {
+                faults: FaultSpec {
+                    dropout_rate_per_month: 1.0,
+                    dropout_duration_hours: f64::NAN,
                     ..FaultSpec::none()
                 },
                 ..SimConfig::default()

@@ -33,7 +33,7 @@ use sapsim_scheduler::{
     HostLoad, PlacementPolicy, PlacementRequest, RankOptions, Ranking, Rebalancer, RejectReason,
     ScheduleError, VmLoad,
 };
-use sapsim_sim::par::{join_chunks2, run_each};
+use sapsim_sim::par::run_each;
 use sapsim_sim::{
     QueueBackend, SimDuration, SimRng, SimTime, Simulation, SimulationStats, MILLIS_PER_DAY,
 };
@@ -2209,18 +2209,16 @@ impl SimDriver {
     /// horizon event that fires exactly at window end (the event loop is
     /// horizon-inclusive, and that instant is already outside `[0, days)`).
     ///
-    /// The round runs in three phases so that phase 1 — the hot per-VM
-    /// sampling loop — parallelizes without changing a single output bit:
+    /// The round runs in three phases so DRS can read the cached per-VM
+    /// demand between scrapes:
     ///
-    /// 1. **Per-VM sampling** (parallel behind the `parallel` feature):
-    ///    each VM advances its own demand model on its own split-off RNG
-    ///    stream and caches the resulting demand in its slot. The slot and
-    ///    summary tables are parallel arrays partitioned into disjoint
-    ///    contiguous chunks; no worker touches another worker's elements.
-    /// 2. **Per-node reduction** (sequential): cached demands are summed
-    ///    in fixed (node, residency) order — the only cross-VM float
-    ///    accumulation, so the sum order is identical at any thread count.
-    /// 3. **Hypervisor model + recording** (sequential, node order).
+    /// 1. **Per-VM sampling**: each VM advances its own demand model on
+    ///    its own split-off RNG stream and caches the resulting demand in
+    ///    its slot. The slot and summary tables are parallel arrays, both
+    ///    indexed by spec; no VM reads another VM's state.
+    /// 2. **Per-node reduction**: cached demands are summed in fixed
+    ///    (node, residency) order — the only cross-VM float accumulation.
+    /// 3. **Hypervisor model + recording**, in node order.
     #[allow(clippy::too_many_arguments)]
     fn scrape<R: Recorder>(
         cloud: &mut Cloud,
@@ -2253,37 +2251,32 @@ impl SimDriver {
         // slot i of the dense VM table pairs with summary i.
         let t_sample = span_start::<R>();
         let tick = ScrapeTick::new(now, interval);
-        join_chunks2(
-            cloud.vm_slots_mut(),
-            vm_stats,
-            cfg.threads,
-            |offset, slots, summaries| {
-                for (i, (slot, summary)) in slots.iter_mut().zip(summaries.iter_mut()).enumerate() {
-                    let Some(vm) = slot.as_mut() else { continue };
-                    debug_assert_eq!(vm.spec_index, offset + i, "slot table is id-indexed");
-                    let spec = &specs[vm.spec_index];
-                    let age = spec.age_at(now);
-                    let (cpu_ratio, mem_ratio) = spec.usage.step(
-                        peak_phases[vm.spec_index],
-                        &tick,
-                        &mut vm.usage_state,
-                        age,
-                        &mut vm.rng,
-                    );
-                    // Demand scales with the *current* request (resizes
-                    // apply); disk fills toward the original allocation.
-                    let current = vm.resources;
-                    vm.last_cpu_demand_cores = cpu_ratio * current.cpu_cores as f64;
-                    vm.last_mem_used_mib = mem_ratio * current.memory_mib as f64;
-                    vm.last_disk_used_gib = hypervisor::vm_disk_fill_fraction(age.as_days_f64())
-                        * spec.resources.disk_gib as f64;
-                    if recording {
-                        summary.cpu_ratio.push(cpu_ratio);
-                        summary.mem_ratio.push(mem_ratio);
-                    }
-                }
-            },
-        );
+        let slots = cloud.vm_slots_mut();
+        assert_eq!(slots.len(), vm_stats.len(), "both tables are spec-indexed");
+        for (i, (slot, summary)) in slots.iter_mut().zip(vm_stats.iter_mut()).enumerate() {
+            let Some(vm) = slot.as_mut() else { continue };
+            debug_assert_eq!(vm.spec_index, i, "slot table is id-indexed");
+            let spec = &specs[vm.spec_index];
+            let age = spec.age_at(now);
+            let (cpu_ratio, mem_ratio) = spec.usage.step(
+                peak_phases[vm.spec_index],
+                &tick,
+                &mut vm.usage_state,
+                age,
+                &mut vm.rng,
+            );
+            // Demand scales with the *current* request (resizes
+            // apply); disk fills toward the original allocation.
+            let current = vm.resources;
+            vm.last_cpu_demand_cores = cpu_ratio * current.cpu_cores as f64;
+            vm.last_mem_used_mib = mem_ratio * current.memory_mib as f64;
+            vm.last_disk_used_gib = hypervisor::vm_disk_fill_fraction(age.as_days_f64())
+                * spec.resources.disk_gib as f64;
+            if recording {
+                summary.cpu_ratio.push(cpu_ratio);
+                summary.mem_ratio.push(mem_ratio);
+            }
+        }
 
         span_end(rec, profile, SpanKind::ScrapeSample, origin, t_sample);
 

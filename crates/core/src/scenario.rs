@@ -286,7 +286,7 @@ mod tests {
     fn scenario_id_ignores_execution_knobs_but_not_results_knobs() {
         let a = Scenario::new("a", base()).unwrap();
         let mut threaded = base();
-        threaded.threads = 8;
+        threaded.shard_threads = 8;
         threaded.naive_host_views = true;
         let b = Scenario::new("b", threaded).unwrap();
         assert_eq!(a.id(), b.id(), "execution knobs must not change the id");

@@ -148,7 +148,9 @@ impl FaultSpec {
         if !self.dropout_rate_per_month.is_finite() || self.dropout_rate_per_month < 0.0 {
             return invalid("faults: dropout rate must be >= 0");
         }
-        if self.dropout_rate_per_month > 0.0 && self.dropout_duration_hours <= 0.0 {
+        if self.dropout_rate_per_month > 0.0
+            && (!self.dropout_duration_hours.is_finite() || self.dropout_duration_hours <= 0.0)
+        {
             return invalid("faults: dropout duration must be positive");
         }
         if self.host_fail_rate_per_month > 0.0 && self.evac_retry_backoff_secs == 0 {

@@ -339,8 +339,10 @@ impl ToJson for JsonValue {
 /// from `T::default()` and overwrites the keys that are present, so
 /// missing keys — and fields not listed at all — keep their defaults. A
 /// field written `name: predicate` is left out of the output when
-/// `predicate(&self.name)` holds. `struct T: default, deny_unknown { .. }`
-/// additionally rejects keys that are not listed.
+/// `predicate(&self.name)` holds. A member written `name = literal` has no
+/// field behind it: the key is always written with that value and skipped
+/// when read. `struct T: default, deny_unknown { .. }` additionally
+/// rejects keys that are not listed.
 #[macro_export]
 macro_rules! json_codec {
     (struct $ty:ty { $($field:ident),* $(,)? }) => {
@@ -360,11 +362,13 @@ macro_rules! json_codec {
             }
         }
     };
-    (struct $ty:ty: default $(, $deny:ident)? { $($field:ident $(: $omit:expr)?),* $(,)? }) => {
+    (struct $ty:ty: default $(, $deny:ident)? {
+        $($field:ident $(= $lit:literal)? $(: $omit:expr)?),* $(,)?
+    }) => {
         impl $crate::ToJson for $ty {
             fn write_json(&self, out: &mut String) {
                 let mut object = $crate::ObjectWriter::new(out);
-                $( $crate::json_codec!(@member object self $field $($omit)?); )*
+                $( $crate::json_codec!(@member object self $field $(= $lit)? $($omit)?); )*
                 object.end();
             }
         }
@@ -376,12 +380,7 @@ macro_rules! json_codec {
                 let _listed = [$(stringify!($field)),*];
                 $( $crate::json_codec!(@$deny _pairs _listed); )?
                 let mut out = <$ty>::default();
-                $(
-                    if let Some(member) = value.get(stringify!($field)) {
-                        out.$field = $crate::FromJson::from_json(member)
-                            .map_err(|e| format!("{}: {e}", stringify!($field)))?;
-                    }
-                )*
+                $( $crate::json_codec!(@read out value $field $(= $lit)?); )*
                 Ok(out)
             }
         }
@@ -420,6 +419,16 @@ macro_rules! json_codec {
             $object.field(stringify!($field), &$self.$field);
         }
     };
+    (@member $object:ident $self:ident $field:ident = $lit:literal) => {
+        $object.field(stringify!($field), &$lit);
+    };
+    (@read $out:ident $value:ident $field:ident) => {
+        if let Some(member) = $value.get(stringify!($field)) {
+            $out.$field = $crate::FromJson::from_json(member)
+                .map_err(|e| format!("{}: {e}", stringify!($field)))?;
+        }
+    };
+    (@read $out:ident $value:ident $field:ident = $lit:literal) => {};
     (@deny_unknown $pairs:ident $listed:ident) => {
         if let Some(key) = $crate::unknown_key($pairs, &$listed) {
             return Err(format!("unknown field `{key}`"));
@@ -466,7 +475,7 @@ mod tests {
         a: Option<u64>,
         b: Vec<bool>,
     }
-    json_codec!(struct Strict: default, deny_unknown { a, b });
+    json_codec!(struct Strict: default, deny_unknown { a, v = 1u64, b });
 
     #[derive(Debug, Clone, Copy, PartialEq)]
     enum Mode {
@@ -549,6 +558,12 @@ mod tests {
             decode::<Strict>(r#"{"bb":[]}"#),
             Err("unknown field `bb`".to_string())
         );
+        // A constant key is a listed key: written as given, any value read.
+        assert_eq!(
+            Strict::default().to_json_string(),
+            r#"{"a":null,"v":1,"b":[]}"#
+        );
+        assert_eq!(decode::<Strict>(r#"{"v":7}"#), Ok(Strict::default()));
     }
 
     #[test]

@@ -19,7 +19,7 @@ pub enum SpanKind {
     Placement,
     /// One telemetry scrape round (parent of the three phases below).
     Scrape,
-    /// Scrape phase 1: per-VM demand sampling (the parallel fan-out).
+    /// Scrape phase 1: per-VM demand sampling.
     ScrapeSample,
     /// Scrape phase 2: per-node demand reduction.
     ScrapeReduce,

@@ -20,9 +20,9 @@
 //! 3. **Throughput.** The engine must sustain tens of millions of events so
 //!    that a full region (1,800 hypervisors, 48,000 VMs, 30 days) simulates
 //!    in seconds-to-minutes on a laptop. The [`par`] module provides a
-//!    deterministic fan-out primitive (gated behind the `parallel` cargo
-//!    feature, `std::thread` only) so hot loops can use every core without
-//!    compromising goal 1: results are bit-identical at any thread count.
+//!    deterministic fan-out primitive (`std::thread` only) so independent
+//!    shards can use every core without compromising goal 1: results are
+//!    bit-identical at any worker count.
 //!
 //! ## Quick tour
 //!

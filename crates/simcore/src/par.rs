@@ -1,137 +1,10 @@
-//! Deterministic fan-out over disjoint slices.
+//! Deterministic fan-out of independent items over scoped threads.
 //!
-//! The telemetry scrape in `sapsim-core` is a *map* over per-VM state: each
-//! VM advances its own demand model on its own split-off [`SimRng`](crate::SimRng)
-//! stream, independent of every other VM. That makes the hot loop
-//! embarrassingly parallel — provided the parallelism never changes *what*
-//! is computed, only *where*. The helpers here guarantee exactly that:
-//!
-//! * Work is partitioned into contiguous chunks at fixed offsets, so every
-//!   element is visited exactly once by exactly one worker, with the same
-//!   chunk boundaries for a given `(len, threads)` pair.
-//! * Workers write only into their own disjoint sub-slices; there is no
-//!   shared mutable state, no locks, and no reduction inside the fan-out.
-//!   Any cross-element reduction happens afterwards, in index order, on the
-//!   caller's thread.
-//!
-//! Together these give the determinism contract the simulator relies on:
-//! **results are bit-identical at any thread count**, including the
-//! sequential fallback. The implementation uses `std::thread::scope` only —
-//! no external thread-pool dependency — and the `parallel` cargo feature
-//! gates whether more than one worker is ever used. Without the feature
-//! every call degenerates to a plain sequential loop.
-
-/// Resolve how many workers a fan-out over `work_items` elements should use.
-///
-/// `requested` follows the [`SimConfig::threads`] convention of
-/// `sapsim-core`: `0` means "one worker per available CPU", any other value
-/// is used as given. The result is clamped to `[1, work_items]` (an empty
-/// slice still gets one worker so the closure observes the call).
-///
-/// Without the `parallel` feature this always returns 1.
-#[cfg(feature = "parallel")]
-pub fn effective_threads(requested: usize, work_items: usize) -> usize {
-    let requested = if requested == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        requested
-    };
-    requested.clamp(1, work_items.max(1))
-}
-
-/// Sequential fallback: the `parallel` feature is disabled, so every
-/// fan-out uses a single worker regardless of the request.
-#[cfg(not(feature = "parallel"))]
-pub fn effective_threads(_requested: usize, _work_items: usize) -> usize {
-    1
-}
-
-/// Apply `f` to paired contiguous chunks of two equal-length slices,
-/// fanning the chunks out over up to `threads` scoped worker threads.
-///
-/// The closure receives `(offset, a_chunk, b_chunk)` where `offset` is the
-/// starting index of the chunk pair in the original slices; `a_chunk` and
-/// `b_chunk` always have equal lengths and cover `a[offset..offset + n]` /
-/// `b[offset..offset + n]`. Chunk boundaries depend only on `a.len()` and
-/// the resolved worker count — and because workers touch disjoint ranges
-/// and perform no shared reduction, the outcome is identical for *any*
-/// worker count. `threads` follows the convention of
-/// [`effective_threads`]; pass `1` to force the sequential path.
-///
-/// # Panics
-/// Panics if the slices have different lengths.
-///
-/// ```
-/// use sapsim_sim::par::join_chunks2;
-///
-/// let mut acc = vec![0u64; 1000];
-/// let mut aux = vec![0u64; 1000];
-/// join_chunks2(&mut acc, &mut aux, 4, |offset, a, b| {
-///     for (i, (x, y)) in a.iter_mut().zip(b.iter_mut()).enumerate() {
-///         *x = (offset + i) as u64;
-///         *y = *x * 2;
-///     }
-/// });
-/// assert_eq!(acc[999], 999);
-/// assert_eq!(aux[999], 1998);
-/// ```
-pub fn join_chunks2<A, B, F>(a: &mut [A], b: &mut [B], threads: usize, f: F)
-where
-    A: Send,
-    B: Send,
-    F: Fn(usize, &mut [A], &mut [B]) + Sync,
-{
-    assert_eq!(
-        a.len(),
-        b.len(),
-        "join_chunks2 requires equal-length slices"
-    );
-    let workers = effective_threads(threads, a.len());
-    if workers <= 1 {
-        f(0, a, b);
-        return;
-    }
-    fan_out(a, b, workers, &f);
-}
-
-/// The threaded body of [`join_chunks2`]; only compiled with the
-/// `parallel` feature (the sequential build never reaches it).
-#[cfg(feature = "parallel")]
-fn fan_out<A, B, F>(a: &mut [A], b: &mut [B], workers: usize, f: &F)
-where
-    A: Send,
-    B: Send,
-    F: Fn(usize, &mut [A], &mut [B]) + Sync,
-{
-    let chunk = a.len().div_ceil(workers);
-    std::thread::scope(|scope| {
-        let mut rest_a = a;
-        let mut rest_b = b;
-        let mut offset = 0usize;
-        while !rest_a.is_empty() {
-            let take = chunk.min(rest_a.len());
-            let (head_a, tail_a) = rest_a.split_at_mut(take);
-            let (head_b, tail_b) = rest_b.split_at_mut(take);
-            rest_a = tail_a;
-            rest_b = tail_b;
-            let at = offset;
-            scope.spawn(move || f(at, head_a, head_b));
-            offset += take;
-        }
-    });
-}
-
-#[cfg(not(feature = "parallel"))]
-fn fan_out<A, B, F>(a: &mut [A], b: &mut [B], _workers: usize, f: &F)
-where
-    A: Send,
-    B: Send,
-    F: Fn(usize, &mut [A], &mut [B]) + Sync,
-{
-    f(0, a, b);
-}
+//! One helper, [`run_each`]: the shard pool of the spatially-partitioned
+//! event loop in `sapsim-core`. Threads may change *where* an item is
+//! computed, never *what* is computed, so **results are bit-identical at
+//! any worker count**, including the sequential fallback. The
+//! implementation uses `std::thread::scope` only.
 
 /// Run `f(index, item)` once for every element of `items`, fanning
 /// contiguous chunks out over up to `workers` scoped threads.
@@ -145,12 +18,9 @@ where
 /// receives the *global* index of each item, so which worker runs a shard
 /// can never leak into results.
 ///
-/// Unlike [`join_chunks2`] this helper is **always compiled**, with or
-/// without the `parallel` cargo feature: that feature gates the scrape
-/// fan-out *within* one simulation, while shard workers are requested
-/// explicitly per run (`SimConfig::shard_threads`) and default to off.
-/// `workers <= 1` (or a single item) degenerates to a plain sequential
-/// loop on the calling thread.
+/// Workers are requested explicitly per run (`SimConfig::shard_threads`)
+/// and default to off; `workers <= 1` (or a single item) degenerates to a
+/// plain sequential loop on the calling thread.
 ///
 /// ```
 /// use sapsim_sim::par::run_each;
@@ -195,57 +65,6 @@ where
 mod tests {
     use super::*;
 
-    fn run_fill(len: usize, threads: usize) -> (Vec<u64>, Vec<u64>) {
-        let mut a = vec![0u64; len];
-        let mut b = vec![0u64; len];
-        join_chunks2(&mut a, &mut b, threads, |offset, ca, cb| {
-            for (i, (x, y)) in ca.iter_mut().zip(cb.iter_mut()).enumerate() {
-                let idx = (offset + i) as u64;
-                *x = idx.wrapping_mul(2_654_435_761);
-                *y = idx;
-            }
-        });
-        (a, b)
-    }
-
-    #[test]
-    fn every_element_visited_exactly_once() {
-        for threads in [1usize, 2, 3, 8, 64] {
-            let (a, b) = run_fill(1000, threads);
-            for (i, (&x, &y)) in a.iter().zip(b.iter()).enumerate() {
-                assert_eq!(y, i as u64, "threads={threads}");
-                assert_eq!(x, (i as u64).wrapping_mul(2_654_435_761));
-            }
-        }
-    }
-
-    #[test]
-    fn results_identical_at_any_thread_count() {
-        let baseline = run_fill(1237, 1);
-        for threads in [0usize, 2, 5, 16] {
-            assert_eq!(run_fill(1237, threads), baseline, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn handles_empty_and_tiny_slices() {
-        let (a, _) = run_fill(0, 8);
-        assert!(a.is_empty());
-        let (a, b) = run_fill(1, 8);
-        assert_eq!(a.len(), 1);
-        assert_eq!(b[0], 0);
-        let (_, b) = run_fill(3, 100);
-        assert_eq!(b, vec![0, 1, 2]);
-    }
-
-    #[test]
-    #[should_panic(expected = "equal-length")]
-    fn mismatched_lengths_panic() {
-        let mut a = vec![0u8; 3];
-        let mut b = vec![0u8; 4];
-        join_chunks2(&mut a, &mut b, 2, |_, _, _| {});
-    }
-
     #[test]
     fn run_each_visits_every_item_once_at_any_worker_count() {
         let baseline: Vec<u64> = (0..97).map(|i| (i as u64).wrapping_mul(31)).collect();
@@ -258,24 +77,5 @@ mod tests {
         }
         let mut empty: Vec<u64> = Vec::new();
         run_each(&mut empty, 8, |_, _| panic!("no items to visit"));
-    }
-
-    #[test]
-    fn run_each_is_compiled_without_the_parallel_feature() {
-        // The shard pool must not be gated like the scrape fan-out: a
-        // default-features build still runs shards on real threads.
-        let mut seen = vec![false; 16];
-        run_each(&mut seen, 4, |_, s| *s = true);
-        assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn effective_threads_respects_bounds() {
-        // A sequential request always resolves to one worker, with or
-        // without the feature; explicit requests never exceed the work.
-        assert_eq!(effective_threads(1, 100), 1);
-        assert!(effective_threads(0, 100) >= 1);
-        assert!(effective_threads(8, 4) <= 4);
-        assert_eq!(effective_threads(8, 0), 1);
     }
 }

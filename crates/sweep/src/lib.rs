@@ -210,10 +210,8 @@ impl SweepOutput {
     }
 }
 
-/// Resolve the worker count for `work` scenarios, following the
-/// [`SimConfig::threads`](sapsim_core::SimConfig) convention (`0` = one
-/// per available CPU). Unlike the telemetry scrape fan-out this is *not*
-/// gated behind the `parallel` feature: the pool is plain std and its
+/// Resolve the worker count for `work` scenarios: `0` = one per
+/// available CPU, clamped to `[1, work]`. The pool is plain std and its
 /// output is worker-count-independent by construction.
 pub fn effective_workers(requested: usize, work: usize) -> usize {
     let requested = if requested == 0 {

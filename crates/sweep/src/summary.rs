@@ -204,7 +204,7 @@ mod tests {
     fn summary_is_execution_independent() {
         let run = tiny_run();
         let mut threaded_cfg = run.config;
-        threaded_cfg.threads = 4;
+        threaded_cfg.shard_threads = 4;
         let threaded = Scenario::new("threaded", threaded_cfg)
             .expect("valid")
             .run();

@@ -186,6 +186,11 @@ fn wire_format_is_unchanged_by_the_api_refactor() {
     let back: SimConfig = sapsim_json::decode(&trimmed).expect("old shape deserializes");
     assert_eq!(back, SimConfig::default());
 
+    // The knob is gone, its key is not: old values are read past, 0 written.
+    let back: SimConfig = sapsim_json::decode("{\"threads\":8}").expect("old value deserializes");
+    assert_eq!(back, SimConfig::default());
+    assert!(back.to_json_string().ends_with(",\"threads\":0}"));
+
     // A non-empty fault spec does serialize — and round-trips.
     let mut with_faults = SimConfig::default();
     with_faults.faults = FaultSpec::parse_inline("fail=2,downtime=6").expect("valid spec");

@@ -6,8 +6,7 @@
 //! from-scratch oracle — views rebuilt per decision, full exhaustive
 //! rank, no index. These tests pin `RunResult::canonical_bytes()`
 //! byte-equality between the two paths across seeds, with and without
-//! fault injection, at both granularities, and across scrape thread
-//! counts.
+//! fault injection, and at both granularities.
 
 use sapsim_core::{FaultSpec, PlacementGranularity, SimConfig, SimDriver};
 
@@ -37,9 +36,8 @@ fn base(seed: u64, faults: FaultSpec) -> SimConfig {
         .expect("valid test config")
 }
 
-fn run_bytes(mut cfg: SimConfig, naive: bool, threads: usize) -> Vec<u8> {
+fn run_bytes(mut cfg: SimConfig, naive: bool) -> Vec<u8> {
     cfg.naive_host_views = naive;
-    cfg.threads = threads;
     SimDriver::new(cfg)
         .expect("valid config")
         .run()
@@ -52,8 +50,8 @@ fn cached_path_matches_naive_oracle_across_seeds_and_faults() {
         for faults in [FaultSpec::none(), busy_faults()] {
             let cfg = base(seed, faults);
             assert_eq!(
-                run_bytes(cfg, false, 1),
-                run_bytes(cfg, true, 1),
+                run_bytes(cfg, false),
+                run_bytes(cfg, true),
                 "seed {seed}, faults {}: cached and naive runs must be \
                  byte-identical",
                 if faults.is_none() { "off" } else { "on" },
@@ -67,19 +65,14 @@ fn node_granularity_cached_path_matches_naive_oracle() {
     let mut cfg = base(34, busy_faults());
     cfg.granularity = PlacementGranularity::Node;
     assert_eq!(
-        run_bytes(cfg, false, 1),
-        run_bytes(cfg, true, 1),
+        run_bytes(cfg, false),
+        run_bytes(cfg, true),
         "node-granularity cached and naive runs must be byte-identical"
     );
 }
 
 #[test]
-fn cached_path_is_thread_count_invariant_under_faults() {
+fn cached_path_matches_naive_oracle_under_faults() {
     let cfg = base(35, busy_faults());
-    let one = run_bytes(cfg, false, 1);
-    assert_eq!(one, run_bytes(cfg, false, 2), "2 scrape threads");
-    assert_eq!(one, run_bytes(cfg, false, 8), "8 scrape threads");
-    // The oracle agrees from a parallel run too: thread count and view
-    // path are independent execution knobs.
-    assert_eq!(one, run_bytes(cfg, true, 2), "naive oracle, 2 threads");
+    assert_eq!(run_bytes(cfg, false), run_bytes(cfg, true));
 }

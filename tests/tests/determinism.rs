@@ -34,35 +34,6 @@ fn identical_configs_export_identical_datasets() {
     assert!(a != c, "different seeds diverge");
 }
 
-/// Thread count is a pure execution knob: the serialized result of a run
-/// is byte-identical whether the scrape fan-out uses 1, 2, or 8 workers.
-///
-/// This suite enables the `parallel` feature on `sapsim-core`, so the
-/// multi-threaded variants genuinely fan out. `threads = 1` takes exactly
-/// the code path a build *without* the feature takes (the fan-out helper
-/// short-circuits to a plain sequential call), so this test also proves
-/// feature-on/feature-off parity.
-#[test]
-fn thread_count_never_changes_results() {
-    let run = |threads: usize| -> Vec<u8> {
-        let mut c = cfg(21);
-        c.threads = threads;
-        SimDriver::new(c).expect("valid").run().canonical_bytes()
-    };
-    let sequential = run(1);
-    assert!(!sequential.is_empty());
-    for threads in [2usize, 8] {
-        let parallel = run(threads);
-        assert!(
-            parallel == sequential,
-            "run with threads={threads} diverged from the sequential run \
-             ({} vs {} bytes)",
-            parallel.len(),
-            sequential.len(),
-        );
-    }
-}
-
 /// Policy changes must not perturb the workload itself — only placement.
 #[test]
 fn workload_is_invariant_under_policy() {

@@ -1,6 +1,6 @@
 //! Integration: the observability stack is purely observational — enabling
-//! it, at any sampling rate and any thread count, never changes what the
-//! simulation computes — and its exports honor their stable schemas.
+//! it, at any sampling rate, never changes what the simulation computes —
+//! and its exports honor their stable schemas.
 
 use sapsim_core::obs::{JsonlRecorder, ObsConfig, SpanKind};
 use sapsim_core::{SimConfig, SimDriver};
@@ -16,39 +16,37 @@ fn cfg(seed: u64) -> SimConfig {
         .expect("valid test config")
 }
 
-fn recorded_run(seed: u64, threads: usize, config: ObsConfig) -> (Vec<u8>, JsonlRecorder) {
-    let mut c = cfg(seed);
-    c.threads = threads;
+fn recorded_run(seed: u64, config: ObsConfig) -> (Vec<u8>, JsonlRecorder) {
     let mut rec = JsonlRecorder::new(config);
-    let result = SimDriver::new(c).expect("valid").run_with_recorder(&mut rec);
+    let result = SimDriver::new(cfg(seed))
+        .expect("valid")
+        .run_with_recorder(&mut rec);
     (result.canonical_bytes(), rec)
 }
 
 /// The determinism contract of the whole PR: a `NullRecorder` run, a fully
-/// sampled `JsonlRecorder` run, a decision-sampling-off run, and runs at 1
-/// and 8 scrape threads all serialize to byte-identical canonical results.
+/// sampled `JsonlRecorder` run and a decision-sampling-off run all
+/// serialize to byte-identical canonical results.
 #[test]
 fn recording_never_perturbs_the_simulation() {
     let baseline = SimDriver::new(cfg(31)).expect("valid").run().canonical_bytes();
     assert!(!baseline.is_empty());
 
-    for threads in [1usize, 8] {
-        for rate in [1.0f64, 0.0] {
-            let config = ObsConfig {
-                decision_sample_rate: rate,
-                ..ObsConfig::default()
-            };
-            let (bytes, rec) = recorded_run(31, threads, config);
-            assert!(
-                bytes == baseline,
-                "recorded run (threads={threads}, sample rate={rate}) diverged \
-                 from the unrecorded baseline ({} vs {} bytes)",
-                bytes.len(),
-                baseline.len(),
-            );
-            if rate == 1.0 {
-                assert!(!rec.is_empty(), "a fully sampled run records events");
-            }
+    for rate in [1.0f64, 0.0] {
+        let config = ObsConfig {
+            decision_sample_rate: rate,
+            ..ObsConfig::default()
+        };
+        let (bytes, rec) = recorded_run(31, config);
+        assert!(
+            bytes == baseline,
+            "recorded run (sample rate={rate}) diverged from the unrecorded \
+             baseline ({} vs {} bytes)",
+            bytes.len(),
+            baseline.len(),
+        );
+        if rate == 1.0 {
+            assert!(!rec.is_empty(), "a fully sampled run records events");
         }
     }
 }
@@ -59,7 +57,7 @@ fn recording_never_perturbs_the_simulation() {
 #[test]
 fn decision_log_is_deterministic() {
     let decisions = |seed: u64| -> Vec<String> {
-        let (_, rec) = recorded_run(seed, 1, ObsConfig::default());
+        let (_, rec) = recorded_run(seed, ObsConfig::default());
         let mut out = Vec::new();
         rec.write_jsonl(&mut out).expect("write");
         String::from_utf8(out)
@@ -81,7 +79,7 @@ fn decision_log_is_deterministic() {
 /// vocabulary, and decision records carry every audit field.
 #[test]
 fn jsonl_export_honors_the_v1_schema() {
-    let (_, rec) = recorded_run(33, 1, ObsConfig::default());
+    let (_, rec) = recorded_run(33, ObsConfig::default());
     let mut out = Vec::new();
     rec.write_jsonl(&mut out).expect("write");
     let text = String::from_utf8(out).expect("utf8");
@@ -142,7 +140,7 @@ fn jsonl_export_honors_the_v1_schema() {
 /// and complete-event fields throughout.
 #[test]
 fn chrome_trace_is_valid_and_time_ordered() {
-    let (_, rec) = recorded_run(34, 1, ObsConfig::default());
+    let (_, rec) = recorded_run(34, ObsConfig::default());
     let mut out = Vec::new();
     rec.write_chrome_trace(&mut out).expect("write");
     let trace: JsonValue = sapsim_json::parse(std::str::from_utf8(&out).expect("utf8")).expect("trace is valid JSON");
@@ -169,7 +167,7 @@ fn ring_overflow_is_reported_not_silent() {
         ring_capacity: 16,
         ..ObsConfig::default()
     };
-    let (_, rec) = recorded_run(35, 1, config);
+    let (_, rec) = recorded_run(35, config);
     assert_eq!(rec.len(), 16, "ring is capped at its capacity");
     assert!(rec.dropped() > 0, "a full run overflows a 16-slot ring");
 

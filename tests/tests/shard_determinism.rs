@@ -4,8 +4,8 @@
 //! multi-region estate into per-region sub-simulations and merges them
 //! back in fixed estate order. Its contract: `RunResult::canonical_bytes`
 //! is identical at any shard worker count — and identical to the
-//! sequential loop — regardless of the scrape-thread fan-out, the event
-//! queue backend, or fault injection. The suite drives the full grid,
+//! sequential loop — regardless of the event queue backend or fault
+//! injection. The suite drives the full grid,
 //! then pins the snapshot interaction: a snapshot captured under one
 //! worker count resumes byte-identically under any other, because
 //! capture always serializes the sequential prefix.
@@ -16,12 +16,11 @@ use sapsim_sim::{SimTime, MILLIS_PER_DAY};
 /// One cell of the differential grid: three replicated regions at smoke
 /// scale, so the partitioned loop genuinely engages (single-region
 /// estates decline to shard).
-fn cell(faulted: bool, heap_queue: bool, threads: usize) -> SimConfig {
+fn cell(faulted: bool, heap_queue: bool) -> SimConfig {
     let mut cfg = SimConfig::smoke_test();
     cfg.days = 1;
     cfg.seed = 23;
     cfg.region_replicas = 3;
-    cfg.threads = threads;
     cfg.heap_event_queue = heap_queue;
     if faulted {
         cfg.faults = FaultSpec {
@@ -40,25 +39,23 @@ fn cell(faulted: bool, heap_queue: bool, threads: usize) -> SimConfig {
 fn sharded_runs_are_byte_identical_across_the_grid() {
     for faulted in [false, true] {
         for heap_queue in [false, true] {
-            // The oracle: the retained sequential loop, single-threaded.
-            let reference = SimDriver::new(cell(faulted, heap_queue, 1))
+            // The oracle: the retained sequential loop.
+            let reference = SimDriver::new(cell(faulted, heap_queue))
                 .expect("valid cell")
                 .run()
                 .canonical_bytes();
-            for threads in [1usize, 8] {
-                for shard_workers in [1usize, 2, 8] {
-                    let mut cfg = cell(faulted, heap_queue, threads);
-                    cfg.shard_threads = shard_workers;
-                    let sharded = SimDriver::new(cfg)
-                        .expect("shard workers are execution-only")
-                        .run()
-                        .canonical_bytes();
-                    assert_eq!(
-                        sharded, reference,
-                        "divergence: faulted={faulted} heap_queue={heap_queue} \
-                         threads={threads} shard_workers={shard_workers}"
-                    );
-                }
+            for shard_workers in [1usize, 2, 8] {
+                let mut cfg = cell(faulted, heap_queue);
+                cfg.shard_threads = shard_workers;
+                let sharded = SimDriver::new(cfg)
+                    .expect("shard workers are execution-only")
+                    .run()
+                    .canonical_bytes();
+                assert_eq!(
+                    sharded, reference,
+                    "divergence: faulted={faulted} heap_queue={heap_queue} \
+                     shard_workers={shard_workers}"
+                );
             }
         }
     }
@@ -70,7 +67,7 @@ fn snapshots_captured_under_shards_restore_under_any_worker_count() {
     // serialize the sequential prefix, so the file bytes cannot depend
     // on the worker count ...
     let at = SimTime::from_millis(MILLIS_PER_DAY / 2);
-    let cfg = cell(true, false, 1);
+    let cfg = cell(true, false);
     let sequential_file = SimDriver::new(cfg)
         .expect("valid cell")
         .snapshot_at(at)
