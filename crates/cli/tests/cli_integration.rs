@@ -291,6 +291,15 @@ fn simulate_rejects_bad_fault_specs() {
     let err = run_capture(&["simulate", "--overcommit", "nan"]).unwrap_err();
     assert!(err.to_string().contains("invalid config"), "{err}");
     assert_eq!(err.exit_code(), 3, "a non-finite ratio is a config error");
+    for spec in [
+        "backoff=18446744073709551615,fail=30",
+        "fail=30,downtime=1e300",
+        "dropout=5,dropout-hours=1e300",
+    ] {
+        let err = run_capture(&["simulate", "--faults", spec]).unwrap_err();
+        assert!(err.to_string().starts_with("invalid config: faults: "), "{err}");
+        assert_eq!(err.exit_code(), 3, "{spec}: a duration past the clock is a config error");
+    }
 }
 
 #[test]

@@ -85,27 +85,6 @@ json_codec!(struct CloudState {
     vm_slots, vm_count, reserved_bbs,
 });
 
-/// Result of a placement attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlacementOutcome {
-    /// Placed on this node after `retries` rejected cluster candidates.
-    Placed {
-        /// Destination node.
-        node: NodeId,
-        /// Ranked candidates that were tried and failed before this one —
-        /// Nova's greedy retry behaviour. Nonzero retries at
-        /// building-block granularity indicate intra-cluster
-        /// fragmentation: the block had aggregate room but no single node
-        /// fit.
-        retries: u32,
-    },
-    /// The pipeline produced no candidate at all.
-    NoCandidate,
-    /// Candidates existed but none could host the VM on any node
-    /// (fragmentation exhausted the retry list).
-    Fragmented,
-}
-
 /// The cloud: topology plus allocation and residency bookkeeping.
 ///
 /// All mutation goes through [`place`](Cloud::place),

@@ -16,32 +16,29 @@
 //! identical at *any* worker count — including the sequential loop, which
 //! stays the single-region path and the reference the tests pin against.
 
-use crate::cloud::{Cloud, PlacedVm, PlacementOutcome};
-use crate::config::{PlacementGranularity, SimConfig};
+use crate::cloud::{Cloud, PlacedVm};
+use crate::config::SimConfig;
+use crate::engine::{self, PlaceOutcome};
 use crate::error::SimError;
 use crate::hypervisor::{self, NodeDemand};
 use crate::result::{DriverStats, FaultStats, RunResult, VmUsageSummary};
 use crate::shard::{self, DeltaEntry, PopulationBase, ShardScope};
 use crate::snapshot::SimSnapshot;
-use sapsim_faults::FaultPlan;
+use sapsim_faults::{FaultPlan, EVAC_BACKOFF_MAX_DOUBLINGS};
 use sapsim_json::{json_codec, variant, write_variant, FromJson, JsonValue, ToJson};
 use sapsim_obs::{
     DecisionOutcome, DecisionRecord, FaultEventKind, HostScore, NullRecorder, ObsEvent, Recorder,
     RunProfile, SpanKind, DECISION_TOP_K,
 };
 use sapsim_scheduler::{
-    HostLoad, PlacementPolicy, PlacementRequest, RankOptions, Ranking, Rebalancer, RejectReason,
-    ScheduleError, VmLoad,
+    HostLoad, PlacementPolicy, PlacementRequest, Ranking, Rebalancer, RejectReason, VmLoad,
 };
 use sapsim_sim::par::run_each;
 use sapsim_sim::{
     QueueBackend, SimDuration, SimRng, SimTime, Simulation, SimulationStats, MILLIS_PER_DAY,
 };
 use sapsim_telemetry::{EntityRef, MetricId, RunningStat, TsdbStore};
-use sapsim_topology::{
-    paper_estate_custom, paper_estate_replicated, AzId, BbId, BbPurpose, DcId, NodeId,
-    TopologyBuilder,
-};
+use sapsim_topology::{AzId, BbId, BbPurpose, DcId, NodeId, Resources};
 use sapsim_workload::{
     paper_flavor_catalog, DayPhase, GeneratorConfig, ScrapeTick, VmId, VmSpec, WorkloadClass,
     WorkloadGenerator,
@@ -308,6 +305,25 @@ struct RunState {
     progress_events: u64,
 }
 
+impl RunState {
+    /// The request for the VM of spec `spec_index` asking for
+    /// `resources`: its class against its region's farm, its AZ pin.
+    fn request(
+        &self,
+        spec_index: usize,
+        resources: Resources,
+        lifetime_hint_days: Option<f64>,
+    ) -> PlacementRequest {
+        engine::placement_request(
+            &self.specs[spec_index],
+            resources,
+            self.regions[self.vm_region[spec_index] as usize].ci_farm,
+            Some(self.vm_az[spec_index]),
+            lifetime_hint_days,
+        )
+    }
+}
+
 /// Runs one complete simulation from a [`SimConfig`].
 ///
 /// ```
@@ -443,15 +459,7 @@ impl SimDriver {
     /// snapshot restore.
     fn derive_world(cfg: &SimConfig) -> DerivedWorld {
         let root_rng = SimRng::seed_from(cfg.seed);
-        let mut builder = TopologyBuilder::new();
-        builder.gp_cpu_overcommit = cfg.gp_cpu_overcommit;
-        // `region_replicas = 1` calls straight through to the custom
-        // estate, so historical single-region runs re-derive bit-for-bit.
-        let (topo, region_dcs) = if cfg.region_replicas > 1 {
-            paper_estate_replicated(cfg.scale, cfg.region_replicas, cfg.seed, &builder)
-        } else {
-            paper_estate_custom(cfg.scale, cfg.seed, &builder)
-        };
+        let (topo, region_dcs) = engine::estate(cfg);
         let regions: Vec<RegionCtx> = region_dcs
             .iter()
             .map(|r| {
@@ -582,38 +590,11 @@ impl SimDriver {
         } = Self::derive_world(cfg);
         let mut cloud = Cloud::new(topo);
 
-        // Hold back a fraction of general-purpose blocks per DC as
-        // failover/expansion reserve (deterministic selection). One shared
-        // stream walks every region's DC pair in estate order.
-        if cfg.reserve_bb_fraction > 0.0 {
-            let mut reserve_rng = root_rng.split("reserve");
-            for region in &regions {
-                for dc in [region.dc_a, region.dc_b] {
-                    let gp_bbs: Vec<BbId> = cloud
-                        .topology()
-                        .dc(dc)
-                        .bbs
-                        .iter()
-                        .copied()
-                        .filter(|&bb| cloud.topology().bb(bb).purpose == BbPurpose::GeneralPurpose)
-                        .collect();
-                    // Round, but always hold at least one block back when the
-                    // DC has enough general-purpose blocks to spare one.
-                    let mut count =
-                        (gp_bbs.len() as f64 * cfg.reserve_bb_fraction).round() as usize;
-                    if count == 0 && gp_bbs.len() >= 4 {
-                        count = 1;
-                    }
-                    let mut picks = gp_bbs;
-                    // Deterministic partial shuffle: pick `count` blocks.
-                    for i in 0..count.min(picks.len()) {
-                        let j = i + (reserve_rng.range(0, (picks.len() - i) as u64)) as usize;
-                        picks.swap(i, j);
-                        cloud.set_bb_reserved(picks[i], true);
-                    }
-                }
-            }
-        }
+        engine::reserve_blocks(
+            &mut cloud,
+            cfg,
+            regions.iter().flat_map(|r| [r.dc_a, r.dc_b]),
+        );
 
         // The generator numbers ids as consecutive spec indices; pre-size
         // the slot table so the scrape can zip it against per-spec state.
@@ -1224,22 +1205,10 @@ impl SimDriver {
             Event::VmArrival(spec_index) => {
                 st.stats.placements_attempted += 1;
                 let t0 = span_start::<R>();
-                let outcome = Self::place_vm(
-                    &mut st.cloud,
-                    &mut st.policy,
-                    &cfg,
-                    spec_index,
-                    &st.specs[spec_index],
-                    st.vm_az[spec_index],
-                    now,
-                    &st.vm_rng_root,
-                    st.regions[st.vm_region[spec_index] as usize].ci_farm,
-                    rec,
-                    &mut st.scratch.ranking,
-                );
+                let outcome = Self::place_vm(st, rec, now, spec_index);
                 span_end(rec, &mut st.profile, SpanKind::Placement, st.run_start, t0);
                 match outcome {
-                    PlacementOutcome::Placed { retries, .. } => {
+                    PlaceOutcome::Placed { retries, .. } => {
                         let spec = &st.specs[spec_index];
                         st.stats.placed += 1;
                         st.stats.placement_retries += retries as u64;
@@ -1260,13 +1229,13 @@ impl SimDriver {
                             rec.counter_add("placement_retries", retries as u64);
                         }
                     }
-                    PlacementOutcome::NoCandidate => {
+                    PlaceOutcome::NoCandidate => {
                         st.stats.failed_no_candidate += 1;
                         if R::ENABLED {
                             rec.counter_add("placements_failed_no_candidate", 1);
                         }
                     }
-                    PlacementOutcome::Fragmented => {
+                    PlaceOutcome::Fragmented { .. } => {
                         st.stats.failed_fragmented += 1;
                         if R::ENABLED {
                             rec.counter_add("placements_failed_fragmented", 1);
@@ -1292,19 +1261,7 @@ impl SimDriver {
                     }
                 }
             }
-            Event::VmResize(id) => {
-                Self::handle_resize(
-                    &mut st.cloud,
-                    &mut st.policy,
-                    &cfg,
-                    &st.specs,
-                    id,
-                    &st.vm_az,
-                    now,
-                    &mut st.stats,
-                    &mut st.scratch.ranking,
-                );
-            }
+            Event::VmResize(id) => Self::handle_resize(st, id, now),
             Event::Scrape => {
                 st.stats.scrapes += 1;
                 let nodes = Self::shard_nodes(st);
@@ -1436,17 +1393,7 @@ impl SimDriver {
                     if R::ENABLED {
                         rec.counter_add("fault_evacuations", 1);
                     }
-                    match Self::evac_target(
-                        &mut st.cloud,
-                        &mut st.policy,
-                        &cfg,
-                        &st.specs,
-                        &st.vm_az,
-                        st.regions[st.vm_region[vm.spec_index] as usize].ci_farm,
-                        &vm,
-                        now,
-                        &mut st.scratch.ranking,
-                    ) {
+                    match Self::evac_target(st, &vm, now) {
                         Some(target) => {
                             st.cloud.readmit(vm, target);
                             st.stats.faults.evac_replaced += 1;
@@ -1515,20 +1462,11 @@ impl SimDriver {
                     }
                     return;
                 }
-                let target = Self::evac_target(
-                    &mut st.cloud,
-                    &mut st.policy,
-                    &cfg,
-                    &st.specs,
-                    &st.vm_az,
-                    st.regions[st.vm_region[st.pending[pos].vm.spec_index] as usize].ci_farm,
-                    &st.pending[pos].vm,
-                    now,
-                    &mut st.scratch.ranking,
-                );
-                match target {
+                // Out of the queue for the walk; back at the same position
+                // if it has to wait on.
+                let mut entry = st.pending.remove(pos);
+                match Self::evac_target(st, &entry.vm, now) {
                     Some(node) => {
-                        let entry = st.pending.remove(pos);
                         st.cloud.readmit(entry.vm, node);
                         st.stats.faults.evac_replaced += 1;
                         if R::ENABLED {
@@ -1541,28 +1479,28 @@ impl SimDriver {
                             });
                         }
                     }
-                    None if st.pending[pos].retries < cfg.faults.evac_retry_limit => {
-                        st.pending[pos].retries += 1;
+                    None if entry.retries < cfg.faults.evac_retry_limit => {
+                        entry.retries += 1;
                         st.stats.faults.evac_retries += 1;
                         if R::ENABLED {
                             rec.counter_add("fault_evac_retries", 1);
                             rec.record(ObsEvent::Fault {
                                 kind: FaultEventKind::EvacRetry,
                                 sim_time_ms: now.as_millis(),
-                                node: st.pending[pos].vm.node.index() as u32,
+                                node: entry.vm.node.index() as u32,
                                 vm_uid: Some(id.raw()),
                             });
                         }
                         // Bounded exponential backoff: double per
                         // attempt, capped so the shift stays sane.
-                        let shift = st.pending[pos].retries.min(10);
+                        let shift = entry.retries.min(EVAC_BACKOFF_MAX_DOUBLINGS);
+                        st.pending.insert(pos, entry);
                         st.sim.schedule_after(
                             SimDuration::from_secs(cfg.faults.evac_retry_backoff_secs << shift),
                             Event::EvacRetry(id),
                         );
                     }
                     None => {
-                        let entry = st.pending.remove(pos);
                         st.stats.faults.evac_lost += 1;
                         if R::ENABLED {
                             rec.counter_add("fault_evac_lost", 1);
@@ -1826,130 +1764,39 @@ impl SimDriver {
         )
     }
 
-    /// Rank one placement request against the current world, writing into
-    /// the reusable `out` buffers.
-    ///
-    /// The default path reads the incremental host-view cache and prunes
-    /// through its purpose×AZ candidate index, ranking only a `top_k`
-    /// head; the walk helpers extend past the head by re-ranking
-    /// exhaustively when needed. With
-    /// [`naive_host_views`](SimConfig::naive_host_views) set, the views
-    /// are rebuilt from scratch and ranked fully — the equivalence oracle.
-    /// Both paths produce byte-identical runs; the equivalence suites pin
-    /// that contract.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn rank_request(
-        cloud: &mut Cloud,
-        policy: &mut PlacementPolicy,
-        cfg: &SimConfig,
-        request: &PlacementRequest,
-        now: SimTime,
-        top_k: usize,
-        count_stats: bool,
-        out: &mut Ranking,
-    ) -> Result<(), ScheduleError> {
-        if cfg.naive_host_views {
-            let views = cloud.host_views(cfg.granularity, now);
-            policy.rank_into(
-                request,
-                &views,
-                RankOptions {
-                    index: None,
-                    top_k: usize::MAX,
-                    count_stats,
-                },
-                out,
-            )
-        } else {
-            let (views, index) = cloud.host_views_cached(cfg.granularity, now);
-            policy.rank_into(
-                request,
-                views,
-                RankOptions {
-                    index: Some(index),
-                    top_k,
-                    count_stats,
-                },
-                out,
-            )
-        }
-    }
-
     /// Handle a planned resize: in place if the node has room, otherwise
     /// re-schedule region-wide with the new size (Nova's resize path); if
     /// no capacity exists anywhere the VM keeps its old flavor.
-    #[allow(clippy::too_many_arguments)]
-    fn handle_resize(
-        cloud: &mut Cloud,
-        policy: &mut PlacementPolicy,
-        cfg: &SimConfig,
-        specs: &[VmSpec],
-        id: VmId,
-        vm_az: &[sapsim_topology::AzId],
-        now: SimTime,
-        stats: &mut DriverStats,
-        ranking: &mut Ranking,
-    ) {
-        let Some(vm) = cloud.vm(id) else {
+    fn handle_resize(st: &mut RunState, id: VmId, now: SimTime) {
+        let Some(vm) = st.cloud.vm(id) else {
             return; // Never placed (placement failed at arrival).
         };
         let spec_index = vm.spec_index;
-        let spec = &specs[spec_index];
-        let Some(resize) = spec.resize else { return };
+        let Some(resize) = st.specs[spec_index].resize else {
+            return;
+        };
         let new = resize.resources;
-        stats.resizes_attempted += 1;
-        if cloud.resize_in_place(id, new) {
-            stats.resizes_in_place += 1;
+        st.stats.resizes_attempted += 1;
+        if st.cloud.resize_in_place(id, new) {
+            st.stats.resizes_in_place += 1;
             return;
         }
-        let request = PlacementRequest::new(id.raw(), new, spec.class.required_bb_purpose())
-            .in_az(vm_az[spec_index]);
-        if Self::rank_request(
-            cloud,
-            policy,
-            cfg,
+        let request = st.request(spec_index, new, None);
+        let migrated = engine::walk(
+            &mut st.cloud,
+            &mut st.policy,
+            &st.cfg,
             &request,
             now,
-            DECISION_TOP_K,
             true,
-            ranking,
-        )
-        .is_ok()
-        {
-            let mut pos = 0usize;
-            while pos < ranking.order.len() {
-                if pos >= ranking.sorted_len {
-                    // Extend the walk past the ranked head; see `place_vm`.
-                    Self::rank_request(
-                        cloud,
-                        policy,
-                        cfg,
-                        &request,
-                        now,
-                        usize::MAX,
-                        false,
-                        ranking,
-                    )
-                    .expect("re-rank of a non-empty survivor set succeeds");
-                }
-                let candidate = ranking.order[pos];
-                pos += 1;
-                let node = match cfg.granularity {
-                    PlacementGranularity::BuildingBlock => {
-                        match cloud.choose_node_within_bb(BbId::from_raw(candidate as u32), &new) {
-                            Some(n) => n,
-                            None => continue,
-                        }
-                    }
-                    PlacementGranularity::Node => NodeId::from_raw(candidate as u32),
-                };
-                if cloud.resize_to_node(id, new, node) {
-                    stats.resizes_migrated += 1;
-                    return;
-                }
-            }
+            &mut st.scratch.ranking,
+            |cloud, node| cloud.resize_to_node(id, new, node),
+        );
+        if matches!(migrated, Ok((Some(_), _))) {
+            st.stats.resizes_migrated += 1;
+        } else {
+            st.stats.resizes_failed += 1;
         }
-        stats.resizes_failed += 1;
     }
 
     /// Place one VM via the policy pipeline with Nova-style greedy retries.
@@ -1959,134 +1806,55 @@ impl SimDriver {
     /// [`Recorder::wants_decision`]) emit a full [`DecisionRecord`] —
     /// candidate set size, per-filter eliminations, top-k weigher scores,
     /// chosen host, retry depth.
-    #[allow(clippy::too_many_arguments)]
     fn place_vm<R: Recorder>(
-        cloud: &mut Cloud,
-        policy: &mut PlacementPolicy,
-        cfg: &SimConfig,
-        spec_index: usize,
-        spec: &VmSpec,
-        az: sapsim_topology::AzId,
-        now: SimTime,
-        vm_rng_root: &SimRng,
-        ci_farm_exists: bool,
+        st: &mut RunState,
         rec: &mut R,
-        ranking: &mut Ranking,
-    ) -> PlacementOutcome {
-        let mut purpose = spec.class.required_bb_purpose();
-        if purpose == BbPurpose::CiFarm && !ci_farm_exists {
-            purpose = BbPurpose::GeneralPurpose;
-        }
-        let mut request = PlacementRequest::new(spec.id.raw(), spec.resources, purpose).in_az(az);
+        now: SimTime,
+        spec_index: usize,
+    ) -> PlaceOutcome {
+        let spec = &st.specs[spec_index];
+        let vm = spec.id;
         // The lifetime-aware extension assumes the operator can predict
         // lifetime (e.g. from the flavor's history); we grant it the true
         // residual lifetime, an upper bound on what prediction can achieve.
-        request = request.with_lifetime_hint((spec.lifetime - spec.age_at_arrival).as_days_f64());
-
-        if let Err(err) = Self::rank_request(
-            cloud,
-            policy,
-            cfg,
+        let residual_days = (spec.lifetime - spec.age_at_arrival).as_days_f64();
+        let request = st.request(spec_index, spec.resources, Some(residual_days));
+        let vm_rng_root = &st.vm_rng_root;
+        let ranking = &mut st.scratch.ranking;
+        let walked = engine::walk(
+            &mut st.cloud,
+            &mut st.policy,
+            &st.cfg,
             &request,
             now,
-            DECISION_TOP_K,
             true,
             ranking,
-        ) {
-            if R::ENABLED {
-                for &(reason, n) in &err.rejections {
-                    rec.counter_add(rejection_counter(reason), n as u64);
-                }
-                if rec.wants_decision(spec.id.raw()) {
-                    rec.record(ObsEvent::Decision(DecisionRecord {
-                        sim_time_ms: now.as_millis(),
-                        vm_uid: spec.id.raw(),
-                        candidates: err.candidates,
-                        retries: 0,
-                        outcome: DecisionOutcome::NoCandidate,
-                        chosen_host: None,
-                        rejections: err
-                            .rejections
-                            .iter()
-                            .map(|&(reason, n)| (reason.label(), n))
-                            .collect(),
-                        top_k: Vec::new(),
-                    }));
-                }
-            }
-            return PlacementOutcome::NoCandidate;
-        }
+            |cloud, node| {
+                cloud.place(spec_index, spec, node, vm_rng_root.split_index(vm.raw()));
+                true
+            },
+        );
+        let outcome = match walked {
+            Ok((Some(node), retries)) => PlaceOutcome::Placed { vm, node, retries },
+            Ok((None, retries)) => PlaceOutcome::Fragmented { retries },
+            Err(_) => PlaceOutcome::NoCandidate,
+        };
         if R::ENABLED {
-            for &(reason, n) in &ranking.rejections {
+            // A pass with survivors lists its eliminations in reason
+            // order; one without reports them largest first.
+            let rejections = match &walked {
+                Ok(_) => &ranking.rejections,
+                Err(err) => &err.rejections,
+            };
+            for &(reason, n) in rejections {
                 rec.counter_add(rejection_counter(reason), n as u64);
             }
-        }
-
-        let mut retries = 0u32;
-        let mut pos = 0usize;
-        while pos < ranking.order.len() {
-            if pos >= ranking.sorted_len {
-                // The ranked head is exhausted (every sorted candidate was
-                // fragmented): extend the walk by re-ranking the same
-                // request exhaustively. Failed attempts never mutate the
-                // cloud, so the full order's head reproduces the head just
-                // walked, and `count_stats: false` keeps the continuation
-                // invisible to pipeline statistics and counters.
-                Self::rank_request(
-                    cloud,
-                    policy,
-                    cfg,
-                    &request,
-                    now,
-                    usize::MAX,
-                    false,
-                    ranking,
-                )
-                .expect("re-rank of a non-empty survivor set succeeds");
+            if rec.wants_decision(vm.raw()) {
+                let record = Self::decision_from(ranking, rejections, now, vm.raw(), outcome);
+                rec.record(ObsEvent::Decision(record));
             }
-            let candidate = ranking.order[pos];
-            pos += 1;
-            let node = match cfg.granularity {
-                PlacementGranularity::BuildingBlock => {
-                    let bb = BbId::from_raw(candidate as u32);
-                    match cloud.choose_node_within_bb(bb, &spec.resources) {
-                        Some(n) => n,
-                        None => {
-                            // Aggregate room but no node fits: the
-                            // fragmentation failure mode of cluster-level
-                            // scheduling. Retry the next candidate.
-                            retries += 1;
-                            continue;
-                        }
-                    }
-                }
-                PlacementGranularity::Node => NodeId::from_raw(candidate as u32),
-            };
-            let rng = vm_rng_root.split_index(spec.id.raw());
-            cloud.place(spec_index, spec, node, rng);
-            if R::ENABLED && rec.wants_decision(spec.id.raw()) {
-                rec.record(ObsEvent::Decision(Self::decision_from(
-                    ranking,
-                    now,
-                    spec.id.raw(),
-                    retries,
-                    DecisionOutcome::Placed,
-                    Some(node),
-                )));
-            }
-            return PlacementOutcome::Placed { node, retries };
         }
-        if R::ENABLED && rec.wants_decision(spec.id.raw()) {
-            rec.record(ObsEvent::Decision(Self::decision_from(
-                ranking,
-                now,
-                spec.id.raw(),
-                retries,
-                DecisionOutcome::Fragmented,
-                None,
-            )));
-        }
-        PlacementOutcome::Fragmented
+        outcome
     }
 
     /// Choose a restart target for a VM displaced by a host failure.
@@ -2098,82 +1866,44 @@ impl SimDriver {
     /// decision record is emitted: the audit log (and the
     /// `decisions == placements_attempted` invariant) stays reserved for
     /// arrival placements.
-    #[allow(clippy::too_many_arguments)]
-    fn evac_target(
-        cloud: &mut Cloud,
-        policy: &mut PlacementPolicy,
-        cfg: &SimConfig,
-        specs: &[VmSpec],
-        vm_az: &[sapsim_topology::AzId],
-        ci_farm_exists: bool,
-        vm: &PlacedVm,
-        now: SimTime,
-        ranking: &mut Ranking,
-    ) -> Option<NodeId> {
-        let spec = &specs[vm.spec_index];
-        let mut purpose = spec.class.required_bb_purpose();
-        if purpose == BbPurpose::CiFarm && !ci_farm_exists {
-            purpose = BbPurpose::GeneralPurpose;
-        }
+    fn evac_target(st: &mut RunState, vm: &PlacedVm, now: SimTime) -> Option<NodeId> {
         let residual_days = if vm.departure > now {
             (vm.departure - now).as_days_f64()
         } else {
             0.0
         };
-        let request = PlacementRequest::new(vm.id.raw(), vm.resources, purpose)
-            .in_az(vm_az[vm.spec_index])
-            .with_lifetime_hint(residual_days);
-        Self::rank_request(
-            cloud,
-            policy,
-            cfg,
+        let request = st.request(vm.spec_index, vm.resources, Some(residual_days));
+        engine::walk(
+            &mut st.cloud,
+            &mut st.policy,
+            &st.cfg,
             &request,
             now,
-            DECISION_TOP_K,
             true,
-            ranking,
+            &mut st.scratch.ranking,
+            |_, _| true,
         )
-        .ok()?;
-        let mut pos = 0usize;
-        while pos < ranking.order.len() {
-            if pos >= ranking.sorted_len {
-                // Extend the walk past the ranked head; see `place_vm`.
-                Self::rank_request(
-                    cloud,
-                    policy,
-                    cfg,
-                    &request,
-                    now,
-                    usize::MAX,
-                    false,
-                    ranking,
-                )
-                .expect("re-rank of a non-empty survivor set succeeds");
-            }
-            let candidate = ranking.order[pos];
-            pos += 1;
-            match cfg.granularity {
-                PlacementGranularity::BuildingBlock => {
-                    let bb = BbId::from_raw(candidate as u32);
-                    if let Some(n) = cloud.choose_node_within_bb(bb, &vm.resources) {
-                        return Some(n);
-                    }
-                }
-                PlacementGranularity::Node => return Some(NodeId::from_raw(candidate as u32)),
-            }
-        }
-        None
+        .ok()?
+        .0
     }
 
-    /// Build the audit-log entry for a decision whose rank pass succeeded.
+    /// Build the audit-log entry for an arrival from the ranking its walk
+    /// ended on (an empty order, hence no top-k, after a pass without
+    /// survivors) and that pass's `rejections`.
     fn decision_from(
         ranked: &Ranking,
+        rejections: &[(RejectReason, u32)],
         now: SimTime,
         vm_uid: u64,
-        retries: u32,
-        outcome: DecisionOutcome,
-        chosen: Option<NodeId>,
+        placed: PlaceOutcome,
     ) -> DecisionRecord {
+        let (outcome, chosen, retries) = match placed {
+            PlaceOutcome::Placed { node, retries, .. } => {
+                (DecisionOutcome::Placed, Some(node), retries)
+            }
+            PlaceOutcome::Fragmented { retries } => (DecisionOutcome::Fragmented, None, retries),
+            PlaceOutcome::NoCandidate => (DecisionOutcome::NoCandidate, None, 0),
+        };
         let k = DECISION_TOP_K.min(ranked.order.len());
         let top_k = (0..k)
             .map(|i| HostScore {
@@ -2193,8 +1923,7 @@ impl SimDriver {
             retries,
             outcome,
             chosen_host: chosen.map(|n| n.index() as u32),
-            rejections: ranked
-                .rejections
+            rejections: rejections
                 .iter()
                 .map(|&(reason, n)| (reason.label(), n))
                 .collect(),
@@ -2541,6 +2270,7 @@ impl SimDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::PlacementGranularity;
     use sapsim_scheduler::PolicyKind;
 
     fn smoke(seed: u64) -> RunResult {

@@ -1,34 +1,217 @@
-//! The online placement engine behind `sapsim serve`.
+//! The scheduler step, and the online placement engine behind
+//! `sapsim serve`.
 //!
-//! [`PlacementEngine`] is the incremental decision path of the driver —
-//! `HostViewCache` + `CandidateIndex` + the allocation-free top-k rank
-//! and Nova-style greedy walk — lifted out of the discrete-event loop so
-//! a long-running service can drive it one request at a time. It owns a
-//! live [`Cloud`] built from the same paper estate (including the
-//! deterministic reserve-block selection) and offers exactly the
-//! operations the wire protocol speaks: place (single or batched),
-//! resize, evacuate, plus cheap state summaries, deep-copy forks for
-//! what-if planning, and a canonical state hash for differential
-//! checking against an equivalent offline request sequence.
+//! This module is the only place that knows how a VM gets a host. The
+//! step is a handful of free functions — [`placement_request`] (class →
+//! purpose, AZ pin, lifetime hint), [`rank_request`] (`HostViewCache` +
+//! `CandidateIndex` + the allocation-free top-k rank) and [`walk`]
+//! (Nova's greedy retry over the ranking) — plus the estate boot
+//! ([`estate`], [`reserve_blocks`]). The discrete-event loop
+//! (`SimDriver`) calls them once per arrival, resize and fault
+//! evacuation; [`PlacementEngine`] calls the same functions one request
+//! at a time, so a served estate and a simulated one schedule alike by
+//! construction. What the two do *not* share is state ownership: the
+//! driver keeps its `Arc` spec tables, event clock and pending-evacuation
+//! queue in `RunState`; the engine owns a live [`Cloud`] and dense per-VM
+//! tables and offers exactly the operations the wire protocol speaks:
+//! place (single or batched), resize, evacuate, plus cheap state
+//! summaries, deep-copy forks for what-if planning, and a canonical
+//! state hash for differential checking against an equivalent offline
+//! request sequence.
 //!
-//! Time stands still at [`SimTime::ZERO`]: the service models an
-//! operator-driven control plane, not a telemetry replay, so lifetime
-//! hints come from the requests rather than from a workload trace.
+//! In the engine time stands still at [`SimTime::ZERO`]: the service
+//! models an operator-driven control plane, not a telemetry replay, so
+//! lifetime hints come from the requests rather than from a workload
+//! trace.
 
-use crate::cloud::{Cloud, PlacedVm};
+use crate::cloud::Cloud;
 use crate::config::{PlacementGranularity, SimConfig};
-use crate::driver::SimDriver;
 use crate::error::SimError;
 use crate::scenario::fnv1a_64;
 use sapsim_json::ToJson;
 use sapsim_obs::DECISION_TOP_K;
-use sapsim_scheduler::{PlacementPolicy, PlacementRequest, Ranking};
+use sapsim_scheduler::{PlacementPolicy, PlacementRequest, RankOptions, Ranking, ScheduleError};
 use sapsim_sim::{SimRng, SimTime};
 use sapsim_topology::{
-    paper_estate_custom, paper_estate_replicated, AzId, BbId, BbPurpose, NodeId, NodeState,
-    Resources, Topology, TopologyBuilder,
+    paper_estate_replicated, AzId, BbId, BbPurpose, DcId, NodeId, NodeState, RegionDcs, Resources,
+    Topology, TopologyBuilder,
 };
 use sapsim_workload::{Archetype, UsageModel, VmId, VmSpec, WorkloadClass};
+
+/// Build the estate `cfg` describes (scale, replicas, seed, overcommit):
+/// the topology and each region's data-center pair, in estate order.
+/// `region_replicas = 1` is the historical single-region estate,
+/// bit-for-bit.
+pub(crate) fn estate(cfg: &SimConfig) -> (Topology, Vec<RegionDcs>) {
+    let mut builder = TopologyBuilder::new();
+    builder.gp_cpu_overcommit = cfg.gp_cpu_overcommit;
+    paper_estate_replicated(cfg.scale, cfg.region_replicas, cfg.seed, &builder)
+}
+
+/// Hold back a fraction of general-purpose blocks per DC as
+/// failover/expansion reserve (deterministic selection). One shared
+/// stream walks `dcs` — every region's DC pair, in estate order.
+pub(crate) fn reserve_blocks(cloud: &mut Cloud, cfg: &SimConfig, dcs: impl Iterator<Item = DcId>) {
+    if cfg.reserve_bb_fraction <= 0.0 {
+        return;
+    }
+    let mut reserve_rng = SimRng::seed_from(cfg.seed).split("reserve");
+    for dc in dcs {
+        let topo = cloud.topology();
+        let mut picks: Vec<BbId> = topo
+            .dc(dc)
+            .bbs
+            .iter()
+            .copied()
+            .filter(|&bb| topo.bb(bb).purpose == BbPurpose::GeneralPurpose)
+            .collect();
+        // Round, but always hold at least one block back when the DC has
+        // enough general-purpose blocks to spare one.
+        let mut count = (picks.len() as f64 * cfg.reserve_bb_fraction).round() as usize;
+        if count == 0 && picks.len() >= 4 {
+            count = 1;
+        }
+        // Deterministic partial shuffle: pick `count` blocks.
+        for i in 0..count.min(picks.len()) {
+            let j = i + (reserve_rng.range(0, (picks.len() - i) as u64)) as usize;
+            picks.swap(i, j);
+            cloud.set_bb_reserved(picks[i], true);
+        }
+    }
+}
+
+/// The one request rule: the class decides the building-block purpose —
+/// downgraded from CI farm to general purpose where the VM's region has
+/// no farm, so its executors run in the general pool as they would
+/// before an operator carves one out — plus the AZ pin and the lifetime
+/// hint, if any.
+pub(crate) fn placement_request(
+    spec: &VmSpec,
+    resources: Resources,
+    ci_farm_exists: bool,
+    az: Option<AzId>,
+    lifetime_hint_days: Option<f64>,
+) -> PlacementRequest {
+    let mut purpose = spec.class.required_bb_purpose();
+    if purpose == BbPurpose::CiFarm && !ci_farm_exists {
+        purpose = BbPurpose::GeneralPurpose;
+    }
+    PlacementRequest {
+        vm_uid: spec.id.raw(),
+        resources,
+        purpose,
+        az,
+        lifetime_hint_days,
+    }
+}
+
+/// Rank one placement request against the current world, writing into
+/// the reusable `out` buffers.
+///
+/// The default path reads the incremental host-view cache and prunes
+/// through its purpose×AZ candidate index, ranking only a `top_k`
+/// head; [`walk`] extends past the head by re-ranking exhaustively when
+/// needed. With [`naive_host_views`](SimConfig::naive_host_views) set,
+/// the views are rebuilt from scratch and ranked fully — the equivalence
+/// oracle. Both paths produce byte-identical runs; the equivalence
+/// suites pin that contract.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn rank_request(
+    cloud: &mut Cloud,
+    policy: &mut PlacementPolicy,
+    cfg: &SimConfig,
+    request: &PlacementRequest,
+    now: SimTime,
+    top_k: usize,
+    count_stats: bool,
+    out: &mut Ranking,
+) -> Result<(), ScheduleError> {
+    if cfg.naive_host_views {
+        let views = cloud.host_views(cfg.granularity, now);
+        policy.rank_into(
+            request,
+            &views,
+            RankOptions {
+                index: None,
+                top_k: usize::MAX,
+                count_stats,
+            },
+            out,
+        )
+    } else {
+        let (views, index) = cloud.host_views_cached(cfg.granularity, now);
+        policy.rank_into(
+            request,
+            views,
+            RankOptions {
+                index: Some(index),
+                top_k,
+                count_stats,
+            },
+            out,
+        )
+    }
+}
+
+/// Rank `request`, then walk the ranking greedily, Nova-style: the first
+/// node that fits and that `accept` takes wins. Place and evacuation
+/// accept any node; resize passes [`Cloud::resize_to_node`], so a node
+/// that refuses the new shape continues the walk. A refusing `accept`
+/// must leave the cloud as it found it.
+///
+/// Returns the chosen node (`None` when every candidate was tried) and
+/// the number of retries — ranked building blocks with aggregate room
+/// but no single node that fits, the fragmentation failure mode of
+/// cluster-level scheduling (node granularity never retries). `Err`
+/// means no host survived the filters. Either way `ranking` holds the
+/// last rank pass, for the caller's audit record; `count_stats` says
+/// whether the first pass counts in the pipeline statistics.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn walk(
+    cloud: &mut Cloud,
+    policy: &mut PlacementPolicy,
+    cfg: &SimConfig,
+    request: &PlacementRequest,
+    now: SimTime,
+    count_stats: bool,
+    ranking: &mut Ranking,
+    mut accept: impl FnMut(&mut Cloud, NodeId) -> bool,
+) -> Result<(Option<NodeId>, u32), ScheduleError> {
+    rank_request(cloud, policy, cfg, request, now, DECISION_TOP_K, count_stats, ranking)?;
+    let mut retries = 0u32;
+    let mut pos = 0usize;
+    while pos < ranking.order.len() {
+        if pos >= ranking.sorted_len {
+            // The ranked head is exhausted (every sorted candidate was
+            // fragmented or refused): extend the walk by re-ranking the
+            // same request exhaustively. Failed attempts never mutate the
+            // cloud, so the full order's head reproduces the head just
+            // walked, and `count_stats: false` keeps the continuation
+            // invisible to pipeline statistics and counters.
+            rank_request(cloud, policy, cfg, request, now, usize::MAX, false, ranking)
+                .expect("re-rank of a non-empty survivor set succeeds");
+        }
+        let candidate = ranking.order[pos];
+        pos += 1;
+        let node = match cfg.granularity {
+            PlacementGranularity::BuildingBlock => {
+                let bb = BbId::from_raw(candidate as u32);
+                match cloud.choose_node_within_bb(bb, &request.resources) {
+                    Some(n) => n,
+                    None => {
+                        retries += 1;
+                        continue;
+                    }
+                }
+            }
+            PlacementGranularity::Node => NodeId::from_raw(candidate as u32),
+        };
+        if accept(cloud, node) {
+            return Ok((Some(node), retries));
+        }
+    }
+    Ok((None, retries))
+}
 
 /// One placement order for [`PlacementEngine::place`].
 #[derive(Debug, Clone, PartialEq)]
@@ -44,13 +227,13 @@ pub struct PlaceSpec {
     pub lifetime_days: f64,
 }
 
-/// Outcome of a single placement through the engine.
+/// Outcome of a single placement, served or simulated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlaceOutcome {
-    /// Placed; the engine assigned `vm` on `node` after `retries`
-    /// fragmented candidates.
+    /// Placed: `vm` runs on `node` after `retries` fragmented
+    /// candidates.
     Placed {
-        /// The id the engine assigned (dense, monotonically increasing).
+        /// The VM's id (the engine assigns them dense and increasing).
         vm: VmId,
         /// The hosting node.
         node: NodeId,
@@ -119,54 +302,16 @@ impl PlacementEngine {
     /// Build an engine over the paper estate described by `cfg` (scale,
     /// seed, policy, granularity, overcommit, replicas, reserve
     /// fraction — the workload-generator knobs are ignored). The estate
-    /// and its reserve-block selection are derived exactly as the
-    /// offline driver derives them, so a served estate and a simulated
-    /// estate with the same config start from the same topology.
+    /// and its reserve-block selection come from the [`estate`] and
+    /// [`reserve_blocks`] the offline driver boots from, so a served
+    /// estate and a simulated estate with the same config start from the
+    /// same topology.
     pub fn new(cfg: SimConfig) -> Result<PlacementEngine, SimError> {
         cfg.validate()?;
-        let root_rng = SimRng::seed_from(cfg.seed);
-        let mut builder = TopologyBuilder::new();
-        builder.gp_cpu_overcommit = cfg.gp_cpu_overcommit;
-        let (topo, region_dcs) = if cfg.region_replicas > 1 {
-            paper_estate_replicated(cfg.scale, cfg.region_replicas, cfg.seed, &builder)
-        } else {
-            paper_estate_custom(cfg.scale, cfg.seed, &builder)
-        };
+        let (topo, region_dcs) = estate(&cfg);
         let ci_farm_exists = topo.bbs().iter().any(|bb| bb.purpose == BbPurpose::CiFarm);
         let mut cloud = Cloud::new(topo);
-
-        // Reserve-block selection: same stream, same visit order as the
-        // driver (`SimDriver::build_state`), so the estates agree.
-        if cfg.reserve_bb_fraction > 0.0 {
-            let mut reserve_rng = root_rng.split("reserve");
-            for region in &region_dcs {
-                for dc in [region.dc_a, region.dc_b] {
-                    let gp_bbs: Vec<BbId> = cloud
-                        .topology()
-                        .dc(dc)
-                        .bbs
-                        .iter()
-                        .copied()
-                        .filter(|&bb| {
-                            cloud.topology().bb(bb).purpose == BbPurpose::GeneralPurpose
-                        })
-                        .collect();
-                    let mut count =
-                        (gp_bbs.len() as f64 * cfg.reserve_bb_fraction).round() as usize;
-                    if count == 0 && gp_bbs.len() >= 4 {
-                        count = 1;
-                    }
-                    let mut picks = gp_bbs;
-                    for i in 0..count.min(picks.len()) {
-                        let j =
-                            i + (reserve_rng.range(0, (picks.len() - i) as u64)) as usize;
-                        picks.swap(i, j);
-                        cloud.set_bb_reserved(picks[i], true);
-                    }
-                }
-            }
-        }
-
+        reserve_blocks(&mut cloud, &cfg, region_dcs.iter().flat_map(|r| [r.dc_a, r.dc_b]));
         Ok(PlacementEngine {
             cfg,
             cloud,
@@ -174,7 +319,7 @@ impl PlacementEngine {
             specs: Vec::new(),
             vm_az: Vec::new(),
             ranking: Ranking::default(),
-            vm_rng_root: root_rng.split("vm-demand"),
+            vm_rng_root: SimRng::seed_from(cfg.seed).split("vm-demand"),
             next_vm: 0,
             version: 0,
             ci_farm_exists,
@@ -287,30 +432,13 @@ impl PlacementEngine {
         self.specs.push(spec);
         self.vm_az.push(order.az);
 
-        let mut purpose = order.class.required_bb_purpose();
-        if purpose == BbPurpose::CiFarm && !self.ci_farm_exists {
-            purpose = BbPurpose::GeneralPurpose;
-        }
-        let spec = &self.specs[spec_index];
-        let mut request = PlacementRequest::new(id.raw(), spec.resources, purpose)
-            .with_lifetime_hint(order.lifetime_days);
-        if let Some(az) = order.az {
-            request = request.in_az(az);
-        }
-
-        match Self::walk(
-            &mut self.cloud,
-            &mut self.policy,
-            &self.cfg,
-            &request,
-            &spec.resources,
-            &mut self.ranking,
-        ) {
-            WalkOutcome::NoCandidate => PlaceOutcome::NoCandidate,
-            WalkOutcome::Fragmented { retries } => PlaceOutcome::Fragmented { retries },
-            WalkOutcome::Target { node, retries } => {
+        let request = self.request(spec_index, order.resources, Some(order.lifetime_days));
+        match self.walk(&request, |_, _| true) {
+            Err(_) => PlaceOutcome::NoCandidate,
+            Ok((None, retries)) => PlaceOutcome::Fragmented { retries },
+            Ok((Some(node), retries)) => {
                 let rng = self.vm_rng_root.split_index(id.raw());
-                self.cloud.place(spec_index, spec, node, rng);
+                self.cloud.place(spec_index, &self.specs[spec_index], node, rng);
                 PlaceOutcome::Placed { vm: id, node, retries }
             }
         }
@@ -327,26 +455,9 @@ impl PlacementEngine {
         if self.cloud.resize_in_place(vm, new) {
             return ResizeResult::InPlace { node };
         }
-        let spec = &self.specs[spec_index];
-        let mut purpose = spec.class.required_bb_purpose();
-        if purpose == BbPurpose::CiFarm && !self.ci_farm_exists {
-            purpose = BbPurpose::GeneralPurpose;
-        }
-        let mut request = PlacementRequest::new(vm.raw(), new, purpose);
-        if let Some(az) = self.vm_az[spec_index] {
-            request = request.in_az(az);
-        }
-        match Self::walk(
-            &mut self.cloud,
-            &mut self.policy,
-            &self.cfg,
-            &request,
-            &new,
-            &mut self.ranking,
-        ) {
-            WalkOutcome::Target { node, .. } if self.cloud.resize_to_node(vm, new, node) => {
-                ResizeResult::Migrated { node }
-            }
+        let request = self.request(spec_index, new, None);
+        match self.walk(&request, |cloud, node| cloud.resize_to_node(vm, new, node)) {
+            Ok((Some(node), _)) => ResizeResult::Migrated { node },
             _ => ResizeResult::Failed,
         }
     }
@@ -363,8 +474,13 @@ impl PlacementEngine {
             lost: Vec::new(),
         };
         for vm in residents {
-            let resident = self.cloud.vm(vm).expect("resident is placed").clone();
-            let target = self.evac_target(&resident);
+            // The restart target is picked while the resident still
+            // holds its allocation (the source node is already filtered
+            // out by its non-`Active` state); `resources` is the
+            // *current* shape (post-resize, if any).
+            let resident = self.cloud.vm(vm).expect("resident is placed");
+            let request = self.request(resident.spec_index, resident.resources, None);
+            let target = self.walk(&request, |_, _| true).ok().and_then(|(node, _)| node);
             let placed = self.cloud.remove(vm).expect("resident is placed");
             match target {
                 Some(to) => {
@@ -377,98 +493,41 @@ impl PlacementEngine {
         report
     }
 
-    /// Remove a VM entirely (bench/steady-state helper).
-    pub fn release(&mut self, vm: VmId) -> bool {
-        self.cloud.remove(vm).is_some()
+    /// The request for the VM at `spec_index` asking for `resources`: the
+    /// id, class and AZ pin it was placed with, against this estate's
+    /// farm.
+    fn request(
+        &self,
+        spec_index: usize,
+        resources: Resources,
+        lifetime_hint_days: Option<f64>,
+    ) -> PlacementRequest {
+        placement_request(
+            &self.specs[spec_index],
+            resources,
+            self.ci_farm_exists,
+            self.vm_az[spec_index],
+            lifetime_hint_days,
+        )
     }
 
-    /// Pick a restart target for a displaced VM (source node already
-    /// filtered out by its non-`Active` state).
-    fn evac_target(&mut self, placed: &PlacedVm) -> Option<NodeId> {
-        let spec = &self.specs[placed.spec_index];
-        let mut purpose = spec.class.required_bb_purpose();
-        if purpose == BbPurpose::CiFarm && !self.ci_farm_exists {
-            purpose = BbPurpose::GeneralPurpose;
-        }
-        let mut request = PlacementRequest::new(placed.id.raw(), placed.resources, purpose);
-        if let Some(az) = self.vm_az[placed.spec_index] {
-            request = request.in_az(az);
-        }
-        // `resources` is the *current* shape (post-resize, if any).
-        let resources = placed.resources;
-        match Self::walk(
+    /// [`walk`] over the engine's own cloud, policy and scratch, at the
+    /// frozen clock and outside the pipeline statistics.
+    fn walk(
+        &mut self,
+        request: &PlacementRequest,
+        accept: impl FnMut(&mut Cloud, NodeId) -> bool,
+    ) -> Result<(Option<NodeId>, u32), ScheduleError> {
+        walk(
             &mut self.cloud,
             &mut self.policy,
             &self.cfg,
-            &request,
-            &resources,
-            &mut self.ranking,
-        ) {
-            WalkOutcome::Target { node, .. } => Some(node),
-            _ => None,
-        }
-    }
-
-    /// The driver's rank-then-greedy-walk, shared by every engine op:
-    /// cached host views + candidate index, top-k rank, and the
-    /// exhaustive re-rank continuation when the sorted head is all
-    /// fragmented (see `SimDriver::place_vm`).
-    fn walk(
-        cloud: &mut Cloud,
-        policy: &mut PlacementPolicy,
-        cfg: &SimConfig,
-        request: &PlacementRequest,
-        resources: &Resources,
-        ranking: &mut Ranking,
-    ) -> WalkOutcome {
-        if SimDriver::rank_request(
-            cloud,
-            policy,
-            cfg,
             request,
             SimTime::ZERO,
-            DECISION_TOP_K,
             false,
-            ranking,
+            &mut self.ranking,
+            accept,
         )
-        .is_err()
-        {
-            return WalkOutcome::NoCandidate;
-        }
-        let mut retries = 0u32;
-        let mut pos = 0usize;
-        while pos < ranking.order.len() {
-            if pos >= ranking.sorted_len {
-                SimDriver::rank_request(
-                    cloud,
-                    policy,
-                    cfg,
-                    request,
-                    SimTime::ZERO,
-                    usize::MAX,
-                    false,
-                    ranking,
-                )
-                .expect("re-rank of a non-empty survivor set succeeds");
-            }
-            let candidate = ranking.order[pos];
-            pos += 1;
-            let node = match cfg.granularity {
-                PlacementGranularity::BuildingBlock => {
-                    let bb = BbId::from_raw(candidate as u32);
-                    match cloud.choose_node_within_bb(bb, resources) {
-                        Some(n) => n,
-                        None => {
-                            retries += 1;
-                            continue;
-                        }
-                    }
-                }
-                PlacementGranularity::Node => NodeId::from_raw(candidate as u32),
-            };
-            return WalkOutcome::Target { node, retries };
-        }
-        WalkOutcome::Fragmented { retries }
     }
 
     /// Materialize a [`VmSpec`] for a served placement: class-matched
@@ -501,13 +560,6 @@ impl PlacementEngine {
             resize: None,
         }
     }
-}
-
-/// Internal outcome of the shared rank-and-walk.
-enum WalkOutcome {
-    Target { node: NodeId, retries: u32 },
-    NoCandidate,
-    Fragmented { retries: u32 },
 }
 
 #[cfg(test)]
@@ -615,20 +667,49 @@ mod tests {
         assert_eq!(az_name, "az-a");
     }
 
+    /// Half a region: at least four general-purpose blocks per data
+    /// center, below which an 8 % reserve rounds to none.
+    fn half_region() -> SimConfig {
+        SimConfig {
+            scale: 0.5,
+            ..small_cfg()
+        }
+    }
+
+    #[test]
+    fn served_and_simulated_estates_boot_alike() {
+        let three_small_regions = SimConfig {
+            scale: 0.02,
+            region_replicas: 3,
+            ..small_cfg()
+        };
+        for cfg in [half_region(), three_small_regions] {
+            // One cheap day: the estate does not depend on the horizon.
+            let cfg = SimConfig {
+                days: 1,
+                warmup_days: 0,
+                scrape_interval: sapsim_sim::SimDuration::from_days(1),
+                drs_enabled: false,
+                ..cfg
+            };
+            let engine = PlacementEngine::new(cfg).expect("valid config");
+            let driver = crate::SimDriver::new(cfg).expect("valid config");
+            let booted = driver.snapshot_at(SimTime::ZERO).expect("instant zero is in range");
+            assert_eq!(engine.cloud.capture_state().reserved_bbs, booted.cloud.reserved_bbs);
+
+            // A simulated estate shows its names only on a result.
+            let simulated = crate::SimDriver::resume(&booted).expect("own snapshot resumes").cloud;
+            let (served, simulated) = (engine.topology(), simulated.topology());
+            let names = |topo: &Topology| -> Vec<String> {
+                let bbs = topo.bbs().iter().map(|bb| bb.name.clone());
+                bbs.chain(topo.nodes().iter().map(|n| n.name.clone())).collect()
+            };
+            assert_eq!(names(served), names(simulated));
+        }
+    }
+
     #[test]
     fn reserve_selection_is_deterministic_and_nonempty() {
-        // The engine replicates the driver's reserve-block stream
-        // (`root.split("reserve")`, per-region [dc_a, dc_b] order); a
-        // full engine-vs-driver estate comparison runs in the serve CI
-        // smoke via the state hash. Here: deterministic and non-empty
-        // at the default fraction — on an estate with at least four
-        // general-purpose blocks per data center, below which an 8 %
-        // reserve rounds to none.
-        let half_region = || {
-            let mut cfg = small_cfg();
-            cfg.scale = 0.5;
-            cfg
-        };
         let reserved = |cfg: SimConfig| -> Vec<bool> {
             let engine = PlacementEngine::new(cfg).expect("valid config");
             engine
@@ -647,5 +728,207 @@ mod tests {
         let mut no_reserve = half_region();
         no_reserve.reserve_bb_fraction = 0.0;
         assert!(reserved(no_reserve).iter().all(|&r| !r));
+    }
+
+    fn vm_spec(id: u64, class: WorkloadClass, resources: Resources) -> VmSpec {
+        VmSpec {
+            id: VmId(id),
+            flavor_index: 0,
+            flavor_name: "t".into(),
+            resources,
+            archetype: Archetype::GenericService,
+            class,
+            usage: UsageModel::draw(Archetype::GenericService, &mut SimRng::seed_from(id)),
+            arrival: SimTime::ZERO,
+            age_at_arrival: sapsim_sim::SimDuration::ZERO,
+            lifetime: sapsim_sim::SimDuration::from_days(30),
+            resize: None,
+        }
+    }
+
+    #[test]
+    fn placement_request_applies_the_one_rule() {
+        use BbPurpose::{CiFarm, GeneralPurpose, Hana};
+        let asked = Resources::new(8, 32_768, 100);
+        let table = [
+            (WorkloadClass::GeneralPurpose, true, GeneralPurpose),
+            (WorkloadClass::GeneralPurpose, false, GeneralPurpose),
+            (WorkloadClass::Hana, true, Hana),
+            (WorkloadClass::Hana, false, Hana),
+            (WorkloadClass::CiFarm, true, CiFarm),
+            (WorkloadClass::CiFarm, false, GeneralPurpose),
+        ];
+        for (class, ci_farm_exists, purpose) in table {
+            // The spec's own shape is not the one asked for (a resize).
+            let spec = vm_spec(17, class, Resources::new(2, 4_096, 10));
+            for az in [None, Some(AzId::from_raw(1))] {
+                for hint in [None, Some(12.5)] {
+                    let expected = PlacementRequest {
+                        vm_uid: 17,
+                        resources: asked,
+                        purpose,
+                        az,
+                        lifetime_hint_days: hint,
+                    };
+                    assert_eq!(placement_request(&spec, asked, ci_farm_exists, az, hint), expected);
+                }
+            }
+        }
+    }
+
+    /// `blocks` general-purpose blocks of two 48-core / 768 GiB nodes, no
+    /// overcommit, one AZ. `fill[b]` is how many cores (with their 16 GiB
+    /// each) are taken on the two nodes of block `b`.
+    fn filled_cloud(fill: &[[u32; 2]]) -> Cloud {
+        use sapsim_topology::{HardwareProfile, OvercommitPolicy};
+        let mut topo = Topology::new();
+        let region = topo.add_region("r");
+        let az = topo.add_az(region, "az-a");
+        let dc = topo.add_dc(az, "A");
+        for b in 0..fill.len() {
+            topo.add_bb(
+                dc,
+                format!("bb{b}"),
+                BbPurpose::GeneralPurpose,
+                HardwareProfile::general_purpose(),
+                OvercommitPolicy::NONE,
+                2,
+            );
+        }
+        let mut cloud = Cloud::new(topo);
+        let mut next = 0;
+        for (b, cores) in fill.iter().enumerate() {
+            for (n, &cpus) in cores.iter().enumerate().filter(|(_, &cpus)| cpus > 0) {
+                let node = cloud.topology().bbs()[b].nodes[n];
+                let resources = Resources::with_memory_gib(cpus, 16 * cpus as u64, 10);
+                let spec = vm_spec(next, WorkloadClass::GeneralPurpose, resources);
+                cloud.place(next as usize, &spec, node, SimRng::seed_from(next));
+                next += 1;
+            }
+        }
+        cloud
+    }
+
+    /// Both nodes half full: 48 cores free in the block, 24 on a node.
+    const FRAGMENTED: [u32; 2] = [24, 24];
+
+    /// A 32-core VM: fits an emptyish node, not half of one.
+    fn big_vm() -> PlacementRequest {
+        let resources = Resources::with_memory_gib(32, 512, 10);
+        let spec = vm_spec(99, WorkloadClass::GeneralPurpose, resources);
+        placement_request(&spec, resources, false, None, None)
+    }
+
+    fn walk_cfg(granularity: PlacementGranularity) -> SimConfig {
+        SimConfig {
+            granularity,
+            ..SimConfig::default()
+        }
+    }
+
+    type Walked = Result<(Option<NodeId>, u32), ScheduleError>;
+
+    /// [`walk`] through `policy` with fresh scratch; also hands back the
+    /// ranking it ended on.
+    fn walk_with(
+        policy: &mut PlacementPolicy,
+        cloud: &mut Cloud,
+        cfg: &SimConfig,
+        request: &PlacementRequest,
+        accept: impl FnMut(&mut Cloud, NodeId) -> bool,
+    ) -> (Walked, Ranking) {
+        let mut ranking = Ranking::default();
+        let now = SimTime::ZERO;
+        let walked = walk(cloud, policy, cfg, request, now, true, &mut ranking, accept);
+        (walked, ranking)
+    }
+
+    /// [`walk_with`] a fresh policy.
+    fn walk_once(
+        cloud: &mut Cloud,
+        cfg: &SimConfig,
+        request: &PlacementRequest,
+        accept: impl FnMut(&mut Cloud, NodeId) -> bool,
+    ) -> (Walked, Ranking) {
+        walk_with(&mut PlacementPolicy::new(cfg.policy), cloud, cfg, request, accept)
+    }
+
+    #[test]
+    fn walk_retries_past_a_fragmented_block_at_block_granularity_only() {
+        // Block 0 has the most room and ranks first, but no node of it
+        // fits; block 1 has 40 cores free on its second node.
+        let mut cloud = filled_cloud(&[FRAGMENTED, [48, 8]]);
+        let target = cloud.topology().bbs()[1].nodes[1];
+        let cfg = walk_cfg(PlacementGranularity::BuildingBlock);
+        let (walked, ranking) = walk_once(&mut cloud, &cfg, &big_vm(), |_, _| true);
+        assert_eq!(ranking.order, [0, 1]);
+        assert_eq!(walked, Ok((Some(target), 1)));
+
+        // Node granularity filters the half-full nodes out: no retry.
+        let cfg = walk_cfg(PlacementGranularity::Node);
+        let (walked, ranking) = walk_once(&mut cloud, &cfg, &big_vm(), |_, _| true);
+        assert_eq!(ranking.order, [target.index()]);
+        assert_eq!(walked, Ok((Some(target), 0)));
+    }
+
+    #[test]
+    fn walk_continues_exhaustively_past_a_fragmented_head() {
+        // The whole sorted head (DECISION_TOP_K blocks) is fragmented.
+        // Of the two blocks behind it, the later one ranks better.
+        let mut fill = vec![FRAGMENTED; DECISION_TOP_K];
+        fill.extend([[48, 12], [48, 8]]);
+        let mut cloud = filled_cloud(&fill);
+        let target = cloud.topology().bbs()[DECISION_TOP_K + 1].nodes[1];
+        let cfg = walk_cfg(PlacementGranularity::BuildingBlock);
+        let mut policy = PlacementPolicy::new(cfg.policy);
+        let (walked, ranking) = walk_with(&mut policy, &mut cloud, &cfg, &big_vm(), |_, _| true);
+        assert_eq!(walked, Ok((Some(target), DECISION_TOP_K as u32)));
+        assert_eq!(ranking.sorted_len, fill.len(), "the walk ended on a full re-rank");
+        assert_eq!(ranking.order[DECISION_TOP_K..], [DECISION_TOP_K + 1, DECISION_TOP_K]);
+        let (general, hana) = policy.stats();
+        assert_eq!(general.requests + hana.requests, 1, "the continuation is no second request");
+    }
+
+    #[test]
+    fn walk_moves_on_when_accept_refuses() {
+        let mut cloud = filled_cloud(&[[0, 0], [8, 8], [16, 16]]);
+        let first_of = |b: usize| cloud.topology().bbs()[b].nodes[0];
+        let (first, second, third) = (first_of(0), first_of(1), first_of(2));
+        let cfg = walk_cfg(PlacementGranularity::BuildingBlock);
+
+        let mut offered = Vec::new();
+        let (walked, _) = walk_once(&mut cloud, &cfg, &big_vm(), |_, node| {
+            offered.push(node);
+            node != first
+        });
+        assert_eq!(walked, Ok((Some(second), 0)));
+        assert_eq!(offered, [first, second]);
+
+        offered.clear();
+        let (walked, _) = walk_once(&mut cloud, &cfg, &big_vm(), |_, node| {
+            offered.push(node);
+            false
+        });
+        assert_eq!(walked, Ok((None, 0)));
+        assert_eq!(offered, [first, second, third]);
+    }
+
+    #[test]
+    fn walk_without_survivors_reports_rejections_largest_first() {
+        use sapsim_scheduler::RejectReason::{HostDisabled, InsufficientCpu};
+        let mut cloud = filled_cloud(&[[0, 0], FRAGMENTED, FRAGMENTED]);
+        cloud.set_bb_reserved(BbId::from_raw(0), true);
+        let cfg = walk_cfg(PlacementGranularity::BuildingBlock);
+        let mut request = big_vm();
+        request.resources.cpu_cores = 64;
+        let (walked, ranking) = walk_once(&mut cloud, &cfg, &request, |_, _| {
+            panic!("nothing to offer");
+        });
+        let err = walked.expect_err("one block reserved, two too full");
+        assert_eq!(err.rejections, [(InsufficientCpu, 2), (HostDisabled, 1)]);
+        // What `place_vm` builds its no-candidate record from.
+        assert_eq!(ranking.rejections, [(HostDisabled, 1), (InsufficientCpu, 2)]);
+        assert_eq!((ranking.candidates, err.candidates), (3, 3));
+        assert!(ranking.order.is_empty());
     }
 }

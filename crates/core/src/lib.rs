@@ -38,7 +38,7 @@ mod shard;
 mod snapshot;
 mod viewcache;
 
-pub use cloud::{Cloud, CloudState, PlacedVm, PlacementOutcome};
+pub use cloud::{Cloud, CloudState, PlacedVm};
 pub use config::{PlacementGranularity, SimConfig, SimConfigBuilder};
 pub use driver::SimDriver;
 pub use engine::{EvacReport, PlaceOutcome, PlaceSpec, PlacementEngine, ResizeResult};

@@ -31,6 +31,19 @@ use sapsim_json::json_codec;
 use sapsim_sim::{SimDuration, SimRng, SimTime, MILLIS_PER_DAY, MILLIS_PER_HOUR};
 use std::fmt;
 
+/// How often a pending evacuation's retry backoff doubles before it
+/// stays flat: retry `k` waits `evac_retry_backoff_secs << min(k, this)`.
+pub const EVAC_BACKOFF_MAX_DOUBLINGS: u32 = 10;
+
+/// Largest `evac_retry_backoff_secs`: fully doubled, it still fits in the
+/// clock's `u64` milliseconds.
+const MAX_BACKOFF_SECS: u64 = u64::MAX / (1_000 << EVAC_BACKOFF_MAX_DOUBLINGS);
+
+/// Largest downtime or dropout length: its milliseconds reach half of the
+/// clock's `u64`, which leaves the event time it is added to the other
+/// half.
+const MAX_HOURS: f64 = (u64::MAX / 2 / MILLIS_PER_HOUR) as f64;
+
 /// What went wrong while validating or parsing a [`FaultSpec`].
 ///
 /// Every variant carries the full human-readable message (already prefixed
@@ -133,11 +146,17 @@ impl FaultSpec {
     /// Validate the knobs, mirroring `SimConfig::validate`.
     pub fn validate(&self) -> Result<(), FaultError> {
         let invalid = |msg: &str| Err(FaultError::InvalidSpec(msg.into()));
+        let too_long = |what: &str| {
+            invalid(&format!("faults: {what} must be at most {MAX_HOURS} hours"))
+        };
         if !self.host_fail_rate_per_month.is_finite() || self.host_fail_rate_per_month < 0.0 {
             return invalid("faults: host failure rate must be >= 0");
         }
         if !self.host_downtime_hours.is_finite() || self.host_downtime_hours < 0.0 {
             return invalid("faults: host downtime must be >= 0 hours");
+        }
+        if self.host_downtime_hours > MAX_HOURS {
+            return too_long("host downtime");
         }
         if !(0.0..=1.0).contains(&self.straggler_fraction) {
             return invalid("faults: straggler fraction must be in [0, 1]");
@@ -153,8 +172,16 @@ impl FaultSpec {
         {
             return invalid("faults: dropout duration must be positive");
         }
+        if self.dropout_duration_hours > MAX_HOURS {
+            return too_long("dropout duration");
+        }
         if self.host_fail_rate_per_month > 0.0 && self.evac_retry_backoff_secs == 0 {
             return invalid("faults: evacuation retry backoff must be positive");
+        }
+        if self.evac_retry_backoff_secs > MAX_BACKOFF_SECS {
+            return invalid(&format!(
+                "faults: evacuation retry backoff must be at most {MAX_BACKOFF_SECS} seconds"
+            ));
         }
         Ok(())
     }
@@ -606,6 +633,22 @@ mod tests {
             FaultSpec {
                 host_fail_rate_per_month: 1.0,
                 evac_retry_backoff_secs: 0,
+                ..FaultSpec::none()
+            },
+            // Durations the millisecond clock cannot hold.
+            FaultSpec {
+                host_fail_rate_per_month: 30.0,
+                evac_retry_backoff_secs: u64::MAX,
+                ..FaultSpec::none()
+            },
+            FaultSpec {
+                host_fail_rate_per_month: 30.0,
+                host_downtime_hours: 1e300,
+                ..FaultSpec::none()
+            },
+            FaultSpec {
+                dropout_rate_per_month: 5.0,
+                dropout_duration_hours: 1e300,
                 ..FaultSpec::none()
             },
         ];
