@@ -33,7 +33,6 @@ pub const SIM_VALUE_OPTIONS: &[&str] = &[
     "obs-ring",
     "metrics-out",
     "faults",
-    "shard-threads",
 ];
 /// Boolean flags shared by `simulate` and `export`.
 pub const SIM_BOOL_FLAGS: &[&str] = &["no-drs", "cross-bb", "no-warmup", "progress"];
@@ -70,10 +69,6 @@ pub fn sim_config_from(parsed: &Parsed) -> Result<SimConfig, CliError> {
     if let Some(spec) = parsed.get("faults") {
         cfg.faults = parse_fault_spec(spec)?;
     }
-    // Execution-only: shard workers for the spatially-partitioned event
-    // loop. Never embedded in snapshots or summaries, so `--resume` may
-    // restate it freely.
-    cfg.shard_threads = parsed.get_parsed("shard-threads", 0usize)?;
     cfg.validate()?;
     Ok(cfg)
 }
@@ -421,15 +416,6 @@ mod tests {
     fn progress_flag_maps_through() {
         assert!(!sim_config_from(&parse(&[])).unwrap().progress);
         assert!(sim_config_from(&parse(&["--progress"])).unwrap().progress);
-    }
-
-    #[test]
-    fn shard_threads_maps_through() {
-        assert_eq!(sim_config_from(&parse(&[])).unwrap().shard_threads, 0);
-        let cfg = sim_config_from(&parse(&["--shard-threads", "4"])).unwrap();
-        assert_eq!(cfg.shard_threads, 4);
-        let err = sim_config_from(&parse(&["--shard-threads", "many"])).unwrap_err();
-        assert_eq!(err.exit_code(), 2, "unparseable counts are usage errors");
     }
 
     #[test]

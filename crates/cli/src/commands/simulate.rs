@@ -113,23 +113,15 @@ fn execute(
 
 /// `--resume FILE`: load, verify, and run a captured snapshot to its
 /// horizon. The run configuration is embedded in the snapshot, so every
-/// config-shaping option conflicts; the exceptions are `--faults` —
-/// which must *restate* the spec the snapshot was captured under (see
-/// [`SimSnapshot::verify_fault_spec`]) — and `--shard-threads`, an
-/// execution-only knob the snapshot never embeds (the resumed bytes are
-/// identical at any value).
+/// config-shaping option conflicts; the exception is `--faults`, which
+/// must *restate* the spec the snapshot was captured under (see
+/// [`SimSnapshot::verify_fault_spec`]).
 fn run_resume(parsed: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
     let path = parsed.get("resume").expect("checked by the caller");
     for opt in SIM_VALUE_OPTIONS {
         let embedded = !matches!(
             *opt,
-            "faults"
-                | "obs-out"
-                | "obs-chrome"
-                | "obs-sample"
-                | "obs-ring"
-                | "metrics-out"
-                | "shard-threads"
+            "faults" | "obs-out" | "obs-chrome" | "obs-sample" | "obs-ring" | "metrics-out"
         );
         if embedded && parsed.get(opt).is_some() {
             return Err(CliError::Usage(format!(
@@ -157,14 +149,13 @@ fn run_resume(parsed: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
     // Corruption (truncation, schema drift, hash mismatch) is a data
     // error; a loadable snapshot whose fault spec is not restated is a
     // configuration error.
-    let mut snap =
+    let snap =
         SimSnapshot::from_file_str(&text).map_err(|e| CliError::Data(format!("{path}: {e}")))?;
     let given = match parsed.get("faults") {
         Some(spec) => Some(parse_fault_spec(spec)?),
         None => None,
     };
     snap.verify_fault_spec(given.as_ref())?;
-    snap.set_shard_threads(parsed.get_parsed("shard-threads", 0usize)?);
     let obs = obs_args_from(parsed)?;
 
     if parsed.flag("json") {

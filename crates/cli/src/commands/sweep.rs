@@ -20,7 +20,7 @@ use std::path::Path;
 pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let parsed = Parsed::parse(
         argv,
-        &["workers", "shard-threads", "out", "obs-dir", "metrics-dir"],
+        &["workers", "out", "obs-dir", "metrics-dir"],
         &["json"],
     )?;
     let [manifest_path] = parsed.positionals() else {
@@ -29,7 +29,6 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         ));
     };
     let workers: usize = parsed.get_parsed("workers", 0)?;
-    let shard_threads: usize = parsed.get_parsed("shard-threads", 0)?;
     let out_dir = parsed.get("out").map(str::to_string);
     let obs_dir = parsed.get("obs-dir").map(str::to_string);
     let metrics_dir = parsed.get("metrics-dir").map(str::to_string);
@@ -45,7 +44,6 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         collect_artifacts: out_dir.is_some(),
         collect_obs: obs_dir.is_some(),
         collect_metrics: metrics_dir.is_some(),
-        shard_threads,
     };
     if !json {
         writeln!(

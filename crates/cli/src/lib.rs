@@ -66,9 +66,6 @@ SIMULATION OPTIONS (simulate, export):
                          inline key=value pairs (fail, downtime, straggler,
                          slowdown, dropout, dropout-hours, retries, backoff),
                          e.g. --faults fail=6.0,downtime=12,dropout=2.0
-    --shard-threads <N>  run a multi-region estate as per-region shards on N
-                         workers, 0 = sequential [default: 0]; execution-only,
-                         results are byte-identical at any value
     --json               (simulate only) print a single-line machine-readable
                          run summary (schema sapsim.run-summary/v1) instead
                          of the human-readable report
@@ -83,19 +80,13 @@ SNAPSHOT OPTIONS (simulate only):
                          configuration travels inside the snapshot, so
                          config-shaping options conflict — except --faults,
                          which must restate the spec the snapshot was taken
-                         under (a mismatch is a configuration error), and
-                         --shard-threads, which is execution-only and may be
-                         restated freely
+                         under (a mismatch is a configuration error)
 
 SWEEP OPTIONS:
     sweep <MANIFEST>     JSON grid manifest: base-config overrides plus axes
                          (seeds, policies, granularities, drs, faults, scales)
     --workers <N>        worker threads, 0 = one per CPU    [default: 0]
                          the report bytes are identical at any worker count
-    --shard-threads <N>  per-run shard workers layered under the pool,
-                         0 = leave scenario configs untouched [default: 0];
-                         capped at cores / workers so the two fan-outs never
-                         oversubscribe; execution-only, bytes unchanged
     --out <DIR>          also write report.json, report.txt, and the CDF /
                          contention overlay CSVs into DIR
     --obs-dir <DIR>      record each run and write per-scenario JSONL logs

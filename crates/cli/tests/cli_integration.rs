@@ -96,6 +96,18 @@ fn exit_codes_separate_failure_classes() {
             .exit_code(),
         3
     );
+    // ... including horizons whose day arithmetic would wrap or whose
+    // rollup tables would not fit in memory.
+    for argv in [
+        &["simulate", "--days", "18446744073709551615"][..],
+        &["simulate", "--days", "213503982335", "--no-warmup"][..],
+        &["simulate", "--days", "100000000"][..],
+        &["simulate", "--days", "3651", "--no-warmup"][..],
+    ] {
+        let err = run_capture(argv).unwrap_err();
+        assert_eq!(err.exit_code(), 3, "{argv:?}: {err}");
+        assert!(err.to_string().starts_with("invalid config: days "), "{err}");
+    }
     // Io: missing input file.
     assert_eq!(
         run_capture(&["import", "/nonexistent/definitely-not-here.csv"])
@@ -394,38 +406,20 @@ fn simulate_snapshot_then_resume_reproduces_the_run() {
 }
 
 #[test]
-fn shard_threads_is_execution_only_on_the_cli() {
-    // At smoke scale the estate is a single region, so the partitioned
-    // loop declines to engage — which is exactly the contract this pins:
-    // `--shard-threads` parses, threads through, and never moves the
-    // summary. (Multi-region byte-equality is pinned by the core and
-    // integration shard-determinism suites.)
-    let dir = std::env::temp_dir();
-    let snap = dir.join(format!("sapsim-cli-shard-{}.snapshot", std::process::id()));
-    let snap_str = snap.to_str().expect("utf8 path");
-    let base = &[
-        "simulate", "--scale", "0.02", "--days", "1", "--no-warmup", "--seed", "7", "--json",
-    ];
-    let sequential = run_capture(base).unwrap();
-    let argv: Vec<&str> = base.iter().copied().chain(["--shard-threads", "4"]).collect();
-    let sharded = run_capture(&argv).unwrap();
-    assert_eq!(
-        sharded, sequential,
-        "shard workers are execution-only and must not move the summary"
-    );
-
-    // `--resume` accepts the knob: it is never embedded in the snapshot.
-    let argv: Vec<&str> = base
-        .iter()
-        .copied()
-        .chain(["--snapshot-at", "0.5", "--snapshot-out", snap_str])
-        .collect();
-    run_capture(&argv).unwrap();
-    let resumed =
-        run_capture(&["simulate", "--resume", snap_str, "--shard-threads", "4", "--json"])
-            .unwrap();
-    assert_eq!(resumed, sequential, "sharded resume lands on the cold summary");
-    std::fs::remove_file(&snap).expect("cleanup");
+fn the_removed_second_loop_option_is_a_usage_error() {
+    // The option selected a second event loop that no longer exists; it is
+    // refused like any unknown option, before any file is opened.
+    const REMOVED: &str = "--shard-threads";
+    for argv in [
+        &["simulate", "--scale", "0.02", "--days", "1", REMOVED, "2"][..],
+        &["simulate", "--resume", "never-read.snapshot", REMOVED, "2"][..],
+        &["sweep", "never-read.json", REMOVED, "2"][..],
+    ] {
+        let err = run_capture(argv).unwrap_err();
+        assert_eq!(err.exit_code(), 2, "{argv:?}: {err}");
+        assert!(err.to_string().contains(REMOVED), "{argv:?}: {err}");
+    }
+    assert!(!run_capture(&["help"]).unwrap().contains(REMOVED));
 }
 
 #[test]

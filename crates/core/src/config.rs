@@ -65,7 +65,8 @@ impl std::str::FromStr for PlacementGranularity {
 pub struct SimConfig {
     /// Root RNG seed.
     pub seed: u64,
-    /// Observation window in days (the paper's is 30).
+    /// Observation window in days (the paper's is 30). Capped at
+    /// [`SimConfig::MAX_DAYS`].
     pub days: u64,
     /// Workload and topology scale. `1.0` is the full 1,823-node /
     /// ~45k-VM studied region; `0.1` a laptop-friendly tenth. Values
@@ -123,7 +124,7 @@ pub struct SimConfig {
     /// [`SimConfig::scale`] — the orthogonal complement of `scale > 1`,
     /// which replicates only at full size. `region_replicas: 3` with
     /// `scale: 0.02` builds three tiny regions for less than the cost of
-    /// one full one, which is how the shard-determinism suites exercise
+    /// one full one, which is how the determinism suites exercise
     /// multi-region behaviour cheaply. Requires `scale <= 1`; the total
     /// estate (`scale × region_replicas`) stays capped at
     /// [`SimConfig::MAX_SCALE`]. Defaults to 1 and is skipped from the
@@ -136,7 +137,8 @@ pub struct SimConfig {
     /// have signal by the time the observation window starts. Must be a
     /// multiple of 7 so the weekday calendar of the observation window
     /// stays anchored on the paper's Wednesday epoch. Telemetry and VM
-    /// statistics cover only the observation window.
+    /// statistics cover only the observation window. Capped at
+    /// [`SimConfig::MAX_DAYS`].
     pub warmup_days: u64,
     /// Fault injection: abrupt host failures (with evacuation through the
     /// normal scheduling pipeline), straggler nodes, and telemetry
@@ -159,16 +161,6 @@ pub struct SimConfig {
     /// it). A pure execution knob like [`SimConfig::naive_host_views`]:
     /// skipped in serialized configs and canonical bytes.
     pub heap_event_queue: bool,
-    /// Shard workers for the spatially-partitioned event loop: `0` (the
-    /// default) runs the classic sequential loop; `n >= 1` partitions a
-    /// multi-region estate into per-region sub-simulations and executes
-    /// them on `min(n, regions)` `std::thread::scope` workers, merging
-    /// the shards back in fixed estate order. A pure execution knob:
-    /// results are bit-identical at any value (the shard-determinism
-    /// suites pin it), snapshot capture always serializes the sequential
-    /// prefix, and the knob is skipped in serialized configs, canonical
-    /// bytes, and run summaries.
-    pub shard_threads: usize,
     /// Emit a live progress heartbeat to stderr while the run executes
     /// (sim-day reached, events/s, live VM count, ETA). Pure observation
     /// driven by wall-clock sampling — like the profile wall times on
@@ -205,7 +197,6 @@ impl Default for SimConfig {
             faults: FaultSpec::none(),
             naive_host_views: false,
             heap_event_queue: false,
-            shard_threads: 0,
             progress: false,
         }
     }
@@ -220,10 +211,10 @@ fn is_single_region(n: &usize) -> bool {
 
 // The wire format. Missing keys take their defaults, so configs written
 // before a field existed still load. The execution knobs
-// (`naive_host_views`, `heap_event_queue`, `shard_threads`, `progress`)
-// are not listed and therefore never leave the process. `threads` has no
-// field: the format is add-only, so the key a deleted knob left behind is
-// still written, always 0, in its old position, and ignored when read.
+// (`naive_host_views`, `heap_event_queue`, `progress`) are not listed and
+// therefore never leave the process. `threads` has no field: the format
+// is add-only, so the key a deleted knob left behind is still written,
+// always 0, in its old position, and ignored when read.
 json_codec!(struct SimConfig: default {
     seed, days, scale, policy, granularity, drs_enabled, drs, drs_interval, cross_bb_enabled,
     cross_bb_interval, scrape_interval, os_gauge_interval, record_raw_host_series,
@@ -237,6 +228,12 @@ impl SimConfig {
     /// (~182k nodes) — beyond the ROADMAP's 50k–100k-node north star, and
     /// a guard against typo-sized estates that would never finish.
     pub const MAX_SCALE: f64 = 100.0;
+
+    /// Upper bound on [`SimConfig::days`] and [`SimConfig::warmup_days`]:
+    /// ten years, 120× the paper's 30-day window — so their sum and its
+    /// millisecond form cannot overflow, and a typo-sized horizon cannot
+    /// ask for terabytes of daily rollups.
+    pub const MAX_DAYS: u64 = 3_650;
 
     /// A small, fast configuration for tests: 2 % scale, 3 days, no
     /// warm-up.
@@ -259,13 +256,12 @@ impl SimConfig {
     }
 
     /// This config with every execution knob at its default
-    /// (`shard_threads`, `naive_host_views`, `heap_event_queue`,
-    /// `progress`): the part that decides what a run computes. Canonical
-    /// bytes, scenario ids and run summaries are built from this form, so
-    /// they compare equal across runs that must be bit-identical.
+    /// (`naive_host_views`, `heap_event_queue`, `progress`): the part
+    /// that decides what a run computes. Canonical bytes, scenario ids and
+    /// run summaries are built from this form, so they compare equal
+    /// across runs that must be bit-identical.
     pub fn canonical(mut self) -> SimConfig {
         let defaults = SimConfig::default();
-        self.shard_threads = defaults.shard_threads;
         self.naive_host_views = defaults.naive_host_views;
         self.heap_event_queue = defaults.heap_event_queue;
         self.progress = defaults.progress;
@@ -277,6 +273,14 @@ impl SimConfig {
         let invalid = |msg: String| Err(SimError::InvalidConfig(msg));
         if self.days == 0 {
             return invalid("days must be at least 1".into());
+        }
+        if self.days > Self::MAX_DAYS || self.warmup_days > Self::MAX_DAYS {
+            return invalid(format!(
+                "days and warmup_days must each stay within {}, got {} and {}",
+                Self::MAX_DAYS,
+                self.days,
+                self.warmup_days
+            ));
         }
         if !(self.scale > 0.0 && self.scale <= Self::MAX_SCALE) {
             return invalid(format!(
@@ -442,9 +446,6 @@ impl SimConfigBuilder {
         region_replicas: usize,
         /// Pre-observation warm-up in days (multiple of 7).
         warmup_days: u64,
-        /// Shard workers for the spatially-partitioned event loop
-        /// (`0` = sequential).
-        shard_threads: usize,
         /// Fault injection spec.
         faults: FaultSpec,
         /// Equivalence oracle: rebuild host views from scratch each
@@ -507,6 +508,29 @@ mod tests {
                 ..SimConfig::default()
             },
             SimConfig {
+                days: SimConfig::MAX_DAYS + 1,
+                ..SimConfig::default()
+            },
+            // The three overflow inputs: `warmup_days + days` wraps, `days *
+            // MILLIS_PER_DAY` wraps, the rollup tables exhaust memory.
+            SimConfig {
+                days: u64::MAX,
+                ..SimConfig::default()
+            },
+            SimConfig {
+                days: 213_503_982_335,
+                warmup_days: 0,
+                ..SimConfig::default()
+            },
+            SimConfig {
+                days: 100_000_000,
+                ..SimConfig::default()
+            },
+            SimConfig {
+                warmup_days: 7 * (SimConfig::MAX_DAYS / 7 + 1),
+                ..SimConfig::default()
+            },
+            SimConfig {
                 scrape_interval: SimDuration::ZERO,
                 ..SimConfig::default()
             },
@@ -557,6 +581,12 @@ mod tests {
         for (i, c) in broken.iter().enumerate() {
             assert!(c.validate().is_err(), "config {i} should be rejected");
         }
+        let longest = SimConfig {
+            days: SimConfig::MAX_DAYS,
+            warmup_days: 7 * (SimConfig::MAX_DAYS / 7),
+            ..SimConfig::default()
+        };
+        assert!(longest.validate().is_ok(), "the bound itself is accepted");
     }
 
     #[test]
@@ -683,26 +713,6 @@ mod tests {
             ..SimConfig::default()
         };
         assert!(too_many.validate().is_err(), "total estate stays capped");
-    }
-
-    #[test]
-    fn shard_threads_is_an_execution_knob() {
-        let mut c = SimConfig::smoke_test();
-        c.shard_threads = 8;
-        assert!(c.validate().is_ok());
-        let json = c.to_json_string();
-        assert!(
-            !json.contains("shard_threads"),
-            "shard workers must never reach the wire format: {json}"
-        );
-        let built = SimConfig::builder()
-            .shard_threads(4)
-            .region_replicas(2)
-            .scale(0.02)
-            .build()
-            .expect("valid");
-        assert_eq!(built.shard_threads, 4);
-        assert_eq!(built.region_replicas, 2);
     }
 
     #[test]

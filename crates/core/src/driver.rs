@@ -7,14 +7,6 @@
 //! state mid-flight and rebuilds it later (or in another process), so a
 //! restored run fires the identical event sequence and produces
 //! byte-identical canonical output.
-//!
-//! Multi-region estates can additionally run **spatially partitioned**
-//! ([`SimConfig::shard_threads`] > 0): the run splits into one
-//! sub-simulation per region ([`crate::shard`]), drains them concurrently
-//! on a scoped-thread pool, and merges the shards back in fixed estate
-//! order. The merge is constructed so the canonical result bytes are
-//! identical at *any* worker count — including the sequential loop, which
-//! stays the single-region path and the reference the tests pin against.
 
 use crate::cloud::{Cloud, PlacedVm};
 use crate::config::SimConfig;
@@ -22,7 +14,6 @@ use crate::engine::{self, PlaceOutcome};
 use crate::error::SimError;
 use crate::hypervisor::{self, NodeDemand};
 use crate::result::{DriverStats, FaultStats, RunResult, VmUsageSummary};
-use crate::shard::{self, DeltaEntry, PopulationBase, ShardScope};
 use crate::snapshot::SimSnapshot;
 use sapsim_faults::{FaultPlan, EVAC_BACKOFF_MAX_DOUBLINGS};
 use sapsim_json::{json_codec, variant, write_variant, FromJson, JsonValue, ToJson};
@@ -33,18 +24,13 @@ use sapsim_obs::{
 use sapsim_scheduler::{
     HostLoad, PlacementPolicy, PlacementRequest, Ranking, Rebalancer, RejectReason, VmLoad,
 };
-use sapsim_sim::par::run_each;
-use sapsim_sim::{
-    QueueBackend, SimDuration, SimRng, SimTime, Simulation, SimulationStats, MILLIS_PER_DAY,
-};
+use sapsim_sim::{QueueBackend, SimDuration, SimRng, SimTime, Simulation, MILLIS_PER_DAY};
 use sapsim_telemetry::{EntityRef, MetricId, RunningStat, TsdbStore};
 use sapsim_topology::{AzId, BbId, BbPurpose, DcId, NodeId, Resources};
 use sapsim_workload::{
     paper_flavor_catalog, DayPhase, GeneratorConfig, ScrapeTick, VmId, VmSpec, WorkloadClass,
     WorkloadGenerator,
 };
-use std::ops::Range;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Events of the cloud simulation. They have a JSON form (`"Scrape"`,
@@ -136,9 +122,7 @@ json_codec!(struct PendingEvac { vm, retries });
 /// Per-region context of the estate: AZ handles, capacity shares, and
 /// whether the region carves out a dedicated CI farm. At `scale ≤ 1`
 /// exactly one of these exists and the run reproduces the historical
-/// single-region behaviour byte-for-byte. Cloned into every shard of a
-/// spatially-partitioned run.
-#[derive(Clone)]
+/// single-region behaviour byte-for-byte.
 struct RegionCtx {
     az_a: AzId,
     az_b: AzId,
@@ -240,18 +224,15 @@ impl DriverScratch {
 /// only carries the mutated state layered on top. Every RNG stream used
 /// here is a stateless lineage split of the root, so re-deriving any
 /// subset in any order reproduces the original draws.
-/// The immutable tables ride behind [`Arc`]s: a spatially-partitioned
-/// run hands every shard the same spec list and assignment streams
-/// without cloning them per region.
 struct DerivedWorld {
     topo: sapsim_topology::Topology,
     regions: Vec<RegionCtx>,
-    specs: Arc<Vec<VmSpec>>,
+    specs: Vec<VmSpec>,
     /// Per spec, the peak-hour phase of its usage model: what the scrape's
     /// per-VM step reads instead of taking a cosine per VM.
-    peak_phases: Arc<Vec<DayPhase>>,
-    vm_region: Arc<Vec<u32>>,
-    vm_az: Arc<Vec<AzId>>,
+    peak_phases: Vec<DayPhase>,
+    vm_region: Vec<u32>,
+    vm_az: Vec<AzId>,
     vm_rng_root: SimRng,
 }
 
@@ -268,8 +249,8 @@ struct RunState {
     cfg: SimConfig,
     regions: Vec<RegionCtx>,
     cloud: Cloud,
-    specs: Arc<Vec<VmSpec>>,
-    peak_phases: Arc<Vec<DayPhase>>,
+    specs: Vec<VmSpec>,
+    peak_phases: Vec<DayPhase>,
     sim: Simulation<Event>,
     warmup: SimTime,
     horizon: SimTime,
@@ -278,8 +259,8 @@ struct RunState {
     stats: DriverStats,
     scratch: DriverScratch,
     vm_stats: Vec<VmUsageSummary>,
-    vm_region: Arc<Vec<u32>>,
-    vm_az: Arc<Vec<AzId>>,
+    vm_region: Vec<u32>,
+    vm_az: Vec<AzId>,
     vm_rng_root: SimRng,
     drs: Rebalancer,
     cross: Rebalancer,
@@ -293,12 +274,6 @@ struct RunState {
     /// fork path needs to know where build-time seqs end and
     /// handler-scheduled seqs begin.
     init_scheduled: u64,
-    /// `Some` while this state is one shard of a spatially-partitioned
-    /// run: the region's arena ranges (which restrict every periodic
-    /// handler), the pre-partition seq watershed, and the population
-    /// delta log the merge replays. `None` on the sequential path — the
-    /// range helpers then cover the whole estate.
-    shard: Option<ShardScope>,
     run_start: Instant,
     profile: RunProfile,
     progress_last: Instant,
@@ -369,9 +344,6 @@ impl SimDriver {
     /// non-canonical [`RunProfile`] on the result.
     pub fn run_with_recorder<R: Recorder>(&self, rec: &mut R) -> RunResult {
         let mut st = Self::build_state(&self.config, R::ENABLED);
-        if Self::should_shard(&st) {
-            return Self::run_partitioned(st, rec);
-        }
         Self::run_to_horizon(&mut st, rec);
         Self::finalize(st, rec)
     }
@@ -411,13 +383,7 @@ impl SimDriver {
         }
         let mut st = Self::build_state(&self.config, R::ENABLED);
         Self::run_prefix_before(&mut st, rec, at);
-        // The capture always serializes the *sequential* state — the
-        // prefix up to `at` runs unsharded — so the snapshot bytes are
-        // identical at every `shard_threads` setting.
         let snapshot = Self::capture(&mut st);
-        if Self::should_shard(&st) {
-            return Ok((Self::run_partitioned(st, rec), snapshot));
-        }
         Self::run_to_horizon(&mut st, rec);
         Ok((Self::finalize(st, rec), snapshot))
     }
@@ -439,9 +405,6 @@ impl SimDriver {
         rec: &mut R,
     ) -> Result<RunResult, SimError> {
         let mut st = Self::state_from_snapshot(snapshot, R::ENABLED)?;
-        if Self::should_shard(&st) {
-            return Ok(Self::run_partitioned(st, rec));
-        }
         Self::run_to_horizon(&mut st, rec);
         Ok(Self::finalize(st, rec))
     }
@@ -562,10 +525,10 @@ impl SimDriver {
         DerivedWorld {
             topo,
             regions,
-            specs: Arc::new(specs),
-            peak_phases: Arc::new(peak_phases),
-            vm_region: Arc::new(vm_region),
-            vm_az: Arc::new(vm_az),
+            specs,
+            peak_phases,
+            vm_region,
+            vm_az,
             vm_rng_root,
         }
     }
@@ -721,7 +684,6 @@ impl SimDriver {
             region_placed,
             region_departed,
             init_scheduled,
-            shard: None,
             run_start,
             profile,
             progress_last: run_start,
@@ -853,7 +815,6 @@ impl SimDriver {
             region_placed: snap.region_placed.clone(),
             region_departed: snap.region_departed.clone(),
             init_scheduled: snap.init_scheduled,
-            shard: None,
             run_start,
             profile: RunProfile::new(profile_enabled),
             progress_last: run_start,
@@ -880,300 +841,6 @@ impl SimDriver {
             Self::handle_event(st, rec, ev.time, ev.payload);
         }
         st.sim.advance_clock_to(cutoff);
-    }
-
-    /// The node range this state's periodic handlers cover: the shard's
-    /// span on the sharded path, the whole estate otherwise.
-    fn shard_nodes(st: &RunState) -> Range<usize> {
-        st.shard
-            .as_ref()
-            .map_or(0..st.cloud.topology().nodes().len(), |s| {
-                s.span.nodes.clone()
-            })
-    }
-
-    /// The building-block range this state's periodic handlers cover.
-    fn shard_bbs(st: &RunState) -> Range<usize> {
-        st.shard
-            .as_ref()
-            .map_or(0..st.cloud.topology().bbs().len(), |s| s.span.bbs.clone())
-    }
-
-    /// The data-center range this state's periodic handlers cover.
-    fn shard_dcs(st: &RunState) -> Range<usize> {
-        st.shard
-            .as_ref()
-            .map_or(0..st.cloud.topology().dcs().len(), |s| s.span.dcs.clone())
-    }
-
-    /// True when this run should execute spatially partitioned: shard
-    /// workers were requested and the estate has more than one region to
-    /// split along. Single-region estates always run sequentially — there
-    /// is nothing to partition.
-    fn should_shard(st: &RunState) -> bool {
-        st.cfg.shard_threads > 0 && st.regions.len() > 1
-    }
-
-    /// Drain one shard's event loop to the horizon, logging population
-    /// deltas for the post-join peak replay. Runs on a worker thread with
-    /// no recorder and no heartbeat — both would interleave across
-    /// shards; the surviving observability is folded in at the join.
-    fn run_shard(st: &mut RunState) {
-        while let Some(ev) = st.sim.next_event_until(st.horizon) {
-            let vm_before = st.cloud.vm_count() as i64;
-            let pending_before = st.pending.len() as i64;
-            Self::handle_event(st, &mut NullRecorder, ev.time, ev.payload);
-            let vm_delta = st.cloud.vm_count() as i64 - vm_before;
-            let pending_delta = st.pending.len() as i64 - pending_before;
-            if vm_delta != 0 || pending_delta != 0 {
-                let seq = ev.handle.raw();
-                let scope = st.shard.as_mut().expect("shard scope present on shard path");
-                scope.deltas.push(DeltaEntry {
-                    time_ms: ev.time.as_millis(),
-                    // Pre-partition events keep their globally-comparable
-                    // seq; handler-scheduled ones sort after every pending
-                    // event at the same instant, exactly as the global
-                    // loop would fire them (build seqs < handler seqs).
-                    order: if seq < scope.pre_seq { seq } else { u64::MAX },
-                    vm_delta,
-                    pending_delta,
-                    sample_vm: vm_delta > 0 && matches!(ev.payload, Event::VmArrival(_)),
-                    sample_pending: pending_delta > 0 && matches!(ev.payload, Event::HostFail(_)),
-                });
-            }
-        }
-    }
-
-    /// Sum one shard's statistics delta into the estate total.
-    ///
-    /// Shard states start from `DriverStats::default()`, so every counter
-    /// is a pure delta. Two exceptions: `scrapes` counts the *replicated*
-    /// periodic ticks, so only the primary shard contributes (every shard
-    /// saw the same ticks); and the population peaks / end-state fields
-    /// are not additive — the peaks come from the delta replay, the end
-    /// states from `finalize` on the merged state.
-    fn add_shard_stats(total: &mut DriverStats, d: &DriverStats, primary: bool) {
-        total.placements_attempted += d.placements_attempted;
-        total.placed += d.placed;
-        total.failed_no_candidate += d.failed_no_candidate;
-        total.failed_fragmented += d.failed_fragmented;
-        total.placement_retries += d.placement_retries;
-        total.drs_migrations += d.drs_migrations;
-        total.cross_bb_migrations += d.cross_bb_migrations;
-        total.resizes_attempted += d.resizes_attempted;
-        total.resizes_in_place += d.resizes_in_place;
-        total.resizes_migrated += d.resizes_migrated;
-        total.resizes_failed += d.resizes_failed;
-        total.maintenance_windows += d.maintenance_windows;
-        total.maintenance_aborted += d.maintenance_aborted;
-        total.evacuations += d.evacuations;
-        total.departures += d.departures;
-        if primary {
-            total.scrapes += d.scrapes;
-        }
-        total.faults.host_failures += d.faults.host_failures;
-        total.faults.host_recoveries += d.faults.host_recoveries;
-        total.faults.evacuated += d.faults.evacuated;
-        total.faults.evac_replaced += d.faults.evac_replaced;
-        total.faults.evac_retries += d.faults.evac_retries;
-        total.faults.evac_lost += d.faults.evac_lost;
-        total.faults.dropped_samples += d.faults.dropped_samples;
-        // straggler_nodes / dropout_windows are set at build time only;
-        // shard deltas are structurally zero.
-        debug_assert_eq!(d.faults.straggler_nodes, 0);
-        debug_assert_eq!(d.faults.dropout_windows, 0);
-    }
-
-    /// Execute the remainder of a run spatially partitioned: split the
-    /// state into per-region shards, drain them concurrently on the
-    /// shard pool, merge in fixed estate order, and finalize the merged
-    /// state. See DESIGN.md, "Spatial parallelism contract" — the merged
-    /// canonical bytes are identical at any `shard_threads` value and to
-    /// the sequential loop.
-    fn run_partitioned<R: Recorder>(mut st: RunState, rec: &mut R) -> RunResult {
-        let backend = if st.cfg.heap_event_queue {
-            QueueBackend::BinaryHeap
-        } else {
-            QueueBackend::TimingWheel
-        };
-        // ---- Freeze the partition instant -------------------------------
-        let pre_now = st.sim.now();
-        let pre_seq = st.sim.next_seq();
-        let base_sim_stats = st.sim.stats();
-        let events = st.sim.snapshot_events();
-        let base_cloud = st.cloud.capture_state();
-        let topo = st.cloud.topology().clone();
-        let spans = shard::region_spans(&topo);
-        let (node_owner, bb_owner) = shard::owner_tables(&spans);
-        let mut event_parts =
-            shard::partition_events(&events, &st.vm_region, &node_owner, spans.len());
-        let mut pending_parts: Vec<Vec<PendingEvac>> = vec![Vec::new(); spans.len()];
-        for p in std::mem::take(&mut st.pending) {
-            pending_parts[st.vm_region[p.vm.spec_index] as usize].push(p);
-        }
-        let population = PopulationBase {
-            vm_count: base_cloud.vm_count,
-            peak_vm: st.stats.peak_vm_count,
-            pending: pending_parts.iter().map(Vec::len).sum(),
-            pending_peak: st.stats.faults.evac_pending_peak,
-        };
-
-        // ---- Build one full-width sub-simulation per region -------------
-        // Each shard owns a complete estate clone with foreign rows
-        // emptied (no id rebasing), a zeroed stats block (pure deltas),
-        // and only its region's events. Memory is O(regions × estate),
-        // traded for merge simplicity.
-        struct ShardRun {
-            st: RunState,
-            wall_us: u64,
-        }
-        let mut shards: Vec<ShardRun> = Vec::with_capacity(spans.len());
-        for (r, span) in spans.iter().enumerate() {
-            let state = shard::partition_cloud_state(&base_cloud, span, &st.vm_region, r as u32);
-            let cloud = Cloud::restore_state(topo.clone(), state)
-                .expect("a region partition of a valid state is shape-valid");
-            let sim = Simulation::restore(
-                backend,
-                pre_now,
-                SimulationStats::default(),
-                pre_seq,
-                std::mem::take(&mut event_parts[r]),
-            );
-            shards.push(ShardRun {
-                st: RunState {
-                    cfg: st.cfg,
-                    regions: st.regions.clone(),
-                    cloud,
-                    specs: Arc::clone(&st.specs),
-                    peak_phases: Arc::clone(&st.peak_phases),
-                    sim,
-                    warmup: st.warmup,
-                    horizon: st.horizon,
-                    policy: PlacementPolicy::new(st.cfg.policy),
-                    store: st.store.clone(),
-                    stats: DriverStats::default(),
-                    scratch: DriverScratch::for_nodes(topo.nodes().len()),
-                    vm_stats: st.vm_stats.clone(),
-                    vm_region: Arc::clone(&st.vm_region),
-                    vm_az: Arc::clone(&st.vm_az),
-                    vm_rng_root: st.vm_rng_root.clone(),
-                    drs: Rebalancer::new(st.cfg.drs),
-                    cross: Rebalancer::new(st.cfg.drs),
-                    fault_plan: st.fault_plan.clone(),
-                    pending: std::mem::take(&mut pending_parts[r]),
-                    region_placed: st.region_placed.clone(),
-                    region_departed: st.region_departed.clone(),
-                    init_scheduled: st.init_scheduled,
-                    shard: Some(ShardScope {
-                        span: span.clone(),
-                        pre_seq,
-                        deltas: Vec::new(),
-                    }),
-                    run_start: st.run_start,
-                    profile: RunProfile::new(false),
-                    progress_last: st.progress_last,
-                    progress_events: 0,
-                },
-                wall_us: 0,
-            });
-        }
-
-        // ---- Concurrent drain -------------------------------------------
-        let workers = st.cfg.shard_threads;
-        run_each(&mut shards, workers, |_, s| {
-            let t0 = Instant::now();
-            Self::run_shard(&mut s.st);
-            s.wall_us = t0.elapsed().as_micros() as u64;
-        });
-
-        // ---- Deterministic merge, fixed estate order --------------------
-        let mut sim_stats = base_sim_stats;
-        let mut end_now = pre_now;
-        let mut max_seq = pre_seq;
-        let mut merged_stats = st.stats;
-        let mut cloud_states = Vec::with_capacity(spans.len());
-        let mut stores = Vec::with_capacity(spans.len());
-        let mut vm_stats_shards = Vec::with_capacity(spans.len());
-        let mut delta_logs = Vec::with_capacity(spans.len());
-        let mut region_placed = Vec::with_capacity(spans.len());
-        let mut region_departed = Vec::with_capacity(spans.len());
-        let mut pending = Vec::new();
-        let mut fired = Vec::with_capacity(spans.len());
-        let mut walls = Vec::with_capacity(spans.len());
-        for (r, s) in shards.into_iter().enumerate() {
-            let mut sh = s.st;
-            let sst = sh.sim.stats();
-            sim_stats.fired += sst.fired;
-            sim_stats.scheduled += sst.scheduled;
-            sim_stats.cancelled += sst.cancelled;
-            end_now = end_now.max(sh.sim.now());
-            max_seq = max_seq.max(sh.sim.next_seq());
-            Self::add_shard_stats(&mut merged_stats, &sh.stats, r == 0);
-            let scope = sh.shard.take().expect("shard scope survives the drain");
-            delta_logs.push(scope.deltas);
-            cloud_states.push(sh.cloud.capture_state());
-            stores.push(sh.store);
-            vm_stats_shards.push(sh.vm_stats);
-            // Shards bump only their own region's tally row; the pending
-            // queue merges in region order (only its length is canonical).
-            region_placed.push(sh.region_placed[r]);
-            region_departed.push(sh.region_departed[r]);
-            pending.extend(sh.pending);
-            fired.push(sst.fired);
-            walls.push(s.wall_us);
-        }
-        let (peak_vm, pending_peak) = shard::replay_population_peaks(population, &delta_logs);
-        merged_stats.peak_vm_count = peak_vm;
-        merged_stats.faults.evac_pending_peak = pending_peak;
-
-        let merged_cloud = shard::merge_cloud_states(cloud_states, &spans, &st.vm_region);
-        st.cloud = Cloud::restore_state(topo, merged_cloud)
-            .expect("a region-owner merge of valid shards is shape-valid");
-        st.store = TsdbStore::merge_region_partitions(&st.store, stores, &node_owner, &bb_owner);
-        st.vm_stats = st
-            .vm_region
-            .iter()
-            .enumerate()
-            .map(|(i, &r)| vm_stats_shards[r as usize][i].clone())
-            .collect();
-        st.sim = Simulation::restore(
-            backend,
-            end_now,
-            sim_stats,
-            max_seq,
-            std::iter::empty::<(SimTime, u64, Event)>(),
-        );
-        st.policy = PlacementPolicy::new(st.cfg.policy);
-        st.stats = merged_stats;
-        st.pending = pending;
-        st.region_placed = region_placed;
-        st.region_departed = region_departed;
-        st.shard = None;
-
-        // ---- Join-time shard telemetry ----------------------------------
-        if R::ENABLED {
-            if let Some(m) = rec.metrics_mut() {
-                let max_wall = walls.iter().copied().max().unwrap_or(0);
-                let mean_wall =
-                    walls.iter().sum::<u64>() as f64 / walls.len().max(1) as f64;
-                m.gauge("shard_workers", workers.min(walls.len()) as f64);
-                m.gauge(
-                    "shard_wall_imbalance",
-                    if mean_wall > 0.0 {
-                        max_wall as f64 / mean_wall
-                    } else {
-                        1.0
-                    },
-                );
-                for (r, (&f, &w)) in fired.iter().zip(&walls).enumerate() {
-                    m.counter_with("shard_events_fired", "shard", &r.to_string(), f);
-                    m.observe("shard_wall_us", w);
-                    m.observe("shard_join_wait_us", max_wall - w);
-                }
-            }
-        }
-
-        Self::finalize(st, rec)
     }
 
     /// Live progress heartbeat: wall-clock only, throttled by checking
@@ -1264,7 +931,6 @@ impl SimDriver {
             Event::VmResize(id) => Self::handle_resize(st, id, now),
             Event::Scrape => {
                 st.stats.scrapes += 1;
-                let nodes = Self::shard_nodes(st);
                 let t0 = span_start::<R>();
                 Self::scrape(
                     &mut st.cloud,
@@ -1275,7 +941,6 @@ impl SimDriver {
                     &cfg,
                     now,
                     st.warmup,
-                    nodes,
                     &mut st.scratch,
                     &st.fault_plan,
                     &mut st.stats.faults,
@@ -1296,16 +961,14 @@ impl SimDriver {
                 st.sim.schedule_after(cfg.scrape_interval, Event::Scrape);
             }
             Event::OsGauge => {
-                let bbs = Self::shard_bbs(st);
                 let t0 = span_start::<R>();
-                Self::record_os_gauges(&st.cloud, &mut st.store, now, st.warmup, bbs);
+                Self::record_os_gauges(&st.cloud, &mut st.store, now, st.warmup);
                 span_end(rec, &mut st.profile, SpanKind::OsGauge, st.run_start, t0);
                 st.sim.schedule_after(cfg.os_gauge_interval, Event::OsGauge);
             }
             Event::DrsRound => {
-                let bbs = Self::shard_bbs(st);
                 let t0 = span_start::<R>();
-                let migrated = Self::drs_round(&mut st.cloud, &st.drs, &mut st.scratch, bbs);
+                let migrated = Self::drs_round(&mut st.cloud, &st.drs, &mut st.scratch);
                 span_end(rec, &mut st.profile, SpanKind::DrsRound, st.run_start, t0);
                 st.stats.drs_migrations += migrated;
                 if R::ENABLED {
@@ -1314,10 +977,8 @@ impl SimDriver {
                 st.sim.schedule_after(cfg.drs_interval, Event::DrsRound);
             }
             Event::CrossBbRound => {
-                let dcs = Self::shard_dcs(st);
                 let t0 = span_start::<R>();
-                let migrated =
-                    Self::cross_bb_round(&mut st.cloud, &st.cross, &mut st.scratch, dcs);
+                let migrated = Self::cross_bb_round(&mut st.cloud, &st.cross, &mut st.scratch);
                 span_end(rec, &mut st.profile, SpanKind::CrossBbRound, st.run_start, t0);
                 st.stats.cross_bb_migrations += migrated;
                 if R::ENABLED {
@@ -1529,9 +1190,7 @@ impl SimDriver {
         // pre-window age), so downstream analyses see the same [0, days)
         // window the telemetry was recorded against.
         if cfg.warmup_days > 0 {
-            // By finalize time the shard states (if any) are gone, so the
-            // Arc is unique and this mutates in place without a copy.
-            for spec in Arc::make_mut(&mut st.specs) {
+            for spec in &mut st.specs {
                 if spec.arrival >= st.warmup {
                     spec.arrival =
                         SimTime::from_millis(spec.arrival.as_millis() - st.warmup.as_millis());
@@ -1575,7 +1234,7 @@ impl SimDriver {
             config: cfg,
             store: st.store,
             vm_stats: st.vm_stats,
-            specs: Arc::try_unwrap(st.specs).unwrap_or_else(|shared| (*shared).clone()),
+            specs: st.specs,
             stats: st.stats,
             cloud: st.cloud,
             profile: st.profile,
@@ -1958,7 +1617,6 @@ impl SimDriver {
         cfg: &SimConfig,
         now: SimTime,
         warmup: SimTime,
-        nodes: Range<usize>,
         scratch: &mut DriverScratch,
         plan: &FaultPlan,
         faults: &mut FaultStats,
@@ -2010,14 +1668,9 @@ impl SimDriver {
         span_end(rec, profile, SpanKind::ScrapeSample, origin, t_sample);
 
         // Phase 2: reduce the cached per-VM demands into per-node totals.
-        // Restricted to `nodes` — a shard reduces only its own region; on
-        // the sequential path the range covers the whole estate. The
-        // per-node accumulation order is unchanged, so the float sums are
-        // bit-identical either way.
         let t_reduce = span_start::<R>();
         debug_assert_eq!(scratch.demands.len(), cloud.topology().nodes().len());
-        for node_idx in nodes.clone() {
-            let d = &mut scratch.demands[node_idx];
+        for (node_idx, d) in scratch.demands.iter_mut().enumerate() {
             *d = NodeDemand::default();
             for &vm_id in cloud.vms_on_node(NodeId::from_raw(node_idx as u32)) {
                 let vm = cloud.vm(vm_id).expect("resident VM exists");
@@ -2029,12 +1682,9 @@ impl SimDriver {
 
         span_end(rec, profile, SpanKind::ScrapeReduce, origin, t_reduce);
 
-        // Phase 3: evaluate and record the node model (same range — a
-        // shard must not touch foreign rows, and the dropout counter
-        // would otherwise count every window once per shard).
+        // Phase 3: evaluate and record the node model.
         let t_record = span_start::<R>();
-        for node_idx in nodes {
-            let demand = &scratch.demands[node_idx];
+        for (node_idx, demand) in scratch.demands.iter().enumerate() {
             let node = NodeId::from_raw(node_idx as u32);
             let physical = cloud.topology().node_physical_capacity(node);
             // Straggler nodes run at degraded pCPU throughput for the
@@ -2107,17 +1757,7 @@ impl SimDriver {
     /// horizon-boundary event (which the inclusive event loop fires at the
     /// first instant past the `[0, days)` window) is dropped rather than
     /// recorded outside the rollup range.
-    /// `bbs` restricts the per-block gauges to a shard's own blocks; the
-    /// region-wide instance counter then records the shard's *local* live
-    /// count, and the telemetry merge sums the shards' suffixes back into
-    /// the estate total at each replicated tick.
-    fn record_os_gauges(
-        cloud: &Cloud,
-        store: &mut TsdbStore,
-        now: SimTime,
-        warmup: SimTime,
-        bbs: Range<usize>,
-    ) {
+    fn record_os_gauges(cloud: &Cloud, store: &mut TsdbStore, now: SimTime, warmup: SimTime) {
         if now < warmup {
             return;
         }
@@ -2131,7 +1771,7 @@ impl SimDriver {
             obs.day_index(),
             store.rollup_days(),
         );
-        for bb in &cloud.topology().bbs()[bbs] {
+        for bb in cloud.topology().bbs() {
             let e = EntityRef::Bb(bb.id.index() as u32);
             let cap = bb.total_virtual_capacity();
             let alloc = cloud.bb_allocated(bb.id);
@@ -2158,15 +1798,10 @@ impl SimDriver {
     }
 
     /// One DRS round: plan and apply migrations inside each building
-    /// block of `bbs` (a shard's own blocks, or the whole estate).
-    fn drs_round(
-        cloud: &mut Cloud,
-        drs: &Rebalancer,
-        scratch: &mut DriverScratch,
-        bbs: Range<usize>,
-    ) -> u64 {
+    /// block.
+    fn drs_round(cloud: &mut Cloud, drs: &Rebalancer, scratch: &mut DriverScratch) -> u64 {
         let mut applied = 0u64;
-        for bb_idx in bbs {
+        for bb_idx in 0..cloud.topology().bbs().len() {
             let bb = BbId::from_raw(bb_idx as u32);
             Self::recycle_loads(&mut scratch.node_loads, &mut scratch.vm_load_pool);
             for &nid in &cloud.topology().bb(bb).nodes {
@@ -2217,10 +1852,9 @@ impl SimDriver {
         cloud: &mut Cloud,
         rebalancer: &Rebalancer,
         scratch: &mut DriverScratch,
-        dcs: Range<usize>,
     ) -> u64 {
         let mut applied = 0u64;
-        for dc_idx in dcs {
+        for dc_idx in 0..cloud.topology().dcs().len() {
             Self::recycle_loads(&mut scratch.bb_loads, &mut scratch.vm_load_pool);
             let dc: DcId = cloud.topology().dcs()[dc_idx].id;
             for &bb in &cloud.topology().dc(dc).bbs {
@@ -2878,149 +2512,5 @@ mod tests {
             .snapshot_at(SimTime::from_days(cfg.days + 1))
             .unwrap_err();
         assert!(matches!(err, SimError::InvalidConfig(_)), "{err}");
-    }
-
-    /// A small replicated estate: three copies of the smoke-test region,
-    /// so the spatial partition has real cross-shard structure while the
-    /// debug suite stays fast.
-    fn replicated_cfg(seed: u64) -> SimConfig {
-        let mut cfg = SimConfig::smoke_test();
-        cfg.seed = seed;
-        cfg.region_replicas = 3;
-        cfg
-    }
-
-    #[test]
-    fn sharded_runs_are_byte_identical_at_any_worker_count() {
-        let mut cfg = replicated_cfg(40);
-        let sequential = SimDriver::new(cfg).unwrap().run();
-        let baseline = sequential.canonical_bytes();
-        assert!(sequential.stats.placed > 0);
-        for workers in [1usize, 2, 8] {
-            cfg.shard_threads = workers;
-            let sharded = SimDriver::new(cfg).unwrap().run();
-            assert_eq!(sequential.stats, sharded.stats, "workers={workers}");
-            assert_eq!(
-                baseline,
-                sharded.canonical_bytes(),
-                "shard_threads={workers} diverged from the sequential loop"
-            );
-            sharded.cloud.verify_accounting(&sharded.specs).unwrap();
-        }
-    }
-
-    #[test]
-    fn sharded_runs_are_byte_identical_under_faults_and_heap_queue() {
-        let mut cfg = faulty_cfg(41);
-        cfg.region_replicas = 2;
-        for heap in [false, true] {
-            cfg.heap_event_queue = heap;
-            cfg.shard_threads = 0;
-            let sequential = SimDriver::new(cfg).unwrap().run();
-            assert!(
-                sequential.stats.faults.host_failures > 0,
-                "fault machinery must actually engage"
-            );
-            cfg.shard_threads = 2;
-            let sharded = SimDriver::new(cfg).unwrap().run();
-            assert_eq!(sequential.stats, sharded.stats, "heap={heap}");
-            assert_eq!(
-                sequential.canonical_bytes(),
-                sharded.canonical_bytes(),
-                "heap={heap}: sharded faulty run diverged"
-            );
-        }
-    }
-
-    #[test]
-    fn shard_threads_on_a_single_region_estate_is_a_noop() {
-        let sequential = smoke(42);
-        let mut cfg = SimConfig::smoke_test();
-        cfg.seed = 42;
-        cfg.shard_threads = 4; // one region: nothing to partition
-        let requested = SimDriver::new(cfg).unwrap().run();
-        assert_eq!(sequential.canonical_bytes(), requested.canonical_bytes());
-    }
-
-    #[test]
-    fn sharded_snapshots_restore_under_any_worker_count() {
-        // Capture mid-run (sequential prefix), then finish the run under
-        // different worker counts — every continuation must match the
-        // cold sequential run, and the snapshot bytes themselves must not
-        // depend on the worker count of the capturing run.
-        let cfg = replicated_cfg(43);
-        let cold = SimDriver::new(cfg).unwrap().run();
-        let at = SimTime::from_millis(MILLIS_PER_DAY + 12_345);
-        let snap = SimDriver::new(cfg).unwrap().snapshot_at(at).unwrap();
-        let baseline_snapshot = snap.to_file_string();
-        for workers in [0usize, 2, 8] {
-            let mut forked = SimSnapshot::from_file_str(&baseline_snapshot).unwrap();
-            forked.set_shard_threads(workers);
-            let resumed = SimDriver::resume(&forked).unwrap();
-            assert_eq!(
-                cold.canonical_bytes(),
-                resumed.canonical_bytes(),
-                "resume with shard_threads={workers} diverged from the cold run"
-            );
-        }
-        // A sharded run that captures along the way serializes the same
-        // sequential-prefix snapshot.
-        let mut sharded_cfg = cfg;
-        sharded_cfg.shard_threads = 2;
-        let (result, snap2) = SimDriver::new(sharded_cfg)
-            .unwrap()
-            .run_with_snapshot(at, &mut NullRecorder)
-            .unwrap();
-        assert_eq!(cold.canonical_bytes(), result.canonical_bytes());
-        let mut snap2 = snap2;
-        snap2.set_shard_threads(0);
-        assert_eq!(baseline_snapshot, snap2.to_file_string());
-    }
-
-    #[test]
-    fn sharded_runs_fold_shard_metrics_into_the_recorder() {
-        let mut cfg = replicated_cfg(44);
-        cfg.shard_threads = 2;
-        let mut rec = sapsim_obs::MetricsRecorder::new();
-        let sharded = SimDriver::new(cfg).unwrap().run_with_recorder(&mut rec);
-        cfg.shard_threads = 0;
-        let sequential = SimDriver::new(cfg).unwrap().run();
-        assert_eq!(sequential.canonical_bytes(), sharded.canonical_bytes());
-        let registry = rec.registry();
-        let per_shard: Vec<u64> = registry
-            .counters()
-            .filter(|(k, _)| k.name == "shard_events_fired")
-            .map(|(_, v)| v)
-            .collect();
-        assert_eq!(per_shard.len(), 3, "one events-fired counter per region");
-        assert!(per_shard.iter().all(|&v| v > 0));
-        assert!(registry.gauge_value("shard_workers").is_some());
-        assert!(registry.histogram("shard_wall_us").is_some());
-    }
-
-    /// Full-region scale with spatial sharding — too heavy for the debug
-    /// suite; CI runs it in release alongside the other multi_region leg:
-    /// `cargo test --release -p sapsim-core multi_region -- --ignored`.
-    #[test]
-    #[ignore = "full-region scale; run in release via CI"]
-    fn multi_region_sharded_run_matches_sequential_at_scale() {
-        let mut cfg = SimConfig {
-            scale: 1.02, // replicates the studied region: 2 regions
-            days: 1,
-            warmup_days: 0,
-            seed: 45,
-            ..SimConfig::default()
-        };
-        let sequential = SimDriver::new(cfg).unwrap().run();
-        for workers in [2usize, 8] {
-            cfg.shard_threads = workers;
-            let sharded = SimDriver::new(cfg).unwrap().run();
-            assert_eq!(sequential.stats, sharded.stats, "workers={workers}");
-            assert_eq!(
-                sequential.canonical_bytes(),
-                sharded.canonical_bytes(),
-                "shard_threads={workers} diverged at full-region scale"
-            );
-        }
     }
 }

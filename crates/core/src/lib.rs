@@ -34,7 +34,6 @@ mod error;
 pub mod hypervisor;
 mod result;
 pub mod scenario;
-mod shard;
 mod snapshot;
 mod viewcache;
 

@@ -148,8 +148,9 @@ pub struct RunResult {
     pub cloud: Cloud,
     /// Wall-clock profile of the event loop (empty unless the run used an
     /// enabled recorder). Excluded from [`RunResult::canonical_bytes`]
-    /// exactly like [`SimConfig::shard_threads`]: wall-clock time describes
-    /// how the run executed, not what it simulated.
+    /// exactly like the execution knobs [`SimConfig::canonical`] resets:
+    /// wall-clock time describes how the run executed, not what it
+    /// simulated.
     pub profile: RunProfile,
 }
 

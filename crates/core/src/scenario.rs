@@ -285,10 +285,11 @@ mod tests {
     #[test]
     fn scenario_id_ignores_execution_knobs_but_not_results_knobs() {
         let a = Scenario::new("a", base()).unwrap();
-        let mut threaded = base();
-        threaded.shard_threads = 8;
-        threaded.naive_host_views = true;
-        let b = Scenario::new("b", threaded).unwrap();
+        let mut knobs = base();
+        knobs.naive_host_views = true;
+        knobs.heap_event_queue = true;
+        knobs.progress = true;
+        let b = Scenario::new("b", knobs).unwrap();
         assert_eq!(a.id(), b.id(), "execution knobs must not change the id");
         assert_eq!(a.id().len(), 16);
 

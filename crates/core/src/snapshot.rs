@@ -96,8 +96,8 @@ json_codec!(struct SimSnapshot {
 impl SimSnapshot {
     /// The configuration the snapshot was captured under. A resume runs
     /// this exact config; execution-only knobs (host-view oracle, queue
-    /// backend, thread count) are free to differ because they are
-    /// byte-identical by contract and excluded from serialization.
+    /// backend) are free to differ because they are byte-identical by
+    /// contract and excluded from serialization.
     pub fn config(&self) -> &SimConfig {
         &self.config
     }
@@ -105,15 +105,6 @@ impl SimSnapshot {
     /// The capture instant on the warmup-inclusive timeline.
     pub fn at(&self) -> SimTime {
         self.now
-    }
-
-    /// Override the shard-worker count the resumed continuation runs
-    /// with. `shard_threads` is an execution-only knob — it never touches
-    /// the serialized snapshot (it is not on the wire) and the resumed result is
-    /// byte-identical at any value — so a snapshot captured sequentially
-    /// can finish spatially partitioned and vice versa.
-    pub fn set_shard_threads(&mut self, n: usize) {
-        self.config.shard_threads = n;
     }
 
     /// Serialize to the two-line `sapsim.snapshot/v1` file format.

@@ -28,7 +28,7 @@
 //! * [`RunProfile`] — aggregated wall-clock timing per event-loop phase
 //!   (scrape with its sample/reduce/record breakdown, DRS rounds, cross-BB
 //!   rounds, placements), carried on the driver's `RunResult` but excluded
-//!   from canonical serialization exactly like the `shard_threads` knob.
+//!   from canonical serialization exactly like the execution knobs.
 //!
 //! Decision sampling ([`ObsConfig::decision_sample_rate`]) hashes the VM
 //! uid through a SplitMix64 finalizer rather than drawing from any

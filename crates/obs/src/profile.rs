@@ -24,7 +24,7 @@ impl PhaseStat {
 /// phase.
 ///
 /// Carried on the driver's `RunResult` but **excluded from canonical
-/// serialization** (exactly like the `shard_threads` knob): wall-clock
+/// serialization** (exactly like the execution knobs): wall-clock
 /// time is machine- and load-dependent, so it must never influence the
 /// determinism contract.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -19,10 +19,8 @@
 //!    no global state, no unsafe code.
 //! 3. **Throughput.** The engine must sustain tens of millions of events so
 //!    that a full region (1,800 hypervisors, 48,000 VMs, 30 days) simulates
-//!    in seconds-to-minutes on a laptop. The [`par`] module provides a
-//!    deterministic fan-out primitive (`std::thread` only) so independent
-//!    shards can use every core without compromising goal 1: results are
-//!    bit-identical at any worker count.
+//!    in seconds-to-minutes on a laptop. The engine spawns no thread;
+//!    concurrency, where it pays, lives above it (one run per sweep worker).
 //!
 //! ## Quick tour
 //!
@@ -48,7 +46,6 @@
 #![warn(missing_docs)]
 
 mod engine;
-pub mod par;
 mod queue;
 mod rng;
 mod time;

@@ -117,15 +117,6 @@ pub struct SweepOptions {
     /// carry wall-clock data and sit outside the byte-equality contract;
     /// the report itself stays byte-identical either way.
     pub collect_metrics: bool,
-    /// Per-run shard workers for the spatially-partitioned event loop
-    /// ([`SimConfig::shard_threads`](sapsim_core::SimConfig)). `0` (the
-    /// default) leaves each scenario's own setting untouched; a positive
-    /// value overrides every cell, capped at `max(1, cores /
-    /// sweep_workers)` when more than one sweep worker runs so the two
-    /// fan-outs never oversubscribe the machine together (see
-    /// [`shard_thread_budget`]). Shard workers are a pure execution knob:
-    /// the report bytes are identical at any value.
-    pub shard_threads: usize,
 }
 
 /// Per-scenario side outputs (only with
@@ -224,25 +215,6 @@ pub fn effective_workers(requested: usize, work: usize) -> usize {
     requested.clamp(1, work.max(1))
 }
 
-/// Resolve the per-run shard-worker budget for a sweep running on
-/// `sweep_workers` pool threads. `requested == 0` means "don't touch the
-/// scenario configs" and passes through as `0`. Otherwise the two
-/// fan-outs multiply — each pool worker would spin up `requested` shard
-/// threads of its own — so with more than one sweep worker the budget is
-/// capped at `max(1, cores / sweep_workers)`. A floor of `1` keeps the
-/// partitioned loop (and its byte-equality contract) engaged even on
-/// oversubscribed boxes; shard workers are execution-only, so the cap
-/// can never move the report.
-pub fn shard_thread_budget(requested: usize, sweep_workers: usize) -> usize {
-    if requested == 0 || sweep_workers <= 1 {
-        return requested;
-    }
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    requested.min((cores / sweep_workers).max(1))
-}
-
 /// Expand `spec` and execute the grid. Convenience wrapper around
 /// [`run_sweep`].
 pub fn run_spec(spec: &SweepSpec, options: &SweepOptions) -> Result<SweepOutput, SweepError> {
@@ -325,7 +297,6 @@ pub fn run_sweep(
         return Err(SweepError::NoScenarios);
     }
     let workers = effective_workers(options.workers, scenarios.len());
-    let shard_threads = shard_thread_budget(options.shard_threads, workers);
     let mut slots: Vec<Option<(ScenarioOutcome, ScenarioArtifacts)>> =
         (0..scenarios.len()).map(|_| None).collect();
     let units = plan_units(scenarios);
@@ -358,8 +329,7 @@ pub fn run_sweep(
                         WorkUnit::Solo(index) => {
                             let index = *index;
                             let t0 = Instant::now();
-                            let outcome =
-                                execute_one(&scenarios[index], options, shard_threads, None);
+                            let outcome = execute_one(&scenarios[index], options, None);
                             if options.collect_metrics {
                                 let us = t0.elapsed().as_micros() as u64;
                                 busy_us += us;
@@ -387,12 +357,7 @@ pub fn run_sweep(
                             }
                             for &index in members {
                                 let t0 = Instant::now();
-                                let outcome = execute_one(
-                                    &scenarios[index],
-                                    options,
-                                    shard_threads,
-                                    Some(&base),
-                                );
+                                let outcome = execute_one(&scenarios[index], options, Some(&base));
                                 if options.collect_metrics {
                                     let us = t0.elapsed().as_micros() as u64;
                                     busy_us += us;
@@ -423,7 +388,6 @@ pub fn run_sweep(
         // as labeled gauges, the distributions merged bit-stably.
         let mut registry = MetricsRegistry::new();
         registry.gauge("sweep_workers", workers as f64);
-        registry.gauge("sweep_shard_threads", shard_threads as f64);
         registry.gauge("sweep_cells_total", scenarios.len() as f64);
         for (w, handle) in handles.into_iter().enumerate() {
             let (local, busy_us) = handle.join().expect("sweep worker panicked");
@@ -456,33 +420,19 @@ pub fn run_sweep(
 /// Run one scenario — cold, or warm-started as a fault fork of `base` —
 /// under the recorder `rec` dictates. The fork path is byte-identical to
 /// the cold one by the snapshot determinism contract, so callers pick
-/// purely on wall-clock grounds. A positive `shard_threads` (the budget
-/// from [`shard_thread_budget`]) overrides the run's shard-worker count;
-/// that too is execution-only, pinned byte-identical by the
-/// shard-determinism suites.
+/// purely on wall-clock grounds.
 fn run_scenario<R: Recorder>(
     scenario: &Scenario,
     base: Option<&SimSnapshot>,
-    shard_threads: usize,
     rec: &mut R,
 ) -> sapsim_core::RunResult {
     match base {
         Some(snapshot) => {
-            let mut forked = snapshot
+            let forked = snapshot
                 .refault(scenario.config())
                 .expect("fork groups are planned refault-eligible");
-            if shard_threads > 0 {
-                forked.set_shard_threads(shard_threads);
-            }
             SimDriver::resume_with_recorder(&forked, rec)
                 .expect("a fork of a validated config resumes")
-        }
-        None if shard_threads > 0 => {
-            let mut cfg = *scenario.config();
-            cfg.shard_threads = shard_threads;
-            SimDriver::new(cfg)
-                .expect("only an execution knob changed on a validated config")
-                .run_with_recorder(rec)
         }
         None => scenario.run_with_recorder(rec),
     }
@@ -494,7 +444,6 @@ fn run_scenario<R: Recorder>(
 fn execute_one(
     scenario: &Scenario,
     options: &SweepOptions,
-    shard_threads: usize,
     base: Option<&SimSnapshot>,
 ) -> (ScenarioOutcome, ScenarioArtifacts) {
     let (run, obs_jsonl, metrics_json) = if options.collect_obs {
@@ -502,7 +451,7 @@ fn execute_one(
         if options.collect_metrics {
             rec = rec.with_metrics();
         }
-        let run = run_scenario(scenario, base, shard_threads, &mut rec);
+        let run = run_scenario(scenario, base, &mut rec);
         let metrics_json = rec.metrics().map(|m| m.to_json());
         let mut buf = Vec::new();
         rec.write_jsonl(&mut buf)
@@ -511,11 +460,11 @@ fn execute_one(
         (run, Some(text), metrics_json)
     } else if options.collect_metrics {
         let mut rec = MetricsRecorder::new();
-        let run = run_scenario(scenario, base, shard_threads, &mut rec);
+        let run = run_scenario(scenario, base, &mut rec);
         let json = rec.registry().to_json();
         (run, None, Some(json))
     } else {
-        let run = run_scenario(scenario, base, shard_threads, &mut NullRecorder);
+        let run = run_scenario(scenario, base, &mut NullRecorder);
         (run, None, None)
     };
 
@@ -722,93 +671,6 @@ mod tests {
         let scenarios = spec.expand().expect("valid");
         for (outcome, scenario) in output.report.scenarios.iter().zip(&scenarios) {
             assert_eq!(outcome.summary, RunSummary::from_run(&scenario.run()));
-        }
-    }
-
-    #[test]
-    fn shard_thread_budget_caps_only_parallel_sweeps() {
-        // 0 always passes through: "leave the scenario configs alone".
-        assert_eq!(shard_thread_budget(0, 1), 0);
-        assert_eq!(shard_thread_budget(0, 8), 0);
-        // A single sweep worker owns the whole machine — no cap.
-        assert_eq!(shard_thread_budget(6, 1), 6);
-        // With pool parallelism the budget is at most cores / workers,
-        // floored at 1 so the partitioned loop stays engaged.
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let budget = shard_thread_budget(64, 2);
-        assert!(budget >= 1);
-        assert!(budget <= 64.min((cores / 2).max(1)));
-        // More sweep workers than cores still yields a positive budget.
-        assert_eq!(shard_thread_budget(4, cores + 1), 1);
-    }
-
-    #[test]
-    fn sharded_sweeps_report_identical_bytes() {
-        // A multi-region grid (replicas ≥ 2 so the partitioned loop
-        // actually engages) run plain, then with shard workers layered
-        // under the pool: the report must not move by a byte, and the
-        // pool registry must record the resolved budget.
-        let mut base = SimConfig::smoke_test();
-        base.days = 1;
-        base.region_replicas = 2;
-        let mut spec = SweepSpec::new(base);
-        spec.seeds = vec![11, 12];
-        let plain = run_spec(&spec, &SweepOptions::default()).expect("sweep runs");
-        let sharded_options = SweepOptions {
-            workers: 2,
-            shard_threads: 2,
-            collect_metrics: true,
-            ..SweepOptions::default()
-        };
-        let sharded = run_spec(&spec, &sharded_options).expect("sweep runs");
-        assert_eq!(
-            sharded.report.to_json(),
-            plain.report.to_json(),
-            "shard workers are execution-only and must never move the report"
-        );
-        let m = sharded.sweep_metrics.as_ref().expect("pool registry");
-        let budget = m
-            .gauge_value("sweep_shard_threads")
-            .expect("budget is always recorded");
-        let expected = shard_thread_budget(2, effective_workers(2, 2));
-        assert_eq!(budget, expected as f64);
-        assert!(budget >= 1.0, "a positive request never budgets to zero");
-    }
-
-    #[test]
-    fn sharded_fault_forks_match_cold_runs() {
-        // The fork path applies the shard budget to the resumed
-        // snapshot; forks must still match cold sequential runs.
-        let mut base = SimConfig::smoke_test();
-        base.scale = 0.01;
-        base.days = 1;
-        base.warmup_days = 7;
-        base.region_replicas = 2;
-        let mut spec = SweepSpec::new(base);
-        spec.faults = vec![
-            FaultSpec::none(),
-            FaultSpec {
-                host_fail_rate_per_month: 20.0,
-                host_downtime_hours: 6.0,
-                ..FaultSpec::none()
-            },
-        ];
-        let options = SweepOptions {
-            workers: 2,
-            shard_threads: 2,
-            ..SweepOptions::default()
-        };
-        let output = run_spec(&spec, &options).expect("sweep runs");
-        let scenarios = spec.expand().expect("valid");
-        for (outcome, scenario) in output.report.scenarios.iter().zip(&scenarios) {
-            assert_eq!(
-                outcome.summary,
-                RunSummary::from_run(&scenario.run()),
-                "sharded fork must match the cold sequential run for `{}`",
-                scenario.name()
-            );
         }
     }
 

@@ -203,15 +203,14 @@ mod tests {
     #[test]
     fn summary_is_execution_independent() {
         let run = tiny_run();
-        let mut threaded_cfg = run.config;
-        threaded_cfg.shard_threads = 4;
-        let threaded = Scenario::new("threaded", threaded_cfg)
-            .expect("valid")
-            .run();
+        let mut knobs_cfg = run.config;
+        knobs_cfg.naive_host_views = true;
+        knobs_cfg.heap_event_queue = true;
+        let knobs = Scenario::new("knobs", knobs_cfg).expect("valid").run();
         assert_eq!(
             RunSummary::from_run(&run).to_json(),
-            RunSummary::from_run(&threaded).to_json(),
-            "thread count must not leak into the summary"
+            RunSummary::from_run(&knobs).to_json(),
+            "execution knobs must not leak into the summary"
         );
     }
 }

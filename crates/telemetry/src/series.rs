@@ -75,37 +75,6 @@ impl TimeSeries {
         &self.values
     }
 
-    /// Element-wise sum a set of parallel series into this one beyond a
-    /// shared prefix: `self.values[i] += Σ others.values[i]` for every
-    /// `i >= prefix_len`, leaving the first `prefix_len` samples (and all
-    /// timestamps) untouched.
-    ///
-    /// This is the estate-level merge of the sharded event loop: each
-    /// shard appends its *local* contribution to an estate-wide gauge at
-    /// the same replicated tick, so the true estate value at each tick is
-    /// the sum across shards, while the samples before the partition
-    /// instant (`prefix_len`) were recorded globally and must pass
-    /// through unchanged.
-    ///
-    /// # Panics
-    /// Debug-asserts that every series in `others` has the same length
-    /// and the same timestamps as `self` — shards replay one shared
-    /// periodic schedule, so a mismatch means the partition lost a tick.
-    pub fn sum_suffix(&mut self, prefix_len: usize, others: &[&TimeSeries]) {
-        for other in others {
-            debug_assert_eq!(
-                other.times, self.times,
-                "sharded series must share the periodic tick schedule"
-            );
-            for (acc, v) in self.values[prefix_len..]
-                .iter_mut()
-                .zip(&other.values[prefix_len..])
-            {
-                *acc += v;
-            }
-        }
-    }
-
     /// Mean of all values; `None` when empty.
     pub fn mean(&self) -> Option<f64> {
         if self.values.is_empty() {
@@ -189,27 +158,6 @@ mod tests {
         let v: Vec<_> = s.range(t(20), t(50)).map(|(_, v)| v).collect();
         assert_eq!(v, vec![2.0, 3.0, 4.0]);
         assert_eq!(s.range(t(200), t(300)).count(), 0);
-    }
-
-    #[test]
-    fn sum_suffix_merges_beyond_the_shared_prefix() {
-        let mut merged = TimeSeries::new();
-        let mut a = TimeSeries::new();
-        let mut b = TimeSeries::new();
-        // Shared (pre-partition) prefix: recorded globally, passes through.
-        for s in [&mut merged, &mut a, &mut b] {
-            s.push(t(0), 100.0);
-        }
-        // Post-partition ticks: each shard appends its local value.
-        merged.push(t(30), 3.0);
-        a.push(t(30), 5.0);
-        b.push(t(30), 7.0);
-        merged.push(t(60), 1.0);
-        a.push(t(60), 2.0);
-        b.push(t(60), 4.0);
-        merged.sum_suffix(1, &[&a, &b]);
-        let got: Vec<_> = merged.iter().collect();
-        assert_eq!(got, vec![(t(0), 100.0), (t(30), 15.0), (t(60), 7.0)]);
     }
 
     #[test]

@@ -273,96 +273,6 @@ impl TsdbStore {
         v
     }
 
-    /// Merge the stores of per-region shards back into one estate store,
-    /// in fixed estate order — the telemetry half of the sharded event
-    /// loop's determinism contract.
-    ///
-    /// Every shard starts from a clone of `base` (the estate store at the
-    /// partition instant) and then records only into its own slice of the
-    /// estate: node and building-block series for the entities it owns
-    /// (`node_owner[i]` / `bb_owner[i]` name the owning shard), plus the
-    /// estate-wide `Region` gauges, which each shard appends to at the
-    /// same replicated periodic ticks with its *local* value. The merge
-    /// therefore:
-    ///
-    /// * takes each node/building-block row verbatim from its owner — no
-    ///   other shard ever touched it, so this is exact;
-    /// * sums the post-`base` region samples across shards tick by tick
-    ///   ([`TimeSeries::sum_suffix`]), keeping the pre-partition prefix
-    ///   untouched — exact for the integer-valued population gauges the
-    ///   simulator records (f64 addition of integers below 2^53);
-    /// * carries region rollups and the dynamic maps over from shard 0:
-    ///   the recording loop writes neither, so they still equal `base`'s.
-    ///
-    /// Iteration is metric-major then entity-index order, so equal inputs
-    /// produce byte-identical merged stores regardless of how many
-    /// workers executed the shards.
-    ///
-    /// # Panics
-    /// Panics if `shards` is empty or any shard's dense geometry does not
-    /// match `node_owner`/`bb_owner`.
-    pub fn merge_region_partitions(
-        base: &TsdbStore,
-        mut shards: Vec<TsdbStore>,
-        node_owner: &[u32],
-        bb_owner: &[u32],
-    ) -> TsdbStore {
-        assert!(!shards.is_empty(), "merging requires at least one shard");
-        let node_count = node_owner.len();
-        let bb_count = bb_owner.len();
-        for sh in &shards {
-            assert_eq!(sh.node_count, node_count, "shard/owner node geometry");
-            assert_eq!(sh.bb_count, bb_count, "shard/owner bb geometry");
-            assert!(
-                !sh.region_raw.is_empty(),
-                "sharded runs always use dense stores"
-            );
-        }
-        let mut merged = TsdbStore::with_topology(base.rollup_days, node_count, bb_count);
-        for m in 0..MetricId::COUNT {
-            for (i, &owner) in node_owner.iter().enumerate() {
-                let owner = owner as usize;
-                let idx = m * node_count + i;
-                merged.node_raw[idx] = shards[owner].node_raw[idx].take();
-                merged.node_rolled[idx] = shards[owner].node_rolled[idx].take();
-            }
-            for (i, &owner) in bb_owner.iter().enumerate() {
-                let owner = owner as usize;
-                let idx = m * bb_count + i;
-                merged.bb_raw[idx] = shards[owner].bb_raw[idx].take();
-                merged.bb_rolled[idx] = shards[owner].bb_rolled[idx].take();
-            }
-            let prefix = base
-                .region_raw
-                .get(m)
-                .and_then(Option::as_ref)
-                .map_or(0, TimeSeries::len);
-            let mut estate = shards[0].region_raw[m].take();
-            if let Some(series) = &mut estate {
-                let others: Vec<&TimeSeries> = shards[1..]
-                    .iter()
-                    .filter_map(|sh| sh.region_raw[m].as_ref())
-                    .collect();
-                debug_assert_eq!(
-                    others.len(),
-                    shards.len() - 1,
-                    "every shard replays the shared periodic schedule"
-                );
-                series.sum_suffix(prefix, &others);
-            } else {
-                debug_assert!(
-                    shards[1..].iter().all(|sh| sh.region_raw[m].is_none()),
-                    "every shard replays the shared periodic schedule"
-                );
-            }
-            merged.region_raw[m] = estate;
-            merged.region_rolled[m] = shards[0].region_rolled[m].take();
-        }
-        merged.dyn_raw = std::mem::take(&mut shards[0].dyn_raw);
-        merged.dyn_rolled = std::mem::take(&mut shards[0].dyn_rolled);
-        merged
-    }
-
     /// Number of raw series.
     pub fn raw_series_count(&self) -> usize {
         self.node_raw.iter().flatten().count()
@@ -549,65 +459,6 @@ mod tests {
                 (EntityRef::Node(2), 2.0),
                 (EntityRef::Node(1000), 3.0),
             ]
-        );
-    }
-
-    /// Replay a recording script globally and shard-wise and require the
-    /// merged shard stores to serialize byte-identically to the global
-    /// store — the unit-level statement of the sharded determinism
-    /// contract.
-    #[test]
-    fn region_partition_merge_matches_global_recording() {
-        // Four nodes and two BBs split across two shards; one sample
-        // recorded globally before the partition.
-        let node_owner = [0u32, 0, 1, 1];
-        let bb_owner = [0u32, 1];
-        let mut base = TsdbStore::with_topology(3, 4, 2);
-        base.record(MetricId::OsInstancesTotal, EntityRef::Region, t(0), 9.0);
-
-        // The sequential oracle keeps recording globally.
-        let mut global = base.clone();
-        // Each shard continues from a clone of the base store.
-        let mut shards = vec![base.clone(), base.clone()];
-
-        for step in 0..3u64 {
-            let tick = t(300 * (step + 1));
-            let mut estate_total = 0.0;
-            for (shard_idx, shard) in shards.iter_mut().enumerate() {
-                let local = (shard_idx as u64 + 2 * step) as f64;
-                for n in 0..4u32 {
-                    if node_owner[n as usize] == shard_idx as u32 {
-                        let v = local + n as f64;
-                        shard.record(MetricId::HostCpuUtilPct, EntityRef::Node(n), tick, v);
-                        shard.record_rolled(
-                            MetricId::HostCpuReadyMs,
-                            EntityRef::Node(n),
-                            tick,
-                            v,
-                        );
-                        global.record(MetricId::HostCpuUtilPct, EntityRef::Node(n), tick, v);
-                        global.record_rolled(
-                            MetricId::HostCpuReadyMs,
-                            EntityRef::Node(n),
-                            tick,
-                            v,
-                        );
-                    }
-                }
-                let bb = shard_idx as u32;
-                shard.record_rolled(MetricId::OsVcpus, EntityRef::Bb(bb), tick, local);
-                global.record_rolled(MetricId::OsVcpus, EntityRef::Bb(bb), tick, local);
-                shard.record(MetricId::OsInstancesTotal, EntityRef::Region, tick, local);
-                estate_total += local;
-            }
-            global.record(MetricId::OsInstancesTotal, EntityRef::Region, tick, estate_total);
-        }
-
-        let merged = TsdbStore::merge_region_partitions(&base, shards, &node_owner, &bb_owner);
-        assert_eq!(
-            merged.to_json_string(),
-            global.to_json_string(),
-            "merged shard stores must be byte-identical to global recording"
         );
     }
 

@@ -192,7 +192,7 @@ pub fn paper_estate(scale: f64, seed: u64) -> (Topology, Vec<RegionDcs>) {
 /// each scaled by `scale ∈ (0, 1]` — the orthogonal complement of
 /// [`paper_estate_custom`], which replicates only at full size. Three tiny
 /// regions (`scale = 0.02, replicas = 3`) cost less than one full region,
-/// which is what the shard-determinism suites sweep.
+/// which is what the multi-region determinism suites run.
 ///
 /// `replicas == 1` delegates to [`paper_estate_custom`] so the historical
 /// single-region names and RNG streams are preserved bit-for-bit; with

@@ -170,7 +170,7 @@ fn wire_format_is_unchanged_by_the_api_refactor() {
     // An empty fault spec and the naive-host-views oracle are skipped, so
     // pre-fault / pre-refactor configs and canonical bytes are unchanged.
     assert!(!json.contains("\"faults\""), "empty faults must be skipped");
-    for knob in ["naive_host_views", "heap_event_queue", "shard_threads", "progress"] {
+    for knob in ["naive_host_views", "heap_event_queue", "progress"] {
         assert!(!json.contains(knob), "execution knob `{knob}` must never serialize");
     }
     assert!(json.contains("\"threads\":0"));

@@ -34,25 +34,39 @@ fn faulty(seed: u64) -> SimConfig {
 }
 
 /// Guarantee 1: a run with every fault kind active is still a pure
-/// function of its config.
+/// function of its config — on one region and on a three-region estate.
 #[test]
 fn faulty_runs_are_byte_identical_across_repeats() {
-    let run = || -> (Vec<u8>, u64) {
-        let r = SimDriver::new(faulty(23)).expect("valid").run();
-        (r.canonical_bytes(), r.stats.faults.host_failures)
+    let mut multi_region = cfg(23);
+    multi_region.days = 1;
+    multi_region.region_replicas = 3;
+    multi_region.faults = FaultSpec {
+        host_fail_rate_per_month: 20.0,
+        host_downtime_hours: 4.0,
+        dropout_rate_per_month: 6.0,
+        dropout_duration_hours: 2.0,
+        straggler_fraction: 0.2,
+        ..FaultSpec::none()
     };
-    let (first, failures) = run();
-    assert!(
-        failures > 0,
-        "the plan must be non-empty for this to prove anything"
-    );
-    let (second, _) = run();
-    assert!(
-        second == first,
-        "repeated faulty run diverged ({} vs {} bytes)",
-        second.len(),
-        first.len(),
-    );
+    for config in [faulty(23), multi_region] {
+        let run = || -> (Vec<u8>, u64) {
+            let r = SimDriver::new(config).expect("valid").run();
+            (r.canonical_bytes(), r.stats.faults.host_failures)
+        };
+        let (first, failures) = run();
+        assert!(
+            failures > 0,
+            "the plan must be non-empty for this to prove anything"
+        );
+        let (second, _) = run();
+        assert!(
+            second == first,
+            "repeated faulty run diverged at region_replicas={} ({} vs {} bytes)",
+            config.region_replicas,
+            second.len(),
+            first.len(),
+        );
+    }
 }
 
 /// Guarantee 2a: an explicit `FaultSpec::none()` produces the same bytes

@@ -68,16 +68,31 @@ fn cold_runs_and_snapshot_resumes_are_byte_identical_across_the_grid() {
 
 #[test]
 fn snapshots_survive_the_file_format_round_trip() {
-    let cfg = cell(13, PolicyKind::PaperDefault, true, false);
-    let driver = SimDriver::new(cfg).expect("valid cell");
-    let cold = driver.run();
-    let snap = driver
-        .snapshot_at(SimTime::from_millis(MILLIS_PER_DAY / 3))
-        .expect("instant within horizon");
-    let reloaded =
-        SimSnapshot::from_file_str(&snap.to_file_string()).expect("own output reloads");
-    let resumed = SimDriver::resume(&reloaded).expect("reloaded snapshot restores");
-    assert_eq!(resumed.canonical_bytes(), cold.canonical_bytes());
+    // The second cell is a three-region estate under faults: per-region
+    // tallies, region gauges and the pending-evacuation queue all travel
+    // through the file.
+    let mut multi_region = cell(23, PolicyKind::PaperDefault, true, false);
+    multi_region.region_replicas = 3;
+    for cfg in [
+        cell(13, PolicyKind::PaperDefault, true, false),
+        multi_region,
+    ] {
+        let driver = SimDriver::new(cfg).expect("valid cell");
+        let cold = driver.run();
+        assert!(cold.stats.faults.host_failures > 0, "the plan is non-empty");
+        let snap = driver
+            .snapshot_at(SimTime::from_millis(MILLIS_PER_DAY / 3))
+            .expect("instant within horizon");
+        let reloaded =
+            SimSnapshot::from_file_str(&snap.to_file_string()).expect("own output reloads");
+        let resumed = SimDriver::resume(&reloaded).expect("reloaded snapshot restores");
+        assert_eq!(
+            resumed.canonical_bytes(),
+            cold.canonical_bytes(),
+            "region_replicas={}",
+            cfg.region_replicas
+        );
+    }
 }
 
 /// The warm-started sweep grid: 2 seeds × (no faults | host failures),
