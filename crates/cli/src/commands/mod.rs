@@ -156,15 +156,19 @@ pub enum RunExec<'a> {
 
 impl RunExec<'_> {
     /// Drive the core under `rec`. The snapshot slot is `Some` exactly
-    /// for [`RunExec::Snapshot`].
-    fn run<R: Recorder>(&self, rec: &mut R) -> Result<(RunResult, Option<SimSnapshot>), SimError> {
+    /// for [`RunExec::Snapshot`]. A snapshot that loaded but does not
+    /// restore (its body does not fit the world its config derives) is a
+    /// data error, like any other bad snapshot file.
+    fn run<R: Recorder>(&self, rec: &mut R) -> Result<(RunResult, Option<SimSnapshot>), CliError> {
         match self {
             RunExec::Cold(cfg) => Ok((SimDriver::new(*cfg)?.run_with_recorder(rec), None)),
             RunExec::Snapshot(cfg, at) => {
                 let (result, snap) = SimDriver::new(*cfg)?.run_with_snapshot(*at, rec)?;
                 Ok((result, Some(snap)))
             }
-            RunExec::Resume(snap) => Ok((SimDriver::resume_with_recorder(snap, rec)?, None)),
+            RunExec::Resume(snap) => SimDriver::resume_with_recorder(snap, rec)
+                .map(|result| (result, None))
+                .map_err(|e| CliError::Data(e.to_string())),
         }
     }
 }
@@ -193,7 +197,7 @@ pub fn execute_with_obs(
     out: &mut dyn Write,
 ) -> Result<(RunResult, Option<SimSnapshot>), CliError> {
     let Some(obs) = obs else {
-        return Ok(exec.run(&mut NullRecorder)?);
+        return exec.run(&mut NullRecorder);
     };
     if obs.jsonl_path.is_none() && obs.chrome_path.is_none() {
         let mut rec = MetricsRecorder::new();

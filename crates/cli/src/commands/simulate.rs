@@ -146,9 +146,9 @@ fn run_resume(parsed: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
 
     let text = std::fs::read_to_string(path)
         .map_err(|e| CliError::Io(format!("cannot read {path}: {e}")))?;
-    // Corruption (truncation, schema drift, hash mismatch) is a data
-    // error; a loadable snapshot whose fault spec is not restated is a
-    // configuration error.
+    // Corruption (truncation, schema drift, hash mismatch, a body that
+    // does not fit its config's world) is a data error; a loadable
+    // snapshot whose fault spec is not restated is a configuration error.
     let snap =
         SimSnapshot::from_file_str(&text).map_err(|e| CliError::Data(format!("{path}: {e}")))?;
     let given = match parsed.get("faults") {

@@ -486,9 +486,15 @@ fn corrupt_snapshots_fail_with_typed_exit_codes() {
     let err = run_capture(&["simulate", "--resume", "/nonexistent/x.snapshot"]).unwrap_err();
     assert_eq!(err.exit_code(), 4, "{err}");
 
-    // Truncation, schema drift, and hash tampering: data errors.
+    // Truncation, schema drift, hash tampering, and a re-signed body
+    // queueing an arrival for a spec the config does not derive: data
+    // errors, never a panic.
     let header_len = good.find('\n').unwrap();
-    let cases: [String; 4] = [
+    let bogus_body =
+        good[header_len + 1..]
+            .trim_end()
+            .replacen("\"Scrape\"]", "{\"VmArrival\":99999999}]", 1);
+    let cases: [String; 5] = [
         good[..header_len].to_string(),
         good.replacen("sapsim.snapshot/v1", "sapsim.snapshot/v0", 1),
         good.replacen(&good[..header_len], "", 1),
@@ -497,6 +503,10 @@ fn corrupt_snapshots_fail_with_typed_exit_codes() {
             tampered.truncate(good.len() - good.len() / 3);
             tampered
         },
+        format!(
+            "{{\"schema\":\"sapsim.snapshot/v1\",\"canonical_hash\":\"{:016x}\"}}\n{bogus_body}\n",
+            sapsim_core::fnv1a_64(bogus_body.as_bytes())
+        ),
     ];
     for (i, case) in cases.iter().enumerate() {
         std::fs::write(&snap, case).unwrap();
@@ -510,7 +520,7 @@ fn corrupt_snapshots_fail_with_typed_exit_codes() {
 #[test]
 fn resume_requires_restating_the_fault_spec() {
     let dir = std::env::temp_dir();
-    let snap = dir.join(format!("sapsim-cli-refault-{}.snapshot", std::process::id()));
+    let snap = dir.join(format!("sapsim-cli-restate-{}.snapshot", std::process::id()));
     let snap_str = snap.to_str().expect("utf8 path");
     let spec = "fail=30.0,downtime=2";
     let base = &[

@@ -270,9 +270,9 @@ struct RunState {
     region_departed: Vec<u64>,
     /// `sim.stats().scheduled` at the end of world construction: the
     /// number of events the build itself enqueued (arrivals, periodic
-    /// seeds, maintenance windows, fault plan). Snapshot metadata — the
-    /// fork path needs to know where build-time seqs end and
-    /// handler-scheduled seqs begin.
+    /// seeds, maintenance windows, fault plan). No handler reads it; it
+    /// is carried only so the `sapsim.snapshot/v1` text keeps its field
+    /// and restore → re-capture stays the identity.
     init_scheduled: u64,
     run_start: Instant,
     profile: RunProfile,
@@ -744,6 +744,21 @@ impl SimDriver {
             ));
         }
         let w = Self::derive_world(&cfg);
+        let nodes = w.topo.nodes().len();
+        if let Some((t, _, ev)) = snap.events.iter().find(|(_, _, ev)| match *ev {
+            Event::VmArrival(spec_index) => spec_index >= w.specs.len(),
+            Event::MaintenanceStart(node)
+            | Event::MaintenanceEnd(node)
+            | Event::HostFail(node)
+            | Event::HostRecover(node) => node.index() >= nodes,
+            _ => false,
+        }) {
+            return Err(SimError::Snapshot(format!(
+                "snapshot queues {} at {t} outside the config's world ({} specs, {nodes} nodes)",
+                ev.to_json_string(),
+                w.specs.len()
+            )));
+        }
         if snap.cloud.vm_slots.len() != w.specs.len() {
             return Err(SimError::Snapshot(format!(
                 "snapshot carries {} VM slots but the config derives {} specs",
@@ -784,12 +799,11 @@ impl SimDriver {
         // dropout windows without them ever touching the snapshot.
         let fault_plan = FaultPlan::generate(
             &cfg.faults,
-            cloud.topology().nodes().len(),
+            nodes,
             warmup,
             horizon,
             &SimRng::seed_from(cfg.seed),
         );
-        let nodes = cloud.topology().nodes().len();
         let run_start = Instant::now();
         Ok(RunState {
             cfg,
@@ -2472,35 +2486,38 @@ mod tests {
     }
 
     #[test]
-    fn forked_fault_branch_matches_cold_run() {
-        let mut base = SimConfig::smoke_test();
-        base.seed = 35;
-        base.warmup_days = 7;
-        base.days = 2;
-        let mut branch_cfg = base;
-        branch_cfg.faults = sapsim_faults::FaultSpec {
+    fn faulted_run_captured_at_the_end_of_warm_up_resumes_exactly() {
+        let mut cfg = SimConfig::smoke_test();
+        cfg.seed = 35;
+        cfg.warmup_days = 7;
+        cfg.days = 2;
+        cfg.faults = sapsim_faults::FaultSpec {
             host_fail_rate_per_month: 10.0,
             host_downtime_hours: 6.0,
             dropout_rate_per_month: 6.0,
             dropout_duration_hours: 4.0,
-            // Stragglers degrade every scrape including warm-up, so a
-            // forkable branch must keep them off.
-            straggler_fraction: 0.0,
+            // Stragglers degrade warm-up scrapes too, so the capture
+            // carries their effect across the boundary.
+            straggler_fraction: 0.2,
             ..sapsim_faults::FaultSpec::none()
         };
-        let cold = SimDriver::new(branch_cfg).unwrap().run();
-        let snap = SimDriver::new(base)
-            .unwrap()
-            .snapshot_at(SimTime::from_days(base.warmup_days))
+        let driver = SimDriver::new(cfg).unwrap();
+        let cold = driver.run();
+        assert!(cold.stats.faults.host_failures > 0, "the plan is non-empty");
+        // The warm-up boundary itself: the first observed scrape sits
+        // exactly at the cutoff and stays queued for the continuation.
+        let (captured, snap) = driver
+            .run_with_snapshot(SimTime::from_days(cfg.warmup_days), &mut NullRecorder)
             .unwrap();
-        let forked = snap.refault(&branch_cfg).unwrap();
-        let resumed = SimDriver::resume(&forked).unwrap();
-        assert_eq!(resumed.stats, cold.stats);
-        assert_eq!(
-            resumed.canonical_bytes(),
-            cold.canonical_bytes(),
-            "warm-started fault branch diverged from its cold run"
-        );
+        let resumed = SimDriver::resume(&snap).unwrap();
+        for (how, run) in [("captured", &captured), ("resumed", &resumed)] {
+            assert_eq!(run.stats, cold.stats, "{how}");
+            assert_eq!(
+                run.canonical_bytes(),
+                cold.canonical_bytes(),
+                "{how} run diverged from the cold run at the warm-up boundary"
+            );
+        }
     }
 
     #[test]

@@ -22,16 +22,6 @@
 //!
 //! Truncation, schema drift, and tampering all surface as typed
 //! [`SimError::Snapshot`] values — never a panic.
-//!
-//! # Forking (`refault`)
-//!
-//! A warm-started sweep runs one fault-free base prefix to the end of
-//! warm-up, snapshots it, and then [`SimSnapshot::refault`]s the capture
-//! once per fault branch: the branch's fault plan is re-drawn from its
-//! own lineage-split stream and its failure/recovery events are spliced
-//! into the event queue at exactly the seq numbers a cold build of the
-//! branch would have used. The resumed branch is byte-identical to the
-//! cold branch run — the differential suite pins this.
 
 use crate::cloud::CloudState;
 use crate::config::SimConfig;
@@ -39,11 +29,10 @@ use crate::driver::{Event, PendingEvac};
 use crate::error::SimError;
 use crate::result::{DriverStats, VmUsageSummary};
 use crate::scenario::fnv1a_64;
-use sapsim_faults::{FaultPlan, FaultSpec};
+use sapsim_faults::FaultSpec;
 use sapsim_json::{decode, json_codec, ToJson};
-use sapsim_sim::{SimRng, SimTime, SimulationStats};
+use sapsim_sim::{SimTime, SimulationStats};
 use sapsim_telemetry::TsdbStore;
-use sapsim_topology::NodeId;
 
 /// Schema identifier on the first line of every snapshot file. Bump the
 /// version when the serialized state changes shape; old readers reject
@@ -67,10 +56,9 @@ json_codec!(struct SnapshotHeader { schema, canonical_hash });
 /// [`SimDriver::snapshot_at`](crate::SimDriver::snapshot_at) /
 /// [`run_with_snapshot`](crate::SimDriver::run_with_snapshot), travel as
 /// files through [`to_file_string`](Self::to_file_string) /
-/// [`from_file_str`](Self::from_file_str), and fork into fault branches
-/// through [`refault`](Self::refault). A snapshot is immutable: every
-/// resume deep-copies its tables, so one snapshot can seed any number of
-/// independent continuations.
+/// [`from_file_str`](Self::from_file_str). A snapshot is immutable:
+/// every resume deep-copies its tables, so one snapshot can seed any
+/// number of independent continuations.
 #[derive(Debug, Clone)]
 pub struct SimSnapshot {
     pub(crate) config: SimConfig,
@@ -169,107 +157,6 @@ impl SimSnapshot {
                 "the given fault spec does not match the one the snapshot was taken under".into(),
             )),
         }
-    }
-
-    /// Fork a fault-free, end-of-warm-up capture into a fault branch:
-    /// returns a new snapshot that resumes exactly like a cold run of
-    /// `branch` would continue from the same instant.
-    ///
-    /// Sound because the fault plan draws from its own lineage-split RNG
-    /// stream (enabling faults reshuffles nothing else), host failures
-    /// land strictly after warm-up, and dropouts only suppress recording
-    /// (off during warm-up) — so the fault-free warm-up prefix is shared
-    /// verbatim. Stragglers are the exception: they degrade every scrape
-    /// including warm-up, so straggler branches cannot fork and are
-    /// rejected here.
-    ///
-    /// `branch` must be identical to the snapshot's config except for the
-    /// fault spec. The branch's failure/recovery events are spliced in at
-    /// the seq numbers a cold build would have assigned (immediately
-    /// after the base build's own events), with every handler-scheduled
-    /// seq shifted up to make room — relative order is untouched, so the
-    /// replay is bit-identical.
-    pub fn refault(&self, branch: &SimConfig) -> Result<SimSnapshot, SimError> {
-        branch.validate()?;
-        if !self.config.faults.is_none() {
-            return Err(SimError::Snapshot(
-                "fork base must be fault-free: this snapshot was taken under a fault spec".into(),
-            ));
-        }
-        if branch.faults.straggler_fraction > 0.0 {
-            return Err(SimError::Snapshot(
-                "cannot fork a straggler branch: stragglers degrade warm-up scrapes, so the \
-                 shared prefix would differ from a cold run"
-                    .into(),
-            ));
-        }
-        let warmup = SimTime::from_days(self.config.warmup_days);
-        if self.config.warmup_days == 0 || self.now != warmup {
-            return Err(SimError::Snapshot(format!(
-                "fault forks attach at the end of warm-up (day {}); this snapshot sits at {}",
-                self.config.warmup_days, self.now
-            )));
-        }
-        // Same run in every respect but the fault spec: compare the
-        // configs with both specs zeroed. The serialized form also drops
-        // execution-only knobs, which are byte-identical by contract.
-        let mut branch_base = *branch;
-        branch_base.faults = FaultSpec::none();
-        if self.config.to_json_string() != branch_base.to_json_string() {
-            return Err(SimError::Snapshot(
-                "fork branch config differs from the snapshot beyond the fault spec".into(),
-            ));
-        }
-
-        let horizon = SimTime::from_days(branch.warmup_days + branch.days);
-        let plan = FaultPlan::generate(
-            &branch.faults,
-            self.cloud.node_states.len(),
-            warmup,
-            horizon,
-            &SimRng::seed_from(branch.seed),
-        );
-        let k = self.init_scheduled;
-        let n_inject: u64 = plan
-            .host_failures
-            .iter()
-            .map(|hf| 1 + hf.recover_at.is_some() as u64)
-            .sum();
-        let mut events: Vec<(SimTime, u64, Event)> = self
-            .events
-            .iter()
-            .map(|&(t, seq, ev)| (t, if seq < k { seq } else { seq + n_inject }, ev))
-            .collect();
-        let mut seq = k;
-        for hf in &plan.host_failures {
-            let node = NodeId::from_raw(hf.node);
-            events.push((hf.at, seq, Event::HostFail(node)));
-            seq += 1;
-            if let Some(t) = hf.recover_at {
-                events.push((t, seq, Event::HostRecover(node)));
-                seq += 1;
-            }
-        }
-        let mut sim_stats = self.sim_stats;
-        sim_stats.scheduled += n_inject;
-        let mut stats = self.stats;
-        stats.faults.straggler_nodes = plan.straggler_count() as u64;
-        stats.faults.dropout_windows = plan.dropout_window_count() as u64;
-        Ok(SimSnapshot {
-            config: *branch,
-            now: self.now,
-            sim_stats,
-            next_seq: self.next_seq + n_inject,
-            events,
-            init_scheduled: k + n_inject,
-            cloud: self.cloud.clone(),
-            stats,
-            vm_stats: self.vm_stats.clone(),
-            store: self.store.clone(),
-            pending: self.pending.clone(),
-            region_placed: self.region_placed.clone(),
-            region_departed: self.region_departed.clone(),
-        })
     }
 }
 
@@ -372,47 +259,5 @@ mod tests {
         assert!(err.to_string().contains("restate --faults"), "{err}");
         assert!(faulted.verify_fault_spec(Some(&cfg.faults)).is_ok());
         assert!(faulted.verify_fault_spec(Some(&FaultSpec::none())).is_err());
-    }
-
-    #[test]
-    fn refault_guards_its_preconditions() {
-        // Mid-run snapshot with no warm-up: not a fork point.
-        let s = snap();
-        let mut branch = *s.config();
-        branch.faults = FaultSpec {
-            host_fail_rate_per_month: 5.0,
-            ..FaultSpec::none()
-        };
-        let err = s.refault(&branch).unwrap_err();
-        assert!(matches!(err, SimError::Snapshot(_)), "{err}");
-
-        // Warmed-up fault-free base: a clean branch forks, a straggler
-        // branch and a config-drifted branch do not.
-        let mut base = SimConfig::smoke_test();
-        base.seed = 43;
-        base.warmup_days = 7;
-        base.days = 1;
-        let s = SimDriver::new(base)
-            .unwrap()
-            .snapshot_at(SimTime::from_days(base.warmup_days))
-            .unwrap();
-        let mut branch = base;
-        branch.faults = FaultSpec {
-            host_fail_rate_per_month: 5.0,
-            ..FaultSpec::none()
-        };
-        let forked = s.refault(&branch).unwrap();
-        assert_eq!(forked.config().faults, branch.faults);
-        assert!(forked.next_seq >= s.next_seq);
-
-        let mut straggler = branch;
-        straggler.faults.straggler_fraction = 0.5;
-        let err = s.refault(&straggler).unwrap_err();
-        assert!(err.to_string().contains("straggler"), "{err}");
-
-        let mut drifted = branch;
-        drifted.seed = 99;
-        let err = s.refault(&drifted).unwrap_err();
-        assert!(err.to_string().contains("beyond the fault spec"), "{err}");
     }
 }

@@ -18,15 +18,6 @@
 //!   (FNV-1a 64) into its [`RunSummary`], so "byte-identical at any
 //!   worker count, and identical to N sequential `sapsim simulate`
 //!   invocations" is a directly testable claim.
-//! * **Warm-start fork reuse** — scenarios that differ *only* in their
-//!   fault spec share their entire warm-up: the pool runs one fault-free
-//!   base prefix per group, snapshots it at the end of warm-up
-//!   ([`SimDriver::snapshot_at`]), and forks the capture per branch via
-//!   [`SimSnapshot::refault`]. Sound because forks are byte-identical to
-//!   cold runs by the snapshot determinism contract (straggler branches,
-//!   which perturb warm-up scrapes, stay on the cold path). Expansion
-//!   order and worker-count independence are untouched — the unit of
-//!   claiming changes, the reduction does not.
 //!
 //! The only sweep output *outside* the determinism contract is the
 //! optional per-run observability JSONL ([`ScenarioArtifacts::obs_jsonl`]):
@@ -45,9 +36,8 @@ pub use summary::{ClassCount, RunSummary, UtilizationBands, RUN_SUMMARY_SCHEMA};
 
 use sapsim_analysis::cdf::{utilization_cdf, VmResource};
 use sapsim_analysis::contention::contention_aggregate;
-use sapsim_core::{FaultSpec, Scenario, SimDriver, SimError, SimSnapshot, SimTime, SweepSpec};
-use sapsim_obs::{JsonlRecorder, MetricsRecorder, MetricsRegistry, NullRecorder, Recorder};
-use std::collections::HashMap;
+use sapsim_core::{Scenario, SimError, SweepSpec};
+use sapsim_obs::{JsonlRecorder, MetricsRecorder, MetricsRegistry, NullRecorder};
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -222,73 +212,13 @@ pub fn run_spec(spec: &SweepSpec, options: &SweepOptions) -> Result<SweepOutput,
     run_sweep(&scenarios, options)
 }
 
-/// The unit of claiming on the pool: either one cold scenario, or a
-/// shared-warm-up group executed off a single forked base snapshot.
-enum WorkUnit {
-    /// One scenario, run cold from `SimTime::ZERO`.
-    Solo(usize),
-    /// Two or more scenarios identical except for their fault spec. The
-    /// worker runs one fault-free base prefix to the end of warm-up,
-    /// snapshots it, and resumes a [`SimSnapshot::refault`] fork per
-    /// member (expansion indices, in expansion order).
-    Forked { members: Vec<usize> },
-}
-
-/// Partition the expansion into claimable [`WorkUnit`]s, preserving
-/// expansion order (unit *i* starts at or after unit *i-1*'s first
-/// member).
-///
-/// A group is forkable only when its members share everything but the
-/// fault spec (witnessed by the canonical config id with faults zeroed),
-/// warm-up is non-empty (otherwise there is no prefix to share), and no
-/// member injects stragglers — stragglers degrade every scrape including
-/// warm-up, so a straggler branch's prefix differs from the fault-free
-/// base and must run cold.
-fn plan_units(scenarios: &[Scenario]) -> Vec<WorkUnit> {
-    let mut order: Vec<String> = Vec::with_capacity(scenarios.len());
-    let mut groups: HashMap<String, Vec<usize>> = HashMap::new();
-    for (index, scenario) in scenarios.iter().enumerate() {
-        let cfg = scenario.config();
-        let key = if cfg.warmup_days > 0 && cfg.faults.straggler_fraction == 0.0 {
-            let mut base = *cfg;
-            base.faults = FaultSpec::none();
-            // The canonical config id ignores execution knobs, exactly
-            // like the refault equality check it stands in for.
-            Scenario::new("fork-key", base)
-                .expect("a config valid with faults stays valid without them")
-                .id()
-        } else {
-            format!("solo-{index}")
-        };
-        let members = groups.entry(key.clone()).or_default();
-        if members.is_empty() {
-            order.push(key);
-        }
-        members.push(index);
-    }
-    order
-        .into_iter()
-        .map(|key| {
-            let members = groups.remove(&key).expect("keyed during the scan");
-            if members.len() > 1 {
-                WorkUnit::Forked { members }
-            } else {
-                WorkUnit::Solo(members[0])
-            }
-        })
-        .collect()
-}
-
 /// Execute `scenarios` on the work-stealing pool and reduce
 /// deterministically.
 ///
 /// The returned report (and the CSV artifacts) are byte-identical at any
 /// [`SweepOptions::workers`] value, and each scenario's outcome is
 /// byte-identical to running it alone via
-/// [`Scenario::run`] — the contract the integration suite pins. Groups of
-/// scenarios that differ only in fault spec are warm-started from one
-/// shared base snapshot (see [`plan_units`]); the fork path is inside the
-/// same contract, so it changes wall-clock time, never bytes.
+/// [`Scenario::run`] — the contract the integration suite pins.
 pub fn run_sweep(
     scenarios: &[Scenario],
     options: &SweepOptions,
@@ -299,8 +229,6 @@ pub fn run_sweep(
     let workers = effective_workers(options.workers, scenarios.len());
     let mut slots: Vec<Option<(ScenarioOutcome, ScenarioArtifacts)>> =
         (0..scenarios.len()).map(|_| None).collect();
-    let units = plan_units(scenarios);
-    let units = &units;
 
     let next = AtomicUsize::new(0);
     let next = &next;
@@ -315,61 +243,26 @@ pub fn run_sweep(
                 // the one atomic.
                 let mut local = MetricsRegistry::new();
                 let mut busy_us: u64 = 0;
-                'claim: loop {
-                    let unit = next.fetch_add(1, Ordering::Relaxed);
-                    if unit >= units.len() {
+                loop {
+                    let index = next.fetch_add(1, Ordering::Relaxed);
+                    if index >= scenarios.len() {
                         break;
                     }
                     if options.collect_metrics {
-                        // Units still unclaimed at claim time (including
+                        // Cells still unclaimed at claim time (including
                         // this one): the depth of the claim queue.
-                        local.observe("sweep_claim_depth", (units.len() - unit) as u64);
+                        local.observe("sweep_claim_depth", (scenarios.len() - index) as u64);
                     }
-                    match &units[unit] {
-                        WorkUnit::Solo(index) => {
-                            let index = *index;
-                            let t0 = Instant::now();
-                            let outcome = execute_one(&scenarios[index], options, None);
-                            if options.collect_metrics {
-                                let us = t0.elapsed().as_micros() as u64;
-                                busy_us += us;
-                                local.counter("sweep_cells_completed", 1);
-                                local.observe("sweep_cell_us", us);
-                            }
-                            if tx.send((index, outcome)).is_err() {
-                                break;
-                            }
-                        }
-                        WorkUnit::Forked { members } => {
-                            // One fault-free warm-up for the whole group.
-                            let mut base_cfg = *scenarios[members[0]].config();
-                            base_cfg.faults = FaultSpec::none();
-                            let warmup = SimTime::from_days(base_cfg.warmup_days);
-                            let t0 = Instant::now();
-                            let base = SimDriver::new(base_cfg)
-                                .and_then(|driver| driver.snapshot_at(warmup))
-                                .expect("the fork base is a member config minus faults");
-                            if options.collect_metrics {
-                                let us = t0.elapsed().as_micros() as u64;
-                                busy_us += us;
-                                local.counter("sweep_fork_groups", 1);
-                                local.observe("sweep_fork_base_us", us);
-                            }
-                            for &index in members {
-                                let t0 = Instant::now();
-                                let outcome = execute_one(&scenarios[index], options, Some(&base));
-                                if options.collect_metrics {
-                                    let us = t0.elapsed().as_micros() as u64;
-                                    busy_us += us;
-                                    local.counter("sweep_cells_completed", 1);
-                                    local.counter("sweep_fork_reuse", 1);
-                                    local.observe("sweep_cell_us", us);
-                                }
-                                if tx.send((index, outcome)).is_err() {
-                                    break 'claim;
-                                }
-                            }
-                        }
+                    let t0 = Instant::now();
+                    let outcome = execute_one(&scenarios[index], options);
+                    if options.collect_metrics {
+                        let us = t0.elapsed().as_micros() as u64;
+                        busy_us += us;
+                        local.counter("sweep_cells_completed", 1);
+                        local.observe("sweep_cell_us", us);
+                    }
+                    if tx.send((index, outcome)).is_err() {
+                        break;
                     }
                 }
                 (local, busy_us)
@@ -417,41 +310,17 @@ pub fn run_sweep(
     })
 }
 
-/// Run one scenario — cold, or warm-started as a fault fork of `base` —
-/// under the recorder `rec` dictates. The fork path is byte-identical to
-/// the cold one by the snapshot determinism contract, so callers pick
-/// purely on wall-clock grounds.
-fn run_scenario<R: Recorder>(
-    scenario: &Scenario,
-    base: Option<&SimSnapshot>,
-    rec: &mut R,
-) -> sapsim_core::RunResult {
-    match base {
-        Some(snapshot) => {
-            let forked = snapshot
-                .refault(scenario.config())
-                .expect("fork groups are planned refault-eligible");
-            SimDriver::resume_with_recorder(&forked, rec)
-                .expect("a fork of a validated config resumes")
-        }
-        None => scenario.run_with_recorder(rec),
-    }
-}
-
-/// Run one scenario and package its outcome + artifacts. With `base`,
-/// the run is warm-started from the group's shared snapshot instead of
-/// cold from `SimTime::ZERO`.
+/// Run one scenario and package its outcome + artifacts.
 fn execute_one(
     scenario: &Scenario,
     options: &SweepOptions,
-    base: Option<&SimSnapshot>,
 ) -> (ScenarioOutcome, ScenarioArtifacts) {
     let (run, obs_jsonl, metrics_json) = if options.collect_obs {
         let mut rec = JsonlRecorder::with_defaults();
         if options.collect_metrics {
             rec = rec.with_metrics();
         }
-        let run = run_scenario(scenario, base, &mut rec);
+        let run = scenario.run_with_recorder(&mut rec);
         let metrics_json = rec.metrics().map(|m| m.to_json());
         let mut buf = Vec::new();
         rec.write_jsonl(&mut buf)
@@ -460,11 +329,11 @@ fn execute_one(
         (run, Some(text), metrics_json)
     } else if options.collect_metrics {
         let mut rec = MetricsRecorder::new();
-        let run = run_scenario(scenario, base, &mut rec);
+        let run = scenario.run_with_recorder(&mut rec);
         let json = rec.registry().to_json();
         (run, None, Some(json))
     } else {
-        let run = run_scenario(scenario, base, &mut NullRecorder);
+        let run = scenario.run_with_recorder(&mut NullRecorder);
         (run, None, None)
     };
 
@@ -601,77 +470,6 @@ mod tests {
         assert_eq!(plain.report.to_json(), output.report.to_json());
         assert!(plain.sweep_metrics.is_none());
         assert!(plain.artifacts.is_empty());
-    }
-
-    #[test]
-    fn warm_started_fault_groups_match_cold_runs_and_count_reuse() {
-        // A faults axis over a warmed-up base: one forkable group of two
-        // (none + host failures) per seed, sharing a 7-day warm-up.
-        let mut base = SimConfig::smoke_test();
-        base.scale = 0.01;
-        base.days = 1;
-        base.warmup_days = 7;
-        let mut spec = SweepSpec::new(base);
-        spec.faults = vec![
-            FaultSpec::none(),
-            FaultSpec {
-                host_fail_rate_per_month: 20.0,
-                host_downtime_hours: 6.0,
-                ..FaultSpec::none()
-            },
-        ];
-        let options = SweepOptions {
-            workers: 2,
-            collect_metrics: true,
-            ..SweepOptions::default()
-        };
-        let output = run_spec(&spec, &options).expect("sweep runs");
-        // Byte-for-byte what a cold sequential execution produces.
-        let scenarios = spec.expand().expect("valid");
-        for (outcome, scenario) in output.report.scenarios.iter().zip(&scenarios) {
-            let solo = RunSummary::from_run(&scenario.run());
-            assert_eq!(
-                outcome.summary,
-                solo,
-                "warm-started fork must match the cold run for `{}`",
-                scenario.name()
-            );
-        }
-        let m = output.sweep_metrics.as_ref().expect("pool registry");
-        assert_eq!(m.counter_value("sweep_fork_groups"), Some(1));
-        assert_eq!(m.counter_value("sweep_fork_reuse"), Some(2));
-        assert_eq!(m.counter_value("sweep_cells_completed"), Some(2));
-    }
-
-    #[test]
-    fn straggler_branches_stay_on_the_cold_path() {
-        // Stragglers perturb warm-up scrapes, so their cells must not
-        // join a fork group: expect zero reuse and correct bytes.
-        let mut base = SimConfig::smoke_test();
-        base.scale = 0.01;
-        base.days = 1;
-        base.warmup_days = 7;
-        let mut spec = SweepSpec::new(base);
-        spec.faults = vec![
-            FaultSpec::none(),
-            FaultSpec {
-                straggler_fraction: 0.25,
-                ..FaultSpec::none()
-            },
-        ];
-        let options = SweepOptions {
-            workers: 2,
-            collect_metrics: true,
-            ..SweepOptions::default()
-        };
-        let output = run_spec(&spec, &options).expect("sweep runs");
-        let m = output.sweep_metrics.as_ref().expect("pool registry");
-        assert_eq!(m.counter_value("sweep_fork_groups"), None);
-        assert_eq!(m.counter_value("sweep_fork_reuse"), None);
-        let scenarios = spec.expand().expect("valid");
-        for (outcome, scenario) in output.report.scenarios.iter().zip(&scenarios) {
-            assert_eq!(outcome.summary, RunSummary::from_run(&scenario.run()));
-        }
     }
 
     #[test]

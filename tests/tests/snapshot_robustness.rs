@@ -8,8 +8,8 @@
 //! * Corrupted snapshot files (truncation, schema drift, tampered
 //!   hashes, shape mismatches) must surface as typed
 //!   [`SimError::Snapshot`] values — never a panic.
-//! * One snapshot is a fork point, not a run: resuming or refaulting it
-//!   repeatedly must yield fully independent, identical runs.
+//! * One snapshot is a fork point, not a run: resuming it repeatedly
+//!   must yield fully independent, identical runs.
 
 use sapsim_core::{FaultSpec, SimConfig, SimDriver, SimError, SimSnapshot};
 use sapsim_sim::{SimRng, SimTime, MILLIS_PER_DAY};
@@ -117,9 +117,9 @@ fn corrupted_files_yield_typed_errors_never_panics() {
 
 #[test]
 fn shape_mismatches_are_rejected_on_restore() {
-    // A syntactically pristine snapshot whose body disagrees with the
-    // world its own config derives: swap in a different seed's body so
-    // every table has plausible values but the wrong shape/provenance.
+    // Syntactically pristine snapshots whose body disagrees with the
+    // world its own config derives, re-signed so only the semantic
+    // checks can reject them.
     let snap = sample_snapshot(false);
     let mut other_cfg = *snap.config();
     other_cfg.scale = 0.01; // derives a different estate and VM stream
@@ -127,28 +127,50 @@ fn shape_mismatches_are_rejected_on_restore() {
         .expect("valid config")
         .snapshot_at(snap.at())
         .expect("instant within horizon");
-    // Graft: snap's config over other's tables via JSON surgery. The
-    // body leads with `{"config":{...},"now":...`, so splitting on the
-    // first `,"now":` isolates exactly the config object.
     let snap_text = snap.to_file_string();
     let other_text = other.to_file_string();
     let snap_body = snap_text.lines().nth(1).expect("body line");
     let other_body = other_text.lines().nth(1).expect("body line");
+    // Graft: snap's config over other's tables, so every table has
+    // plausible values but the wrong shape/provenance. The body leads
+    // with `{"config":{...},"now":...`, so splitting on the first
+    // `,"now":` isolates exactly the config object.
     let snap_cfg = snap_body.split(",\"now\":").next().expect("config prefix");
     let other_cfg = other_body.split(",\"now\":").next().expect("config prefix");
-    let grafted_body = other_body.replacen(other_cfg, snap_cfg, 1);
-    // Re-sign so only the semantic check can reject it.
-    let hash = format!("{:016x}", sapsim_core::fnv1a_64(grafted_body.as_bytes()));
-    let grafted = format!(
-        "{{\"schema\":\"sapsim.snapshot/v1\",\"canonical_hash\":\"{hash}\"}}\n{grafted_body}\n"
-    );
-    let reloaded = SimSnapshot::from_file_str(&grafted).expect("well-formed on the surface");
-    match SimDriver::resume(&reloaded) {
-        Err(SimError::Snapshot(msg)) => {
-            assert!(msg.contains("snapshot"), "{msg}");
+    let mut cases = vec![(
+        "cross-config graft".to_string(),
+        other_body.replacen(other_cfg, snap_cfg, 1),
+    )];
+    // A queued event naming a spec or node the world does not have. The
+    // one pending scrape is the event swapped out, in a capture taken
+    // before anything fired (its body is small, so the decodes are cheap).
+    let fresh_text = SimDriver::new(*snap.config())
+        .expect("valid config")
+        .snapshot_at(SimTime::ZERO)
+        .expect("instant within horizon")
+        .to_file_string();
+    let fresh_body = fresh_text.lines().nth(1).expect("body line");
+    assert_eq!(fresh_body.matches("\"Scrape\"]").count(), 1);
+    for event in ["VmArrival", "HostFail", "HostRecover", "MaintenanceStart"] {
+        let bogus = format!("{{\"{event}\":99999999}}]");
+        cases.push((
+            event.to_string(),
+            fresh_body.replacen("\"Scrape\"]", &bogus, 1),
+        ));
+    }
+    for (label, body) in cases {
+        let hash = format!("{:016x}", sapsim_core::fnv1a_64(body.as_bytes()));
+        let text = format!(
+            "{{\"schema\":\"sapsim.snapshot/v1\",\"canonical_hash\":\"{hash}\"}}\n{body}\n"
+        );
+        let reloaded = SimSnapshot::from_file_str(&text).expect("well-formed on the surface");
+        match SimDriver::resume(&reloaded) {
+            Err(SimError::Snapshot(msg)) => {
+                assert!(msg.contains("snapshot"), "{label}: {msg}");
+            }
+            Err(other) => panic!("{label}: wrong error class: {other}"),
+            Ok(_) => panic!("{label}: accepted"),
         }
-        Err(other) => panic!("wrong error class: {other}"),
-        Ok(_) => panic!("cross-config graft accepted"),
     }
 }
 
@@ -185,31 +207,4 @@ fn one_snapshot_forks_into_fully_independent_runs() {
     // And the snapshot itself is untouched by having been resumed.
     let recapture = SimDriver::resnapshot(&snap).expect("still restorable");
     assert_eq!(recapture.to_file_string(), snap.to_file_string());
-}
-
-#[test]
-fn refault_forks_from_one_base_are_independent_and_exact() {
-    let mut base_cfg = SimConfig::smoke_test();
-    base_cfg.scale = 0.01;
-    base_cfg.days = 1;
-    base_cfg.warmup_days = 7;
-    base_cfg.seed = 62;
-    let base = SimDriver::new(base_cfg)
-        .expect("valid base")
-        .snapshot_at(SimTime::from_days(base_cfg.warmup_days))
-        .expect("warm-up fits");
-    let mut branch_cfg = base_cfg;
-    branch_cfg.faults = FaultSpec {
-        host_fail_rate_per_month: 12.0,
-        host_downtime_hours: 6.0,
-        ..FaultSpec::none()
-    };
-    let cold = SimDriver::new(branch_cfg).expect("valid branch").run();
-    // Refault twice from the same base: both forks byte-match the cold
-    // branch run, and the base is left pristine in between.
-    for _ in 0..2 {
-        let fork = base.refault(&branch_cfg).expect("forkable branch");
-        let resumed = SimDriver::resume(&fork).expect("fork resumes");
-        assert_eq!(resumed.canonical_bytes(), cold.canonical_bytes());
-    }
 }
