@@ -1,20 +1,21 @@
-//! Output helpers shared by the experiment binaries: a standard output
-//! directory and a standard run used by every figure.
+//! Output helpers shared by the ablation binaries (`exp_ablation`,
+//! `exp_overcommit`, `exp_rebalance`): the `SAPSIM_*` base configuration
+//! and a standard output directory.
 
-use sapsim_core::{RunResult, SimConfig, SimDriver};
+use sapsim_core::SimConfig;
 use std::fs;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
-/// The experiment scale used by the `exp_*` binaries by default: 10 % of
-/// the region (≈182 nodes, ≈4.5k VMs) — laptop-friendly while preserving
-/// every qualitative effect. Override with the `SAPSIM_SCALE` environment
+/// The scale [`experiment_config`] falls back to: 10 % of the region
+/// (≈182 nodes, ≈4.5k VMs) — laptop-friendly while preserving every
+/// qualitative effect. Override with the `SAPSIM_SCALE` environment
 /// variable (e.g. `SAPSIM_SCALE=1.0` for the paper's full deployment).
 pub const DEFAULT_EXPERIMENT_SCALE: f64 = 0.10;
 
-/// Default observation window for the `exp_*` binaries. The paper's is 30
-/// days; the default here trades a shorter window for iteration speed.
-/// Override with `SAPSIM_DAYS`.
+/// The observation window [`experiment_config`] falls back to. The
+/// paper's is 30 days; the default here trades a shorter window for
+/// iteration speed. Override with `SAPSIM_DAYS`.
 pub const DEFAULT_EXPERIMENT_DAYS: u64 = 10;
 
 /// Build the standard experiment configuration, honoring the
@@ -30,24 +31,6 @@ pub fn experiment_config() -> SimConfig {
         .unwrap_or(DEFAULT_EXPERIMENT_DAYS);
     cfg.seed = env("SAPSIM_SEED").and_then(|v| v.parse().ok()).unwrap_or(0);
     cfg
-}
-
-/// Run the standard experiment simulation, printing a short banner.
-pub fn experiment_run() -> RunResult {
-    let cfg = experiment_config();
-    eprintln!(
-        "sapsim: simulating {} days at scale {:.2} (seed {}) ...",
-        cfg.days, cfg.scale, cfg.seed
-    );
-    let run = SimDriver::new(cfg).expect("experiment config is valid").run();
-    eprintln!(
-        "sapsim: done — {} nodes, {} placements ({:.1}% placed), {} migrations",
-        run.cloud.topology().nodes().len(),
-        run.stats.placements_attempted,
-        run.stats.placement_success_rate() * 100.0,
-        run.stats.drs_migrations + run.stats.cross_bb_migrations,
-    );
-    run
 }
 
 /// The output directory for experiment artifacts (`out/` under the
@@ -68,11 +51,6 @@ pub fn write_artifact(name: &str, contents: &str) -> io::Result<PathBuf> {
     Ok(path)
 }
 
-/// Read an artifact back (for tests).
-pub fn read_artifact(path: &Path) -> io::Result<String> {
-    fs::read_to_string(path)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -81,7 +59,7 @@ mod tests {
     fn artifacts_round_trip() {
         let unique = format!("test-artifact-{}.txt", std::process::id());
         let path = write_artifact(&unique, "hello").unwrap();
-        assert_eq!(read_artifact(&path).unwrap(), "hello");
+        assert_eq!(fs::read_to_string(&path).unwrap(), "hello");
         fs::remove_file(path).unwrap();
     }
 

@@ -17,6 +17,7 @@ use sapsim_core::{
 use sapsim_scheduler::PolicyKind;
 use std::fs::File;
 use std::io::{BufWriter, Write};
+use std::path::Path;
 
 /// Options shared by `simulate` and `export`.
 pub const SIM_VALUE_OPTIONS: &[&str] = &[
@@ -92,6 +93,19 @@ pub(crate) fn parse_fault_spec(spec: &str) -> Result<FaultSpec, CliError> {
             other => CliError::Usage(format!("--faults: {other}")),
         })
     }
+}
+
+/// Create an output directory (and its parents) with a path-bearing
+/// error.
+pub(crate) fn create_dir(dir: &Path) -> Result<(), CliError> {
+    std::fs::create_dir_all(dir)
+        .map_err(|e| CliError::Io(format!("cannot create {}: {e}", dir.display())))
+}
+
+/// Write one artifact file with a path-bearing error.
+pub(crate) fn write_file(path: &Path, contents: &str) -> Result<(), CliError> {
+    std::fs::write(path, contents)
+        .map_err(|e| CliError::Io(format!("cannot create {}: {e}", path.display())))
 }
 
 /// Observability export destinations and recorder knobs, parsed from the

@@ -1,29 +1,32 @@
 //! `sapsim simulate` — run and summarize, with optional snapshot
-//! capture (`--snapshot-at`/`--snapshot-out`) and resume (`--resume`).
+//! capture (`--snapshot-at`/`--snapshot-out`) and resume (`--resume`),
+//! and every paper artifact of the run written with `--out DIR`.
 
 use super::{
-    execute_with_obs, obs_args_from, parse_fault_spec, sim_config_from, ObsArgs, RunExec,
-    SIM_BOOL_FLAGS, SIM_VALUE_OPTIONS,
+    create_dir, execute_with_obs, obs_args_from, parse_fault_spec, sim_config_from, write_file,
+    ObsArgs, RunExec, SIM_BOOL_FLAGS, SIM_VALUE_OPTIONS,
 };
 use crate::args::Parsed;
 use crate::error::CliError;
+use sapsim_analysis::artifacts::paper_artifacts;
 use sapsim_analysis::cdf::{utilization_cdf, VmResource};
 use sapsim_analysis::contention::contention_aggregate;
 use sapsim_core::{RunResult, SimConfig, SimSnapshot};
 use sapsim_sim::{SimTime, MILLIS_PER_DAY};
 use sapsim_sweep::RunSummary;
 use std::io::Write;
+use std::path::Path;
 
 /// Value options only `simulate` understands, on top of the shared sim
-/// surface: snapshot capture and resume.
-const SNAPSHOT_VALUE_OPTIONS: &[&str] = &["snapshot-at", "snapshot-out", "resume"];
+/// surface: snapshot capture and resume, and the artifact directory.
+const SIMULATE_VALUE_OPTIONS: &[&str] = &["snapshot-at", "snapshot-out", "resume", "out"];
 
 /// Execute the subcommand.
 pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let flags: Vec<&str> = SIM_BOOL_FLAGS.iter().copied().chain(["json"]).collect();
     let options: Vec<&str> = SIM_VALUE_OPTIONS
         .iter()
-        .chain(SNAPSHOT_VALUE_OPTIONS)
+        .chain(SIMULATE_VALUE_OPTIONS)
         .copied()
         .collect();
     let parsed = Parsed::parse(argv, &options, &flags)?;
@@ -38,14 +41,16 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let cfg = sim_config_from(&parsed)?;
     let obs = obs_args_from(&parsed)?;
     let capture = capture_args(&parsed)?;
+    let artifact_dir = artifact_dir(&parsed)?;
 
     if parsed.flag("json") {
         // Machine-readable mode: the only stdout line is the versioned
-        // run summary. Obs and snapshot files are still written, but
-        // their status lines are swallowed so the output stays a single
-        // JSON object.
+        // run summary. Obs, snapshot and artifact files are still
+        // written, but their status lines are swallowed so the output
+        // stays a single JSON object.
         let mut status = Vec::new();
         let result = execute(cfg, obs.as_ref(), capture, &mut status)?;
+        write_artifacts(&result, artifact_dir, &mut status)?;
         writeln!(out, "{}", RunSummary::from_run(&result).to_json())?;
         return Ok(());
     }
@@ -59,7 +64,30 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         cfg.seed
     )?;
     let result = execute(cfg, obs.as_ref(), capture, out)?;
-    print_report(&result, out)
+    print_report(&result, out)?;
+    write_artifacts(&result, artifact_dir, out)
+}
+
+/// `--out DIR`, created before the run so that a path which cannot hold
+/// files fails fast instead of after the simulation.
+fn artifact_dir(parsed: &Parsed) -> Result<Option<&Path>, CliError> {
+    let dir = parsed.get("out").map(Path::new);
+    if let Some(dir) = dir {
+        create_dir(dir)?;
+    }
+    Ok(dir)
+}
+
+/// Write every paper figure and table of `result` into `dir` (when
+/// `--out` was given), plus a one-line status to `out`.
+fn write_artifacts(result: &RunResult, dir: Option<&Path>, out: &mut dyn Write) -> Result<(), CliError> {
+    let Some(dir) = dir else { return Ok(()) };
+    let artifacts = paper_artifacts(result);
+    for artifact in &artifacts {
+        write_file(&dir.join(artifact.name), &artifact.contents)?;
+    }
+    writeln!(out, "\nwrote {} paper artifacts to {}", artifacts.len(), dir.display())?;
+    Ok(())
 }
 
 /// Parse the snapshot-capture pair. Both options or neither: a capture
@@ -157,10 +185,12 @@ fn run_resume(parsed: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
     };
     snap.verify_fault_spec(given.as_ref())?;
     let obs = obs_args_from(parsed)?;
+    let artifact_dir = artifact_dir(parsed)?;
 
     if parsed.flag("json") {
         let mut status = Vec::new();
         let (result, _) = execute_with_obs(RunExec::Resume(&snap), obs.as_ref(), &mut status)?;
+        write_artifacts(&result, artifact_dir, &mut status)?;
         writeln!(out, "{}", RunSummary::from_run(&result).to_json())?;
         return Ok(());
     }
@@ -176,7 +206,8 @@ fn run_resume(parsed: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
         cfg.seed
     )?;
     let (result, _) = execute_with_obs(RunExec::Resume(&snap), obs.as_ref(), out)?;
-    print_report(&result, out)
+    print_report(&result, out)?;
+    write_artifacts(&result, artifact_dir, out)
 }
 
 /// The human-readable run report shared by the cold and resume paths.

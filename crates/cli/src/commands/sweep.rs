@@ -10,6 +10,7 @@
 //! `--metrics-dir` snapshots sit outside that contract (they record
 //! wall-clock timings and pool-scheduling detail).
 
+use super::{create_dir, write_file};
 use crate::args::Parsed;
 use crate::error::CliError;
 use sapsim_sweep::{effective_workers, parse_manifest, run_sweep, SweepOptions};
@@ -65,8 +66,7 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 
     if let Some(dir) = &out_dir {
         let dir = Path::new(dir);
-        std::fs::create_dir_all(dir)
-            .map_err(|e| CliError::Io(format!("cannot create {}: {e}", dir.display())))?;
+        create_dir(dir)?;
         let files = [
             ("report.json", output.report.to_json()),
             ("report.txt", output.report.render()),
@@ -83,8 +83,7 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 
     if let Some(dir) = &obs_dir {
         let dir = Path::new(dir);
-        std::fs::create_dir_all(dir)
-            .map_err(|e| CliError::Io(format!("cannot create {}: {e}", dir.display())))?;
+        create_dir(dir)?;
         let mut written = 0usize;
         for artifact in &output.artifacts {
             if let Some(jsonl) = &artifact.obs_jsonl {
@@ -99,8 +98,7 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 
     if let Some(dir) = &metrics_dir {
         let dir = Path::new(dir);
-        std::fs::create_dir_all(dir)
-            .map_err(|e| CliError::Io(format!("cannot create {}: {e}", dir.display())))?;
+        create_dir(dir)?;
         let mut written = 0usize;
         for artifact in &output.artifacts {
             if let Some(json_line) = &artifact.metrics_json {
@@ -127,10 +125,4 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         }
     }
     Ok(())
-}
-
-/// Write one artifact file with a path-bearing error.
-fn write_file(path: &Path, contents: &str) -> Result<(), CliError> {
-    std::fs::write(path, contents)
-        .map_err(|e| CliError::Io(format!("cannot create {}: {e}", path.display())))
 }

@@ -69,6 +69,10 @@ SIMULATION OPTIONS (simulate, export):
     --json               (simulate only) print a single-line machine-readable
                          run summary (schema sapsim.run-summary/v1) instead
                          of the human-readable report
+    --out <DIR>          (simulate only) also write every paper figure CSV
+                         (Fig. 5-15), Tables 3-5 and report.txt computed
+                         from this run into DIR; cold, captured and resumed
+                         runs write the same bytes
 
 SNAPSHOT OPTIONS (simulate only):
     --snapshot-at <D>    pause a cold run at day D (fractions allowed) and

@@ -108,13 +108,22 @@ fn exit_codes_separate_failure_classes() {
         assert_eq!(err.exit_code(), 3, "{argv:?}: {err}");
         assert!(err.to_string().starts_with("invalid config: days "), "{err}");
     }
-    // Io: missing input file.
+    // Io: missing input file, and an output directory under a regular
+    // file.
     assert_eq!(
         run_capture(&["import", "/nonexistent/definitely-not-here.csv"])
             .unwrap_err()
             .exit_code(),
         4
     );
+    let file = std::env::temp_dir().join(format!("sapsim-cli-out-file-{}", std::process::id()));
+    std::fs::write(&file, "not a directory").unwrap();
+    let under = file.join("artifacts");
+    let argv = ["simulate", "--scale", "0.02", "--days", "1", "--no-warmup", "--out"];
+    let err = run_capture(&[&argv[..], &[under.to_str().unwrap()]].concat()).unwrap_err();
+    assert_eq!(err.exit_code(), 4, "{err}");
+    assert!(err.to_string().contains("cannot create"), "{err}");
+    std::fs::remove_file(&file).unwrap();
     // Data: readable file, malformed content.
     let dir = std::env::temp_dir();
     let path = dir.join(format!("sapsim-cli-badlog-{}.jsonl", std::process::id()));
@@ -548,4 +557,67 @@ fn resume_requires_restating_the_fault_spec() {
     assert_eq!(resumed, cold);
 
     std::fs::remove_file(&snap).expect("cleanup");
+}
+
+/// The files of an output directory as sorted (name, contents) pairs.
+fn read_dir_sorted(dir: &std::path::Path) -> Vec<(String, String)> {
+    let mut files: Vec<(String, String)> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| {
+            let path = entry.unwrap().path();
+            let name = path.file_name().unwrap().to_str().unwrap().to_string();
+            (name, std::fs::read_to_string(&path).unwrap())
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+#[test]
+fn simulate_out_writes_every_paper_artifact_of_the_run() {
+    let dir = std::env::temp_dir().join(format!("sapsim-cli-out-{}", std::process::id()));
+    let argv = ["simulate", "--scale", "0.02", "--days", "2", "--seed", "7", "--out"];
+    let text = run_capture(&[&argv[..], &[dir.to_str().unwrap()]].concat()).unwrap();
+    assert!(text.contains("contention:") && text.contains("wrote 16 paper artifacts"), "{text}");
+
+    let mut cfg = sapsim_core::SimConfig::default();
+    (cfg.scale, cfg.days, cfg.seed) = (0.02, 2, 7);
+    let run = sapsim_core::SimDriver::new(cfg).unwrap().run();
+    let mut want: Vec<(String, String)> = sapsim_analysis::artifacts::paper_artifacts(&run)
+        .into_iter()
+        .map(|a| (a.name.to_string(), a.contents))
+        .collect();
+    want.sort();
+    let names: Vec<&str> = want.iter().map(|(name, _)| name.as_str()).collect();
+    let expected = "fig10_memory_heatmap.csv fig11_net_tx_heatmap.csv fig12_net_rx_heatmap.csv \
+        fig13_storage_heatmap.csv fig14a_cpu_cdf.csv fig14b_mem_cdf.csv fig15_lifetimes.csv \
+        fig5_cpu_heatmap.csv fig6_bb_cpu_heatmap.csv fig7_bb_nodes_heatmap.csv \
+        fig8_ready_time.csv fig9_contention.csv report.txt table3_comparison.txt \
+        table4_metrics.txt table5_datacenters.txt";
+    assert_eq!(names, expected.split_whitespace().collect::<Vec<_>>());
+    assert!(read_dir_sorted(&dir) == want, "files differ from paper_artifacts of the same run");
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+#[test]
+fn simulate_out_is_the_same_cold_json_and_resumed() {
+    let dir = std::env::temp_dir().join(format!("sapsim-cli-out-resume-{}", std::process::id()));
+    let (cold, resumed, snap) = (dir.join("cold"), dir.join("resumed"), dir.join("run.snapshot"));
+    let [cold_str, resumed_str, snap_str] = [&cold, &resumed, &snap].map(|p| p.to_str().unwrap());
+    let base = ["simulate", "--scale", "0.02", "--days", "2", "--seed", "7", "--json"];
+
+    // --json keeps stdout the one summary line with --out on.
+    let json = run_capture(&base).unwrap();
+    assert_eq!(run_capture(&[&base[..], &["--out", cold_str]].concat()).unwrap(), json);
+    let capture = [&base[..], &["--snapshot-at", "8", "--snapshot-out", snap_str]].concat();
+    assert_eq!(run_capture(&capture).unwrap(), json);
+    let text = run_capture(&["simulate", "--resume", snap_str, "--out", resumed_str]).unwrap();
+    assert!(text.contains("resuming day 8.00 of 2"), "{text}");
+
+    let (cold, resumed) = (read_dir_sorted(&cold), read_dir_sorted(&resumed));
+    assert_eq!(cold.len(), 16);
+    for ((name, a), (other, b)) in cold.iter().zip(&resumed) {
+        assert!(name == other && a == b, "{name}: resumed run wrote other bytes than its cold twin");
+    }
+    std::fs::remove_dir_all(&dir).expect("cleanup");
 }

@@ -162,6 +162,7 @@ impl std::error::Error for JsonError {}
 /// error — a request line must be exactly one value.
 pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -175,6 +176,7 @@ pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -341,13 +343,14 @@ impl<'a> Parser<'a> {
                 }
                 Some(c) if c < 0x20 => return Err(self.err("control character in string")),
                 Some(_) => {
-                    // Copy one UTF-8 scalar (input is &str, so boundaries
-                    // are trustworthy).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let ch = s.chars().next().ok_or_else(|| self.err("unterminated string"))?;
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    // Copy the run of plain bytes up to the next `"`, `\`
+                    // or control byte as one slice. The stop bytes are
+                    // ASCII, so both ends are char boundaries of the input.
+                    let start = self.pos;
+                    while matches!(self.peek(), Some(c) if c != b'"' && c != b'\\' && c >= 0x20) {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -613,6 +616,32 @@ mod tests {
         for bad in ["01x", "[1,]", "{,}", "{\"a\" 1}", "\"\\x\"", "\"a\nb\"", "+1", ".5", "tru", "[", "\u{feff}1"] {
             assert!(parse(bad).is_err(), "accepted: {bad:?}");
         }
+    }
+
+    #[test]
+    fn megabyte_documents_decode_in_linear_time() {
+        // Snapshot files are megabytes of JSON; a decoder that rescans the
+        // rest of the input per character takes minutes on them.
+        let value: String = "abcdé東😀 ".repeat(1 << 17);
+        let mut long_string = String::new();
+        push_str(&mut long_string, &value);
+        let mut many_keys = String::from("{");
+        for i in 0..100_000 {
+            let _ = write!(many_keys, "\"key{i:06}\":{i},");
+        }
+        many_keys.pop();
+        many_keys.push('}');
+        assert!(long_string.len() >= 1 << 20 && many_keys.len() >= 1 << 20);
+
+        let started = std::time::Instant::now();
+        let decoded = parse(&long_string).unwrap();
+        let object = parse(&many_keys).unwrap();
+        let elapsed = started.elapsed();
+        assert!(elapsed.as_secs_f64() < 2.0, "two 1 MiB documents took {elapsed:?}");
+        assert_eq!(decoded.as_str(), Some(value.as_str()));
+        let pairs = object.as_obj().unwrap();
+        assert_eq!(pairs.len(), 100_000);
+        assert_eq!(pairs[99_999], ("key099999".to_string(), JsonValue::Int(99_999)));
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub use filter::{
     Filter, PurposeFilter, RamFilter,
 };
 pub use index::{Bucket, CandidateIndex};
-pub use packing::{pack_all, BinPacker, OfflineStrategyError, PackingOutcome, PackingStrategy};
+pub use packing::{pack_all, PackingOutcome, PackingStrategy};
 pub use pipeline::{FilterScheduler, IndexStats, PipelineStats, RankOptions, Ranking, ScheduleError};
 pub use policies::{PlacementPolicy, PolicyKind};
 pub use rebalance::{

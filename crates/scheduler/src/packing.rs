@@ -2,36 +2,11 @@
 //!
 //! The paper frames VM-to-host assignment as bin packing (Section 3.2):
 //! "Well-known strategies with low computational effort include First-Fit,
-//! Best-Fit, and Worst-Fit." These serve two roles here:
-//!
-//! * [`BinPacker::choose`] — an online policy usable in place of the
-//!   Nova pipeline, for baseline comparisons;
-//! * [`pack_all`] — offline packing of a whole item list into
-//!   identical bins, for the "maximize placeable VMs per flavor"
-//!   optimization objective and the ablation benches.
+//! Best-Fit, and Worst-Fit." [`pack_all`] packs a whole item list into
+//! identical bins with any of them, for the "maximize placeable VMs per
+//! flavor" optimization objective and the ablation benches.
 
-use crate::request::HostView;
 use sapsim_topology::{ResourceKind, Resources};
-use std::fmt;
-
-/// An offline (decreasing) strategy was handed to the online
-/// [`BinPacker`], which processes items one at a time and cannot pre-sort
-/// them. Use [`pack_all`] for the decreasing variants.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OfflineStrategyError(pub PackingStrategy);
-
-impl fmt::Display for OfflineStrategyError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{:?} is an offline strategy; the online BinPacker cannot pre-sort items \
-             (use pack_all)",
-            self.0
-        )
-    }
-}
-
-impl std::error::Error for OfflineStrategyError {}
 
 /// The classic heuristics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -86,63 +61,6 @@ enum OnlineRule {
     First,
     Best,
     Worst,
-}
-
-/// An online bin-packing chooser over host views.
-#[derive(Debug, Clone, Copy)]
-pub struct BinPacker {
-    /// Which heuristic to apply.
-    pub strategy: PackingStrategy,
-    /// Which resource dimension defines "fullness". The paper's HANA
-    /// placement packs on memory (Section 7: "memory-based bin-packing
-    /// strategies are required").
-    pub dimension: ResourceKind,
-}
-
-impl BinPacker {
-    /// A packer using `strategy` on `dimension`. The decreasing variants
-    /// are offline-only and are rejected with a typed error instead of a
-    /// panic, so callers wiring a strategy from config can surface the
-    /// mistake gracefully.
-    pub fn new(
-        strategy: PackingStrategy,
-        dimension: ResourceKind,
-    ) -> Result<Self, OfflineStrategyError> {
-        if strategy.is_decreasing() {
-            return Err(OfflineStrategyError(strategy));
-        }
-        Ok(BinPacker {
-            strategy,
-            dimension,
-        })
-    }
-
-    /// Pick a host for `request` among `hosts`, honoring every dimension
-    /// for fit but ranking by the packing dimension. Returns an index into
-    /// `hosts`, or `None` if nothing fits. Disabled hosts are skipped.
-    pub fn choose(&self, request: &Resources, hosts: &[HostView]) -> Option<usize> {
-        let mut best: Option<(usize, f64)> = None;
-        for (i, h) in hosts.iter().enumerate() {
-            if !h.enabled || !h.fits(request) {
-                continue;
-            }
-            let remaining = h.free().get(self.dimension) - request.get(self.dimension);
-            match self.strategy.online_rule() {
-                OnlineRule::First => return Some(i),
-                OnlineRule::Best => {
-                    if best.is_none_or(|(_, r)| remaining < r) {
-                        best = Some((i, remaining));
-                    }
-                }
-                OnlineRule::Worst => {
-                    if best.is_none_or(|(_, r)| remaining > r) {
-                        best = Some((i, remaining));
-                    }
-                }
-            }
-        }
-        best.map(|(i, _)| i)
-    }
 }
 
 /// Result of offline packing.
@@ -244,7 +162,6 @@ pub fn pack_all(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::test_support::host;
 
     fn mem(gib: u64) -> Resources {
         Resources::with_memory_gib(1, gib, 1)
@@ -252,62 +169,6 @@ mod tests {
 
     fn cap(gib: u64) -> Resources {
         Resources::with_memory_gib(100, gib, 1000)
-    }
-
-    #[test]
-    fn first_fit_takes_first_fitting_host() {
-        let hosts = vec![
-            host(0, cap(10), Resources::with_memory_gib(0, 9, 0)),
-            host(1, cap(10), Resources::ZERO),
-            host(2, cap(10), Resources::ZERO),
-        ];
-        let p = BinPacker::new(PackingStrategy::FirstFit, ResourceKind::Memory).unwrap();
-        assert_eq!(p.choose(&mem(2), &hosts), Some(1));
-        assert_eq!(p.choose(&mem(1), &hosts), Some(0));
-    }
-
-    #[test]
-    fn best_fit_takes_tightest_host() {
-        let hosts = vec![
-            host(0, cap(10), Resources::with_memory_gib(0, 2, 0)), // 8 free
-            host(1, cap(10), Resources::with_memory_gib(0, 7, 0)), // 3 free
-            host(2, cap(10), Resources::with_memory_gib(0, 5, 0)), // 5 free
-        ];
-        let p = BinPacker::new(PackingStrategy::BestFit, ResourceKind::Memory).unwrap();
-        assert_eq!(p.choose(&mem(3), &hosts), Some(1));
-        assert_eq!(p.choose(&mem(4), &hosts), Some(2));
-    }
-
-    #[test]
-    fn worst_fit_takes_roomiest_host() {
-        let hosts = vec![
-            host(0, cap(10), Resources::with_memory_gib(0, 2, 0)),
-            host(1, cap(10), Resources::with_memory_gib(0, 7, 0)),
-        ];
-        let p = BinPacker::new(PackingStrategy::WorstFit, ResourceKind::Memory).unwrap();
-        assert_eq!(p.choose(&mem(1), &hosts), Some(0));
-    }
-
-    #[test]
-    fn disabled_and_unfitting_hosts_are_skipped() {
-        let mut h0 = host(0, cap(10), Resources::ZERO);
-        h0.enabled = false;
-        let hosts = vec![h0, host(1, cap(2), Resources::ZERO)];
-        let p = BinPacker::new(PackingStrategy::FirstFit, ResourceKind::Memory).unwrap();
-        assert_eq!(p.choose(&mem(5), &hosts), None);
-        assert_eq!(p.choose(&mem(2), &hosts), Some(1));
-    }
-
-    #[test]
-    fn online_packer_rejects_decreasing() {
-        for strategy in [
-            PackingStrategy::FirstFitDecreasing,
-            PackingStrategy::BestFitDecreasing,
-        ] {
-            let err = BinPacker::new(strategy, ResourceKind::Memory).unwrap_err();
-            assert_eq!(err, OfflineStrategyError(strategy));
-            assert!(err.to_string().contains("offline"), "{err}");
-        }
     }
 
     #[test]

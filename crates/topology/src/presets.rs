@@ -1,8 +1,9 @@
 //! Presets reproducing the paper's deployments.
 //!
 //! [`paper_table5`] embeds Appendix D (Table 5): the number of hypervisors
-//! and VMs per data center across all 29 DCs and 16 region ids. The
-//! analysis binary `exp_table5` regenerates the table from these presets.
+//! and VMs per data center across all 29 DCs and 16 region ids.
+//! `sapsim-analysis` regenerates the table from these presets (`sapsim
+//! tables`, and `table5_datacenters.txt` under `sapsim simulate --out`).
 //!
 //! [`paper_region`] builds the *studied* regional deployment: the paper
 //! analyzes a single region with ~1,800 hypervisors and ~48,000 VMs, which
