@@ -7,7 +7,8 @@
 //! prints each response envelope on its own line. Error envelopes are
 //! printed like any other response and do not fail the client: CI
 //! compares the full printed transcript (and the final state hash)
-//! against the offline applier's.
+//! against the offline applier's. Every request leaves in one write on a
+//! `TCP_NODELAY` socket, so no request waits on the server's delayed ACK.
 
 use crate::error::CliError;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -34,12 +35,28 @@ pub fn run_http(addr: &str, script: &str, out: &mut dyn Write) -> Result<(), Cli
     Ok(())
 }
 
+/// Connect to `addr` with `TCP_NODELAY` set.
+fn connect(addr: &str) -> Result<TcpStream, CliError> {
+    let stream = TcpStream::connect(addr)
+        .map_err(|e| CliError::Io(format!("cannot connect to `{addr}`: {e}")))?;
+    stream
+        .set_nodelay(true)
+        .map_err(|e| CliError::Io(format!("cannot configure connection to `{addr}`: {e}")))?;
+    Ok(stream)
+}
+
+/// Send `request` in one write.
+fn send(stream: &mut TcpStream, addr: &str, request: &str) -> Result<(), CliError> {
+    stream
+        .write_all(request.as_bytes())
+        .map_err(|e| CliError::Io(format!("cannot send to `{addr}`: {e}")))
+}
+
 /// Drive a server over the TCP fast path: a single persistent
 /// connection, one JSON line per request.
 pub fn run_tcp(addr: &str, script: &str, out: &mut dyn Write) -> Result<(), CliError> {
     let lines = read_script(script)?;
-    let stream = TcpStream::connect(addr)
-        .map_err(|e| CliError::Io(format!("cannot connect to `{addr}`: {e}")))?;
+    let stream = connect(addr)?;
     let mut reader = BufReader::new(
         stream
             .try_clone()
@@ -47,11 +64,7 @@ pub fn run_tcp(addr: &str, script: &str, out: &mut dyn Write) -> Result<(), CliE
     );
     let mut writer = stream;
     for line in lines {
-        writeln!(writer, "{line}")
-            .map_err(|e| CliError::Io(format!("cannot send to `{addr}`: {e}")))?;
-        writer
-            .flush()
-            .map_err(|e| CliError::Io(format!("cannot send to `{addr}`: {e}")))?;
+        send(&mut writer, addr, &format!("{line}\n"))?;
         let mut response = String::new();
         let n = reader
             .read_line(&mut response)
@@ -68,17 +81,12 @@ pub fn run_tcp(addr: &str, script: &str, out: &mut dyn Write) -> Result<(), CliE
 
 /// POST one envelope line and return the response body.
 pub fn post_request(addr: &str, line: &str) -> Result<String, CliError> {
-    let mut stream = TcpStream::connect(addr)
-        .map_err(|e| CliError::Io(format!("cannot connect to `{addr}`: {e}")))?;
-    write!(
-        stream,
+    let mut stream = connect(addr)?;
+    let request = format!(
         "POST /v1/request HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{line}",
         line.len(),
-    )
-    .map_err(|e| CliError::Io(format!("cannot send to `{addr}`: {e}")))?;
-    stream
-        .flush()
-        .map_err(|e| CliError::Io(format!("cannot send to `{addr}`: {e}")))?;
+    );
+    send(&mut stream, addr, &request)?;
     let mut raw = Vec::new();
     stream
         .read_to_end(&mut raw)
@@ -93,10 +101,9 @@ pub fn post_request(addr: &str, line: &str) -> Result<String, CliError> {
 
 /// GET a path (used for `/healthz` readiness polling and `/metrics`).
 pub fn get(addr: &str, path: &str) -> Result<String, CliError> {
-    let mut stream = TcpStream::connect(addr)
-        .map_err(|e| CliError::Io(format!("cannot connect to `{addr}`: {e}")))?;
-    write!(stream, "GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n")
-        .map_err(|e| CliError::Io(format!("cannot send to `{addr}`: {e}")))?;
+    let mut stream = connect(addr)?;
+    let request = format!("GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n");
+    send(&mut stream, addr, &request)?;
     let mut raw = Vec::new();
     stream
         .read_to_end(&mut raw)

@@ -106,20 +106,20 @@ pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<HttpReque
     Ok(HttpRequest { method, path, body })
 }
 
-/// Write one response and close out the exchange.
+/// Write one response, head and body in a single write, and close out
+/// the exchange.
 pub fn write_response(
     stream: &mut TcpStream,
     status: u16,
     content_type: &str,
     body: &str,
 ) -> io::Result<()> {
-    write!(
-        stream,
+    let response = format!(
         "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         reason(status),
         body.len(),
-    )?;
-    stream.flush()
+    );
+    stream.write_all(response.as_bytes())
 }
 
 /// Arm the per-connection read timeout; failures here are internal

@@ -15,12 +15,18 @@
 //! * **Scripted client** (`--connect ADDR` / `--connect-tcp ADDR` with
 //!   `--script FILE`): drive a running server and print each response.
 //!
-//! Concurrency model: worker threads answer reads (`state`, dry-run
-//! planning) from a published snapshot fork; every mutation and every
-//! commit is funneled through one writer thread that owns the live
-//! engine, so interleaved what-ifs can never corrupt state — a commit
-//! whose base version has been overtaken is answered `conflict`, never
-//! applied. The writer republishes the snapshot after each write.
+//! Concurrency model: one accept loop per listener blocks in `accept`
+//! and hands each connection (with `TCP_NODELAY` set) to a worker pool.
+//! Workers answer reads (`state`, dry-run planning) from a published
+//! snapshot fork; every mutation and every commit is funneled through
+//! one writer thread that owns the live engine, so interleaved what-ifs
+//! can never corrupt state — a commit whose base version has been
+//! overtaken is answered `conflict`, never applied. The writer
+//! republishes the snapshot after each write; a fork is a field copy of
+//! the engine, so its cost is a memory copy of the estate. Every reply
+//! leaves in one `write_all`. `shutdown` raises a flag and dials each
+//! listener once, so a loop blocked in `accept` wakes, sees the flag and
+//! exits.
 
 pub mod client;
 pub mod http;
@@ -35,7 +41,7 @@ use sapsim_scheduler::PolicyKind;
 use sapsim_telemetry::exposition::{render_metrics, PromData, PromFamily, PromHistogram};
 use service::{PendingTxn, Service};
 use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock};
 use std::thread;
@@ -143,8 +149,35 @@ struct Shared {
     max_body: usize,
     /// Per-connection socket read budget (the slow-loris bound).
     read_timeout: Duration,
-    /// Raised by `shutdown`; accept loops drain and exit.
+    /// Raised by [`Shared::shut_down`]; accept loops drain and exit.
     shutdown: AtomicBool,
+    /// One dialable address per listener: the bound address, with an
+    /// unspecified IP replaced by loopback.
+    listen_addrs: Vec<SocketAddr>,
+}
+
+impl Shared {
+    /// Raise the shutdown flag, once, and wake every accept loop blocked
+    /// in `accept` by dialing its listener. The connection only has to
+    /// reach the kernel's backlog, so the caller never waits on a loop.
+    fn shut_down(&self) {
+        if self.shutdown.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        for addr in &self.listen_addrs {
+            let _ = TcpStream::connect(addr);
+        }
+    }
+}
+
+/// Where to dial a listener bound at `addr` from this host.
+fn dialable(mut addr: SocketAddr) -> SocketAddr {
+    match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => addr.set_ip(IpAddr::V4(Ipv4Addr::LOCALHOST)),
+        IpAddr::V6(ip) if ip.is_unspecified() => addr.set_ip(IpAddr::V6(Ipv6Addr::LOCALHOST)),
+        _ => {}
+    }
+    addr
 }
 
 /// Work for the serialized writer thread.
@@ -187,17 +220,18 @@ fn run_server(cfg: SimConfig, parsed: &Parsed, out: &mut dyn Write) -> Result<()
 
     let listener = TcpListener::bind(listen)
         .map_err(|e| CliError::Io(format!("cannot listen on `{listen}`: {e}")))?;
-    listener.set_nonblocking(true)?;
     let http_addr = listener.local_addr()?;
     let tcp_listener = match parsed.get("tcp") {
-        Some(addr) => {
-            let l = TcpListener::bind(addr)
-                .map_err(|e| CliError::Io(format!("cannot listen on `{addr}`: {e}")))?;
-            l.set_nonblocking(true)?;
-            Some(l)
-        }
+        Some(addr) => Some(
+            TcpListener::bind(addr)
+                .map_err(|e| CliError::Io(format!("cannot listen on `{addr}`: {e}")))?,
+        ),
         None => None,
     };
+    let mut listen_addrs = vec![dialable(http_addr)];
+    if let Some(l) = &tcp_listener {
+        listen_addrs.push(dialable(l.local_addr()?));
+    }
 
     let shared = Arc::new(Shared {
         snapshot: RwLock::new(Arc::new(service.engine.fork())),
@@ -206,6 +240,7 @@ fn run_server(cfg: SimConfig, parsed: &Parsed, out: &mut dyn Write) -> Result<()
         max_body,
         read_timeout,
         shutdown: AtomicBool::new(false),
+        listen_addrs,
     });
 
     writeln!(
@@ -266,24 +301,24 @@ fn run_server(cfg: SimConfig, parsed: &Parsed, out: &mut dyn Write) -> Result<()
     Ok(())
 }
 
-/// Accept connections until shutdown; non-blocking with a short poll so
-/// the `shutdown` flag is honored without a wake-up connection.
+/// Accept connections until shutdown. Blocks in `accept`; the flag is
+/// checked after every return, so the wake-up connection
+/// [`Shared::shut_down`] dials ends the loop (and is dropped unserved).
+/// Replies are single writes, so `TCP_NODELAY` sends each at once
+/// instead of holding it for the peer's delayed ACK.
 fn accept_loop(
     listener: TcpListener,
     kind: ConnKind,
     conn_tx: mpsc::Sender<Conn>,
     shared: Arc<Shared>,
 ) {
-    loop {
+    for stream in listener.incoming() {
         if shared.shutdown.load(Ordering::SeqCst) {
             break;
         }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = conn_tx.send(Conn { kind, stream });
-            }
-            Err(_) => thread::sleep(Duration::from_millis(5)),
-        }
+        let Ok(stream) = stream else { continue };
+        let _ = stream.set_nodelay(true);
+        let _ = conn_tx.send(Conn { kind, stream });
     }
 }
 
@@ -297,7 +332,7 @@ fn writer_loop(mut service: Service, shared: Arc<Shared>, rx: mpsc::Receiver<Wri
                 *shared.snapshot.write().expect("snapshot lock") =
                     Arc::new(service.engine.fork());
                 if service.shutdown {
-                    shared.shutdown.store(true, Ordering::SeqCst);
+                    shared.shut_down();
                 }
                 let _ = reply.send(response);
             }
@@ -426,10 +461,7 @@ fn handle_jsonl(shared: &Shared, write_tx: &mpsc::Sender<WriteMsg>, stream: TcpS
                 }
                 let response = answer_line(shared, write_tx, line);
                 let closing = matches!(response, ApiResponse::Shutdown(_));
-                if writeln!(writer, "{}", response.to_json_line())
-                    .and_then(|()| writer.flush())
-                    .is_err()
-                {
+                if write_line(&mut writer, &response).is_err() {
                     break;
                 }
                 if closing {
@@ -438,12 +470,18 @@ fn handle_jsonl(shared: &Shared, write_tx: &mpsc::Sender<WriteMsg>, stream: TcpS
             }
             Err(e) => {
                 record_protocol_error(shared, &e);
-                let response = ApiResponse::from_error(&e, None);
-                let _ = writeln!(writer, "{}", response.to_json_line());
+                let _ = write_line(&mut writer, &ApiResponse::from_error(&e, None));
                 break;
             }
         }
     }
+}
+
+/// Send one response envelope and its `\n` in a single write.
+fn write_line(stream: &mut TcpStream, response: &ApiResponse) -> std::io::Result<()> {
+    let mut line = response.to_json_line();
+    line.push('\n');
+    stream.write_all(line.as_bytes())
 }
 
 /// Read one `\n`-terminated line with a byte cap; `Ok(None)` on clean
@@ -546,7 +584,7 @@ fn dispatch(shared: &Shared, write_tx: &mpsc::Sender<WriteMsg>, request: ApiRequ
             service::state_response(&snapshot, r.id.clone())
         }
         ApiRequest::Shutdown(r) => {
-            shared.shutdown.store(true, Ordering::SeqCst);
+            shared.shut_down();
             ApiResponse::Shutdown(ShutdownResponse::new().with_id(r.id.clone()))
         }
         other => ApiResponse::from_error(

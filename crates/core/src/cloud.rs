@@ -91,7 +91,11 @@ json_codec!(struct CloudState {
 /// [`remove`](Cloud::remove), and [`migrate`](Cloud::migrate), which keep
 /// the per-node and per-block accounting consistent (checked by
 /// [`verify_accounting`](Cloud::verify_accounting) in tests).
-#[derive(Debug)]
+///
+/// `Clone` is a full deep copy, warm view cache and candidate index
+/// included — what [`PlacementEngine::fork`](crate::PlacementEngine::fork)
+/// hands a what-if planner.
+#[derive(Debug, Clone)]
 pub struct Cloud {
     topo: Topology,
     /// Cached per-node schedulable capacity (overcommit applied).

@@ -289,8 +289,10 @@ impl RunState {
         resources: Resources,
         lifetime_hint_days: Option<f64>,
     ) -> PlacementRequest {
+        let spec = &self.specs[spec_index];
         engine::placement_request(
-            &self.specs[spec_index],
+            spec.id,
+            spec.class,
             resources,
             self.regions[self.vm_region[spec_index] as usize].ci_farm,
             Some(self.vm_az[spec_index]),

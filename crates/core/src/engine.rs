@@ -12,10 +12,10 @@
 //! at a time, so a served estate and a simulated one schedule alike by
 //! construction. What the two do *not* share is state ownership: the
 //! driver keeps its `Arc` spec tables, event clock and pending-evacuation
-//! queue in `RunState`; the engine owns a live [`Cloud`] and dense per-VM
-//! tables and offers exactly the operations the wire protocol speaks:
-//! place (single or batched), resize, evacuate, plus cheap state
-//! summaries, deep-copy forks for what-if planning, and a canonical
+//! queue in `RunState`; the engine owns a live [`Cloud`] plus each VM's
+//! class and AZ pin, and offers exactly the operations the wire protocol
+//! speaks: place (single or batched), resize, evacuate, plus cheap state
+//! summaries, field-copy forks for what-if planning, and a canonical
 //! state hash for differential checking against an equivalent offline
 //! request sequence.
 //!
@@ -86,18 +86,19 @@ pub(crate) fn reserve_blocks(cloud: &mut Cloud, cfg: &SimConfig, dcs: impl Itera
 /// before an operator carves one out — plus the AZ pin and the lifetime
 /// hint, if any.
 pub(crate) fn placement_request(
-    spec: &VmSpec,
+    vm: VmId,
+    class: WorkloadClass,
     resources: Resources,
     ci_farm_exists: bool,
     az: Option<AzId>,
     lifetime_hint_days: Option<f64>,
 ) -> PlacementRequest {
-    let mut purpose = spec.class.required_bb_purpose();
+    let mut purpose = class.required_bb_purpose();
     if purpose == BbPurpose::CiFarm && !ci_farm_exists {
         purpose = BbPurpose::GeneralPurpose;
     }
     PlacementRequest {
-        vm_uid: spec.id.raw(),
+        vm_uid: vm.raw(),
         resources,
         purpose,
         az,
@@ -278,7 +279,8 @@ pub struct EvacReport {
 }
 
 /// The long-lived incremental scheduler: a live [`Cloud`] plus the
-/// policy pipeline, reusable ranking scratch, and dense per-VM tables.
+/// policy pipeline, reusable ranking scratch, and what the request rule
+/// reads per VM after placement — its class and AZ pin, indexed by id.
 ///
 /// All operations are sequential (`&mut self`); the serve layer
 /// serializes mutations onto one writer thread and forks snapshots for
@@ -289,7 +291,7 @@ pub struct PlacementEngine {
     cfg: SimConfig,
     cloud: Cloud,
     policy: PlacementPolicy,
-    specs: Vec<VmSpec>,
+    vm_class: Vec<WorkloadClass>,
     vm_az: Vec<Option<AzId>>,
     ranking: Ranking,
     vm_rng_root: SimRng,
@@ -316,7 +318,7 @@ impl PlacementEngine {
             cfg,
             cloud,
             policy: PlacementPolicy::new(cfg.policy),
-            specs: Vec::new(),
+            vm_class: Vec::new(),
             vm_az: Vec::new(),
             ranking: Ranking::default(),
             vm_rng_root: SimRng::seed_from(cfg.seed).split("vm-demand"),
@@ -402,16 +404,15 @@ impl PlacementEngine {
     }
 
     /// Deep-copy fork for what-if planning: an independent engine whose
-    /// cloud is rebuilt through the snapshot restore path (PR 8), so
-    /// mutating the fork never touches the parent.
+    /// cloud is a field-for-field clone — warm host-view cache and
+    /// candidate index included — so mutating the fork never touches the
+    /// parent. The policy and ranking scratch start fresh.
     pub fn fork(&self) -> PlacementEngine {
-        let cloud = Cloud::restore_state(self.topology().clone(), self.cloud.capture_state())
-            .expect("forking a live cloud state always restores");
         PlacementEngine {
             cfg: self.cfg,
-            cloud,
+            cloud: self.cloud.clone(),
             policy: PlacementPolicy::new(self.cfg.policy),
-            specs: self.specs.clone(),
+            vm_class: self.vm_class.clone(),
             vm_az: self.vm_az.clone(),
             ranking: Ranking::default(),
             vm_rng_root: self.vm_rng_root.clone(),
@@ -427,18 +428,18 @@ impl PlacementEngine {
     pub fn place(&mut self, order: &PlaceSpec) -> PlaceOutcome {
         let id = VmId(self.next_vm);
         self.next_vm += 1;
-        let spec = self.synthesize_spec(id, order);
-        let spec_index = self.specs.len();
-        self.specs.push(spec);
+        self.vm_class.push(order.class);
         self.vm_az.push(order.az);
 
-        let request = self.request(spec_index, order.resources, Some(order.lifetime_days));
+        let request = self.request(id, order.resources, Some(order.lifetime_days));
         match self.walk(&request, |_, _| true) {
             Err(_) => PlaceOutcome::NoCandidate,
             Ok((None, retries)) => PlaceOutcome::Fragmented { retries },
             Ok((Some(node), retries)) => {
                 let rng = self.vm_rng_root.split_index(id.raw());
-                self.cloud.place(spec_index, &self.specs[spec_index], node, rng);
+                // The spec index is the id: both count one per place.
+                let spec = self.synthesize_spec(id, order);
+                self.cloud.place(id.raw() as usize, &spec, node, rng);
                 PlaceOutcome::Placed { vm: id, node, retries }
             }
         }
@@ -450,12 +451,11 @@ impl PlacementEngine {
         let Some(placed) = self.cloud.vm(vm) else {
             return ResizeResult::UnknownVm;
         };
-        let spec_index = placed.spec_index;
         let node = placed.node;
         if self.cloud.resize_in_place(vm, new) {
             return ResizeResult::InPlace { node };
         }
-        let request = self.request(spec_index, new, None);
+        let request = self.request(vm, new, None);
         match self.walk(&request, |cloud, node| cloud.resize_to_node(vm, new, node)) {
             Ok((Some(node), _)) => ResizeResult::Migrated { node },
             _ => ResizeResult::Failed,
@@ -479,7 +479,7 @@ impl PlacementEngine {
             // out by its non-`Active` state); `resources` is the
             // *current* shape (post-resize, if any).
             let resident = self.cloud.vm(vm).expect("resident is placed");
-            let request = self.request(resident.spec_index, resident.resources, None);
+            let request = self.request(vm, resident.resources, None);
             let target = self.walk(&request, |_, _| true).ok().and_then(|(node, _)| node);
             let placed = self.cloud.remove(vm).expect("resident is placed");
             match target {
@@ -493,20 +493,21 @@ impl PlacementEngine {
         report
     }
 
-    /// The request for the VM at `spec_index` asking for `resources`: the
-    /// id, class and AZ pin it was placed with, against this estate's
-    /// farm.
+    /// The request for `vm` asking for `resources`: the class and AZ pin
+    /// it was placed with, against this estate's farm.
     fn request(
         &self,
-        spec_index: usize,
+        vm: VmId,
         resources: Resources,
         lifetime_hint_days: Option<f64>,
     ) -> PlacementRequest {
+        let i = vm.raw() as usize;
         placement_request(
-            &self.specs[spec_index],
+            vm,
+            self.vm_class[i],
             resources,
             self.ci_farm_exists,
-            self.vm_az[spec_index],
+            self.vm_az[i],
             lifetime_hint_days,
         )
     }
@@ -530,9 +531,10 @@ impl PlacementEngine {
         )
     }
 
-    /// Materialize a [`VmSpec`] for a served placement: class-matched
-    /// archetype, a deterministic per-id usage model, zero arrival/age
-    /// (service time stands still), and the requested lifetime.
+    /// Materialize the [`VmSpec`] that [`Cloud::place`] takes for a served
+    /// placement: class-matched archetype, a deterministic per-id usage
+    /// model, zero arrival/age (service time stands still), and the
+    /// requested lifetime. The engine keeps none of it.
     fn synthesize_spec(&self, id: VmId, order: &PlaceSpec) -> VmSpec {
         let archetype = match order.class {
             WorkloadClass::Hana => Archetype::HanaDb,
@@ -639,6 +641,93 @@ mod tests {
         assert_eq!(fork_vm, live_vm);
         assert_eq!(fork_node, live_node);
         assert_eq!(engine.state_hash(), fork.state_hash());
+    }
+
+    /// The fork as it used to be built: the cloud through the snapshot
+    /// capture → restore path, its view cache cold. The oracle for
+    /// [`PlacementEngine::fork`]'s field copy.
+    fn restored_fork(engine: &PlacementEngine) -> PlacementEngine {
+        let cloud = Cloud::restore_state(engine.topology().clone(), engine.cloud.capture_state())
+            .expect("a live cloud state restores");
+        PlacementEngine {
+            cloud,
+            policy: PlacementPolicy::new(engine.cfg.policy),
+            vm_class: engine.vm_class.clone(),
+            vm_az: engine.vm_az.clone(),
+            ranking: Ranking::default(),
+            vm_rng_root: engine.vm_rng_root.clone(),
+            ..*engine
+        }
+    }
+
+    #[test]
+    fn fork_matches_the_restore_round_trip_step_for_step() {
+        let mut engine = PlacementEngine::new(small_cfg()).expect("valid config");
+        let az = engine.az_by_name("az-a").expect("estate has az-a");
+        let classes = [WorkloadClass::GeneralPurpose, WorkloadClass::Hana, WorkloadClass::CiFarm];
+        for i in 0..120u32 {
+            let mut order = gp_order(1 + i % 8, 2_048 * u64::from(1 + i % 6));
+            order.class = classes[(i % 3) as usize];
+            order.az = (i % 4 == 0).then_some(az);
+            engine.place(&order);
+        }
+        engine.resize(VmId(3), Resources::new(6, 24_576, 50));
+        let node = engine.vm_node(VmId(5)).expect("vm 5 placed");
+        engine.evacuate(node);
+        // Placed after the last rank: the fork inherits rows still dirty.
+        engine.place(&gp_order(8, 32_768));
+        engine.bump_version();
+
+        let mut fork = engine.fork();
+        let mut oracle = restored_fork(&engine);
+        for g in [PlacementGranularity::BuildingBlock, PlacementGranularity::Node] {
+            let naive = fork.cloud.host_views(g, SimTime::ZERO);
+            let (cached, _) = fork.cloud.host_views_cached(g, SimTime::ZERO);
+            assert_eq!(cached, &naive[..], "{g:?}: the fork's cached views are the naive ones");
+        }
+        assert_eq!(fork.state_hash(), oracle.state_hash());
+        assert_eq!(fork.version(), oracle.version());
+
+        let steps: &[fn(&mut PlacementEngine) -> String] = &[
+            |e| format!("{:?}", e.place(&gp_order(8, 32_768))),
+            |e| {
+                let mut pinned = gp_order(4, 16_384);
+                pinned.az = e.az_by_name("az-a");
+                format!("{:?}", e.place(&pinned))
+            },
+            |e| {
+                let mut hana = gp_order(16, 262_144);
+                hana.class = WorkloadClass::Hana;
+                format!("{:?}", e.place(&hana))
+            },
+            |e| format!("{:?}", e.place(&gp_order(10_000, 4_096))),
+            |e| format!("{:?}", e.resize(VmId(7), Resources::new(2, 4_096, 50))),
+            |e| {
+                // On the fullest general-purpose host, a MiB more memory
+                // than the host has left: the VM has to move.
+                let free_mib = |e: &PlacementEngine, vm| {
+                    let node = e.vm_node(vm).expect("placed");
+                    e.cloud.node_capacity(node).memory_mib - e.cloud.node_allocated(node).memory_mib
+                };
+                let placed = (0..120).map(VmId).filter(|&vm| {
+                    e.vm_class[vm.raw() as usize] == WorkloadClass::GeneralPurpose
+                        && e.vm_node(vm).is_some()
+                });
+                let vm = placed.min_by_key(|&vm| free_mib(e, vm)).expect("a placed VM");
+                let memory = e.vm_resources(vm).expect("placed").memory_mib + free_mib(e, vm) + 1;
+                format!("{:?}", e.resize(vm, Resources::new(4, memory, 50)))
+            },
+            |e| format!("{:?}", e.resize(VmId(9_999), Resources::new(1, 1, 1))),
+            |e| {
+                let node = e.vm_node(VmId(10)).expect("vm 10 placed");
+                format!("{:?}", e.evacuate(node))
+            },
+            |e| format!("{:?}", e.place(&gp_order(2, 8_192))),
+        ];
+        for (i, step) in steps.iter().enumerate() {
+            assert_eq!(step(&mut fork), step(&mut oracle), "step {i}: same outcome");
+            assert_eq!(fork.state_hash(), oracle.state_hash(), "step {i}: same state");
+        }
     }
 
     #[test]
@@ -759,8 +848,6 @@ mod tests {
             (WorkloadClass::CiFarm, false, GeneralPurpose),
         ];
         for (class, ci_farm_exists, purpose) in table {
-            // The spec's own shape is not the one asked for (a resize).
-            let spec = vm_spec(17, class, Resources::new(2, 4_096, 10));
             for az in [None, Some(AzId::from_raw(1))] {
                 for hint in [None, Some(12.5)] {
                     let expected = PlacementRequest {
@@ -770,7 +857,8 @@ mod tests {
                         az,
                         lifetime_hint_days: hint,
                     };
-                    assert_eq!(placement_request(&spec, asked, ci_farm_exists, az, hint), expected);
+                    let request = placement_request(VmId(17), class, asked, ci_farm_exists, az, hint);
+                    assert_eq!(request, expected);
                 }
             }
         }
@@ -815,8 +903,7 @@ mod tests {
     /// A 32-core VM: fits an emptyish node, not half of one.
     fn big_vm() -> PlacementRequest {
         let resources = Resources::with_memory_gib(32, 512, 10);
-        let spec = vm_spec(99, WorkloadClass::GeneralPurpose, resources);
-        placement_request(&spec, resources, false, None, None)
+        placement_request(VmId(99), WorkloadClass::GeneralPurpose, resources, false, None, None)
     }
 
     fn walk_cfg(granularity: PlacementGranularity) -> SimConfig {

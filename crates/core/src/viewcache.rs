@@ -70,7 +70,7 @@ pub struct HostViewCacheStats {
 }
 
 /// Both granularity caches, owned by `Cloud`.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct HostViewCache {
     node: LayerCache,
     bb: LayerCache,
@@ -135,7 +135,7 @@ enum Granularity {
 
 /// One cached snapshot: the views, their candidate index, and the
 /// book-keeping to refresh only what changed.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct LayerCache {
     built: bool,
     views: Vec<HostView>,

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Placement-service smoke: boot `sapsim serve` against the paper estate,
 # drive a scripted place/dry-run/commit/resize/evacuate session through
-# the HTTP front end, and diff the transcript byte-for-byte against the
-# offline applier running the same script (plus: the final state hashes
-# must agree, and /metrics must expose the serve families).
+# the HTTP front end and, on a second server, through the JSONL-over-TCP
+# front end, and diff each transcript byte-for-byte against the offline
+# applier running the same script (plus: the final state hashes must
+# agree, /metrics must expose the serve families, and each server must
+# exit within 10 s of the `shutdown` sent over its own front end).
 #
 # The session script is assembled in two phases because the commit token
 # and the vm/node names are deterministic but estate-derived: a probe
@@ -47,36 +49,56 @@ cat >> "$WORK/session.jsonl" <<EOF
 EOF
 "$BIN" serve --script "$WORK/session.jsonl" > "$WORK/offline.out"
 
-# ---- phase 3: the same session against a live server --------------------
-"$BIN" serve --listen 127.0.0.1:0 > "$WORK/server.out" &
-SERVER_PID=$!
-ADDR=""
-for _ in $(seq 1 200); do
-  ADDR=$(sed -n 's/.*http on \([0-9.:]*\).*/\1/p' "$WORK/server.out" | head -1)
-  [ -n "$ADDR" ] && break
-  sleep 0.05
-done
-[ -n "$ADDR" ] || { echo "serve_smoke: server never booted" >&2; exit 1; }
-curl -sf "http://$ADDR/healthz" > /dev/null
+# ---- phase 3: the same session against live servers ---------------------
+echo '{"schema":"sapsim.api/v1","op":"shutdown"}' > "$WORK/shutdown.jsonl"
 
-"$BIN" serve --connect "$ADDR" --script "$WORK/session.jsonl" > "$WORK/online.out"
+boot() { # server-output-file; sets SERVER_PID, HTTP_ADDR, TCP_ADDR
+  "$BIN" serve --listen 127.0.0.1:0 --tcp 127.0.0.1:0 > "$1" &
+  SERVER_PID=$!
+  TCP_ADDR=""
+  for _ in $(seq 1 200); do
+    TCP_ADDR=$(sed -n 's/.*jsonl-tcp on \([0-9.:]*\).*/\1/p' "$1" | head -1)
+    [ -n "$TCP_ADDR" ] && break
+    sleep 0.05
+  done
+  [ -n "$TCP_ADDR" ] || { echo "serve_smoke: server never booted" >&2; exit 1; }
+  HTTP_ADDR=$(sed -n 's/.*http on \([0-9.:]*\).*/\1/p' "$1" | head -1)
+}
 
-curl -sf "http://$ADDR/metrics" > "$WORK/metrics.prom"
+stop() { # client-option address: send `shutdown` there, then reap the server
+  "$BIN" serve "$1" "$2" --script "$WORK/shutdown.jsonl" > /dev/null
+  # A hung accept loop fails here instead of hanging the job.
+  if ! timeout 10 tail --pid="$SERVER_PID" -s 0.1 -f /dev/null; then
+    echo "serve_smoke: server still running 10 s after shutdown via $1" >&2
+    exit 1
+  fi
+  wait "$SERVER_PID"
+  SERVER_PID=""
+}
+
+# HTTP: one POST per line.
+boot "$WORK/server-http.out"
+curl -sf "http://$HTTP_ADDR/healthz" > /dev/null
+"$BIN" serve --connect "$HTTP_ADDR" --script "$WORK/session.jsonl" > "$WORK/online-http.out"
+curl -sf "http://$HTTP_ADDR/metrics" > "$WORK/metrics.prom"
 grep -q 'sapsim_serve_requests_total' "$WORK/metrics.prom"
 grep -q 'sapsim_serve_placements_total' "$WORK/metrics.prom"
 grep -q 'sapsim_serve_request_us_bucket' "$WORK/metrics.prom"
+stop --connect "$HTTP_ADDR"
 
-echo '{"schema":"sapsim.api/v1","op":"shutdown"}' > "$WORK/shutdown.jsonl"
-"$BIN" serve --connect "$ADDR" --script "$WORK/shutdown.jsonl" > /dev/null
-wait "$SERVER_PID"
-SERVER_PID=""
+# JSONL over TCP: one persistent connection; `shutdown` over the same port.
+boot "$WORK/server-tcp.out"
+"$BIN" serve --connect-tcp "$TCP_ADDR" --script "$WORK/session.jsonl" > "$WORK/online-tcp.out"
+stop --connect-tcp "$TCP_ADDR"
 
 # ---- phase 4: the differential checks -----------------------------------
-cmp "$WORK/offline.out" "$WORK/online.out"
 OFFLINE_HASH=$(field "$WORK/offline.out" 6 'r["hash"]')
-SERVER_HASH=$(sed -n 's/.*(state \([0-9a-f]*\)).*/\1/p' "$WORK/server.out" | head -1)
-if [ "$OFFLINE_HASH" != "$SERVER_HASH" ]; then
-  echo "serve_smoke: state hash mismatch: offline $OFFLINE_HASH vs server $SERVER_HASH" >&2
-  exit 1
-fi
-echo "serve_smoke: transcripts byte-identical, state hash $OFFLINE_HASH on both paths"
+for leg in http tcp; do
+  cmp "$WORK/offline.out" "$WORK/online-$leg.out"
+  SERVER_HASH=$(sed -n 's/.*(state \([0-9a-f]*\)).*/\1/p' "$WORK/server-$leg.out" | head -1)
+  if [ "$OFFLINE_HASH" != "$SERVER_HASH" ]; then
+    echo "serve_smoke: state hash mismatch: offline $OFFLINE_HASH vs $leg server $SERVER_HASH" >&2
+    exit 1
+  fi
+done
+echo "serve_smoke: transcripts byte-identical, state hash $OFFLINE_HASH on the offline, HTTP and JSONL-TCP paths"

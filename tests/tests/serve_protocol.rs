@@ -25,7 +25,7 @@ use sapsim_core::PlacementGranularity;
 use sapsim_scheduler::PolicyKind;
 use sapsim_json::JsonValue;
 use std::collections::BTreeSet;
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
@@ -60,9 +60,15 @@ struct LiveServer {
 }
 
 impl LiveServer {
-    /// Boot `sapsim serve` on an ephemeral port and wait for readiness.
+    /// Boot `sapsim serve` on an ephemeral loopback port and wait for
+    /// readiness.
     fn boot(extra: &[&str]) -> LiveServer {
-        let mut argv: Vec<String> = ["serve", "--listen", "127.0.0.1:0"]
+        LiveServer::boot_on("127.0.0.1:0", extra)
+    }
+
+    /// Boot `sapsim serve --listen LISTEN` and wait for readiness.
+    fn boot_on(listen: &str, extra: &[&str]) -> LiveServer {
+        let mut argv: Vec<String> = ["serve", "--listen", listen]
             .iter()
             .map(|s| s.to_string())
             .collect();
@@ -97,6 +103,20 @@ impl LiveServer {
     fn shutdown(self) {
         let line = ApiRequest::Shutdown(ShutdownRequest::new()).to_json_line();
         let _ = client::post_request(&self.http, &line);
+        self.handle
+            .join()
+            .expect("server thread must not panic")
+            .expect("server must exit cleanly");
+    }
+
+    /// Join the server thread, failing if `run_to` has not returned
+    /// within `limit` (a shutdown that left an accept loop blocked).
+    fn join_within(self, limit: Duration) {
+        let deadline = Instant::now() + limit;
+        while !self.handle.is_finished() {
+            assert!(Instant::now() < deadline, "server still running {limit:?} after shutdown");
+            std::thread::sleep(Duration::from_millis(10));
+        }
         self.handle
             .join()
             .expect("server thread must not panic")
@@ -380,6 +400,56 @@ fn jsonl_tcp_fast_path_shares_the_http_codec() {
     assert_eq!(second.trim_end(), via_http);
 
     server.shutdown();
+}
+
+#[test]
+fn persistent_jsonl_connection_sends_each_reply_at_once() {
+    // A reply written in pieces without TCP_NODELAY waits for the
+    // client's delayed ACK (~40 ms on Linux) before its last piece
+    // leaves, so 40 round trips would take 1.6 s or more. The client
+    // here is a plain socket, Nagle on, one write per request.
+    let server = LiveServer::boot(&["--tcp", "127.0.0.1:0"]);
+    let tcp_addr = server.tcp.clone().expect("tcp listener requested");
+    let dry_run = ApiRequest::Place(PlaceRequest::new(2, 4096).dry_run()).to_json_line() + "\n";
+    let mut stream = TcpStream::connect(&tcp_addr).expect("connect tcp");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+
+    let started = Instant::now();
+    for i in 0..40 {
+        stream.write_all(dry_run.as_bytes()).expect("send request");
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("read reply");
+        assert!(reply.contains("\"dry_run\":true"), "request {i}: {reply}");
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "40 dry-run places on one connection took {elapsed:?}"
+    );
+    drop((stream, reader));
+    server.shutdown();
+}
+
+#[test]
+fn shutdown_over_the_jsonl_port_stops_both_accept_loops() {
+    let server = LiveServer::boot(&["--tcp", "127.0.0.1:0"]);
+    let tcp_addr = server.tcp.clone().expect("tcp listener requested");
+    let mut stream = TcpStream::connect(&tcp_addr).expect("connect tcp");
+    let shutdown = ApiRequest::Shutdown(ShutdownRequest::new()).to_json_line() + "\n";
+    stream.write_all(shutdown.as_bytes()).expect("send shutdown");
+    let mut reply = String::new();
+    BufReader::new(stream).read_line(&mut reply).expect("read shutdown ack");
+    assert!(reply.contains("\"op\":\"shutdown\""), "{reply}");
+    server.join_within(Duration::from_secs(5));
+}
+
+#[test]
+fn shutdown_wakes_a_server_bound_to_the_unspecified_address() {
+    let server = LiveServer::boot_on("0.0.0.0:0", &[]);
+    let port = server.http.rsplit(':').next().expect("addr has a port");
+    let line = ApiRequest::Shutdown(ShutdownRequest::new()).to_json_line();
+    client::post_request(&format!("127.0.0.1:{port}"), &line).expect("shutdown answers");
+    server.join_within(Duration::from_secs(5));
 }
 
 // -------------------------------------------- online/offline equivalence
