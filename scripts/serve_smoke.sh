@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# Placement-service smoke: boot `sapsim serve` against the paper estate,
-# drive a scripted place/dry-run/commit/resize/evacuate session through
-# the HTTP front end and, on a second server, through the JSONL-over-TCP
+# Placement-service smoke: replay the golden api/v1 corpus
+# (scripts/api_v1_corpus.jsonl) through the offline applier, lenient and
+# strict, and compare with its recorded transcripts; then boot `sapsim
+# serve` against the paper estate, drive a scripted
+# place/dry-run/commit/resize/evacuate session through the HTTP front end and, on a second server, through the JSONL-over-TCP
 # front end, and diff each transcript byte-for-byte against the offline
 # applier running the same script (plus: the final state hashes must
 # agree, /metrics must expose the serve families, and each server must
@@ -31,6 +33,16 @@ with open(path) as f:
 print(eval(expr))
 EOF
 }
+
+# ---- phase 0: the golden api/v1 corpus ----------------------------------
+# Every op and the wire's edge cases (nulls, integral floats, ranges,
+# unknown fields, bad JSON), lenient and strict, must answer byte for
+# byte as recorded.
+"$BIN" serve --scale 0.05 --seed 0 --script scripts/api_v1_corpus.jsonl > "$WORK/corpus.out"
+cmp "$WORK/corpus.out" scripts/api_v1_corpus.out
+"$BIN" serve --scale 0.05 --seed 0 --strict --script scripts/api_v1_corpus.jsonl > "$WORK/corpus.strict.out"
+cmp "$WORK/corpus.strict.out" scripts/api_v1_corpus.strict.out
+echo "serve_smoke: api/v1 corpus transcripts match, lenient and strict"
 
 # ---- phase 1: probe the deterministic ids -------------------------------
 "$BIN" serve --script scripts/serve_smoke.jsonl > "$WORK/probe.out"
