@@ -3,11 +3,12 @@
 # (scripts/api_v1_corpus.jsonl) through the offline applier, lenient and
 # strict, and compare with its recorded transcripts; then boot `sapsim
 # serve` against the paper estate, drive a scripted
-# place/dry-run/commit/resize/evacuate session through the HTTP front end and, on a second server, through the JSONL-over-TCP
-# front end, and diff each transcript byte-for-byte against the offline
-# applier running the same script (plus: the final state hashes must
-# agree, /metrics must expose the serve families, and each server must
-# exit within 10 s of the `shutdown` sent over its own front end).
+# place/dry-run/commit/resize/evacuate session through the HTTP front
+# end and, on a second server, through the JSONL-over-TCP front end, and
+# diff each transcript byte-for-byte against the offline applier running
+# the same script (plus: the final state hashes must agree, /metrics must
+# expose the serve families, and each server must exit within 10 s of
+# the `shutdown` sent over its own front end).
 #
 # The session script is assembled in two phases because the commit token
 # and the vm/node names are deterministic but estate-derived: a probe
