@@ -6,10 +6,11 @@
 //! field order is part of their golden contract) route the finished line
 //! through [`checked_line`], which asserts the envelope prefix against
 //! the registry. Field-by-field emitters build the line here directly
-//! with [`object_line`] / [`metrics_line`].
+//! with [`object_line`] / [`metrics_line`]; the placement-service
+//! messages write `schema` and then their tagged members.
 
 use crate::error::ProtocolError;
-use crate::json;
+use crate::json::{self, ObjectWriter, TaggedJson};
 use crate::schema::SchemaId;
 use sapsim_obs::MetricsRegistry;
 
@@ -49,6 +50,15 @@ pub fn checked_line(schema: SchemaId, line: String) -> String {
         "emitter produced a line that does not open with the `{schema}` envelope"
     );
     line
+}
+
+/// Append `message` as a `sapsim.api/v1` envelope object: `schema`
+/// first, then the `op` tag and the variant's members.
+pub(crate) fn write_api<T: TaggedJson>(message: &T, out: &mut String) {
+    let mut object = ObjectWriter::new(out);
+    object.field("schema", SchemaId::ApiV1.as_str());
+    message.write_members(&mut object);
+    object.end();
 }
 
 /// Render a metrics registry as its `sapsim.metrics/v1` envelope line —

@@ -13,6 +13,7 @@
 //! The full table lives in `docs/api-versioning.md`; a conformance test
 //! keeps the two in sync.
 
+use crate::json::DecodeError;
 use std::fmt;
 
 /// A protocol-level failure, serialized as an `"op":"error"` envelope.
@@ -145,6 +146,18 @@ impl fmt::Display for ProtocolError {
 }
 
 impl std::error::Error for ProtocolError {}
+
+/// A value outside its range or set is [`Invalid`](ProtocolError::Invalid);
+/// a shape error is [`Malformed`](ProtocolError::Malformed).
+impl From<DecodeError> for ProtocolError {
+    fn from(e: DecodeError) -> Self {
+        if e.is_value_error() {
+            ProtocolError::Invalid(e.to_string())
+        } else {
+            ProtocolError::Malformed(e.to_string())
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -1,13 +1,18 @@
-//! Typed placement-service requests and their wire codec.
+//! Typed placement-service requests and their wire shape.
 //!
 //! Every request is one `sapsim.api/v1` envelope object — over HTTP as
 //! a POST body, over the TCP fast path as one JSON line. The structs
 //! are `#[non_exhaustive]` with chainable builders, so fields can be
 //! added in `/v1` without breaking callers; the reader tolerates
 //! unknown fields by default and rejects them in strict mode.
+//!
+//! Each struct declares its members once, in wire order, with
+//! [`json_codec!`]; [`ApiRequest`] is tagged by `op`. The line codec
+//! adds only the envelope: `schema` first, the strict unknown-field
+//! check, and the map from codec errors to [`ProtocolError`]s.
 
 use crate::error::ProtocolError;
-use crate::json::{self, JsonValue};
+use crate::json::{self, json_codec, TaggedJson, ToJson};
 use crate::schema::SchemaId;
 use std::fmt;
 use std::str::FromStr;
@@ -31,6 +36,9 @@ pub enum VmClass {
 }
 
 impl VmClass {
+    /// Every class, in wire-documentation order.
+    pub const ALL: [VmClass; 3] = [VmClass::GeneralPurpose, VmClass::Hana, VmClass::CiFarm];
+
     /// The wire spelling.
     pub const fn as_str(self) -> &'static str {
         match self {
@@ -51,16 +59,14 @@ impl FromStr for VmClass {
     type Err = ProtocolError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "general-purpose" => Ok(VmClass::GeneralPurpose),
-            "hana" => Ok(VmClass::Hana),
-            "ci-farm" => Ok(VmClass::CiFarm),
-            other => Err(ProtocolError::Invalid(format!(
-                "unknown class `{other}` (use general-purpose|hana|ci-farm)"
-            ))),
-        }
+        VmClass::ALL.into_iter().find(|class| class.as_str() == s).ok_or_else(|| {
+            let names = VmClass::ALL.map(VmClass::as_str).join("|");
+            ProtocolError::Invalid(format!("unknown class `{s}` (use {names})"))
+        })
     }
 }
+
+json_codec!(str VmClass);
 
 /// Place one VM — or `count` identical VMs, Nova multi-create style.
 #[derive(Debug, Clone, PartialEq)]
@@ -103,12 +109,6 @@ impl PlaceRequest {
         }
     }
 
-    /// Set the client correlation id.
-    pub fn with_id(mut self, id: impl Into<String>) -> Self {
-        self.id = Some(id.into());
-        self
-    }
-
     /// Set the per-VM disk size.
     pub fn with_disk_gib(mut self, gib: u64) -> Self {
         self.disk_gib = gib;
@@ -138,13 +138,13 @@ impl PlaceRequest {
         self.lifetime_days = Some(days);
         self
     }
-
-    /// Plan without mutating: returns a `txn` token to `commit`.
-    pub fn dry_run(mut self) -> Self {
-        self.dry_run = true;
-        self
-    }
 }
+
+json_codec!(struct PlaceRequest {
+    #[default] id: Option::is_none, vcpus, memory_mib, #[default] disk_gib, #[default] class,
+    #[default] az: Option::is_none, #[default(1)] count,
+    #[default] lifetime_days: Option::is_none, #[default] dry_run,
+});
 
 /// Resize an existing VM (in place when the host fits, otherwise a
 /// migration through the full placement pipeline).
@@ -178,24 +178,17 @@ impl ResizeRequest {
         }
     }
 
-    /// Set the client correlation id.
-    pub fn with_id(mut self, id: impl Into<String>) -> Self {
-        self.id = Some(id.into());
-        self
-    }
-
     /// Also change the disk allocation.
     pub fn with_disk_gib(mut self, gib: u64) -> Self {
         self.disk_gib = Some(gib);
         self
     }
-
-    /// Plan without mutating.
-    pub fn dry_run(mut self) -> Self {
-        self.dry_run = true;
-        self
-    }
 }
+
+json_codec!(struct ResizeRequest {
+    #[default] id: Option::is_none, vm, vcpus, memory_mib,
+    #[default] disk_gib: Option::is_none, #[default] dry_run,
+});
 
 /// Drain a compute node: mark it under maintenance and re-place every
 /// resident VM through the scheduler (restart semantics).
@@ -219,19 +212,9 @@ impl EvacuateRequest {
             dry_run: false,
         }
     }
-
-    /// Set the client correlation id.
-    pub fn with_id(mut self, id: impl Into<String>) -> Self {
-        self.id = Some(id.into());
-        self
-    }
-
-    /// Plan without mutating.
-    pub fn dry_run(mut self) -> Self {
-        self.dry_run = true;
-        self
-    }
 }
+
+json_codec!(struct EvacuateRequest { #[default] id: Option::is_none, node, #[default] dry_run });
 
 /// Apply a previously dry-run plan, if the engine state has not moved.
 #[derive(Debug, Clone, PartialEq)]
@@ -251,13 +234,9 @@ impl CommitRequest {
             txn: txn.into(),
         }
     }
-
-    /// Set the client correlation id.
-    pub fn with_id(mut self, id: impl Into<String>) -> Self {
-        self.id = Some(id.into());
-        self
-    }
 }
+
+json_codec!(struct CommitRequest { #[default] id: Option::is_none, txn });
 
 /// Read the engine's summary state (version, counts, canonical hash).
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -272,13 +251,9 @@ impl StateRequest {
     pub fn new() -> Self {
         StateRequest::default()
     }
-
-    /// Set the client correlation id.
-    pub fn with_id(mut self, id: impl Into<String>) -> Self {
-        self.id = Some(id.into());
-        self
-    }
 }
+
+json_codec!(struct StateRequest { #[default] id: Option::is_none });
 
 /// Ask the service to stop accepting requests and exit.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -293,13 +268,36 @@ impl ShutdownRequest {
     pub fn new() -> Self {
         ShutdownRequest::default()
     }
-
-    /// Set the client correlation id.
-    pub fn with_id(mut self, id: impl Into<String>) -> Self {
-        self.id = Some(id.into());
-        self
-    }
 }
+
+json_codec!(struct ShutdownRequest { #[default] id: Option::is_none });
+
+/// The builders every request shares: `with_id`, and `dry_run` for the
+/// ops that can plan.
+macro_rules! builders {
+    ($($ty:ident $(+ $dry_run:ident)?),*) => {$(
+        impl $ty {
+            /// Set the client correlation id.
+            pub fn with_id(mut self, id: impl Into<String>) -> Self {
+                self.id = Some(id.into());
+                self
+            }
+            $(
+                /// Plan without mutating: the response carries a `txn`
+                /// token to `commit`.
+                pub fn $dry_run(mut self) -> Self {
+                    self.dry_run = true;
+                    self
+                }
+            )?
+        }
+    )*};
+}
+
+builders!(
+    PlaceRequest + dry_run, ResizeRequest + dry_run, EvacuateRequest + dry_run,
+    CommitRequest, StateRequest, ShutdownRequest
+);
 
 /// Any protocol request.
 #[derive(Debug, Clone, PartialEq)]
@@ -319,17 +317,23 @@ pub enum ApiRequest {
     Shutdown(ShutdownRequest),
 }
 
+json_codec!(enum ApiRequest: tag op {
+    Place(PlaceRequest) = "place", Resize(ResizeRequest) = "resize",
+    Evacuate(EvacuateRequest) = "evacuate", Commit(CommitRequest) = "commit",
+    State(StateRequest) = "state", Shutdown(ShutdownRequest) = "shutdown",
+});
+
+/// A request is written as a whole `sapsim.api/v1` envelope.
+impl ToJson for ApiRequest {
+    fn write_json(&self, out: &mut String) {
+        crate::envelope::write_api(self, out);
+    }
+}
+
 impl ApiRequest {
     /// The wire `op` label.
-    pub const fn op(&self) -> &'static str {
-        match self {
-            ApiRequest::Place(_) => "place",
-            ApiRequest::Resize(_) => "resize",
-            ApiRequest::Evacuate(_) => "evacuate",
-            ApiRequest::Commit(_) => "commit",
-            ApiRequest::State(_) => "state",
-            ApiRequest::Shutdown(_) => "shutdown",
-        }
+    pub fn op(&self) -> &'static str {
+        self.tag()
     }
 
     /// The client correlation id, if one was set.
@@ -361,16 +365,14 @@ impl ApiRequest {
     /// constructing requests with builders can run it themselves before
     /// dispatch.
     pub fn validate(&self) -> Result<(), ProtocolError> {
+        let at_least_one = |vcpus: u32, memory_mib: u64| match (vcpus, memory_mib) {
+            (0, _) => Err(ProtocolError::Invalid("vcpus must be at least 1".into())),
+            (_, 0) => Err(ProtocolError::Invalid("memory_mib must be at least 1".into())),
+            _ => Ok(()),
+        };
         match self {
             ApiRequest::Place(r) => {
-                if r.vcpus == 0 {
-                    return Err(ProtocolError::Invalid("vcpus must be at least 1".into()));
-                }
-                if r.memory_mib == 0 {
-                    return Err(ProtocolError::Invalid(
-                        "memory_mib must be at least 1".into(),
-                    ));
-                }
+                at_least_one(r.vcpus, r.memory_mib)?;
                 if r.count == 0 || r.count > MAX_BATCH {
                     return Err(ProtocolError::Invalid(format!(
                         "count must be in 1..={MAX_BATCH}, got {}",
@@ -385,16 +387,7 @@ impl ApiRequest {
                     }
                 }
             }
-            ApiRequest::Resize(r) => {
-                if r.vcpus == 0 {
-                    return Err(ProtocolError::Invalid("vcpus must be at least 1".into()));
-                }
-                if r.memory_mib == 0 {
-                    return Err(ProtocolError::Invalid(
-                        "memory_mib must be at least 1".into(),
-                    ));
-                }
-            }
+            ApiRequest::Resize(r) => at_least_one(r.vcpus, r.memory_mib)?,
             ApiRequest::Evacuate(r) => {
                 if r.node.is_empty() {
                     return Err(ProtocolError::Invalid("node must be non-empty".into()));
@@ -418,231 +411,39 @@ impl ApiRequest {
     /// requests produce equal bytes — the dry-run transaction token
     /// hashes these bytes.
     pub fn to_json_line(&self) -> String {
-        let mut out = crate::envelope::line_prefix(SchemaId::ApiV1);
-        out.push_str(",\"op\":");
-        json::push_str(&mut out, self.op());
-        if let Some(id) = self.client_id() {
-            out.push_str(",\"id\":");
-            json::push_str(&mut out, id);
-        }
-        match self {
-            ApiRequest::Place(r) => {
-                out.push_str(",\"vcpus\":");
-                json::push_u64(&mut out, u64::from(r.vcpus));
-                out.push_str(",\"memory_mib\":");
-                json::push_u64(&mut out, r.memory_mib);
-                out.push_str(",\"disk_gib\":");
-                json::push_u64(&mut out, r.disk_gib);
-                out.push_str(",\"class\":");
-                json::push_str(&mut out, r.class.as_str());
-                if let Some(az) = &r.az {
-                    out.push_str(",\"az\":");
-                    json::push_str(&mut out, az);
-                }
-                out.push_str(",\"count\":");
-                json::push_u64(&mut out, r.count);
-                if let Some(days) = r.lifetime_days {
-                    out.push_str(",\"lifetime_days\":");
-                    json::push_f64(&mut out, days);
-                }
-                out.push_str(",\"dry_run\":");
-                out.push_str(if r.dry_run { "true" } else { "false" });
-            }
-            ApiRequest::Resize(r) => {
-                out.push_str(",\"vm\":");
-                json::push_u64(&mut out, r.vm);
-                out.push_str(",\"vcpus\":");
-                json::push_u64(&mut out, u64::from(r.vcpus));
-                out.push_str(",\"memory_mib\":");
-                json::push_u64(&mut out, r.memory_mib);
-                if let Some(gib) = r.disk_gib {
-                    out.push_str(",\"disk_gib\":");
-                    json::push_u64(&mut out, gib);
-                }
-                out.push_str(",\"dry_run\":");
-                out.push_str(if r.dry_run { "true" } else { "false" });
-            }
-            ApiRequest::Evacuate(r) => {
-                out.push_str(",\"node\":");
-                json::push_str(&mut out, &r.node);
-                out.push_str(",\"dry_run\":");
-                out.push_str(if r.dry_run { "true" } else { "false" });
-            }
-            ApiRequest::Commit(r) => {
-                out.push_str(",\"txn\":");
-                json::push_str(&mut out, &r.txn);
-            }
-            ApiRequest::State(_) | ApiRequest::Shutdown(_) => {}
-        }
-        out.push('}');
-        out
+        self.to_json_string()
     }
 
     /// Decode one envelope line (or HTTP body).
     ///
     /// Unknown fields are ignored unless `strict` is set, in which case
     /// they are a [`ProtocolError::UnknownField`]. Shape errors (bad
-    /// JSON, missing/mistyped fields) are
+    /// JSON, missing/mistyped fields, an unknown `op`) are
     /// [`Malformed`](ProtocolError::Malformed); an unrecognized
     /// `schema` is [`UnknownSchema`](ProtocolError::UnknownSchema);
-    /// range/semantic violations are
+    /// out-of-range values and semantic violations are
     /// [`Invalid`](ProtocolError::Invalid).
     pub fn parse_line(text: &str, strict: bool) -> Result<ApiRequest, ProtocolError> {
         let value =
             json::parse(text).map_err(|e| ProtocolError::Malformed(format!("bad JSON: {e}")))?;
-        let obj = value
+        let pairs = value
             .as_obj()
             .ok_or_else(|| ProtocolError::Malformed("request must be a JSON object".into()))?;
-        let schema = require_str(&value, "schema")?;
-        crate::envelope::expect_schema(schema, SchemaId::ApiV1)?;
-        let op = require_str(&value, "op")?;
-        let id = optional_str(&value, "id")?.map(str::to_string);
-
-        const COMMON: [&str; 3] = ["schema", "op", "id"];
-        let check_fields = |allowed: &[&str]| -> Result<(), ProtocolError> {
-            if !strict {
-                return Ok(());
+        crate::envelope::expect_schema(json::member_str(&value, "schema")?, SchemaId::ApiV1)?;
+        let op = json::member_str(&value, "op")?;
+        // Every op carries `id`, so a mistyped one is reported first.
+        json::optional::<String>(&value, "id")?;
+        let members = ApiRequest::members_for(op)
+            .map_err(|e| ProtocolError::Malformed(e.to_string()))?;
+        if strict {
+            if let Some(key) = json::unknown_key(pairs, &[&["schema", "op"], members].concat()) {
+                let message = format!("unknown field `{key}` for op `{op}`");
+                return Err(ProtocolError::UnknownField(message));
             }
-            let mut all: Vec<&str> = COMMON.to_vec();
-            all.extend_from_slice(allowed);
-            match json::unknown_key(obj, &all) {
-                Some(key) => Err(ProtocolError::UnknownField(format!(
-                    "unknown field `{key}` for op `{op}`"
-                ))),
-                None => Ok(()),
-            }
-        };
-
-        let request = match op {
-            "place" => {
-                check_fields(&[
-                    "vcpus",
-                    "memory_mib",
-                    "disk_gib",
-                    "class",
-                    "az",
-                    "count",
-                    "lifetime_days",
-                    "dry_run",
-                ])?;
-                ApiRequest::Place(PlaceRequest {
-                    id,
-                    vcpus: require_u64(&value, "vcpus")?.try_into().map_err(|_| {
-                        ProtocolError::Invalid("vcpus does not fit in 32 bits".into())
-                    })?,
-                    memory_mib: require_u64(&value, "memory_mib")?,
-                    disk_gib: optional_u64(&value, "disk_gib")?.unwrap_or(0),
-                    class: match optional_str(&value, "class")? {
-                        Some(s) => s.parse()?,
-                        None => VmClass::GeneralPurpose,
-                    },
-                    az: optional_str(&value, "az")?.map(str::to_string),
-                    count: optional_u64(&value, "count")?.unwrap_or(1),
-                    lifetime_days: optional_f64(&value, "lifetime_days")?,
-                    dry_run: optional_bool(&value, "dry_run")?.unwrap_or(false),
-                })
-            }
-            "resize" => {
-                check_fields(&["vm", "vcpus", "memory_mib", "disk_gib", "dry_run"])?;
-                ApiRequest::Resize(ResizeRequest {
-                    id,
-                    vm: require_u64(&value, "vm")?,
-                    vcpus: require_u64(&value, "vcpus")?.try_into().map_err(|_| {
-                        ProtocolError::Invalid("vcpus does not fit in 32 bits".into())
-                    })?,
-                    memory_mib: require_u64(&value, "memory_mib")?,
-                    disk_gib: optional_u64(&value, "disk_gib")?,
-                    dry_run: optional_bool(&value, "dry_run")?.unwrap_or(false),
-                })
-            }
-            "evacuate" => {
-                check_fields(&["node", "dry_run"])?;
-                ApiRequest::Evacuate(EvacuateRequest {
-                    id,
-                    node: require_str(&value, "node")?.to_string(),
-                    dry_run: optional_bool(&value, "dry_run")?.unwrap_or(false),
-                })
-            }
-            "commit" => {
-                check_fields(&["txn"])?;
-                ApiRequest::Commit(CommitRequest {
-                    id,
-                    txn: require_str(&value, "txn")?.to_string(),
-                })
-            }
-            "state" => {
-                check_fields(&[])?;
-                ApiRequest::State(StateRequest { id })
-            }
-            "shutdown" => {
-                check_fields(&[])?;
-                ApiRequest::Shutdown(ShutdownRequest { id })
-            }
-            other => {
-                return Err(ProtocolError::Malformed(format!(
-                    "unknown op `{other}` (use place|resize|evacuate|commit|state|shutdown)"
-                )))
-            }
-        };
+        }
+        let request = ApiRequest::from_members(&value)?;
         request.validate()?;
         Ok(request)
-    }
-}
-
-fn require_str<'v>(value: &'v JsonValue, key: &str) -> Result<&'v str, ProtocolError> {
-    match value.get(key) {
-        Some(v) => v
-            .as_str()
-            .ok_or_else(|| ProtocolError::Malformed(format!("field `{key}` must be a string"))),
-        None => Err(ProtocolError::Malformed(format!("missing field `{key}`"))),
-    }
-}
-
-fn optional_str<'v>(value: &'v JsonValue, key: &str) -> Result<Option<&'v str>, ProtocolError> {
-    match value.get(key) {
-        None | Some(JsonValue::Null) => Ok(None),
-        Some(v) => v
-            .as_str()
-            .map(Some)
-            .ok_or_else(|| ProtocolError::Malformed(format!("field `{key}` must be a string"))),
-    }
-}
-
-fn require_u64(value: &JsonValue, key: &str) -> Result<u64, ProtocolError> {
-    match value.get(key) {
-        Some(v) => v.as_u64().ok_or_else(|| {
-            ProtocolError::Malformed(format!("field `{key}` must be a non-negative integer"))
-        }),
-        None => Err(ProtocolError::Malformed(format!("missing field `{key}`"))),
-    }
-}
-
-fn optional_u64(value: &JsonValue, key: &str) -> Result<Option<u64>, ProtocolError> {
-    match value.get(key) {
-        None | Some(JsonValue::Null) => Ok(None),
-        Some(v) => v.as_u64().map(Some).ok_or_else(|| {
-            ProtocolError::Malformed(format!("field `{key}` must be a non-negative integer"))
-        }),
-    }
-}
-
-fn optional_f64(value: &JsonValue, key: &str) -> Result<Option<f64>, ProtocolError> {
-    match value.get(key) {
-        None | Some(JsonValue::Null) => Ok(None),
-        Some(v) => v
-            .as_f64()
-            .map(Some)
-            .ok_or_else(|| ProtocolError::Malformed(format!("field `{key}` must be a number"))),
-    }
-}
-
-fn optional_bool(value: &JsonValue, key: &str) -> Result<Option<bool>, ProtocolError> {
-    match value.get(key) {
-        None | Some(JsonValue::Null) => Ok(None),
-        Some(v) => v
-            .as_bool()
-            .map(Some)
-            .ok_or_else(|| ProtocolError::Malformed(format!("field `{key}` must be a boolean"))),
     }
 }
 

@@ -1,18 +1,23 @@
-//! Typed placement-service responses and their wire codec.
+//! Typed placement-service responses and their wire shape.
 //!
 //! Responses mirror requests: one `sapsim.api/v1` envelope object per
 //! answer, fixed field order, `#[non_exhaustive]` structs built through
 //! chainable constructors so the service (a different crate) can
 //! assemble them without freezing the field set.
+//!
+//! Each struct declares its members once with [`json_codec!`], in wire
+//! order; [`ApiResponse`] is tagged by `op`. A commit nests the applied
+//! operation's full envelope, so [`ApiResponse`] encodes and decodes as
+//! an envelope wherever it appears.
 
 use crate::error::ProtocolError;
-use crate::json::{self, JsonValue};
+use crate::json::{self, json_codec, DecodeError, FromJson, JsonValue, TaggedJson, ToJson};
 use crate::schema::SchemaId;
 use std::fmt;
 use std::str::FromStr;
 
 /// One successfully placed VM inside a [`PlaceResponse`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Placement {
     /// The VM id the engine assigned.
     pub vm: u64,
@@ -36,6 +41,9 @@ pub struct PlaceFailure {
     pub reason: String,
 }
 
+json_codec!(struct Placement { vm, node, bb, az, #[default] retries });
+json_codec!(struct PlaceFailure { index, reason });
+
 /// One migration inside an [`EvacuateResponse`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Moved {
@@ -44,6 +52,8 @@ pub struct Moved {
     /// Its new node.
     pub node: String,
 }
+
+json_codec!(struct Moved { vm, node });
 
 /// Answer to a `place` request.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -73,19 +83,6 @@ impl PlaceResponse {
         }
     }
 
-    /// Echo the request id.
-    pub fn with_id(mut self, id: Option<String>) -> Self {
-        self.id = id;
-        self
-    }
-
-    /// Mark as a dry-run plan carrying a commit token.
-    pub fn as_dry_run(mut self, txn: String) -> Self {
-        self.dry_run = true;
-        self.txn = Some(txn);
-        self
-    }
-
     /// Append one placement.
     pub fn push_placed(&mut self, placement: Placement) {
         self.placed.push(placement);
@@ -100,6 +97,11 @@ impl PlaceResponse {
     }
 }
 
+json_codec!(struct PlaceResponse {
+    #[default] id: Option::is_none, #[default] dry_run, #[default] txn: Option::is_none,
+    version, placed, failed,
+});
+
 /// How a `resize` was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ResizeOutcome {
@@ -112,6 +114,9 @@ pub enum ResizeOutcome {
 }
 
 impl ResizeOutcome {
+    /// Every outcome.
+    pub const ALL: [Self; 3] = [Self::InPlace, Self::Migrated, Self::Failed];
+
     /// The wire spelling.
     pub const fn as_str(self) -> &'static str {
         match self {
@@ -132,16 +137,12 @@ impl FromStr for ResizeOutcome {
     type Err = ProtocolError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "in-place" => Ok(ResizeOutcome::InPlace),
-            "migrated" => Ok(ResizeOutcome::Migrated),
-            "failed" => Ok(ResizeOutcome::Failed),
-            other => Err(ProtocolError::Malformed(format!(
-                "unknown resize outcome `{other}`"
-            ))),
-        }
+        let found = ResizeOutcome::ALL.into_iter().find(|o| o.as_str() == s);
+        found.ok_or_else(|| ProtocolError::Malformed(format!("unknown resize outcome `{s}`")))
     }
 }
+
+json_codec!(str ResizeOutcome);
 
 /// Answer to a `resize` request.
 #[derive(Debug, Clone, PartialEq)]
@@ -177,19 +178,6 @@ impl ResizeResponse {
         }
     }
 
-    /// Echo the request id.
-    pub fn with_id(mut self, id: Option<String>) -> Self {
-        self.id = id;
-        self
-    }
-
-    /// Mark as a dry-run plan carrying a commit token.
-    pub fn as_dry_run(mut self, txn: String) -> Self {
-        self.dry_run = true;
-        self.txn = Some(txn);
-        self
-    }
-
     /// Record the hosting node after the operation.
     pub fn on_node(mut self, node: impl Into<String>) -> Self {
         self.node = Some(node.into());
@@ -197,8 +185,13 @@ impl ResizeResponse {
     }
 }
 
+json_codec!(struct ResizeResponse {
+    #[default] id: Option::is_none, #[default] dry_run, #[default] txn: Option::is_none,
+    version, vm, outcome, #[default] node: Option::is_none,
+});
+
 /// Answer to an `evacuate` request.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 #[non_exhaustive]
 pub struct EvacuateResponse {
     /// Echo of the request id.
@@ -221,29 +214,17 @@ impl EvacuateResponse {
     /// A response for draining `node`.
     pub fn new(version: u64, node: impl Into<String>) -> Self {
         EvacuateResponse {
-            id: None,
-            dry_run: false,
-            txn: None,
             version,
             node: node.into(),
-            moved: Vec::new(),
-            lost: Vec::new(),
+            ..EvacuateResponse::default()
         }
     }
-
-    /// Echo the request id.
-    pub fn with_id(mut self, id: Option<String>) -> Self {
-        self.id = id;
-        self
-    }
-
-    /// Mark as a dry-run plan carrying a commit token.
-    pub fn as_dry_run(mut self, txn: String) -> Self {
-        self.dry_run = true;
-        self.txn = Some(txn);
-        self
-    }
 }
+
+json_codec!(struct EvacuateResponse {
+    #[default] id: Option::is_none, #[default] dry_run, #[default] txn: Option::is_none,
+    version, node, moved, lost,
+});
 
 /// Answer to a `commit` request: the replayed operation's own response,
 /// wrapped with the consumed token.
@@ -267,13 +248,9 @@ impl CommitResponse {
             applied: Box::new(applied),
         }
     }
-
-    /// Echo the request id.
-    pub fn with_id(mut self, id: Option<String>) -> Self {
-        self.id = id;
-        self
-    }
 }
+
+json_codec!(struct CommitResponse { #[default] id: Option::is_none, txn, applied });
 
 /// Answer to a `state` request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -305,13 +282,11 @@ impl StateResponse {
             hash,
         }
     }
-
-    /// Echo the request id.
-    pub fn with_id(mut self, id: Option<String>) -> Self {
-        self.id = id;
-        self
-    }
 }
+
+json_codec!(struct StateResponse {
+    #[default] id: Option::is_none, version, vms, nodes, active_nodes, hash,
+});
 
 /// Answer to a `shutdown` request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -328,12 +303,6 @@ impl ShutdownResponse {
     pub fn new() -> Self {
         ShutdownResponse { id: None, ok: true }
     }
-
-    /// Echo the request id.
-    pub fn with_id(mut self, id: Option<String>) -> Self {
-        self.id = id;
-        self
-    }
 }
 
 impl Default for ShutdownResponse {
@@ -341,6 +310,35 @@ impl Default for ShutdownResponse {
         ShutdownResponse::new()
     }
 }
+
+json_codec!(struct ShutdownResponse { #[default] id: Option::is_none, ok });
+
+/// The builders every response shares: `with_id`, and `as_dry_run` for
+/// the answers to ops that can plan.
+macro_rules! builders {
+    ($($ty:ident $(+ $as_dry_run:ident)?),*) => {$(
+        impl $ty {
+            /// Echo the request id.
+            pub fn with_id(mut self, id: Option<String>) -> Self {
+                self.id = id;
+                self
+            }
+            $(
+                /// Mark as a dry-run plan carrying a commit token.
+                pub fn $as_dry_run(mut self, txn: String) -> Self {
+                    self.dry_run = true;
+                    self.txn = Some(txn);
+                    self
+                }
+            )?
+        }
+    )*};
+}
+
+builders!(
+    PlaceResponse + as_dry_run, ResizeResponse + as_dry_run, EvacuateResponse + as_dry_run,
+    CommitResponse, StateResponse, ShutdownResponse
+);
 
 /// A protocol failure on the wire (see [`ProtocolError`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -356,6 +354,8 @@ pub struct ErrorResponse {
     /// Human-readable detail.
     pub error: String,
 }
+
+json_codec!(struct ErrorResponse { #[default] id: Option::is_none, code, status, error });
 
 /// Any protocol response.
 #[derive(Debug, Clone, PartialEq)]
@@ -377,18 +377,36 @@ pub enum ApiResponse {
     Error(ErrorResponse),
 }
 
+json_codec!(enum ApiResponse: tag op {
+    Place(PlaceResponse) = "place", Resize(ResizeResponse) = "resize",
+    Evacuate(EvacuateResponse) = "evacuate", Commit(CommitResponse) = "commit",
+    State(StateResponse) = "state", Shutdown(ShutdownResponse) = "shutdown",
+    Error(ErrorResponse) = "error",
+});
+
+/// A response is always a whole envelope, nested in a commit too.
+impl ToJson for ApiResponse {
+    fn write_json(&self, out: &mut String) {
+        crate::envelope::write_api(self, out);
+    }
+}
+
+/// A nested envelope ([`CommitResponse::applied`]) must name `/v1` too.
+impl FromJson for ApiResponse {
+    fn from_json(value: &JsonValue) -> Result<Self, DecodeError> {
+        let schema = json::member_str(value, "schema")?;
+        if schema != SchemaId::ApiV1.as_str() {
+            let known = vec![SchemaId::ApiV1.as_str()];
+            return Err(DecodeError::unknown_name(schema, known).at("schema"));
+        }
+        ApiResponse::from_members(value)
+    }
+}
+
 impl ApiResponse {
     /// The wire `op` label.
-    pub const fn op(&self) -> &'static str {
-        match self {
-            ApiResponse::Place(_) => "place",
-            ApiResponse::Resize(_) => "resize",
-            ApiResponse::Evacuate(_) => "evacuate",
-            ApiResponse::Commit(_) => "commit",
-            ApiResponse::State(_) => "state",
-            ApiResponse::Shutdown(_) => "shutdown",
-            ApiResponse::Error(_) => "error",
-        }
+    pub fn op(&self) -> &'static str {
+        self.tag()
     }
 
     /// Build the wire form of a [`ProtocolError`], echoing the request
@@ -414,123 +432,7 @@ impl ApiResponse {
     /// Serialize as one envelope line (no trailing newline); fixed
     /// field order, so equal responses are equal bytes.
     pub fn to_json_line(&self) -> String {
-        let mut out = crate::envelope::line_prefix(SchemaId::ApiV1);
-        out.push_str(",\"op\":");
-        json::push_str(&mut out, self.op());
-        let id = match self {
-            ApiResponse::Place(r) => &r.id,
-            ApiResponse::Resize(r) => &r.id,
-            ApiResponse::Evacuate(r) => &r.id,
-            ApiResponse::Commit(r) => &r.id,
-            ApiResponse::State(r) => &r.id,
-            ApiResponse::Shutdown(r) => &r.id,
-            ApiResponse::Error(r) => &r.id,
-        };
-        if let Some(id) = id {
-            out.push_str(",\"id\":");
-            json::push_str(&mut out, id);
-        }
-        match self {
-            ApiResponse::Place(r) => {
-                push_plan_fields(&mut out, r.dry_run, &r.txn, r.version);
-                out.push_str(",\"placed\":[");
-                for (i, p) in r.placed.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str("{\"vm\":");
-                    json::push_u64(&mut out, p.vm);
-                    out.push_str(",\"node\":");
-                    json::push_str(&mut out, &p.node);
-                    out.push_str(",\"bb\":");
-                    json::push_str(&mut out, &p.bb);
-                    out.push_str(",\"az\":");
-                    json::push_str(&mut out, &p.az);
-                    out.push_str(",\"retries\":");
-                    json::push_u64(&mut out, p.retries);
-                    out.push('}');
-                }
-                out.push_str("],\"failed\":[");
-                for (i, f) in r.failed.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str("{\"index\":");
-                    json::push_u64(&mut out, f.index);
-                    out.push_str(",\"reason\":");
-                    json::push_str(&mut out, &f.reason);
-                    out.push('}');
-                }
-                out.push(']');
-            }
-            ApiResponse::Resize(r) => {
-                push_plan_fields(&mut out, r.dry_run, &r.txn, r.version);
-                out.push_str(",\"vm\":");
-                json::push_u64(&mut out, r.vm);
-                out.push_str(",\"outcome\":");
-                json::push_str(&mut out, r.outcome.as_str());
-                if let Some(node) = &r.node {
-                    out.push_str(",\"node\":");
-                    json::push_str(&mut out, node);
-                }
-            }
-            ApiResponse::Evacuate(r) => {
-                push_plan_fields(&mut out, r.dry_run, &r.txn, r.version);
-                out.push_str(",\"node\":");
-                json::push_str(&mut out, &r.node);
-                out.push_str(",\"moved\":[");
-                for (i, m) in r.moved.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str("{\"vm\":");
-                    json::push_u64(&mut out, m.vm);
-                    out.push_str(",\"node\":");
-                    json::push_str(&mut out, &m.node);
-                    out.push('}');
-                }
-                out.push_str("],\"lost\":[");
-                for (i, vm) in r.lost.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    json::push_u64(&mut out, *vm);
-                }
-                out.push(']');
-            }
-            ApiResponse::Commit(r) => {
-                out.push_str(",\"txn\":");
-                json::push_str(&mut out, &r.txn);
-                out.push_str(",\"applied\":");
-                out.push_str(&r.applied.to_json_line());
-            }
-            ApiResponse::State(r) => {
-                out.push_str(",\"version\":");
-                json::push_u64(&mut out, r.version);
-                out.push_str(",\"vms\":");
-                json::push_u64(&mut out, r.vms);
-                out.push_str(",\"nodes\":");
-                json::push_u64(&mut out, r.nodes);
-                out.push_str(",\"active_nodes\":");
-                json::push_u64(&mut out, r.active_nodes);
-                out.push_str(",\"hash\":");
-                json::push_str(&mut out, &r.hash);
-            }
-            ApiResponse::Shutdown(r) => {
-                out.push_str(",\"ok\":");
-                out.push_str(if r.ok { "true" } else { "false" });
-            }
-            ApiResponse::Error(r) => {
-                out.push_str(",\"code\":");
-                json::push_str(&mut out, &r.code);
-                out.push_str(",\"status\":");
-                json::push_u64(&mut out, u64::from(r.status));
-                out.push_str(",\"error\":");
-                json::push_str(&mut out, &r.error);
-            }
-        }
-        out.push('}');
-        out
+        self.to_json_string()
     }
 
     /// Decode one response line. Unknown fields are always tolerated
@@ -538,193 +440,10 @@ impl ApiResponse {
     pub fn parse_line(text: &str) -> Result<ApiResponse, ProtocolError> {
         let value =
             json::parse(text).map_err(|e| ProtocolError::Malformed(format!("bad JSON: {e}")))?;
-        parse_value(&value)
-    }
-}
-
-fn push_plan_fields(out: &mut String, dry_run: bool, txn: &Option<String>, version: u64) {
-    out.push_str(",\"dry_run\":");
-    out.push_str(if dry_run { "true" } else { "false" });
-    if let Some(txn) = txn {
-        out.push_str(",\"txn\":");
-        json::push_str(out, txn);
-    }
-    out.push_str(",\"version\":");
-    json::push_u64(out, version);
-}
-
-fn parse_value(value: &JsonValue) -> Result<ApiResponse, ProtocolError> {
-    let malformed = |msg: &str| ProtocolError::Malformed(format!("bad response: {msg}"));
-    if value.as_obj().is_none() {
-        return Err(malformed("not a JSON object"));
-    }
-    let schema = value
-        .get("schema")
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| malformed("missing schema"))?;
-    crate::envelope::expect_schema(schema, SchemaId::ApiV1)?;
-    let op = value
-        .get("op")
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| malformed("missing op"))?;
-    let id = value
-        .get("id")
-        .and_then(JsonValue::as_str)
-        .map(str::to_string);
-    let get_u64 = |key: &str| -> Result<u64, ProtocolError> {
-        value
-            .get(key)
-            .and_then(JsonValue::as_u64)
-            .ok_or_else(|| malformed(&format!("missing or mistyped `{key}`")))
-    };
-    let get_str = |key: &str| -> Result<String, ProtocolError> {
-        value
-            .get(key)
-            .and_then(JsonValue::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| malformed(&format!("missing or mistyped `{key}`")))
-    };
-    let dry_run = value
-        .get("dry_run")
-        .and_then(JsonValue::as_bool)
-        .unwrap_or(false);
-    let txn = value
-        .get("txn")
-        .and_then(JsonValue::as_str)
-        .map(str::to_string);
-
-    match op {
-        "place" => {
-            let mut resp = PlaceResponse::new(get_u64("version")?).with_id(id);
-            resp.dry_run = dry_run;
-            resp.txn = txn;
-            for item in value
-                .get("placed")
-                .and_then(JsonValue::as_arr)
-                .ok_or_else(|| malformed("missing `placed`"))?
-            {
-                resp.placed.push(Placement {
-                    vm: item
-                        .get("vm")
-                        .and_then(JsonValue::as_u64)
-                        .ok_or_else(|| malformed("placed[].vm"))?,
-                    node: item
-                        .get("node")
-                        .and_then(JsonValue::as_str)
-                        .ok_or_else(|| malformed("placed[].node"))?
-                        .to_string(),
-                    bb: item
-                        .get("bb")
-                        .and_then(JsonValue::as_str)
-                        .ok_or_else(|| malformed("placed[].bb"))?
-                        .to_string(),
-                    az: item
-                        .get("az")
-                        .and_then(JsonValue::as_str)
-                        .ok_or_else(|| malformed("placed[].az"))?
-                        .to_string(),
-                    retries: item.get("retries").and_then(JsonValue::as_u64).unwrap_or(0),
-                });
-            }
-            for item in value
-                .get("failed")
-                .and_then(JsonValue::as_arr)
-                .ok_or_else(|| malformed("missing `failed`"))?
-            {
-                resp.failed.push(PlaceFailure {
-                    index: item
-                        .get("index")
-                        .and_then(JsonValue::as_u64)
-                        .ok_or_else(|| malformed("failed[].index"))?,
-                    reason: item
-                        .get("reason")
-                        .and_then(JsonValue::as_str)
-                        .ok_or_else(|| malformed("failed[].reason"))?
-                        .to_string(),
-                });
-            }
-            Ok(ApiResponse::Place(resp))
-        }
-        "resize" => {
-            let outcome: ResizeOutcome = get_str("outcome")?.parse()?;
-            let mut resp =
-                ResizeResponse::new(get_u64("version")?, get_u64("vm")?, outcome).with_id(id);
-            resp.dry_run = dry_run;
-            resp.txn = txn;
-            resp.node = value
-                .get("node")
-                .and_then(JsonValue::as_str)
-                .map(str::to_string);
-            Ok(ApiResponse::Resize(resp))
-        }
-        "evacuate" => {
-            let mut resp =
-                EvacuateResponse::new(get_u64("version")?, get_str("node")?).with_id(id);
-            resp.dry_run = dry_run;
-            resp.txn = txn;
-            for item in value
-                .get("moved")
-                .and_then(JsonValue::as_arr)
-                .ok_or_else(|| malformed("missing `moved`"))?
-            {
-                resp.moved.push(Moved {
-                    vm: item
-                        .get("vm")
-                        .and_then(JsonValue::as_u64)
-                        .ok_or_else(|| malformed("moved[].vm"))?,
-                    node: item
-                        .get("node")
-                        .and_then(JsonValue::as_str)
-                        .ok_or_else(|| malformed("moved[].node"))?
-                        .to_string(),
-                });
-            }
-            for item in value
-                .get("lost")
-                .and_then(JsonValue::as_arr)
-                .ok_or_else(|| malformed("missing `lost`"))?
-            {
-                resp.lost
-                    .push(item.as_u64().ok_or_else(|| malformed("lost[]"))?);
-            }
-            Ok(ApiResponse::Evacuate(resp))
-        }
-        "commit" => {
-            let applied = value
-                .get("applied")
-                .ok_or_else(|| malformed("missing `applied`"))?;
-            Ok(ApiResponse::Commit(
-                CommitResponse::new(get_str("txn")?, parse_value(applied)?).with_id(id),
-            ))
-        }
-        "state" => Ok(ApiResponse::State(
-            StateResponse::new(
-                get_u64("version")?,
-                get_u64("vms")?,
-                get_u64("nodes")?,
-                get_u64("active_nodes")?,
-                get_str("hash")?,
-            )
-            .with_id(id),
-        )),
-        "shutdown" => Ok(ApiResponse::Shutdown(ShutdownResponse {
-            id,
-            ok: value
-                .get("ok")
-                .and_then(JsonValue::as_bool)
-                .ok_or_else(|| malformed("missing `ok`"))?,
-        })),
-        "error" => {
-            let status = get_u64("status")?;
-            Ok(ApiResponse::Error(ErrorResponse {
-                id,
-                code: get_str("code")?,
-                status: u16::try_from(status)
-                    .map_err(|_| malformed("status out of range"))?,
-                error: get_str("error")?,
-            }))
-        }
-        other => Err(malformed(&format!("unknown op `{other}`"))),
+        let bad = |e: DecodeError| ProtocolError::Malformed(format!("bad response: {e}"));
+        let schema = json::member_str(&value, "schema").map_err(bad)?;
+        crate::envelope::expect_schema(schema, SchemaId::ApiV1)?;
+        ApiResponse::from_members(&value).map_err(bad)
     }
 }
 

@@ -16,7 +16,7 @@ use crate::hypervisor::{self, NodeDemand};
 use crate::result::{DriverStats, FaultStats, RunResult, VmUsageSummary};
 use crate::snapshot::SimSnapshot;
 use sapsim_faults::{FaultPlan, EVAC_BACKOFF_MAX_DOUBLINGS};
-use sapsim_json::{json_codec, variant, write_variant, FromJson, JsonValue, ToJson};
+use sapsim_json::{json_codec, variant, write_variant, DecodeError, FromJson, JsonValue, ToJson};
 use sapsim_obs::{
     DecisionOutcome, DecisionRecord, FaultEventKind, HostScore, NullRecorder, ObsEvent, Recorder,
     RunProfile, SpanKind, DECISION_TOP_K,
@@ -87,7 +87,7 @@ impl ToJson for Event {
 }
 
 impl FromJson for Event {
-    fn from_json(value: &JsonValue) -> Result<Self, String> {
+    fn from_json(value: &JsonValue) -> Result<Self, DecodeError> {
         let (name, payload) = variant(value)?;
         Ok(match (name, payload) {
             ("VmArrival", spec) => Event::VmArrival(FromJson::from_json(spec)?),
@@ -102,7 +102,16 @@ impl FromJson for Event {
             ("HostFail", node) => Event::HostFail(FromJson::from_json(node)?),
             ("HostRecover", node) => Event::HostRecover(FromJson::from_json(node)?),
             ("EvacRetry", vm) => Event::EvacRetry(FromJson::from_json(vm)?),
-            _ => return Err(format!("unknown event `{name}`")),
+            _ => {
+                return Err(DecodeError::unknown_name(
+                    name,
+                    vec![
+                        "VmArrival", "VmDeparture", "VmResize", "Scrape", "OsGauge", "DrsRound",
+                        "CrossBbRound", "MaintenanceStart", "MaintenanceEnd", "HostFail",
+                        "HostRecover", "EvacRetry",
+                    ],
+                ))
+            }
         })
     }
 }

@@ -15,12 +15,16 @@
 //!   helpers appending to one `String`.
 //! * [`ToJson`] / [`FromJson`] and the [`json_codec!`] macro — typed
 //!   encode (streamed into one `String`, no intermediate tree) and decode
-//!   (from a parsed [`JsonValue`]) for plain records, unit enums and
-//!   newtypes.
+//!   (from a parsed [`JsonValue`]) for records with required and
+//!   defaulted members, internally tagged enums, unit enums and
+//!   newtypes. A [`DecodeError`] tells a wrong shape from a bad value.
 
 mod codec;
 
-pub use codec::{decode, required, variant, write_variant, FromJson, ObjectWriter, ToJson};
+pub use codec::{
+    decode, member_str, object, optional, required, variant, write_variant, DecodeError,
+    ErrorKind, FromJson, JsonMembers, ObjectWriter, TaggedJson, ToJson,
+};
 
 use std::fmt::{self, Write as _};
 
@@ -461,8 +465,7 @@ pub fn push_f64(out: &mut String, v: f64) {
     }
 }
 
-/// Escape-unaware check used by strict-mode field validation: `true` when
-/// every key of `obj` appears in `allowed`.
+/// The first key of `obj` that is not in `allowed` (strict field checks).
 pub fn unknown_key<'a>(obj: &'a [(String, JsonValue)], allowed: &[&str]) -> Option<&'a str> {
     obj.iter()
         .map(|(k, _)| k.as_str())

@@ -1,7 +1,7 @@
 //! The metric catalog: every metric of the paper's Table 4, plus the
 //! entities they are recorded against.
 
-use sapsim_json::{json_codec, variant, write_variant, FromJson, JsonValue, ToJson};
+use sapsim_json::{json_codec, variant, write_variant, DecodeError, FromJson, JsonValue, ToJson};
 use sapsim_sim::SimDuration;
 use std::fmt;
 
@@ -226,13 +226,13 @@ impl ToJson for EntityRef {
 }
 
 impl FromJson for EntityRef {
-    fn from_json(value: &JsonValue) -> Result<Self, String> {
+    fn from_json(value: &JsonValue) -> Result<Self, DecodeError> {
         match variant(value)? {
             ("Node", i) => u32::from_json(i).map(EntityRef::Node),
             ("Bb", i) => u32::from_json(i).map(EntityRef::Bb),
             ("Vm", uid) => u64::from_json(uid).map(EntityRef::Vm),
             ("Region", JsonValue::Null) => Ok(EntityRef::Region),
-            (other, _) => Err(format!("unknown entity kind `{other}`")),
+            (other, _) => Err(DecodeError::unknown_name(other, vec!["Node", "Bb", "Vm", "Region"])),
         }
     }
 }
