@@ -45,14 +45,7 @@ pub use schema::SchemaId;
 
 /// The 64-bit FNV-1a hash the protocol uses for transaction tokens
 /// (same function the core crate uses for canonical state hashes).
-pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
-}
+pub use sapsim_json::fnv1a_64;
 
 /// Derive the dry-run transaction token for `request` planned at engine
 /// `version`: 16 hex digits over the canonical request bytes, salted
@@ -67,14 +60,6 @@ pub fn txn_token(version: u64, request: &ApiRequest) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fnv1a_matches_reference_vectors() {
-        // Standard FNV-1a 64 test vectors.
-        assert_eq!(fnv1a_64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a_64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a_64(b"foobar"), 0x85944171f73967e8);
-    }
 
     #[test]
     fn txn_tokens_differ_by_version_and_request() {

@@ -26,17 +26,10 @@ use sapsim_json::{json_codec, ToJson};
 use sapsim_obs::Recorder;
 use sapsim_scheduler::PolicyKind;
 
-/// FNV-1a 64-bit content hash — the zero-dependency hash used for
-/// scenario ids and sweep determinism witnesses. Stable across platforms
-/// and releases; not cryptographic.
-pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
+/// FNV-1a 64-bit content hash — the hash used for scenario ids and sweep
+/// determinism witnesses. Stable across platforms and releases; not
+/// cryptographic.
+pub use sapsim_json::fnv1a_64;
 
 /// One named, validated run descriptor.
 ///
@@ -362,12 +355,5 @@ mod tests {
         let sparse: SweepSpec = sapsim_json::decode(r#"{"seeds":[4,5]}"#).expect("decodes");
         assert_eq!(sparse.base, SimConfig::default());
         assert_eq!(sparse.seeds, vec![4, 5]);
-    }
-
-    #[test]
-    fn fnv_is_the_reference_implementation() {
-        // Reference vectors for FNV-1a 64.
-        assert_eq!(fnv1a_64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a_64(b"a"), 0xaf63_dc4c_8601_ec8c);
     }
 }

@@ -18,6 +18,8 @@
 //!   (from a parsed [`JsonValue`]) for records with required and
 //!   defaulted members, internally tagged enums, unit enums and
 //!   newtypes. A [`DecodeError`] tells a wrong shape from a bad value.
+//!
+//! [`fnv1a_64`] is the workspace's one content hash.
 
 mod codec;
 
@@ -465,6 +467,17 @@ pub fn push_f64(out: &mut String, v: f64) {
     }
 }
 
+/// The 64-bit FNV-1a hash: transaction tokens, canonical state hashes,
+/// scenario ids and RNG stream labels all use it.
+pub fn fnv1a_64(bytes: &[u8]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x100_0000_01b3);
+    }
+    hash
+}
+
 /// The first key of `obj` that is not in `allowed` (strict field checks).
 pub fn unknown_key<'a>(obj: &'a [(String, JsonValue)], allowed: &[&str]) -> Option<&'a str> {
     obj.iter()
@@ -645,6 +658,14 @@ mod tests {
         let pairs = object.as_obj().unwrap();
         assert_eq!(pairs.len(), 100_000);
         assert_eq!(pairs[99_999], ("key099999".to_string(), JsonValue::Int(99_999)));
+    }
+
+    #[test]
+    fn fnv1a_matches_reference_vectors() {
+        // Standard FNV-1a 64 test vectors.
+        assert_eq!(fnv1a_64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a_64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a_64(b"foobar"), 0x85944171f73967e8);
     }
 
     #[test]

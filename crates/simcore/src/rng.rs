@@ -76,7 +76,7 @@ impl SimRng {
     /// Children are a function of the parent's *identity* (its seed lineage)
     /// and the label only — not of how many values the parent has produced.
     pub fn split(&self, label: &str) -> SimRng {
-        let child = splitmix64(self.lineage ^ fnv1a(label.as_bytes()));
+        let child = splitmix64(self.lineage ^ sapsim_json::fnv1a_64(label.as_bytes()));
         SimRng {
             state: seed_state(child),
             lineage: child,
@@ -285,16 +285,6 @@ fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
-}
-
-/// FNV-1a over a byte string; folds a label into the seed lineage.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
 }
 
 #[cfg(test)]
