@@ -3,10 +3,15 @@
 //! * A seeded fuzzer builds random [`JsonValue`] trees, writes them out
 //!   and reads them back: emit → parse must be the identity, whatever the
 //!   nesting, escapes or 64-bit integers involved.
+//! * A second fuzzer mutates valid `sapsim.api/v1` request and response
+//!   lines byte by byte: the wire decoders must answer every input
+//!   without panicking, and every request they accept re-encodes to a
+//!   line that decodes back to the same value.
 //! * The encode-only and report-level root types (`canonical_bytes()`,
 //!   `SweepReport`) survive a trip through the codec; the other ported
 //!   roots have their round-trip tests beside their definitions.
 
+use sapsim_api::{ApiRequest, ApiResponse};
 use sapsim_core::{Scenario, SimConfig};
 use sapsim_json::{parse, JsonValue, ToJson};
 use sapsim_sim::{for_each_seed, SimRng};
@@ -71,6 +76,91 @@ fn emit_then_parse_is_the_identity_on_random_trees() {
         assert_eq!(back, value, "{text}");
         assert_eq!(back.to_json_string(), text, "re-emit is byte-stable");
     });
+}
+
+/// Valid lines of every op, with optional fields both set and absent,
+/// spelled out so that the inputs do not depend on the encoder.
+const WIRE_LINES: [&str; 13] = [
+    r#"{"schema":"sapsim.api/v1","op":"place","id":"r\"1é","vcpus":4,"memory_mib":32768,"disk_gib":100,"class":"hana","az":"az-a","count":3,"lifetime_days":30.5,"dry_run":true}"#,
+    r#"{"schema":"sapsim.api/v1","op":"place","vcpus":1,"memory_mib":1024}"#,
+    r#"{"schema":"sapsim.api/v1","op":"resize","vm":7,"vcpus":8,"memory_mib":65536,"disk_gib":50,"dry_run":true}"#,
+    r#"{"schema":"sapsim.api/v1","op":"evacuate","id":"e","node":"a-bb001-n001","dry_run":false}"#,
+    r#"{"schema":"sapsim.api/v1","op":"commit","txn":"0123456789abcdef"}"#,
+    r#"{"schema":"sapsim.api/v1","op":"state","id":"q"}"#,
+    r#"{"schema":"sapsim.api/v1","op":"shutdown"}"#,
+    r#"{"schema":"sapsim.api/v1","op":"place","id":"r1","dry_run":false,"version":7,"placed":[{"vm":12,"node":"a-bb001-n001","bb":"a-bb001","az":"az-a","retries":2}],"failed":[{"index":1,"reason":"no-candidate"}]}"#,
+    r#"{"schema":"sapsim.api/v1","op":"place","dry_run":true,"txn":"00000000000000ff","version":3,"placed":[],"failed":[]}"#,
+    r#"{"schema":"sapsim.api/v1","op":"evacuate","dry_run":false,"version":9,"node":"a-bb001-n000","moved":[{"vm":4,"node":"a-bb001-n002"}],"lost":[5]}"#,
+    r#"{"schema":"sapsim.api/v1","op":"commit","txn":"0123456789abcdef","applied":{"schema":"sapsim.api/v1","op":"resize","dry_run":false,"version":5,"vm":7,"outcome":"migrated","node":"a-bb002-n000"}}"#,
+    r#"{"schema":"sapsim.api/v1","op":"state","version":11,"vms":100,"nodes":90,"active_nodes":89,"hash":"00ff00ff00ff00ff"}"#,
+    r#"{"schema":"sapsim.api/v1","op":"error","code":"conflict","status":409,"error":"state moved"}"#,
+];
+
+/// One random edit of `line`: flip, insert or delete a byte, truncate,
+/// or splice in a member another line carries.
+fn mutate(rng: &mut SimRng, line: &[u8], donor: &[u8]) -> Vec<u8> {
+    const BYTES: &[u8] = b"{}[]:,\"0123456789-.eEtrufalsn \\";
+    let mut out = line.to_vec();
+    let at = rng.range(0, out.len() as u64 + 1) as usize;
+    match rng.range(0, 5) {
+        0 if at < out.len() => out[at] ^= 1 << rng.range(0, 7),
+        1 => out.insert(at, BYTES[rng.range(0, BYTES.len() as u64) as usize]),
+        2 if at < out.len() => {
+            out.remove(at);
+        }
+        3 => out.truncate(at),
+        _ => {
+            // A `"key":value` member of the donor, cut at quote and
+            // comma boundaries, inserted after one of our commas.
+            let starts: Vec<usize> = (0..donor.len()).filter(|&i| donor[i] == b'"').collect();
+            let start = starts[rng.range(0, starts.len() as u64) as usize];
+            let end = donor[start..]
+                .iter()
+                .position(|&b| b == b',' || b == b'}')
+                .map_or(donor.len(), |n| start + n);
+            let commas: Vec<usize> = (0..out.len()).filter(|&i| out[i] == b',').collect();
+            if let Some(&comma) = commas.get(rng.range(0, commas.len() as u64 + 1) as usize) {
+                let mut member = donor[start..end].to_vec();
+                member.push(b',');
+                out.splice(comma + 1..comma + 1, member);
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn wire_decoders_survive_mutated_lines_and_reencode_canonically() {
+    let mut accepted = 0;
+    for_each_seed(5_000, |rng| {
+        let pick = |rng: &mut SimRng| {
+            WIRE_LINES[rng.range(0, WIRE_LINES.len() as u64) as usize].as_bytes()
+        };
+        let mut bytes = pick(rng).to_vec();
+        for _ in 0..rng.range(1, 4) {
+            let donor = pick(rng);
+            bytes = mutate(rng, &bytes, donor);
+        }
+        let text = String::from_utf8_lossy(&bytes);
+        for strict in [false, true] {
+            if let Ok(request) = ApiRequest::parse_line(&text, strict) {
+                accepted += 1;
+                let line = request.to_json_line();
+                let back = ApiRequest::parse_line(&line, true)
+                    .unwrap_or_else(|e| panic!("{e}: re-encoded {line} from {text}"));
+                assert_eq!(back, request, "{text}");
+                assert_eq!(back.to_json_line(), line, "{text}");
+            }
+        }
+        if let Ok(response) = ApiResponse::parse_line(&text) {
+            let line = response.to_json_line();
+            let back = ApiResponse::parse_line(&line)
+                .unwrap_or_else(|e| panic!("{e}: re-encoded {line} from {text}"));
+            assert_eq!(back.to_json_line(), line, "{text}");
+        }
+    });
+    // Enough mutants stay valid for the round trip to be exercised.
+    assert!(accepted > 400, "only {accepted} mutated requests decoded");
 }
 
 fn tiny_config() -> SimConfig {
