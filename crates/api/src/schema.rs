@@ -43,7 +43,7 @@ impl SchemaId {
         match self {
             SchemaId::RunSummaryV1 => "sapsim.run-summary/v1",
             SchemaId::SweepReportV1 => "sapsim.sweep-report/v1",
-            SchemaId::MetricsV1 => "sapsim.metrics/v1",
+            SchemaId::MetricsV1 => sapsim_obs::METRICS_SCHEMA,
             SchemaId::ApiV1 => "sapsim.api/v1",
         }
     }

@@ -260,14 +260,13 @@ pub fn execute_with_obs(
 }
 
 /// Write one `sapsim.metrics/v1` JSON snapshot to `path` plus a status
-/// line to `out`. The line is rendered through the `sapsim-api` envelope
-/// writer, which owns the schema spelling.
+/// line to `out`.
 fn write_metrics_snapshot(
     registry: &MetricsRegistry,
     path: &str,
     out: &mut dyn Write,
 ) -> Result<(), CliError> {
-    let mut json = sapsim_api::envelope::metrics_line(registry);
+    let mut json = registry.to_json();
     json.push('\n');
     std::fs::write(path, &json)
         .map_err(|e| CliError::Io(format!("cannot create {path}: {e}")))?;

@@ -13,14 +13,17 @@
 //! fixed-boundary histograms merge bucket-wise without loss. With `--prom`
 //! the merged registry renders as a full Prometheus page (counter, gauge,
 //! and histogram families).
+//!
+//! Both read through the declarations that wrote the files:
+//! [`LogLine`] for the log, [`MetricsRegistry`]'s own decoder for the
+//! snapshots. Totals saturate, because the numbers come from files.
 
 use crate::args::Parsed;
 use crate::error::CliError;
-use sapsim_core::obs::{bucket_index, bucket_upper_bound, Histogram};
-use sapsim_telemetry::exposition::{
-    render_counters, render_metrics, PromData, PromFamily, PromHistogram,
-};
-use sapsim_json::JsonValue;
+use crate::serve::render_prom;
+use sapsim_json::decode;
+use sapsim_obs::{LogLine, MetricKey, MetricsRegistry};
+use sapsim_telemetry::exposition::render_counters;
 use std::collections::BTreeMap;
 use std::io::Write;
 
@@ -36,18 +39,25 @@ struct SpanAgg {
 #[derive(Default)]
 struct Summary {
     meta: Option<(f64, u64, u64, u64)>, // (sample rate, ring capacity, events, dropped)
-    spans: BTreeMap<String, SpanAgg>,
-    outcomes: BTreeMap<String, u64>,
+    spans: BTreeMap<&'static str, SpanAgg>,
+    outcomes: BTreeMap<&'static str, u64>,
     rejections: BTreeMap<String, u64>,
     decisions: u64,
     retries_total: u64,
     retries_max: u64,
     candidates_total: u64,
-    faults: BTreeMap<String, u64>,
+    faults: BTreeMap<&'static str, u64>,
     counters: Vec<(String, u64)>,
 }
 
 const USAGE: &str = "usage: sapsim obs summary <FILE.jsonl> [--prom]\n       sapsim obs metrics <FILE.json>... [--prom]";
+
+/// Help texts of the `metrics --prom` families.
+const MERGED_HELP: [&str; 3] = [
+    "Merged engine counter",
+    "Merged engine gauge",
+    "Merged engine histogram",
+];
 
 /// Execute the subcommand.
 pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
@@ -76,16 +86,19 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             if paths.is_empty() {
                 return Err(CliError::Usage(USAGE.into()));
             }
-            let mut agg = MetricsAgg::default();
+            let mut merged = MetricsRegistry::new();
             for path in paths {
                 let text = std::fs::read_to_string(path)
                     .map_err(|e| CliError::Io(format!("cannot read {path}: {e}")))?;
-                merge_snapshot(&text, path, &mut agg)?;
+                let snapshot: MetricsRegistry = decode(text.trim()).map_err(|e| {
+                    CliError::Data(format!("{path}: not a sapsim.metrics/v1 snapshot: {e}"))
+                })?;
+                merged.merge(&snapshot);
             }
             if parsed.flag("prom") {
-                write!(out, "{}", render_metrics_prom(&agg))?;
+                write!(out, "{}", render_prom(&merged, MERGED_HELP))?;
             } else {
-                render_metrics_table(&agg, out)?;
+                render_metrics_table(&merged, paths.len(), out)?;
             }
             Ok(())
         }
@@ -95,7 +108,7 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     }
 }
 
-/// One pass over the JSONL text, dispatching on each line's `type`.
+/// One pass over the JSONL text, one [`LogLine`] per non-blank line.
 /// Malformed lines are data errors: the file was readable, its content
 /// was not.
 fn summarize(text: &str) -> Result<Summary, CliError> {
@@ -104,193 +117,74 @@ fn summarize(text: &str) -> Result<Summary, CliError> {
         if line.trim().is_empty() {
             continue;
         }
-        let v: JsonValue = sapsim_json::parse(line)
-            .map_err(|e| CliError::Data(format!("line {}: invalid JSON: {e}", lineno + 1)))?;
-        match v["type"].as_str() {
-            Some("meta") => {
-                s.meta = Some((
-                    v["decision_sample_rate"].as_f64().unwrap_or(f64::NAN),
-                    v["ring_capacity"].as_u64().unwrap_or(0),
-                    v["events"].as_u64().unwrap_or(0),
-                    v["dropped"].as_u64().unwrap_or(0),
-                ));
+        let record: LogLine = decode(line)
+            .map_err(|e| CliError::Data(format!("line {}: {e}", lineno + 1)))?;
+        match record {
+            LogLine::Meta(m) => {
+                s.meta = Some((m.decision_sample_rate, m.ring_capacity, m.events, m.dropped));
             }
-            Some("span") => {
-                let kind = v["kind"].as_str().unwrap_or("?").to_string();
-                let dur = v["dur_us"].as_u64().unwrap_or(0);
-                let agg = s.spans.entry(kind).or_default();
+            LogLine::Span(span) => {
+                let agg = s.spans.entry(span.kind.name()).or_default();
                 agg.count += 1;
-                agg.total_us += dur;
-                agg.max_us = agg.max_us.max(dur);
+                agg.total_us = agg.total_us.saturating_add(span.dur_us);
+                agg.max_us = agg.max_us.max(span.dur_us);
             }
-            Some("decision") => {
+            LogLine::Decision(d) => {
                 s.decisions += 1;
-                let outcome = v["outcome"].as_str().unwrap_or("?").to_string();
-                *s.outcomes.entry(outcome).or_insert(0) += 1;
-                let retries = v["retries"].as_u64().unwrap_or(0);
-                s.retries_total += retries;
-                s.retries_max = s.retries_max.max(retries);
-                s.candidates_total += v["candidates"].as_u64().unwrap_or(0);
-                if let Some(rej) = v["rejections"].as_obj() {
-                    for (reason, count) in rej {
-                        *s.rejections.entry(reason.clone()).or_insert(0) +=
-                            count.as_u64().unwrap_or(0);
-                    }
+                *s.outcomes.entry(d.outcome.name()).or_insert(0) += 1;
+                s.retries_total = s.retries_total.saturating_add(d.retries.into());
+                s.retries_max = s.retries_max.max(d.retries.into());
+                s.candidates_total = s.candidates_total.saturating_add(d.candidates.into());
+                for (reason, count) in d.rejections.iter() {
+                    let total = s.rejections.entry(reason.to_string()).or_insert(0);
+                    *total = total.saturating_add((*count).into());
                 }
             }
-            Some("fault") => {
-                let kind = v["kind"].as_str().unwrap_or("?").to_string();
-                *s.faults.entry(kind).or_insert(0) += 1;
-            }
-            Some("counter") => {
-                if let (Some(name), Some(value)) = (v["name"].as_str(), v["value"].as_u64()) {
-                    s.counters.push((name.to_string(), value));
-                }
-            }
-            other => {
-                return Err(CliError::Data(format!(
-                    "line {}: unknown record type {:?}",
-                    lineno + 1,
-                    other.unwrap_or("<missing>")
-                )));
-            }
+            LogLine::Fault(fault) => *s.faults.entry(fault.kind.name()).or_insert(0) += 1,
+            LogLine::Counter(c) => s.counters.push((c.name.into_owned(), c.value)),
         }
     }
     Ok(s)
 }
 
-/// A series identity parsed from a snapshot: name plus optional label
-/// pair. Owned strings (unlike [`sapsim_core::obs::MetricKey`], whose
-/// names are `&'static str`), because these come from files.
-type SeriesKey = (String, Option<(String, String)>);
-
-/// The merged view of one or more `sapsim.metrics/v1` snapshots.
-/// Counters add, gauges take the last file's value (matching registry
-/// merge semantics), histograms merge bucket-wise.
-#[derive(Default)]
-struct MetricsAgg {
-    files: usize,
-    counters: BTreeMap<SeriesKey, u64>,
-    gauges: BTreeMap<SeriesKey, f64>,
-    histograms: BTreeMap<SeriesKey, Histogram>,
-}
-
-/// Parse one snapshot file's text and fold it into `agg`. Malformed
-/// content is a data error tagged with the file path.
-fn merge_snapshot(text: &str, path: &str, agg: &mut MetricsAgg) -> Result<(), CliError> {
-    let bad = |what: &str| CliError::Data(format!("{path}: {what}"));
-    let v: JsonValue = sapsim_json::parse(text.trim())
-        .map_err(|e| CliError::Data(format!("{path}: invalid JSON: {e}")))?;
-    if v["schema"].as_str() != Some("sapsim.metrics/v1") {
-        return Err(bad("not a sapsim.metrics/v1 snapshot"));
-    }
-    for entry in v["counters"].as_arr().into_iter().flatten() {
-        let key = series_key(entry, path)?;
-        let value = entry["value"]
-            .as_u64()
-            .ok_or_else(|| bad("counter value must be a u64"))?;
-        // Saturating: file-supplied values near u64::MAX must degrade
-        // deterministically, not overflow.
-        let slot = agg.counters.entry(key).or_insert(0);
-        *slot = slot.saturating_add(value);
-    }
-    for entry in v["gauges"].as_arr().into_iter().flatten() {
-        let key = series_key(entry, path)?;
-        let value = entry["value"]
-            .as_f64()
-            .ok_or_else(|| bad("gauge value must be a number"))?;
-        agg.gauges.insert(key, value);
-    }
-    for entry in v["histograms"].as_arr().into_iter().flatten() {
-        let key = series_key(entry, path)?;
-        let field = |name: &str| {
-            entry[name]
-                .as_u64()
-                .ok_or_else(|| bad(&format!("histogram {name} must be a u64")))
-        };
-        let (count, sum, min, max) = (field("count")?, field("sum")?, field("min")?, field("max")?);
-        let mut buckets = Vec::new();
-        for pair in entry["buckets"]
-            .as_arr()
-            .ok_or_else(|| bad("histogram buckets must be an array"))?
-        {
-            let (Some(ub), Some(n)) = (pair[0].as_u64(), pair[1].as_u64()) else {
-                return Err(bad("histogram bucket must be [upper_bound, count]"));
-            };
-            // Only canonical log-linear bounds are valid: anything else
-            // came from a corrupt or foreign snapshot and would silently
-            // land in the wrong bucket.
-            if ub != bucket_upper_bound(bucket_index(ub)) {
-                return Err(bad(&format!(
-                    "histogram bucket bound {ub} is not a canonical bucket boundary"
-                )));
-            }
-            buckets.push((ub, n));
-        }
-        let parsed = Histogram::from_parts(buckets, sum, min, max);
-        if parsed.count() != count {
-            return Err(bad("histogram bucket counts do not add up to count"));
-        }
-        agg.histograms.entry(key).or_default().merge(&parsed);
-    }
-    agg.files += 1;
-    Ok(())
-}
-
-/// The `name`/`label` identity of one snapshot entry.
-fn series_key(entry: &JsonValue, path: &str) -> Result<SeriesKey, CliError> {
-    let name = entry["name"]
-        .as_str()
-        .ok_or_else(|| CliError::Data(format!("{path}: metric entry without a name")))?;
-    let label = match entry.get("label") {
-        None => None,
-        Some(obj) => {
-            let Some([(k, v)]) = obj.as_obj() else {
-                return Err(CliError::Data(format!(
-                    "{path}: metric label must be a single-pair object"
-                )));
-            };
-            let v = v.as_str().ok_or_else(|| {
-                CliError::Data(format!("{path}: metric label value must be a string"))
-            })?;
-            Some((k.clone(), v.to_string()))
-        }
-    };
-    Ok((name.to_string(), label))
-}
-
 /// `name` or `name{key="value"}` for the table rendering.
-fn series_display((name, label): &SeriesKey) -> String {
-    match label {
-        None => name.clone(),
-        Some((k, v)) => format!("{name}{{{k}=\"{v}\"}}"),
+fn series_display(key: &MetricKey) -> String {
+    match &key.label {
+        None => key.name.to_string(),
+        Some((k, v)) => format!("{}{{{k}=\"{v}\"}}", key.name),
     }
 }
 
-/// Human-readable rendering of a [`MetricsAgg`].
-fn render_metrics_table(agg: &MetricsAgg, out: &mut dyn Write) -> std::io::Result<()> {
-    let series = agg.counters.len() + agg.gauges.len() + agg.histograms.len();
+/// Human-readable rendering of the registry merged from `files` snapshots.
+fn render_metrics_table(
+    merged: &MetricsRegistry,
+    files: usize,
+    out: &mut dyn Write,
+) -> std::io::Result<()> {
     writeln!(
         out,
-        "metrics: {series} series merged from {} snapshot{}",
-        agg.files,
-        if agg.files == 1 { "" } else { "s" }
+        "metrics: {} series merged from {files} snapshot{}",
+        merged.len(),
+        if files == 1 { "" } else { "s" }
     )?;
-    if !agg.counters.is_empty() {
+    let mut counters = merged.counters().peekable();
+    if counters.peek().is_some() {
         writeln!(out, "\ncounters:")?;
-        for (key, value) in &agg.counters {
+        for (key, value) in counters {
             writeln!(out, "  {}: {value}", series_display(key))?;
         }
     }
-    if !agg.gauges.is_empty() {
+    let mut gauges = merged.gauges().peekable();
+    if gauges.peek().is_some() {
         writeln!(out, "\ngauges:")?;
-        for (key, value) in &agg.gauges {
+        for (key, value) in gauges {
             writeln!(out, "  {}: {value}", series_display(key))?;
         }
     }
-    if !agg.histograms.is_empty() {
+    let mut histograms = merged.histograms().peekable();
+    if histograms.peek().is_some() {
         writeln!(out, "\nhistograms:")?;
-        for (key, h) in &agg.histograms {
+        for (key, h) in histograms {
             writeln!(
                 out,
                 "  {}: count={} sum={} min={} max={} mean={:.1}",
@@ -304,87 +198,6 @@ fn render_metrics_table(agg: &MetricsAgg, out: &mut dyn Write) -> std::io::Resul
         }
     }
     Ok(())
-}
-
-/// The merged registry as a full Prometheus page: one family per metric
-/// name, one sample per label value. `BTreeMap` order means consecutive
-/// entries with the same name form one family.
-fn render_metrics_prom(agg: &MetricsAgg) -> String {
-    let hists: Vec<_> = agg.histograms.iter().collect();
-    // Cumulative bucket counts, precomputed so the families can borrow
-    // slices. The top bucket (upper bound u64::MAX) is dropped: the
-    // renderer's mandatory `le="+Inf"` sample already carries the total.
-    let cumulative: Vec<Vec<(f64, u64)>> = hists
-        .iter()
-        .map(|(_, h)| {
-            let mut cum = 0u64;
-            h.buckets()
-                .filter_map(|(ub, n)| {
-                    cum += n;
-                    (ub != u64::MAX).then_some((ub as f64, cum))
-                })
-                .collect()
-        })
-        .collect();
-
-    let mut families = Vec::new();
-    let counters: Vec<_> = agg.counters.iter().collect();
-    let mut i = 0;
-    while i < counters.len() {
-        let name = counters[i].0 .0.as_str();
-        let mut samples = Vec::new();
-        while i < counters.len() && counters[i].0 .0 == name {
-            samples.push((label_ref(counters[i].0), *counters[i].1));
-            i += 1;
-        }
-        families.push(PromFamily {
-            name,
-            help: "Merged engine counter",
-            data: PromData::Counter(samples),
-        });
-    }
-    let gauges: Vec<_> = agg.gauges.iter().collect();
-    let mut i = 0;
-    while i < gauges.len() {
-        let name = gauges[i].0 .0.as_str();
-        let mut samples = Vec::new();
-        while i < gauges.len() && gauges[i].0 .0 == name {
-            samples.push((label_ref(gauges[i].0), *gauges[i].1));
-            i += 1;
-        }
-        families.push(PromFamily {
-            name,
-            help: "Merged engine gauge",
-            data: PromData::Gauge(samples),
-        });
-    }
-    let mut i = 0;
-    while i < hists.len() {
-        let name = hists[i].0 .0.as_str();
-        let mut samples = Vec::new();
-        while i < hists.len() && hists[i].0 .0 == name {
-            samples.push((
-                label_ref(hists[i].0),
-                PromHistogram {
-                    cumulative: &cumulative[i],
-                    sum: hists[i].1.sum() as f64,
-                    count: hists[i].1.count(),
-                },
-            ));
-            i += 1;
-        }
-        families.push(PromFamily {
-            name,
-            help: "Merged engine histogram",
-            data: PromData::Histogram(samples),
-        });
-    }
-    render_metrics(families)
-}
-
-/// Borrowed label pair of a [`SeriesKey`], in the renderer's shape.
-fn label_ref((_, label): &SeriesKey) -> Option<(&str, &str)> {
-    label.as_ref().map(|(k, v)| (k.as_str(), v.as_str()))
 }
 
 /// Human-readable rendering of a [`Summary`].

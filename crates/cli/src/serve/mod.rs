@@ -36,7 +36,7 @@ use crate::args::Parsed;
 use crate::error::CliError;
 use sapsim_api::{ApiRequest, ApiResponse, ProtocolError, ShutdownResponse};
 use sapsim_core::{PlacementEngine, PlacementGranularity, SimConfig};
-use sapsim_obs::{Histogram, MetricKey, MetricsRegistry};
+use sapsim_obs::{MetricKey, MetricsRegistry};
 use sapsim_scheduler::PolicyKind;
 use sapsim_telemetry::exposition::{render_metrics, PromData, PromFamily, PromHistogram};
 use service::{PendingTxn, Service};
@@ -386,7 +386,7 @@ fn handle_http(shared: &Shared, write_tx: &mpsc::Sender<WriteMsg>, mut stream: T
             let _ = http::write_response(&mut stream, 200, "text/plain", "ok\n");
         }
         ("GET", "/metrics") => {
-            let page = render_prom(&shared.metrics.lock().expect("metrics lock"));
+            let page = render_prom(&shared.metrics.lock().expect("metrics lock"), SERVE_HELP);
             let _ = http::write_response(&mut stream, 200, "text/plain; version=0.0.4", &page);
         }
         ("GET", "/v1/state") => {
@@ -630,15 +630,16 @@ fn record_protocol_error(shared: &Shared, err: &ProtocolError) {
     metrics.counter_with("serve_errors_total", "code", err.code(), 1);
 }
 
-/// The `/metrics` page: the registry rendered through the shared
-/// Prometheus exposition renderer. `BTreeMap` key order means
-/// consecutive entries with the same name form one family; the top
-/// histogram bucket (upper bound `u64::MAX`) is dropped because the
-/// renderer's mandatory `le="+Inf"` sample already carries the total.
-fn render_prom(registry: &MetricsRegistry) -> String {
-    let hists: Vec<(&MetricKey, &Histogram)> = registry.histograms().collect();
-    let cumulative: Vec<Vec<(f64, u64)>> = hists
-        .iter()
+/// A registry rendered through the shared Prometheus exposition
+/// renderer, with the help texts of its counter, gauge and histogram
+/// families: the `/metrics` page, and `sapsim obs metrics --prom`.
+/// `BTreeMap` key order means consecutive entries with the same name form
+/// one family; the top histogram bucket (upper bound `u64::MAX`) is
+/// dropped because the renderer's mandatory `le="+Inf"` sample already
+/// carries the total.
+pub(crate) fn render_prom(registry: &MetricsRegistry, help: [&str; 3]) -> String {
+    let cumulative: Vec<Vec<(f64, u64)>> = registry
+        .histograms()
         .map(|(_, h)| {
             let mut cum = 0u64;
             h.buckets()
@@ -649,65 +650,57 @@ fn render_prom(registry: &MetricsRegistry) -> String {
                 .collect()
         })
         .collect();
+    let hists: Vec<(&MetricKey, PromHistogram)> = registry
+        .histograms()
+        .zip(&cumulative)
+        .map(|((key, h), cumulative)| {
+            let sample = PromHistogram {
+                cumulative,
+                sum: h.sum() as f64,
+                count: h.count(),
+            };
+            (key, sample)
+        })
+        .collect();
+    let counters: Vec<(&MetricKey, u64)> = registry.counters().collect();
+    let gauges: Vec<(&MetricKey, f64)> = registry.gauges().collect();
 
     let mut families = Vec::new();
-    let counters: Vec<(&MetricKey, u64)> = registry.counters().collect();
-    let mut i = 0;
-    while i < counters.len() {
-        let name = counters[i].0.name;
-        let mut samples = Vec::new();
-        while i < counters.len() && counters[i].0.name == name {
-            samples.push((label_ref(counters[i].0), counters[i].1));
-            i += 1;
-        }
-        families.push(PromFamily {
-            name,
-            help: "Placement-service counter",
-            data: PromData::Counter(samples),
-        });
-    }
-    let gauges: Vec<(&MetricKey, f64)> = registry.gauges().collect();
-    let mut i = 0;
-    while i < gauges.len() {
-        let name = gauges[i].0.name;
-        let mut samples = Vec::new();
-        while i < gauges.len() && gauges[i].0.name == name {
-            samples.push((label_ref(gauges[i].0), gauges[i].1));
-            i += 1;
-        }
-        families.push(PromFamily {
-            name,
-            help: "Placement-service gauge",
-            data: PromData::Gauge(samples),
-        });
-    }
-    let mut i = 0;
-    while i < hists.len() {
-        let name = hists[i].0.name;
-        let mut samples = Vec::new();
-        while i < hists.len() && hists[i].0.name == name {
-            samples.push((
-                label_ref(hists[i].0),
-                PromHistogram {
-                    cumulative: &cumulative[i],
-                    sum: hists[i].1.sum() as f64,
-                    count: hists[i].1.count(),
-                },
-            ));
-            i += 1;
-        }
-        families.push(PromFamily {
-            name,
-            help: "Placement-service latency histogram",
-            data: PromData::Histogram(samples),
-        });
-    }
+    push_families(&mut families, &counters, help[0], PromData::Counter);
+    push_families(&mut families, &gauges, help[1], PromData::Gauge);
+    push_families(&mut families, &hists, help[2], PromData::Histogram);
     render_metrics(families)
 }
 
-fn label_ref(key: &MetricKey) -> Option<(&str, &str)> {
-    key.label.as_ref().map(|(k, v)| (*k, v.as_str()))
+/// One family per run of same-name entries.
+fn push_families<'a, T: Copy>(
+    families: &mut Vec<PromFamily<'a>>,
+    entries: &[(&'a MetricKey, T)],
+    help: &'a str,
+    data: fn(Vec<(Option<(&'a str, &'a str)>, T)>) -> PromData<'a>,
+) {
+    let mut rest = entries;
+    while let Some(&(first, _)) = rest.first() {
+        let n = rest.iter().take_while(|(key, _)| key.name == first.name).count();
+        let samples = rest[..n].iter().map(|&(key, value)| {
+            let label = key.label.as_ref().map(|(k, v)| (k.as_ref(), v.as_str()));
+            (label, value)
+        });
+        families.push(PromFamily {
+            name: &first.name,
+            help,
+            data: data(samples.collect()),
+        });
+        rest = &rest[n..];
+    }
 }
+
+/// Help texts of the `/metrics` page's families.
+const SERVE_HELP: [&str; 3] = [
+    "Placement-service counter",
+    "Placement-service gauge",
+    "Placement-service latency histogram",
+];
 
 #[cfg(test)]
 mod tests {
@@ -722,7 +715,7 @@ mod tests {
         registry.gauge("serve_version", 4.0);
         registry.observe_with("serve_request_us", "op", "place", 120);
         registry.observe_with("serve_request_us", "op", "place", 450);
-        let page = render_prom(&registry);
+        let page = render_prom(&registry, SERVE_HELP);
         assert!(page.contains("# TYPE sapsim_serve_requests_total counter"), "{page}");
         assert!(page.contains("sapsim_serve_requests_total{op=\"place\"} 3"), "{page}");
         assert!(page.contains("# TYPE sapsim_serve_version gauge"), "{page}");

@@ -1596,7 +1596,7 @@ impl SimDriver {
                 weights: ranked
                     .weigher_scores
                     .iter()
-                    .map(|(name, contrib)| (*name, contrib[i]))
+                    .map(|&(name, ref contrib)| (name.into(), contrib[i]))
                     .collect(),
             })
             .collect();
@@ -1609,7 +1609,7 @@ impl SimDriver {
             chosen_host: chosen.map(|n| n.index() as u32),
             rejections: rejections
                 .iter()
-                .map(|&(reason, n)| (reason.label(), n))
+                .map(|&(reason, n)| (reason.label().into(), n))
                 .collect(),
             top_k,
         }

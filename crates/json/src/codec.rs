@@ -10,15 +10,20 @@
 //! * a unit enum is its variant name, a newtype is its inner value;
 //! * `Option` is the value or `null`, sequences and tuples are arrays;
 //! * a map is an array of `[key, value]` pairs in key order (so keys may
-//!   be records themselves).
+//!   be records themselves);
+//! * a [`Keyed`] is an object keyed by arbitrary strings, escaped like
+//!   any string value: pairs in order, or a single pair;
+//! * a [`Cow`] is its owned form's shape, read back owned.
 //!
 //! A decode failure is a [`DecodeError`]: the member path plus an
 //! [`ErrorKind`] that tells a wrong shape (missing member, wrong JSON
 //! type) from a well-typed value outside its range or set.
 
 use crate::{parse, push_f64, push_str, push_u64, JsonError, JsonValue};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Deref;
 
 /// A value that can append its JSON form to a `String`.
 pub trait ToJson {
@@ -80,6 +85,8 @@ pub enum ErrorKind {
     Range(u32),
     /// A name outside the type's set: the name read, and every name taken.
     UnknownName(String, Vec<&'static str>),
+    /// A well-typed value that breaks a rule of its type; says which.
+    Invalid(String),
 }
 
 /// Why a value did not decode, and where. Renders as ``field `id` must
@@ -111,12 +118,13 @@ impl DecodeError {
     }
 
     /// The same error, inside member `key`.
-    pub fn at(mut self, key: &'static str) -> Self {
+    pub fn at(mut self, key: &str) -> Self {
         self.path.push(key.to_string());
         self
     }
 
-    fn at_index(mut self, index: usize) -> Self {
+    /// The same error, inside element `index` of an array.
+    pub fn at_index(mut self, index: usize) -> Self {
         self.path.push(format!("[{index}]"));
         self
     }
@@ -124,7 +132,10 @@ impl DecodeError {
     /// `true` for a well-typed value outside its range or set (serde's
     /// `invalid_value`), `false` for a shape error.
     pub fn is_value_error(&self) -> bool {
-        matches!(self.kind, ErrorKind::Range(_) | ErrorKind::UnknownName(..))
+        matches!(
+            self.kind,
+            ErrorKind::Range(_) | ErrorKind::UnknownName(..) | ErrorKind::Invalid(_)
+        )
     }
 }
 
@@ -151,6 +162,8 @@ impl fmt::Display for DecodeError {
                 let names = names.join("|");
                 write!(f, "unknown {} `{found}` (use {names})", name.unwrap_or("variant"))
             }
+            (ErrorKind::Invalid(rule), Some(name)) => write!(f, "{name}: {rule}"),
+            (ErrorKind::Invalid(rule), None) => write!(f, "{rule}"),
         }
     }
 }
@@ -354,6 +367,105 @@ impl<T: FromJson> FromJson for Box<T> {
     }
 }
 
+impl<B: ToJson + ToOwned + ?Sized> ToJson for Cow<'_, B> {
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
+    }
+}
+
+/// Decoding yields the owned form, so a record whose writers name things
+/// with `&'static str` can read them back from a file.
+impl<B: ToOwned + ?Sized> FromJson for Cow<'_, B>
+where
+    B::Owned: FromJson,
+{
+    fn from_json(value: &JsonValue) -> Result<Self, DecodeError> {
+        B::Owned::from_json(value).map(Cow::Owned)
+    }
+}
+
+impl<B: JsonMembers + ToOwned> JsonMembers for Cow<'_, B> {
+    const NAMES: &'static [&'static str] = B::NAMES;
+
+    fn write_members(&self, object: &mut ObjectWriter<'_>) {
+        (**self).write_members(object);
+    }
+}
+
+/// An object keyed by arbitrary strings, `{"<key>":value,..}`, over the
+/// pairs in order (`Keyed<Vec<(K, V)>>`) or one pair (`Keyed<(K, V)>`).
+/// Keys are escaped like string values, unlike [`ObjectWriter::field`]'s
+/// identifier keys; decoding keeps the object's order and duplicates.
+#[derive(Debug, Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Keyed<P>(pub P);
+
+impl<P> Deref for Keyed<P> {
+    type Target = P;
+
+    fn deref(&self) -> &P {
+        &self.0
+    }
+}
+
+impl<K, V> FromIterator<(K, V)> for Keyed<Vec<(K, V)>> {
+    fn from_iter<I: IntoIterator<Item = (K, V)>>(pairs: I) -> Self {
+        Keyed(pairs.into_iter().collect())
+    }
+}
+
+fn write_pairs<'p, K, V>(pairs: impl IntoIterator<Item = &'p (K, V)>, out: &mut String)
+where
+    K: AsRef<str> + 'p,
+    V: ToJson + 'p,
+{
+    out.push('{');
+    for (i, (key, value)) in pairs.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push_str(out, key.as_ref());
+        out.push(':');
+        value.write_json(out);
+    }
+    out.push('}');
+}
+
+fn read_pairs<K: From<String>, V: FromJson>(value: &JsonValue) -> Result<Vec<(K, V)>, DecodeError> {
+    object(value)?
+        .iter()
+        .map(|(key, member)| match V::from_json(member) {
+            Ok(v) => Ok((K::from(key.clone()), v)),
+            Err(e) => Err(e.at(key)),
+        })
+        .collect()
+}
+
+impl<K: AsRef<str>, V: ToJson> ToJson for Keyed<Vec<(K, V)>> {
+    fn write_json(&self, out: &mut String) {
+        write_pairs(&self.0, out);
+    }
+}
+
+impl<K: From<String>, V: FromJson> FromJson for Keyed<Vec<(K, V)>> {
+    fn from_json(value: &JsonValue) -> Result<Self, DecodeError> {
+        read_pairs(value).map(Keyed)
+    }
+}
+
+impl<K: AsRef<str>, V: ToJson> ToJson for Keyed<(K, V)> {
+    fn write_json(&self, out: &mut String) {
+        write_pairs([&self.0], out);
+    }
+}
+
+impl<K: From<String>, V: FromJson> FromJson for Keyed<(K, V)> {
+    fn from_json(value: &JsonValue) -> Result<Self, DecodeError> {
+        let [pair] = <[(K, V); 1]>::try_from(read_pairs(value)?)
+            .map_err(|_| DecodeError::expected("an object with one member"))?;
+        Ok(Keyed(pair))
+    }
+}
+
 impl<T: ToJson> ToJson for Option<T> {
     fn write_json(&self, out: &mut String) {
         match self {
@@ -451,18 +563,7 @@ impl ToJson for JsonValue {
             JsonValue::Num(n) => n.write_json(out),
             JsonValue::Str(s) => s.write_json(out),
             JsonValue::Arr(items) => items.write_json(out),
-            JsonValue::Obj(pairs) => {
-                out.push('{');
-                for (i, (key, value)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    push_str(out, key);
-                    out.push(':');
-                    value.write_json(out);
-                }
-                out.push('}');
-            }
+            JsonValue::Obj(pairs) => write_pairs(pairs, out),
         }
     }
 }
@@ -530,8 +631,9 @@ impl ToJson for JsonValue {
 /// written `name = literal` is a constant key: always written, skipped
 /// when read. `: default, deny_unknown` also rejects unlisted keys.
 ///
-/// `str T` spells `T` as its `as_str` string, read back through
-/// `FromStr`; unknown names are listed from `T::ALL`.
+/// `str T` spells `T` as its `as_str` string (`str T: name` through the
+/// method `name`) and reads it back by finding the variant in `T::ALL`
+/// that spells it; unknown names are listed from `T::ALL` too.
 #[macro_export]
 macro_rules! json_codec {
     (struct $ty:ty {
@@ -635,19 +737,25 @@ macro_rules! json_codec {
             }
         }
     };
-    (str $ty:ty) => {
+    (str $ty:ty: $spell:ident) => {
         impl $crate::ToJson for $ty {
             fn write_json(&self, out: &mut String) {
-                $crate::push_str(out, self.as_str());
+                $crate::push_str(out, self.$spell());
             }
         }
         impl $crate::FromJson for $ty {
             fn from_json(value: &$crate::JsonValue) -> Result<Self, $crate::DecodeError> {
                 let name = value.as_str().ok_or_else(|| $crate::DecodeError::expected("a string"))?;
-                let names = || <$ty>::ALL.map(<$ty>::as_str).to_vec();
-                name.parse().map_err(|_| $crate::DecodeError::unknown_name(name, names()))
+                let names = || <$ty>::ALL.map(<$ty>::$spell).to_vec();
+                <$ty>::ALL
+                    .into_iter()
+                    .find(|v| v.$spell() == name)
+                    .ok_or_else(|| $crate::DecodeError::unknown_name(name, names()))
             }
         }
+    };
+    (str $ty:ty) => {
+        $crate::json_codec!(str $ty: as_str);
     };
     (newtype $ty:ident) => {
         impl $crate::ToJson for $ty {

@@ -25,7 +25,7 @@ mod codec;
 
 pub use codec::{
     decode, member_str, object, optional, required, variant, write_variant, DecodeError,
-    ErrorKind, FromJson, JsonMembers, ObjectWriter, TaggedJson, ToJson,
+    ErrorKind, FromJson, JsonMembers, Keyed, ObjectWriter, TaggedJson, ToJson,
 };
 
 use std::fmt::{self, Write as _};

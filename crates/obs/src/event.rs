@@ -1,6 +1,12 @@
-//! Typed observability events and their JSONL encoding.
+//! Typed observability events and the JSON Lines records they are
+//! written as.
 
-use sapsim_json as json;
+use sapsim_json::{json_codec, FromJson, JsonValue, Keyed, ObjectWriter, TaggedJson, ToJson};
+use std::borrow::Cow;
+
+/// A name the simulator spells with a `&'static str` and a reader gets
+/// back as an owned `String`.
+pub type Name = Cow<'static, str>;
 
 /// How many ranked survivors a [`DecisionRecord`] keeps per decision,
 /// with their combined and per-weigher scores. Five is enough to see why
@@ -71,6 +77,8 @@ impl SpanKind {
     }
 }
 
+json_codec!(str SpanKind: name);
+
 /// What became of one placement request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecisionOutcome {
@@ -84,6 +92,13 @@ pub enum DecisionOutcome {
 }
 
 impl DecisionOutcome {
+    /// Every outcome.
+    pub const ALL: [DecisionOutcome; 3] = [
+        DecisionOutcome::Placed,
+        DecisionOutcome::Fragmented,
+        DecisionOutcome::NoCandidate,
+    ];
+
     /// Stable snake-case name used in the JSONL export.
     pub const fn name(self) -> &'static str {
         match self {
@@ -93,6 +108,8 @@ impl DecisionOutcome {
         }
     }
 }
+
+json_codec!(str DecisionOutcome: name);
 
 /// One ranked survivor of the filter stage, with its combined score and
 /// the per-weigher contributions that produced it.
@@ -104,8 +121,10 @@ pub struct HostScore {
     /// Combined (multiplier-weighted, normalized) score.
     pub score: f64,
     /// `(weigher name, contribution)` pairs, one per configured weigher.
-    pub weights: Vec<(&'static str, f64)>,
+    pub weights: Keyed<Vec<(Name, f64)>>,
 }
+
+json_codec!(struct HostScore { host, score, weights });
 
 /// The audit-log entry for one scheduler decision — everything needed to
 /// reconstruct *why* the pipeline chose what it chose.
@@ -128,11 +147,22 @@ pub struct DecisionRecord {
     pub chosen_host: Option<u32>,
     /// Per-filter elimination counts, `(reason label, count)`, in stable
     /// reason order.
-    pub rejections: Vec<(&'static str, u32)>,
+    pub rejections: Keyed<Vec<(Name, u32)>>,
     /// Top-[`DECISION_TOP_K`] survivors with combined and per-weigher
     /// scores, best first.
     pub top_k: Vec<HostScore>,
 }
+
+json_codec!(struct DecisionRecord {
+    sim_time_ms,
+    vm_uid,
+    candidates,
+    retries,
+    outcome,
+    chosen_host,
+    rejections,
+    top_k,
+});
 
 /// One step in the life of an injected fault or its evacuation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -152,6 +182,16 @@ pub enum FaultEventKind {
 }
 
 impl FaultEventKind {
+    /// Every kind.
+    pub const ALL: [FaultEventKind; 6] = [
+        FaultEventKind::HostFail,
+        FaultEventKind::HostRecover,
+        FaultEventKind::EvacReplaced,
+        FaultEventKind::EvacPending,
+        FaultEventKind::EvacRetry,
+        FaultEventKind::EvacLost,
+    ];
+
     /// Stable snake-case name used in the JSONL export.
     pub const fn name(self) -> &'static str {
         match self {
@@ -164,6 +204,8 @@ impl FaultEventKind {
         }
     }
 }
+
+json_codec!(str FaultEventKind: name);
 
 /// A typed observability event, as buffered by the
 /// [`JsonlRecorder`](crate::JsonlRecorder).
@@ -197,90 +239,127 @@ pub enum ObsEvent {
     },
 }
 
-impl ObsEvent {
-    /// Append this event as one JSON line (no trailing newline) in the
-    /// stable v1 schema.
-    pub fn write_json_line(&self, out: &mut String) {
-        match self {
+/// The `meta` line that opens a log: format version, the recorder's
+/// knobs, and how many events it kept and dropped.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LogMeta {
+    /// Log format version (1).
+    pub version: u32,
+    /// [`ObsConfig::decision_sample_rate`](crate::ObsConfig::decision_sample_rate).
+    pub decision_sample_rate: f64,
+    /// [`ObsConfig::ring_capacity`](crate::ObsConfig::ring_capacity).
+    pub ring_capacity: u64,
+    /// Events in the log.
+    pub events: u64,
+    /// Events evicted from the ring before the log was written.
+    pub dropped: u64,
+}
+
+json_codec!(struct LogMeta { version, decision_sample_rate, ring_capacity, events, dropped });
+
+/// A `span` line: an [`ObsEvent::Span`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SpanRecord {
+    /// Which phase.
+    pub kind: SpanKind,
+    /// Start offset from the run origin (µs).
+    pub ts_us: u64,
+    /// Elapsed wall-clock time (µs).
+    pub dur_us: u64,
+}
+
+json_codec!(struct SpanRecord { kind, ts_us, dur_us });
+
+/// A `fault` line: an [`ObsEvent::Fault`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FaultRecord {
+    /// What happened.
+    pub kind: FaultEventKind,
+    /// Simulation time of the event, in milliseconds.
+    pub sim_time_ms: u64,
+    /// The host (see [`ObsEvent::Fault`]).
+    pub node: u32,
+    /// The affected VM's uid; `None` for host-level events.
+    pub vm_uid: Option<u64>,
+}
+
+json_codec!(struct FaultRecord { kind, sim_time_ms, node, vm_uid });
+
+/// A `counter` line: one named recorder counter.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CounterRecord {
+    /// Counter name.
+    pub name: Name,
+    /// Its final value.
+    pub value: u64,
+}
+
+json_codec!(struct CounterRecord { name, value });
+
+/// One line of the JSON Lines log, tagged by `type`: what
+/// [`JsonlRecorder::write_jsonl`](crate::JsonlRecorder::write_jsonl)
+/// writes and `sapsim obs summary` reads back. A decision is borrowed
+/// from the recorder on the way out and owned on the way in.
+#[derive(Debug, Clone, PartialEq)]
+pub enum LogLine<'a> {
+    /// The opening `meta` line.
+    Meta(LogMeta),
+    /// A timed section of the event loop.
+    Span(SpanRecord),
+    /// One scheduler decision.
+    Decision(Cow<'a, DecisionRecord>),
+    /// One fault-injection step.
+    Fault(FaultRecord),
+    /// One recorder counter, after the events.
+    Counter(CounterRecord),
+}
+
+json_codec!(enum LogLine<'_>: tag type {
+    Meta(LogMeta) = "meta",
+    Span(SpanRecord) = "span",
+    Decision(Cow<'_, DecisionRecord>) = "decision",
+    Fault(FaultRecord) = "fault",
+    Counter(CounterRecord) = "counter",
+});
+
+impl ToJson for LogLine<'_> {
+    fn write_json(&self, out: &mut String) {
+        let mut object = ObjectWriter::new(out);
+        self.write_members(&mut object);
+        object.end();
+    }
+}
+
+impl FromJson for LogLine<'_> {
+    fn from_json(value: &JsonValue) -> Result<Self, sapsim_json::DecodeError> {
+        Self::from_members(value)
+    }
+}
+
+impl<'a> From<&'a ObsEvent> for LogLine<'a> {
+    fn from(event: &'a ObsEvent) -> Self {
+        match *event {
             ObsEvent::Span {
                 kind,
                 ts_us,
                 dur_us,
-            } => {
-                out.push_str("{\"type\":\"span\",\"kind\":");
-                json::push_str(out, kind.name());
-                out.push_str(",\"ts_us\":");
-                json::push_u64(out, *ts_us);
-                out.push_str(",\"dur_us\":");
-                json::push_u64(out, *dur_us);
-                out.push('}');
-            }
-            ObsEvent::Decision(d) => {
-                out.push_str("{\"type\":\"decision\",\"sim_time_ms\":");
-                json::push_u64(out, d.sim_time_ms);
-                out.push_str(",\"vm_uid\":");
-                json::push_u64(out, d.vm_uid);
-                out.push_str(",\"candidates\":");
-                json::push_u64(out, d.candidates as u64);
-                out.push_str(",\"retries\":");
-                json::push_u64(out, d.retries as u64);
-                out.push_str(",\"outcome\":");
-                json::push_str(out, d.outcome.name());
-                out.push_str(",\"chosen_host\":");
-                match d.chosen_host {
-                    Some(h) => json::push_u64(out, h as u64),
-                    None => out.push_str("null"),
-                }
-                out.push_str(",\"rejections\":{");
-                for (i, (reason, count)) in d.rejections.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    json::push_str(out, reason);
-                    out.push(':');
-                    json::push_u64(out, *count as u64);
-                }
-                out.push_str("},\"top_k\":[");
-                for (i, s) in d.top_k.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str("{\"host\":");
-                    json::push_u64(out, s.host as u64);
-                    out.push_str(",\"score\":");
-                    json::push_f64(out, s.score);
-                    out.push_str(",\"weights\":{");
-                    for (j, (name, w)) in s.weights.iter().enumerate() {
-                        if j > 0 {
-                            out.push(',');
-                        }
-                        json::push_str(out, name);
-                        out.push(':');
-                        json::push_f64(out, *w);
-                    }
-                    out.push_str("}}");
-                }
-                out.push_str("]}");
-            }
+            } => LogLine::Span(SpanRecord {
+                kind,
+                ts_us,
+                dur_us,
+            }),
+            ObsEvent::Decision(ref record) => LogLine::Decision(Cow::Borrowed(record)),
             ObsEvent::Fault {
                 kind,
                 sim_time_ms,
                 node,
                 vm_uid,
-            } => {
-                out.push_str("{\"type\":\"fault\",\"kind\":");
-                json::push_str(out, kind.name());
-                out.push_str(",\"sim_time_ms\":");
-                json::push_u64(out, *sim_time_ms);
-                out.push_str(",\"node\":");
-                json::push_u64(out, *node as u64);
-                out.push_str(",\"vm_uid\":");
-                match vm_uid {
-                    Some(uid) => json::push_u64(out, *uid),
-                    None => out.push_str("null"),
-                }
-                out.push('}');
-            }
+            } => LogLine::Fault(FaultRecord {
+                kind,
+                sim_time_ms,
+                node,
+                vm_uid,
+            }),
         }
     }
 }
@@ -291,9 +370,18 @@ mod tests {
     use sapsim_json::JsonValue;
 
     fn line(ev: &ObsEvent) -> JsonValue {
-        let mut s = String::new();
-        ev.write_json_line(&mut s);
-        sapsim_json::parse(&s).expect("event lines are valid JSON")
+        let text = LogLine::from(ev).to_json_string();
+        let value = sapsim_json::parse(&text).expect("event lines are valid JSON");
+        let back: LogLine = sapsim_json::decode(&text).expect("event lines read back");
+        assert_eq!(back, LogLine::from(ev));
+        value
+    }
+
+    fn keyed<V>(pairs: &[(&'static str, V)]) -> Keyed<Vec<(Name, V)>>
+    where
+        V: Copy,
+    {
+        pairs.iter().map(|&(k, v)| (k.into(), v)).collect()
     }
 
     #[test]
@@ -328,11 +416,11 @@ mod tests {
             retries: 2,
             outcome: DecisionOutcome::Placed,
             chosen_host: Some(9),
-            rejections: vec![("insufficient_cpu", 3), ("wrong_az", 8)],
+            rejections: keyed(&[("insufficient_cpu", 3), ("wrong_az", 8)]),
             top_k: vec![HostScore {
                 host: 4,
                 score: 1.5,
-                weights: vec![("cpu", 0.5), ("ram", 1.0)],
+                weights: keyed(&[("cpu", 0.5), ("ram", 1.0)]),
             }],
         }));
         assert_eq!(v["type"].as_str(), Some("decision"));
@@ -375,16 +463,15 @@ mod tests {
 
     #[test]
     fn fault_kinds_have_unique_stable_names() {
-        let kinds = [
-            FaultEventKind::HostFail,
-            FaultEventKind::HostRecover,
-            FaultEventKind::EvacReplaced,
-            FaultEventKind::EvacPending,
-            FaultEventKind::EvacRetry,
-            FaultEventKind::EvacLost,
-        ];
-        let names: std::collections::BTreeSet<_> = kinds.iter().map(|k| k.name()).collect();
-        assert_eq!(names.len(), kinds.len());
+        let names: std::collections::BTreeSet<_> =
+            FaultEventKind::ALL.iter().map(|k| k.name()).collect();
+        assert_eq!(names.len(), FaultEventKind::ALL.len());
+        assert_eq!(
+            sapsim_json::decode::<FaultEventKind>("\"evac_lost\""),
+            Ok(FaultEventKind::EvacLost)
+        );
+        let unknown = sapsim_json::decode::<DecisionOutcome>("\"lost\"").unwrap_err();
+        assert_eq!(unknown.to_string(), "unknown variant `lost` (use placed|fragmented|no_candidate)");
     }
 
     #[test]
@@ -396,7 +483,7 @@ mod tests {
             retries: 0,
             outcome: DecisionOutcome::NoCandidate,
             chosen_host: None,
-            rejections: vec![("host_disabled", 3)],
+            rejections: keyed(&[("host_disabled", 3)]),
             top_k: Vec::new(),
         }));
         assert_eq!(v["chosen_host"], JsonValue::Null);

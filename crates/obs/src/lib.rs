@@ -47,11 +47,12 @@ mod profile;
 mod recorder;
 
 pub use event::{
-    DecisionOutcome, DecisionRecord, FaultEventKind, HostScore, ObsEvent, SpanKind, DECISION_TOP_K,
+    CounterRecord, DecisionOutcome, DecisionRecord, FaultEventKind, FaultRecord, HostScore,
+    LogLine, LogMeta, Name, ObsEvent, SpanKind, SpanRecord, DECISION_TOP_K,
 };
 pub use metrics::{
     bucket_index, bucket_upper_bound, Histogram, MetricKey, MetricsRegistry, HIST_BUCKETS,
-    HIST_SUB_BITS, HIST_SUB_BUCKETS,
+    HIST_SUB_BITS, HIST_SUB_BUCKETS, METRICS_SCHEMA,
 };
 pub use profile::{PhaseStat, RunProfile};
 pub use recorder::{JsonlRecorder, MetricsRecorder, NullRecorder, ObsConfig, ObsError, Recorder};

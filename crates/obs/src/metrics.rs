@@ -21,10 +21,15 @@
 //!
 //! The JSON export ([`MetricsRegistry::to_json`]) is the versioned
 //! `sapsim.metrics/v1` schema: one line, self-describing histogram bucket
-//! upper bounds, stable field order.
+//! upper bounds, stable field order. The registry reads it back through
+//! [`FromJson`], which is how `sapsim obs metrics` merges snapshots.
 
-use sapsim_json as json;
+use crate::event::Name;
+use sapsim_json::{json_codec, DecodeError, ErrorKind, FromJson, JsonValue, Keyed, ToJson};
 use std::collections::BTreeMap;
+
+/// The schema id of the metrics snapshot line.
+pub const METRICS_SCHEMA: &str = "sapsim.metrics/v1";
 
 /// Log-linear sub-bucket resolution: each power-of-two octave is split
 /// into `2^HIST_SUB_BITS` linear sub-buckets.
@@ -221,32 +226,106 @@ impl Histogram {
     }
 }
 
-/// One metric's identity: a static name plus at most one label pair
-/// (e.g. `("region", "r01")`, `("phase", "scrape")`, `("worker", "3")`).
+/// One metric's identity: a name plus at most one label pair (e.g.
+/// `("region", "r01")`, `("phase", "scrape")`, `("worker", "3")`). The
+/// simulator names metrics statically; a key read from a snapshot owns
+/// its strings.
 ///
 /// Ordered by name then label, which fixes the export order.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct MetricKey {
     /// Metric name (snake-case by convention).
-    pub name: &'static str,
+    pub name: Name,
     /// Optional `(label name, label value)` breakdown.
-    pub label: Option<(&'static str, String)>,
+    pub label: Option<(Name, String)>,
 }
 
 impl MetricKey {
     /// An unlabeled key.
     pub fn plain(name: &'static str) -> Self {
-        MetricKey { name, label: None }
+        MetricKey {
+            name: name.into(),
+            label: None,
+        }
     }
 
     /// A labeled key.
     pub fn labeled(name: &'static str, key: &'static str, value: impl Into<String>) -> Self {
         MetricKey {
+            name: name.into(),
+            label: Some((key.into(), value.into())),
+        }
+    }
+
+    /// This key's members of a snapshot entry.
+    fn wire(&self) -> (Name, Option<Keyed<(Name, String)>>) {
+        (self.name.clone(), self.label.clone().map(Keyed))
+    }
+
+    fn from_wire(name: Name, label: Option<Keyed<(Name, String)>>) -> Self {
+        MetricKey {
             name,
-            label: Some((key, value.into())),
+            label: label.map(|Keyed(pair)| pair),
         }
     }
 }
+
+/// A `counters` or `gauges` entry of a `sapsim.metrics/v1` snapshot.
+#[derive(Debug)]
+struct Sample<V> {
+    name: Name,
+    label: Option<Keyed<(Name, String)>>,
+    value: V,
+}
+
+impl<V> Sample<V> {
+    fn new(key: &MetricKey, value: V) -> Self {
+        let (name, label) = key.wire();
+        Sample { name, label, value }
+    }
+}
+
+json_codec!(struct Sample<u64> { name, #[default] label: Option::is_none, value });
+json_codec!(struct Sample<f64> { name, #[default] label: Option::is_none, value });
+
+/// A `histograms` entry: the summary fields, then the non-empty buckets
+/// as `[inclusive upper bound, count]`.
+#[derive(Debug)]
+struct HistogramSample {
+    name: Name,
+    label: Option<Keyed<(Name, String)>>,
+    count: u64,
+    sum: u64,
+    min: u64,
+    max: u64,
+    buckets: Vec<(u64, u64)>,
+}
+
+json_codec!(struct HistogramSample {
+    name,
+    #[default] label: Option::is_none,
+    count,
+    sum,
+    min,
+    max,
+    buckets,
+});
+
+/// The `sapsim.metrics/v1` line. A missing family reads as empty.
+#[derive(Debug)]
+struct Snapshot {
+    schema: Name,
+    counters: Vec<Sample<u64>>,
+    gauges: Vec<Sample<f64>>,
+    histograms: Vec<HistogramSample>,
+}
+
+json_codec!(struct Snapshot {
+    schema,
+    #[default] counters,
+    #[default] gauges,
+    #[default] histograms,
+});
 
 /// A deterministic registry of counters, gauges, and histograms.
 ///
@@ -352,7 +431,7 @@ impl MetricsRegistry {
     /// histograms.
     pub fn merge(&mut self, other: &MetricsRegistry) {
         for (key, &value) in &other.counters {
-            *self.counters.entry(key.clone()).or_insert(0) += value;
+            self.add_counter(key.clone(), value);
         }
         for (key, &value) in &other.gauges {
             self.gauges.insert(key.clone(), value);
@@ -362,86 +441,83 @@ impl MetricsRegistry {
         }
     }
 
+    /// Counters saturate rather than wrap when folding file-supplied
+    /// snapshots.
+    fn add_counter(&mut self, key: MetricKey, value: u64) {
+        let slot = self.counters.entry(key).or_insert(0);
+        *slot = slot.saturating_add(value);
+    }
+
     /// Serialize as one `sapsim.metrics/v1` JSON line (no trailing
     /// newline). Field order, entry order, and number formatting are all
     /// deterministic; histogram buckets carry their own inclusive upper
     /// bounds so consumers never need this crate's bucket math.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256);
-        out.push_str("{\"schema\":\"sapsim.metrics/v1\",");
-        out.push_str(&self.fields_json());
-        out.push('}');
-        out
-    }
-
-    /// The body of the `sapsim.metrics/v1` line — everything after the
-    /// `schema` key, without the enclosing braces. The envelope writer
-    /// in `sapsim-api` wraps this so the schema id has a single owner;
-    /// [`to_json`](Self::to_json) is the historical all-in-one spelling
-    /// and stays byte-identical.
-    pub fn fields_json(&self) -> String {
-        let mut out = String::with_capacity(256);
-        out.push_str("\"counters\":[");
-        for (i, (key, value)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_key(&mut out, key);
-            out.push_str(",\"value\":");
-            json::push_u64(&mut out, *value);
-            out.push('}');
+        Snapshot {
+            schema: METRICS_SCHEMA.into(),
+            counters: self.counters().map(|(key, v)| Sample::new(key, v)).collect(),
+            gauges: self.gauges().map(|(key, v)| Sample::new(key, v)).collect(),
+            histograms: self
+                .histograms()
+                .map(|(key, h)| {
+                    let (name, label) = key.wire();
+                    HistogramSample {
+                        name,
+                        label,
+                        count: h.count(),
+                        sum: h.sum(),
+                        min: h.min(),
+                        max: h.max(),
+                        buckets: h.buckets().collect(),
+                    }
+                })
+                .collect(),
         }
-        out.push_str("],\"gauges\":[");
-        for (i, (key, value)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_key(&mut out, key);
-            out.push_str(",\"value\":");
-            json::push_f64(&mut out, *value);
-            out.push('}');
-        }
-        out.push_str("],\"histograms\":[");
-        for (i, (key, hist)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_key(&mut out, key);
-            out.push_str(",\"count\":");
-            json::push_u64(&mut out, hist.count());
-            out.push_str(",\"sum\":");
-            json::push_u64(&mut out, hist.sum());
-            out.push_str(",\"min\":");
-            json::push_u64(&mut out, hist.min());
-            out.push_str(",\"max\":");
-            json::push_u64(&mut out, hist.max());
-            out.push_str(",\"buckets\":[");
-            for (j, (ub, n)) in hist.buckets().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push('[');
-                json::push_u64(&mut out, ub);
-                out.push(',');
-                json::push_u64(&mut out, n);
-                out.push(']');
-            }
-            out.push_str("]}");
-        }
-        out.push(']');
-        out
+        .to_json_string()
     }
 }
 
-fn push_key(out: &mut String, key: &MetricKey) {
-    out.push_str("{\"name\":");
-    json::push_str(out, key.name);
-    if let Some((k, v)) = &key.label {
-        out.push_str(",\"label\":{");
-        json::push_str(out, k);
-        out.push(':');
-        json::push_str(out, v);
-        out.push('}');
+/// Read a `sapsim.metrics/v1` line back. Entries of one key fold as
+/// [`MetricsRegistry::merge`] folds registries. Histogram buckets must
+/// sit on canonical bounds and add up to the entry's `count`.
+impl FromJson for MetricsRegistry {
+    fn from_json(value: &JsonValue) -> Result<Self, DecodeError> {
+        let snapshot = Snapshot::from_json(value)?;
+        if snapshot.schema != METRICS_SCHEMA {
+            let found = DecodeError::unknown_name(&snapshot.schema, vec![METRICS_SCHEMA]);
+            return Err(found.at("schema"));
+        }
+        let mut registry = MetricsRegistry::new();
+        for entry in snapshot.counters {
+            registry.add_counter(MetricKey::from_wire(entry.name, entry.label), entry.value);
+        }
+        for entry in snapshot.gauges {
+            let key = MetricKey::from_wire(entry.name, entry.label);
+            registry.gauges.insert(key, entry.value);
+        }
+        for (i, entry) in snapshot.histograms.into_iter().enumerate() {
+            let invalid = |rule: String| {
+                DecodeError::from(ErrorKind::Invalid(rule)).at_index(i).at("histograms")
+            };
+            if let Some((bound, _)) = entry
+                .buckets
+                .iter()
+                .find(|&&(bound, _)| bound != bucket_upper_bound(bucket_index(bound)))
+            {
+                return Err(invalid(format!(
+                    "histogram bucket bound {bound} is not a canonical bucket boundary"
+                )));
+            }
+            let hist = Histogram::from_parts(entry.buckets, entry.sum, entry.min, entry.max);
+            if hist.count() != entry.count {
+                return Err(invalid(
+                    "histogram bucket counts do not add up to count".to_string(),
+                ));
+            }
+            let key = MetricKey::from_wire(entry.name, entry.label);
+            registry.histograms.entry(key).or_default().merge(&hist);
+        }
+        Ok(registry)
     }
 }
 
@@ -478,16 +554,6 @@ mod tests {
         let mut single = Histogram::default();
         single.record(7);
         assert_eq!(single.quantile(0.5), Some(7));
-    }
-
-    #[test]
-    fn fields_json_is_the_envelope_body_of_to_json() {
-        let mut reg = MetricsRegistry::new();
-        reg.counter("a", 1);
-        reg.gauge("b", 2.5);
-        reg.observe("c", 3);
-        let wrapped = format!("{{\"schema\":\"sapsim.metrics/v1\",{}}}", reg.fields_json());
-        assert_eq!(wrapped, reg.to_json());
     }
 
     #[test]

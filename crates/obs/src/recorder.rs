@@ -5,9 +5,9 @@ use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::io;
 
-use crate::event::{ObsEvent, SpanKind};
-use sapsim_json as json;
+use crate::event::{CounterRecord, LogLine, LogMeta, Name, ObsEvent};
 use crate::metrics::MetricsRegistry;
+use sapsim_json::{json_codec, ToJson};
 
 /// What went wrong while configuring an observability sink.
 ///
@@ -347,80 +347,94 @@ impl JsonlRecorder {
         self.ring.is_empty()
     }
 
-    /// Write the full log as JSON Lines: one `meta` line, every buffered
-    /// event in order, then one `counter` line per counter.
+    /// Write the full log as JSON Lines ([`LogLine`]s): one `meta` line,
+    /// every buffered event in order, then one `counter` line per counter.
     pub fn write_jsonl(&self, out: &mut dyn io::Write) -> io::Result<()> {
-        let mut line = String::with_capacity(256);
-        line.push_str("{\"type\":\"meta\",\"version\":1,\"decision_sample_rate\":");
-        json::push_f64(&mut line, self.config.decision_sample_rate);
-        line.push_str(",\"ring_capacity\":");
-        json::push_u64(&mut line, self.config.ring_capacity as u64);
-        line.push_str(",\"events\":");
-        json::push_u64(&mut line, self.ring.len() as u64);
-        line.push_str(",\"dropped\":");
-        json::push_u64(&mut line, self.dropped);
-        line.push_str("}\n");
-        out.write_all(line.as_bytes())?;
-
-        for event in &self.ring {
-            line.clear();
-            event.write_json_line(&mut line);
-            line.push('\n');
-            out.write_all(line.as_bytes())?;
-        }
-
-        for (name, value) in &self.counters {
-            line.clear();
-            line.push_str("{\"type\":\"counter\",\"name\":");
-            json::push_str(&mut line, name);
-            line.push_str(",\"value\":");
-            json::push_u64(&mut line, *value);
-            line.push_str("}\n");
-            out.write_all(line.as_bytes())?;
+        let meta = LogMeta {
+            version: 1,
+            decision_sample_rate: self.config.decision_sample_rate,
+            ring_capacity: self.config.ring_capacity as u64,
+            events: self.ring.len() as u64,
+            dropped: self.dropped,
+        };
+        let counters = self.counters.iter().map(|(&name, &value)| {
+            LogLine::Counter(CounterRecord {
+                name: name.into(),
+                value,
+            })
+        });
+        let lines = std::iter::once(LogLine::Meta(meta))
+            .chain(self.ring.iter().map(LogLine::from))
+            .chain(counters);
+        let mut text = String::with_capacity(256);
+        for line in lines {
+            text.clear();
+            line.write_json(&mut text);
+            text.push('\n');
+            out.write_all(text.as_bytes())?;
         }
         Ok(())
     }
 
     /// Write the buffered spans as a Chrome `chrome://tracing` /
-    /// Perfetto-compatible JSON array of complete (`"ph":"X"`) events.
+    /// Perfetto-compatible JSON array of complete (`"ph":"X"`) events,
+    /// one per line.
     ///
     /// Spans are sorted by start time ascending, then duration
     /// descending, so `ts` is monotone and enclosing spans (e.g. a
     /// scrape) precede their sub-phases (sample/reduce/record) that
     /// start at the same instant.
     pub fn write_chrome_trace(&self, out: &mut dyn io::Write) -> io::Result<()> {
-        let mut spans: Vec<(SpanKind, u64, u64)> = self
+        let mut spans: Vec<ChromeEvent> = self
             .ring
             .iter()
-            .filter_map(|event| match event {
+            .filter_map(|event| match *event {
                 ObsEvent::Span {
                     kind,
                     ts_us,
                     dur_us,
-                } => Some((*kind, *ts_us, *dur_us)),
+                } => Some(ChromeEvent {
+                    name: kind.name().into(),
+                    ts: ts_us,
+                    dur: dur_us,
+                }),
                 ObsEvent::Decision(_) | ObsEvent::Fault { .. } => None,
             })
             .collect();
-        spans.sort_by(|a, b| a.1.cmp(&b.1).then(b.2.cmp(&a.2)));
+        spans.sort_by(|a, b| a.ts.cmp(&b.ts).then(b.dur.cmp(&a.dur)));
 
         let mut body = String::with_capacity(64 + spans.len() * 96);
         body.push('[');
-        for (i, (kind, ts_us, dur_us)) in spans.iter().enumerate() {
+        for (i, span) in spans.iter().enumerate() {
             if i > 0 {
                 body.push(',');
             }
-            body.push_str("\n{\"name\":");
-            json::push_str(&mut body, kind.name());
-            body.push_str(",\"cat\":\"sim\",\"ph\":\"X\",\"ts\":");
-            json::push_u64(&mut body, *ts_us);
-            body.push_str(",\"dur\":");
-            json::push_u64(&mut body, *dur_us);
-            body.push_str(",\"pid\":1,\"tid\":1}");
+            body.push('\n');
+            span.write_json(&mut body);
         }
-        body.push_str("\n]\n");
-        out.write_all(body.as_bytes())
+        out.write_all(body.as_bytes())?;
+        out.write_all(b"\n]\n")
     }
 }
+
+/// One Chrome trace complete event: a span on the single simulator
+/// thread.
+#[derive(Debug, Default)]
+struct ChromeEvent {
+    name: Name,
+    ts: u64,
+    dur: u64,
+}
+
+json_codec!(struct ChromeEvent: default {
+    name,
+    cat = "sim",
+    ph = "X",
+    ts,
+    dur,
+    pid = 1u64,
+    tid = 1u64,
+});
 
 impl Recorder for JsonlRecorder {
     const ENABLED: bool = true;
@@ -464,7 +478,7 @@ impl Recorder for JsonlRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{DecisionOutcome, DecisionRecord};
+    use crate::event::{DecisionOutcome, DecisionRecord, SpanKind};
     use sapsim_json::JsonValue;
 
     #[test]
@@ -511,7 +525,7 @@ mod tests {
             retries: 0,
             outcome: DecisionOutcome::Placed,
             chosen_host: Some(0),
-            rejections: Vec::new(),
+            rejections: Default::default(),
             top_k: Vec::new(),
         })
     }
