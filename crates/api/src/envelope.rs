@@ -10,17 +10,8 @@
 //! by `MetricsRegistry` itself, which owns that schema id.
 
 use crate::error::ProtocolError;
-use crate::json::{self, ObjectWriter, TaggedJson};
+use crate::json::{ObjectWriter, TaggedJson, ToJson};
 use crate::schema::SchemaId;
-
-/// The opening bytes of every line carrying `schema`:
-/// `{"schema":"<id>"`.
-pub fn line_prefix(schema: SchemaId) -> String {
-    let mut out = String::with_capacity(16 + schema.as_str().len());
-    out.push_str("{\"schema\":");
-    json::push_str(&mut out, schema.as_str());
-    out
-}
 
 /// Verify that `line` (produced by an external serializer) opens with
 /// the registered envelope for `schema`, then pass it through.
@@ -31,7 +22,7 @@ pub fn line_prefix(schema: SchemaId) -> String {
 /// whose schema field disagrees with the registry is a programming
 /// error, not an input error.
 pub fn checked_line(schema: SchemaId, line: String) -> String {
-    let prefix = line_prefix(schema);
+    let prefix = format!("{{\"schema\":{}", schema.as_str().to_json_string());
     assert!(
         line.starts_with(&prefix),
         "emitter produced a line that does not open with the `{schema}` envelope"

@@ -66,7 +66,7 @@ impl FromStr for VmClass {
     }
 }
 
-json_codec!(str VmClass);
+json_codec!(str VmClass: as_str);
 
 /// Place one VM — or `count` identical VMs, Nova multi-create style.
 #[derive(Debug, Clone, PartialEq)]

@@ -142,7 +142,7 @@ impl FromStr for ResizeOutcome {
     }
 }
 
-json_codec!(str ResizeOutcome);
+json_codec!(str ResizeOutcome: as_str);
 
 /// Answer to a `resize` request.
 #[derive(Debug, Clone, PartialEq)]

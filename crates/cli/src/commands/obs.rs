@@ -22,7 +22,7 @@ use crate::args::Parsed;
 use crate::error::CliError;
 use crate::serve::render_prom;
 use sapsim_json::decode;
-use sapsim_obs::{LogLine, MetricKey, MetricsRegistry};
+use sapsim_obs::{Histogram, LogLine, MetricKey, MetricsRegistry};
 use sapsim_telemetry::exposition::render_counters;
 use std::collections::BTreeMap;
 use std::io::Write;
@@ -52,27 +52,21 @@ struct Summary {
 
 const USAGE: &str = "usage: sapsim obs summary <FILE.jsonl> [--prom]\n       sapsim obs metrics <FILE.json>... [--prom]";
 
-/// Help texts of the `metrics --prom` families.
-const MERGED_HELP: [&str; 3] = [
-    "Merged engine counter",
-    "Merged engine gauge",
-    "Merged engine histogram",
-];
-
 /// Execute the subcommand.
 pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let parsed = Parsed::parse(argv, &[], &["prom"])?;
     let Some((action, paths)) = parsed.positionals().split_first() else {
         return Err(CliError::Usage(USAGE.into()));
     };
+    let read = |path: &String| {
+        std::fs::read_to_string(path).map_err(|e| CliError::Io(format!("cannot read {path}: {e}")))
+    };
     match action.as_str() {
         "summary" => {
             let [path] = paths else {
                 return Err(CliError::Usage(USAGE.into()));
             };
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| CliError::Io(format!("cannot read {path}: {e}")))?;
-            let summary = summarize(&text)?;
+            let summary = summarize(&read(path)?)?;
             if parsed.flag("prom") {
                 let page =
                     render_counters(summary.counters.iter().map(|(name, v)| (name.as_str(), *v)));
@@ -88,18 +82,16 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             }
             let mut merged = MetricsRegistry::new();
             for path in paths {
-                let text = std::fs::read_to_string(path)
-                    .map_err(|e| CliError::Io(format!("cannot read {path}: {e}")))?;
-                let snapshot: MetricsRegistry = decode(text.trim()).map_err(|e| {
+                let snapshot: MetricsRegistry = decode(read(path)?.trim()).map_err(|e| {
                     CliError::Data(format!("{path}: not a sapsim.metrics/v1 snapshot: {e}"))
                 })?;
                 merged.merge(&snapshot);
             }
-            if parsed.flag("prom") {
-                write!(out, "{}", render_prom(&merged, MERGED_HELP))?;
-            } else {
-                render_metrics_table(&merged, paths.len(), out)?;
+            if !parsed.flag("prom") {
+                return Ok(render_metrics_table(&merged, paths.len(), out)?);
             }
+            let help = ["Merged engine counter", "Merged engine gauge", "Merged engine histogram"];
+            write!(out, "{}", render_prom(&merged, help))?;
             Ok(())
         }
         other => Err(CliError::Usage(format!(
@@ -117,8 +109,8 @@ fn summarize(text: &str) -> Result<Summary, CliError> {
         if line.trim().is_empty() {
             continue;
         }
-        let record: LogLine = decode(line)
-            .map_err(|e| CliError::Data(format!("line {}: {e}", lineno + 1)))?;
+        let record: LogLine =
+            decode(line).map_err(|e| CliError::Data(format!("line {}: {e}", lineno + 1)))?;
         match record {
             LogLine::Meta(m) => {
                 s.meta = Some((m.decision_sample_rate, m.ring_capacity, m.events, m.dropped));
@@ -135,7 +127,7 @@ fn summarize(text: &str) -> Result<Summary, CliError> {
                 s.retries_total = s.retries_total.saturating_add(d.retries.into());
                 s.retries_max = s.retries_max.max(d.retries.into());
                 s.candidates_total = s.candidates_total.saturating_add(d.candidates.into());
-                for (reason, count) in d.rejections.iter() {
+                for (reason, count) in &d.rejections.0 {
                     let total = s.rejections.entry(reason.to_string()).or_insert(0);
                     *total = total.saturating_add((*count).into());
                 }
@@ -167,34 +159,20 @@ fn render_metrics_table(
         merged.len(),
         if files == 1 { "" } else { "s" }
     )?;
-    let mut counters = merged.counters().peekable();
-    if counters.peek().is_some() {
-        writeln!(out, "\ncounters:")?;
-        for (key, value) in counters {
-            writeln!(out, "  {}: {value}", series_display(key))?;
-        }
-    }
-    let mut gauges = merged.gauges().peekable();
-    if gauges.peek().is_some() {
-        writeln!(out, "\ngauges:")?;
-        for (key, value) in gauges {
-            writeln!(out, "  {}: {value}", series_display(key))?;
-        }
-    }
-    let mut histograms = merged.histograms().peekable();
-    if histograms.peek().is_some() {
-        writeln!(out, "\nhistograms:")?;
-        for (key, h) in histograms {
-            writeln!(
-                out,
-                "  {}: count={} sum={} min={} max={} mean={:.1}",
-                series_display(key),
-                h.count(),
-                h.sum(),
-                h.min(),
-                h.max(),
-                h.mean().unwrap_or(0.0)
-            )?;
+    let histogram = |h: &Histogram| {
+        let mean = h.mean().unwrap_or(0.0);
+        let (count, sum, min, max) = (h.count(), h.sum(), h.min(), h.max());
+        format!("count={count} sum={sum} min={min} max={max} mean={mean:.1}")
+    };
+    let sections: [(&str, Vec<(&MetricKey, String)>); 3] = [
+        ("counters", merged.counters().map(|(k, v)| (k, v.to_string())).collect()),
+        ("gauges", merged.gauges().map(|(k, v)| (k, v.to_string())).collect()),
+        ("histograms", merged.histograms().map(|(k, h)| (k, histogram(h))).collect()),
+    ];
+    for (title, rows) in sections.iter().filter(|(_, rows)| !rows.is_empty()) {
+        writeln!(out, "\n{title}:")?;
+        for (key, row) in rows {
+            writeln!(out, "  {}: {row}", series_display(key))?;
         }
     }
     Ok(())
@@ -311,6 +289,27 @@ mod tests {
     fn summarize_rejects_malformed_lines() {
         assert!(summarize("not json\n").is_err());
         assert!(summarize("{\"type\":\"mystery\"}\n").is_err());
+    }
+
+    #[test]
+    fn summarize_saturates_file_supplied_totals() {
+        let log = concat!(
+            "{\"type\":\"span\",\"kind\":\"scrape\",\"ts_us\":0,\"dur_us\":18446744073709551615}\n",
+            "{\"type\":\"span\",\"kind\":\"scrape\",\"ts_us\":1,\"dur_us\":2}\n",
+        );
+        let s = summarize(log).unwrap();
+        let scrape = &s.spans["scrape"];
+        assert_eq!(
+            (scrape.count, scrape.total_us, scrape.max_us),
+            (2, u64::MAX, u64::MAX)
+        );
+        let mut buf = Vec::new();
+        render(&s, &mut buf).unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        assert!(
+            text.contains(" 18446744073709552.0 9223372036854775807 "),
+            "{text}"
+        );
     }
 
     #[test]

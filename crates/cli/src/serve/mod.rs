@@ -672,12 +672,15 @@ pub(crate) fn render_prom(registry: &MetricsRegistry, help: [&str; 3]) -> String
     render_metrics(families)
 }
 
+/// The samples of one family: an optional label pair, then the value.
+type Samples<'a, T> = Vec<(Option<(&'a str, &'a str)>, T)>;
+
 /// One family per run of same-name entries.
 fn push_families<'a, T: Copy>(
     families: &mut Vec<PromFamily<'a>>,
     entries: &[(&'a MetricKey, T)],
     help: &'a str,
-    data: fn(Vec<(Option<(&'a str, &'a str)>, T)>) -> PromData<'a>,
+    data: fn(Samples<'a, T>) -> PromData<'a>,
 ) {
     let mut rest = entries;
     while let Some(&(first, _)) = rest.first() {

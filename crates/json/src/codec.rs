@@ -23,7 +23,6 @@ use crate::{parse, push_f64, push_str, push_u64, JsonError, JsonValue};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::ops::Deref;
 
 /// A value that can append its JSON form to a `String`.
 pub trait ToJson {
@@ -373,8 +372,7 @@ impl<B: ToJson + ToOwned + ?Sized> ToJson for Cow<'_, B> {
     }
 }
 
-/// Decoding yields the owned form, so a record whose writers name things
-/// with `&'static str` can read them back from a file.
+/// Decoding yields the owned form.
 impl<B: ToOwned + ?Sized> FromJson for Cow<'_, B>
 where
     B::Owned: FromJson,
@@ -392,20 +390,11 @@ impl<B: JsonMembers + ToOwned> JsonMembers for Cow<'_, B> {
     }
 }
 
-/// An object keyed by arbitrary strings, `{"<key>":value,..}`, over the
-/// pairs in order (`Keyed<Vec<(K, V)>>`) or one pair (`Keyed<(K, V)>`).
-/// Keys are escaped like string values, unlike [`ObjectWriter::field`]'s
-/// identifier keys; decoding keeps the object's order and duplicates.
+/// An object keyed by arbitrary strings, `{"<key>":value,..}`: pairs in
+/// order (`Keyed<Vec<(K, V)>>`) or one pair (`Keyed<(K, V)>`). Keys are
+/// escaped like string values, unlike [`ObjectWriter::field`]'s.
 #[derive(Debug, Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Keyed<P>(pub P);
-
-impl<P> Deref for Keyed<P> {
-    type Target = P;
-
-    fn deref(&self) -> &P {
-        &self.0
-    }
-}
 
 impl<K, V> FromIterator<(K, V)> for Keyed<Vec<(K, V)>> {
     fn from_iter<I: IntoIterator<Item = (K, V)>>(pairs: I) -> Self {
@@ -413,13 +402,9 @@ impl<K, V> FromIterator<(K, V)> for Keyed<Vec<(K, V)>> {
     }
 }
 
-fn write_pairs<'p, K, V>(pairs: impl IntoIterator<Item = &'p (K, V)>, out: &mut String)
-where
-    K: AsRef<str> + 'p,
-    V: ToJson + 'p,
-{
+fn write_pairs<K: AsRef<str>, V: ToJson>(pairs: &[(K, V)], out: &mut String) {
     out.push('{');
-    for (i, (key, value)) in pairs.into_iter().enumerate() {
+    for (i, (key, value)) in pairs.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
@@ -454,7 +439,7 @@ impl<K: From<String>, V: FromJson> FromJson for Keyed<Vec<(K, V)>> {
 
 impl<K: AsRef<str>, V: ToJson> ToJson for Keyed<(K, V)> {
     fn write_json(&self, out: &mut String) {
-        write_pairs([&self.0], out);
+        write_pairs(std::slice::from_ref(&self.0), out);
     }
 }
 
@@ -631,9 +616,9 @@ impl ToJson for JsonValue {
 /// written `name = literal` is a constant key: always written, skipped
 /// when read. `: default, deny_unknown` also rejects unlisted keys.
 ///
-/// `str T` spells `T` as its `as_str` string (`str T: name` through the
-/// method `name`) and reads it back by finding the variant in `T::ALL`
-/// that spells it; unknown names are listed from `T::ALL` too.
+/// `str T: spell` writes `T` as the string its method `spell` returns
+/// and reads it back by finding the variant in `T::ALL` spelled so;
+/// unknown names are listed from `T::ALL` too.
 #[macro_export]
 macro_rules! json_codec {
     (struct $ty:ty {
@@ -753,9 +738,6 @@ macro_rules! json_codec {
                     .ok_or_else(|| $crate::DecodeError::unknown_name(name, names()))
             }
         }
-    };
-    (str $ty:ty) => {
-        $crate::json_codec!(str $ty: as_str);
     };
     (newtype $ty:ident) => {
         impl $crate::ToJson for $ty {
@@ -1054,6 +1036,41 @@ mod tests {
             command(r#"{"cmd":"grow","by":"x","mode":"Fast"}"#).unwrap_err().to_string(),
             "field `by` must be a non-negative integer"
         );
+    }
+
+    #[test]
+    fn keyed_objects_escape_their_keys_and_cows_read_back_owned() {
+        type Weights = Keyed<Vec<(Cow<'static, str>, f64)>>;
+        let weights: Weights = [("cpu".into(), 0.5), ("a\"b\\".into(), 1.0)]
+            .into_iter()
+            .collect();
+        let text = weights.to_json_string();
+        assert_eq!(text, r#"{"cpu":0.5,"a\"b\\":1}"#);
+        let back: Weights = decode(&text).unwrap();
+        assert_eq!(back, weights);
+        assert!(matches!(back.0[1].0, Cow::Owned(_)));
+        assert_eq!(Weights::default().to_json_string(), "{}");
+        assert_eq!(error::<Weights>(r#"{"cpu":"x"}"#), "field `cpu` must be a number");
+        assert_eq!(error::<Weights>("[]"), "expected an object");
+
+        type Label = Keyed<(Cow<'static, str>, String)>;
+        let label = Keyed(("k\n".into(), "v".to_string()));
+        assert_eq!(label.to_json_string(), r#"{"k\n":"v"}"#);
+        assert_eq!(decode::<Label>(&label.to_json_string()), Ok(label));
+        for bad in ["{}", r#"{"a":"1","b":"2"}"#] {
+            assert_eq!(error::<Label>(bad), "expected an object with one member");
+        }
+    }
+
+    #[test]
+    fn invalid_values_carry_their_rule() {
+        let err = DecodeError::from(ErrorKind::Invalid("bound 8 is off".into()))
+            .at_index(2)
+            .at("buckets");
+        assert_eq!(err.to_string(), "buckets: [2]: bound 8 is off");
+        assert!(err.is_value_error());
+        let err = DecodeError::from(ErrorKind::Invalid("no".into())).at("x");
+        assert_eq!(err.to_string(), "x: no");
     }
 
     #[test]

@@ -16,8 +16,9 @@
 //! * [`ToJson`] / [`FromJson`] and the [`json_codec!`] macro — typed
 //!   encode (streamed into one `String`, no intermediate tree) and decode
 //!   (from a parsed [`JsonValue`]) for records with required and
-//!   defaulted members, internally tagged enums, unit enums and
-//!   newtypes. A [`DecodeError`] tells a wrong shape from a bad value.
+//!   defaulted members, internally tagged enums, unit enums, newtypes and
+//!   string-keyed objects ([`Keyed`]). A [`DecodeError`] tells a wrong
+//!   shape from a bad value.
 //!
 //! [`fnv1a_64`] is the workspace's one content hash.
 

@@ -1,11 +1,11 @@
 //! Typed observability events and the JSON Lines records they are
 //! written as.
 
+use crate::metrics::Sample;
 use sapsim_json::{json_codec, FromJson, JsonValue, Keyed, ObjectWriter, TaggedJson, ToJson};
 use std::borrow::Cow;
 
-/// A name the simulator spells with a `&'static str` and a reader gets
-/// back as an owned `String`.
+/// A name: a `&'static str` when the simulator writes it, owned when read.
 pub type Name = Cow<'static, str>;
 
 /// How many ranked survivors a [`DecisionRecord`] keeps per decision,
@@ -154,14 +154,7 @@ pub struct DecisionRecord {
 }
 
 json_codec!(struct DecisionRecord {
-    sim_time_ms,
-    vm_uid,
-    candidates,
-    retries,
-    outcome,
-    chosen_host,
-    rejections,
-    top_k,
+    sim_time_ms, vm_uid, candidates, retries, outcome, chosen_host, rejections, top_k,
 });
 
 /// One step in the life of an injected fault or its evacuation.
@@ -285,19 +278,7 @@ pub struct FaultRecord {
 
 json_codec!(struct FaultRecord { kind, sim_time_ms, node, vm_uid });
 
-/// A `counter` line: one named recorder counter.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CounterRecord {
-    /// Counter name.
-    pub name: Name,
-    /// Its final value.
-    pub value: u64,
-}
-
-json_codec!(struct CounterRecord { name, value });
-
-/// One line of the JSON Lines log, tagged by `type`: what
-/// [`JsonlRecorder::write_jsonl`](crate::JsonlRecorder::write_jsonl)
+/// One line of the JSON Lines log, tagged by `type`: what `write_jsonl`
 /// writes and `sapsim obs summary` reads back. A decision is borrowed
 /// from the recorder on the way out and owned on the way in.
 #[derive(Debug, Clone, PartialEq)]
@@ -310,16 +291,14 @@ pub enum LogLine<'a> {
     Decision(Cow<'a, DecisionRecord>),
     /// One fault-injection step.
     Fault(FaultRecord),
-    /// One recorder counter, after the events.
-    Counter(CounterRecord),
+    /// One recorder counter, after the events (never labeled).
+    Counter(Sample<u64>),
 }
 
 json_codec!(enum LogLine<'_>: tag type {
-    Meta(LogMeta) = "meta",
-    Span(SpanRecord) = "span",
-    Decision(Cow<'_, DecisionRecord>) = "decision",
-    Fault(FaultRecord) = "fault",
-    Counter(CounterRecord) = "counter",
+    Meta(LogMeta) = "meta", Span(SpanRecord) = "span",
+    Decision(Cow<'_, DecisionRecord>) = "decision", Fault(FaultRecord) = "fault",
+    Counter(Sample<u64>) = "counter",
 });
 
 impl ToJson for LogLine<'_> {
@@ -471,7 +450,10 @@ mod tests {
             Ok(FaultEventKind::EvacLost)
         );
         let unknown = sapsim_json::decode::<DecisionOutcome>("\"lost\"").unwrap_err();
-        assert_eq!(unknown.to_string(), "unknown variant `lost` (use placed|fragmented|no_candidate)");
+        assert_eq!(
+            unknown.to_string(),
+            "unknown variant `lost` (use placed|fragmented|no_candidate)"
+        );
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //!   observability on, off, or at any thread count) are untouched.
 //! * [`JsonlRecorder`] — a bounded, ring-buffered recorder of typed
 //!   [`ObsEvent`]s plus unbounded-but-tiny named counters, exportable as
-//!   JSON Lines ([`JsonlRecorder::write_jsonl`]) and as a Chrome
-//!   `chrome://tracing` trace ([`JsonlRecorder::write_chrome_trace`]).
+//!   JSON Lines ([`JsonlRecorder::write_jsonl`], one [`LogLine`] each)
+//!   and as a Chrome `chrome://tracing` trace
+//!   ([`JsonlRecorder::write_chrome_trace`]).
 //! * [`DecisionRecord`] — the scheduler decision audit log entry: candidate
 //!   set size, per-filter rejection counts, per-weigher scores of the
 //!   top-k survivors, the chosen host, and retry depth.
@@ -34,9 +35,11 @@
 //! uid through a SplitMix64 finalizer rather than drawing from any
 //! simulation RNG stream, so changing the rate can never perturb a run.
 //!
-//! The crate depends on nothing but the workspace's JSON codec: events are
-//! streamed field by field ([`ObsEvent::write_json_line`]) through its emit
-//! helpers.
+//! The crate depends on nothing but the workspace's JSON codec. Every
+//! record it writes is declared once with `json_codec!` — the JSONL lines
+//! as one [`LogLine`] enum tagged by `type`, the Chrome complete event,
+//! the `sapsim.metrics/v1` entries — and `sapsim obs` reads the files
+//! back through the same declarations.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -47,11 +50,11 @@ mod profile;
 mod recorder;
 
 pub use event::{
-    CounterRecord, DecisionOutcome, DecisionRecord, FaultEventKind, FaultRecord, HostScore,
-    LogLine, LogMeta, Name, ObsEvent, SpanKind, SpanRecord, DECISION_TOP_K,
+    DecisionOutcome, DecisionRecord, FaultEventKind, FaultRecord, HostScore, LogLine, LogMeta,
+    Name, ObsEvent, SpanKind, SpanRecord, DECISION_TOP_K,
 };
 pub use metrics::{
-    bucket_index, bucket_upper_bound, Histogram, MetricKey, MetricsRegistry, HIST_BUCKETS,
+    bucket_index, bucket_upper_bound, Histogram, MetricKey, MetricsRegistry, Sample, HIST_BUCKETS,
     HIST_SUB_BITS, HIST_SUB_BUCKETS, METRICS_SCHEMA,
 };
 pub use profile::{PhaseStat, RunProfile};

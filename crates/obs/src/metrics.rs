@@ -270,12 +270,16 @@ impl MetricKey {
     }
 }
 
-/// A `counters` or `gauges` entry of a `sapsim.metrics/v1` snapshot.
-#[derive(Debug)]
-struct Sample<V> {
-    name: Name,
-    label: Option<Keyed<(Name, String)>>,
-    value: V,
+/// A named value, optionally labeled: a `counters` or `gauges` entry of
+/// a `sapsim.metrics/v1` snapshot, and the JSONL log's `counter` line.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Sample<V> {
+    /// Metric name.
+    pub name: Name,
+    /// Optional `{"<label name>":"<label value>"}` breakdown.
+    pub label: Option<Keyed<(Name, String)>>,
+    /// The value.
+    pub value: V,
 }
 
 impl<V> Sample<V> {
@@ -302,14 +306,25 @@ struct HistogramSample {
 }
 
 json_codec!(struct HistogramSample {
-    name,
-    #[default] label: Option::is_none,
-    count,
-    sum,
-    min,
-    max,
-    buckets,
+    name, #[default] label: Option::is_none, count, sum, min, max, buckets,
 });
+
+impl HistogramSample {
+    /// The histogram this entry describes, or the rule it breaks: every
+    /// bucket bound is canonical and the buckets add up to `count`.
+    fn histogram(&self) -> Result<Histogram, String> {
+        let buckets = self.buckets.iter().copied();
+        let canonical = |&(bound, _): &(u64, u64)| bound == bucket_upper_bound(bucket_index(bound));
+        if let Some((bound, _)) = buckets.clone().find(|b| !canonical(b)) {
+            return Err(format!("bucket bound {bound} is not a canonical bucket boundary"));
+        }
+        let hist = Histogram::from_parts(buckets, self.sum, self.min, self.max);
+        if hist.count() != self.count {
+            return Err("bucket counts do not add up to count".to_string());
+        }
+        Ok(hist)
+    }
+}
 
 /// The `sapsim.metrics/v1` line. A missing family reads as empty.
 #[derive(Debug)]
@@ -321,10 +336,7 @@ struct Snapshot {
 }
 
 json_codec!(struct Snapshot {
-    schema,
-    #[default] counters,
-    #[default] gauges,
-    #[default] histograms,
+    schema, #[default] counters, #[default] gauges, #[default] histograms,
 });
 
 /// A deterministic registry of counters, gauges, and histograms.
@@ -455,7 +467,10 @@ impl MetricsRegistry {
     pub fn to_json(&self) -> String {
         Snapshot {
             schema: METRICS_SCHEMA.into(),
-            counters: self.counters().map(|(key, v)| Sample::new(key, v)).collect(),
+            counters: self
+                .counters()
+                .map(|(key, v)| Sample::new(key, v))
+                .collect(),
             gauges: self.gauges().map(|(key, v)| Sample::new(key, v)).collect(),
             histograms: self
                 .histograms()
@@ -492,28 +507,12 @@ impl FromJson for MetricsRegistry {
             registry.add_counter(MetricKey::from_wire(entry.name, entry.label), entry.value);
         }
         for entry in snapshot.gauges {
-            let key = MetricKey::from_wire(entry.name, entry.label);
-            registry.gauges.insert(key, entry.value);
+            registry.gauges.insert(MetricKey::from_wire(entry.name, entry.label), entry.value);
         }
         for (i, entry) in snapshot.histograms.into_iter().enumerate() {
-            let invalid = |rule: String| {
+            let hist = entry.histogram().map_err(|rule| {
                 DecodeError::from(ErrorKind::Invalid(rule)).at_index(i).at("histograms")
-            };
-            if let Some((bound, _)) = entry
-                .buckets
-                .iter()
-                .find(|&&(bound, _)| bound != bucket_upper_bound(bucket_index(bound)))
-            {
-                return Err(invalid(format!(
-                    "histogram bucket bound {bound} is not a canonical bucket boundary"
-                )));
-            }
-            let hist = Histogram::from_parts(entry.buckets, entry.sum, entry.min, entry.max);
-            if hist.count() != entry.count {
-                return Err(invalid(
-                    "histogram bucket counts do not add up to count".to_string(),
-                ));
-            }
+            })?;
             let key = MetricKey::from_wire(entry.name, entry.label);
             registry.histograms.entry(key).or_default().merge(&hist);
         }

@@ -5,8 +5,8 @@ use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::io;
 
-use crate::event::{CounterRecord, LogLine, LogMeta, Name, ObsEvent};
-use crate::metrics::MetricsRegistry;
+use crate::event::{LogLine, LogMeta, Name, ObsEvent};
+use crate::metrics::{MetricsRegistry, Sample};
 use sapsim_json::{json_codec, ToJson};
 
 /// What went wrong while configuring an observability sink.
@@ -358,10 +358,7 @@ impl JsonlRecorder {
             dropped: self.dropped,
         };
         let counters = self.counters.iter().map(|(&name, &value)| {
-            LogLine::Counter(CounterRecord {
-                name: name.into(),
-                value,
-            })
+            LogLine::Counter(Sample { name: name.into(), label: None, value })
         });
         let lines = std::iter::once(LogLine::Meta(meta))
             .chain(self.ring.iter().map(LogLine::from))
@@ -427,13 +424,7 @@ struct ChromeEvent {
 }
 
 json_codec!(struct ChromeEvent: default {
-    name,
-    cat = "sim",
-    ph = "X",
-    ts,
-    dur,
-    pid = 1u64,
-    tid = 1u64,
+    name, cat = "sim", ph = "X", ts, dur, pid = 1u64, tid = 1u64,
 });
 
 impl Recorder for JsonlRecorder {

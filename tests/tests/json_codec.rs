@@ -7,13 +7,19 @@
 //!   lines byte by byte: the wire decoders must answer every input
 //!   without panicking, and every request they accept re-encodes to a
 //!   line that decodes back to the same value.
+//! * A third mutates `sapsim obs summary` log lines and
+//!   `sapsim.metrics/v1` snapshots and feeds them to `sapsim obs`: every
+//!   rejection is a data error naming the line or the file, and every
+//!   snapshot accepted re-encodes to one that decodes back equal.
 //! * The encode-only and report-level root types (`canonical_bytes()`,
 //!   `SweepReport`) survive a trip through the codec; the other ported
 //!   roots have their round-trip tests beside their definitions.
 
 use sapsim_api::{ApiRequest, ApiResponse};
+use sapsim_cli::commands::obs;
 use sapsim_core::{Scenario, SimConfig};
-use sapsim_json::{parse, JsonValue, ToJson};
+use sapsim_json::{decode, parse, JsonValue, ToJson};
+use sapsim_obs::MetricsRegistry;
 use sapsim_sim::{for_each_seed, SimRng};
 use sapsim_sweep::{RunSummary, ScenarioOutcome, SweepReport};
 
@@ -161,6 +167,103 @@ fn wire_decoders_survive_mutated_lines_and_reencode_canonically() {
     });
     // Enough mutants stay valid for the round trip to be exercised.
     assert!(accepted > 400, "only {accepted} mutated requests decoded");
+}
+
+/// Valid `sapsim obs summary` input: one line of every type, spelled out.
+const LOG_LINES: [&str; 7] = [
+    r#"{"type":"meta","version":1,"decision_sample_rate":0.25,"ring_capacity":65536,"events":4,"dropped":0}"#,
+    r#"{"type":"span","kind":"scrape.sample","ts_us":100,"dur_us":18446744073709551615}"#,
+    r#"{"type":"decision","sim_time_ms":1000,"vm_uid":7,"candidates":12,"retries":1,"outcome":"placed","chosen_host":3,"rejections":{"insufficient_cpu":2,"wrong \"az\"":8},"top_k":[{"host":3,"score":0.1,"weights":{"cpu":1e-7,"ram":1}}]}"#,
+    r#"{"type":"decision","sim_time_ms":0,"vm_uid":8,"candidates":0,"retries":0,"outcome":"no_candidate","chosen_host":null,"rejections":{},"top_k":[]}"#,
+    r#"{"type":"fault","kind":"host_fail","sim_time_ms":500,"node":3,"vm_uid":null}"#,
+    r#"{"type":"fault","kind":"evac_replaced","sim_time_ms":500,"node":5,"vm_uid":42}"#,
+    r#"{"type":"counter","name":"placements","value":812}"#,
+];
+
+/// Valid `sapsim.metrics/v1` snapshots, spelled out.
+const SNAPSHOTS: [&str; 3] = [
+    concat!(
+        r#"{"schema":"sapsim.metrics/v1","counters":[{"name":"placements","value":812},"#,
+        r#"{"name":"labeled","label":{"k"\":"v"\"},"value":18446744073709551615}],"#,
+        r#""gauges":[{"name":"live","value":0.1},{"name":"live","label":{"region":"0"},"value":1e-7}],"#,
+        r#""histograms":[{"name":"lat","count":3,"sum":18446744073709551615,"min":0,"#,
+        r#""max":18446744073709551615,"buckets":[[0,1],[47,1],[18446744073709551615,1]]},"#,
+        r#"{"name":"lat","label":{"phase":"run"},"count":1,"sum":5,"min":5,"max":5,"buckets":[[5,1]]}]}"#,
+    ),
+    r#"{"schema":"sapsim.metrics/v1","counters":[],"gauges":[],"histograms":[]}"#,
+    r#"{"schema":"sapsim.metrics/v1","counters":[{"name":"a","value":1}],"histograms":[{"name":"h","count":0,"sum":0,"min":0,"max":0,"buckets":[]}]}"#,
+];
+
+/// `sapsim obs ACTION PATH`, after writing `text` to `path`.
+fn obs_on(
+    action: &str,
+    path: &std::path::Path,
+    text: &str,
+) -> Result<(), sapsim_cli::CliError> {
+    std::fs::write(path, text).expect("write input");
+    let argv = [action.to_string(), path.display().to_string()];
+    obs::run(&argv, &mut Vec::new())
+}
+
+#[test]
+fn obs_readers_survive_mutated_logs_and_snapshots() {
+    let dir = std::env::temp_dir().join(format!("sapsim-obs-fuzz-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let (log_path, snapshot_path) = (dir.join("run.jsonl"), dir.join("run.metrics.json"));
+    let (mut logs, mut snapshots) = (0, 0);
+    for_each_seed(5_000, |rng| {
+        let pick = |rng: &mut SimRng, from: &[&'static str]| {
+            from[rng.range(0, from.len() as u64) as usize].as_bytes()
+        };
+
+        // A few valid lines, one of them mutated: only that one can fail.
+        let mut lines: Vec<Vec<u8>> = (0..rng.range(1, 4))
+            .map(|_| pick(rng, &LOG_LINES).to_vec())
+            .collect();
+        let bad = rng.range(0, lines.len() as u64) as usize;
+        for _ in 0..rng.range(1, 4) {
+            let donor = pick(rng, &LOG_LINES);
+            lines[bad] = mutate(rng, &lines[bad], donor);
+        }
+        let text = String::from_utf8_lossy(&lines.join(&b'\n')).into_owned();
+        match obs_on("summary", &log_path, &text) {
+            Ok(()) => logs += 1,
+            Err(e) => {
+                assert_eq!(e.exit_code(), 5, "{e}: {text}");
+                let line = format!("line {}: ", bad + 1);
+                assert!(e.to_string().starts_with(&line), "{e}: {text}");
+            }
+        }
+
+        let mut bytes = pick(rng, &SNAPSHOTS).to_vec();
+        for _ in 0..rng.range(1, 4) {
+            let donor = pick(rng, &SNAPSHOTS);
+            bytes = mutate(rng, &bytes, donor);
+        }
+        let text = String::from_utf8_lossy(&bytes).into_owned();
+        match obs_on("metrics", &snapshot_path, &text) {
+            Ok(()) => {
+                snapshots += 1;
+                let registry: MetricsRegistry = decode(text.trim()).expect("accepted by the CLI");
+                let line = registry.to_json();
+                let back: MetricsRegistry =
+                    decode(&line).unwrap_or_else(|e| panic!("{e}: re-encoded {line} from {text}"));
+                assert_eq!(back, registry, "{text}");
+                assert_eq!(back.to_json(), line, "{text}");
+            }
+            Err(e) => {
+                assert_eq!(e.exit_code(), 5, "{e}: {text}");
+                let file = format!("{}: ", snapshot_path.display());
+                assert!(e.to_string().starts_with(&file), "{e}: {text}");
+            }
+        }
+    });
+    std::fs::remove_dir_all(&dir).expect("clean up");
+    // Enough mutants stay valid for both readers to be exercised.
+    assert!(
+        logs > 250 && snapshots > 250,
+        "only {logs} logs and {snapshots} snapshots read"
+    );
 }
 
 fn tiny_config() -> SimConfig {
