@@ -90,7 +90,11 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             if !parsed.flag("prom") {
                 return Ok(render_metrics_table(&merged, paths.len(), out)?);
             }
-            let help = ["Merged engine counter", "Merged engine gauge", "Merged engine histogram"];
+            let help = [
+                "Merged engine counter",
+                "Merged engine gauge",
+                "Merged engine histogram",
+            ];
             write!(out, "{}", render_prom(&merged, help))?;
             Ok(())
         }
@@ -164,10 +168,13 @@ fn render_metrics_table(
         let (count, sum, min, max) = (h.count(), h.sum(), h.min(), h.max());
         format!("count={count} sum={sum} min={min} max={max} mean={mean:.1}")
     };
+    let counters = merged.counters().map(|(k, v)| (k, v.to_string()));
+    let gauges = merged.gauges().map(|(k, v)| (k, v.to_string()));
+    let histograms = merged.histograms().map(|(k, h)| (k, histogram(h)));
     let sections: [(&str, Vec<(&MetricKey, String)>); 3] = [
-        ("counters", merged.counters().map(|(k, v)| (k, v.to_string())).collect()),
-        ("gauges", merged.gauges().map(|(k, v)| (k, v.to_string())).collect()),
-        ("histograms", merged.histograms().map(|(k, h)| (k, histogram(h))).collect()),
+        ("counters", counters.collect()),
+        ("gauges", gauges.collect()),
+        ("histograms", histograms.collect()),
     ];
     for (title, rows) in sections.iter().filter(|(_, rows)| !rows.is_empty()) {
         writeln!(out, "\n{title}:")?;

@@ -684,7 +684,8 @@ fn push_families<'a, T: Copy>(
 ) {
     let mut rest = entries;
     while let Some(&(first, _)) = rest.first() {
-        let n = rest.iter().take_while(|(key, _)| key.name == first.name).count();
+        let same_name = |(key, _): &&(&MetricKey, T)| key.name == first.name;
+        let n = rest.iter().take_while(same_name).count();
         let samples = rest[..n].iter().map(|&(key, value)| {
             let label = key.label.as_ref().map(|(k, v)| (k.as_ref(), v.as_str()));
             (label, value)

@@ -415,16 +415,6 @@ fn write_pairs<K: AsRef<str>, V: ToJson>(pairs: &[(K, V)], out: &mut String) {
     out.push('}');
 }
 
-fn read_pairs<K: From<String>, V: FromJson>(value: &JsonValue) -> Result<Vec<(K, V)>, DecodeError> {
-    object(value)?
-        .iter()
-        .map(|(key, member)| match V::from_json(member) {
-            Ok(v) => Ok((K::from(key.clone()), v)),
-            Err(e) => Err(e.at(key)),
-        })
-        .collect()
-}
-
 impl<K: AsRef<str>, V: ToJson> ToJson for Keyed<Vec<(K, V)>> {
     fn write_json(&self, out: &mut String) {
         write_pairs(&self.0, out);
@@ -433,7 +423,11 @@ impl<K: AsRef<str>, V: ToJson> ToJson for Keyed<Vec<(K, V)>> {
 
 impl<K: From<String>, V: FromJson> FromJson for Keyed<Vec<(K, V)>> {
     fn from_json(value: &JsonValue) -> Result<Self, DecodeError> {
-        read_pairs(value).map(Keyed)
+        let pair = |(key, member): &(String, JsonValue)| match V::from_json(member) {
+            Ok(v) => Ok((K::from(key.clone()), v)),
+            Err(e) => Err(e.at(key)),
+        };
+        object(value)?.iter().map(pair).collect()
     }
 }
 
@@ -445,7 +439,8 @@ impl<K: AsRef<str>, V: ToJson> ToJson for Keyed<(K, V)> {
 
 impl<K: From<String>, V: FromJson> FromJson for Keyed<(K, V)> {
     fn from_json(value: &JsonValue) -> Result<Self, DecodeError> {
-        let [pair] = <[(K, V); 1]>::try_from(read_pairs(value)?)
+        let Keyed(pairs) = Keyed::<Vec<(K, V)>>::from_json(value)?;
+        let [pair] = <[(K, V); 1]>::try_from(pairs)
             .map_err(|_| DecodeError::expected("an object with one member"))?;
         Ok(Keyed(pair))
     }
@@ -1050,7 +1045,8 @@ mod tests {
         assert_eq!(back, weights);
         assert!(matches!(back.0[1].0, Cow::Owned(_)));
         assert_eq!(Weights::default().to_json_string(), "{}");
-        assert_eq!(error::<Weights>(r#"{"cpu":"x"}"#), "field `cpu` must be a number");
+        let err = error::<Weights>(r#"{"cpu":"x"}"#);
+        assert_eq!(err, "field `cpu` must be a number");
         assert_eq!(error::<Weights>("[]"), "expected an object");
 
         type Label = Keyed<(Cow<'static, str>, String)>;

@@ -283,7 +283,7 @@ pub struct Sample<V> {
 }
 
 impl<V> Sample<V> {
-    fn new(key: &MetricKey, value: V) -> Self {
+    pub(crate) fn new(key: &MetricKey, value: V) -> Self {
         let (name, label) = key.wire();
         Sample { name, label, value }
     }
@@ -312,15 +312,18 @@ json_codec!(struct HistogramSample {
 impl HistogramSample {
     /// The histogram this entry describes, or the rule it breaks: every
     /// bucket bound is canonical and the buckets add up to `count`.
-    fn histogram(&self) -> Result<Histogram, String> {
+    fn histogram(&self) -> Result<Histogram, DecodeError> {
+        let invalid = |rule: String| Err(ErrorKind::Invalid(rule).into());
         let buckets = self.buckets.iter().copied();
         let canonical = |&(bound, _): &(u64, u64)| bound == bucket_upper_bound(bucket_index(bound));
         if let Some((bound, _)) = buckets.clone().find(|b| !canonical(b)) {
-            return Err(format!("bucket bound {bound} is not a canonical bucket boundary"));
+            return invalid(format!(
+                "bucket bound {bound} is not a canonical bucket boundary"
+            ));
         }
         let hist = Histogram::from_parts(buckets, self.sum, self.min, self.max);
         if hist.count() != self.count {
-            return Err("bucket counts do not add up to count".to_string());
+            return invalid("bucket counts do not add up to count".to_string());
         }
         Ok(hist)
     }
@@ -467,11 +470,8 @@ impl MetricsRegistry {
     pub fn to_json(&self) -> String {
         Snapshot {
             schema: METRICS_SCHEMA.into(),
-            counters: self
-                .counters()
-                .map(|(key, v)| Sample::new(key, v))
-                .collect(),
-            gauges: self.gauges().map(|(key, v)| Sample::new(key, v)).collect(),
+            counters: self.counters().map(|(k, v)| Sample::new(k, v)).collect(),
+            gauges: self.gauges().map(|(k, v)| Sample::new(k, v)).collect(),
             histograms: self
                 .histograms()
                 .map(|(key, h)| {
@@ -507,12 +507,12 @@ impl FromJson for MetricsRegistry {
             registry.add_counter(MetricKey::from_wire(entry.name, entry.label), entry.value);
         }
         for entry in snapshot.gauges {
-            registry.gauges.insert(MetricKey::from_wire(entry.name, entry.label), entry.value);
+            let key = MetricKey::from_wire(entry.name, entry.label);
+            registry.gauges.insert(key, entry.value);
         }
         for (i, entry) in snapshot.histograms.into_iter().enumerate() {
-            let hist = entry.histogram().map_err(|rule| {
-                DecodeError::from(ErrorKind::Invalid(rule)).at_index(i).at("histograms")
-            })?;
+            let within = |e: DecodeError| e.at_index(i).at("histograms");
+            let hist = entry.histogram().map_err(within)?;
             let key = MetricKey::from_wire(entry.name, entry.label);
             registry.histograms.entry(key).or_default().merge(&hist);
         }

@@ -6,7 +6,7 @@ use std::fmt;
 use std::io;
 
 use crate::event::{LogLine, LogMeta, Name, ObsEvent};
-use crate::metrics::{MetricsRegistry, Sample};
+use crate::metrics::{MetricKey, MetricsRegistry, Sample};
 use sapsim_json::{json_codec, ToJson};
 
 /// What went wrong while configuring an observability sink.
@@ -357,9 +357,10 @@ impl JsonlRecorder {
             events: self.ring.len() as u64,
             dropped: self.dropped,
         };
-        let counters = self.counters.iter().map(|(&name, &value)| {
-            LogLine::Counter(Sample { name: name.into(), label: None, value })
-        });
+        let counters = self
+            .counters
+            .iter()
+            .map(|(&name, &value)| LogLine::Counter(Sample::new(&MetricKey::plain(name), value)));
         let lines = std::iter::once(LogLine::Meta(meta))
             .chain(self.ring.iter().map(LogLine::from))
             .chain(counters);

@@ -195,11 +195,7 @@ const SNAPSHOTS: [&str; 3] = [
 ];
 
 /// `sapsim obs ACTION PATH`, after writing `text` to `path`.
-fn obs_on(
-    action: &str,
-    path: &std::path::Path,
-    text: &str,
-) -> Result<(), sapsim_cli::CliError> {
+fn obs_on(action: &str, path: &std::path::Path, text: &str) -> Result<(), sapsim_cli::CliError> {
     std::fs::write(path, text).expect("write input");
     let argv = [action.to_string(), path.display().to_string()];
     obs::run(&argv, &mut Vec::new())
