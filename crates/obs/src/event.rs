@@ -356,10 +356,7 @@ mod tests {
         value
     }
 
-    fn keyed<V>(pairs: &[(&'static str, V)]) -> Keyed<Vec<(Name, V)>>
-    where
-        V: Copy,
-    {
+    fn keyed<V: Copy>(pairs: &[(&'static str, V)]) -> Keyed<Vec<(Name, V)>> {
         pairs.iter().map(|&(k, v)| (k.into(), v)).collect()
     }
 

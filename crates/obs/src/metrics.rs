@@ -311,7 +311,8 @@ json_codec!(struct HistogramSample {
 
 impl HistogramSample {
     /// The histogram this entry describes, or the rule it breaks: every
-    /// bucket bound is canonical and the buckets add up to `count`.
+    /// bound is canonical (any other would land, silently, in the wrong
+    /// bucket) and the buckets add up to `count`.
     fn histogram(&self) -> Result<Histogram, DecodeError> {
         let invalid = |rule: String| Err(ErrorKind::Invalid(rule).into());
         let buckets = self.buckets.iter().copied();
