@@ -1,6 +1,9 @@
 //! `sapsim export` — run a simulation and write the dataset CSV.
 
-use super::{obs_args_from, run_with_obs, sim_config_from, SIM_BOOL_FLAGS, SIM_VALUE_OPTIONS};
+use super::{
+    execute_with_obs, obs_args_from, sim_config_from, RunExec, OBS_BOOL_FLAGS, SIM_BOOL_FLAGS,
+    SIM_VALUE_OPTIONS,
+};
 use crate::args::Parsed;
 use crate::error::CliError;
 use sapsim_trace::TraceWriter;
@@ -9,7 +12,8 @@ use std::io::{BufWriter, Write};
 
 /// Execute the subcommand.
 pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
-    let parsed = Parsed::parse(argv, SIM_VALUE_OPTIONS, SIM_BOOL_FLAGS)?;
+    let flags = [SIM_BOOL_FLAGS, OBS_BOOL_FLAGS].concat();
+    let parsed = Parsed::parse(argv, SIM_VALUE_OPTIONS, &flags)?;
     let [path] = parsed.positionals() else {
         return Err(CliError::Usage(
             "export requires exactly one output file argument".into(),
@@ -23,7 +27,7 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         "simulating {} days at scale {:.2} (seed {}) ...",
         cfg.days, cfg.scale, cfg.seed
     )?;
-    let result = run_with_obs(cfg, obs.as_ref(), out)?;
+    let (result, _) = execute_with_obs(RunExec::Cold(cfg), obs.as_ref(), out)?;
 
     let mut writer = match parsed.get("anonymize") {
         Some(salt_raw) => {

@@ -9,7 +9,10 @@ pub mod tables;
 
 use crate::args::Parsed;
 use crate::error::CliError;
-use sapsim_core::obs::{JsonlRecorder, MetricsRecorder, MetricsRegistry, NullRecorder, ObsConfig, Recorder};
+use sapsim_core::obs::{
+    JsonlRecorder, MetricsRecorder, MetricsRegistry, NullRecorder, ObsConfig, ProgressRecorder,
+    Recorder,
+};
 use sapsim_core::{
     FaultError, FaultSpec, PlacementGranularity, RunResult, SimConfig, SimDriver, SimError,
     SimSnapshot, SimTime,
@@ -35,8 +38,11 @@ pub const SIM_VALUE_OPTIONS: &[&str] = &[
     "metrics-out",
     "faults",
 ];
-/// Boolean flags shared by `simulate` and `export`.
-pub const SIM_BOOL_FLAGS: &[&str] = &["no-drs", "cross-bb", "no-warmup", "progress"];
+/// Boolean flags shared by `simulate` and `export` that shape the config.
+pub const SIM_BOOL_FLAGS: &[&str] = &["no-drs", "cross-bb", "no-warmup"];
+/// Boolean flags shared by `simulate` and `export` that only observe the
+/// run, so a `--resume` accepts them.
+pub const OBS_BOOL_FLAGS: &[&str] = &["progress"];
 
 /// Build a [`SimConfig`] from parsed CLI arguments.
 pub fn sim_config_from(parsed: &Parsed) -> Result<SimConfig, CliError> {
@@ -63,9 +69,6 @@ pub fn sim_config_from(parsed: &Parsed) -> Result<SimConfig, CliError> {
     }
     if parsed.flag("no-warmup") {
         cfg.warmup_days = 0;
-    }
-    if parsed.flag("progress") {
-        cfg.progress = true;
     }
     if let Some(spec) = parsed.get("faults") {
         cfg.faults = parse_fault_spec(spec)?;
@@ -108,8 +111,9 @@ pub(crate) fn write_file(path: &Path, contents: &str) -> Result<(), CliError> {
         .map_err(|e| CliError::Io(format!("cannot create {}: {e}", path.display())))
 }
 
-/// Observability export destinations and recorder knobs, parsed from the
-/// shared `--obs-*` options.
+/// Observability export destinations, recorder knobs and the live
+/// heartbeat, parsed from the shared `--obs-*`, `--metrics-out` and
+/// `--progress` options.
 #[derive(Debug)]
 pub struct ObsArgs {
     /// Where to write the JSONL event log, if requested.
@@ -120,16 +124,19 @@ pub struct ObsArgs {
     pub metrics_path: Option<String>,
     /// Recorder configuration (sampling rate, ring capacity).
     pub config: ObsConfig,
+    /// Print the live heartbeat on stderr (`--progress`).
+    pub progress: bool,
 }
 
 /// Build the observability arguments from parsed CLI options. Returns
-/// `Ok(None)` when no `--obs-*`/`--metrics-out` output was requested, so
-/// callers fall back to the zero-cost
+/// `Ok(None)` when neither an `--obs-*`/`--metrics-out` output nor
+/// `--progress` was requested, so callers fall back to the zero-cost
 /// [`sapsim_core::obs::NullRecorder`] path.
 pub fn obs_args_from(parsed: &Parsed) -> Result<Option<ObsArgs>, CliError> {
     let jsonl_path = parsed.get("obs-out").map(str::to_string);
     let chrome_path = parsed.get("obs-chrome").map(str::to_string);
     let metrics_path = parsed.get("metrics-out").map(str::to_string);
+    let progress = parsed.flag("progress");
     if jsonl_path.is_none() && chrome_path.is_none() {
         // The sampling/ring knobs shape the event ring only; a pure
         // metrics run has no ring to shape.
@@ -138,7 +145,7 @@ pub fn obs_args_from(parsed: &Parsed) -> Result<Option<ObsArgs>, CliError> {
                 "--obs-sample/--obs-ring have no effect without --obs-out or --obs-chrome".into(),
             ));
         }
-        if metrics_path.is_none() {
+        if metrics_path.is_none() && !progress {
             return Ok(None);
         }
     }
@@ -153,6 +160,7 @@ pub fn obs_args_from(parsed: &Parsed) -> Result<Option<ObsArgs>, CliError> {
         chrome_path,
         metrics_path,
         config,
+        progress,
     }))
 }
 
@@ -185,26 +193,32 @@ impl RunExec<'_> {
                 .map_err(|e| CliError::Data(e.to_string())),
         }
     }
+
+    /// [`run`](Self::run), with `rec` wrapped in a [`ProgressRecorder`]
+    /// when `--progress` asked for the live heartbeat.
+    fn observe<R: Recorder>(
+        &self,
+        rec: &mut R,
+        progress: bool,
+    ) -> Result<(RunResult, Option<SimSnapshot>), CliError> {
+        if progress {
+            self.run(&mut ProgressRecorder::new(rec))
+        } else {
+            self.run(rec)
+        }
+    }
 }
 
-/// Run the simulation, with the observability recorder attached when any
+/// Drive `exec`, with the observability recorder attached when any
 /// `--obs-*`/`--metrics-out` output was requested. Writes the requested
 /// export files and a one-line status per file to `out`.
 ///
 /// A pure `--metrics-out` run uses the lightweight [`MetricsRecorder`]
 /// (no event ring, no decision detail); requesting a JSONL log or Chrome
 /// trace upgrades to a [`JsonlRecorder`] with the metrics registry
-/// attached.
-pub fn run_with_obs(
-    cfg: SimConfig,
-    obs: Option<&ObsArgs>,
-    out: &mut dyn Write,
-) -> Result<RunResult, CliError> {
-    execute_with_obs(RunExec::Cold(cfg), obs, out).map(|(result, _)| result)
-}
-
-/// [`run_with_obs`], generalized over the [`RunExec`] drive mode so the
-/// snapshot-capture and resume paths reuse the same recorder wiring.
+/// attached. `--progress` wraps whichever recorder runs (the
+/// [`NullRecorder`] when no output was requested) in a
+/// [`ProgressRecorder`].
 pub fn execute_with_obs(
     exec: RunExec<'_>,
     obs: Option<&ObsArgs>,
@@ -214,12 +228,11 @@ pub fn execute_with_obs(
         return exec.run(&mut NullRecorder);
     };
     if obs.jsonl_path.is_none() && obs.chrome_path.is_none() {
+        let Some(path) = obs.metrics_path.as_deref() else {
+            return exec.observe(&mut NullRecorder, obs.progress);
+        };
         let mut rec = MetricsRecorder::new();
-        let outcome = exec.run(&mut rec)?;
-        let path = obs
-            .metrics_path
-            .as_deref()
-            .expect("obs_args_from returns Some only when an output is set");
+        let outcome = exec.observe(&mut rec, obs.progress)?;
         write_metrics_snapshot(rec.registry(), path, out)?;
         return Ok(outcome);
     }
@@ -227,7 +240,7 @@ pub fn execute_with_obs(
     if obs.metrics_path.is_some() {
         rec = rec.with_metrics();
     }
-    let outcome = exec.run(&mut rec)?;
+    let outcome = exec.observe(&mut rec, obs.progress)?;
     if let Some(path) = &obs.jsonl_path {
         let file =
             File::create(path).map_err(|e| CliError::Io(format!("cannot create {path}: {e}")))?;
@@ -284,7 +297,8 @@ mod tests {
 
     fn parse(parts: &[&str]) -> Parsed {
         let argv: Vec<String> = parts.iter().map(|s| s.to_string()).collect();
-        Parsed::parse(&argv, SIM_VALUE_OPTIONS, SIM_BOOL_FLAGS).unwrap()
+        let flags = [SIM_BOOL_FLAGS, OBS_BOOL_FLAGS].concat();
+        Parsed::parse(&argv, SIM_VALUE_OPTIONS, &flags).unwrap()
     }
 
     #[test]
@@ -431,8 +445,16 @@ mod tests {
 
     #[test]
     fn progress_flag_maps_through() {
-        assert!(!sim_config_from(&parse(&[])).unwrap().progress);
-        assert!(sim_config_from(&parse(&["--progress"])).unwrap().progress);
+        let obs = obs_args_from(&parse(&["--progress"])).unwrap().unwrap();
+        assert!(obs.progress);
+        assert!(obs.jsonl_path.is_none() && obs.metrics_path.is_none());
+        let metrics = obs_args_from(&parse(&["--metrics-out", "m.json"])).unwrap();
+        assert!(!metrics.unwrap().progress);
+        assert_eq!(
+            sim_config_from(&parse(&["--progress"])).unwrap(),
+            sim_config_from(&parse(&[])).unwrap(),
+            "the heartbeat observes the run, it is not part of the config"
+        );
     }
 
     #[test]
@@ -483,9 +505,10 @@ mod tests {
             chrome_path: None,
             metrics_path: Some(path_str.clone()),
             config: ObsConfig::default(),
+            progress: false,
         };
         let mut out = Vec::new();
-        let with_metrics = run_with_obs(cfg, Some(&obs), &mut out).unwrap();
+        let (with_metrics, _) = execute_with_obs(RunExec::Cold(cfg), Some(&obs), &mut out).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.starts_with(r#"{"schema":"sapsim.metrics/v1""#));
         assert!(text.ends_with('\n'));
@@ -493,7 +516,7 @@ mod tests {
         assert!(status.contains("metrics snapshot"));
         assert!(status.contains(&path_str));
         // The canonical result is byte-identical with metrics off.
-        let plain = run_with_obs(cfg, None, &mut Vec::new()).unwrap();
+        let (plain, _) = execute_with_obs(RunExec::Cold(cfg), None, &mut Vec::new()).unwrap();
         assert_eq!(with_metrics.canonical_bytes(), plain.canonical_bytes());
     }
 

@@ -4,7 +4,7 @@
 
 use super::{
     create_dir, execute_with_obs, obs_args_from, parse_fault_spec, sim_config_from, write_file,
-    ObsArgs, RunExec, SIM_BOOL_FLAGS, SIM_VALUE_OPTIONS,
+    ObsArgs, RunExec, OBS_BOOL_FLAGS, SIM_BOOL_FLAGS, SIM_VALUE_OPTIONS,
 };
 use crate::args::Parsed;
 use crate::error::CliError;
@@ -23,12 +23,8 @@ const SIMULATE_VALUE_OPTIONS: &[&str] = &["snapshot-at", "snapshot-out", "resume
 
 /// Execute the subcommand.
 pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
-    let flags: Vec<&str> = SIM_BOOL_FLAGS.iter().copied().chain(["json"]).collect();
-    let options: Vec<&str> = SIM_VALUE_OPTIONS
-        .iter()
-        .chain(SIMULATE_VALUE_OPTIONS)
-        .copied()
-        .collect();
+    let flags = [SIM_BOOL_FLAGS, OBS_BOOL_FLAGS, &["json"]].concat();
+    let options = [SIM_VALUE_OPTIONS, SIMULATE_VALUE_OPTIONS].concat();
     let parsed = Parsed::parse(argv, &options, &flags)?;
     if !parsed.positionals().is_empty() {
         return Err(CliError::Usage(
@@ -42,28 +38,39 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let obs = obs_args_from(&parsed)?;
     let capture = capture_args(&parsed)?;
     let artifact_dir = artifact_dir(&parsed)?;
-
-    if parsed.flag("json") {
-        // Machine-readable mode: the only stdout line is the versioned
-        // run summary. Obs, snapshot and artifact files are still
-        // written, but their status lines are swallowed so the output
-        // stays a single JSON object.
-        let mut status = Vec::new();
-        let result = execute(cfg, obs.as_ref(), capture, &mut status)?;
-        write_artifacts(&result, artifact_dir, &mut status)?;
-        writeln!(out, "{}", RunSummary::from_run(&result).to_json())?;
-        return Ok(());
-    }
-
-    writeln!(
-        out,
+    let header = format!(
         "simulating {} days at scale {:.2} (policy {}, seed {}) ...",
         cfg.days,
         cfg.scale,
         cfg.policy.name(),
         cfg.seed
-    )?;
-    let result = execute(cfg, obs.as_ref(), capture, out)?;
+    );
+    report(&parsed, &header, artifact_dir, out, |out| {
+        execute(cfg, obs.as_ref(), capture, out)
+    })
+}
+
+/// Run and report. With `--json` the only stdout line is the versioned
+/// run summary: obs, snapshot and artifact files are still written, but
+/// their status lines are swallowed so the output stays a single JSON
+/// object. Otherwise `header`, the status lines and the human-readable
+/// report.
+fn report(
+    parsed: &Parsed,
+    header: &str,
+    artifact_dir: Option<&Path>,
+    out: &mut dyn Write,
+    run: impl FnOnce(&mut dyn Write) -> Result<RunResult, CliError>,
+) -> Result<(), CliError> {
+    if parsed.flag("json") {
+        let mut status = Vec::new();
+        let result = run(&mut status)?;
+        write_artifacts(&result, artifact_dir, &mut status)?;
+        writeln!(out, "{}", RunSummary::from_run(&result).to_json())?;
+        return Ok(());
+    }
+    writeln!(out, "{header}")?;
+    let result = run(out)?;
     print_report(&result, out)?;
     write_artifacts(&result, artifact_dir, out)
 }
@@ -143,31 +150,26 @@ fn execute(
 /// horizon. The run configuration is embedded in the snapshot, so every
 /// config-shaping option conflicts; the exception is `--faults`, which
 /// must *restate* the spec the snapshot was captured under (see
-/// [`SimSnapshot::verify_fault_spec`]).
+/// [`SimSnapshot::verify_fault_spec`]). Observation options (`--obs-*`,
+/// `--metrics-out`, `--progress`) apply as on a cold run.
 fn run_resume(parsed: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
     let path = parsed.get("resume").expect("checked by the caller");
-    for opt in SIM_VALUE_OPTIONS {
-        let embedded = !matches!(
-            *opt,
-            "faults" | "obs-out" | "obs-chrome" | "obs-sample" | "obs-ring" | "metrics-out"
-        );
-        if embedded && parsed.get(opt).is_some() {
-            return Err(CliError::Usage(format!(
-                "--{opt} conflicts with --resume: the snapshot embeds the run configuration"
-            )));
-        }
+    // Only `--faults` (restated, checked below) and the observation
+    // options may accompany the embedded configuration.
+    let allowed = |opt: &str| opt == "faults" || opt == "metrics-out" || opt.starts_with("obs-");
+    let options = SIM_VALUE_OPTIONS
+        .iter()
+        .filter(|opt| !allowed(opt) && parsed.get(opt).is_some());
+    let flags = SIM_BOOL_FLAGS.iter().filter(|flag| parsed.flag(flag));
+    if let Some(opt) = options.chain(flags).next() {
+        return Err(CliError::Usage(format!(
+            "--{opt} conflicts with --resume: the snapshot embeds the run configuration"
+        )));
     }
     for opt in ["snapshot-at", "snapshot-out"] {
         if parsed.get(opt).is_some() {
             return Err(CliError::Usage(format!(
                 "--{opt} cannot be combined with --resume"
-            )));
-        }
-    }
-    for flag in SIM_BOOL_FLAGS {
-        if parsed.flag(flag) {
-            return Err(CliError::Usage(format!(
-                "--{flag} conflicts with --resume: the snapshot embeds the run configuration"
             )));
         }
     }
@@ -186,28 +188,18 @@ fn run_resume(parsed: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
     snap.verify_fault_spec(given.as_ref())?;
     let obs = obs_args_from(parsed)?;
     let artifact_dir = artifact_dir(parsed)?;
-
-    if parsed.flag("json") {
-        let mut status = Vec::new();
-        let (result, _) = execute_with_obs(RunExec::Resume(&snap), obs.as_ref(), &mut status)?;
-        write_artifacts(&result, artifact_dir, &mut status)?;
-        writeln!(out, "{}", RunSummary::from_run(&result).to_json())?;
-        return Ok(());
-    }
-
     let cfg = snap.config();
-    writeln!(
-        out,
+    let header = format!(
         "resuming day {:.2} of {} at scale {:.2} (policy {}, seed {}) from {path} ...",
         snap.at().as_millis() as f64 / MILLIS_PER_DAY as f64,
         cfg.days,
         cfg.scale,
         cfg.policy.name(),
         cfg.seed
-    )?;
-    let (result, _) = execute_with_obs(RunExec::Resume(&snap), obs.as_ref(), out)?;
-    print_report(&result, out)?;
-    write_artifacts(&result, artifact_dir, out)
+    );
+    report(parsed, &header, artifact_dir, out, |out| {
+        Ok(execute_with_obs(RunExec::Resume(&snap), obs.as_ref(), out)?.0)
+    })
 }
 
 /// The human-readable run report shared by the cold and resume paths.

@@ -84,7 +84,8 @@ SNAPSHOT OPTIONS (simulate only):
                          configuration travels inside the snapshot, so
                          config-shaping options conflict — except --faults,
                          which must restate the spec the snapshot was taken
-                         under (a mismatch is a configuration error)
+                         under (a mismatch is a configuration error);
+                         --progress and the obs outputs still apply
 
 SWEEP OPTIONS:
     sweep <MANIFEST>     JSON grid manifest: base-config overrides plus axes

@@ -27,31 +27,39 @@ pub struct HttpRequest {
     pub body: Vec<u8>,
 }
 
-/// Read one HTTP request from the socket, enforcing `max_body` and the
-/// already-armed read timeout.
-pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<HttpRequest, ProtocolError> {
-    let mut head = Vec::new();
-    let mut buf = [0u8; 1024];
-    let split = loop {
-        if let Some(pos) = head_end(&head) {
-            break pos;
-        }
-        if head.len() > MAX_HEAD_BYTES {
+/// The request line and the headers the service reads, parsed from the
+/// front of the bytes received so far.
+#[derive(Debug, PartialEq, Eq)]
+pub struct RequestHead {
+    /// The method verb (`GET`, `POST`, ...).
+    pub method: String,
+    /// The request path (`/v1/request`, `/metrics`, ...).
+    pub path: String,
+    /// The `Content-Length` header, if sent.
+    pub content_length: Option<usize>,
+    /// Where the body starts: one past the blank line ending the head.
+    pub body_start: usize,
+}
+
+/// Parse the request head at the front of `bytes`, the bytes received so
+/// far. `Ok(None)` means the blank line has not arrived and the budget
+/// leaves room for it. A head whose blank line ends past
+/// [`MAX_HEAD_BYTES`] is [`TooLarge`](ProtocolError::TooLarge); a head
+/// that is not UTF-8, lacks a method or path, or carries a
+/// `Content-Length` that is not an integer or that disagrees with an
+/// earlier one (RFC 9112 §6.3) is [`Malformed`](ProtocolError::Malformed).
+pub fn parse_head(bytes: &[u8]) -> Result<Option<RequestHead>, ProtocolError> {
+    let budget = &bytes[..bytes.len().min(MAX_HEAD_BYTES)];
+    let Some(split) = head_end(budget) else {
+        if bytes.len() >= MAX_HEAD_BYTES {
             return Err(ProtocolError::TooLarge {
                 limit: MAX_HEAD_BYTES,
-                got: head.len(),
+                got: bytes.len(),
             });
         }
-        let n = stream.read(&mut buf).map_err(io_to_protocol)?;
-        if n == 0 {
-            return Err(ProtocolError::Malformed(
-                "connection closed before the request head completed".into(),
-            ));
-        }
-        head.extend_from_slice(&buf[..n]);
+        return Ok(None);
     };
-
-    let head_text = std::str::from_utf8(&head[..split])
+    let head_text = std::str::from_utf8(&bytes[..split])
         .map_err(|_| ProtocolError::Malformed("request head is not UTF-8".into()))?;
     let mut lines = head_text.split("\r\n");
     let request_line = lines.next().unwrap_or("");
@@ -70,15 +78,46 @@ pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<HttpReque
     for line in lines {
         if let Some((key, value)) = line.split_once(':') {
             if key.eq_ignore_ascii_case("content-length") {
-                content_length = Some(value.trim().parse().map_err(|_| {
+                let len = value.trim().parse().map_err(|_| {
                     ProtocolError::Malformed("Content-Length is not an integer".into())
-                })?);
+                })?;
+                if content_length.is_some_and(|earlier| earlier != len) {
+                    return Err(ProtocolError::Malformed(
+                        "conflicting Content-Length headers".into(),
+                    ));
+                }
+                content_length = Some(len);
             }
         }
     }
+    Ok(Some(RequestHead {
+        method,
+        path,
+        content_length,
+        body_start: split + 4,
+    }))
+}
 
-    let want = if method == "POST" {
-        let len = content_length.ok_or_else(|| {
+/// Read one HTTP request from the socket, enforcing `max_body` and the
+/// already-armed read timeout.
+pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<HttpRequest, ProtocolError> {
+    let mut received = Vec::new();
+    let mut buf = [0u8; 1024];
+    let head = loop {
+        if let Some(head) = parse_head(&received)? {
+            break head;
+        }
+        let n = stream.read(&mut buf).map_err(io_to_protocol)?;
+        if n == 0 {
+            return Err(ProtocolError::Malformed(
+                "connection closed before the request head completed".into(),
+            ));
+        }
+        received.extend_from_slice(&buf[..n]);
+    };
+
+    let want = if head.method == "POST" {
+        let len = head.content_length.ok_or_else(|| {
             ProtocolError::Malformed("POST requires a Content-Length header".into())
         })?;
         if len > max_body {
@@ -92,7 +131,7 @@ pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<HttpReque
         0
     };
 
-    let mut body = head[split + 4..].to_vec();
+    let mut body = received.split_off(head.body_start);
     while body.len() < want {
         let n = stream.read(&mut buf).map_err(io_to_protocol)?;
         if n == 0 {
@@ -103,7 +142,11 @@ pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<HttpReque
         body.extend_from_slice(&buf[..n]);
     }
     body.truncate(want);
-    Ok(HttpRequest { method, path, body })
+    Ok(HttpRequest {
+        method: head.method,
+        path: head.path,
+        body,
+    })
 }
 
 /// Write one response, head and body in a single write, and close out
@@ -165,6 +208,7 @@ fn head_end(bytes: &[u8]) -> Option<usize> {
 mod tests {
     use super::*;
     use sapsim_api::ProtocolError;
+    use sapsim_sim::{for_each_seed, SimRng};
 
     #[test]
     fn every_mapped_status_has_a_reason_phrase() {
@@ -190,5 +234,108 @@ mod tests {
     fn head_end_finds_the_blank_line() {
         assert_eq!(head_end(b"GET / HTTP/1.1\r\n\r\nbody"), Some(14));
         assert_eq!(head_end(b"partial\r\n"), None);
+    }
+
+    /// A `GET /` head of exactly `len` bytes, blank line included.
+    fn head_of_len(len: usize) -> Vec<u8> {
+        let mut head = b"GET / HTTP/1.1\r\nX-Pad: ".to_vec();
+        head.resize(len - 4, b'p');
+        head.extend_from_slice(b"\r\n\r\n");
+        head
+    }
+
+    #[test]
+    fn the_head_budget_is_strict() {
+        let fits = parse_head(&head_of_len(MAX_HEAD_BYTES)).unwrap().unwrap();
+        assert_eq!(fits.body_start, MAX_HEAD_BYTES);
+        for len in [MAX_HEAD_BYTES + 1, MAX_HEAD_BYTES + 3, 8_500] {
+            let err = parse_head(&head_of_len(len)).unwrap_err();
+            assert_eq!(err.code(), "too-large", "{len}-byte head");
+        }
+        // Without its blank line a head is refused once it reaches the
+        // budget, and waited for below it.
+        let open = &head_of_len(MAX_HEAD_BYTES + 4)[..MAX_HEAD_BYTES];
+        assert_eq!(parse_head(open).unwrap_err().code(), "too-large");
+        assert_eq!(parse_head(&open[..MAX_HEAD_BYTES - 1]).unwrap(), None);
+    }
+
+    #[test]
+    fn content_length_duplicates_must_agree() {
+        let head = |lengths: &str| {
+            parse_head(format!("POST /v1/request HTTP/1.1\r\n{lengths}\r\n\r\n").as_bytes())
+        };
+        let agreed = head("Content-Length: 5\r\ncontent-length:5").unwrap();
+        assert_eq!(agreed.unwrap().content_length, Some(5));
+        let err = head("Content-Length: 5\r\nContent-Length: 39").unwrap_err();
+        assert_eq!(err.code(), "bad-request");
+        assert!(err.to_string().contains("conflicting"), "{err}");
+        assert_eq!(head("Content-Length: x").unwrap_err().code(), "bad-request");
+    }
+
+    /// Literal heads the mutator starts from.
+    const HEADS: &[&str] = &[
+        "POST /v1/request HTTP/1.1\r\nHost: t\r\nContent-Length: 12\r\nConnection: close\r\n\r\n{\"op\":\"x\"}",
+        "GET /healthz HTTP/1.1\r\nHost: localhost\r\n\r\n",
+        "GET /metrics HTTP/1.0\r\n\r\n",
+        "POST / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 5\r\n\r\nhello",
+    ];
+
+    /// One random edit of `head`: flip, insert or delete a byte,
+    /// truncate, duplicate a line, or pad a header to near the budget.
+    fn mutate(rng: &mut SimRng, head: &[u8]) -> Vec<u8> {
+        const BYTES: &[u8] = b"\r\n: 0123456789-GETPOSTContent-Length\xff";
+        let mut out = head.to_vec();
+        let at = rng.range(0, out.len() as u64 + 1) as usize;
+        match rng.range(0, 6) {
+            0 if at < out.len() => out[at] ^= 1 << rng.range(0, 8),
+            1 => out.insert(at, BYTES[rng.range(0, BYTES.len() as u64) as usize]),
+            2 if at < out.len() => {
+                out.remove(at);
+            }
+            3 => out.truncate(at),
+            4 => {
+                let line_end = out[at..]
+                    .windows(2)
+                    .position(|w| w == b"\r\n")
+                    .map_or(out.len(), |n| at + n + 2);
+                let line = out[at..line_end].to_vec();
+                out.splice(at..at, line);
+            }
+            _ => {
+                let pad = rng.range(MAX_HEAD_BYTES as u64 - 64, MAX_HEAD_BYTES as u64 + 64);
+                let mut header = b"X-Pad: ".to_vec();
+                header.resize(pad as usize, b'p');
+                header.extend_from_slice(b"\r\n");
+                let after_request_line = out
+                    .windows(2)
+                    .position(|w| w == b"\r\n")
+                    .map_or(0, |n| n + 2);
+                out.splice(after_request_line..after_request_line, header);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn parse_head_survives_mutated_heads() {
+        for_each_seed(4_000, |rng| {
+            let head = HEADS[rng.range(0, HEADS.len() as u64) as usize];
+            let mut bytes = head.as_bytes().to_vec();
+            for _ in 0..rng.range(1, 4) {
+                bytes = mutate(rng, &bytes);
+            }
+            match parse_head(&bytes) {
+                Ok(Some(head)) => {
+                    assert!(head.body_start <= bytes.len().min(MAX_HEAD_BYTES));
+                    assert_eq!(&bytes[head.body_start - 4..head.body_start], b"\r\n\r\n");
+                }
+                Ok(None) => assert!(bytes.len() < MAX_HEAD_BYTES && head_end(&bytes).is_none()),
+                Err(err) => assert!(
+                    matches!(err.code(), "too-large" | "bad-request"),
+                    "{}: {err}",
+                    err.code()
+                ),
+            }
+        });
     }
 }

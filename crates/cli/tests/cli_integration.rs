@@ -406,6 +406,10 @@ fn simulate_snapshot_then_resume_reproduces_the_run() {
     let resumed = run_capture(&["simulate", "--resume", snap_str, "--json"]).unwrap();
     assert_eq!(resumed, cold, "resume must land on the cold run's summary");
 
+    // The heartbeat observes a resumed run like a cold one: stderr only.
+    let watched = run_capture(&["simulate", "--resume", snap_str, "--progress", "--json"]).unwrap();
+    assert_eq!(watched, resumed, "--progress moved the resumed summary");
+
     // The human-readable resume path announces where it starts from.
     let human = run_capture(&["simulate", "--resume", snap_str]).unwrap();
     assert!(human.contains("resuming day 0.50 of 1"), "{human}");
@@ -462,13 +466,12 @@ fn snapshot_flags_must_come_in_pairs_and_not_with_resume() {
 #[test]
 fn resume_rejects_config_shaping_options() {
     // The conflict check fires before the file is even opened.
-    let conflicts: [&[&str]; 6] = [
+    let conflicts: [&[&str]; 5] = [
         &["--days", "3"],
         &["--seed", "9"],
         &["--policy", "spread"],
         &["--no-drs"],
         &["--no-warmup"],
-        &["--progress"],
     ];
     for conflicting in conflicts {
         let mut argv = vec!["simulate", "--resume", "missing.snapshot"];

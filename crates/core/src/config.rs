@@ -146,28 +146,6 @@ pub struct SimConfig {
     /// no-op and is skipped when serialized so pre-fault configs and
     /// canonical bytes are unchanged.
     pub faults: FaultSpec,
-    /// Equivalence oracle: rebuild every host view from scratch on every
-    /// placement decision instead of using the incremental host-view
-    /// cache and its candidate index. The cached and naive paths are
-    /// bit-identical by contract (the equivalence suites pin it), so this
-    /// is a pure execution knob for tests and benchmarks — it never
-    /// affects results and is therefore left out of serialized configs
-    /// and canonical bytes.
-    pub naive_host_views: bool,
-    /// Equivalence oracle: drive the event loop from the retained
-    /// binary-heap queue instead of the hierarchical timing wheel. Both
-    /// backends obey the same strict `(time, handle)` pop order, so runs
-    /// are bit-identical by contract (the queue differential suite pins
-    /// it). A pure execution knob like [`SimConfig::naive_host_views`]:
-    /// skipped in serialized configs and canonical bytes.
-    pub heap_event_queue: bool,
-    /// Emit a live progress heartbeat to stderr while the run executes
-    /// (sim-day reached, events/s, live VM count, ETA). Pure observation
-    /// driven by wall-clock sampling — like the profile wall times on
-    /// [`RunResult`](crate::RunResult) it can never feed back into
-    /// simulation state, so it is skipped in serialized configs and
-    /// canonical bytes.
-    pub progress: bool,
 }
 
 impl Default for SimConfig {
@@ -195,9 +173,6 @@ impl Default for SimConfig {
             region_replicas: 1,
             warmup_days: 7,
             faults: FaultSpec::none(),
-            naive_host_views: false,
-            heap_event_queue: false,
-            progress: false,
         }
     }
 }
@@ -210,9 +185,8 @@ fn is_single_region(n: &usize) -> bool {
 }
 
 // The wire format. Missing keys take their defaults, so configs written
-// before a field existed still load. The execution knobs
-// (`naive_host_views`, `heap_event_queue`, `progress`) are not listed and
-// therefore never leave the process. `threads` has no field: the format
+// before a field existed still load. Every field is listed: a config
+// states the whole experiment. `threads` has no field: the format
 // is add-only, so the key a deleted knob left behind is still written,
 // always 0, in its old position, and ignored when read.
 json_codec!(struct SimConfig: default {
@@ -253,19 +227,6 @@ impl SimConfig {
             scale: 1.0,
             ..SimConfig::default()
         }
-    }
-
-    /// This config with every execution knob at its default
-    /// (`naive_host_views`, `heap_event_queue`, `progress`): the part
-    /// that decides what a run computes. Canonical bytes, scenario ids and
-    /// run summaries are built from this form, so they compare equal
-    /// across runs that must be bit-identical.
-    pub fn canonical(mut self) -> SimConfig {
-        let defaults = SimConfig::default();
-        self.naive_host_views = defaults.naive_host_views;
-        self.heap_event_queue = defaults.heap_event_queue;
-        self.progress = defaults.progress;
-        self
     }
 
     /// Validate invariants; called by the driver before running.
@@ -448,13 +409,6 @@ impl SimConfigBuilder {
         warmup_days: u64,
         /// Fault injection spec.
         faults: FaultSpec,
-        /// Equivalence oracle: rebuild host views from scratch each
-        /// decision.
-        naive_host_views: bool,
-        /// Equivalence oracle: run on the binary-heap event queue.
-        heap_event_queue: bool,
-        /// Live progress heartbeat on stderr (observation only).
-        progress: bool,
     }
 
     /// Validate and return the finished config.
@@ -635,6 +589,61 @@ mod tests {
         assert!(json.contains("host_fail_rate_per_month"));
         let back: SimConfig = decode(&json).expect("deserializes");
         assert_eq!(back, faulty);
+    }
+
+    #[test]
+    fn every_field_round_trips_through_the_wire() {
+        let cfg = SimConfig {
+            seed: 7,
+            days: 12,
+            scale: 0.5,
+            policy: PolicyKind::Spread,
+            granularity: PlacementGranularity::Node,
+            drs_enabled: false,
+            drs: DrsConfig {
+                cpu_gap_threshold: 0.2,
+                max_migrations: 4,
+                mem_ceiling: 0.9,
+            },
+            drs_interval: SimDuration::from_mins(20),
+            cross_bb_enabled: true,
+            cross_bb_interval: SimDuration::from_hours(3),
+            scrape_interval: SimDuration::from_secs(600),
+            os_gauge_interval: SimDuration::from_secs(60),
+            record_raw_host_series: false,
+            gp_cpu_overcommit: 3.0,
+            churn: false,
+            reserve_bb_fraction: 0.1,
+            resize_probability: 0.05,
+            maintenance_rate_per_month: 0.2,
+            maintenance_duration: SimDuration::from_hours(6),
+            region_replicas: 2,
+            warmup_days: 14,
+            faults: FaultSpec {
+                host_fail_rate_per_month: 2.0,
+                ..FaultSpec::none()
+            },
+        };
+        cfg.validate().expect("valid");
+        // Every field sits away from its default, so one the wire drops
+        // cannot decode back to an equal value. The destructuring lists
+        // every field: a new one fails to compile until it is added here.
+        let d = SimConfig::default();
+        macro_rules! away_from_default {
+            ($($field:ident),*) => {
+                let SimConfig { $($field),* } = cfg;
+                $(assert!($field != d.$field, concat!("`", stringify!($field), "` is at its default"));)*
+            };
+        }
+        away_from_default! {
+            seed, days, scale, policy, granularity, drs_enabled, drs, drs_interval,
+            cross_bb_enabled, cross_bb_interval, scrape_interval, os_gauge_interval,
+            record_raw_host_series, gp_cpu_overcommit, churn, reserve_bb_fraction,
+            resize_probability, maintenance_rate_per_month, maintenance_duration, region_replicas,
+            warmup_days, faults
+        }
+        let back: SimConfig = decode(&cfg.to_json_string()).expect("deserializes");
+        assert_eq!(back, cfg);
     }
 
     #[test]

@@ -19,12 +19,12 @@ use sapsim_faults::{FaultPlan, EVAC_BACKOFF_MAX_DOUBLINGS};
 use sapsim_json::{json_codec, variant, write_variant, DecodeError, FromJson, JsonValue, ToJson};
 use sapsim_obs::{
     DecisionOutcome, DecisionRecord, FaultEventKind, HostScore, NullRecorder, ObsEvent, Recorder,
-    RunProfile, SpanKind, DECISION_TOP_K,
+    RunProfile, RunProgress, SpanKind, DECISION_TOP_K,
 };
 use sapsim_scheduler::{
     HostLoad, PlacementPolicy, PlacementRequest, Ranking, Rebalancer, RejectReason, VmLoad,
 };
-use sapsim_sim::{QueueBackend, SimDuration, SimRng, SimTime, Simulation, MILLIS_PER_DAY};
+use sapsim_sim::{QueueBackend, SimDuration, SimRng, SimTime, Simulation};
 use sapsim_telemetry::{EntityRef, MetricId, RunningStat, TsdbStore};
 use sapsim_topology::{AzId, BbId, BbPurpose, DcId, NodeId, Resources};
 use sapsim_workload::{
@@ -129,9 +129,9 @@ pub(crate) struct PendingEvac {
 json_codec!(struct PendingEvac { vm, retries });
 
 /// Per-region context of the estate: AZ handles, capacity shares, and
-/// whether the region carves out a dedicated CI farm. At `scale ≤ 1`
-/// exactly one of these exists and the run reproduces the historical
-/// single-region behaviour byte-for-byte.
+/// whether the region carves out a dedicated CI farm. One per region:
+/// several when `scale > 1` or `region_replicas > 1`, else the single
+/// region that reproduces the historical behaviour byte-for-byte.
 struct RegionCtx {
     az_a: AzId,
     az_b: AzId,
@@ -285,11 +285,19 @@ struct RunState {
     init_scheduled: u64,
     run_start: Instant,
     profile: RunProfile,
-    progress_last: Instant,
-    progress_events: u64,
 }
 
 impl RunState {
+    /// Where the run stands at `now`, for the recorder's progress hooks.
+    fn progress(&self, now: SimTime) -> RunProgress {
+        RunProgress {
+            now_ms: now.as_millis(),
+            horizon_ms: self.horizon.as_millis(),
+            events: self.sim.stats().fired,
+            live_vms: self.cloud.vm_count(),
+        }
+    }
+
     /// The request for the VM of spec `spec_index` asking for
     /// `resources`: its class against its region's farm, its AZ pin.
     fn request(
@@ -575,14 +583,7 @@ impl SimDriver {
         cloud.reserve_vm_slots(specs.len());
 
         // --- Simulation state ----------------------------------------
-        // The timing wheel is the production event engine; the binary
-        // heap stays available as a cross-checking oracle (execution
-        // knob only — canonical output is byte-identical either way).
-        let mut sim: Simulation<Event> = Simulation::with_backend(if cfg.heap_event_queue {
-            QueueBackend::BinaryHeap
-        } else {
-            QueueBackend::TimingWheel
-        });
+        let mut sim: Simulation<Event> = Simulation::new();
         let warmup = SimTime::from_days(cfg.warmup_days);
         let horizon = SimTime::from_days(cfg.warmup_days + cfg.days);
         let policy = PlacementPolicy::new(cfg.policy);
@@ -697,8 +698,6 @@ impl SimDriver {
             init_scheduled,
             run_start,
             profile,
-            progress_last: run_start,
-            progress_events: 0,
         }
     }
 
@@ -795,11 +794,7 @@ impl SimDriver {
         }
         let cloud = Cloud::restore_state(w.topo, snap.cloud.clone())?;
         let sim = Simulation::restore(
-            if cfg.heap_event_queue {
-                QueueBackend::BinaryHeap
-            } else {
-                QueueBackend::TimingWheel
-            },
+            QueueBackend::TimingWheel,
             snap.now,
             snap.sim_stats,
             snap.next_seq,
@@ -815,7 +810,6 @@ impl SimDriver {
             horizon,
             &SimRng::seed_from(cfg.seed),
         );
-        let run_start = Instant::now();
         Ok(RunState {
             cfg,
             regions: w.regions,
@@ -840,17 +834,15 @@ impl SimDriver {
             region_placed: snap.region_placed.clone(),
             region_departed: snap.region_departed.clone(),
             init_scheduled: snap.init_scheduled,
-            run_start,
+            run_start: Instant::now(),
             profile: RunProfile::new(profile_enabled),
-            progress_last: run_start,
-            progress_events: 0,
         })
     }
 
     /// Drain the event loop to the horizon (inclusive).
     fn run_to_horizon<R: Recorder>(st: &mut RunState, rec: &mut R) {
         while let Some(ev) = st.sim.next_event_until(st.horizon) {
-            Self::heartbeat(st, ev.time);
+            rec.tick(|| st.progress(ev.time));
             Self::handle_event(st, rec, ev.time, ev.payload);
         }
     }
@@ -862,32 +854,10 @@ impl SimDriver {
     /// between events cannot perturb anything.
     fn run_prefix_before<R: Recorder>(st: &mut RunState, rec: &mut R, cutoff: SimTime) {
         while let Some(ev) = st.sim.next_event_before(cutoff) {
-            Self::heartbeat(st, ev.time);
+            rec.tick(|| st.progress(ev.time));
             Self::handle_event(st, rec, ev.time, ev.payload);
         }
         st.sim.advance_clock_to(cutoff);
-    }
-
-    /// Live progress heartbeat: wall-clock only, throttled by checking
-    /// the clock every 8192 events and printing at most once a second.
-    /// Writes to stderr and reads nothing back — it cannot perturb the
-    /// run (the determinism suite pins canonical bytes with it on).
-    #[inline]
-    fn heartbeat(st: &mut RunState, now: SimTime) {
-        if st.cfg.progress {
-            st.progress_events += 1;
-            if st.progress_events & 0x1FFF == 0 && st.progress_last.elapsed().as_secs() >= 1 {
-                st.progress_last = Instant::now();
-                Self::print_progress(
-                    &st.cfg,
-                    st.run_start,
-                    now,
-                    st.horizon,
-                    st.sim.stats().fired,
-                    &st.cloud,
-                );
-            }
-        }
     }
 
     /// Dispatch one fired event against the run state.
@@ -1245,15 +1215,7 @@ impl SimDriver {
                 &st.region_departed,
             );
         }
-        if cfg.progress {
-            let elapsed = st.run_start.elapsed().as_secs_f64();
-            let fired = st.sim.stats().fired;
-            eprintln!(
-                "sapsim: run complete | {fired} events in {elapsed:.1}s ({:.0} ev/s) | {} VMs live at horizon",
-                fired as f64 / elapsed.max(1e-9),
-                st.cloud.vm_count(),
-            );
-        }
+        rec.finish(st.progress(st.horizon));
 
         RunResult {
             config: cfg,
@@ -1264,34 +1226,6 @@ impl SimDriver {
             cloud: st.cloud,
             profile: st.profile,
         }
-    }
-
-    /// One heartbeat line on stderr: sim-time progress, event throughput,
-    /// live population, and a wall-clock ETA extrapolated from the
-    /// sim-time fraction covered so far.
-    fn print_progress(
-        cfg: &SimConfig,
-        run_start: Instant,
-        now: SimTime,
-        horizon: SimTime,
-        fired: u64,
-        cloud: &Cloud,
-    ) {
-        let elapsed = run_start.elapsed().as_secs_f64();
-        let frac = (now.as_millis() as f64 / horizon.as_millis() as f64).min(1.0);
-        let eta_s = if frac > 0.0 {
-            elapsed * (1.0 - frac) / frac
-        } else {
-            0.0
-        };
-        eprintln!(
-            "sapsim: day {:.1}/{} ({:4.1}%) | {fired} events, {:.0} ev/s | {} VMs live | ETA {eta_s:.0}s",
-            now.as_millis() as f64 / MILLIS_PER_DAY as f64,
-            cfg.warmup_days + cfg.days,
-            frac * 100.0,
-            fired as f64 / elapsed.max(1e-9),
-            cloud.vm_count(),
-        );
     }
 
     /// Fold every engine-health counter that accumulates *outside* the
@@ -1931,6 +1865,7 @@ mod tests {
     use super::*;
     use crate::config::PlacementGranularity;
     use sapsim_scheduler::PolicyKind;
+    use sapsim_sim::MILLIS_PER_DAY;
 
     fn smoke(seed: u64) -> RunResult {
         let mut cfg = SimConfig::smoke_test();
@@ -2289,68 +2224,132 @@ mod tests {
         assert_eq!(a.canonical_bytes(), b.canonical_bytes());
     }
 
-    #[test]
-    fn cached_views_match_the_naive_oracle() {
-        for granularity in [
+    /// Every fault kind on, aggressively enough that a 1–2-day run at
+    /// 1–2 % scale sees failures, stragglers and dropouts on most seeds.
+    fn busy_faults() -> sapsim_faults::FaultSpec {
+        sapsim_faults::FaultSpec {
+            host_fail_rate_per_month: 15.0,
+            host_downtime_hours: 12.0,
+            straggler_fraction: 0.25,
+            straggler_slowdown: 0.6,
+            dropout_rate_per_month: 6.0,
+            dropout_duration_hours: 6.0,
+            ..sapsim_faults::FaultSpec::none()
+        }
+    }
+
+    /// One cell of the equivalence grids: a short run without warm-up.
+    fn cell(seed: u64, scale: f64, days: u64, faults: sapsim_faults::FaultSpec) -> SimConfig {
+        SimConfig {
+            seed,
+            scale,
+            days,
+            warmup_days: 0,
+            faults,
+            ..SimConfig::default()
+        }
+    }
+
+    /// `cfg` at both granularities.
+    fn granularities(cfg: SimConfig) -> [SimConfig; 2] {
+        [
             PlacementGranularity::BuildingBlock,
             PlacementGranularity::Node,
-        ] {
-            let mut cfg = SimConfig::smoke_test();
-            cfg.seed = 23;
-            cfg.granularity = granularity;
-            let cached = SimDriver::new(cfg).unwrap().run();
-            cfg.naive_host_views = true;
-            let naive = SimDriver::new(cfg).unwrap().run();
-            assert_eq!(cached.stats, naive.stats, "{granularity:?}");
-            assert_eq!(
-                cached.canonical_bytes(),
-                naive.canonical_bytes(),
-                "{granularity:?}: the cached hot path must be byte-identical \
-                 to the from-scratch oracle"
-            );
+        ]
+        .map(|granularity| SimConfig { granularity, ..cfg })
+    }
+
+    /// `cfg` under both sweep policies at both granularities.
+    fn policy_grid(cfg: SimConfig) -> impl Iterator<Item = SimConfig> {
+        [PolicyKind::PaperDefault, PolicyKind::Spread]
+            .into_iter()
+            .flat_map(move |policy| granularities(SimConfig { policy, ..cfg }))
+    }
+
+    /// The cached hot path (host-view cache, candidate index, top-k rank)
+    /// must be byte-identical to the from-scratch oracle.
+    fn assert_naive_oracle_agrees(cfg: SimConfig) {
+        let cached = SimDriver::new(cfg).unwrap().run();
+        let naive = engine::tests::with_naive_views(|| SimDriver::new(cfg).unwrap().run());
+        assert_eq!(cached.stats, naive.stats, "{cfg:?}");
+        assert!(
+            cached.canonical_bytes() == naive.canonical_bytes(),
+            "cached and naive runs diverged: {cfg:?}"
+        );
+    }
+
+    /// A cold run on the binary-heap queue: the state the production
+    /// build seeds, moved onto the heap before the first event fires.
+    fn run_on_heap<R: Recorder>(cfg: &SimConfig, rec: &mut R) -> RunResult {
+        let mut st = SimDriver::build_state(cfg, R::ENABLED);
+        let events = st.sim.snapshot_events();
+        let (now, stats, next_seq) = (st.sim.now(), st.sim.stats(), st.sim.next_seq());
+        st.sim = Simulation::restore(QueueBackend::BinaryHeap, now, stats, next_seq, events);
+        SimDriver::run_to_horizon(&mut st, rec);
+        SimDriver::finalize(st, rec)
+    }
+
+    /// The timing wheel must be byte-identical to the binary-heap
+    /// oracle. The heap has no wheel, so its metrics carry no wheel
+    /// gauges while the engine counters stay.
+    fn assert_heap_oracle_agrees(cfg: SimConfig) {
+        let wheel = SimDriver::new(cfg).unwrap().run();
+        let mut rec = sapsim_obs::MetricsRecorder::new();
+        let heap = run_on_heap(&cfg, &mut rec);
+        assert_eq!(wheel.stats, heap.stats, "{cfg:?}");
+        assert!(
+            wheel.canonical_bytes() == heap.canonical_bytes(),
+            "wheel and heap runs diverged: {cfg:?}"
+        );
+        assert!(rec.registry().gauge_value("wheel_live_events").is_none());
+        assert!(rec.registry().counter_value("sim_events_fired").is_some());
+    }
+
+    #[test]
+    fn cached_views_match_the_naive_oracle() {
+        let smoke = SimConfig {
+            seed: 23,
+            ..SimConfig::smoke_test()
+        };
+        for cfg in granularities(smoke) {
+            assert_naive_oracle_agrees(cfg);
+        }
+        for seed in [31, 32, 33] {
+            assert_naive_oracle_agrees(cell(seed, 0.02, 2, sapsim_faults::FaultSpec::none()));
         }
     }
 
     #[test]
     fn cached_views_match_the_naive_oracle_under_faults() {
-        let mut cfg = faulty_cfg(24);
-        let cached = SimDriver::new(cfg).unwrap().run();
-        cfg.naive_host_views = true;
-        let naive = SimDriver::new(cfg).unwrap().run();
-        assert_eq!(cached.stats, naive.stats);
-        assert_eq!(cached.canonical_bytes(), naive.canonical_bytes());
+        assert_naive_oracle_agrees(faulty_cfg(24));
+        for seed in [31, 32, 33, 35] {
+            assert_naive_oracle_agrees(cell(seed, 0.02, 2, busy_faults()));
+        }
+        assert_naive_oracle_agrees(SimConfig {
+            granularity: PlacementGranularity::Node,
+            ..cell(34, 0.02, 2, busy_faults())
+        });
     }
 
     #[test]
     fn queue_backends_are_byte_identical() {
-        for granularity in [
-            PlacementGranularity::BuildingBlock,
-            PlacementGranularity::Node,
-        ] {
-            let mut cfg = SimConfig::smoke_test();
-            cfg.seed = 25;
-            cfg.granularity = granularity;
-            let wheel = SimDriver::new(cfg).unwrap().run();
-            cfg.heap_event_queue = true;
-            let heap = SimDriver::new(cfg).unwrap().run();
-            assert_eq!(wheel.stats, heap.stats, "{granularity:?}");
-            assert_eq!(
-                wheel.canonical_bytes(),
-                heap.canonical_bytes(),
-                "{granularity:?}: the timing wheel must be byte-identical \
-                 to the binary-heap oracle"
-            );
+        let smoke = SimConfig {
+            seed: 25,
+            ..SimConfig::smoke_test()
+        };
+        for cfg in granularities(smoke) {
+            assert_heap_oracle_agrees(cfg);
+        }
+        for seed in [41, 43] {
+            policy_grid(cell(seed, 0.01, 1, sapsim_faults::FaultSpec::none()))
+                .for_each(assert_heap_oracle_agrees);
         }
     }
 
     #[test]
     fn queue_backends_are_byte_identical_under_faults() {
-        let mut cfg = faulty_cfg(26);
-        let wheel = SimDriver::new(cfg).unwrap().run();
-        cfg.heap_event_queue = true;
-        let heap = SimDriver::new(cfg).unwrap().run();
-        assert_eq!(wheel.stats, heap.stats);
-        assert_eq!(wheel.canonical_bytes(), heap.canonical_bytes());
+        assert_heap_oracle_agrees(faulty_cfg(26));
+        policy_grid(cell(42, 0.01, 1, busy_faults())).for_each(assert_heap_oracle_agrees);
     }
 
     /// Full-region scale (scale > 1 replicates the studied region), too

@@ -11,7 +11,7 @@
 //! evacuation; [`PlacementEngine`] calls the same functions one request
 //! at a time, so a served estate and a simulated one schedule alike by
 //! construction. What the two do *not* share is state ownership: the
-//! driver keeps its `Arc` spec tables, event clock and pending-evacuation
+//! driver keeps its spec tables, event clock and pending-evacuation
 //! queue in `RunState`; the engine owns a live [`Cloud`] plus each VM's
 //! class and AZ pin, and offers exactly the operations the wire protocol
 //! speaks: place (single or batched), resize, evacuate, plus cheap state
@@ -109,13 +109,11 @@ pub(crate) fn placement_request(
 /// Rank one placement request against the current world, writing into
 /// the reusable `out` buffers.
 ///
-/// The default path reads the incremental host-view cache and prunes
-/// through its purpose×AZ candidate index, ranking only a `top_k`
-/// head; [`walk`] extends past the head by re-ranking exhaustively when
-/// needed. With [`naive_host_views`](SimConfig::naive_host_views) set,
-/// the views are rebuilt from scratch and ranked fully — the equivalence
-/// oracle. Both paths produce byte-identical runs; the equivalence
-/// suites pin that contract.
+/// Reads the incremental host-view cache and prunes through its
+/// purpose×AZ candidate index, ranking only a `top_k` head; [`walk`]
+/// extends past the head by re-ranking exhaustively when needed. Unit
+/// tests can switch to the from-scratch oracle (`tests::with_naive_views`),
+/// which produces byte-identical runs.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn rank_request(
     cloud: &mut Cloud,
@@ -127,31 +125,21 @@ pub(crate) fn rank_request(
     count_stats: bool,
     out: &mut Ranking,
 ) -> Result<(), ScheduleError> {
-    if cfg.naive_host_views {
-        let views = cloud.host_views(cfg.granularity, now);
-        policy.rank_into(
-            request,
-            &views,
-            RankOptions {
-                index: None,
-                top_k: usize::MAX,
-                count_stats,
-            },
-            out,
-        )
-    } else {
-        let (views, index) = cloud.host_views_cached(cfg.granularity, now);
-        policy.rank_into(
-            request,
-            views,
-            RankOptions {
-                index: Some(index),
-                top_k,
-                count_stats,
-            },
-            out,
-        )
+    #[cfg(test)]
+    if tests::NAIVE_VIEWS.get() {
+        return tests::rank_naive(cloud, policy, cfg, request, now, count_stats, out);
     }
+    let (views, index) = cloud.host_views_cached(cfg.granularity, now);
+    policy.rank_into(
+        request,
+        views,
+        RankOptions {
+            index: Some(index),
+            top_k,
+            count_stats,
+        },
+        out,
+    )
 }
 
 /// Rank `request`, then walk the ranking greedily, Nova-style: the first
@@ -565,8 +553,43 @@ impl PlacementEngine {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Set while [`with_naive_views`] runs: [`rank_request`] then
+        /// rebuilds every host view from scratch and ranks it fully.
+        pub(crate) static NAIVE_VIEWS: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// Run `f` with every placement on this thread ranked by the
+    /// from-scratch oracle instead of the cached views and their index.
+    pub(crate) fn with_naive_views<T>(f: impl FnOnce() -> T) -> T {
+        NAIVE_VIEWS.set(true);
+        let out = f();
+        NAIVE_VIEWS.set(false);
+        out
+    }
+
+    /// The oracle: views rebuilt from scratch, ranked fully, no index.
+    pub(super) fn rank_naive(
+        cloud: &mut Cloud,
+        policy: &mut PlacementPolicy,
+        cfg: &SimConfig,
+        request: &PlacementRequest,
+        now: SimTime,
+        count_stats: bool,
+        out: &mut Ranking,
+    ) -> Result<(), ScheduleError> {
+        let views = cloud.host_views(cfg.granularity, now);
+        let full = RankOptions {
+            index: None,
+            top_k: usize::MAX,
+            count_stats,
+        };
+        policy.rank_into(request, &views, full, out)
+    }
 
     fn small_cfg() -> SimConfig {
         SimConfig {

@@ -147,8 +147,7 @@ pub struct RunResult {
     /// Final cloud state (topology + residency).
     pub cloud: Cloud,
     /// Wall-clock profile of the event loop (empty unless the run used an
-    /// enabled recorder). Excluded from [`RunResult::canonical_bytes`]
-    /// exactly like the execution knobs [`SimConfig::canonical`] resets:
+    /// enabled recorder). Excluded from [`RunResult::canonical_bytes`]:
     /// wall-clock time describes how the run executed, not what it
     /// simulated.
     pub profile: RunProfile,
@@ -164,18 +163,16 @@ impl RunResult {
     ///   fixed order (dense telemetry tables, `BTreeMap` fallbacks, the
     ///   spec-ordered placement list), so equal results always produce
     ///   equal bytes.
-    /// * **Execution-independent** — knobs and measurements that describe
-    ///   *how* a run executes rather than *what* it simulates are left
-    ///   out: the config is written in its [`SimConfig::canonical`] form and
-    ///   the wall-clock [`RunResult::profile`] is omitted entirely, so runs
-    ///   that must be bit-identical across thread counts and recorder
-    ///   choices compare equal.
+    /// * **Execution-independent** — the config is written whole (every
+    ///   [`SimConfig`] field states the experiment) and the wall-clock
+    ///   [`RunResult::profile`] is omitted entirely, so runs that must be
+    ///   bit-identical across recorders, worker counts and resumes
+    ///   compare equal.
     ///
     /// The final cloud state is represented by the `(vm uid, node index)`
     /// placement list in id order; per-VM RNG internals are execution
     /// machinery and are not part of the canonical form.
     pub fn canonical_bytes(&self) -> Vec<u8> {
-        let config = self.config.canonical();
         let placements: Vec<(u64, u32)> = self
             .specs
             .iter()
@@ -184,7 +181,7 @@ impl RunResult {
             .collect();
         let mut out = String::new();
         let mut canonical = ObjectWriter::new(&mut out);
-        canonical.field("config", &config);
+        canonical.field("config", &self.config);
         canonical.field("store", &self.store);
         canonical.field("vm_stats", &self.vm_stats);
         canonical.field("specs", &self.specs);

@@ -8,9 +8,9 @@
 //!
 //! * [`Scenario`] — one named, validated run descriptor. Construction
 //!   validates the config, so a `Scenario` in hand is always runnable;
-//!   [`Scenario::id`] content-addresses the *canonical* config (execution
-//!   knobs normalized away), so two scenarios that must produce identical
-//!   results share an id regardless of thread count or label.
+//!   [`Scenario::id`] content-addresses the config, so two scenarios
+//!   that must produce identical results share an id regardless of
+//!   worker count or label.
 //! * [`SweepSpec`] — a base config plus per-axis value lists
 //!   (seeds × policies × granularity × DRS × faults × scale).
 //!   [`SweepSpec::expand`] produces the full cross product in a fixed
@@ -66,13 +66,13 @@ impl Scenario {
         &self.config
     }
 
-    /// Content address of the canonical config: 16 lowercase hex digits
-    /// of [`fnv1a_64`] over the canonical config JSON. Two scenarios with
-    /// the same id are guaranteed to produce byte-identical
-    /// [`RunResult::canonical_bytes`], whatever their names or thread
+    /// Content address of the config: 16 lowercase hex digits of
+    /// [`fnv1a_64`] over the config JSON. Two scenarios with the same id
+    /// are guaranteed to produce byte-identical
+    /// [`RunResult::canonical_bytes`], whatever their names or worker
     /// counts.
     pub fn id(&self) -> String {
-        let json = self.config.canonical().to_json_string();
+        let json = self.config.to_json_string();
         format!("{:016x}", fnv1a_64(json.as_bytes()))
     }
 
@@ -276,14 +276,10 @@ mod tests {
     }
 
     #[test]
-    fn scenario_id_ignores_execution_knobs_but_not_results_knobs() {
+    fn scenario_id_ignores_the_label_but_not_the_config() {
         let a = Scenario::new("a", base()).unwrap();
-        let mut knobs = base();
-        knobs.naive_host_views = true;
-        knobs.heap_event_queue = true;
-        knobs.progress = true;
-        let b = Scenario::new("b", knobs).unwrap();
-        assert_eq!(a.id(), b.id(), "execution knobs must not change the id");
+        let b = Scenario::new("b", base()).unwrap();
+        assert_eq!(a.id(), b.id(), "the label must not change the id");
         assert_eq!(a.id().len(), 16);
 
         let mut reseeded = base();

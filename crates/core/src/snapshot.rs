@@ -83,9 +83,7 @@ json_codec!(struct SimSnapshot {
 
 impl SimSnapshot {
     /// The configuration the snapshot was captured under. A resume runs
-    /// this exact config; execution-only knobs (host-view oracle, queue
-    /// backend) are free to differ because they are byte-identical by
-    /// contract and excluded from serialization.
+    /// this exact config.
     pub fn config(&self) -> &SimConfig {
         &self.config
     }

@@ -26,10 +26,12 @@
 //!   `sapsim.metrics/v1` JSON line; collected by [`MetricsRecorder`] (or
 //!   [`JsonlRecorder::with_metrics`]) and folded from engine snapshots
 //!   through [`Recorder::metrics_mut`].
+//! * [`ProgressRecorder`] — wraps any recorder and prints the live
+//!   `--progress` heartbeat from the [`Recorder::tick`]/`finish` hooks.
 //! * [`RunProfile`] — aggregated wall-clock timing per event-loop phase
 //!   (scrape with its sample/reduce/record breakdown, DRS rounds, cross-BB
 //!   rounds, placements), carried on the driver's `RunResult` but excluded
-//!   from canonical serialization exactly like the execution knobs.
+//!   from canonical serialization.
 //!
 //! Decision sampling ([`ObsConfig::decision_sample_rate`]) hashes the VM
 //! uid through a SplitMix64 finalizer rather than drawing from any
@@ -47,6 +49,7 @@
 mod event;
 mod metrics;
 mod profile;
+mod progress;
 mod recorder;
 
 pub use event::{
@@ -58,4 +61,7 @@ pub use metrics::{
     HIST_SUB_BITS, HIST_SUB_BUCKETS, METRICS_SCHEMA,
 };
 pub use profile::{PhaseStat, RunProfile};
-pub use recorder::{JsonlRecorder, MetricsRecorder, NullRecorder, ObsConfig, ObsError, Recorder};
+pub use progress::ProgressRecorder;
+pub use recorder::{
+    JsonlRecorder, MetricsRecorder, NullRecorder, ObsConfig, ObsError, Recorder, RunProgress,
+};

@@ -24,9 +24,8 @@ impl PhaseStat {
 /// phase.
 ///
 /// Carried on the driver's `RunResult` but **excluded from canonical
-/// serialization** (exactly like the execution knobs): wall-clock
-/// time is machine- and load-dependent, so it must never influence the
-/// determinism contract.
+/// serialization**: wall-clock time is machine- and load-dependent, so
+/// it must never influence the determinism contract.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunProfile {
     enabled: bool,

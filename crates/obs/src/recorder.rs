@@ -70,6 +70,28 @@ pub trait Recorder {
     fn metrics_mut(&mut self) -> Option<&mut MetricsRegistry> {
         None
     }
+
+    /// Called by the event loop before each event fires. Only a recorder
+    /// that reads `progress` evaluates it: the default costs nothing.
+    fn tick(&mut self, _progress: impl FnOnce() -> RunProgress) {}
+
+    /// Called once when the run reaches its horizon.
+    fn finish(&mut self, _progress: RunProgress) {}
+}
+
+/// Where a run stands (simulated instants in milliseconds on the
+/// warm-up-inclusive timeline), as [`Recorder::tick`] and
+/// [`Recorder::finish`] see it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RunProgress {
+    /// The instant of the event about to fire (the horizon at finish).
+    pub now_ms: u64,
+    /// The run's horizon.
+    pub horizon_ms: u64,
+    /// Events fired so far.
+    pub events: u64,
+    /// VMs live on the estate.
+    pub live_vms: usize,
 }
 
 /// The disabled recorder: every method is a no-op and `ENABLED` is

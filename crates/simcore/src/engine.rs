@@ -67,25 +67,14 @@ impl<E> Default for Simulation<E> {
 
 impl<E> Simulation<E> {
     /// Create a simulation with the clock at [`SimTime::ZERO`], on the
-    /// default (timing-wheel) event queue.
+    /// default (timing-wheel) event queue. [`Simulation::restore`] rebuilds
+    /// one on either backend.
     pub fn new() -> Self {
-        Self::with_backend(QueueBackend::default())
-    }
-
-    /// Create a simulation on an explicit event-queue backend. The backend
-    /// is an execution detail: runs are byte-identical on either, which the
-    /// differential suite asserts by replaying the sweep grid on both.
-    pub fn with_backend(backend: QueueBackend) -> Self {
         Simulation {
             now: SimTime::ZERO,
-            queue: EventQueue::with_backend(backend),
+            queue: EventQueue::new(),
             stats: SimulationStats::default(),
         }
-    }
-
-    /// Which event-queue backend this simulation runs on.
-    pub fn queue_backend(&self) -> QueueBackend {
-        self.queue.backend()
     }
 
     /// The current virtual time.
@@ -365,7 +354,8 @@ mod tests {
             // Drive a simulation halfway, snapshot its queue and counters,
             // rebuild a fresh instance, and check both halves replay the
             // same (time, handle, payload) tail.
-            let mut sim: Simulation<u32> = Simulation::with_backend(backend);
+            let mut sim: Simulation<u32> =
+                Simulation::restore(backend, SimTime::ZERO, Default::default(), 0, []);
             for i in 0..30u32 {
                 sim.schedule_at(SimTime::from_secs((i % 7) as u64 * 10), i);
             }

@@ -15,9 +15,10 @@
 //!   no longer underflow on a double cancel.
 //!
 //! Both backends implement the same strict `(time, handle)` pop order, so
-//! any simulation must produce byte-identical results on either; the
-//! differential suite in `tests/event_queue_equivalence.rs` and the
-//! `heap_event_queue` config knob exist to prove exactly that.
+//! any simulation must produce byte-identical results on either. The
+//! op-script differential in `tests/tests/event_queue_equivalence.rs`
+//! proves it per operation, and the driver's unit tests prove it per run
+//! by moving a freshly built run onto the heap.
 
 use crate::time::SimTime;
 use crate::wheel::{BuildSeqHasher, TimingWheel, WheelStats};

@@ -52,16 +52,16 @@ json_codec!(struct UtilizationBands { resource, vms, under, optimal, over });
 
 /// Machine-readable summary of one finished run.
 ///
-/// Everything here is derived from the run's *canonical* content: the
-/// embedded config is [`SimConfig::canonical`], and
-/// `canonical_hash` fingerprints [`RunResult::canonical_bytes`] — so two
-/// runs that must be bit-identical produce byte-identical summaries at
-/// any worker or thread count.
+/// Everything here is derived from the run's canonical content: the
+/// embedded config states the whole experiment, and `canonical_hash`
+/// fingerprints [`RunResult::canonical_bytes`] — so two runs that must
+/// be bit-identical produce byte-identical summaries at any worker
+/// count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunSummary {
     /// Always [`RUN_SUMMARY_SCHEMA`]; rejected on mismatch when parsing.
     pub schema: String,
-    /// The canonicalized run configuration.
+    /// The run configuration.
     pub config: SimConfig,
     /// 16 hex digits of FNV-1a 64 over the run's canonical bytes — the
     /// determinism witness sweep byte-equality tests compare.
@@ -95,7 +95,6 @@ json_codec!(struct RunSummary {
 impl RunSummary {
     /// Summarize a finished run.
     pub fn from_run(run: &RunResult) -> RunSummary {
-        let config = run.config.canonical();
         let agg = contention_aggregate(run);
         let active_nodes = run
             .cloud
@@ -132,7 +131,7 @@ impl RunSummary {
         };
         RunSummary {
             schema: RUN_SUMMARY_SCHEMA.to_string(),
-            config,
+            config: run.config,
             canonical_hash: format!("{:016x}", fnv1a_64(&run.canonical_bytes())),
             stats: run.stats,
             nodes: run.cloud.topology().nodes().len(),
@@ -203,14 +202,15 @@ mod tests {
     #[test]
     fn summary_is_execution_independent() {
         let run = tiny_run();
-        let mut knobs_cfg = run.config;
-        knobs_cfg.naive_host_views = true;
-        knobs_cfg.heap_event_queue = true;
-        let knobs = Scenario::new("knobs", knobs_cfg).expect("valid").run();
+        let mut rec = sapsim_obs::MetricsRecorder::new();
+        let watched = Scenario::new("watched", run.config)
+            .expect("valid")
+            .run_with_recorder(&mut sapsim_obs::ProgressRecorder::new(&mut rec));
+        assert!(watched.profile.enabled() && !run.profile.enabled());
         assert_eq!(
             RunSummary::from_run(&run).to_json(),
-            RunSummary::from_run(&knobs).to_json(),
-            "execution knobs must not leak into the summary"
+            RunSummary::from_run(&watched).to_json(),
+            "how a run was observed must not leak into the summary"
         );
     }
 }

@@ -167,12 +167,10 @@ fn builder_validates_at_build_time() {
 fn wire_format_is_unchanged_by_the_api_refactor() {
     let json = SimConfig::default().to_json_string();
 
-    // An empty fault spec and the naive-host-views oracle are skipped, so
-    // pre-fault / pre-refactor configs and canonical bytes are unchanged.
+    // An empty fault spec is skipped, so pre-fault configs and canonical
+    // bytes are unchanged. (That every field round-trips is pinned by
+    // `sapsim-core`'s `every_field_round_trips_through_the_wire`.)
     assert!(!json.contains("\"faults\""), "empty faults must be skipped");
-    for knob in ["naive_host_views", "heap_event_queue", "progress"] {
-        assert!(!json.contains(knob), "execution knob `{knob}` must never serialize");
-    }
     assert!(json.contains("\"threads\":0"));
 
     // Round trip is lossless.

@@ -1,22 +1,14 @@
 //! Integration: the hierarchical timing wheel must be indistinguishable
 //! from the binary-heap oracle.
 //!
-//! Two layers of evidence:
-//!
-//! 1. Randomized differential scripts against [`EventQueue`] directly —
-//!    interleaved push/cancel/pop with heavy time ties, far-future times
-//!    (exercising upper wheel levels and the overflow list), and
-//!    past-boundary inserts at or before the last popped time.
-//! 2. Full-driver byte equality: `SimConfig::heap_event_queue` switches
-//!    the simulation onto the heap, and `RunResult::canonical_bytes()`
-//!    must not change across the PR 5 sweep grid (policies ×
-//!    granularities × seeds, faults off and on).
+//! Randomized differential scripts against [`EventQueue`] directly —
+//! interleaved push/cancel/pop with heavy time ties, far-future times
+//! (exercising upper wheel levels and the overflow list), and
+//! past-boundary inserts at or before the last popped time. Whole runs
+//! on both backends are compared by `sapsim-core`'s driver unit tests
+//! (`queue_backends_are_byte_identical*`).
 
-use sapsim_core::{FaultSpec, PlacementGranularity, SimConfig, SimDriver};
-use sapsim_scheduler::PolicyKind;
 use sapsim_sim::{EventQueue, QueueBackend, SimRng, SimTime};
-
-// --- Layer 1: randomized differential scripts -----------------------
 
 /// Run one op script against both backends and assert the observable
 /// streams match exactly: every pop's `(time, handle)`, every cancel's
@@ -144,65 +136,4 @@ fn far_future_and_near_times_interleave_correctly() {
         assert_eq!((a.time, a.handle, a.payload), (b.time, b.handle, b.payload));
     }
     assert!(wheel.pop().is_none() && heap.pop().is_none());
-}
-
-// --- Layer 2: full-driver byte equality ------------------------------
-
-/// The invariant-sweep fault recipe: every fault kind active.
-fn busy_faults() -> FaultSpec {
-    FaultSpec {
-        host_fail_rate_per_month: 15.0,
-        host_downtime_hours: 12.0,
-        straggler_fraction: 0.25,
-        straggler_slowdown: 0.6,
-        dropout_rate_per_month: 6.0,
-        dropout_duration_hours: 6.0,
-        ..FaultSpec::none()
-    }
-}
-
-fn run_bytes(mut cfg: SimConfig, heap: bool) -> Vec<u8> {
-    cfg.heap_event_queue = heap;
-    SimDriver::new(cfg)
-        .expect("valid config")
-        .run()
-        .canonical_bytes()
-}
-
-/// The acceptance grid: 2 policies × 2 granularities × 3 seeds = 12 runs,
-/// with fault injection toggled across the seeds so both regimes appear
-/// at every (policy, granularity) point. Each scenario runs once per
-/// backend and the result bytes must match exactly.
-#[test]
-fn wheel_and_heap_runs_are_byte_identical_across_the_sweep_grid() {
-    for policy in ["paper-default", "spread"] {
-        for granularity in [
-            PlacementGranularity::BuildingBlock,
-            PlacementGranularity::Node,
-        ] {
-            for seed in [41u64, 42, 43] {
-                let faults = if seed % 2 == 0 {
-                    busy_faults()
-                } else {
-                    FaultSpec::none()
-                };
-                let mut cfg = SimConfig::builder()
-                    .scale(0.01)
-                    .days(1)
-                    .seed(seed)
-                    .warmup_days(0)
-                    .faults(faults)
-                    .build()
-                    .expect("valid test config");
-                cfg.policy = PolicyKind::from_name(policy).expect("known policy");
-                cfg.granularity = granularity;
-                assert_eq!(
-                    run_bytes(cfg, false),
-                    run_bytes(cfg, true),
-                    "{policy}/{granularity:?}/seed {seed}: wheel and heap \
-                     runs must be byte-identical"
-                );
-            }
-        }
-    }
 }

@@ -6,7 +6,7 @@
 
 use sapsim_core::obs::{
     bucket_index, bucket_upper_bound, Histogram, JsonlRecorder, MetricsRecorder, MetricsRegistry,
-    ObsConfig, HIST_BUCKETS,
+    NullRecorder, ObsConfig, ProgressRecorder, HIST_BUCKETS,
 };
 use sapsim_core::{SimConfig, SimDriver};
 use sapsim_sweep::{parse_manifest, run_sweep, SweepOptions};
@@ -46,9 +46,10 @@ fn metrics_collection_never_perturbs_the_simulation() {
         "a metrics run populates the registry"
     );
 
-    let mut c = cfg(41);
-    c.progress = true;
-    let bytes = SimDriver::new(c).expect("valid").run().canonical_bytes();
+    let bytes = SimDriver::new(cfg(41))
+        .expect("valid")
+        .run_with_recorder(&mut ProgressRecorder::new(&mut NullRecorder))
+        .canonical_bytes();
     assert!(bytes == baseline, "the progress heartbeat changed results");
 
     let mut rec = JsonlRecorder::new(ObsConfig::default()).with_metrics();
@@ -123,23 +124,6 @@ fn engine_registry_covers_every_subsystem() {
     // Single-region estates emit no per-region breakdown, keeping the
     // export schema identical to the historical one.
     assert!(m.counters().all(|(k, _)| k.name != "region_placements"));
-}
-
-/// The heap-queue oracle has no wheel, so wheel gauges disappear while
-/// everything else (and the canonical result) is unchanged.
-#[test]
-fn heap_queue_runs_export_no_wheel_gauges() {
-    let mut c = cfg(43);
-    c.heap_event_queue = true;
-    let mut rec = MetricsRecorder::new();
-    let heap = SimDriver::new(c)
-        .expect("valid")
-        .run_with_recorder(&mut rec)
-        .canonical_bytes();
-    assert!(rec.registry().gauge_value("wheel_live_events").is_none());
-    assert!(rec.registry().counter_value("sim_events_fired").is_some());
-    let wheel = SimDriver::new(cfg(43)).expect("valid").run().canonical_bytes();
-    assert!(heap == wheel);
 }
 
 /// Sweep-side contract: collecting per-cell snapshots and the pool
@@ -289,11 +273,10 @@ fn multi_region_metrics_and_progress_stay_byte_identical() {
     c.seed = 27;
     let baseline = SimDriver::new(c).expect("valid").run().canonical_bytes();
 
-    c.progress = true;
     let mut rec = MetricsRecorder::new();
     let bytes = SimDriver::new(c)
         .expect("valid")
-        .run_with_recorder(&mut rec)
+        .run_with_recorder(&mut ProgressRecorder::new(&mut rec))
         .canonical_bytes();
     assert!(bytes == baseline, "metrics+progress diverged at region scale");
 

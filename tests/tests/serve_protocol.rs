@@ -20,6 +20,7 @@ use sapsim_api::{
     ResizeRequest, ShutdownRequest, StateRequest,
 };
 use sapsim_cli::serve::client;
+use sapsim_cli::serve::http::MAX_HEAD_BYTES;
 use sapsim_cli::serve::service::{self, Service};
 use sapsim_core::PlacementGranularity;
 use sapsim_scheduler::PolicyKind;
@@ -348,6 +349,41 @@ fn every_protocol_error_variant_is_exercised() {
         .map(|e| e.code().to_string())
         .collect();
     assert_eq!(seen, all, "every registered wire code must be exercised");
+}
+
+/// The head budget and the one-length rule hold at the socket: a head
+/// longer than `MAX_HEAD_BYTES` is refused even when its blank line
+/// arrives within the last read, and a request stating two different
+/// lengths is refused rather than trusting either.
+#[test]
+fn http_heads_past_the_budget_or_with_conflicting_lengths_are_refused() {
+    let server = LiveServer::boot(&[]);
+    let state = ApiRequest::State(StateRequest::new()).to_json_line();
+    let padded = |head_len: usize| {
+        let mut raw = format!(
+            "POST /v1/request HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\nX-Pad: ",
+            state.len()
+        );
+        let pad = head_len - raw.len() - 4;
+        raw.push_str(&"p".repeat(pad));
+        raw.push_str("\r\n\r\n");
+        raw + &state
+    };
+
+    let response = raw_http(&server.http, &padded(MAX_HEAD_BYTES));
+    assert_eq!(status_of(&response), 200, "{response}");
+    let response = raw_http(&server.http, &padded(8_500));
+    assert_eq!(status_of(&response), 413, "{response}");
+    assert_eq!(error_code(body_of(&response)), "too-large");
+
+    let conflicting = format!(
+        "POST /v1/request HTTP/1.1\r\nHost: t\r\nContent-Length: 5\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{state}",
+        state.len()
+    );
+    let response = raw_http(&server.http, &conflicting);
+    assert_eq!(status_of(&response), 400, "{response}");
+    assert_eq!(error_code(body_of(&response)), "bad-request");
+    server.shutdown();
 }
 
 #[test]

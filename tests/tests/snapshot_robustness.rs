@@ -19,12 +19,10 @@ fn fuzzer_snapshot_restore_resnapshot_is_byte_identity() {
     let mut rng = SimRng::seed_from(0xF0D5_CAFE);
     for trial in 0..20u32 {
         let seed = rng.next_u64() % 1_000;
-        let heap_queue = rng.next_u64() % 2 == 1;
         let faulted = rng.next_u64() % 2 == 1;
         let mut cfg = SimConfig::smoke_test();
         cfg.days = 1;
         cfg.seed = seed;
-        cfg.heap_event_queue = heap_queue;
         if faulted {
             cfg.faults = FaultSpec {
                 host_fail_rate_per_month: 15.0,
@@ -38,7 +36,7 @@ fn fuzzer_snapshot_restore_resnapshot_is_byte_identity() {
         let horizon_ms = MILLIS_PER_DAY * (cfg.warmup_days + cfg.days);
         let at = SimTime::from_millis(rng.next_u64() % (horizon_ms + 1));
         let replay = format!(
-            "replay: trial={trial} seed={seed} at={at} heap_queue={heap_queue} faulted={faulted}"
+            "replay: trial={trial} seed={seed} at={at} faulted={faulted}"
         );
 
         let text = SimDriver::new(cfg)
