@@ -2289,20 +2289,15 @@ mod tests {
         SimDriver::finalize(st, rec)
     }
 
-    /// The timing wheel must be byte-identical to the binary-heap
-    /// oracle. The heap has no wheel, so its metrics carry no wheel
-    /// gauges while the engine counters stay.
+    /// The timing wheel must be byte-identical to the binary-heap oracle.
     fn assert_heap_oracle_agrees(cfg: SimConfig) {
         let wheel = SimDriver::new(cfg).unwrap().run();
-        let mut rec = sapsim_obs::MetricsRecorder::new();
-        let heap = run_on_heap(&cfg, &mut rec);
+        let heap = run_on_heap(&cfg, &mut NullRecorder);
         assert_eq!(wheel.stats, heap.stats, "{cfg:?}");
         assert!(
             wheel.canonical_bytes() == heap.canonical_bytes(),
             "wheel and heap runs diverged: {cfg:?}"
         );
-        assert!(rec.registry().gauge_value("wheel_live_events").is_none());
-        assert!(rec.registry().counter_value("sim_events_fired").is_some());
     }
 
     #[test]
@@ -2314,17 +2309,29 @@ mod tests {
         for cfg in granularities(smoke) {
             assert_naive_oracle_agrees(cfg);
         }
-        for seed in [31, 32, 33] {
-            assert_naive_oracle_agrees(cell(seed, 0.02, 2, sapsim_faults::FaultSpec::none()));
-        }
     }
 
     #[test]
     fn cached_views_match_the_naive_oracle_under_faults() {
         assert_naive_oracle_agrees(faulty_cfg(24));
-        for seed in [31, 32, 33, 35] {
-            assert_naive_oracle_agrees(cell(seed, 0.02, 2, busy_faults()));
+    }
+
+    #[test]
+    fn cached_views_match_the_naive_oracle_across_seeds_and_faults() {
+        for seed in [31, 32, 33] {
+            for faults in [sapsim_faults::FaultSpec::none(), busy_faults()] {
+                assert_naive_oracle_agrees(cell(seed, 0.02, 2, faults));
+            }
         }
+    }
+
+    #[test]
+    fn cached_views_match_the_naive_oracle_under_busy_faults() {
+        assert_naive_oracle_agrees(cell(35, 0.02, 2, busy_faults()));
+    }
+
+    #[test]
+    fn node_granularity_cached_views_match_the_naive_oracle() {
         assert_naive_oracle_agrees(SimConfig {
             granularity: PlacementGranularity::Node,
             ..cell(34, 0.02, 2, busy_faults())
@@ -2340,16 +2347,37 @@ mod tests {
         for cfg in granularities(smoke) {
             assert_heap_oracle_agrees(cfg);
         }
-        for seed in [41, 43] {
-            policy_grid(cell(seed, 0.01, 1, sapsim_faults::FaultSpec::none()))
-                .for_each(assert_heap_oracle_agrees);
-        }
     }
 
     #[test]
     fn queue_backends_are_byte_identical_under_faults() {
         assert_heap_oracle_agrees(faulty_cfg(26));
-        policy_grid(cell(42, 0.01, 1, busy_faults())).for_each(assert_heap_oracle_agrees);
+    }
+
+    /// 2 policies × 2 granularities × 3 seeds, with faults on the middle
+    /// seed so both regimes appear at every (policy, granularity) point.
+    #[test]
+    fn queue_backends_are_byte_identical_across_the_sweep_grid() {
+        for (seed, faults) in [
+            (41, sapsim_faults::FaultSpec::none()),
+            (42, busy_faults()),
+            (43, sapsim_faults::FaultSpec::none()),
+        ] {
+            policy_grid(cell(seed, 0.01, 1, faults)).for_each(assert_heap_oracle_agrees);
+        }
+    }
+
+    /// The heap has no wheel, so its metrics carry no wheel gauges while
+    /// the engine counters stay and the result bytes do not move.
+    #[test]
+    fn heap_queue_runs_export_no_wheel_gauges() {
+        let cfg = cell(43, 0.02, 2, sapsim_faults::FaultSpec::none());
+        let mut rec = sapsim_obs::MetricsRecorder::new();
+        let heap = run_on_heap(&cfg, &mut rec);
+        assert!(rec.registry().gauge_value("wheel_live_events").is_none());
+        assert!(rec.registry().counter_value("sim_events_fired").is_some());
+        let wheel = SimDriver::new(cfg).unwrap().run();
+        assert!(heap.canonical_bytes() == wheel.canonical_bytes());
     }
 
     /// Full-region scale (scale > 1 replicates the studied region), too
