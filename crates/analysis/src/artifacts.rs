@@ -31,8 +31,8 @@ pub struct Artifact {
 
 /// Every artifact of the paper's evaluation computed from `run`: the 12
 /// figure CSVs, `table{3,4,5}_*.txt`, and last `report.txt`. The output
-/// is a pure function of the run, so a resumed run yields the same bytes
-/// as its cold twin.
+/// is a pure function of the run, so a config and a seed reproduce every
+/// byte.
 pub fn paper_artifacts(run: &RunResult) -> Vec<Artifact> {
     let sections: [fn(&RunResult, &mut Artifacts); 15] = [
         fig5, fig6, fig7, fig8, fig9, fig10, fig11_12, fig13, fig14, fig15, table1, table2,

@@ -1,9 +1,6 @@
 //! `sapsim export` — run a simulation and write the dataset CSV.
 
-use super::{
-    execute_with_obs, obs_args_from, sim_config_from, RunExec, OBS_BOOL_FLAGS, SIM_BOOL_FLAGS,
-    SIM_VALUE_OPTIONS,
-};
+use super::{execute_with_obs, obs_args_from, sim_config_from, SIM_BOOL_FLAGS, SIM_VALUE_OPTIONS};
 use crate::args::Parsed;
 use crate::error::CliError;
 use sapsim_trace::TraceWriter;
@@ -12,8 +9,7 @@ use std::io::{BufWriter, Write};
 
 /// Execute the subcommand.
 pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
-    let flags = [SIM_BOOL_FLAGS, OBS_BOOL_FLAGS].concat();
-    let parsed = Parsed::parse(argv, SIM_VALUE_OPTIONS, &flags)?;
+    let parsed = Parsed::parse(argv, SIM_VALUE_OPTIONS, SIM_BOOL_FLAGS)?;
     let [path] = parsed.positionals() else {
         return Err(CliError::Usage(
             "export requires exactly one output file argument".into(),
@@ -27,7 +23,7 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         "simulating {} days at scale {:.2} (seed {}) ...",
         cfg.days, cfg.scale, cfg.seed
     )?;
-    let (result, _) = execute_with_obs(RunExec::Cold(cfg), obs.as_ref(), out)?;
+    let result = execute_with_obs(cfg, obs.as_ref(), out)?;
 
     let mut writer = match parsed.get("anonymize") {
         Some(salt_raw) => {

@@ -15,7 +15,6 @@ use sapsim_core::obs::{
 };
 use sapsim_core::{
     FaultError, FaultSpec, PlacementGranularity, RunResult, SimConfig, SimDriver, SimError,
-    SimSnapshot, SimTime,
 };
 use sapsim_scheduler::PolicyKind;
 use std::fs::File;
@@ -38,11 +37,8 @@ pub const SIM_VALUE_OPTIONS: &[&str] = &[
     "metrics-out",
     "faults",
 ];
-/// Boolean flags shared by `simulate` and `export` that shape the config.
-pub const SIM_BOOL_FLAGS: &[&str] = &["no-drs", "cross-bb", "no-warmup"];
-/// Boolean flags shared by `simulate` and `export` that only observe the
-/// run, so a `--resume` accepts them.
-pub const OBS_BOOL_FLAGS: &[&str] = &["progress"];
+/// Boolean flags shared by `simulate` and `export`.
+pub const SIM_BOOL_FLAGS: &[&str] = &["no-drs", "cross-bb", "no-warmup", "progress"];
 
 /// Build a [`SimConfig`] from parsed CLI arguments.
 pub fn sim_config_from(parsed: &Parsed) -> Result<SimConfig, CliError> {
@@ -82,7 +78,7 @@ pub fn sim_config_from(parsed: &Parsed) -> Result<SimConfig, CliError> {
 /// Syntax failures classify by where the spec came from (usage for
 /// inline, data for a file); a well-formed spec with invalid knobs is a
 /// configuration error either way.
-pub(crate) fn parse_fault_spec(spec: &str) -> Result<FaultSpec, CliError> {
+fn parse_fault_spec(spec: &str) -> Result<FaultSpec, CliError> {
     if std::path::Path::new(spec).is_file() {
         let text = std::fs::read_to_string(spec)
             .map_err(|e| CliError::Io(format!("cannot read fault spec {spec}: {e}")))?;
@@ -164,52 +160,22 @@ pub fn obs_args_from(parsed: &Parsed) -> Result<Option<ObsArgs>, CliError> {
     }))
 }
 
-/// How `simulate` drives the core: a plain cold run, a cold run that
-/// also captures a [`SimSnapshot`] at an instant, or a resume of a
-/// previously captured snapshot to its horizon.
-pub enum RunExec<'a> {
-    /// Run `config` cold from `SimTime::ZERO` to the horizon.
-    Cold(SimConfig),
-    /// Run cold, pausing at the instant to capture a snapshot.
-    Snapshot(SimConfig, SimTime),
-    /// Resume a captured snapshot (the config travels inside it).
-    Resume(&'a SimSnapshot),
+/// Run `cfg` under `rec`, wrapped in a [`ProgressRecorder`] when
+/// `--progress` asked for the live heartbeat.
+fn observe<R: Recorder>(
+    cfg: SimConfig,
+    rec: &mut R,
+    progress: bool,
+) -> Result<RunResult, CliError> {
+    let driver = SimDriver::new(cfg)?;
+    Ok(if progress {
+        driver.run_with_recorder(&mut ProgressRecorder::new(rec))
+    } else {
+        driver.run_with_recorder(rec)
+    })
 }
 
-impl RunExec<'_> {
-    /// Drive the core under `rec`. The snapshot slot is `Some` exactly
-    /// for [`RunExec::Snapshot`]. A snapshot that loaded but does not
-    /// restore (its body does not fit the world its config derives) is a
-    /// data error, like any other bad snapshot file.
-    fn run<R: Recorder>(&self, rec: &mut R) -> Result<(RunResult, Option<SimSnapshot>), CliError> {
-        match self {
-            RunExec::Cold(cfg) => Ok((SimDriver::new(*cfg)?.run_with_recorder(rec), None)),
-            RunExec::Snapshot(cfg, at) => {
-                let (result, snap) = SimDriver::new(*cfg)?.run_with_snapshot(*at, rec)?;
-                Ok((result, Some(snap)))
-            }
-            RunExec::Resume(snap) => SimDriver::resume_with_recorder(snap, rec)
-                .map(|result| (result, None))
-                .map_err(|e| CliError::Data(e.to_string())),
-        }
-    }
-
-    /// [`run`](Self::run), with `rec` wrapped in a [`ProgressRecorder`]
-    /// when `--progress` asked for the live heartbeat.
-    fn observe<R: Recorder>(
-        &self,
-        rec: &mut R,
-        progress: bool,
-    ) -> Result<(RunResult, Option<SimSnapshot>), CliError> {
-        if progress {
-            self.run(&mut ProgressRecorder::new(rec))
-        } else {
-            self.run(rec)
-        }
-    }
-}
-
-/// Drive `exec`, with the observability recorder attached when any
+/// Run `cfg`, with the observability recorder attached when any
 /// `--obs-*`/`--metrics-out` output was requested. Writes the requested
 /// export files and a one-line status per file to `out`.
 ///
@@ -220,27 +186,27 @@ impl RunExec<'_> {
 /// [`NullRecorder`] when no output was requested) in a
 /// [`ProgressRecorder`].
 pub fn execute_with_obs(
-    exec: RunExec<'_>,
+    cfg: SimConfig,
     obs: Option<&ObsArgs>,
     out: &mut dyn Write,
-) -> Result<(RunResult, Option<SimSnapshot>), CliError> {
+) -> Result<RunResult, CliError> {
     let Some(obs) = obs else {
-        return exec.run(&mut NullRecorder);
+        return observe(cfg, &mut NullRecorder, false);
     };
     if obs.jsonl_path.is_none() && obs.chrome_path.is_none() {
         let Some(path) = obs.metrics_path.as_deref() else {
-            return exec.observe(&mut NullRecorder, obs.progress);
+            return observe(cfg, &mut NullRecorder, obs.progress);
         };
         let mut rec = MetricsRecorder::new();
-        let outcome = exec.observe(&mut rec, obs.progress)?;
+        let result = observe(cfg, &mut rec, obs.progress)?;
         write_metrics_snapshot(rec.registry(), path, out)?;
-        return Ok(outcome);
+        return Ok(result);
     }
     let mut rec = JsonlRecorder::new(obs.config);
     if obs.metrics_path.is_some() {
         rec = rec.with_metrics();
     }
-    let outcome = exec.observe(&mut rec, obs.progress)?;
+    let result = observe(cfg, &mut rec, obs.progress)?;
     if let Some(path) = &obs.jsonl_path {
         let file =
             File::create(path).map_err(|e| CliError::Io(format!("cannot create {path}: {e}")))?;
@@ -269,7 +235,7 @@ pub fn execute_with_obs(
         let registry = rec.metrics().expect("with_metrics was enabled above");
         write_metrics_snapshot(registry, path, out)?;
     }
-    Ok(outcome)
+    Ok(result)
 }
 
 /// Write one `sapsim.metrics/v1` JSON snapshot to `path` plus a status
@@ -297,8 +263,7 @@ mod tests {
 
     fn parse(parts: &[&str]) -> Parsed {
         let argv: Vec<String> = parts.iter().map(|s| s.to_string()).collect();
-        let flags = [SIM_BOOL_FLAGS, OBS_BOOL_FLAGS].concat();
-        Parsed::parse(&argv, SIM_VALUE_OPTIONS, &flags).unwrap()
+        Parsed::parse(&argv, SIM_VALUE_OPTIONS, SIM_BOOL_FLAGS).unwrap()
     }
 
     #[test]
@@ -508,7 +473,7 @@ mod tests {
             progress: false,
         };
         let mut out = Vec::new();
-        let (with_metrics, _) = execute_with_obs(RunExec::Cold(cfg), Some(&obs), &mut out).unwrap();
+        let with_metrics = execute_with_obs(cfg, Some(&obs), &mut out).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.starts_with(r#"{"schema":"sapsim.metrics/v1""#));
         assert!(text.ends_with('\n'));
@@ -516,7 +481,7 @@ mod tests {
         assert!(status.contains("metrics snapshot"));
         assert!(status.contains(&path_str));
         // The canonical result is byte-identical with metrics off.
-        let (plain, _) = execute_with_obs(RunExec::Cold(cfg), None, &mut Vec::new()).unwrap();
+        let plain = execute_with_obs(cfg, None, &mut Vec::new()).unwrap();
         assert_eq!(with_metrics.canonical_bytes(), plain.canonical_bytes());
     }
 

@@ -71,21 +71,7 @@ SIMULATION OPTIONS (simulate, export):
                          of the human-readable report
     --out <DIR>          (simulate only) also write every paper figure CSV
                          (Fig. 5-15), Tables 3-5 and report.txt computed
-                         from this run into DIR; cold, captured and resumed
-                         runs write the same bytes
-
-SNAPSHOT OPTIONS (simulate only):
-    --snapshot-at <D>    pause a cold run at day D (fractions allowed) and
-                         capture the full simulation state, then continue
-                         to the horizon; results are byte-identical either way
-    --snapshot-out <F>   where to write the sapsim.snapshot/v1 file
-                         (required with --snapshot-at)
-    --resume <FILE>      resume a captured snapshot to its horizon; the run
-                         configuration travels inside the snapshot, so
-                         config-shaping options conflict — except --faults,
-                         which must restate the spec the snapshot was taken
-                         under (a mismatch is a configuration error);
-                         --progress and the obs outputs still apply
+                         from this run into DIR
 
 SWEEP OPTIONS:
     sweep <MANIFEST>     JSON grid manifest: base-config overrides plus axes

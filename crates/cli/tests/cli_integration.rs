@@ -381,51 +381,12 @@ fn import_missing_file_errors() {
 }
 
 #[test]
-fn simulate_snapshot_then_resume_reproduces_the_run() {
-    let dir = std::env::temp_dir();
-    let snap = dir.join(format!("sapsim-cli-snap-{}.snapshot", std::process::id()));
-    let snap_str = snap.to_str().expect("utf8 path");
-    let base = &[
-        "simulate", "--scale", "0.02", "--days", "1", "--no-warmup", "--seed", "7", "--json",
-    ];
-
-    let cold = run_capture(base).unwrap();
-    let argv: Vec<&str> = base
-        .iter()
-        .copied()
-        .chain(["--snapshot-at", "0.5", "--snapshot-out", snap_str])
-        .collect();
-    let capturing = run_capture(&argv).unwrap();
-    assert_eq!(
-        capturing, cold,
-        "pausing to capture must not move the run summary"
-    );
-    let text = std::fs::read_to_string(&snap).expect("snapshot written");
-    assert!(text.starts_with("{\"schema\":\"sapsim.snapshot/v1\""), "{text}");
-
-    let resumed = run_capture(&["simulate", "--resume", snap_str, "--json"]).unwrap();
-    assert_eq!(resumed, cold, "resume must land on the cold run's summary");
-
-    // The heartbeat observes a resumed run like a cold one: stderr only.
-    let watched = run_capture(&["simulate", "--resume", snap_str, "--progress", "--json"]).unwrap();
-    assert_eq!(watched, resumed, "--progress moved the resumed summary");
-
-    // The human-readable resume path announces where it starts from.
-    let human = run_capture(&["simulate", "--resume", snap_str]).unwrap();
-    assert!(human.contains("resuming day 0.50 of 1"), "{human}");
-    assert!(human.contains("placements:"), "{human}");
-
-    std::fs::remove_file(&snap).expect("cleanup");
-}
-
-#[test]
 fn the_removed_second_loop_option_is_a_usage_error() {
     // The option selected a second event loop that no longer exists; it is
     // refused like any unknown option, before any file is opened.
     const REMOVED: &str = "--shard-threads";
     for argv in [
         &["simulate", "--scale", "0.02", "--days", "1", REMOVED, "2"][..],
-        &["simulate", "--resume", "never-read.snapshot", REMOVED, "2"][..],
         &["sweep", "never-read.json", REMOVED, "2"][..],
     ] {
         let err = run_capture(argv).unwrap_err();
@@ -433,133 +394,6 @@ fn the_removed_second_loop_option_is_a_usage_error() {
         assert!(err.to_string().contains(REMOVED), "{argv:?}: {err}");
     }
     assert!(!run_capture(&["help"]).unwrap().contains(REMOVED));
-}
-
-#[test]
-fn snapshot_flags_must_come_in_pairs_and_not_with_resume() {
-    let err = run_capture(&["simulate", "--snapshot-at", "0.5"]).unwrap_err();
-    assert_eq!(err.exit_code(), 2, "{err}");
-    assert!(err.to_string().contains("--snapshot-out"), "{err}");
-
-    let err = run_capture(&["simulate", "--snapshot-out", "x.snapshot"]).unwrap_err();
-    assert_eq!(err.exit_code(), 2, "{err}");
-
-    let err = run_capture(&[
-        "simulate", "--resume", "x.snapshot", "--snapshot-at", "0.5", "--snapshot-out", "y",
-    ])
-    .unwrap_err();
-    assert_eq!(err.exit_code(), 2, "{err}");
-
-    let err = run_capture(&["simulate", "--snapshot-at", "nope", "--snapshot-out", "y"])
-        .unwrap_err();
-    assert_eq!(err.exit_code(), 2, "{err}");
-
-    // A capture instant past the horizon is a config error, not usage.
-    let err = run_capture(&[
-        "simulate", "--scale", "0.02", "--days", "1", "--no-warmup", "--snapshot-at", "5",
-        "--snapshot-out", "never-written.snapshot",
-    ])
-    .unwrap_err();
-    assert_eq!(err.exit_code(), 3, "{err}");
-}
-
-#[test]
-fn resume_rejects_config_shaping_options() {
-    // The conflict check fires before the file is even opened.
-    let conflicts: [&[&str]; 5] = [
-        &["--days", "3"],
-        &["--seed", "9"],
-        &["--policy", "spread"],
-        &["--no-drs"],
-        &["--no-warmup"],
-    ];
-    for conflicting in conflicts {
-        let mut argv = vec!["simulate", "--resume", "missing.snapshot"];
-        argv.extend(conflicting.iter());
-        let err = run_capture(&argv).unwrap_err();
-        assert_eq!(err.exit_code(), 2, "{err}");
-        assert!(err.to_string().contains("--resume"), "{err}");
-    }
-}
-
-#[test]
-fn corrupt_snapshots_fail_with_typed_exit_codes() {
-    let dir = std::env::temp_dir();
-    let snap = dir.join(format!("sapsim-cli-corrupt-{}.snapshot", std::process::id()));
-    let snap_str = snap.to_str().expect("utf8 path");
-    run_capture(&[
-        "simulate", "--scale", "0.02", "--days", "1", "--no-warmup", "--seed", "7",
-        "--snapshot-at", "0.5", "--snapshot-out", snap_str, "--json",
-    ])
-    .unwrap();
-    let good = std::fs::read_to_string(&snap).unwrap();
-
-    // Missing file: I/O.
-    let err = run_capture(&["simulate", "--resume", "/nonexistent/x.snapshot"]).unwrap_err();
-    assert_eq!(err.exit_code(), 4, "{err}");
-
-    // Truncation, schema drift, hash tampering, and a re-signed body
-    // queueing an arrival for a spec the config does not derive: data
-    // errors, never a panic.
-    let header_len = good.find('\n').unwrap();
-    let bogus_body =
-        good[header_len + 1..]
-            .trim_end()
-            .replacen("\"Scrape\"]", "{\"VmArrival\":99999999}]", 1);
-    let cases: [String; 5] = [
-        good[..header_len].to_string(),
-        good.replacen("sapsim.snapshot/v1", "sapsim.snapshot/v0", 1),
-        good.replacen(&good[..header_len], "", 1),
-        {
-            let mut tampered = good.clone();
-            tampered.truncate(good.len() - good.len() / 3);
-            tampered
-        },
-        format!(
-            "{{\"schema\":\"sapsim.snapshot/v1\",\"canonical_hash\":\"{:016x}\"}}\n{bogus_body}\n",
-            sapsim_core::fnv1a_64(bogus_body.as_bytes())
-        ),
-    ];
-    for (i, case) in cases.iter().enumerate() {
-        std::fs::write(&snap, case).unwrap();
-        let err = run_capture(&["simulate", "--resume", snap_str]).unwrap_err();
-        assert_eq!(err.exit_code(), 5, "case {i}: {err}");
-    }
-
-    std::fs::remove_file(&snap).expect("cleanup");
-}
-
-#[test]
-fn resume_requires_restating_the_fault_spec() {
-    let dir = std::env::temp_dir();
-    let snap = dir.join(format!("sapsim-cli-restate-{}.snapshot", std::process::id()));
-    let snap_str = snap.to_str().expect("utf8 path");
-    let spec = "fail=30.0,downtime=2";
-    let base = &[
-        "simulate", "--scale", "0.02", "--days", "1", "--no-warmup", "--seed", "7", "--faults",
-        spec, "--json",
-    ];
-    let cold = run_capture(base).unwrap();
-    let argv: Vec<&str> = base
-        .iter()
-        .copied()
-        .chain(["--snapshot-at", "0.5", "--snapshot-out", snap_str])
-        .collect();
-    run_capture(&argv).unwrap();
-
-    // Resuming without restating the spec (or with a different one) is a
-    // configuration error; restating it reproduces the cold run.
-    let err = run_capture(&["simulate", "--resume", snap_str]).unwrap_err();
-    assert_eq!(err.exit_code(), 3, "{err}");
-    assert!(err.to_string().contains("restate"), "{err}");
-    let err = run_capture(&["simulate", "--resume", snap_str, "--faults", "fail=1.0"])
-        .unwrap_err();
-    assert_eq!(err.exit_code(), 3, "{err}");
-    let resumed =
-        run_capture(&["simulate", "--resume", snap_str, "--faults", spec, "--json"]).unwrap();
-    assert_eq!(resumed, cold);
-
-    std::fs::remove_file(&snap).expect("cleanup");
 }
 
 /// The files of an output directory as sorted (name, contents) pairs.
@@ -603,24 +437,63 @@ fn simulate_out_writes_every_paper_artifact_of_the_run() {
 }
 
 #[test]
-fn simulate_out_is_the_same_cold_json_and_resumed() {
-    let dir = std::env::temp_dir().join(format!("sapsim-cli-out-resume-{}", std::process::id()));
-    let (cold, resumed, snap) = (dir.join("cold"), dir.join("resumed"), dir.join("run.snapshot"));
-    let [cold_str, resumed_str, snap_str] = [&cold, &resumed, &snap].map(|p| p.to_str().unwrap());
-    let base = ["simulate", "--scale", "0.02", "--days", "2", "--seed", "7", "--json"];
+fn simulate_out_is_the_same_with_and_without_json() {
+    let dir = std::env::temp_dir().join(format!("sapsim-cli-out-json-{}", std::process::id()));
+    let (human, json_dir) = (dir.join("human"), dir.join("json"));
+    let [human_str, json_str] = [&human, &json_dir].map(|p| p.to_str().unwrap());
+    let base = ["simulate", "--scale", "0.02", "--days", "2", "--seed", "7"];
 
     // --json keeps stdout the one summary line with --out on.
-    let json = run_capture(&base).unwrap();
-    assert_eq!(run_capture(&[&base[..], &["--out", cold_str]].concat()).unwrap(), json);
-    let capture = [&base[..], &["--snapshot-at", "8", "--snapshot-out", snap_str]].concat();
-    assert_eq!(run_capture(&capture).unwrap(), json);
-    let text = run_capture(&["simulate", "--resume", snap_str, "--out", resumed_str]).unwrap();
-    assert!(text.contains("resuming day 8.00 of 2"), "{text}");
+    let json = run_capture(&[&base[..], &["--json"]].concat()).unwrap();
+    let with_out = run_capture(&[&base[..], &["--json", "--out", json_str]].concat()).unwrap();
+    assert_eq!(with_out, json);
+    let text = run_capture(&[&base[..], &["--out", human_str]].concat()).unwrap();
+    assert!(text.contains("wrote 16 paper artifacts"), "{text}");
 
-    let (cold, resumed) = (read_dir_sorted(&cold), read_dir_sorted(&resumed));
-    assert_eq!(cold.len(), 16);
-    for ((name, a), (other, b)) in cold.iter().zip(&resumed) {
-        assert!(name == other && a == b, "{name}: resumed run wrote other bytes than its cold twin");
+    let (human, json_dir) = (read_dir_sorted(&human), read_dir_sorted(&json_dir));
+    assert_eq!(human.len(), 16);
+    for ((name, a), (other, b)) in human.iter().zip(&json_dir) {
+        assert!(
+            name == other && a == b,
+            "{name}: the --json run wrote other bytes"
+        );
     }
     std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+#[test]
+fn the_removed_snapshot_options_are_usage_errors() {
+    // Snapshots are gone: a run is reproduced from its config and seed.
+    // The options are refused like any unknown option, before any file is
+    // opened or written and before the run starts.
+    let dir = std::env::temp_dir().join(format!("sapsim-cli-no-snap-{}", std::process::id()));
+    let file = dir.join("run.snapshot");
+    let file_str = file.to_str().unwrap();
+    for (argv, named) in [
+        (&["simulate", "--resume", file_str][..], "--resume"),
+        (
+            &["simulate", "--snapshot-at", "1", "--snapshot-out", file_str][..],
+            "--snapshot-at",
+        ),
+        (
+            &["simulate", "--snapshot-out", file_str][..],
+            "--snapshot-out",
+        ),
+    ] {
+        let mut out = Vec::new();
+        let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
+        let err = run_to(&argv, &mut out).unwrap_err();
+        assert_eq!(err.exit_code(), 2, "{argv:?}: {err}");
+        assert!(err.to_string().contains(named), "{argv:?}: {err}");
+        assert!(out.is_empty(), "{argv:?}: the run started");
+        assert!(
+            !file.exists() && !dir.exists(),
+            "{argv:?}: a file was written"
+        );
+    }
+    let help = run_capture(&["help"]).unwrap();
+    assert!(
+        !help.contains("--resume") && !help.contains("SNAPSHOT OPTIONS"),
+        "{help}"
+    );
 }

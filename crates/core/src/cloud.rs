@@ -11,10 +11,8 @@ use sapsim_topology::{BbId, NodeId, NodeState, Resources, Topology};
 use sapsim_workload::{UsageState, VmId, VmSpec, WorkloadClass};
 use std::collections::BTreeSet;
 
-/// Runtime state of one placed VM. Serializable because each placed VM
-/// carries live mutable state — the demand-model noise and its private
-/// RNG stream — that a snapshot must transport verbatim for the resumed
-/// run to draw the same usage trajectory.
+/// Runtime state of one placed VM: its placement, its live demand-model
+/// noise and private RNG stream, and what the last scrape measured.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlacedVm {
     /// Index into the driver's spec list.
@@ -50,16 +48,16 @@ json_codec!(struct PlacedVm {
     last_disk_used_gib, departure, movable,
 });
 
-/// Serializable image of the cloud's mutable state: everything placement
-/// and fault events have changed since `Cloud::new`, and nothing that the
-/// scenario config re-derives (topology shape, virtual capacities, the
-/// host-view cache). See DESIGN.md, "Snapshot determinism contract".
+/// The state [`PlacementEngine::state_hash`](crate::PlacementEngine::state_hash)
+/// hashes: everything placement and fault events have changed since
+/// `Cloud::new`, and nothing that the config derives (topology shape,
+/// virtual capacities, the host-view cache). Two clouds that applied the
+/// same operations encode to the same bytes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CloudState {
     /// Operational state per node, indexed by `NodeId::raw`. The state
-    /// bit lives inside the (re-derived) topology at runtime, but
-    /// maintenance and fault transitions mutate it, so the snapshot must
-    /// carry it explicitly.
+    /// bit lives inside the topology at runtime, but maintenance and
+    /// fault transitions mutate it.
     pub node_states: Vec<NodeState>,
     /// Requested resources allocated per node.
     pub node_alloc: Vec<Resources>,
@@ -672,10 +670,8 @@ impl Cloud {
             .sum()
     }
 
-    /// Copy out the full mutable state for a snapshot. Pure read — the
-    /// cloud is untouched and the image shares no mutable state with it
-    /// (everything is deep-cloned), so capturing then continuing the
-    /// original run cannot perturb either side.
+    /// Copy out the full mutable state. Pure read — the cloud is
+    /// untouched and the image shares no mutable state with it.
     pub fn capture_state(&self) -> CloudState {
         CloudState {
             node_states: self.topo.nodes().iter().map(|n| n.state).collect(),
@@ -688,80 +684,6 @@ impl Cloud {
             vm_count: self.vm_count,
             reserved_bbs: self.reserved_bbs.iter().copied().collect(),
         }
-    }
-
-    /// Rebuild a cloud from a re-derived topology plus a captured state
-    /// image. The host-view cache starts cold and rebuilds lazily — a
-    /// fresh build is field-for-field identical to an incrementally
-    /// maintained one (the cache-coherence suite pins this), so restored
-    /// runs stay byte-equal to uninterrupted ones.
-    ///
-    /// Shape mismatches between the topology and the image (different
-    /// node/block counts, out-of-range ids) surface as
-    /// [`SimError::Snapshot`] — they mean the snapshot was taken under a
-    /// different scenario than the one being restored.
-    pub fn restore_state(topo: Topology, state: CloudState) -> Result<Cloud, SimError> {
-        let mut cloud = Cloud::new(topo);
-        let n = cloud.topo.nodes().len();
-        let b = cloud.topo.bbs().len();
-        let shape_err = |what: &str, got: usize, want: usize| {
-            Err(SimError::Snapshot(format!(
-                "cloud state shape mismatch: {what} has {got} entries, topology expects {want}"
-            )))
-        };
-        if state.node_states.len() != n {
-            return shape_err("node_states", state.node_states.len(), n);
-        }
-        if state.node_alloc.len() != n {
-            return shape_err("node_alloc", state.node_alloc.len(), n);
-        }
-        if state.node_vms.len() != n {
-            return shape_err("node_vms", state.node_vms.len(), n);
-        }
-        if state.node_contention.len() != n {
-            return shape_err("node_contention", state.node_contention.len(), n);
-        }
-        if state.node_departure_sum_ms.len() != n {
-            return shape_err("node_departure_sum_ms", state.node_departure_sum_ms.len(), n);
-        }
-        if state.bb_alloc.len() != b {
-            return shape_err("bb_alloc", state.bb_alloc.len(), b);
-        }
-        let live = state.vm_slots.iter().flatten().count();
-        if live != state.vm_count {
-            return Err(SimError::Snapshot(format!(
-                "cloud state shape mismatch: vm_count says {} but {live} slots are occupied",
-                state.vm_count
-            )));
-        }
-        if let Some(bad) = state.reserved_bbs.iter().find(|bb| bb.index() >= b) {
-            return Err(SimError::Snapshot(format!(
-                "cloud state shape mismatch: reserved block {bad} out of range ({b} blocks)"
-            )));
-        }
-        if let Some(vm) = state
-            .vm_slots
-            .iter()
-            .flatten()
-            .find(|vm| vm.node.index() >= n)
-        {
-            return Err(SimError::Snapshot(format!(
-                "cloud state shape mismatch: {} placed on out-of-range {}",
-                vm.id, vm.node
-            )));
-        }
-        for (i, s) in state.node_states.iter().enumerate() {
-            cloud.topo.node_mut(NodeId::from_raw(i as u32)).state = *s;
-        }
-        cloud.node_alloc = state.node_alloc;
-        cloud.node_vms = state.node_vms;
-        cloud.node_contention = state.node_contention;
-        cloud.node_departure_sum_ms = state.node_departure_sum_ms;
-        cloud.bb_alloc = state.bb_alloc;
-        cloud.vm_slots = state.vm_slots;
-        cloud.vm_count = state.vm_count;
-        cloud.reserved_bbs = state.reserved_bbs.into_iter().collect();
-        Ok(cloud)
     }
 
     /// Cross-check every accounting invariant; used by tests and debug
@@ -1206,7 +1128,7 @@ mod tests {
     }
 
     #[test]
-    fn capture_restore_round_trips_all_mutable_state() {
+    fn captured_state_round_trips_through_json_and_stays_detached() {
         let (mut cloud, mut specs) = tiny_cloud();
         let nodes = cloud.topology().bbs()[0].nodes.clone();
         specs.push(spec(0, 4, 32, 20));
@@ -1218,68 +1140,19 @@ mod tests {
         cloud.set_bb_reserved(BbId::from_raw(0), true);
 
         let state = cloud.capture_state();
-        // Capture is a deep copy: round-tripping through JSON and
-        // restoring over a freshly built topology reproduces everything,
-        // including per-VM RNG streams and f64 bookkeeping.
-        let json = state.to_json_string();
-        let parsed: CloudState = sapsim_json::decode(&json).unwrap();
+        // The image holds every mutation, per-VM RNG streams and f64
+        // bookkeeping included, and survives a trip through JSON.
+        assert_eq!(state.vm_count, 2);
+        assert_eq!(state.vm_slots[0].as_ref(), cloud.vm(VmId(0)));
+        assert_eq!(state.node_contention[nodes[0].index()], 42.5);
+        assert_eq!(state.node_states[nodes[2].index()], NodeState::Maintenance);
+        assert_eq!(state.reserved_bbs, vec![BbId::from_raw(0)]);
+        let parsed: CloudState = sapsim_json::decode(&state.to_json_string()).unwrap();
         assert_eq!(parsed, state);
-
-        let (fresh, _) = tiny_cloud();
-        let mut restored = Cloud::restore_state(fresh.topo, parsed).unwrap();
-        assert_eq!(restored.vm_count(), 2);
-        assert_eq!(restored.vm(VmId(0)).unwrap(), cloud.vm(VmId(0)).unwrap());
-        assert_eq!(restored.node_allocated(nodes[0]), cloud.node_allocated(nodes[0]));
-        assert_eq!(restored.node_contention(nodes[0]), 42.5);
-        assert_eq!(
-            restored.topology().node(nodes[2]).state,
-            NodeState::Maintenance
-        );
-        assert!(restored.is_bb_reserved(BbId::from_raw(0)));
-        restored.verify_accounting(&specs).unwrap();
-        // The restored (cold) view cache agrees with a fresh build, and
-        // with the donor's warmed cache.
-        let now = SimTime::from_days(1);
-        assert_cache_coherent(&mut restored, now);
-        for g in [
-            PlacementGranularity::Node,
-            PlacementGranularity::BuildingBlock,
-        ] {
-            assert_eq!(restored.host_views(g, now), cloud.host_views(g, now));
-        }
-        // Restoring mutated neither the donor nor shared anything with it:
-        // mutating the restored cloud leaves the donor's accounting alone.
-        restored.remove(VmId(0)).unwrap();
-        assert_eq!(cloud.vm_count(), 2);
-        assert_eq!(cloud.capture_state(), state);
-    }
-
-    #[test]
-    fn restore_rejects_shape_mismatches() {
-        let (cloud, _) = tiny_cloud();
-        let mut state = cloud.capture_state();
-        state.node_alloc.pop();
-        let (fresh, _) = tiny_cloud();
-        let err = Cloud::restore_state(fresh.topo, state).unwrap_err();
-        assert!(
-            matches!(&err, SimError::Snapshot(msg) if msg.contains("node_alloc")),
-            "unexpected error: {err}"
-        );
-
-        let mut state = cloud.capture_state();
-        state.vm_count = 7;
-        let (fresh, _) = tiny_cloud();
-        let err = Cloud::restore_state(fresh.topo, state).unwrap_err();
-        assert!(matches!(err, SimError::Snapshot(_)), "got {err}");
-
-        let mut state = cloud.capture_state();
-        state.reserved_bbs.push(BbId::from_raw(99));
-        let (fresh, _) = tiny_cloud();
-        let err = Cloud::restore_state(fresh.topo, state).unwrap_err();
-        assert!(
-            matches!(&err, SimError::Snapshot(msg) if msg.contains("reserved block")),
-            "unexpected error: {err}"
-        );
+        // Mutating the cloud afterwards leaves the image alone.
+        cloud.remove(VmId(0)).unwrap();
+        assert_eq!(state.vm_count, 2);
+        assert_ne!(cloud.capture_state(), state);
     }
 
     #[test]

@@ -2,11 +2,9 @@
 //! telemetry, and produces a [`RunResult`].
 //!
 //! The driver is factored around an explicit [`RunState`] — the complete
-//! mutable state of a run in flight. A cold run builds one and drains it
-//! to the horizon; the snapshot layer ([`SimSnapshot`]) captures the same
-//! state mid-flight and rebuilds it later (or in another process), so a
-//! restored run fires the identical event sequence and produces
-//! byte-identical canonical output.
+//! mutable state of a run in flight. A run builds one from its config and
+//! seed, drains it to the horizon, and folds it into the result; the
+//! config and the seed are all it takes to reproduce a run byte for byte.
 
 use crate::cloud::{Cloud, PlacedVm};
 use crate::config::SimConfig;
@@ -14,9 +12,7 @@ use crate::engine::{self, PlaceOutcome};
 use crate::error::SimError;
 use crate::hypervisor::{self, NodeDemand};
 use crate::result::{DriverStats, FaultStats, RunResult, VmUsageSummary};
-use crate::snapshot::SimSnapshot;
 use sapsim_faults::{FaultPlan, EVAC_BACKOFF_MAX_DOUBLINGS};
-use sapsim_json::{json_codec, variant, write_variant, DecodeError, FromJson, JsonValue, ToJson};
 use sapsim_obs::{
     DecisionOutcome, DecisionRecord, FaultEventKind, HostScore, NullRecorder, ObsEvent, Recorder,
     RunProfile, RunProgress, SpanKind, DECISION_TOP_K,
@@ -24,7 +20,7 @@ use sapsim_obs::{
 use sapsim_scheduler::{
     HostLoad, PlacementPolicy, PlacementRequest, Ranking, Rebalancer, RejectReason, VmLoad,
 };
-use sapsim_sim::{QueueBackend, SimDuration, SimRng, SimTime, Simulation};
+use sapsim_sim::{SimDuration, SimRng, SimTime, Simulation};
 use sapsim_telemetry::{EntityRef, MetricId, RunningStat, TsdbStore};
 use sapsim_topology::{AzId, BbId, BbPurpose, DcId, NodeId, Resources};
 use sapsim_workload::{
@@ -33,11 +29,9 @@ use sapsim_workload::{
 };
 use std::time::Instant;
 
-/// Events of the cloud simulation. They have a JSON form (`"Scrape"`,
-/// `{"VmArrival":17}`) because the pending-event set travels inside a
-/// [`SimSnapshot`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Event {
+/// Events of the cloud simulation.
+#[derive(Debug, Clone, Copy)]
+enum Event {
     /// A VM (by spec index) arrives and must be placed.
     VmArrival(usize),
     /// A VM reaches the end of its lifetime.
@@ -67,66 +61,14 @@ pub(crate) enum Event {
     EvacRetry(VmId),
 }
 
-impl ToJson for Event {
-    fn write_json(&self, out: &mut String) {
-        match self {
-            Event::VmArrival(spec) => write_variant(out, "VmArrival", spec),
-            Event::VmDeparture(vm) => write_variant(out, "VmDeparture", vm),
-            Event::VmResize(vm) => write_variant(out, "VmResize", vm),
-            Event::Scrape => "Scrape".write_json(out),
-            Event::OsGauge => "OsGauge".write_json(out),
-            Event::DrsRound => "DrsRound".write_json(out),
-            Event::CrossBbRound => "CrossBbRound".write_json(out),
-            Event::MaintenanceStart(node) => write_variant(out, "MaintenanceStart", node),
-            Event::MaintenanceEnd(node) => write_variant(out, "MaintenanceEnd", node),
-            Event::HostFail(node) => write_variant(out, "HostFail", node),
-            Event::HostRecover(node) => write_variant(out, "HostRecover", node),
-            Event::EvacRetry(vm) => write_variant(out, "EvacRetry", vm),
-        }
-    }
-}
-
-impl FromJson for Event {
-    fn from_json(value: &JsonValue) -> Result<Self, DecodeError> {
-        let (name, payload) = variant(value)?;
-        Ok(match (name, payload) {
-            ("VmArrival", spec) => Event::VmArrival(FromJson::from_json(spec)?),
-            ("VmDeparture", vm) => Event::VmDeparture(FromJson::from_json(vm)?),
-            ("VmResize", vm) => Event::VmResize(FromJson::from_json(vm)?),
-            ("Scrape", JsonValue::Null) => Event::Scrape,
-            ("OsGauge", JsonValue::Null) => Event::OsGauge,
-            ("DrsRound", JsonValue::Null) => Event::DrsRound,
-            ("CrossBbRound", JsonValue::Null) => Event::CrossBbRound,
-            ("MaintenanceStart", node) => Event::MaintenanceStart(FromJson::from_json(node)?),
-            ("MaintenanceEnd", node) => Event::MaintenanceEnd(FromJson::from_json(node)?),
-            ("HostFail", node) => Event::HostFail(FromJson::from_json(node)?),
-            ("HostRecover", node) => Event::HostRecover(FromJson::from_json(node)?),
-            ("EvacRetry", vm) => Event::EvacRetry(FromJson::from_json(vm)?),
-            _ => {
-                return Err(DecodeError::unknown_name(
-                    name,
-                    vec![
-                        "VmArrival", "VmDeparture", "VmResize", "Scrape", "OsGauge", "DrsRound",
-                        "CrossBbRound", "MaintenanceStart", "MaintenanceEnd", "HostFail",
-                        "HostRecover", "EvacRetry",
-                    ],
-                ))
-            }
-        })
-    }
-}
-
 /// A VM displaced by a host failure that found no capacity yet: it waits
 /// in the driver's pending queue between backoff retries, preserving its
-/// demand-model state for the eventual restart. The queue travels inside a
-/// [`SimSnapshot`].
-#[derive(Debug, Clone)]
-pub(crate) struct PendingEvac {
-    pub(crate) vm: PlacedVm,
-    pub(crate) retries: u32,
+/// demand-model state for the eventual restart.
+#[derive(Debug)]
+struct PendingEvac {
+    vm: PlacedVm,
+    retries: u32,
 }
-
-json_codec!(struct PendingEvac { vm, retries });
 
 /// Per-region context of the estate: AZ handles, capacity shares, and
 /// whether the region carves out a dedicated CI farm. One per region:
@@ -215,7 +157,7 @@ struct DriverScratch {
 impl DriverScratch {
     /// Fresh scratch for an `n`-node estate; the only pre-sized buffer is
     /// the per-node demand accumulator. Scratch never carries state
-    /// across events, so a snapshot restore just builds a new one.
+    /// across events.
     fn for_nodes(n: usize) -> DriverScratch {
         DriverScratch {
             demands: vec![NodeDemand::default(); n],
@@ -228,11 +170,9 @@ impl DriverScratch {
 }
 
 /// Everything about a run that is a pure function of its [`SimConfig`]:
-/// the estate, the workload, and the per-VM region/AZ assignments. A cold
-/// build and a snapshot restore derive this identically — the snapshot
-/// only carries the mutated state layered on top. Every RNG stream used
-/// here is a stateless lineage split of the root, so re-deriving any
-/// subset in any order reproduces the original draws.
+/// the estate, the workload, and the per-VM region/AZ assignments. Every
+/// RNG stream used here is a stateless lineage split of the root, so
+/// deriving any subset in any order reproduces the same draws.
 struct DerivedWorld {
     topo: sapsim_topology::Topology,
     regions: Vec<RegionCtx>,
@@ -248,12 +188,7 @@ struct DerivedWorld {
 /// The complete mutable state of a simulation in flight.
 ///
 /// `run_with_recorder` builds one, drains it to the horizon, and folds it
-/// into a [`RunResult`]. The snapshot layer captures it mid-flight
-/// ([`SimDriver::snapshot_at`]) and rebuilds it from a [`SimSnapshot`]
-/// ([`SimDriver::resume`]) — the restored state fires the identical event
-/// sequence because event seqs, RNG stream positions, and every
-/// accumulator travel with the snapshot, while the derived world is
-/// recomputed from the config.
+/// into a [`RunResult`].
 struct RunState {
     cfg: SimConfig,
     regions: Vec<RegionCtx>,
@@ -277,12 +212,6 @@ struct RunState {
     pending: Vec<PendingEvac>,
     region_placed: Vec<u64>,
     region_departed: Vec<u64>,
-    /// `sim.stats().scheduled` at the end of world construction: the
-    /// number of events the build itself enqueued (arrivals, periodic
-    /// seeds, maintenance windows, fault plan). No handler reads it; it
-    /// is carried only so the `sapsim.snapshot/v1` text keeps its field
-    /// and restore → re-capture stays the identity.
-    init_scheduled: u64,
     run_start: Instant,
     profile: RunProfile,
 }
@@ -367,78 +296,8 @@ impl SimDriver {
         Self::finalize(st, rec)
     }
 
-    /// Run the strictly-before-`at` prefix of this configuration and
-    /// capture the state at instant `at` as a [`SimSnapshot`], without
-    /// finishing the run. `at` is an absolute sim time on the
-    /// warmup-inclusive timeline, i.e. `[0, warmup + days]` in days.
-    /// Events scheduled exactly at `at` stay pending: they belong to the
-    /// resumed continuation, which replays them bit-for-bit.
-    pub fn snapshot_at(&self, at: SimTime) -> Result<SimSnapshot, SimError> {
-        let horizon = SimTime::from_days(self.config.warmup_days + self.config.days);
-        if at > horizon {
-            return Err(SimError::InvalidConfig(format!(
-                "snapshot instant {at} lies past the run horizon {horizon}"
-            )));
-        }
-        let mut st = Self::build_state(&self.config, false);
-        Self::run_prefix_before(&mut st, &mut NullRecorder, at);
-        Ok(Self::capture(&mut st))
-    }
-
-    /// Run to completion like [`run`](Self::run), additionally capturing
-    /// a [`SimSnapshot`] at instant `at` along the way — one pass instead
-    /// of a snapshot run plus a cold re-run. The returned result is
-    /// byte-identical to a plain run of the same config.
-    pub fn run_with_snapshot<R: Recorder>(
-        &self,
-        at: SimTime,
-        rec: &mut R,
-    ) -> Result<(RunResult, SimSnapshot), SimError> {
-        let horizon = SimTime::from_days(self.config.warmup_days + self.config.days);
-        if at > horizon {
-            return Err(SimError::InvalidConfig(format!(
-                "snapshot instant {at} lies past the run horizon {horizon}"
-            )));
-        }
-        let mut st = Self::build_state(&self.config, R::ENABLED);
-        Self::run_prefix_before(&mut st, rec, at);
-        let snapshot = Self::capture(&mut st);
-        Self::run_to_horizon(&mut st, rec);
-        Ok((Self::finalize(st, rec), snapshot))
-    }
-
-    /// Rebuild a run from a snapshot and drive it to the horizon.
-    ///
-    /// The snapshot is only read, never consumed or mutated: resuming the
-    /// same in-memory snapshot any number of times (forking) yields fully
-    /// independent runs, each byte-identical to a solo resume — restore
-    /// deep-copies every mutable table before touching it.
-    pub fn resume(snapshot: &SimSnapshot) -> Result<RunResult, SimError> {
-        Self::resume_with_recorder(snapshot, &mut NullRecorder)
-    }
-
-    /// [`resume`](Self::resume) with observability streamed into `rec`.
-    /// Counters and the profile cover only the resumed leg of the run.
-    pub fn resume_with_recorder<R: Recorder>(
-        snapshot: &SimSnapshot,
-        rec: &mut R,
-    ) -> Result<RunResult, SimError> {
-        let mut st = Self::state_from_snapshot(snapshot, R::ENABLED)?;
-        Self::run_to_horizon(&mut st, rec);
-        Ok(Self::finalize(st, rec))
-    }
-
-    /// Restore `snapshot` and immediately re-capture it without firing a
-    /// single event. Restore→capture is an identity on snapshots — the
-    /// witness the robustness fuzzer pins across the whole config space.
-    pub fn resnapshot(snapshot: &SimSnapshot) -> Result<SimSnapshot, SimError> {
-        let mut st = Self::state_from_snapshot(snapshot, false)?;
-        Ok(Self::capture(&mut st))
-    }
-
     /// Derive the config-determined world: estate, workload, and per-VM
-    /// assignment streams. Shared verbatim by the cold build and the
-    /// snapshot restore.
+    /// assignment streams.
     fn derive_world(cfg: &SimConfig) -> DerivedWorld {
         let root_rng = SimRng::seed_from(cfg.seed);
         let (topo, region_dcs) = engine::estate(cfg);
@@ -552,7 +411,7 @@ impl SimDriver {
         }
     }
 
-    /// Build the complete initial [`RunState`] for a cold run: derived
+    /// Build the complete initial [`RunState`] of a run: derived
     /// world, reserve selection, event-queue seeding, maintenance and
     /// fault plans.
     fn build_state(cfg: &SimConfig, profile_enabled: bool) -> RunState {
@@ -668,10 +527,6 @@ impl SimDriver {
         let region_placed: Vec<u64> = vec![0; regions.len()];
         let region_departed: Vec<u64> = vec![0; regions.len()];
 
-        // Where build-time seqs end: everything scheduled so far came
-        // from world construction, everything after comes from handlers.
-        let init_scheduled = sim.stats().scheduled;
-
         RunState {
             cfg: *cfg,
             regions,
@@ -695,148 +550,9 @@ impl SimDriver {
             pending: Vec::new(),
             region_placed,
             region_departed,
-            init_scheduled,
             run_start,
             profile,
         }
-    }
-
-    /// Capture the state of a run in flight as a [`SimSnapshot`].
-    /// Everything a restore cannot re-derive from the config travels in
-    /// the snapshot; the derived world is rebuilt on the other side.
-    /// Takes `&mut` only because draining the pending-event set out of
-    /// the queue backend requires it — the state is left untouched.
-    fn capture(st: &mut RunState) -> SimSnapshot {
-        SimSnapshot {
-            config: st.cfg,
-            now: st.sim.now(),
-            sim_stats: st.sim.stats(),
-            next_seq: st.sim.next_seq(),
-            events: st.sim.snapshot_events(),
-            init_scheduled: st.init_scheduled,
-            cloud: st.cloud.capture_state(),
-            stats: st.stats,
-            vm_stats: st.vm_stats.clone(),
-            store: st.store.clone(),
-            pending: st.pending.clone(),
-            region_placed: st.region_placed.clone(),
-            region_departed: st.region_departed.clone(),
-        }
-    }
-
-    /// Rebuild a [`RunState`] from a snapshot: re-derive the world from
-    /// the carried config, validate the snapshot's shape against it, and
-    /// restore every mutable table. All snapshot tables are deep-copied,
-    /// so one snapshot can seed any number of independent resumes.
-    fn state_from_snapshot(
-        snap: &SimSnapshot,
-        profile_enabled: bool,
-    ) -> Result<RunState, SimError> {
-        let cfg = snap.config;
-        cfg.validate()
-            .map_err(|e| SimError::Snapshot(format!("snapshot config invalid: {e}")))?;
-        let warmup = SimTime::from_days(cfg.warmup_days);
-        let horizon = SimTime::from_days(cfg.warmup_days + cfg.days);
-        if snap.now > horizon {
-            return Err(SimError::Snapshot(format!(
-                "snapshot instant {} lies past the configured horizon {horizon}",
-                snap.now
-            )));
-        }
-        if snap.events.iter().any(|&(t, _, _)| t < snap.now) {
-            return Err(SimError::Snapshot(
-                "snapshot queues an event before its own capture instant".into(),
-            ));
-        }
-        if snap.events.iter().any(|&(_, seq, _)| seq >= snap.next_seq) {
-            return Err(SimError::Snapshot(
-                "snapshot queues an event seq past its own seq counter".into(),
-            ));
-        }
-        let w = Self::derive_world(&cfg);
-        let nodes = w.topo.nodes().len();
-        if let Some((t, _, ev)) = snap.events.iter().find(|(_, _, ev)| match *ev {
-            Event::VmArrival(spec_index) => spec_index >= w.specs.len(),
-            Event::MaintenanceStart(node)
-            | Event::MaintenanceEnd(node)
-            | Event::HostFail(node)
-            | Event::HostRecover(node) => node.index() >= nodes,
-            _ => false,
-        }) {
-            return Err(SimError::Snapshot(format!(
-                "snapshot queues {} at {t} outside the config's world ({} specs, {nodes} nodes)",
-                ev.to_json_string(),
-                w.specs.len()
-            )));
-        }
-        if snap.cloud.vm_slots.len() != w.specs.len() {
-            return Err(SimError::Snapshot(format!(
-                "snapshot carries {} VM slots but the config derives {} specs",
-                snap.cloud.vm_slots.len(),
-                w.specs.len()
-            )));
-        }
-        if snap.vm_stats.len() != w.specs.len() {
-            return Err(SimError::Snapshot(format!(
-                "snapshot carries {} VM summaries but the config derives {} specs",
-                snap.vm_stats.len(),
-                w.specs.len()
-            )));
-        }
-        if snap.region_placed.len() != w.regions.len()
-            || snap.region_departed.len() != w.regions.len()
-        {
-            return Err(SimError::Snapshot(format!(
-                "snapshot carries {} region tallies but the config derives {} regions",
-                snap.region_placed.len(),
-                w.regions.len()
-            )));
-        }
-        let cloud = Cloud::restore_state(w.topo, snap.cloud.clone())?;
-        let sim = Simulation::restore(
-            QueueBackend::TimingWheel,
-            snap.now,
-            snap.sim_stats,
-            snap.next_seq,
-            snap.events.iter().cloned(),
-        );
-        // The fault plan is a pure function of (spec, estate, window,
-        // seed); re-deriving it restores straggler throughput factors and
-        // dropout windows without them ever touching the snapshot.
-        let fault_plan = FaultPlan::generate(
-            &cfg.faults,
-            nodes,
-            warmup,
-            horizon,
-            &SimRng::seed_from(cfg.seed),
-        );
-        Ok(RunState {
-            cfg,
-            regions: w.regions,
-            cloud,
-            specs: w.specs,
-            peak_phases: w.peak_phases,
-            sim,
-            warmup,
-            horizon,
-            policy: PlacementPolicy::new(cfg.policy),
-            store: snap.store.clone(),
-            stats: snap.stats,
-            scratch: DriverScratch::for_nodes(nodes),
-            vm_stats: snap.vm_stats.clone(),
-            vm_region: w.vm_region,
-            vm_az: w.vm_az,
-            vm_rng_root: w.vm_rng_root,
-            drs: Rebalancer::new(cfg.drs),
-            cross: Rebalancer::new(cfg.drs),
-            fault_plan,
-            pending: snap.pending.clone(),
-            region_placed: snap.region_placed.clone(),
-            region_departed: snap.region_departed.clone(),
-            init_scheduled: snap.init_scheduled,
-            run_start: Instant::now(),
-            profile: RunProfile::new(profile_enabled),
-        })
     }
 
     /// Drain the event loop to the horizon (inclusive).
@@ -845,19 +561,6 @@ impl SimDriver {
             rec.tick(|| st.progress(ev.time));
             Self::handle_event(st, rec, ev.time, ev.payload);
         }
-    }
-
-    /// Fire every event strictly before `cutoff`, then pin the clock at
-    /// `cutoff` itself. Events scheduled exactly at the cutoff stay
-    /// queued: they belong to the resumed continuation. Handlers only run
-    /// when the clock sits at their own fire time, so pinning the clock
-    /// between events cannot perturb anything.
-    fn run_prefix_before<R: Recorder>(st: &mut RunState, rec: &mut R, cutoff: SimTime) {
-        while let Some(ev) = st.sim.next_event_before(cutoff) {
-            rec.tick(|| st.progress(ev.time));
-            Self::handle_event(st, rec, ev.time, ev.payload);
-        }
-        st.sim.advance_clock_to(cutoff);
     }
 
     /// Dispatch one fired event against the run state.
@@ -1865,7 +1568,7 @@ mod tests {
     use super::*;
     use crate::config::PlacementGranularity;
     use sapsim_scheduler::PolicyKind;
-    use sapsim_sim::MILLIS_PER_DAY;
+    use sapsim_sim::QueueBackend;
 
     fn smoke(seed: u64) -> RunResult {
         let mut cfg = SimConfig::smoke_test();
@@ -2457,115 +2160,5 @@ mod tests {
             ready_sum(&slow) >= ready_sum(&baseline),
             "halved throughput cannot reduce CPU-ready"
         );
-    }
-
-    #[test]
-    fn snapshot_restore_matches_cold_run() {
-        let mut cfg = SimConfig::smoke_test();
-        cfg.seed = 31;
-        let driver = SimDriver::new(cfg).unwrap();
-        let cold = driver.run();
-        // Edge instants on purpose: before anything fired, mid-run off any
-        // event boundary, and exactly at the horizon.
-        for at in [
-            SimTime::ZERO,
-            SimTime::from_millis(MILLIS_PER_DAY + 12_345),
-            SimTime::from_days(cfg.days),
-        ] {
-            let snap = driver.snapshot_at(at).unwrap();
-            let resumed = SimDriver::resume(&snap).unwrap();
-            assert_eq!(resumed.stats, cold.stats, "at={at}");
-            assert_eq!(
-                resumed.canonical_bytes(),
-                cold.canonical_bytes(),
-                "resume from {at} diverged from the cold run"
-            );
-        }
-    }
-
-    #[test]
-    fn snapshot_restore_matches_cold_run_under_faults() {
-        let driver = SimDriver::new(faulty_cfg(32)).unwrap();
-        let cold = driver.run();
-        let at = SimTime::from_millis(3 * MILLIS_PER_DAY / 2);
-        let snap = driver.snapshot_at(at).unwrap();
-        let resumed = SimDriver::resume(&snap).unwrap();
-        assert_eq!(resumed.stats, cold.stats);
-        assert_eq!(resumed.canonical_bytes(), cold.canonical_bytes());
-    }
-
-    #[test]
-    fn run_with_snapshot_continues_and_resumes_identically() {
-        let mut cfg = SimConfig::smoke_test();
-        cfg.seed = 33;
-        let driver = SimDriver::new(cfg).unwrap();
-        let cold = driver.run();
-        let at = SimTime::from_millis(MILLIS_PER_DAY / 2);
-        let (continued, snap) = driver.run_with_snapshot(at, &mut NullRecorder).unwrap();
-        // The capture pause is invisible to the continued run ...
-        assert_eq!(continued.stats, cold.stats);
-        assert_eq!(continued.canonical_bytes(), cold.canonical_bytes());
-        // ... and the captured state replays to the same bytes.
-        let resumed = SimDriver::resume(&snap).unwrap();
-        assert_eq!(resumed.canonical_bytes(), cold.canonical_bytes());
-    }
-
-    #[test]
-    fn two_forks_from_one_snapshot_are_independent() {
-        let driver = SimDriver::new(faulty_cfg(34)).unwrap();
-        let snap = driver.snapshot_at(SimTime::from_days(1)).unwrap();
-        // Resuming twice from the same in-memory snapshot must not share
-        // or advance any mutable state: both forks match a solo resume.
-        let solo = SimDriver::resume(&snap).unwrap();
-        let fork_a = SimDriver::resume(&snap).unwrap();
-        let fork_b = SimDriver::resume(&snap).unwrap();
-        assert_eq!(fork_a.canonical_bytes(), solo.canonical_bytes());
-        assert_eq!(fork_b.canonical_bytes(), solo.canonical_bytes());
-    }
-
-    #[test]
-    fn faulted_run_captured_at_the_end_of_warm_up_resumes_exactly() {
-        let mut cfg = SimConfig::smoke_test();
-        cfg.seed = 35;
-        cfg.warmup_days = 7;
-        cfg.days = 2;
-        cfg.faults = sapsim_faults::FaultSpec {
-            host_fail_rate_per_month: 10.0,
-            host_downtime_hours: 6.0,
-            dropout_rate_per_month: 6.0,
-            dropout_duration_hours: 4.0,
-            // Stragglers degrade warm-up scrapes too, so the capture
-            // carries their effect across the boundary.
-            straggler_fraction: 0.2,
-            ..sapsim_faults::FaultSpec::none()
-        };
-        let driver = SimDriver::new(cfg).unwrap();
-        let cold = driver.run();
-        assert!(cold.stats.faults.host_failures > 0, "the plan is non-empty");
-        // The warm-up boundary itself: the first observed scrape sits
-        // exactly at the cutoff and stays queued for the continuation.
-        let (captured, snap) = driver
-            .run_with_snapshot(SimTime::from_days(cfg.warmup_days), &mut NullRecorder)
-            .unwrap();
-        let resumed = SimDriver::resume(&snap).unwrap();
-        for (how, run) in [("captured", &captured), ("resumed", &resumed)] {
-            assert_eq!(run.stats, cold.stats, "{how}");
-            assert_eq!(
-                run.canonical_bytes(),
-                cold.canonical_bytes(),
-                "{how} run diverged from the cold run at the warm-up boundary"
-            );
-        }
-    }
-
-    #[test]
-    fn snapshot_rejects_an_instant_past_the_horizon() {
-        let mut cfg = SimConfig::smoke_test();
-        cfg.seed = 36;
-        let driver = SimDriver::new(cfg).unwrap();
-        let err = driver
-            .snapshot_at(SimTime::from_days(cfg.days + 1))
-            .unwrap_err();
-        assert!(matches!(err, SimError::InvalidConfig(_)), "{err}");
     }
 }

@@ -666,25 +666,10 @@ pub(crate) mod tests {
         assert_eq!(engine.state_hash(), fork.state_hash());
     }
 
-    /// The fork as it used to be built: the cloud through the snapshot
-    /// capture → restore path, its view cache cold. The oracle for
-    /// [`PlacementEngine::fork`]'s field copy.
-    fn restored_fork(engine: &PlacementEngine) -> PlacementEngine {
-        let cloud = Cloud::restore_state(engine.topology().clone(), engine.cloud.capture_state())
-            .expect("a live cloud state restores");
-        PlacementEngine {
-            cloud,
-            policy: PlacementPolicy::new(engine.cfg.policy),
-            vm_class: engine.vm_class.clone(),
-            vm_az: engine.vm_az.clone(),
-            ranking: Ranking::default(),
-            vm_rng_root: engine.vm_rng_root.clone(),
-            ..*engine
-        }
-    }
-
-    #[test]
-    fn fork_matches_the_restore_round_trip_step_for_step() {
+    /// A history that leaves every mutator's mark on the engine: mixed
+    /// classes and AZ pins, a resize, an evacuation, and a placement after
+    /// the last rank, so rows are still dirty when it returns.
+    fn mixed_history() -> PlacementEngine {
         let mut engine = PlacementEngine::new(small_cfg()).expect("valid config");
         let az = engine.az_by_name("az-a").expect("estate has az-a");
         let classes = [WorkloadClass::GeneralPurpose, WorkloadClass::Hana, WorkloadClass::CiFarm];
@@ -697,12 +682,18 @@ pub(crate) mod tests {
         engine.resize(VmId(3), Resources::new(6, 24_576, 50));
         let node = engine.vm_node(VmId(5)).expect("vm 5 placed");
         engine.evacuate(node);
-        // Placed after the last rank: the fork inherits rows still dirty.
         engine.place(&gp_order(8, 32_768));
         engine.bump_version();
+        engine
+    }
 
+    #[test]
+    fn fork_matches_a_fresh_replay_step_for_step() {
+        // The oracle is a second engine that replayed the same requests
+        // from `PlacementEngine::new`, not a copy of the first.
+        let engine = mixed_history();
         let mut fork = engine.fork();
-        let mut oracle = restored_fork(&engine);
+        let mut oracle = mixed_history();
         for g in [PlacementGranularity::BuildingBlock, PlacementGranularity::Node] {
             let naive = fork.cloud.host_views(g, SimTime::ZERO);
             let (cached, _) = fork.cloud.host_views_cached(g, SimTime::ZERO);
@@ -805,12 +796,16 @@ pub(crate) mod tests {
                 ..cfg
             };
             let engine = PlacementEngine::new(cfg).expect("valid config");
-            let driver = crate::SimDriver::new(cfg).expect("valid config");
-            let booted = driver.snapshot_at(SimTime::ZERO).expect("instant zero is in range");
-            assert_eq!(engine.cloud.capture_state().reserved_bbs, booted.cloud.reserved_bbs);
-
-            // A simulated estate shows its names only on a result.
-            let simulated = crate::SimDriver::resume(&booted).expect("own snapshot resumes").cloud;
+            // No handler reserves or releases a block, so the run's last
+            // state still shows the boot's reserve selection.
+            let simulated = crate::SimDriver::new(cfg)
+                .expect("valid config")
+                .run()
+                .cloud;
+            assert_eq!(
+                engine.cloud.capture_state().reserved_bbs,
+                simulated.capture_state().reserved_bbs
+            );
             let (served, simulated) = (engine.topology(), simulated.topology());
             let names = |topo: &Topology| -> Vec<String> {
                 let bbs = topo.bbs().iter().map(|bb| bb.name.clone());

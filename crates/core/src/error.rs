@@ -32,11 +32,6 @@ pub enum SimError {
     /// An observability sink (JSONL trace, Chrome trace, ...) could not
     /// be configured or written.
     ObsSink(String),
-    /// A snapshot file is malformed, corrupted, or inconsistent with the
-    /// state it claims to capture (bad schema line, witness-hash
-    /// mismatch, truncated body, or internal shape violations discovered
-    /// during restore).
-    Snapshot(String),
 }
 
 impl fmt::Display for SimError {
@@ -46,7 +41,6 @@ impl fmt::Display for SimError {
             SimError::Topology(msg) => write!(f, "topology invariant violated: {msg}"),
             SimError::FaultPlan(err) => write!(f, "invalid config: {err}"),
             SimError::ObsSink(msg) => write!(f, "observability sink error: {msg}"),
-            SimError::Snapshot(msg) => write!(f, "snapshot error: {msg}"),
         }
     }
 }
@@ -89,10 +83,6 @@ mod tests {
         assert_eq!(
             SimError::ObsSink("cannot create trace.jsonl".into()).to_string(),
             "observability sink error: cannot create trace.jsonl"
-        );
-        assert_eq!(
-            SimError::Snapshot("canonical_hash mismatch".into()).to_string(),
-            "snapshot error: canonical_hash mismatch"
         );
     }
 

@@ -34,7 +34,6 @@ mod error;
 pub mod hypervisor;
 mod result;
 pub mod scenario;
-mod snapshot;
 mod viewcache;
 
 pub use cloud::{Cloud, CloudState, PlacedVm};
@@ -44,13 +43,12 @@ pub use engine::{EvacReport, PlaceOutcome, PlaceSpec, PlacementEngine, ResizeRes
 pub use error::SimError;
 pub use result::{DriverStats, FaultStats, RunResult, VmUsageSummary};
 pub use scenario::{fnv1a_64, Scenario, SweepSpec};
-pub use snapshot::{SimSnapshot, SNAPSHOT_SCHEMA};
 pub use viewcache::{HostViewCacheStats, LayerCacheStats};
 
-/// Re-export of the simulation clock: [`SimDriver::snapshot_at`] takes an
-/// absolute instant, so embedders capturing snapshots need [`SimTime`]
-/// without naming the `sapsim-sim` crate themselves.
-pub use sapsim_sim::{SimDuration, SimTime};
+/// Re-export of the simulation duration: the [`SimConfig`] intervals
+/// (scrape, DRS, cross-BB) are [`SimDuration`]s, so embedders setting them
+/// need the type without naming the `sapsim-sim` crate themselves.
+pub use sapsim_sim::SimDuration;
 
 /// Re-export of the fault-injection layer: the spec travels on
 /// [`SimConfig::faults`](crate::SimConfig), so embedders configuring faults
@@ -74,7 +72,7 @@ pub use sapsim_obs as obs;
 pub mod prelude {
     pub use crate::{
         DriverStats, FaultSpec, PlacementGranularity, RunResult, Scenario, SimConfig,
-        SimConfigBuilder, SimDriver, SimError, SimSnapshot, SweepSpec,
+        SimConfigBuilder, SimDriver, SimError, SweepSpec,
     };
     pub use sapsim_scheduler::PolicyKind;
 }

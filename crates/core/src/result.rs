@@ -166,8 +166,7 @@ impl RunResult {
     /// * **Execution-independent** — the config is written whole (every
     ///   [`SimConfig`] field states the experiment) and the wall-clock
     ///   [`RunResult::profile`] is omitted entirely, so runs that must be
-    ///   bit-identical across recorders, worker counts and resumes
-    ///   compare equal.
+    ///   bit-identical across recorders and worker counts compare equal.
     ///
     /// The final cloud state is represented by the `(vm uid, node index)`
     /// placement list in id order; per-VM RNG internals are execution

@@ -2,8 +2,8 @@
 //!
 //! Everything that reads or writes JSON goes through this crate: the
 //! `sapsim.api/v1` wire protocol, the observability streams, run
-//! summaries, sweep manifests and reports, and the `sapsim.snapshot/v1`
-//! checkpoint format. It has three parts:
+//! summaries, sweep manifests and reports, and the canonical run and
+//! state bytes. It has three parts:
 //!
 //! * [`parse`] — a strict recursive-descent reader into [`JsonValue`]. It
 //!   rejects trailing garbage, caps nesting depth, decodes every escape
@@ -637,8 +637,8 @@ mod tests {
 
     #[test]
     fn megabyte_documents_decode_in_linear_time() {
-        // Snapshot files are megabytes of JSON; a decoder that rescans the
-        // rest of the input per character takes minutes on them.
+        // A decoder that rescans the rest of the input per character takes
+        // minutes on a megabyte document.
         let value: String = "abcdé東😀 ".repeat(1 << 17);
         let mut long_string = String::new();
         push_str(&mut long_string, &value);

@@ -4,7 +4,6 @@
 use crate::queue::{EventHandle, EventQueue, QueueBackend};
 use crate::time::{SimDuration, SimTime};
 use crate::wheel::WheelStats;
-use sapsim_json::json_codec;
 
 /// An event that has fired, handed back to the caller for processing.
 #[derive(Debug)]
@@ -18,10 +17,7 @@ pub struct FiredEvent<E> {
     pub payload: E,
 }
 
-/// Counters describing an executed simulation. They have a JSON form
-/// because they are part of the mutable state a snapshot must carry: a
-/// restored run continues the counters exactly where the captured one
-/// stood.
+/// Counters describing an executed simulation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimulationStats {
     /// Events that fired (returned by `next_event`).
@@ -31,8 +27,6 @@ pub struct SimulationStats {
     /// Events cancelled before firing.
     pub cancelled: u64,
 }
-
-json_codec!(struct SimulationStats { fired, scheduled, cancelled });
 
 /// A discrete-event simulation: a virtual clock plus a pending-event set.
 ///
@@ -67,8 +61,8 @@ impl<E> Default for Simulation<E> {
 
 impl<E> Simulation<E> {
     /// Create a simulation with the clock at [`SimTime::ZERO`], on the
-    /// default (timing-wheel) event queue. [`Simulation::restore`] rebuilds
-    /// one on either backend.
+    /// default (timing-wheel) event queue. [`Simulation::restore`] moves
+    /// one onto either backend.
     pub fn new() -> Self {
         Simulation {
             now: SimTime::ZERO,
@@ -166,38 +160,8 @@ impl<E> Simulation<E> {
         }
     }
 
-    /// Advance the clock to the next event *strictly before* `cutoff`;
-    /// events at exactly `cutoff` stay queued and the clock stays put.
-    ///
-    /// This is the snapshot primitive: a checkpoint at `T` runs every
-    /// event `< T`, pins the clock at `T` via
-    /// [`advance_clock_to`](Self::advance_clock_to), and captures —
-    /// leaving each event at exactly `T` for the resumed half, which is
-    /// precisely where an uninterrupted run would fire it.
-    pub fn next_event_before(&mut self, cutoff: SimTime) -> Option<FiredEvent<E>> {
-        match self.queue.peek_time() {
-            Some(t) if t < cutoff => self.next_event(),
-            _ => None,
-        }
-    }
-
-    /// Move the clock forward to `time` without firing anything. Used to
-    /// pin the captured instant after a strictly-before-`T` prefix.
-    ///
-    /// # Panics
-    /// Panics if `time` is before the current clock.
-    pub fn advance_clock_to(&mut self, time: SimTime) {
-        assert!(
-            time >= self.now,
-            "cannot move the clock backwards: now={}, requested={}",
-            self.now,
-            time
-        );
-        self.now = time;
-    }
-
-    /// The seq the queue will assign to the next scheduled event. Snapshot
-    /// metadata: see [`EventQueue::next_seq`].
+    /// The seq the queue will assign to the next scheduled event (see
+    /// [`EventQueue::next_seq`]).
     pub fn next_seq(&self) -> u64 {
         self.queue.next_seq()
     }
@@ -212,11 +176,13 @@ impl<E> Simulation<E> {
         self.queue.snapshot_events()
     }
 
-    /// Rebuild a simulation from snapshot state: clock at `now`, counters
-    /// restored, and every pending event re-queued under its original seq
-    /// with the seq counter resumed at `next_seq`. The rebuilt simulation
-    /// fires the same events in the same order with the same handles as
-    /// the one that was captured.
+    /// Rebuild a simulation from [`snapshot_events`](Self::snapshot_events),
+    /// [`stats`](Self::stats) and [`next_seq`](Self::next_seq) of another,
+    /// on `backend`: clock at `now`, and every pending event re-queued
+    /// under its original seq with the seq counter resumed at `next_seq`.
+    /// The rebuilt simulation fires the same events in the same order with
+    /// the same handles as the original; this is how a run moves onto the
+    /// binary-heap oracle the timing wheel is tested against.
     pub fn restore(
         backend: QueueBackend,
         now: SimTime,
@@ -318,40 +284,9 @@ mod tests {
     }
 
     #[test]
-    fn next_event_before_excludes_the_cutoff_instant() {
-        let mut sim = Simulation::new();
-        sim.schedule_at(SimTime::from_secs(1), "early");
-        sim.schedule_at(SimTime::from_secs(5), "edge");
-        let cutoff = SimTime::from_secs(5);
-        let mut fired = Vec::new();
-        while let Some(e) = sim.next_event_before(cutoff) {
-            fired.push(e.payload);
-        }
-        assert_eq!(fired, vec!["early"]);
-        // The clock does NOT advance to the cutoff by itself...
-        assert_eq!(sim.now(), SimTime::from_secs(1));
-        sim.advance_clock_to(cutoff);
-        assert_eq!(sim.now(), cutoff);
-        // ...and the edge event is still pending, firing at exactly the
-        // cutoff afterwards.
-        let e = sim.next_event().unwrap();
-        assert_eq!(e.payload, "edge");
-        assert_eq!(e.time, cutoff);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot move the clock backwards")]
-    fn advance_clock_to_rejects_the_past() {
-        let mut sim: Simulation<()> = Simulation::new();
-        sim.schedule_at(SimTime::from_secs(10), ());
-        sim.next_event();
-        sim.advance_clock_to(SimTime::from_secs(3));
-    }
-
-    #[test]
     fn restore_replays_the_identical_future_on_both_backends() {
         for backend in [QueueBackend::TimingWheel, QueueBackend::BinaryHeap] {
-            // Drive a simulation halfway, snapshot its queue and counters,
+            // Drive a simulation halfway, copy out its queue and counters,
             // rebuild a fresh instance, and check both halves replay the
             // same (time, handle, payload) tail.
             let mut sim: Simulation<u32> =
@@ -360,8 +295,9 @@ mod tests {
                 sim.schedule_at(SimTime::from_secs((i % 7) as u64 * 10), i);
             }
             let cutoff = SimTime::from_secs(30);
-            while sim.next_event_before(cutoff).is_some() {}
-            sim.advance_clock_to(cutoff);
+            while sim.peek_time().is_some_and(|t| t < cutoff) {
+                sim.next_event();
+            }
 
             let events = sim.snapshot_events();
             let mut twin = Simulation::restore(

@@ -91,35 +91,6 @@ pub enum QueueBackend {
     BinaryHeap,
 }
 
-impl QueueBackend {
-    /// The stable spelling used by manifests and differential harnesses
-    /// (`wheel` | `heap`).
-    pub const fn as_str(self) -> &'static str {
-        match self {
-            QueueBackend::TimingWheel => "wheel",
-            QueueBackend::BinaryHeap => "heap",
-        }
-    }
-}
-
-impl std::fmt::Display for QueueBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl std::str::FromStr for QueueBackend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "wheel" => Ok(QueueBackend::TimingWheel),
-            "heap" => Ok(QueueBackend::BinaryHeap),
-            other => Err(format!("unknown queue backend `{other}` (use wheel|heap)")),
-        }
-    }
-}
-
 /// The retained heap implementation. `live` holds the seqs still pending,
 /// so cancellation and `len()` never need to consult the heap itself;
 /// `pop`/`peek_time` lazily discard entries whose seq has left the set.
@@ -278,16 +249,16 @@ impl<E> EventQueue<E> {
     }
 
     /// The seq the next [`push`](Self::push) will be assigned. Exposed for
-    /// the snapshot layer: restoring a queue must resume the counter past
-    /// every seq ever issued so later pushes keep FIFO order behind every
+    /// [`restore`](Self::restore), which must resume the counter past every
+    /// seq ever issued so later pushes keep FIFO order behind every
     /// restored event.
     pub fn next_seq(&self) -> u64 {
         self.next_seq
     }
 
     /// Insert under a caller-assigned seq without advancing `next_seq` —
-    /// the restore path, where seqs come from a snapshot rather than the
-    /// counter.
+    /// the restore path, where seqs come from another queue rather than
+    /// the counter.
     fn insert_raw(&mut self, time: SimTime, seq: u64, payload: E) {
         match &mut self.inner {
             Inner::Wheel(w) => w.insert(time, seq, payload),
@@ -311,10 +282,10 @@ impl<E> EventQueue<E> {
     /// every event under its original seq. Both backends order strictly by
     /// `(time, seq)` — the wheel merges at-or-before-cursor inserts into
     /// its sorted staging buffer at exactly that rank — so the subsequent
-    /// pop sequence is unchanged. Used when a run snapshots itself and
-    /// then continues. Timing-wheel health counters (cascades, occupancy
-    /// peaks) may shift from the drain; those are observational and sit
-    /// outside the canonical-bytes contract.
+    /// pop sequence is unchanged. [`restore`](Self::restore) takes the
+    /// result onto either backend. Timing-wheel health counters (cascades,
+    /// occupancy peaks) may shift from the drain; those are observational
+    /// and sit outside the canonical-bytes contract.
     pub fn snapshot_events(&mut self) -> Vec<(SimTime, u64, E)>
     where
         E: Clone,
@@ -326,7 +297,8 @@ impl<E> EventQueue<E> {
         drained
     }
 
-    /// Rebuild a queue from snapshot contents: every `(time, seq, payload)`
+    /// Rebuild a queue from [`snapshot_events`](Self::snapshot_events)
+    /// output on `backend`: every `(time, seq, payload)`
     /// re-enters under its original seq, and the seq counter resumes at
     /// `next_seq` (which must exceed every restored seq, so post-restore
     /// pushes tie-break behind every restored event exactly as they would

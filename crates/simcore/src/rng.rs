@@ -11,9 +11,10 @@
 //! a new consumer of randomness in one subsystem therefore never perturbs
 //! the draws seen by another — a property the calibration tests rely on.
 //!
-//! The generator state is four plain `u64` words and travels as JSON,
-//! which is what makes full-run snapshots possible: a restored stream
-//! continues bit-for-bit where the captured one stopped.
+//! The generator state is four plain `u64` words and has a JSON form, so
+//! a placed VM's stream is part of the cloud state the placement engine
+//! hashes; a decoded stream continues bit-for-bit where the encoded one
+//! stopped.
 //!
 //! # Draws
 //!
@@ -50,8 +51,7 @@ use std::sync::OnceLock;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimRng {
     /// xoshiro256++ state words. Encoding and decoding a stream resumes
-    /// it mid-sequence, the property the snapshot/restore layer is built
-    /// on.
+    /// it mid-sequence.
     state: [u64; 4],
     /// The seed material this stream was created from, kept so that `split`
     /// derives children from the stream identity rather than its mutable
@@ -412,7 +412,7 @@ mod tests {
         // Known-answer test against the reference xoshiro256++
         // implementation with state {1, 2, 3, 4}: pins the generator so a
         // refactor can never silently change every stream in the
-        // simulator (which would invalidate cross-version snapshots).
+        // simulator (which would move every committed result).
         let mut rng = SimRng {
             state: [1, 2, 3, 4],
             lineage: 0,
@@ -548,10 +548,9 @@ mod tests {
 
     #[test]
     fn json_round_trip_resumes_mid_stream() {
-        // The property the snapshot layer is built on: encode at an
-        // arbitrary point, decode, and the restored stream produces
-        // exactly the continuation — while the original keeps advancing
-        // independently (no shared state).
+        // Encode at an arbitrary point, decode, and the restored stream
+        // produces exactly the continuation — while the original keeps
+        // advancing independently (no shared state).
         let mut rng = SimRng::seed_from(77);
         for _ in 0..13 {
             rng.next_u64();

@@ -13,7 +13,6 @@ use sapsim_core::prelude::*;
 use sapsim_faults::FaultSpec;
 use sapsim_obs::ObsConfig;
 use sapsim_scheduler::PolicyKind;
-use sapsim_sim::QueueBackend;
 
 /// Round-trip helper: display, reparse, compare.
 fn round_trips<T>(value: T)
@@ -52,17 +51,6 @@ fn placement_granularities_round_trip() {
         PlacementGranularity::Node
     );
     assert!("rack".parse::<PlacementGranularity>().is_err());
-}
-
-#[test]
-fn queue_backends_round_trip() {
-    for backend in [QueueBackend::TimingWheel, QueueBackend::BinaryHeap] {
-        round_trips(backend);
-    }
-    assert_eq!("wheel".parse::<QueueBackend>().unwrap(), QueueBackend::TimingWheel);
-    assert_eq!("heap".parse::<QueueBackend>().unwrap(), QueueBackend::BinaryHeap);
-    let err = "fifo".parse::<QueueBackend>().unwrap_err();
-    assert!(err.contains("wheel|heap"), "{err}");
 }
 
 #[test]
