@@ -30,6 +30,8 @@ pub mod serve;
 pub use args::{ArgError, Parsed};
 pub use error::CliError;
 
+use std::io::Write;
+
 /// Top-level usage text.
 pub const USAGE: &str = "\
 sapsim — reproduction of the SAP Cloud Infrastructure dataset study (IMC '25)
@@ -141,20 +143,65 @@ EXIT CODES:
 
 /// Entry point shared by the binary and the tests: returns the process
 /// exit code (`0` on success, otherwise [`CliError::exit_code`]).
+///
+/// A command whose stdout reader went away (`sapsim obs summary F |
+/// head -5`) ends quietly with `0`, as a filter does; a broken pipe
+/// anywhere else — a `serve --connect` socket, say — is an I/O error.
 pub fn run(argv: &[String]) -> i32 {
-    let mut out = std::io::stdout();
-    match run_to(argv, &mut out) {
-        Ok(()) => 0,
-        Err(err) => {
-            eprintln!("sapsim: error: {err}");
-            eprintln!("run `sapsim help` for usage");
+    let mut out = StdoutWatch {
+        inner: std::io::stdout(),
+        reader_left: false,
+    };
+    let result = run_to(argv, &mut out).and_then(|()| Ok(out.flush()?));
+    exit_code(result, out.reader_left, &mut std::io::stderr())
+}
+
+/// The exit code of a finished command. A failure prints to `stderr`,
+/// with the `sapsim help` hint for a usage error — unless stdout's reader
+/// had already left, which ends the command quietly.
+fn exit_code(result: Result<(), CliError>, reader_left: bool, stderr: &mut dyn Write) -> i32 {
+    match result {
+        Err(err) if !reader_left => {
+            // Nothing is left to do if stderr is gone too.
+            let _ = writeln!(stderr, "sapsim: error: {err}");
+            if err.exit_code() == 2 {
+                let _ = writeln!(stderr, "run `sapsim help` for usage");
+            }
             err.exit_code()
         }
+        _ => 0,
+    }
+}
+
+/// Stdout that notes when a write finds its reader gone (`BrokenPipe`).
+struct StdoutWatch<W> {
+    inner: W,
+    reader_left: bool,
+}
+
+impl<W: Write> StdoutWatch<W> {
+    fn watch<T>(&mut self, result: std::io::Result<T>) -> std::io::Result<T> {
+        if let Err(err) = &result {
+            self.reader_left |= err.kind() == std::io::ErrorKind::BrokenPipe;
+        }
+        result
+    }
+}
+
+impl<W: Write> Write for StdoutWatch<W> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let result = self.inner.write(buf);
+        self.watch(result)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        let result = self.inner.flush();
+        self.watch(result)
     }
 }
 
 /// Like [`run`], but writing to an arbitrary sink (testable).
-pub fn run_to(argv: &[String], out: &mut dyn std::io::Write) -> Result<(), CliError> {
+pub fn run_to(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let Some(command) = argv.first() else {
         writeln!(out, "{USAGE}")?;
         return Ok(());
@@ -173,5 +220,61 @@ pub fn run_to(argv: &[String], out: &mut dyn std::io::Write) -> Result<(), CliEr
             Ok(())
         }
         other => Err(CliError::Usage(format!("unknown command `{other}`"))),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::{Error, ErrorKind};
+
+    /// A sink whose reader has gone.
+    struct Closed;
+
+    impl Write for Closed {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            Err(Error::from(ErrorKind::BrokenPipe))
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Err(Error::from(ErrorKind::BrokenPipe))
+        }
+    }
+
+    fn code_and_stderr(result: Result<(), CliError>, reader_left: bool) -> (i32, String) {
+        let mut stderr = Vec::new();
+        let code = exit_code(result, reader_left, &mut stderr);
+        (code, String::from_utf8(stderr).expect("utf8"))
+    }
+
+    #[test]
+    fn a_broken_stdout_ends_the_command_quietly() {
+        let mut out = StdoutWatch {
+            inner: Closed,
+            reader_left: false,
+        };
+        let result = run_to(&["help".to_string()], &mut out);
+        assert!(matches!(result, Err(CliError::Io(_))));
+        assert!(out.reader_left);
+        assert_eq!(code_and_stderr(result, out.reader_left), (0, String::new()));
+    }
+
+    #[test]
+    fn other_broken_pipes_stay_io_errors_and_only_usage_errors_hint() {
+        // What a `serve --connect` socket whose peer left reports.
+        let socket = CliError::from(Error::from(ErrorKind::BrokenPipe));
+        let (code, stderr) = code_and_stderr(Err(socket), false);
+        assert_eq!(code, 4);
+        assert!(stderr.starts_with("sapsim: error: "), "{stderr}");
+        assert!(!stderr.contains("sapsim help"), "{stderr}");
+
+        let usage = CliError::Usage("unknown command `x`".into());
+        let (code, stderr) = code_and_stderr(Err(usage), false);
+        assert_eq!(code, 2);
+        assert_eq!(
+            stderr,
+            "sapsim: error: unknown command `x`\nrun `sapsim help` for usage\n"
+        );
+        assert_eq!(code_and_stderr(Ok(()), false), (0, String::new()));
     }
 }

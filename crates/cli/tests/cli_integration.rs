@@ -497,3 +497,21 @@ fn the_removed_snapshot_options_are_usage_errors() {
         "{help}"
     );
 }
+
+/// A reader that left before the command wrote (the read end of its
+/// stdout pipe is closed before spawn) ends it quietly with 0.
+#[test]
+fn a_closed_stdout_pipe_ends_the_command_quietly() {
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let child = std::process::Command::new(env!("CARGO_BIN_EXE_sapsim"))
+        .arg("tables")
+        .stdout(writer)
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn sapsim");
+    let output = child.wait_with_output().expect("wait");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(0), "stderr: {stderr}");
+    assert!(stderr.is_empty(), "stderr: {stderr}");
+}

@@ -5,24 +5,28 @@
 //! mutable state of a run in flight. A run builds one from its config and
 //! seed, drains it to the horizon, and folds it into the result; the
 //! config and the seed are all it takes to reproduce a run byte for byte.
+//!
+//! Placement is not the driver's own: `RunState` holds the
+//! [`PlacementEngine`] that `sapsim serve` runs, boots the estate through
+//! it, and makes every arrival, resize and fault evacuation one of its
+//! operations at the event's time. What stays here is the workload, the
+//! event loop, telemetry, the rebalancers and the fault plan.
 
 use crate::cloud::{Cloud, PlacedVm};
 use crate::config::SimConfig;
-use crate::engine::{self, PlaceOutcome};
+use crate::engine::{PlaceOutcome, PlacementEngine, ResizeResult};
 use crate::error::SimError;
 use crate::hypervisor::{self, NodeDemand};
-use crate::result::{DriverStats, FaultStats, RunResult, VmUsageSummary};
+use crate::result::{DriverStats, RunResult, VmUsageSummary};
 use sapsim_faults::{FaultPlan, EVAC_BACKOFF_MAX_DOUBLINGS};
 use sapsim_obs::{
     DecisionOutcome, DecisionRecord, FaultEventKind, HostScore, NullRecorder, ObsEvent, Recorder,
     RunProfile, RunProgress, SpanKind, DECISION_TOP_K,
 };
-use sapsim_scheduler::{
-    HostLoad, PlacementPolicy, PlacementRequest, Ranking, Rebalancer, RejectReason, VmLoad,
-};
+use sapsim_scheduler::{HostLoad, Ranking, Rebalancer, RejectReason, VmLoad};
 use sapsim_sim::{SimDuration, SimRng, SimTime, Simulation};
 use sapsim_telemetry::{EntityRef, MetricId, RunningStat, TsdbStore};
-use sapsim_topology::{AzId, BbId, BbPurpose, DcId, NodeId, Resources};
+use sapsim_topology::{AzId, BbId, BbPurpose, DcId, NodeId, Topology};
 use sapsim_workload::{
     paper_flavor_catalog, DayPhase, GeneratorConfig, ScrapeTick, VmId, VmSpec, WorkloadClass,
     WorkloadGenerator,
@@ -70,24 +74,18 @@ struct PendingEvac {
     retries: u32,
 }
 
-/// Per-region context of the estate: AZ handles, capacity shares, and
-/// whether the region carves out a dedicated CI farm. One per region:
-/// several when `scale > 1` or `region_replicas > 1`, else the single
-/// region that reproduces the historical behaviour byte-for-byte.
+/// Per-region context of the workload assignment: AZ handles and
+/// capacity shares. One per region: several when `scale > 1` or
+/// `region_replicas > 1`, else the single region that reproduces the
+/// historical behaviour byte-for-byte.
 struct RegionCtx {
     az_a: AzId,
     az_b: AzId,
-    dc_a: DcId,
-    dc_b: DcId,
     /// `(gp, hana, ci)` fraction of the region's class capacity in DC A.
     share_a: (f64, f64, f64),
     /// `(gp, hana, ci)` node counts across both DCs — the weights of the
     /// estate-level region assignment.
     class_nodes: (f64, f64, f64),
-    /// Tiny scaled-down regions may lack a dedicated CI farm; their CI
-    /// executors then run in the general pool, as they would before an
-    /// operator carves one out.
-    ci_farm: bool,
 }
 
 /// Start a wall-clock span — `None` (no clock read at all) when the
@@ -148,10 +146,6 @@ struct DriverScratch {
     bb_loads: Vec<HostLoad<BbId>>,
     /// Recycled per-host VM-load vectors for both rebalancers.
     vm_load_pool: Vec<Vec<VmLoad>>,
-    /// Recycled ranking output for every placement, resize, and
-    /// evacuation rank pass: the order/score/contribution vectors live
-    /// for the whole run instead of being reallocated per decision.
-    ranking: Ranking,
 }
 
 impl DriverScratch {
@@ -164,48 +158,47 @@ impl DriverScratch {
             node_loads: Vec::new(),
             bb_loads: Vec::new(),
             vm_load_pool: Vec::new(),
-            ranking: Ranking::default(),
         }
     }
 }
 
-/// Everything about a run that is a pure function of its [`SimConfig`]:
-/// the estate, the workload, and the per-VM region/AZ assignments. Every
-/// RNG stream used here is a stateless lineage split of the root, so
-/// deriving any subset in any order reproduces the same draws.
+/// Everything about a run's workload that is a pure function of its
+/// [`SimConfig`] and estate: the specs and the per-VM region/AZ
+/// assignments. Every RNG stream used here is a stateless lineage split
+/// of the root, so deriving any subset in any order reproduces the same
+/// draws.
 struct DerivedWorld {
-    topo: sapsim_topology::Topology,
-    regions: Vec<RegionCtx>,
+    regions: usize,
     specs: Vec<VmSpec>,
     /// Per spec, the peak-hour phase of its usage model: what the scrape's
     /// per-VM step reads instead of taking a cosine per VM.
     peak_phases: Vec<DayPhase>,
     vm_region: Vec<u32>,
     vm_az: Vec<AzId>,
-    vm_rng_root: SimRng,
 }
 
 /// The complete mutable state of a simulation in flight.
 ///
 /// `run_with_recorder` builds one, drains it to the horizon, and folds it
-/// into a [`RunResult`].
+/// into a [`RunResult`]. The placement world — cloud, policy, each VM's
+/// class and AZ pin, the ranking scratch — is one [`PlacementEngine`],
+/// the one `sapsim serve` runs; arrivals, resizes and fault evacuations
+/// go through its methods, and everything else here is what only a
+/// replay has: the specs, the event queue, telemetry, the rebalancers
+/// and the pending-evacuation queue.
 struct RunState {
     cfg: SimConfig,
-    regions: Vec<RegionCtx>,
-    cloud: Cloud,
+    engine: PlacementEngine,
     specs: Vec<VmSpec>,
     peak_phases: Vec<DayPhase>,
     sim: Simulation<Event>,
     warmup: SimTime,
     horizon: SimTime,
-    policy: PlacementPolicy,
     store: TsdbStore,
     stats: DriverStats,
     scratch: DriverScratch,
     vm_stats: Vec<VmUsageSummary>,
     vm_region: Vec<u32>,
-    vm_az: Vec<AzId>,
-    vm_rng_root: SimRng,
     drs: Rebalancer,
     cross: Rebalancer,
     fault_plan: FaultPlan,
@@ -223,1032 +216,7 @@ impl RunState {
             now_ms: now.as_millis(),
             horizon_ms: self.horizon.as_millis(),
             events: self.sim.stats().fired,
-            live_vms: self.cloud.vm_count(),
-        }
-    }
-
-    /// The request for the VM of spec `spec_index` asking for
-    /// `resources`: its class against its region's farm, its AZ pin.
-    fn request(
-        &self,
-        spec_index: usize,
-        resources: Resources,
-        lifetime_hint_days: Option<f64>,
-    ) -> PlacementRequest {
-        let spec = &self.specs[spec_index];
-        engine::placement_request(
-            spec.id,
-            spec.class,
-            resources,
-            self.regions[self.vm_region[spec_index] as usize].ci_farm,
-            Some(self.vm_az[spec_index]),
-            lifetime_hint_days,
-        )
-    }
-}
-
-/// Runs one complete simulation from a [`SimConfig`].
-///
-/// ```
-/// use sapsim_core::{SimConfig, SimDriver};
-///
-/// let mut config = SimConfig::smoke_test();
-/// config.days = 1;
-/// let result = SimDriver::new(config).expect("valid config").run();
-/// assert!(result.stats.placed > 0);
-/// ```
-#[derive(Debug)]
-pub struct SimDriver {
-    config: SimConfig,
-}
-
-impl SimDriver {
-    /// Validate the configuration and build a driver. An out-of-range
-    /// knob surfaces as [`SimError::InvalidConfig`] (or
-    /// [`SimError::FaultPlan`] for fault-spec knobs).
-    pub fn new(config: SimConfig) -> Result<Self, SimError> {
-        config.validate()?;
-        Ok(SimDriver { config })
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &SimConfig {
-        &self.config
-    }
-
-    /// Execute the run to completion without observability. Equivalent to
-    /// `run_with_recorder(&mut NullRecorder)` — the instrumentation
-    /// monomorphizes to nothing.
-    pub fn run(&self) -> RunResult {
-        self.run_with_recorder(&mut NullRecorder)
-    }
-
-    /// Execute the run to completion, streaming observability into `rec`.
-    ///
-    /// The recorder is purely observational: it never feeds anything back
-    /// into the simulation, so `RunResult::canonical_bytes()` is
-    /// byte-identical whichever recorder is plugged in (the determinism
-    /// suite asserts this). Wall-clock timings flow only into the
-    /// non-canonical [`RunProfile`] on the result.
-    pub fn run_with_recorder<R: Recorder>(&self, rec: &mut R) -> RunResult {
-        let mut st = Self::build_state(&self.config, R::ENABLED);
-        Self::run_to_horizon(&mut st, rec);
-        Self::finalize(st, rec)
-    }
-
-    /// Derive the config-determined world: estate, workload, and per-VM
-    /// assignment streams.
-    fn derive_world(cfg: &SimConfig) -> DerivedWorld {
-        let root_rng = SimRng::seed_from(cfg.seed);
-        let (topo, region_dcs) = engine::estate(cfg);
-        let regions: Vec<RegionCtx> = region_dcs
-            .iter()
-            .map(|r| {
-                let class_nodes = Self::dc_class_nodes(&topo, r.dc_a, r.dc_b);
-                RegionCtx {
-                    az_a: topo.dc(r.dc_a).az,
-                    az_b: topo.dc(r.dc_b).az,
-                    dc_a: r.dc_a,
-                    dc_b: r.dc_b,
-                    share_a: Self::dc_purpose_shares(&topo, r.dc_a, r.dc_b),
-                    class_nodes,
-                    ci_farm: class_nodes.2 > 0.0,
-                }
-            })
-            .collect();
-
-        let generator = WorkloadGenerator::new(
-            paper_flavor_catalog(),
-            GeneratorConfig {
-                // A replicated estate multiplies capacity, so the
-                // workload scales with it (identity at one replica).
-                scale: cfg.scale * cfg.region_replicas as f64,
-                horizon_days: cfg.days,
-                churn: cfg.churn,
-                rampup_days: cfg.warmup_days,
-                resize_probability: cfg.resize_probability,
-                seed: cfg.seed,
-            },
-        );
-        let specs = generator.generate();
-        let peak_phases = specs.iter().map(|s| s.usage.peak_phase()).collect();
-
-        // Per-VM region assignment: weight each region by its node
-        // capacity for the VM's class, so replicated estates fill
-        // proportionally. Single-region runs skip the stream entirely —
-        // `scale ≤ 1` reproduces historical runs byte-for-byte.
-        let vm_region: Vec<u32> = if regions.len() == 1 {
-            vec![0; specs.len()]
-        } else {
-            let mut region_rng = root_rng.split("region-assign");
-            // A region without a CI farm still hosts CI executors in its
-            // general pool, so CI weights fall back to GP capacity when no
-            // region anywhere has a dedicated farm.
-            let any_ci = regions.iter().any(|r| r.ci_farm);
-            let weights_for = |class: WorkloadClass| -> Vec<f64> {
-                let mut acc = 0.0;
-                regions
-                    .iter()
-                    .map(|r| {
-                        acc += match class {
-                            WorkloadClass::Hana => r.class_nodes.1,
-                            WorkloadClass::CiFarm if any_ci => r.class_nodes.2,
-                            _ => r.class_nodes.0,
-                        };
-                        acc
-                    })
-                    .collect()
-            };
-            let cum_gp = weights_for(WorkloadClass::GeneralPurpose);
-            let cum_hana = weights_for(WorkloadClass::Hana);
-            let cum_ci = weights_for(WorkloadClass::CiFarm);
-            specs
-                .iter()
-                .map(|s| {
-                    let cum = match s.class {
-                        WorkloadClass::Hana => &cum_hana,
-                        WorkloadClass::CiFarm => &cum_ci,
-                        WorkloadClass::GeneralPurpose => &cum_gp,
-                    };
-                    let total = *cum.last().unwrap();
-                    let x = region_rng.range_f64(0.0, total.max(f64::MIN_POSITIVE));
-                    cum.partition_point(|&c| c <= x).min(regions.len() - 1) as u32
-                })
-                .collect()
-        };
-        // Per-VM AZ assignment: keep each DC's population proportional to
-        // its capacity share for the VM's class, like the per-DC VM counts
-        // of Table 5. Drawn from a dedicated stream so placement policy
-        // changes never reshuffle it.
-        let mut az_rng = root_rng.split("az-assign");
-        let vm_az: Vec<_> = specs
-            .iter()
-            .zip(&vm_region)
-            .map(|(s, &r)| {
-                let region = &regions[r as usize];
-                let share_a = match s.class {
-                    WorkloadClass::Hana => region.share_a.1,
-                    WorkloadClass::CiFarm => region.share_a.2,
-                    WorkloadClass::GeneralPurpose => region.share_a.0,
-                };
-                if az_rng.bool(share_a) {
-                    region.az_a
-                } else {
-                    region.az_b
-                }
-            })
-            .collect();
-        let vm_rng_root = root_rng.split("vm-demand");
-
-        DerivedWorld {
-            topo,
-            regions,
-            specs,
-            peak_phases,
-            vm_region,
-            vm_az,
-            vm_rng_root,
-        }
-    }
-
-    /// Build the complete initial [`RunState`] of a run: derived
-    /// world, reserve selection, event-queue seeding, maintenance and
-    /// fault plans.
-    fn build_state(cfg: &SimConfig, profile_enabled: bool) -> RunState {
-        let root_rng = SimRng::seed_from(cfg.seed);
-        let run_start = Instant::now();
-        let profile = RunProfile::new(profile_enabled);
-
-        // --- World construction -------------------------------------
-        let DerivedWorld {
-            topo,
-            regions,
-            specs,
-            peak_phases,
-            vm_region,
-            vm_az,
-            vm_rng_root,
-        } = Self::derive_world(cfg);
-        let mut cloud = Cloud::new(topo);
-
-        engine::reserve_blocks(
-            &mut cloud,
-            cfg,
-            regions.iter().flat_map(|r| [r.dc_a, r.dc_b]),
-        );
-
-        // The generator numbers ids as consecutive spec indices; pre-size
-        // the slot table so the scrape can zip it against per-spec state.
-        cloud.reserve_vm_slots(specs.len());
-
-        // --- Simulation state ----------------------------------------
-        let mut sim: Simulation<Event> = Simulation::new();
-        let warmup = SimTime::from_days(cfg.warmup_days);
-        let horizon = SimTime::from_days(cfg.warmup_days + cfg.days);
-        let policy = PlacementPolicy::new(cfg.policy);
-        // Dense tables for every node/BB/region series: the scrape's write
-        // path is an indexed store, not a hash-map insert.
-        let store = TsdbStore::with_topology(
-            cfg.days as usize,
-            cloud.topology().nodes().len(),
-            cloud.topology().bbs().len(),
-        );
-        let mut stats = DriverStats::default();
-        let scratch = DriverScratch::for_nodes(cloud.topology().nodes().len());
-        let vm_stats: Vec<VmUsageSummary> = specs
-            .iter()
-            .enumerate()
-            .map(|(i, s)| VmUsageSummary {
-                id: s.id,
-                spec_index: i,
-                placed: false,
-                cpu_ratio: RunningStat::new(),
-                mem_ratio: RunningStat::new(),
-            })
-            .collect();
-
-        for (i, s) in specs.iter().enumerate() {
-            sim.schedule_at(s.arrival, Event::VmArrival(i));
-        }
-        sim.schedule_at(SimTime::ZERO, Event::Scrape);
-        sim.schedule_at(SimTime::ZERO, Event::OsGauge);
-        if cfg.drs_enabled {
-            sim.schedule_at(SimTime::ZERO + cfg.drs_interval, Event::DrsRound);
-        }
-        if cfg.cross_bb_enabled {
-            sim.schedule_at(SimTime::ZERO + cfg.cross_bb_interval, Event::CrossBbRound);
-        }
-
-        let drs = Rebalancer::new(cfg.drs);
-        let cross = Rebalancer::new(cfg.drs);
-
-        // Planned maintenance: each node independently draws whether it
-        // has a window inside the observation period, uniformly placed.
-        if cfg.maintenance_rate_per_month > 0.0 {
-            let mut mrng = root_rng.split("maintenance");
-            let prob = (cfg.maintenance_rate_per_month * cfg.days as f64 / 30.0).clamp(0.0, 1.0);
-            let obs_span_ms = (horizon - warmup).as_millis() as f64;
-            for node in cloud.topology().nodes() {
-                if !mrng.bool(prob) {
-                    continue;
-                }
-                let frac: f64 = mrng.range_f64(0.05, 0.85);
-                let start =
-                    warmup + sapsim_sim::SimDuration::from_millis((obs_span_ms * frac) as u64);
-                sim.schedule_at(start, Event::MaintenanceStart(node.id));
-            }
-        }
-        // Unplanned faults: the plan is drawn from its own lineage-split
-        // RNG stream, so enabling faults never reshuffles workload,
-        // placement, or maintenance draws (and `FaultSpec::none()`
-        // consumes no randomness at all). Failure and recovery events are
-        // scheduled up front; the handlers guard on node state so the
-        // interleaving with planned maintenance stays well-defined.
-        let fault_plan = FaultPlan::generate(
-            &cfg.faults,
-            cloud.topology().nodes().len(),
-            warmup,
-            horizon,
-            &root_rng,
-        );
-        for hf in &fault_plan.host_failures {
-            let node = NodeId::from_raw(hf.node);
-            sim.schedule_at(hf.at, Event::HostFail(node));
-            if let Some(t) = hf.recover_at {
-                sim.schedule_at(t, Event::HostRecover(node));
-            }
-        }
-        stats.faults.straggler_nodes = fault_plan.straggler_count() as u64;
-        stats.faults.dropout_windows = fault_plan.dropout_window_count() as u64;
-
-        // Per-region lifecycle tallies for the metrics export. Plain
-        // vector bumps in the hot path; the labeled fold happens once at
-        // end of run, and only multi-region estates emit the breakdown.
-        let region_placed: Vec<u64> = vec![0; regions.len()];
-        let region_departed: Vec<u64> = vec![0; regions.len()];
-
-        RunState {
-            cfg: *cfg,
-            regions,
-            cloud,
-            specs,
-            peak_phases,
-            sim,
-            warmup,
-            horizon,
-            policy,
-            store,
-            stats,
-            scratch,
-            vm_stats,
-            vm_region,
-            vm_az,
-            vm_rng_root,
-            drs,
-            cross,
-            fault_plan,
-            pending: Vec::new(),
-            region_placed,
-            region_departed,
-            run_start,
-            profile,
-        }
-    }
-
-    /// Drain the event loop to the horizon (inclusive).
-    fn run_to_horizon<R: Recorder>(st: &mut RunState, rec: &mut R) {
-        while let Some(ev) = st.sim.next_event_until(st.horizon) {
-            rec.tick(|| st.progress(ev.time));
-            Self::handle_event(st, rec, ev.time, ev.payload);
-        }
-    }
-
-    /// Dispatch one fired event against the run state.
-    fn handle_event<R: Recorder>(st: &mut RunState, rec: &mut R, now: SimTime, payload: Event) {
-        let cfg = st.cfg;
-        match payload {
-            Event::VmArrival(spec_index) => {
-                st.stats.placements_attempted += 1;
-                let t0 = span_start::<R>();
-                let outcome = Self::place_vm(st, rec, now, spec_index);
-                span_end(rec, &mut st.profile, SpanKind::Placement, st.run_start, t0);
-                match outcome {
-                    PlaceOutcome::Placed { retries, .. } => {
-                        let spec = &st.specs[spec_index];
-                        st.stats.placed += 1;
-                        st.stats.placement_retries += retries as u64;
-                        st.vm_stats[spec_index].placed = true;
-                        if spec.departure() <= st.horizon {
-                            st.sim
-                                .schedule_at(spec.departure(), Event::VmDeparture(spec.id));
-                        }
-                        if let Some(t) = spec.resize_time() {
-                            if t > now && t <= st.horizon {
-                                st.sim.schedule_at(t, Event::VmResize(spec.id));
-                            }
-                        }
-                        st.stats.peak_vm_count = st.stats.peak_vm_count.max(st.cloud.vm_count());
-                        st.region_placed[st.vm_region[spec_index] as usize] += 1;
-                        if R::ENABLED {
-                            rec.counter_add("placements", 1);
-                            rec.counter_add("placement_retries", retries as u64);
-                        }
-                    }
-                    PlaceOutcome::NoCandidate => {
-                        st.stats.failed_no_candidate += 1;
-                        if R::ENABLED {
-                            rec.counter_add("placements_failed_no_candidate", 1);
-                        }
-                    }
-                    PlaceOutcome::Fragmented { .. } => {
-                        st.stats.failed_fragmented += 1;
-                        if R::ENABLED {
-                            rec.counter_add("placements_failed_fragmented", 1);
-                        }
-                    }
-                }
-            }
-            Event::VmDeparture(id) => {
-                if let Some(vm) = st.cloud.remove(id) {
-                    st.stats.departures += 1;
-                    st.region_departed[st.vm_region[vm.spec_index] as usize] += 1;
-                    if R::ENABLED {
-                        rec.counter_add("departures", 1);
-                    }
-                } else if let Some(pos) = st.pending.iter().position(|p| p.vm.id == id) {
-                    // The VM's lifetime ended while it was waiting for
-                    // re-placement after a host failure.
-                    let evac = st.pending.remove(pos);
-                    st.stats.departures += 1;
-                    st.region_departed[st.vm_region[evac.vm.spec_index] as usize] += 1;
-                    if R::ENABLED {
-                        rec.counter_add("departures", 1);
-                    }
-                }
-            }
-            Event::VmResize(id) => Self::handle_resize(st, id, now),
-            Event::Scrape => {
-                st.stats.scrapes += 1;
-                let t0 = span_start::<R>();
-                Self::scrape(
-                    &mut st.cloud,
-                    &st.specs,
-                    &st.peak_phases,
-                    &mut st.vm_stats,
-                    &mut st.store,
-                    &cfg,
-                    now,
-                    st.warmup,
-                    &mut st.scratch,
-                    &st.fault_plan,
-                    &mut st.stats.faults,
-                    rec,
-                    &mut st.profile,
-                    st.run_start,
-                );
-                span_end(rec, &mut st.profile, SpanKind::Scrape, st.run_start, t0);
-                if R::ENABLED {
-                    rec.counter_add("scrapes", 1);
-                    // Distribution of the live population across
-                    // scrape ticks — a cheap load curve that needs no
-                    // TSDB pass to read back.
-                    if let Some(m) = rec.metrics_mut() {
-                        m.observe("live_vms_at_scrape", st.cloud.vm_count() as u64);
-                    }
-                }
-                st.sim.schedule_after(cfg.scrape_interval, Event::Scrape);
-            }
-            Event::OsGauge => {
-                let t0 = span_start::<R>();
-                Self::record_os_gauges(&st.cloud, &mut st.store, now, st.warmup);
-                span_end(rec, &mut st.profile, SpanKind::OsGauge, st.run_start, t0);
-                st.sim.schedule_after(cfg.os_gauge_interval, Event::OsGauge);
-            }
-            Event::DrsRound => {
-                let t0 = span_start::<R>();
-                let migrated = Self::drs_round(&mut st.cloud, &st.drs, &mut st.scratch);
-                span_end(rec, &mut st.profile, SpanKind::DrsRound, st.run_start, t0);
-                st.stats.drs_migrations += migrated;
-                if R::ENABLED {
-                    rec.counter_add("drs_migrations", migrated);
-                }
-                st.sim.schedule_after(cfg.drs_interval, Event::DrsRound);
-            }
-            Event::CrossBbRound => {
-                let t0 = span_start::<R>();
-                let migrated = Self::cross_bb_round(&mut st.cloud, &st.cross, &mut st.scratch);
-                span_end(rec, &mut st.profile, SpanKind::CrossBbRound, st.run_start, t0);
-                st.stats.cross_bb_migrations += migrated;
-                if R::ENABLED {
-                    rec.counter_add("cross_bb_migrations", migrated);
-                }
-                st.sim
-                    .schedule_after(cfg.cross_bb_interval, Event::CrossBbRound);
-            }
-            Event::MaintenanceStart(node) => {
-                if st.cloud.topology().node(node).state != sapsim_topology::NodeState::Active {
-                    // The node is already down (failed): planned
-                    // maintenance cannot start and the window lapses.
-                    st.stats.maintenance_aborted += 1;
-                } else {
-                    // Silence the node first so the evacuation targets
-                    // exclude it, then move everything off. A stuck VM
-                    // (pinned, or no sibling capacity) aborts the window
-                    // and the node returns to service.
-                    st.cloud
-                        .set_node_state(node, sapsim_topology::NodeState::Maintenance);
-                    match st.cloud.evacuate_node(node) {
-                        Ok(moved) => {
-                            st.stats.maintenance_windows += 1;
-                            st.stats.evacuations += moved;
-                            if R::ENABLED {
-                                rec.counter_add("evacuations", moved);
-                            }
-                            st.sim.schedule_after(
-                                cfg.maintenance_duration,
-                                Event::MaintenanceEnd(node),
-                            );
-                        }
-                        Err(_stuck) => {
-                            st.stats.maintenance_aborted += 1;
-                            st.cloud
-                                .set_node_state(node, sapsim_topology::NodeState::Active);
-                        }
-                    }
-                }
-            }
-            Event::MaintenanceEnd(node) => {
-                if st.cloud.topology().node(node).state == sapsim_topology::NodeState::Maintenance {
-                    st.cloud
-                        .set_node_state(node, sapsim_topology::NodeState::Active);
-                }
-            }
-            Event::HostFail(node) => {
-                if st.cloud.topology().node(node).state != sapsim_topology::NodeState::Active {
-                    // Already out of service (maintenance window in
-                    // progress): the drawn failure is skipped rather
-                    // than stacked on top.
-                    return;
-                }
-                st.cloud
-                    .set_node_state(node, sapsim_topology::NodeState::Failed);
-                st.stats.faults.host_failures += 1;
-                if R::ENABLED {
-                    rec.counter_add("host_failures", 1);
-                    rec.record(ObsEvent::Fault {
-                        kind: FaultEventKind::HostFail,
-                        sim_time_ms: now.as_millis(),
-                        node: node.index() as u32,
-                        vm_uid: None,
-                    });
-                }
-                // Unlike planned maintenance there is no "abort":
-                // every resident is forcibly displaced, and whatever
-                // cannot restart immediately joins the pending queue.
-                let residents: Vec<VmId> = st.cloud.vms_on_node(node).to_vec();
-                for id in residents {
-                    let vm = st.cloud.remove(id).expect("resident VM exists");
-                    st.stats.faults.evacuated += 1;
-                    if R::ENABLED {
-                        rec.counter_add("fault_evacuations", 1);
-                    }
-                    match Self::evac_target(st, &vm, now) {
-                        Some(target) => {
-                            st.cloud.readmit(vm, target);
-                            st.stats.faults.evac_replaced += 1;
-                            if R::ENABLED {
-                                rec.counter_add("fault_evac_replaced", 1);
-                                rec.record(ObsEvent::Fault {
-                                    kind: FaultEventKind::EvacReplaced,
-                                    sim_time_ms: now.as_millis(),
-                                    node: target.index() as u32,
-                                    vm_uid: Some(id.raw()),
-                                });
-                            }
-                        }
-                        None => {
-                            if R::ENABLED {
-                                rec.record(ObsEvent::Fault {
-                                    kind: FaultEventKind::EvacPending,
-                                    sim_time_ms: now.as_millis(),
-                                    node: node.index() as u32,
-                                    vm_uid: Some(id.raw()),
-                                });
-                            }
-                            st.pending.push(PendingEvac { vm, retries: 0 });
-                            st.stats.faults.evac_pending_peak = st
-                                .stats
-                                .faults
-                                .evac_pending_peak
-                                .max(st.pending.len() as u64);
-                            st.sim.schedule_after(
-                                SimDuration::from_secs(cfg.faults.evac_retry_backoff_secs),
-                                Event::EvacRetry(id),
-                            );
-                        }
-                    }
-                }
-            }
-            Event::HostRecover(node) => {
-                if st.cloud.topology().node(node).state == sapsim_topology::NodeState::Failed {
-                    st.cloud
-                        .set_node_state(node, sapsim_topology::NodeState::Active);
-                    st.stats.faults.host_recoveries += 1;
-                    if R::ENABLED {
-                        rec.counter_add("host_recoveries", 1);
-                        rec.record(ObsEvent::Fault {
-                            kind: FaultEventKind::HostRecover,
-                            sim_time_ms: now.as_millis(),
-                            node: node.index() as u32,
-                            vm_uid: None,
-                        });
-                    }
-                }
-            }
-            Event::EvacRetry(id) => {
-                let Some(pos) = st.pending.iter().position(|p| p.vm.id == id) else {
-                    // Already re-placed, departed, or given up on.
-                    return;
-                };
-                if st.pending[pos].vm.departure <= now {
-                    // Lifetime ran out while waiting; the regular
-                    // departure event (if any remains) will find
-                    // nothing and count nothing.
-                    st.pending.remove(pos);
-                    st.stats.departures += 1;
-                    if R::ENABLED {
-                        rec.counter_add("departures", 1);
-                    }
-                    return;
-                }
-                // Out of the queue for the walk; back at the same position
-                // if it has to wait on.
-                let mut entry = st.pending.remove(pos);
-                match Self::evac_target(st, &entry.vm, now) {
-                    Some(node) => {
-                        st.cloud.readmit(entry.vm, node);
-                        st.stats.faults.evac_replaced += 1;
-                        if R::ENABLED {
-                            rec.counter_add("fault_evac_replaced", 1);
-                            rec.record(ObsEvent::Fault {
-                                kind: FaultEventKind::EvacReplaced,
-                                sim_time_ms: now.as_millis(),
-                                node: node.index() as u32,
-                                vm_uid: Some(id.raw()),
-                            });
-                        }
-                    }
-                    None if entry.retries < cfg.faults.evac_retry_limit => {
-                        entry.retries += 1;
-                        st.stats.faults.evac_retries += 1;
-                        if R::ENABLED {
-                            rec.counter_add("fault_evac_retries", 1);
-                            rec.record(ObsEvent::Fault {
-                                kind: FaultEventKind::EvacRetry,
-                                sim_time_ms: now.as_millis(),
-                                node: entry.vm.node.index() as u32,
-                                vm_uid: Some(id.raw()),
-                            });
-                        }
-                        // Bounded exponential backoff: double per
-                        // attempt, capped so the shift stays sane.
-                        let shift = entry.retries.min(EVAC_BACKOFF_MAX_DOUBLINGS);
-                        st.pending.insert(pos, entry);
-                        st.sim.schedule_after(
-                            SimDuration::from_secs(cfg.faults.evac_retry_backoff_secs << shift),
-                            Event::EvacRetry(id),
-                        );
-                    }
-                    None => {
-                        st.stats.faults.evac_lost += 1;
-                        if R::ENABLED {
-                            rec.counter_add("fault_evac_lost", 1);
-                            rec.record(ObsEvent::Fault {
-                                kind: FaultEventKind::EvacLost,
-                                sim_time_ms: now.as_millis(),
-                                node: entry.vm.node.index() as u32,
-                                vm_uid: Some(id.raw()),
-                            });
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Close out a drained run: final accounting, spec rebase onto the
-    /// observation window, end-of-run metrics fold, and the result.
-    fn finalize<R: Recorder>(mut st: RunState, rec: &mut R) -> RunResult {
-        let cfg = st.cfg;
-        st.stats.faults.evac_pending_end = st.pending.len() as u64;
-        st.stats.final_vm_count = st.cloud.vm_count();
-        debug_assert!(st.cloud.verify_accounting(&st.specs).is_ok());
-
-        // Rebase every spec onto observation time (warm-up becomes
-        // pre-window age), so downstream analyses see the same [0, days)
-        // window the telemetry was recorded against.
-        if cfg.warmup_days > 0 {
-            for spec in &mut st.specs {
-                if spec.arrival >= st.warmup {
-                    spec.arrival =
-                        SimTime::from_millis(spec.arrival.as_millis() - st.warmup.as_millis());
-                } else {
-                    spec.age_at_arrival += st.warmup - spec.arrival;
-                    spec.arrival = SimTime::ZERO;
-                }
-            }
-        }
-
-        if R::ENABLED {
-            let wall_us = st.run_start.elapsed().as_micros() as u64;
-            st.profile.set_wall_us(wall_us);
-            rec.record(ObsEvent::Span {
-                kind: SpanKind::Run,
-                ts_us: 0,
-                dur_us: wall_us,
-            });
-            Self::fold_engine_metrics(
-                rec,
-                &st.sim,
-                &st.cloud,
-                &st.policy,
-                &st.fault_plan,
-                &st.stats,
-                &st.region_placed,
-                &st.region_departed,
-            );
-        }
-        rec.finish(st.progress(st.horizon));
-
-        RunResult {
-            config: cfg,
-            store: st.store,
-            vm_stats: st.vm_stats,
-            specs: st.specs,
-            stats: st.stats,
-            cloud: st.cloud,
-            profile: st.profile,
-        }
-    }
-
-    /// Fold every engine-health counter that accumulates *outside* the
-    /// recorder — event queue, timing wheel, host-view cache, candidate
-    /// index, fault plan, per-region tallies — into the recorder's
-    /// metrics registry, if it carries one. Runs once at end of run, so
-    /// none of this prices into the hot path; driver lifecycle counters
-    /// stream separately through `counter_add` as they happen.
-    #[allow(clippy::too_many_arguments)]
-    fn fold_engine_metrics<R: Recorder>(
-        rec: &mut R,
-        sim: &Simulation<Event>,
-        cloud: &Cloud,
-        policy: &PlacementPolicy,
-        fault_plan: &FaultPlan,
-        stats: &DriverStats,
-        region_placed: &[u64],
-        region_departed: &[u64],
-    ) {
-        let Some(m) = rec.metrics_mut() else {
-            return;
-        };
-        // Monotone run totals export as counters so `obs metrics` merges
-        // across runs sum them; gauges are reserved for genuine
-        // point-in-time or peak values (final depths, live counts).
-        let s = sim.stats();
-        m.counter("sim_events_fired", s.fired);
-        m.counter("sim_events_scheduled", s.scheduled);
-        m.counter("sim_events_cancelled", s.cancelled);
-        if let Some(w) = sim.wheel_stats() {
-            m.counter("wheel_cascades", w.cascades);
-            m.counter("wheel_cascade_moves", w.cascade_moves);
-            m.counter("wheel_overflow_refiles", w.overflow_refiles);
-            m.gauge("wheel_overflow_depth", w.overflow_depth as f64);
-            m.gauge("wheel_max_overflow_depth", w.max_overflow_depth as f64);
-            m.gauge("wheel_live_events", w.live as f64);
-            const LEVEL_NAMES: [&str; sapsim_sim::WHEEL_LEVELS] = ["0", "1", "2", "3", "4", "5"];
-            for (level, &occ) in w.occupied_buckets.iter().enumerate() {
-                m.gauge_with("wheel_occupied_buckets", "level", LEVEL_NAMES[level], occ as f64);
-            }
-        }
-        let vc = cloud.view_cache_stats();
-        for (layer, st) in [("node", vc.node), ("bb", vc.bb)] {
-            m.counter_with("viewcache_refreshes", "layer", layer, st.refreshes);
-            m.counter_with(
-                "viewcache_clean_refreshes",
-                "layer",
-                layer,
-                st.clean_refreshes,
-            );
-            m.counter_with(
-                "viewcache_rows_recomputed",
-                "layer",
-                layer,
-                st.rows_recomputed,
-            );
-            m.counter_with(
-                "viewcache_lifetime_passes",
-                "layer",
-                layer,
-                st.lifetime_passes,
-            );
-            m.counter_with("viewcache_full_builds", "layer", layer, st.full_builds);
-            m.counter_with("viewcache_marks", "layer", layer, st.marks);
-        }
-        let (gp, hana) = policy.index_stats();
-        for (pipe, st) in [("general", *gp), ("hana", *hana)] {
-            m.counter_with("index_requests", "pipeline", pipe, st.indexed_requests);
-            m.counter_with("index_full_scans", "pipeline", pipe, st.full_scans);
-            m.counter_with(
-                "index_buckets_examined",
-                "pipeline",
-                pipe,
-                st.buckets_examined,
-            );
-            m.counter_with("index_buckets_pruned", "pipeline", pipe, st.buckets_pruned);
-            m.counter_with("index_hosts_pruned", "pipeline", pipe, st.hosts_pruned);
-        }
-        m.counter(
-            "fault_planned_host_failures",
-            fault_plan.host_failures.len() as u64,
-        );
-        m.counter("fault_planned_recoveries", fault_plan.recovery_count() as u64);
-        m.counter("fault_planned_stragglers", fault_plan.straggler_count() as u64);
-        m.counter(
-            "fault_planned_dropout_windows",
-            fault_plan.dropout_window_count() as u64,
-        );
-        m.gauge("vm_peak_live", stats.peak_vm_count as f64);
-        m.gauge("vm_final_live", stats.final_vm_count as f64);
-        m.gauge("evac_pending_end", stats.faults.evac_pending_end as f64);
-        // Region breakdowns only exist on replicated estates — a
-        // single-region export stays byte-identical to the historical
-        // schema.
-        if region_placed.len() > 1 {
-            for (r, (&placed, &departed)) in
-                region_placed.iter().zip(region_departed).enumerate()
-            {
-                let label = r.to_string();
-                m.counter_with("region_placements", "region", &label, placed);
-                m.counter_with("region_departures", "region", &label, departed);
-            }
-        }
-    }
-
-    /// `(gp, hana, ci)` shares: the fraction of each purpose class's node
-    /// capacity that lives in DC A. A class entirely absent from one DC
-    /// gets share 0 or 1, steering all of its VMs to the DC that can host
-    /// them.
-    fn dc_purpose_shares(
-        topo: &sapsim_topology::Topology,
-        dc_a: DcId,
-        dc_b: DcId,
-    ) -> (f64, f64, f64) {
-        let count = |dc: DcId, purpose: BbPurpose| -> f64 {
-            topo.dc(dc)
-                .bbs
-                .iter()
-                .filter(|&&bb| topo.bb(bb).purpose == purpose)
-                .map(|&bb| topo.bb(bb).nodes.len() as f64)
-                .sum()
-        };
-        let share = |purpose: BbPurpose| -> f64 {
-            let a = count(dc_a, purpose);
-            let b = count(dc_b, purpose);
-            if a + b == 0.0 {
-                0.5
-            } else {
-                a / (a + b)
-            }
-        };
-        (
-            share(BbPurpose::GeneralPurpose),
-            share(BbPurpose::Hana),
-            share(BbPurpose::CiFarm),
-        )
-    }
-
-    /// `(gp, hana, ci)` node counts summed over a region's two DCs — the
-    /// capacity weights of the estate-level region assignment.
-    fn dc_class_nodes(topo: &sapsim_topology::Topology, dc_a: DcId, dc_b: DcId) -> (f64, f64, f64) {
-        let count = |purpose: BbPurpose| -> f64 {
-            [dc_a, dc_b]
-                .iter()
-                .flat_map(|&dc| topo.dc(dc).bbs.iter())
-                .filter(|&&bb| topo.bb(bb).purpose == purpose)
-                .map(|&bb| topo.bb(bb).nodes.len() as f64)
-                .sum()
-        };
-        (
-            count(BbPurpose::GeneralPurpose),
-            count(BbPurpose::Hana),
-            count(BbPurpose::CiFarm),
-        )
-    }
-
-    /// Handle a planned resize: in place if the node has room, otherwise
-    /// re-schedule region-wide with the new size (Nova's resize path); if
-    /// no capacity exists anywhere the VM keeps its old flavor.
-    fn handle_resize(st: &mut RunState, id: VmId, now: SimTime) {
-        let Some(vm) = st.cloud.vm(id) else {
-            return; // Never placed (placement failed at arrival).
-        };
-        let spec_index = vm.spec_index;
-        let Some(resize) = st.specs[spec_index].resize else {
-            return;
-        };
-        let new = resize.resources;
-        st.stats.resizes_attempted += 1;
-        if st.cloud.resize_in_place(id, new) {
-            st.stats.resizes_in_place += 1;
-            return;
-        }
-        let request = st.request(spec_index, new, None);
-        let migrated = engine::walk(
-            &mut st.cloud,
-            &mut st.policy,
-            &st.cfg,
-            &request,
-            now,
-            true,
-            &mut st.scratch.ranking,
-            |cloud, node| cloud.resize_to_node(id, new, node),
-        );
-        if matches!(migrated, Ok((Some(_), _))) {
-            st.stats.resizes_migrated += 1;
-        } else {
-            st.stats.resizes_failed += 1;
-        }
-    }
-
-    /// Place one VM via the policy pipeline with Nova-style greedy retries.
-    ///
-    /// When the recorder is enabled, every rank pass feeds the rejection
-    /// counters, and sampled decisions (see
-    /// [`Recorder::wants_decision`]) emit a full [`DecisionRecord`] —
-    /// candidate set size, per-filter eliminations, top-k weigher scores,
-    /// chosen host, retry depth.
-    fn place_vm<R: Recorder>(
-        st: &mut RunState,
-        rec: &mut R,
-        now: SimTime,
-        spec_index: usize,
-    ) -> PlaceOutcome {
-        let spec = &st.specs[spec_index];
-        let vm = spec.id;
-        // The lifetime-aware extension assumes the operator can predict
-        // lifetime (e.g. from the flavor's history); we grant it the true
-        // residual lifetime, an upper bound on what prediction can achieve.
-        let residual_days = (spec.lifetime - spec.age_at_arrival).as_days_f64();
-        let request = st.request(spec_index, spec.resources, Some(residual_days));
-        let vm_rng_root = &st.vm_rng_root;
-        let ranking = &mut st.scratch.ranking;
-        let walked = engine::walk(
-            &mut st.cloud,
-            &mut st.policy,
-            &st.cfg,
-            &request,
-            now,
-            true,
-            ranking,
-            |cloud, node| {
-                cloud.place(spec_index, spec, node, vm_rng_root.split_index(vm.raw()));
-                true
-            },
-        );
-        let outcome = match walked {
-            Ok((Some(node), retries)) => PlaceOutcome::Placed { vm, node, retries },
-            Ok((None, retries)) => PlaceOutcome::Fragmented { retries },
-            Err(_) => PlaceOutcome::NoCandidate,
-        };
-        if R::ENABLED {
-            // A pass with survivors lists its eliminations in reason
-            // order; one without reports them largest first.
-            let rejections = match &walked {
-                Ok(_) => &ranking.rejections,
-                Err(err) => &err.rejections,
-            };
-            for &(reason, n) in rejections {
-                rec.counter_add(rejection_counter(reason), n as u64);
-            }
-            if rec.wants_decision(vm.raw()) {
-                let record = Self::decision_from(ranking, rejections, now, vm.raw(), outcome);
-                rec.record(ObsEvent::Decision(record));
-            }
-        }
-        outcome
-    }
-
-    /// Choose a restart target for a VM displaced by a host failure.
-    ///
-    /// The evacuation goes through the *normal* pipeline — same purpose
-    /// rules (with the CI-farm downgrade), same AZ pin, residual-lifetime
-    /// hint, the full filter/weigher rank, Nova-style greedy walk — so a
-    /// fault-injected run exercises exactly the scheduler under test. No
-    /// decision record is emitted: the audit log (and the
-    /// `decisions == placements_attempted` invariant) stays reserved for
-    /// arrival placements.
-    fn evac_target(st: &mut RunState, vm: &PlacedVm, now: SimTime) -> Option<NodeId> {
-        let residual_days = if vm.departure > now {
-            (vm.departure - now).as_days_f64()
-        } else {
-            0.0
-        };
-        let request = st.request(vm.spec_index, vm.resources, Some(residual_days));
-        engine::walk(
-            &mut st.cloud,
-            &mut st.policy,
-            &st.cfg,
-            &request,
-            now,
-            true,
-            &mut st.scratch.ranking,
-            |_, _| true,
-        )
-        .ok()?
-        .0
-    }
-
-    /// Build the audit-log entry for an arrival from the ranking its walk
-    /// ended on (an empty order, hence no top-k, after a pass without
-    /// survivors) and that pass's `rejections`.
-    fn decision_from(
-        ranked: &Ranking,
-        rejections: &[(RejectReason, u32)],
-        now: SimTime,
-        vm_uid: u64,
-        placed: PlaceOutcome,
-    ) -> DecisionRecord {
-        let (outcome, chosen, retries) = match placed {
-            PlaceOutcome::Placed { node, retries, .. } => {
-                (DecisionOutcome::Placed, Some(node), retries)
-            }
-            PlaceOutcome::Fragmented { retries } => (DecisionOutcome::Fragmented, None, retries),
-            PlaceOutcome::NoCandidate => (DecisionOutcome::NoCandidate, None, 0),
-        };
-        let k = DECISION_TOP_K.min(ranked.order.len());
-        let top_k = (0..k)
-            .map(|i| HostScore {
-                host: ranked.order[i] as u32,
-                score: ranked.scores[i],
-                weights: ranked
-                    .weigher_scores
-                    .iter()
-                    .map(|&(name, ref contrib)| (name.into(), contrib[i]))
-                    .collect(),
-            })
-            .collect();
-        DecisionRecord {
-            sim_time_ms: now.as_millis(),
-            vm_uid,
-            candidates: ranked.candidates,
-            retries,
-            outcome,
-            chosen_host: chosen.map(|n| n.index() as u32),
-            rejections: rejections
-                .iter()
-                .map(|&(reason, n)| (reason.label().into(), n))
-                .collect(),
-            top_k,
+            live_vms: self.engine.vm_count(),
         }
     }
 
@@ -1269,23 +237,23 @@ impl SimDriver {
     /// 2. **Per-node reduction**: cached demands are summed in fixed
     ///    (node, residency) order — the only cross-VM float accumulation.
     /// 3. **Hypervisor model + recording**, in node order.
-    #[allow(clippy::too_many_arguments)]
-    fn scrape<R: Recorder>(
-        cloud: &mut Cloud,
-        specs: &[VmSpec],
-        peak_phases: &[DayPhase],
-        vm_stats: &mut [VmUsageSummary],
-        store: &mut TsdbStore,
-        cfg: &SimConfig,
-        now: SimTime,
-        warmup: SimTime,
-        scratch: &mut DriverScratch,
-        plan: &FaultPlan,
-        faults: &mut FaultStats,
-        rec: &mut R,
-        profile: &mut RunProfile,
-        origin: Instant,
-    ) {
+    fn scrape<R: Recorder>(&mut self, rec: &mut R, now: SimTime) {
+        let (warmup, origin) = (self.warmup, self.run_start);
+        let RunState {
+            cfg,
+            engine,
+            specs,
+            peak_phases,
+            vm_stats,
+            store,
+            scratch,
+            fault_plan: plan,
+            stats,
+            profile,
+            ..
+        } = self;
+        let cloud = &mut engine.cloud;
+        let faults = &mut stats.faults;
         let observing = now >= warmup;
         let obs_time = if observing {
             SimTime::from_millis(now.as_millis() - warmup.as_millis())
@@ -1408,6 +376,934 @@ impl SimDriver {
             }
         }
         span_end(rec, profile, SpanKind::ScrapeRecord, origin, t_record);
+    }
+
+    /// Fold every engine-health counter that accumulates *outside* the
+    /// recorder — event queue, timing wheel, host-view cache, candidate
+    /// index, fault plan, per-region tallies — into the recorder's
+    /// metrics registry, if it carries one. Runs once at end of run, so
+    /// none of this prices into the hot path; driver lifecycle counters
+    /// stream separately through `counter_add` as they happen.
+    fn fold_engine_metrics<R: Recorder>(&self, rec: &mut R) {
+        let Some(m) = rec.metrics_mut() else {
+            return;
+        };
+        // Monotone run totals export as counters so `obs metrics` merges
+        // across runs sum them; gauges are reserved for genuine
+        // point-in-time or peak values (final depths, live counts).
+        let s = self.sim.stats();
+        m.counter("sim_events_fired", s.fired);
+        m.counter("sim_events_scheduled", s.scheduled);
+        m.counter("sim_events_cancelled", s.cancelled);
+        if let Some(w) = self.sim.wheel_stats() {
+            m.counter("wheel_cascades", w.cascades);
+            m.counter("wheel_cascade_moves", w.cascade_moves);
+            m.counter("wheel_overflow_refiles", w.overflow_refiles);
+            m.gauge("wheel_overflow_depth", w.overflow_depth as f64);
+            m.gauge("wheel_max_overflow_depth", w.max_overflow_depth as f64);
+            m.gauge("wheel_live_events", w.live as f64);
+            const LEVEL_NAMES: [&str; sapsim_sim::WHEEL_LEVELS] = ["0", "1", "2", "3", "4", "5"];
+            for (level, &occ) in w.occupied_buckets.iter().enumerate() {
+                m.gauge_with(
+                    "wheel_occupied_buckets",
+                    "level",
+                    LEVEL_NAMES[level],
+                    occ as f64,
+                );
+            }
+        }
+        let vc = self.engine.cloud.view_cache_stats();
+        for (layer, st) in [("node", vc.node), ("bb", vc.bb)] {
+            m.counter_with("viewcache_refreshes", "layer", layer, st.refreshes);
+            m.counter_with(
+                "viewcache_clean_refreshes",
+                "layer",
+                layer,
+                st.clean_refreshes,
+            );
+            m.counter_with(
+                "viewcache_rows_recomputed",
+                "layer",
+                layer,
+                st.rows_recomputed,
+            );
+            m.counter_with(
+                "viewcache_lifetime_passes",
+                "layer",
+                layer,
+                st.lifetime_passes,
+            );
+            m.counter_with("viewcache_full_builds", "layer", layer, st.full_builds);
+            m.counter_with("viewcache_marks", "layer", layer, st.marks);
+        }
+        let (gp, hana) = self.engine.policy().index_stats();
+        for (pipe, st) in [("general", *gp), ("hana", *hana)] {
+            m.counter_with("index_requests", "pipeline", pipe, st.indexed_requests);
+            m.counter_with("index_full_scans", "pipeline", pipe, st.full_scans);
+            m.counter_with(
+                "index_buckets_examined",
+                "pipeline",
+                pipe,
+                st.buckets_examined,
+            );
+            m.counter_with("index_buckets_pruned", "pipeline", pipe, st.buckets_pruned);
+            m.counter_with("index_hosts_pruned", "pipeline", pipe, st.hosts_pruned);
+        }
+        m.counter(
+            "fault_planned_host_failures",
+            self.fault_plan.host_failures.len() as u64,
+        );
+        m.counter(
+            "fault_planned_recoveries",
+            self.fault_plan.recovery_count() as u64,
+        );
+        m.counter(
+            "fault_planned_stragglers",
+            self.fault_plan.straggler_count() as u64,
+        );
+        m.counter(
+            "fault_planned_dropout_windows",
+            self.fault_plan.dropout_window_count() as u64,
+        );
+        m.gauge("vm_peak_live", self.stats.peak_vm_count as f64);
+        m.gauge("vm_final_live", self.stats.final_vm_count as f64);
+        m.gauge(
+            "evac_pending_end",
+            self.stats.faults.evac_pending_end as f64,
+        );
+        // Region breakdowns only exist on replicated estates — a
+        // single-region export stays byte-identical to the historical
+        // schema.
+        if self.region_placed.len() > 1 {
+            for (r, (&placed, &departed)) in self
+                .region_placed
+                .iter()
+                .zip(&self.region_departed)
+                .enumerate()
+            {
+                let label = r.to_string();
+                m.counter_with("region_placements", "region", &label, placed);
+                m.counter_with("region_departures", "region", &label, departed);
+            }
+        }
+    }
+}
+
+/// The days `vm` has left at `now`: the lifetime hint its restart after
+/// a host failure asks with.
+fn residual_days(vm: &PlacedVm, now: SimTime) -> f64 {
+    if vm.departure > now {
+        (vm.departure - now).as_days_f64()
+    } else {
+        0.0
+    }
+}
+
+/// Runs one complete simulation from a [`SimConfig`].
+///
+/// ```
+/// use sapsim_core::{SimConfig, SimDriver};
+///
+/// let mut config = SimConfig::smoke_test();
+/// config.days = 1;
+/// let result = SimDriver::new(config).expect("valid config").run();
+/// assert!(result.stats.placed > 0);
+/// ```
+#[derive(Debug)]
+pub struct SimDriver {
+    config: SimConfig,
+}
+
+impl SimDriver {
+    /// Validate the configuration and build a driver. An out-of-range
+    /// knob surfaces as [`SimError::InvalidConfig`] (or
+    /// [`SimError::FaultPlan`] for fault-spec knobs).
+    pub fn new(config: SimConfig) -> Result<Self, SimError> {
+        config.validate()?;
+        Ok(SimDriver { config })
+    }
+
+    /// The configuration.
+    pub fn config(&self) -> &SimConfig {
+        &self.config
+    }
+
+    /// Execute the run to completion without observability. Equivalent to
+    /// `run_with_recorder(&mut NullRecorder)` — the instrumentation
+    /// monomorphizes to nothing.
+    pub fn run(&self) -> RunResult {
+        self.run_with_recorder(&mut NullRecorder)
+    }
+
+    /// Execute the run to completion, streaming observability into `rec`.
+    ///
+    /// The recorder is purely observational: it never feeds anything back
+    /// into the simulation, so `RunResult::canonical_bytes()` is
+    /// byte-identical whichever recorder is plugged in (the determinism
+    /// suite asserts this). Wall-clock timings flow only into the
+    /// non-canonical [`RunProfile`] on the result.
+    pub fn run_with_recorder<R: Recorder>(&self, rec: &mut R) -> RunResult {
+        let mut st = Self::build_state(&self.config, R::ENABLED);
+        Self::run_to_horizon(&mut st, rec);
+        Self::finalize(st, rec)
+    }
+
+    /// Derive the config-determined workload on the estate `topo`: the
+    /// specs and the per-VM assignment streams.
+    fn derive_world(cfg: &SimConfig, topo: &Topology) -> DerivedWorld {
+        let root_rng = SimRng::seed_from(cfg.seed);
+        // Every region is two AZs of one data center each, A then B.
+        let regions: Vec<RegionCtx> = topo
+            .regions()
+            .iter()
+            .map(|r| {
+                let (az_a, az_b) = (r.azs[0], r.azs[1]);
+                let (dc_a, dc_b) = (topo.az(az_a).dcs[0], topo.az(az_b).dcs[0]);
+                RegionCtx {
+                    az_a,
+                    az_b,
+                    share_a: Self::dc_purpose_shares(topo, dc_a, dc_b),
+                    class_nodes: Self::dc_class_nodes(topo, dc_a, dc_b),
+                }
+            })
+            .collect();
+
+        let generator = WorkloadGenerator::new(
+            paper_flavor_catalog(),
+            GeneratorConfig {
+                // A replicated estate multiplies capacity, so the
+                // workload scales with it (identity at one replica).
+                scale: cfg.scale * cfg.region_replicas as f64,
+                horizon_days: cfg.days,
+                churn: cfg.churn,
+                rampup_days: cfg.warmup_days,
+                resize_probability: cfg.resize_probability,
+                seed: cfg.seed,
+            },
+        );
+        let specs = generator.generate();
+        let peak_phases = specs.iter().map(|s| s.usage.peak_phase()).collect();
+
+        // Per-VM region assignment: weight each region by its node
+        // capacity for the VM's class, so replicated estates fill
+        // proportionally. Single-region runs skip the stream entirely —
+        // `scale ≤ 1` reproduces historical runs byte-for-byte.
+        let vm_region: Vec<u32> = if regions.len() == 1 {
+            vec![0; specs.len()]
+        } else {
+            let mut region_rng = root_rng.split("region-assign");
+            // A region without a CI farm still hosts CI executors in its
+            // general pool, so CI weights fall back to GP capacity when no
+            // region anywhere has a dedicated farm.
+            let any_ci = regions.iter().any(|r| r.class_nodes.2 > 0.0);
+            let weights_for = |class: WorkloadClass| -> Vec<f64> {
+                let mut acc = 0.0;
+                regions
+                    .iter()
+                    .map(|r| {
+                        acc += match class {
+                            WorkloadClass::Hana => r.class_nodes.1,
+                            WorkloadClass::CiFarm if any_ci => r.class_nodes.2,
+                            _ => r.class_nodes.0,
+                        };
+                        acc
+                    })
+                    .collect()
+            };
+            let cum_gp = weights_for(WorkloadClass::GeneralPurpose);
+            let cum_hana = weights_for(WorkloadClass::Hana);
+            let cum_ci = weights_for(WorkloadClass::CiFarm);
+            specs
+                .iter()
+                .map(|s| {
+                    let cum = match s.class {
+                        WorkloadClass::Hana => &cum_hana,
+                        WorkloadClass::CiFarm => &cum_ci,
+                        WorkloadClass::GeneralPurpose => &cum_gp,
+                    };
+                    let total = *cum.last().unwrap();
+                    let x = region_rng.range_f64(0.0, total.max(f64::MIN_POSITIVE));
+                    cum.partition_point(|&c| c <= x).min(regions.len() - 1) as u32
+                })
+                .collect()
+        };
+        // Per-VM AZ assignment: keep each DC's population proportional to
+        // its capacity share for the VM's class, like the per-DC VM counts
+        // of Table 5. Drawn from a dedicated stream so placement policy
+        // changes never reshuffle it.
+        let mut az_rng = root_rng.split("az-assign");
+        let vm_az: Vec<_> = specs
+            .iter()
+            .zip(&vm_region)
+            .map(|(s, &r)| {
+                let region = &regions[r as usize];
+                let share_a = match s.class {
+                    WorkloadClass::Hana => region.share_a.1,
+                    WorkloadClass::CiFarm => region.share_a.2,
+                    WorkloadClass::GeneralPurpose => region.share_a.0,
+                };
+                if az_rng.bool(share_a) {
+                    region.az_a
+                } else {
+                    region.az_b
+                }
+            })
+            .collect();
+
+        DerivedWorld {
+            regions: regions.len(),
+            specs,
+            peak_phases,
+            vm_region,
+            vm_az,
+        }
+    }
+
+    /// Build the complete initial [`RunState`] of a run: the engine
+    /// (estate and reserve selection), derived workload, event-queue
+    /// seeding, maintenance and fault plans.
+    fn build_state(cfg: &SimConfig, profile_enabled: bool) -> RunState {
+        let root_rng = SimRng::seed_from(cfg.seed);
+        let run_start = Instant::now();
+        let profile = RunProfile::new(profile_enabled);
+
+        // --- World construction -------------------------------------
+        let mut engine = PlacementEngine::new(*cfg).expect("SimDriver::new validated the config");
+        let DerivedWorld {
+            regions,
+            specs,
+            peak_phases,
+            vm_region,
+            vm_az,
+        } = Self::derive_world(cfg, engine.topology());
+        // The generator numbers ids as consecutive spec indices, and the
+        // engine hands them out in admission order, so both agree. Pre-size
+        // the slot table so the scrape can zip it against per-spec state.
+        for (spec, &az) in specs.iter().zip(&vm_az) {
+            let id = engine.admit(spec.class, Some(az));
+            debug_assert_eq!(id, spec.id, "spec ids are spec indices");
+        }
+        engine.cloud.reserve_vm_slots(specs.len());
+        let cloud = &engine.cloud;
+
+        // --- Simulation state ----------------------------------------
+        let mut sim: Simulation<Event> = Simulation::new();
+        let warmup = SimTime::from_days(cfg.warmup_days);
+        let horizon = SimTime::from_days(cfg.warmup_days + cfg.days);
+        // Dense tables for every node/BB/region series: the scrape's write
+        // path is an indexed store, not a hash-map insert.
+        let store = TsdbStore::with_topology(
+            cfg.days as usize,
+            cloud.topology().nodes().len(),
+            cloud.topology().bbs().len(),
+        );
+        let mut stats = DriverStats::default();
+        let scratch = DriverScratch::for_nodes(cloud.topology().nodes().len());
+        let vm_stats: Vec<VmUsageSummary> = specs
+            .iter()
+            .enumerate()
+            .map(|(i, s)| VmUsageSummary {
+                id: s.id,
+                spec_index: i,
+                placed: false,
+                cpu_ratio: RunningStat::new(),
+                mem_ratio: RunningStat::new(),
+            })
+            .collect();
+
+        for (i, s) in specs.iter().enumerate() {
+            sim.schedule_at(s.arrival, Event::VmArrival(i));
+        }
+        sim.schedule_at(SimTime::ZERO, Event::Scrape);
+        sim.schedule_at(SimTime::ZERO, Event::OsGauge);
+        if cfg.drs_enabled {
+            sim.schedule_at(SimTime::ZERO + cfg.drs_interval, Event::DrsRound);
+        }
+        if cfg.cross_bb_enabled {
+            sim.schedule_at(SimTime::ZERO + cfg.cross_bb_interval, Event::CrossBbRound);
+        }
+
+        let drs = Rebalancer::new(cfg.drs);
+        let cross = Rebalancer::new(cfg.drs);
+
+        // Planned maintenance: each node independently draws whether it
+        // has a window inside the observation period, uniformly placed.
+        if cfg.maintenance_rate_per_month > 0.0 {
+            let mut mrng = root_rng.split("maintenance");
+            let prob = (cfg.maintenance_rate_per_month * cfg.days as f64 / 30.0).clamp(0.0, 1.0);
+            let obs_span_ms = (horizon - warmup).as_millis() as f64;
+            for node in cloud.topology().nodes() {
+                if !mrng.bool(prob) {
+                    continue;
+                }
+                let frac: f64 = mrng.range_f64(0.05, 0.85);
+                let start =
+                    warmup + sapsim_sim::SimDuration::from_millis((obs_span_ms * frac) as u64);
+                sim.schedule_at(start, Event::MaintenanceStart(node.id));
+            }
+        }
+        // Unplanned faults: the plan is drawn from its own lineage-split
+        // RNG stream, so enabling faults never reshuffles workload,
+        // placement, or maintenance draws (and `FaultSpec::none()`
+        // consumes no randomness at all). Failure and recovery events are
+        // scheduled up front; the handlers guard on node state so the
+        // interleaving with planned maintenance stays well-defined.
+        let fault_plan = FaultPlan::generate(
+            &cfg.faults,
+            cloud.topology().nodes().len(),
+            warmup,
+            horizon,
+            &root_rng,
+        );
+        for hf in &fault_plan.host_failures {
+            let node = NodeId::from_raw(hf.node);
+            sim.schedule_at(hf.at, Event::HostFail(node));
+            if let Some(t) = hf.recover_at {
+                sim.schedule_at(t, Event::HostRecover(node));
+            }
+        }
+        stats.faults.straggler_nodes = fault_plan.straggler_count() as u64;
+        stats.faults.dropout_windows = fault_plan.dropout_window_count() as u64;
+
+        // Per-region lifecycle tallies for the metrics export. Plain
+        // vector bumps in the hot path; the labeled fold happens once at
+        // end of run, and only multi-region estates emit the breakdown.
+        let region_placed: Vec<u64> = vec![0; regions];
+        let region_departed: Vec<u64> = vec![0; regions];
+
+        RunState {
+            cfg: *cfg,
+            engine,
+            specs,
+            peak_phases,
+            sim,
+            warmup,
+            horizon,
+            store,
+            stats,
+            scratch,
+            vm_stats,
+            vm_region,
+            drs,
+            cross,
+            fault_plan,
+            pending: Vec::new(),
+            region_placed,
+            region_departed,
+            run_start,
+            profile,
+        }
+    }
+
+    /// Drain the event loop to the horizon (inclusive).
+    fn run_to_horizon<R: Recorder>(st: &mut RunState, rec: &mut R) {
+        while let Some(ev) = st.sim.next_event_until(st.horizon) {
+            rec.tick(|| st.progress(ev.time));
+            Self::handle_event(st, rec, ev.time, ev.payload);
+        }
+    }
+
+    /// Dispatch one fired event against the run state.
+    fn handle_event<R: Recorder>(st: &mut RunState, rec: &mut R, now: SimTime, payload: Event) {
+        let cfg = st.cfg;
+        st.engine.advance_clock(now);
+        match payload {
+            Event::VmArrival(spec_index) => {
+                st.stats.placements_attempted += 1;
+                let t0 = span_start::<R>();
+                let outcome = Self::place_vm(st, rec, now, spec_index);
+                span_end(rec, &mut st.profile, SpanKind::Placement, st.run_start, t0);
+                match outcome {
+                    PlaceOutcome::Placed { retries, .. } => {
+                        let spec = &st.specs[spec_index];
+                        st.stats.placed += 1;
+                        st.stats.placement_retries += retries as u64;
+                        st.vm_stats[spec_index].placed = true;
+                        if spec.departure() <= st.horizon {
+                            st.sim
+                                .schedule_at(spec.departure(), Event::VmDeparture(spec.id));
+                        }
+                        if let Some(t) = spec.resize_time() {
+                            if t > now && t <= st.horizon {
+                                st.sim.schedule_at(t, Event::VmResize(spec.id));
+                            }
+                        }
+                        st.stats.peak_vm_count = st.stats.peak_vm_count.max(st.engine.vm_count());
+                        st.region_placed[st.vm_region[spec_index] as usize] += 1;
+                        if R::ENABLED {
+                            rec.counter_add("placements", 1);
+                            rec.counter_add("placement_retries", retries as u64);
+                        }
+                    }
+                    PlaceOutcome::NoCandidate => {
+                        st.stats.failed_no_candidate += 1;
+                        if R::ENABLED {
+                            rec.counter_add("placements_failed_no_candidate", 1);
+                        }
+                    }
+                    PlaceOutcome::Fragmented { .. } => {
+                        st.stats.failed_fragmented += 1;
+                        if R::ENABLED {
+                            rec.counter_add("placements_failed_fragmented", 1);
+                        }
+                    }
+                }
+            }
+            Event::VmDeparture(id) => {
+                if let Some(vm) = st.engine.cloud.remove(id) {
+                    st.stats.departures += 1;
+                    st.region_departed[st.vm_region[vm.spec_index] as usize] += 1;
+                    if R::ENABLED {
+                        rec.counter_add("departures", 1);
+                    }
+                } else if let Some(pos) = st.pending.iter().position(|p| p.vm.id == id) {
+                    // The VM's lifetime ended while it was waiting for
+                    // re-placement after a host failure.
+                    let evac = st.pending.remove(pos);
+                    st.stats.departures += 1;
+                    st.region_departed[st.vm_region[evac.vm.spec_index] as usize] += 1;
+                    if R::ENABLED {
+                        rec.counter_add("departures", 1);
+                    }
+                }
+            }
+            Event::VmResize(id) => Self::handle_resize(st, id),
+            Event::Scrape => {
+                st.stats.scrapes += 1;
+                let t0 = span_start::<R>();
+                st.scrape(rec, now);
+                span_end(rec, &mut st.profile, SpanKind::Scrape, st.run_start, t0);
+                if R::ENABLED {
+                    rec.counter_add("scrapes", 1);
+                    // Distribution of the live population across
+                    // scrape ticks — a cheap load curve that needs no
+                    // TSDB pass to read back.
+                    if let Some(m) = rec.metrics_mut() {
+                        m.observe("live_vms_at_scrape", st.engine.vm_count() as u64);
+                    }
+                }
+                st.sim.schedule_after(cfg.scrape_interval, Event::Scrape);
+            }
+            Event::OsGauge => {
+                let t0 = span_start::<R>();
+                Self::record_os_gauges(&st.engine.cloud, &mut st.store, now, st.warmup);
+                span_end(rec, &mut st.profile, SpanKind::OsGauge, st.run_start, t0);
+                st.sim.schedule_after(cfg.os_gauge_interval, Event::OsGauge);
+            }
+            Event::DrsRound => {
+                let t0 = span_start::<R>();
+                let migrated = Self::drs_round(&mut st.engine.cloud, &st.drs, &mut st.scratch);
+                span_end(rec, &mut st.profile, SpanKind::DrsRound, st.run_start, t0);
+                st.stats.drs_migrations += migrated;
+                if R::ENABLED {
+                    rec.counter_add("drs_migrations", migrated);
+                }
+                st.sim.schedule_after(cfg.drs_interval, Event::DrsRound);
+            }
+            Event::CrossBbRound => {
+                let t0 = span_start::<R>();
+                let migrated =
+                    Self::cross_bb_round(&mut st.engine.cloud, &st.cross, &mut st.scratch);
+                span_end(rec, &mut st.profile, SpanKind::CrossBbRound, st.run_start, t0);
+                st.stats.cross_bb_migrations += migrated;
+                if R::ENABLED {
+                    rec.counter_add("cross_bb_migrations", migrated);
+                }
+                st.sim
+                    .schedule_after(cfg.cross_bb_interval, Event::CrossBbRound);
+            }
+            Event::MaintenanceStart(node) => {
+                if st.engine.topology().node(node).state != sapsim_topology::NodeState::Active {
+                    // The node is already down (failed): planned
+                    // maintenance cannot start and the window lapses.
+                    st.stats.maintenance_aborted += 1;
+                } else {
+                    // Silence the node first so the evacuation targets
+                    // exclude it, then move everything off. A stuck VM
+                    // (pinned, or no sibling capacity) aborts the window
+                    // and the node returns to service.
+                    st.engine
+                        .cloud
+                        .set_node_state(node, sapsim_topology::NodeState::Maintenance);
+                    match st.engine.cloud.evacuate_node(node) {
+                        Ok(moved) => {
+                            st.stats.maintenance_windows += 1;
+                            st.stats.evacuations += moved;
+                            if R::ENABLED {
+                                rec.counter_add("evacuations", moved);
+                            }
+                            st.sim.schedule_after(
+                                cfg.maintenance_duration,
+                                Event::MaintenanceEnd(node),
+                            );
+                        }
+                        Err(_stuck) => {
+                            st.stats.maintenance_aborted += 1;
+                            st.engine
+                                .cloud
+                                .set_node_state(node, sapsim_topology::NodeState::Active);
+                        }
+                    }
+                }
+            }
+            Event::MaintenanceEnd(node) => {
+                if st.engine.topology().node(node).state == sapsim_topology::NodeState::Maintenance
+                {
+                    st.engine
+                        .cloud
+                        .set_node_state(node, sapsim_topology::NodeState::Active);
+                }
+            }
+            Event::HostFail(node) => {
+                if st.engine.topology().node(node).state != sapsim_topology::NodeState::Active {
+                    // Already out of service (maintenance window in
+                    // progress): the drawn failure is skipped rather
+                    // than stacked on top.
+                    return;
+                }
+                st.engine
+                    .cloud
+                    .set_node_state(node, sapsim_topology::NodeState::Failed);
+                st.stats.faults.host_failures += 1;
+                if R::ENABLED {
+                    rec.counter_add("host_failures", 1);
+                    rec.record(ObsEvent::Fault {
+                        kind: FaultEventKind::HostFail,
+                        sim_time_ms: now.as_millis(),
+                        node: node.index() as u32,
+                        vm_uid: None,
+                    });
+                }
+                // Unlike planned maintenance there is no "abort":
+                // every resident is forcibly displaced, and whatever
+                // cannot restart immediately joins the pending queue.
+                let residents: Vec<VmId> = st.engine.cloud.vms_on_node(node).to_vec();
+                for id in residents {
+                    st.stats.faults.evacuated += 1;
+                    if R::ENABLED {
+                        rec.counter_add("fault_evacuations", 1);
+                    }
+                    let residual = residual_days(st.engine.cloud.vm(id).expect("resident"), now);
+                    match st.engine.evacuate_vm(id, Some(residual)) {
+                        Ok(target) => {
+                            st.stats.faults.evac_replaced += 1;
+                            if R::ENABLED {
+                                rec.counter_add("fault_evac_replaced", 1);
+                                rec.record(ObsEvent::Fault {
+                                    kind: FaultEventKind::EvacReplaced,
+                                    sim_time_ms: now.as_millis(),
+                                    node: target.index() as u32,
+                                    vm_uid: Some(id.raw()),
+                                });
+                            }
+                        }
+                        Err(vm) => {
+                            if R::ENABLED {
+                                rec.record(ObsEvent::Fault {
+                                    kind: FaultEventKind::EvacPending,
+                                    sim_time_ms: now.as_millis(),
+                                    node: node.index() as u32,
+                                    vm_uid: Some(id.raw()),
+                                });
+                            }
+                            st.pending.push(PendingEvac {
+                                vm: *vm,
+                                retries: 0,
+                            });
+                            st.stats.faults.evac_pending_peak = st
+                                .stats
+                                .faults
+                                .evac_pending_peak
+                                .max(st.pending.len() as u64);
+                            st.sim.schedule_after(
+                                SimDuration::from_secs(cfg.faults.evac_retry_backoff_secs),
+                                Event::EvacRetry(id),
+                            );
+                        }
+                    }
+                }
+            }
+            Event::HostRecover(node) => {
+                if st.engine.topology().node(node).state == sapsim_topology::NodeState::Failed {
+                    st.engine
+                        .cloud
+                        .set_node_state(node, sapsim_topology::NodeState::Active);
+                    st.stats.faults.host_recoveries += 1;
+                    if R::ENABLED {
+                        rec.counter_add("host_recoveries", 1);
+                        rec.record(ObsEvent::Fault {
+                            kind: FaultEventKind::HostRecover,
+                            sim_time_ms: now.as_millis(),
+                            node: node.index() as u32,
+                            vm_uid: None,
+                        });
+                    }
+                }
+            }
+            Event::EvacRetry(id) => {
+                let Some(pos) = st.pending.iter().position(|p| p.vm.id == id) else {
+                    // Already re-placed, departed, or given up on.
+                    return;
+                };
+                if st.pending[pos].vm.departure <= now {
+                    // Lifetime ran out while waiting; the regular
+                    // departure event (if any remains) will find
+                    // nothing and count nothing.
+                    st.pending.remove(pos);
+                    st.stats.departures += 1;
+                    if R::ENABLED {
+                        rec.counter_add("departures", 1);
+                    }
+                    return;
+                }
+                // Out of the queue for the walk; back at the same position
+                // if it has to wait on.
+                let PendingEvac { vm, retries } = st.pending.remove(pos);
+                let residual = residual_days(&vm, now);
+                match st.engine.restart(vm, Some(residual)) {
+                    Ok(node) => {
+                        st.stats.faults.evac_replaced += 1;
+                        if R::ENABLED {
+                            rec.counter_add("fault_evac_replaced", 1);
+                            rec.record(ObsEvent::Fault {
+                                kind: FaultEventKind::EvacReplaced,
+                                sim_time_ms: now.as_millis(),
+                                node: node.index() as u32,
+                                vm_uid: Some(id.raw()),
+                            });
+                        }
+                    }
+                    Err(vm) if retries < cfg.faults.evac_retry_limit => {
+                        let retries = retries + 1;
+                        st.stats.faults.evac_retries += 1;
+                        if R::ENABLED {
+                            rec.counter_add("fault_evac_retries", 1);
+                            rec.record(ObsEvent::Fault {
+                                kind: FaultEventKind::EvacRetry,
+                                sim_time_ms: now.as_millis(),
+                                node: vm.node.index() as u32,
+                                vm_uid: Some(id.raw()),
+                            });
+                        }
+                        // Bounded exponential backoff: double per
+                        // attempt, capped so the shift stays sane.
+                        let shift = retries.min(EVAC_BACKOFF_MAX_DOUBLINGS);
+                        st.pending.insert(pos, PendingEvac { vm: *vm, retries });
+                        st.sim.schedule_after(
+                            SimDuration::from_secs(cfg.faults.evac_retry_backoff_secs << shift),
+                            Event::EvacRetry(id),
+                        );
+                    }
+                    Err(vm) => {
+                        st.stats.faults.evac_lost += 1;
+                        if R::ENABLED {
+                            rec.counter_add("fault_evac_lost", 1);
+                            rec.record(ObsEvent::Fault {
+                                kind: FaultEventKind::EvacLost,
+                                sim_time_ms: now.as_millis(),
+                                node: vm.node.index() as u32,
+                                vm_uid: Some(id.raw()),
+                            });
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Close out a drained run: final accounting, spec rebase onto the
+    /// observation window, end-of-run metrics fold, and the result.
+    fn finalize<R: Recorder>(mut st: RunState, rec: &mut R) -> RunResult {
+        let cfg = st.cfg;
+        st.stats.faults.evac_pending_end = st.pending.len() as u64;
+        st.stats.final_vm_count = st.engine.vm_count();
+        debug_assert!(st.engine.cloud.verify_accounting(&st.specs).is_ok());
+
+        // Rebase every spec onto observation time (warm-up becomes
+        // pre-window age), so downstream analyses see the same [0, days)
+        // window the telemetry was recorded against.
+        if cfg.warmup_days > 0 {
+            for spec in &mut st.specs {
+                if spec.arrival >= st.warmup {
+                    spec.arrival =
+                        SimTime::from_millis(spec.arrival.as_millis() - st.warmup.as_millis());
+                } else {
+                    spec.age_at_arrival += st.warmup - spec.arrival;
+                    spec.arrival = SimTime::ZERO;
+                }
+            }
+        }
+
+        if R::ENABLED {
+            let wall_us = st.run_start.elapsed().as_micros() as u64;
+            st.profile.set_wall_us(wall_us);
+            rec.record(ObsEvent::Span {
+                kind: SpanKind::Run,
+                ts_us: 0,
+                dur_us: wall_us,
+            });
+            st.fold_engine_metrics(rec);
+        }
+        rec.finish(st.progress(st.horizon));
+
+        RunResult {
+            config: cfg,
+            store: st.store,
+            vm_stats: st.vm_stats,
+            specs: st.specs,
+            stats: st.stats,
+            cloud: st.engine.cloud,
+            profile: st.profile,
+        }
+    }
+
+    /// `(gp, hana, ci)` shares: the fraction of each purpose class's node
+    /// capacity that lives in DC A. A class entirely absent from one DC
+    /// gets share 0 or 1, steering all of its VMs to the DC that can host
+    /// them.
+    fn dc_purpose_shares(topo: &Topology, dc_a: DcId, dc_b: DcId) -> (f64, f64, f64) {
+        let count = |dc: DcId, purpose: BbPurpose| -> f64 {
+            topo.dc(dc)
+                .bbs
+                .iter()
+                .filter(|&&bb| topo.bb(bb).purpose == purpose)
+                .map(|&bb| topo.bb(bb).nodes.len() as f64)
+                .sum()
+        };
+        let share = |purpose: BbPurpose| -> f64 {
+            let a = count(dc_a, purpose);
+            let b = count(dc_b, purpose);
+            if a + b == 0.0 {
+                0.5
+            } else {
+                a / (a + b)
+            }
+        };
+        (
+            share(BbPurpose::GeneralPurpose),
+            share(BbPurpose::Hana),
+            share(BbPurpose::CiFarm),
+        )
+    }
+
+    /// `(gp, hana, ci)` node counts summed over a region's two DCs — the
+    /// capacity weights of the estate-level region assignment.
+    fn dc_class_nodes(topo: &Topology, dc_a: DcId, dc_b: DcId) -> (f64, f64, f64) {
+        let count = |purpose: BbPurpose| -> f64 {
+            [dc_a, dc_b]
+                .iter()
+                .flat_map(|&dc| topo.dc(dc).bbs.iter())
+                .filter(|&&bb| topo.bb(bb).purpose == purpose)
+                .map(|&bb| topo.bb(bb).nodes.len() as f64)
+                .sum()
+        };
+        (
+            count(BbPurpose::GeneralPurpose),
+            count(BbPurpose::Hana),
+            count(BbPurpose::CiFarm),
+        )
+    }
+
+    /// Handle a planned resize: in place if the node has room, otherwise
+    /// re-schedule region-wide with the new size (Nova's resize path); if
+    /// no capacity exists anywhere the VM keeps its old flavor.
+    fn handle_resize(st: &mut RunState, id: VmId) {
+        let Some(vm) = st.engine.cloud.vm(id) else {
+            return; // Never placed (placement failed at arrival).
+        };
+        let Some(resize) = st.specs[vm.spec_index].resize else {
+            return;
+        };
+        st.stats.resizes_attempted += 1;
+        match st.engine.resize(id, resize.resources) {
+            ResizeResult::InPlace { .. } => st.stats.resizes_in_place += 1,
+            ResizeResult::Migrated { .. } => st.stats.resizes_migrated += 1,
+            ResizeResult::Failed | ResizeResult::UnknownVm => st.stats.resizes_failed += 1,
+        }
+    }
+
+    /// Place one VM via the policy pipeline with Nova-style greedy retries.
+    ///
+    /// When the recorder is enabled, every rank pass feeds the rejection
+    /// counters, and sampled decisions (see
+    /// [`Recorder::wants_decision`]) emit a full [`DecisionRecord`] —
+    /// candidate set size, per-filter eliminations, top-k weigher scores,
+    /// chosen host, retry depth.
+    fn place_vm<R: Recorder>(
+        st: &mut RunState,
+        rec: &mut R,
+        now: SimTime,
+        spec_index: usize,
+    ) -> PlaceOutcome {
+        let spec = &st.specs[spec_index];
+        let vm = spec.id;
+        // The lifetime-aware extension assumes the operator can predict
+        // lifetime (e.g. from the flavor's history); we grant it the true
+        // residual lifetime, an upper bound on what prediction can achieve.
+        let residual_days = (spec.lifetime - spec.age_at_arrival).as_days_f64();
+        let walked = st.engine.place_spec(spec, residual_days);
+        let outcome = PlaceOutcome::of(vm, &walked);
+        if R::ENABLED {
+            // A pass with survivors lists its eliminations in reason
+            // order; one without reports them largest first.
+            let ranking = st.engine.last_ranking();
+            let rejections = match &walked {
+                Ok(_) => &ranking.rejections,
+                Err(err) => &err.rejections,
+            };
+            for &(reason, n) in rejections {
+                rec.counter_add(rejection_counter(reason), n as u64);
+            }
+            if rec.wants_decision(vm.raw()) {
+                let record = Self::decision_from(ranking, rejections, now, vm.raw(), outcome);
+                rec.record(ObsEvent::Decision(record));
+            }
+        }
+        outcome
+    }
+
+    /// Build the audit-log entry for an arrival from the ranking its walk
+    /// ended on (an empty order, hence no top-k, after a pass without
+    /// survivors) and that pass's `rejections`.
+    fn decision_from(
+        ranked: &Ranking,
+        rejections: &[(RejectReason, u32)],
+        now: SimTime,
+        vm_uid: u64,
+        placed: PlaceOutcome,
+    ) -> DecisionRecord {
+        let (outcome, chosen, retries) = match placed {
+            PlaceOutcome::Placed { node, retries, .. } => {
+                (DecisionOutcome::Placed, Some(node), retries)
+            }
+            PlaceOutcome::Fragmented { retries } => (DecisionOutcome::Fragmented, None, retries),
+            PlaceOutcome::NoCandidate => (DecisionOutcome::NoCandidate, None, 0),
+        };
+        let k = DECISION_TOP_K.min(ranked.order.len());
+        let top_k = (0..k)
+            .map(|i| HostScore {
+                host: ranked.order[i] as u32,
+                score: ranked.scores[i],
+                weights: ranked
+                    .weigher_scores
+                    .iter()
+                    .map(|&(name, ref contrib)| (name.into(), contrib[i]))
+                    .collect(),
+            })
+            .collect();
+        DecisionRecord {
+            sim_time_ms: now.as_millis(),
+            vm_uid,
+            candidates: ranked.candidates,
+            retries,
+            outcome,
+            chosen_host: chosen.map(|n| n.index() as u32),
+            rejections: rejections
+                .iter()
+                .map(|&(reason, n)| (reason.label().into(), n))
+                .collect(),
+            top_k,
+        }
     }
 
     /// Record the Nova-database gauges. In the paper's deployment Nova's
@@ -1919,6 +1815,43 @@ mod tests {
         r.cloud.verify_accounting(&r.specs).unwrap();
     }
 
+    /// One evacuation order for served drains and host failures: the
+    /// target is ranked while the resident still holds its allocation on
+    /// the source. Counted there, the source's block looks fuller than
+    /// block 1 and ranks second; released first, it would rank first.
+    #[test]
+    fn host_failures_and_served_drains_rank_before_releasing_the_resident() {
+        use crate::engine::tests::{engine_over, filled_cloud};
+        let engine = engine_over(
+            filled_cloud(&[[16, 8], [16, 0]]),
+            PlacementGranularity::BuildingBlock,
+        );
+        let bbs = engine.topology().bbs();
+        let (source, sibling, target) = (bbs[0].nodes[0], bbs[0].nodes[1], bbs[1].nodes[1]);
+        let resident = VmId(0);
+
+        let mut served = engine.fork();
+        assert_eq!(served.evacuate(source).moved, [(resident, target)]);
+
+        let mut released = engine.fork();
+        released
+            .cloud
+            .set_node_state(source, sapsim_topology::NodeState::Failed);
+        let displaced = released.cloud.remove(resident).expect("resident");
+        assert_eq!(released.restart(displaced, None).ok(), Some(sibling));
+
+        let mut st = SimDriver::build_state(&cell(1, 0.01, 1, Default::default()), false);
+        st.engine = engine;
+        SimDriver::handle_event(
+            &mut st,
+            &mut NullRecorder,
+            SimTime::ZERO,
+            Event::HostFail(source),
+        );
+        assert_eq!(st.stats.faults.evac_replaced, 1);
+        assert_eq!(st.engine.vm_node(resident), Some(target));
+    }
+
     #[test]
     fn faulty_runs_are_deterministic() {
         let a = SimDriver::new(faulty_cfg(19)).unwrap().run();
@@ -1973,7 +1906,7 @@ mod tests {
     /// must be byte-identical to the from-scratch oracle.
     fn assert_naive_oracle_agrees(cfg: SimConfig) {
         let cached = SimDriver::new(cfg).unwrap().run();
-        let naive = engine::tests::with_naive_views(|| SimDriver::new(cfg).unwrap().run());
+        let naive = crate::engine::tests::with_naive_views(|| SimDriver::new(cfg).unwrap().run());
         assert_eq!(cached.stats, naive.stats, "{cfg:?}");
         assert!(
             cached.canonical_bytes() == naive.canonical_bytes(),

@@ -1,30 +1,28 @@
-//! The scheduler step, and the online placement engine behind
-//! `sapsim serve`.
+//! The placement world and the one scheduler that changes it: the
+//! [`PlacementEngine`] behind both `sapsim serve` and `SimDriver`.
 //!
 //! This module is the only place that knows how a VM gets a host. The
-//! step is a handful of free functions — [`placement_request`] (class →
-//! purpose, AZ pin, lifetime hint), [`rank_request`] (`HostViewCache` +
-//! `CandidateIndex` + the allocation-free top-k rank) and [`walk`]
-//! (Nova's greedy retry over the ranking) — plus the estate boot
-//! ([`estate`], [`reserve_blocks`]). The discrete-event loop
-//! (`SimDriver`) calls them once per arrival, resize and fault
-//! evacuation; [`PlacementEngine`] calls the same functions one request
-//! at a time, so a served estate and a simulated one schedule alike by
-//! construction. What the two do *not* share is state ownership: the
-//! driver keeps its spec tables, event clock and pending-evacuation
-//! queue in `RunState`; the engine owns a live [`Cloud`] plus each VM's
-//! class and AZ pin, and offers exactly the operations the wire protocol
-//! speaks: place (single or batched), resize, evacuate, plus cheap state
-//! summaries, field-copy forks for what-if planning, and a canonical
-//! state hash for differential checking against an equivalent offline
-//! request sequence.
+//! engine owns the live [`Cloud`], the policy pipeline with its ranking
+//! scratch, each VM's class and AZ pin, and a clock. One request rule
+//! (class → building-block purpose with the CI-farm downgrade, AZ pin,
+//! lifetime hint) feeds one walk (the incremental host views and their
+//! candidate index, the allocation-free top-k rank, and Nova's greedy
+//! retry over it). On top sit the operations the wire protocol speaks —
+//! place, resize, evacuate — plus cheap state summaries, field-copy
+//! forks for what-if planning, and a canonical state hash for
+//! differential checking against an equivalent offline request
+//! sequence. The discrete-event loop (`SimDriver`) holds one engine in
+//! its run state and calls the same methods for arrivals, resizes,
+//! host-failure evacuations and evacuation retries, so a served estate
+//! and a simulated one boot and schedule alike by construction.
 //!
-//! In the engine time stands still at [`SimTime::ZERO`]: the service
-//! models an operator-driven control plane, not a telemetry replay, so
-//! lifetime hints come from the requests rather than from a workload
-//! trace.
+//! The driver advances the engine's clock to each event's time. The
+//! service never does, so a served engine stands still at
+//! [`SimTime::ZERO`]: it models an operator-driven control plane, not a
+//! telemetry replay, and lifetime hints come from the requests rather
+//! than from a workload trace.
 
-use crate::cloud::Cloud;
+use crate::cloud::{Cloud, PlacedVm};
 use crate::config::{PlacementGranularity, SimConfig};
 use crate::error::SimError;
 use crate::scenario::fnv1a_64;
@@ -42,7 +40,7 @@ use sapsim_workload::{Archetype, UsageModel, VmId, VmSpec, WorkloadClass};
 /// the topology and each region's data-center pair, in estate order.
 /// `region_replicas = 1` is the historical single-region estate,
 /// bit-for-bit.
-pub(crate) fn estate(cfg: &SimConfig) -> (Topology, Vec<RegionDcs>) {
+fn estate(cfg: &SimConfig) -> (Topology, Vec<RegionDcs>) {
     let mut builder = TopologyBuilder::new();
     builder.gp_cpu_overcommit = cfg.gp_cpu_overcommit;
     paper_estate_replicated(cfg.scale, cfg.region_replicas, cfg.seed, &builder)
@@ -51,7 +49,7 @@ pub(crate) fn estate(cfg: &SimConfig) -> (Topology, Vec<RegionDcs>) {
 /// Hold back a fraction of general-purpose blocks per DC as
 /// failover/expansion reserve (deterministic selection). One shared
 /// stream walks `dcs` — every region's DC pair, in estate order.
-pub(crate) fn reserve_blocks(cloud: &mut Cloud, cfg: &SimConfig, dcs: impl Iterator<Item = DcId>) {
+fn reserve_blocks(cloud: &mut Cloud, cfg: &SimConfig, dcs: impl Iterator<Item = DcId>) {
     if cfg.reserve_bb_fraction <= 0.0 {
         return;
     }
@@ -80,127 +78,10 @@ pub(crate) fn reserve_blocks(cloud: &mut Cloud, cfg: &SimConfig, dcs: impl Itera
     }
 }
 
-/// The one request rule: the class decides the building-block purpose —
-/// downgraded from CI farm to general purpose where the VM's region has
-/// no farm, so its executors run in the general pool as they would
-/// before an operator carves one out — plus the AZ pin and the lifetime
-/// hint, if any.
-pub(crate) fn placement_request(
-    vm: VmId,
-    class: WorkloadClass,
-    resources: Resources,
-    ci_farm_exists: bool,
-    az: Option<AzId>,
-    lifetime_hint_days: Option<f64>,
-) -> PlacementRequest {
-    let mut purpose = class.required_bb_purpose();
-    if purpose == BbPurpose::CiFarm && !ci_farm_exists {
-        purpose = BbPurpose::GeneralPurpose;
-    }
-    PlacementRequest {
-        vm_uid: vm.raw(),
-        resources,
-        purpose,
-        az,
-        lifetime_hint_days,
-    }
-}
-
-/// Rank one placement request against the current world, writing into
-/// the reusable `out` buffers.
-///
-/// Reads the incremental host-view cache and prunes through its
-/// purpose×AZ candidate index, ranking only a `top_k` head; [`walk`]
-/// extends past the head by re-ranking exhaustively when needed. Unit
-/// tests can switch to the from-scratch oracle (`tests::with_naive_views`),
-/// which produces byte-identical runs.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn rank_request(
-    cloud: &mut Cloud,
-    policy: &mut PlacementPolicy,
-    cfg: &SimConfig,
-    request: &PlacementRequest,
-    now: SimTime,
-    top_k: usize,
-    count_stats: bool,
-    out: &mut Ranking,
-) -> Result<(), ScheduleError> {
-    #[cfg(test)]
-    if tests::NAIVE_VIEWS.get() {
-        return tests::rank_naive(cloud, policy, cfg, request, now, count_stats, out);
-    }
-    let (views, index) = cloud.host_views_cached(cfg.granularity, now);
-    policy.rank_into(
-        request,
-        views,
-        RankOptions {
-            index: Some(index),
-            top_k,
-            count_stats,
-        },
-        out,
-    )
-}
-
-/// Rank `request`, then walk the ranking greedily, Nova-style: the first
-/// node that fits and that `accept` takes wins. Place and evacuation
-/// accept any node; resize passes [`Cloud::resize_to_node`], so a node
-/// that refuses the new shape continues the walk. A refusing `accept`
-/// must leave the cloud as it found it.
-///
-/// Returns the chosen node (`None` when every candidate was tried) and
-/// the number of retries — ranked building blocks with aggregate room
-/// but no single node that fits, the fragmentation failure mode of
-/// cluster-level scheduling (node granularity never retries). `Err`
-/// means no host survived the filters. Either way `ranking` holds the
-/// last rank pass, for the caller's audit record; `count_stats` says
-/// whether the first pass counts in the pipeline statistics.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn walk(
-    cloud: &mut Cloud,
-    policy: &mut PlacementPolicy,
-    cfg: &SimConfig,
-    request: &PlacementRequest,
-    now: SimTime,
-    count_stats: bool,
-    ranking: &mut Ranking,
-    mut accept: impl FnMut(&mut Cloud, NodeId) -> bool,
-) -> Result<(Option<NodeId>, u32), ScheduleError> {
-    rank_request(cloud, policy, cfg, request, now, DECISION_TOP_K, count_stats, ranking)?;
-    let mut retries = 0u32;
-    let mut pos = 0usize;
-    while pos < ranking.order.len() {
-        if pos >= ranking.sorted_len {
-            // The ranked head is exhausted (every sorted candidate was
-            // fragmented or refused): extend the walk by re-ranking the
-            // same request exhaustively. Failed attempts never mutate the
-            // cloud, so the full order's head reproduces the head just
-            // walked, and `count_stats: false` keeps the continuation
-            // invisible to pipeline statistics and counters.
-            rank_request(cloud, policy, cfg, request, now, usize::MAX, false, ranking)
-                .expect("re-rank of a non-empty survivor set succeeds");
-        }
-        let candidate = ranking.order[pos];
-        pos += 1;
-        let node = match cfg.granularity {
-            PlacementGranularity::BuildingBlock => {
-                let bb = BbId::from_raw(candidate as u32);
-                match cloud.choose_node_within_bb(bb, &request.resources) {
-                    Some(n) => n,
-                    None => {
-                        retries += 1;
-                        continue;
-                    }
-                }
-            }
-            PlacementGranularity::Node => NodeId::from_raw(candidate as u32),
-        };
-        if accept(cloud, node) {
-            return Ok((Some(node), retries));
-        }
-    }
-    Ok((None, retries))
-}
+/// How a walk ended: the chosen node (`None` when every ranked candidate
+/// was tried) and the retries, or `Err` when no host survived the
+/// filters.
+pub(crate) type Walked = Result<(Option<NodeId>, u32), ScheduleError>;
 
 /// One placement order for [`PlacementEngine::place`].
 #[derive(Debug, Clone, PartialEq)]
@@ -208,7 +89,8 @@ pub struct PlaceSpec {
     /// Requested resources.
     pub resources: Resources,
     /// Workload class (decides the building-block purpose, with the
-    /// CI-farm → general-purpose downgrade when the estate has no farm).
+    /// CI-farm → general-purpose downgrade where the pinned AZ's region,
+    /// or for an unpinned order the whole estate, has no farm).
     pub class: WorkloadClass,
     /// Optional availability-zone pin.
     pub az: Option<AzId>,
@@ -236,6 +118,17 @@ pub enum PlaceOutcome {
         /// Candidates tried before giving up.
         retries: u32,
     },
+}
+
+impl PlaceOutcome {
+    /// The outcome of placing `vm` by a walk that ended as `walked`.
+    pub(crate) fn of(vm: VmId, walked: &Walked) -> PlaceOutcome {
+        match *walked {
+            Ok((Some(node), retries)) => PlaceOutcome::Placed { vm, node, retries },
+            Ok((None, retries)) => PlaceOutcome::Fragmented { retries },
+            Err(_) => PlaceOutcome::NoCandidate,
+        }
+    }
 }
 
 /// Outcome of a resize through the engine.
@@ -266,9 +159,10 @@ pub struct EvacReport {
     pub lost: Vec<VmId>,
 }
 
-/// The long-lived incremental scheduler: a live [`Cloud`] plus the
-/// policy pipeline, reusable ranking scratch, and what the request rule
-/// reads per VM after placement — its class and AZ pin, indexed by id.
+/// The one owner of the placement world: a live [`Cloud`] plus the
+/// policy pipeline, reusable ranking scratch, a clock, and what the
+/// request rule reads per VM after placement — its class and AZ pin,
+/// indexed by id.
 ///
 /// All operations are sequential (`&mut self`); the serve layer
 /// serializes mutations onto one writer thread and forks snapshots for
@@ -277,7 +171,10 @@ pub struct EvacReport {
 #[derive(Debug)]
 pub struct PlacementEngine {
     cfg: SimConfig,
-    cloud: Cloud,
+    /// The live estate. The driver's rebalancers, maintenance windows,
+    /// departures and telemetry read and change it directly; placement
+    /// decisions go through the engine's methods.
+    pub(crate) cloud: Cloud,
     policy: PlacementPolicy,
     vm_class: Vec<WorkloadClass>,
     vm_az: Vec<Option<AzId>>,
@@ -285,24 +182,39 @@ pub struct PlacementEngine {
     vm_rng_root: SimRng,
     next_vm: u64,
     version: u64,
-    ci_farm_exists: bool,
+    /// Per region, by index: whether it has a CI farm.
+    ci_farm: Vec<bool>,
+    now: SimTime,
 }
 
 impl PlacementEngine {
     /// Build an engine over the paper estate described by `cfg` (scale,
     /// seed, policy, granularity, overcommit, replicas, reserve
-    /// fraction — the workload-generator knobs are ignored). The estate
-    /// and its reserve-block selection come from the [`estate`] and
-    /// [`reserve_blocks`] the offline driver boots from, so a served
-    /// estate and a simulated estate with the same config start from the
-    /// same topology.
+    /// fraction — the workload-generator knobs are ignored): the estate,
+    /// then its reserve-block selection. `SimDriver` boots its runs
+    /// here too, so a served estate and a simulated estate with the same
+    /// config start from the same world.
     pub fn new(cfg: SimConfig) -> Result<PlacementEngine, SimError> {
         cfg.validate()?;
         let (topo, region_dcs) = estate(&cfg);
-        let ci_farm_exists = topo.bbs().iter().any(|bb| bb.purpose == BbPurpose::CiFarm);
         let mut cloud = Cloud::new(topo);
         reserve_blocks(&mut cloud, &cfg, region_dcs.iter().flat_map(|r| [r.dc_a, r.dc_b]));
-        Ok(PlacementEngine {
+        Ok(PlacementEngine::with_cloud(cfg, cloud))
+    }
+
+    /// An engine over `cloud` as it stands: no VM admitted yet, the
+    /// clock at zero.
+    fn with_cloud(cfg: SimConfig, cloud: Cloud) -> PlacementEngine {
+        let topo = cloud.topology();
+        let mut ci_farm = vec![false; topo.regions().len()];
+        for bb in topo
+            .bbs()
+            .iter()
+            .filter(|bb| bb.purpose == BbPurpose::CiFarm)
+        {
+            ci_farm[topo.az(topo.bb_az(bb.id)).region.index()] = true;
+        }
+        PlacementEngine {
             cfg,
             cloud,
             policy: PlacementPolicy::new(cfg.policy),
@@ -312,8 +224,9 @@ impl PlacementEngine {
             vm_rng_root: SimRng::seed_from(cfg.seed).split("vm-demand"),
             next_vm: 0,
             version: 0,
-            ci_farm_exists,
-        })
+            ci_farm,
+            now: SimTime::ZERO,
+        }
     }
 
     /// The engine's state version: bumps once per applied mutation
@@ -406,31 +319,58 @@ impl PlacementEngine {
             vm_rng_root: self.vm_rng_root.clone(),
             next_vm: self.next_vm,
             version: self.version,
-            ci_farm_exists: self.ci_farm_exists,
+            ci_farm: self.ci_farm.clone(),
+            now: self.now,
         }
+    }
+
+    /// Move the clock to `now`; host views read it for the residents'
+    /// remaining lifetimes. The driver calls this once per event.
+    pub(crate) fn advance_clock(&mut self, now: SimTime) {
+        debug_assert!(now >= self.now, "the clock never runs backwards");
+        self.now = now;
+    }
+
+    /// The ranking the last walk ended on, for the caller's audit record.
+    pub(crate) fn last_ranking(&self) -> &Ranking {
+        &self.ranking
+    }
+
+    /// The policy pipeline, for its end-of-run statistics.
+    pub(crate) fn policy(&self) -> &PlacementPolicy {
+        &self.policy
+    }
+
+    /// Hand out the next VM id and record what the request rule reads
+    /// for it from now on: its class and AZ pin.
+    pub(crate) fn admit(&mut self, class: WorkloadClass, az: Option<AzId>) -> VmId {
+        let id = VmId(self.next_vm);
+        self.next_vm += 1;
+        self.vm_class.push(class);
+        self.vm_az.push(az);
+        id
     }
 
     /// Place one VM. Consumes one VM id whether or not placement
     /// succeeds, so id assignment is independent of outcomes and a
     /// dry-run fork assigns the same ids the live engine will.
     pub fn place(&mut self, order: &PlaceSpec) -> PlaceOutcome {
-        let id = VmId(self.next_vm);
-        self.next_vm += 1;
-        self.vm_class.push(order.class);
-        self.vm_az.push(order.az);
+        let id = self.admit(order.class, order.az);
+        let spec = self.synthesize_spec(id, order);
+        PlaceOutcome::of(id, &self.place_spec(&spec, order.lifetime_days))
+    }
 
-        let request = self.request(id, order.resources, Some(order.lifetime_days));
-        match self.walk(&request, |_, _| true) {
-            Err(_) => PlaceOutcome::NoCandidate,
-            Ok((None, retries)) => PlaceOutcome::Fragmented { retries },
-            Ok((Some(node), retries)) => {
-                let rng = self.vm_rng_root.split_index(id.raw());
-                // The spec index is the id: both count one per place.
-                let spec = self.synthesize_spec(id, order);
-                self.cloud.place(id.raw() as usize, &spec, node, rng);
-                PlaceOutcome::Placed { vm: id, node, retries }
-            }
+    /// Place the admitted VM `spec` describes, asking with a lifetime
+    /// hint: walk the ranking and commit on the first node that fits.
+    /// The VM's id is its spec index.
+    pub(crate) fn place_spec(&mut self, spec: &VmSpec, lifetime_hint_days: f64) -> Walked {
+        let request = self.request(spec.id, spec.resources, Some(lifetime_hint_days));
+        let walked = self.walk(&request, |_, _| true);
+        if let Ok((Some(node), _)) = walked {
+            let rng = self.vm_rng_root.split_index(spec.id.raw());
+            self.cloud.place(spec.id.raw() as usize, spec, node, rng);
         }
+        walked
     }
 
     /// Resize a VM to `new`: in place when its host has room, otherwise
@@ -452,8 +392,8 @@ impl PlacementEngine {
 
     /// Drain a node: mark it under maintenance, then push every
     /// resident VM back through the full placement pipeline (restart
-    /// semantics — the same path the fault layer uses for failed
-    /// hosts). VMs with nowhere to go are removed and reported lost.
+    /// semantics — the same path the simulator takes for failed hosts).
+    /// VMs with nowhere to go are removed and reported lost.
     pub fn evacuate(&mut self, node: NodeId) -> EvacReport {
         self.cloud.set_node_state(node, NodeState::Maintenance);
         let residents: Vec<VmId> = self.cloud.vms_on_node(node).to_vec();
@@ -462,27 +402,73 @@ impl PlacementEngine {
             lost: Vec::new(),
         };
         for vm in residents {
-            // The restart target is picked while the resident still
-            // holds its allocation (the source node is already filtered
-            // out by its non-`Active` state); `resources` is the
-            // *current* shape (post-resize, if any).
-            let resident = self.cloud.vm(vm).expect("resident is placed");
-            let request = self.request(vm, resident.resources, None);
-            let target = self.walk(&request, |_, _| true).ok().and_then(|(node, _)| node);
-            let placed = self.cloud.remove(vm).expect("resident is placed");
-            match target {
-                Some(to) => {
-                    self.cloud.readmit(placed, to);
-                    report.moved.push((vm, to));
-                }
-                None => report.lost.push(vm),
+            match self.evacuate_vm(vm, None) {
+                Ok(to) => report.moved.push((vm, to)),
+                Err(_) => report.lost.push(vm),
             }
         }
         report
     }
 
-    /// The request for `vm` asking for `resources`: the class and AZ pin
-    /// it was placed with, against this estate's farm.
+    /// Move one resident of an out-of-service node elsewhere. The target
+    /// is ranked while the resident still holds its allocation on the
+    /// source (the source itself is filtered out by its non-`Active`
+    /// state), at its *current* shape (post-resize, if any); then the
+    /// resident leaves the source. `Err` hands back the removed VM, its
+    /// demand-model state intact, when no host can take it.
+    pub(crate) fn evacuate_vm(
+        &mut self,
+        vm: VmId,
+        lifetime_hint_days: Option<f64>,
+    ) -> Result<NodeId, Box<PlacedVm>> {
+        let resources = self.cloud.vm(vm).expect("resident is placed").resources;
+        let target = self.restart_target(vm, resources, lifetime_hint_days);
+        let placed = self.cloud.remove(vm).expect("resident is placed");
+        match target {
+            Some(to) => {
+                self.cloud.readmit(placed, to);
+                Ok(to)
+            }
+            None => Err(Box::new(placed)),
+        }
+    }
+
+    /// Restart a VM that holds no allocation — displaced by a host
+    /// failure and waiting for room. `Err` hands it back when no host
+    /// can take it yet.
+    pub(crate) fn restart(
+        &mut self,
+        placed: PlacedVm,
+        lifetime_hint_days: Option<f64>,
+    ) -> Result<NodeId, Box<PlacedVm>> {
+        match self.restart_target(placed.id, placed.resources, lifetime_hint_days) {
+            Some(to) => {
+                self.cloud.readmit(placed, to);
+                Ok(to)
+            }
+            None => Err(Box::new(placed)),
+        }
+    }
+
+    /// The first node of a walk for `vm` at `resources` that fits.
+    fn restart_target(
+        &mut self,
+        vm: VmId,
+        resources: Resources,
+        lifetime_hint_days: Option<f64>,
+    ) -> Option<NodeId> {
+        let request = self.request(vm, resources, lifetime_hint_days);
+        self.walk(&request, |_, _| true)
+            .ok()
+            .and_then(|(node, _)| node)
+    }
+
+    /// The one request rule: the class the VM was admitted with decides
+    /// the building-block purpose, plus its AZ pin and the lifetime hint,
+    /// if any. A CI-farm VM is downgraded to general purpose where no
+    /// farm exists — in its pinned AZ's region, or for an unpinned VM
+    /// anywhere in the estate — so its executors run in the general pool
+    /// as they would before an operator carves one out.
     fn request(
         &self,
         vm: VmId,
@@ -490,33 +476,110 @@ impl PlacementEngine {
         lifetime_hint_days: Option<f64>,
     ) -> PlacementRequest {
         let i = vm.raw() as usize;
-        placement_request(
-            vm,
-            self.vm_class[i],
+        let az = self.vm_az[i];
+        let mut purpose = self.vm_class[i].required_bb_purpose();
+        let farm = match az {
+            Some(az) => self.ci_farm[self.topology().az(az).region.index()],
+            None => self.ci_farm.contains(&true),
+        };
+        if purpose == BbPurpose::CiFarm && !farm {
+            purpose = BbPurpose::GeneralPurpose;
+        }
+        PlacementRequest {
+            vm_uid: vm.raw(),
             resources,
-            self.ci_farm_exists,
-            self.vm_az[i],
+            purpose,
+            az,
             lifetime_hint_days,
-        )
+        }
     }
 
-    /// [`walk`] over the engine's own cloud, policy and scratch, at the
-    /// frozen clock and outside the pipeline statistics.
+    /// Rank `request` into the ranking scratch at the engine's clock.
+    ///
+    /// Reads the incremental host-view cache and prunes through its
+    /// purpose×AZ candidate index, ranking only a `top_k` head; `walk`
+    /// extends past the head by re-ranking exhaustively when needed.
+    /// Unit tests can switch to the from-scratch oracle
+    /// (`tests::with_naive_views`), which produces byte-identical runs.
+    fn rank(
+        &mut self,
+        request: &PlacementRequest,
+        top_k: usize,
+        count_stats: bool,
+    ) -> Result<(), ScheduleError> {
+        #[cfg(test)]
+        if tests::NAIVE_VIEWS.get() {
+            let views = self.cloud.host_views(self.cfg.granularity, self.now);
+            let full = RankOptions {
+                index: None,
+                top_k: usize::MAX,
+                count_stats,
+            };
+            return self
+                .policy
+                .rank_into(request, &views, full, &mut self.ranking);
+        }
+        let (views, index) = self.cloud.host_views_cached(self.cfg.granularity, self.now);
+        let opts = RankOptions {
+            index: Some(index),
+            top_k,
+            count_stats,
+        };
+        self.policy
+            .rank_into(request, views, opts, &mut self.ranking)
+    }
+
+    /// Rank `request`, then walk the ranking greedily, Nova-style: the
+    /// first node that fits and that `accept` takes wins. Place and
+    /// evacuation accept any node; resize passes
+    /// [`Cloud::resize_to_node`], so a node that refuses the new shape
+    /// continues the walk. A refusing `accept` must leave the cloud as it
+    /// found it.
+    ///
+    /// Retries count ranked building blocks with aggregate room but no
+    /// single node that fits, the fragmentation failure mode of
+    /// cluster-level scheduling (node granularity never retries). Either
+    /// way the ranking scratch holds the last rank pass, and only the
+    /// first pass counts in the pipeline statistics.
     fn walk(
         &mut self,
         request: &PlacementRequest,
-        accept: impl FnMut(&mut Cloud, NodeId) -> bool,
-    ) -> Result<(Option<NodeId>, u32), ScheduleError> {
-        walk(
-            &mut self.cloud,
-            &mut self.policy,
-            &self.cfg,
-            request,
-            SimTime::ZERO,
-            false,
-            &mut self.ranking,
-            accept,
-        )
+        mut accept: impl FnMut(&mut Cloud, NodeId) -> bool,
+    ) -> Walked {
+        self.rank(request, DECISION_TOP_K, true)?;
+        let mut retries = 0u32;
+        let mut pos = 0usize;
+        while pos < self.ranking.order.len() {
+            if pos >= self.ranking.sorted_len {
+                // The ranked head is exhausted (every sorted candidate was
+                // fragmented or refused): extend the walk by re-ranking the
+                // same request exhaustively. Failed attempts never mutate
+                // the cloud, so the full order's head reproduces the head
+                // just walked, and the continuation stays out of the
+                // pipeline statistics and counters.
+                self.rank(request, usize::MAX, false)
+                    .expect("re-rank of a non-empty survivor set succeeds");
+            }
+            let candidate = self.ranking.order[pos];
+            pos += 1;
+            let node = match self.cfg.granularity {
+                PlacementGranularity::BuildingBlock => {
+                    let bb = BbId::from_raw(candidate as u32);
+                    match self.cloud.choose_node_within_bb(bb, &request.resources) {
+                        Some(n) => n,
+                        None => {
+                            retries += 1;
+                            continue;
+                        }
+                    }
+                }
+                PlacementGranularity::Node => NodeId::from_raw(candidate as u32),
+            };
+            if accept(&mut self.cloud, node) {
+                return Ok((Some(node), retries));
+            }
+        }
+        Ok((None, retries))
     }
 
     /// Materialize the [`VmSpec`] that [`Cloud::place`] takes for a served
@@ -558,8 +621,8 @@ pub(crate) mod tests {
     use std::cell::Cell;
 
     thread_local! {
-        /// Set while [`with_naive_views`] runs: [`rank_request`] then
-        /// rebuilds every host view from scratch and ranks it fully.
+        /// Set while [`with_naive_views`] runs: every rank pass then
+        /// rebuilds the host views from scratch and ranks them fully.
         pub(crate) static NAIVE_VIEWS: Cell<bool> = const { Cell::new(false) };
     }
 
@@ -570,25 +633,6 @@ pub(crate) mod tests {
         let out = f();
         NAIVE_VIEWS.set(false);
         out
-    }
-
-    /// The oracle: views rebuilt from scratch, ranked fully, no index.
-    pub(super) fn rank_naive(
-        cloud: &mut Cloud,
-        policy: &mut PlacementPolicy,
-        cfg: &SimConfig,
-        request: &PlacementRequest,
-        now: SimTime,
-        count_stats: bool,
-        out: &mut Ranking,
-    ) -> Result<(), ScheduleError> {
-        let views = cloud.host_views(cfg.granularity, now);
-        let full = RankOptions {
-            index: None,
-            top_k: usize::MAX,
-            count_stats,
-        };
-        policy.rank_into(request, &views, full, out)
     }
 
     fn small_cfg() -> SimConfig {
@@ -780,42 +824,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn served_and_simulated_estates_boot_alike() {
-        let three_small_regions = SimConfig {
-            scale: 0.02,
-            region_replicas: 3,
-            ..small_cfg()
-        };
-        for cfg in [half_region(), three_small_regions] {
-            // One cheap day: the estate does not depend on the horizon.
-            let cfg = SimConfig {
-                days: 1,
-                warmup_days: 0,
-                scrape_interval: sapsim_sim::SimDuration::from_days(1),
-                drs_enabled: false,
-                ..cfg
-            };
-            let engine = PlacementEngine::new(cfg).expect("valid config");
-            // No handler reserves or releases a block, so the run's last
-            // state still shows the boot's reserve selection.
-            let simulated = crate::SimDriver::new(cfg)
-                .expect("valid config")
-                .run()
-                .cloud;
-            assert_eq!(
-                engine.cloud.capture_state().reserved_bbs,
-                simulated.capture_state().reserved_bbs
-            );
-            let (served, simulated) = (engine.topology(), simulated.topology());
-            let names = |topo: &Topology| -> Vec<String> {
-                let bbs = topo.bbs().iter().map(|bb| bb.name.clone());
-                bbs.chain(topo.nodes().iter().map(|n| n.name.clone())).collect()
-            };
-            assert_eq!(names(served), names(simulated));
-        }
-    }
-
-    #[test]
     fn reserve_selection_is_deterministic_and_nonempty() {
         let reserved = |cfg: SimConfig| -> Vec<bool> {
             let engine = PlacementEngine::new(cfg).expect("valid config");
@@ -853,55 +861,84 @@ pub(crate) mod tests {
         }
     }
 
+    /// An estate of one single-DC region per entry of `regions`, each
+    /// block of the listed purpose with two general-purpose nodes.
+    fn regions_of(regions: &[&[BbPurpose]]) -> Cloud {
+        use sapsim_topology::{HardwareProfile, OvercommitPolicy};
+        let mut topo = Topology::new();
+        for (r, purposes) in regions.iter().enumerate() {
+            let region = topo.add_region(format!("r{r}"));
+            let az = topo.add_az(region, format!("az-{r}"));
+            let dc = topo.add_dc(az, format!("dc-{r}"));
+            for (b, &purpose) in purposes.iter().enumerate() {
+                let profile = HardwareProfile::general_purpose();
+                topo.add_bb(
+                    dc,
+                    format!("bb{r}-{b}"),
+                    purpose,
+                    profile,
+                    OvercommitPolicy::NONE,
+                    2,
+                );
+            }
+        }
+        Cloud::new(topo)
+    }
+
     #[test]
     fn placement_request_applies_the_one_rule() {
         use BbPurpose::{CiFarm, GeneralPurpose, Hana};
+        use WorkloadClass as C;
+        // Only the first of the two regions has a CI farm.
+        let farm_and_none: &[&[BbPurpose]] = &[&[GeneralPurpose, CiFarm], &[GeneralPurpose, Hana]];
+        let mut engine = PlacementEngine::with_cloud(small_cfg(), regions_of(farm_and_none));
+        let farm = engine.az_by_name("az-0");
+        let no_farm = engine.az_by_name("az-1");
         let asked = Resources::new(8, 32_768, 100);
         let table = [
-            (WorkloadClass::GeneralPurpose, true, GeneralPurpose),
-            (WorkloadClass::GeneralPurpose, false, GeneralPurpose),
-            (WorkloadClass::Hana, true, Hana),
-            (WorkloadClass::Hana, false, Hana),
-            (WorkloadClass::CiFarm, true, CiFarm),
-            (WorkloadClass::CiFarm, false, GeneralPurpose),
+            (C::GeneralPurpose, farm, GeneralPurpose),
+            (C::GeneralPurpose, no_farm, GeneralPurpose),
+            (C::GeneralPurpose, None, GeneralPurpose),
+            (C::Hana, farm, Hana),
+            (C::Hana, no_farm, Hana),
+            (C::Hana, None, Hana),
+            (C::CiFarm, farm, CiFarm),
+            // The pinned AZ's region decides; an unpinned VM sees the
+            // whole estate, which has a farm.
+            (C::CiFarm, no_farm, GeneralPurpose),
+            (C::CiFarm, None, CiFarm),
         ];
-        for (class, ci_farm_exists, purpose) in table {
-            for az in [None, Some(AzId::from_raw(1))] {
-                for hint in [None, Some(12.5)] {
-                    let expected = PlacementRequest {
-                        vm_uid: 17,
-                        resources: asked,
-                        purpose,
-                        az,
-                        lifetime_hint_days: hint,
-                    };
-                    let request = placement_request(VmId(17), class, asked, ci_farm_exists, az, hint);
-                    assert_eq!(request, expected);
-                }
+        for (class, az, purpose) in table {
+            let vm = engine.admit(class, az);
+            for hint in [None, Some(12.5)] {
+                let expected = PlacementRequest {
+                    vm_uid: vm.raw(),
+                    resources: asked,
+                    purpose,
+                    az,
+                    lifetime_hint_days: hint,
+                };
+                assert_eq!(
+                    engine.request(vm, asked, hint),
+                    expected,
+                    "{class:?} in {az:?}"
+                );
             }
         }
+
+        // Without a farm anywhere, an unpinned CI VM runs in the general
+        // pool too.
+        let mut engine = PlacementEngine::with_cloud(small_cfg(), regions_of(&farm_and_none[1..]));
+        let vm = engine.admit(C::CiFarm, None);
+        assert_eq!(engine.request(vm, asked, None).purpose, GeneralPurpose);
     }
 
     /// `blocks` general-purpose blocks of two 48-core / 768 GiB nodes, no
     /// overcommit, one AZ. `fill[b]` is how many cores (with their 16 GiB
-    /// each) are taken on the two nodes of block `b`.
-    fn filled_cloud(fill: &[[u32; 2]]) -> Cloud {
-        use sapsim_topology::{HardwareProfile, OvercommitPolicy};
-        let mut topo = Topology::new();
-        let region = topo.add_region("r");
-        let az = topo.add_az(region, "az-a");
-        let dc = topo.add_dc(az, "A");
-        for b in 0..fill.len() {
-            topo.add_bb(
-                dc,
-                format!("bb{b}"),
-                BbPurpose::GeneralPurpose,
-                HardwareProfile::general_purpose(),
-                OvercommitPolicy::NONE,
-                2,
-            );
-        }
-        let mut cloud = Cloud::new(topo);
+    /// each) are taken on the two nodes of block `b`, one VM per non-zero
+    /// entry, numbered from 0 in fill order.
+    pub(crate) fn filled_cloud(fill: &[[u32; 2]]) -> Cloud {
+        let mut cloud = regions_of(&[&vec![BbPurpose::GeneralPurpose; fill.len()]]);
         let mut next = 0;
         for (b, cores) in fill.iter().enumerate() {
             for (n, &cpus) in cores.iter().enumerate().filter(|(_, &cpus)| cpus > 0) {
@@ -915,65 +952,44 @@ pub(crate) mod tests {
         cloud
     }
 
+    /// An engine at `granularity` over `cloud`, its VMs admitted as
+    /// unpinned general-purpose ones.
+    pub(crate) fn engine_over(cloud: Cloud, granularity: PlacementGranularity) -> PlacementEngine {
+        let vms = cloud.vm_count();
+        let cfg = SimConfig {
+            granularity,
+            ..SimConfig::default()
+        };
+        let mut engine = PlacementEngine::with_cloud(cfg, cloud);
+        for _ in 0..vms {
+            engine.admit(WorkloadClass::GeneralPurpose, None);
+        }
+        engine
+    }
+
     /// Both nodes half full: 48 cores free in the block, 24 on a node.
     const FRAGMENTED: [u32; 2] = [24, 24];
 
     /// A 32-core VM: fits an emptyish node, not half of one.
     fn big_vm() -> PlacementRequest {
         let resources = Resources::with_memory_gib(32, 512, 10);
-        placement_request(VmId(99), WorkloadClass::GeneralPurpose, resources, false, None, None)
-    }
-
-    fn walk_cfg(granularity: PlacementGranularity) -> SimConfig {
-        SimConfig {
-            granularity,
-            ..SimConfig::default()
-        }
-    }
-
-    type Walked = Result<(Option<NodeId>, u32), ScheduleError>;
-
-    /// [`walk`] through `policy` with fresh scratch; also hands back the
-    /// ranking it ended on.
-    fn walk_with(
-        policy: &mut PlacementPolicy,
-        cloud: &mut Cloud,
-        cfg: &SimConfig,
-        request: &PlacementRequest,
-        accept: impl FnMut(&mut Cloud, NodeId) -> bool,
-    ) -> (Walked, Ranking) {
-        let mut ranking = Ranking::default();
-        let now = SimTime::ZERO;
-        let walked = walk(cloud, policy, cfg, request, now, true, &mut ranking, accept);
-        (walked, ranking)
-    }
-
-    /// [`walk_with`] a fresh policy.
-    fn walk_once(
-        cloud: &mut Cloud,
-        cfg: &SimConfig,
-        request: &PlacementRequest,
-        accept: impl FnMut(&mut Cloud, NodeId) -> bool,
-    ) -> (Walked, Ranking) {
-        walk_with(&mut PlacementPolicy::new(cfg.policy), cloud, cfg, request, accept)
+        PlacementRequest::new(99, resources, BbPurpose::GeneralPurpose)
     }
 
     #[test]
     fn walk_retries_past_a_fragmented_block_at_block_granularity_only() {
         // Block 0 has the most room and ranks first, but no node of it
         // fits; block 1 has 40 cores free on its second node.
-        let mut cloud = filled_cloud(&[FRAGMENTED, [48, 8]]);
-        let target = cloud.topology().bbs()[1].nodes[1];
-        let cfg = walk_cfg(PlacementGranularity::BuildingBlock);
-        let (walked, ranking) = walk_once(&mut cloud, &cfg, &big_vm(), |_, _| true);
-        assert_eq!(ranking.order, [0, 1]);
-        assert_eq!(walked, Ok((Some(target), 1)));
+        let fill = [FRAGMENTED, [48, 8]];
+        let mut engine = engine_over(filled_cloud(&fill), PlacementGranularity::BuildingBlock);
+        let target = engine.topology().bbs()[1].nodes[1];
+        assert_eq!(engine.walk(&big_vm(), |_, _| true), Ok((Some(target), 1)));
+        assert_eq!(engine.ranking.order, [0, 1]);
 
         // Node granularity filters the half-full nodes out: no retry.
-        let cfg = walk_cfg(PlacementGranularity::Node);
-        let (walked, ranking) = walk_once(&mut cloud, &cfg, &big_vm(), |_, _| true);
-        assert_eq!(ranking.order, [target.index()]);
-        assert_eq!(walked, Ok((Some(target), 0)));
+        let mut engine = engine_over(filled_cloud(&fill), PlacementGranularity::Node);
+        assert_eq!(engine.walk(&big_vm(), |_, _| true), Ok((Some(target), 0)));
+        assert_eq!(engine.ranking.order, [target.index()]);
     }
 
     #[test]
@@ -982,27 +998,26 @@ pub(crate) mod tests {
         // Of the two blocks behind it, the later one ranks better.
         let mut fill = vec![FRAGMENTED; DECISION_TOP_K];
         fill.extend([[48, 12], [48, 8]]);
-        let mut cloud = filled_cloud(&fill);
-        let target = cloud.topology().bbs()[DECISION_TOP_K + 1].nodes[1];
-        let cfg = walk_cfg(PlacementGranularity::BuildingBlock);
-        let mut policy = PlacementPolicy::new(cfg.policy);
-        let (walked, ranking) = walk_with(&mut policy, &mut cloud, &cfg, &big_vm(), |_, _| true);
+        let mut engine = engine_over(filled_cloud(&fill), PlacementGranularity::BuildingBlock);
+        let target = engine.topology().bbs()[DECISION_TOP_K + 1].nodes[1];
+        let walked = engine.walk(&big_vm(), |_, _| true);
         assert_eq!(walked, Ok((Some(target), DECISION_TOP_K as u32)));
+        let ranking = &engine.ranking;
         assert_eq!(ranking.sorted_len, fill.len(), "the walk ended on a full re-rank");
         assert_eq!(ranking.order[DECISION_TOP_K..], [DECISION_TOP_K + 1, DECISION_TOP_K]);
-        let (general, hana) = policy.stats();
+        let (general, hana) = engine.policy.stats();
         assert_eq!(general.requests + hana.requests, 1, "the continuation is no second request");
     }
 
     #[test]
     fn walk_moves_on_when_accept_refuses() {
-        let mut cloud = filled_cloud(&[[0, 0], [8, 8], [16, 16]]);
-        let first_of = |b: usize| cloud.topology().bbs()[b].nodes[0];
+        let fill = [[0, 0], [8, 8], [16, 16]];
+        let mut engine = engine_over(filled_cloud(&fill), PlacementGranularity::BuildingBlock);
+        let first_of = |b: usize| engine.topology().bbs()[b].nodes[0];
         let (first, second, third) = (first_of(0), first_of(1), first_of(2));
-        let cfg = walk_cfg(PlacementGranularity::BuildingBlock);
 
         let mut offered = Vec::new();
-        let (walked, _) = walk_once(&mut cloud, &cfg, &big_vm(), |_, node| {
+        let walked = engine.walk(&big_vm(), |_, node| {
             offered.push(node);
             node != first
         });
@@ -1010,7 +1025,7 @@ pub(crate) mod tests {
         assert_eq!(offered, [first, second]);
 
         offered.clear();
-        let (walked, _) = walk_once(&mut cloud, &cfg, &big_vm(), |_, node| {
+        let walked = engine.walk(&big_vm(), |_, node| {
             offered.push(node);
             false
         });
@@ -1023,15 +1038,16 @@ pub(crate) mod tests {
         use sapsim_scheduler::RejectReason::{HostDisabled, InsufficientCpu};
         let mut cloud = filled_cloud(&[[0, 0], FRAGMENTED, FRAGMENTED]);
         cloud.set_bb_reserved(BbId::from_raw(0), true);
-        let cfg = walk_cfg(PlacementGranularity::BuildingBlock);
+        let mut engine = engine_over(cloud, PlacementGranularity::BuildingBlock);
         let mut request = big_vm();
         request.resources.cpu_cores = 64;
-        let (walked, ranking) = walk_once(&mut cloud, &cfg, &request, |_, _| {
+        let walked = engine.walk(&request, |_, _| {
             panic!("nothing to offer");
         });
         let err = walked.expect_err("one block reserved, two too full");
         assert_eq!(err.rejections, [(InsufficientCpu, 2), (HostDisabled, 1)]);
-        // What `place_vm` builds its no-candidate record from.
+        // What the driver builds its no-candidate record from.
+        let ranking = engine.last_ranking();
         assert_eq!(ranking.rejections, [(HostDisabled, 1), (InsufficientCpu, 2)]);
         assert_eq!((ranking.candidates, err.candidates), (3, 3));
         assert!(ranking.order.is_empty());

@@ -21,7 +21,8 @@
 //!   for.
 //!
 //! The entry point is [`SimDriver`]; see `examples/quickstart.rs` for a
-//! minimal end-to-end run.
+//! minimal end-to-end run. Placement itself belongs to
+//! [`PlacementEngine`], which a run holds and `sapsim serve` exposes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
