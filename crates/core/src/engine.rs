@@ -16,11 +16,12 @@
 //! host-failure evacuations and evacuation retries, so a served estate
 //! and a simulated one boot and schedule alike by construction.
 //!
-//! The driver advances the engine's clock to each event's time. The
+//! The driver advances the engine's clock to each event's time; the
 //! service never does, so a served engine stands still at
-//! [`SimTime::ZERO`]: it models an operator-driven control plane, not a
-//! telemetry replay, and lifetime hints come from the requests rather
-//! than from a workload trace.
+//! [`SimTime::ZERO`]. A placement's lifetime hint is its caller's. An
+//! evacuee asks with what is left of its own lifetime at the engine's
+//! clock, so a served drain and a simulated host failure rank it alike;
+//! in `serve` that is the lifetime it was placed with.
 
 use crate::cloud::{Cloud, PlacedVm};
 use crate::config::{PlacementGranularity, SimConfig};
@@ -402,7 +403,7 @@ impl PlacementEngine {
             lost: Vec::new(),
         };
         for vm in residents {
-            match self.evacuate_vm(vm, None) {
+            match self.evacuate_vm(vm) {
                 Ok(to) => report.moved.push((vm, to)),
                 Err(_) => report.lost.push(vm),
             }
@@ -416,48 +417,43 @@ impl PlacementEngine {
     /// state), at its *current* shape (post-resize, if any); then the
     /// resident leaves the source. `Err` hands back the removed VM, its
     /// demand-model state intact, when no host can take it.
-    pub(crate) fn evacuate_vm(
-        &mut self,
-        vm: VmId,
-        lifetime_hint_days: Option<f64>,
-    ) -> Result<NodeId, Box<PlacedVm>> {
-        let resources = self.cloud.vm(vm).expect("resident is placed").resources;
-        let target = self.restart_target(vm, resources, lifetime_hint_days);
+    pub(crate) fn evacuate_vm(&mut self, vm: VmId) -> Result<NodeId, Box<PlacedVm>> {
+        let placed = self.cloud.vm(vm).expect("resident is placed");
+        let target = self.restart_target(vm, placed.resources, placed.departure);
         let placed = self.cloud.remove(vm).expect("resident is placed");
-        match target {
-            Some(to) => {
-                self.cloud.readmit(placed, to);
-                Ok(to)
-            }
-            None => Err(Box::new(placed)),
-        }
+        self.readmit(placed, target)
     }
 
     /// Restart a VM that holds no allocation — displaced by a host
     /// failure and waiting for room. `Err` hands it back when no host
     /// can take it yet.
-    pub(crate) fn restart(
-        &mut self,
-        placed: PlacedVm,
-        lifetime_hint_days: Option<f64>,
-    ) -> Result<NodeId, Box<PlacedVm>> {
-        match self.restart_target(placed.id, placed.resources, lifetime_hint_days) {
-            Some(to) => {
-                self.cloud.readmit(placed, to);
-                Ok(to)
-            }
-            None => Err(Box::new(placed)),
-        }
+    pub(crate) fn restart(&mut self, placed: PlacedVm) -> Result<NodeId, Box<PlacedVm>> {
+        let target = self.restart_target(placed.id, placed.resources, placed.departure);
+        self.readmit(placed, target)
     }
 
-    /// The first node of a walk for `vm` at `resources` that fits.
+    /// Put a displaced VM on `target`, or hand it back without one.
+    fn readmit(&mut self, vm: PlacedVm, target: Option<NodeId>) -> Result<NodeId, Box<PlacedVm>> {
+        let Some(to) = target else {
+            return Err(Box::new(vm));
+        };
+        self.cloud.readmit(vm, to);
+        Ok(to)
+    }
+
+    /// The first node of a walk for `vm` at `resources` that fits. An
+    /// evacuee asks with what is left of its lifetime at the engine's
+    /// clock, `max(departure − now, 0)` in days: in `serve`, whose clock
+    /// stands at zero, that is the lifetime it was placed with.
     fn restart_target(
         &mut self,
         vm: VmId,
         resources: Resources,
-        lifetime_hint_days: Option<f64>,
+        departure: SimTime,
     ) -> Option<NodeId> {
-        let request = self.request(vm, resources, lifetime_hint_days);
+        // Time differences saturate at zero.
+        let residual_days = (departure - self.now).as_days_f64();
+        let request = self.request(vm, resources, Some(residual_days));
         self.walk(&request, |_, _| true)
             .ok()
             .and_then(|(node, _)| node)
@@ -965,6 +961,63 @@ pub(crate) mod tests {
             engine.admit(WorkloadClass::GeneralPurpose, None);
         }
         engine
+    }
+
+    /// One lifetime rule for evacuations: an evacuee asks with what is
+    /// left of its lifetime at the engine's clock, so a served drain and a
+    /// host failure send it to the same node. Under `LifetimeAware` the
+    /// hint decides here: `cohort`'s resident retires with the evacuee,
+    /// `roomy` has more free cores but a resident that stays for years.
+    #[test]
+    fn served_drains_and_host_failures_ask_with_the_residual_lifetime() {
+        use sapsim_scheduler::PolicyKind;
+        let mut cloud = regions_of(&[&[BbPurpose::GeneralPurpose; 2]]);
+        let nodes: Vec<NodeId> = cloud.topology().nodes().iter().map(|n| n.id).collect();
+        let (source, cohort, roomy, full) = (nodes[0], nodes[1], nodes[2], nodes[3]);
+        // One VM per node, equal memory everywhere: cores and lifetimes
+        // decide. VM 0 is the evacuee.
+        let residents = [
+            (source, 8, 30),
+            (cohort, 8, 30),
+            (roomy, 4, 1_000),
+            (full, 48, 1_000),
+        ];
+        for (id, (node, cpus, days)) in residents.into_iter().enumerate() {
+            let resources = Resources::with_memory_gib(cpus, 64, 10);
+            let mut spec = vm_spec(id as u64, WorkloadClass::GeneralPurpose, resources);
+            spec.lifetime = sapsim_sim::SimDuration::from_days(days);
+            cloud.place(id, &spec, node, SimRng::seed_from(id as u64));
+        }
+        let cfg = SimConfig {
+            granularity: PlacementGranularity::Node,
+            policy: PolicyKind::LifetimeAware,
+            ..SimConfig::default()
+        };
+        let mut engine = PlacementEngine::with_cloud(cfg, cloud);
+        for _ in residents {
+            engine.admit(WorkloadClass::GeneralPurpose, None);
+        }
+        let evacuee = VmId(0);
+        let failed_at = |days| {
+            let mut fork = engine.fork();
+            fork.advance_clock(SimTime::from_days(days));
+            fork.cloud.set_node_state(source, NodeState::Failed);
+            fork
+        };
+
+        // Without a hint the roomier node would win.
+        let mut hintless = failed_at(0);
+        let request = hintless.request(evacuee, Resources::with_memory_gib(8, 64, 10), None);
+        assert_eq!(hintless.walk(&request, |_, _| true), Ok((Some(roomy), 0)));
+
+        let mut served = engine.fork();
+        assert_eq!(served.evacuate(source).moved, [(evacuee, cohort)]);
+        // A host failure ten days in, and the restart of an evacuee that
+        // waited for room.
+        assert_eq!(failed_at(10).evacuate_vm(evacuee).ok(), Some(cohort));
+        let mut waited = failed_at(10);
+        let displaced = waited.cloud.remove(evacuee).expect("resident");
+        assert_eq!(waited.restart(displaced).ok(), Some(cohort));
     }
 
     /// Both nodes half full: 48 cores free in the block, 24 on a node.
