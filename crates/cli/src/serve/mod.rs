@@ -720,12 +720,26 @@ mod tests {
         registry.observe_with("serve_request_us", "op", "place", 120);
         registry.observe_with("serve_request_us", "op", "place", 450);
         let page = render_prom(&registry, SERVE_HELP);
-        assert!(page.contains("# TYPE sapsim_serve_requests_total counter"), "{page}");
-        assert!(page.contains("sapsim_serve_requests_total{op=\"place\"} 3"), "{page}");
-        assert!(page.contains("# TYPE sapsim_serve_version gauge"), "{page}");
-        assert!(page.contains("# TYPE sapsim_serve_request_us histogram"), "{page}");
-        assert!(page.contains("sapsim_serve_request_us_count{op=\"place\"} 2"), "{page}");
-        assert!(page.contains("le=\"+Inf\""), "{page}");
+        assert_eq!(
+            page,
+            "# HELP sapsim_serve_errors_total Placement-service counter\n\
+             # TYPE sapsim_serve_errors_total counter\n\
+             sapsim_serve_errors_total{code=\"conflict\"} 1\n\
+             # HELP sapsim_serve_requests_total Placement-service counter\n\
+             # TYPE sapsim_serve_requests_total counter\n\
+             sapsim_serve_requests_total{op=\"place\"} 3\n\
+             sapsim_serve_requests_total{op=\"state\"} 1\n\
+             # HELP sapsim_serve_version Placement-service gauge\n\
+             # TYPE sapsim_serve_version gauge\n\
+             sapsim_serve_version 4\n\
+             # HELP sapsim_serve_request_us Placement-service latency histogram\n\
+             # TYPE sapsim_serve_request_us histogram\n\
+             sapsim_serve_request_us_bucket{op=\"place\",le=\"127\"} 1\n\
+             sapsim_serve_request_us_bucket{op=\"place\",le=\"511\"} 2\n\
+             sapsim_serve_request_us_bucket{op=\"place\",le=\"+Inf\"} 2\n\
+             sapsim_serve_request_us_sum{op=\"place\"} 570\n\
+             sapsim_serve_request_us_count{op=\"place\"} 2\n"
+        );
     }
 
     #[test]
