@@ -3,16 +3,17 @@
 //! `sapsim obs summary run.jsonl` re-aggregates a decision/span log written
 //! by `simulate --obs-out` into the run's diagnostic headline: span timing
 //! per event-loop phase, placement outcomes, filter rejection totals, and
-//! the event counters. With `--prom` the counters are re-rendered in
-//! Prometheus text format instead, so a log can be pushed through the same
-//! tooling as the telemetry exposition.
+//! the event counters. With `--prom` the counters fold into a
+//! [`MetricsRegistry`] (same-name counters add, so a concatenation of
+//! logs still has one family per name) and print as its Prometheus page.
 //!
 //! `sapsim obs metrics FILE...` merges one or more `sapsim.metrics/v1`
 //! snapshots (from `simulate --metrics-out` or `sweep --metrics-dir`) into
 //! a single view: counters add, gauges take the last file's value, and the
 //! fixed-boundary histograms merge bucket-wise without loss. With `--prom`
 //! the merged registry renders as a full Prometheus page (counter, gauge,
-//! and histogram families).
+//! and histogram families). Both pages, like `serve`'s `/metrics`, come
+//! from [`MetricsRegistry::to_prometheus`].
 //!
 //! Both read through the declarations that wrote the files:
 //! [`LogLine`] for the log, [`MetricsRegistry`]'s own decoder for the
@@ -20,10 +21,8 @@
 
 use crate::args::Parsed;
 use crate::error::CliError;
-use crate::serve::render_prom;
 use sapsim_json::decode;
 use sapsim_obs::{Histogram, LogLine, MetricKey, MetricsRegistry};
-use sapsim_telemetry::exposition::render_counters;
 use std::collections::BTreeMap;
 use std::io::Write;
 
@@ -68,9 +67,12 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             };
             let summary = summarize(&read(path)?)?;
             if parsed.flag("prom") {
-                let page =
-                    render_counters(summary.counters.iter().map(|(name, v)| (name.as_str(), *v)));
-                write!(out, "{page}")?;
+                let mut counters = MetricsRegistry::new();
+                for (name, value) in summary.counters {
+                    counters.add_counter(MetricKey { name: name.into(), label: None }, value);
+                }
+                let help = ["Simulator event counter"; 3];
+                write!(out, "{}", counters.to_prometheus(help))?;
                 return Ok(());
             }
             render(&summary, out)?;
@@ -88,14 +90,14 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
                 merged.merge(&snapshot);
             }
             if !parsed.flag("prom") {
-                return Ok(render_metrics_table(&merged, paths.len(), out)?);
+                return Ok(metrics_table(&merged, paths.len(), out)?);
             }
             let help = [
                 "Merged engine counter",
                 "Merged engine gauge",
                 "Merged engine histogram",
             ];
-            write!(out, "{}", render_prom(&merged, help))?;
+            write!(out, "{}", merged.to_prometheus(help))?;
             Ok(())
         }
         other => Err(CliError::Usage(format!(
@@ -152,7 +154,7 @@ fn series_display(key: &MetricKey) -> String {
 }
 
 /// Human-readable rendering of the registry merged from `files` snapshots.
-fn render_metrics_table(
+fn metrics_table(
     merged: &MetricsRegistry,
     files: usize,
     out: &mut dyn Write,

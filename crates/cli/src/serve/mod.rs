@@ -36,9 +36,8 @@ use crate::args::Parsed;
 use crate::error::CliError;
 use sapsim_api::{ApiRequest, ApiResponse, ProtocolError, ShutdownResponse};
 use sapsim_core::{PlacementEngine, PlacementGranularity, SimConfig};
-use sapsim_obs::{MetricKey, MetricsRegistry};
+use sapsim_obs::MetricsRegistry;
 use sapsim_scheduler::PolicyKind;
-use sapsim_telemetry::exposition::{render_metrics, PromData, PromFamily, PromHistogram};
 use service::{PendingTxn, Service};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
@@ -386,7 +385,7 @@ fn handle_http(shared: &Shared, write_tx: &mpsc::Sender<WriteMsg>, mut stream: T
             let _ = http::write_response(&mut stream, 200, "text/plain", "ok\n");
         }
         ("GET", "/metrics") => {
-            let page = render_prom(&shared.metrics.lock().expect("metrics lock"), SERVE_HELP);
+            let page = shared.metrics.lock().expect("metrics lock").to_prometheus(SERVE_HELP);
             let _ = http::write_response(&mut stream, 200, "text/plain; version=0.0.4", &page);
         }
         ("GET", "/v1/state") => {
@@ -630,75 +629,6 @@ fn record_protocol_error(shared: &Shared, err: &ProtocolError) {
     metrics.counter_with("serve_errors_total", "code", err.code(), 1);
 }
 
-/// A registry rendered through the shared Prometheus exposition
-/// renderer, with the help texts of its counter, gauge and histogram
-/// families: the `/metrics` page, and `sapsim obs metrics --prom`.
-/// `BTreeMap` key order means consecutive entries with the same name form
-/// one family; the top histogram bucket (upper bound `u64::MAX`) is
-/// dropped because the renderer's mandatory `le="+Inf"` sample already
-/// carries the total.
-pub(crate) fn render_prom(registry: &MetricsRegistry, help: [&str; 3]) -> String {
-    let cumulative: Vec<Vec<(f64, u64)>> = registry
-        .histograms()
-        .map(|(_, h)| {
-            let mut cum = 0u64;
-            h.buckets()
-                .filter_map(|(ub, n)| {
-                    cum += n;
-                    (ub != u64::MAX).then_some((ub as f64, cum))
-                })
-                .collect()
-        })
-        .collect();
-    let hists: Vec<(&MetricKey, PromHistogram)> = registry
-        .histograms()
-        .zip(&cumulative)
-        .map(|((key, h), cumulative)| {
-            let sample = PromHistogram {
-                cumulative,
-                sum: h.sum() as f64,
-                count: h.count(),
-            };
-            (key, sample)
-        })
-        .collect();
-    let counters: Vec<(&MetricKey, u64)> = registry.counters().collect();
-    let gauges: Vec<(&MetricKey, f64)> = registry.gauges().collect();
-
-    let mut families = Vec::new();
-    push_families(&mut families, &counters, help[0], PromData::Counter);
-    push_families(&mut families, &gauges, help[1], PromData::Gauge);
-    push_families(&mut families, &hists, help[2], PromData::Histogram);
-    render_metrics(families)
-}
-
-/// The samples of one family: an optional label pair, then the value.
-type Samples<'a, T> = Vec<(Option<(&'a str, &'a str)>, T)>;
-
-/// One family per run of same-name entries.
-fn push_families<'a, T: Copy>(
-    families: &mut Vec<PromFamily<'a>>,
-    entries: &[(&'a MetricKey, T)],
-    help: &'a str,
-    data: fn(Samples<'a, T>) -> PromData<'a>,
-) {
-    let mut rest = entries;
-    while let Some(&(first, _)) = rest.first() {
-        let same_name = |(key, _): &&(&MetricKey, T)| key.name == first.name;
-        let n = rest.iter().take_while(same_name).count();
-        let samples = rest[..n].iter().map(|&(key, value)| {
-            let label = key.label.as_ref().map(|(k, v)| (k.as_ref(), v.as_str()));
-            (label, value)
-        });
-        families.push(PromFamily {
-            name: &first.name,
-            help,
-            data: data(samples.collect()),
-        });
-        rest = &rest[n..];
-    }
-}
-
 /// Help texts of the `/metrics` page's families.
 const SERVE_HELP: [&str; 3] = [
     "Placement-service counter",
@@ -719,7 +649,7 @@ mod tests {
         registry.gauge("serve_version", 4.0);
         registry.observe_with("serve_request_us", "op", "place", 120);
         registry.observe_with("serve_request_us", "op", "place", 450);
-        let page = render_prom(&registry, SERVE_HELP);
+        let page = registry.to_prometheus(SERVE_HELP);
         assert_eq!(
             page,
             "# HELP sapsim_serve_errors_total Placement-service counter\n\

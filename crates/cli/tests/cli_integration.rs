@@ -353,6 +353,31 @@ fn obs_summary_roundtrips_fault_events() {
 }
 
 #[test]
+fn obs_summary_prom_emits_one_family_per_counter_name() {
+    // Two `simulate --obs-out` logs concatenated: every counter twice.
+    let log = concat!(
+        "{\"type\":\"meta\",\"version\":1,\"decision_sample_rate\":1,",
+        "\"ring_capacity\":8,\"events\":0,\"dropped\":0}\n",
+        "{\"type\":\"counter\",\"name\":\"drs_migrations\",\"value\":4}\n",
+        "{\"type\":\"counter\",\"name\":\"placements\",\"value\":812}\n",
+    )
+    .repeat(2);
+    let path = std::env::temp_dir().join(format!("sapsim-cli-twice-{}.jsonl", std::process::id()));
+    std::fs::write(&path, log).expect("write log");
+    let page = run_capture(&["obs", "summary", path.to_str().unwrap(), "--prom"]).unwrap();
+    std::fs::remove_file(&path).expect("cleanup");
+    assert_eq!(
+        page,
+        "# HELP sapsim_drs_migrations Simulator event counter\n\
+         # TYPE sapsim_drs_migrations counter\n\
+         sapsim_drs_migrations 8\n\
+         # HELP sapsim_placements Simulator event counter\n\
+         # TYPE sapsim_placements counter\n\
+         sapsim_placements 1624\n"
+    );
+}
+
+#[test]
 fn obs_knobs_without_output_error() {
     let err = run_capture(&["simulate", "--obs-sample", "0.5"]).unwrap_err();
     assert!(err.to_string().contains("--obs-out"), "{err}");

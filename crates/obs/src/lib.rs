@@ -25,7 +25,10 @@
 //!   sweep cells merge bit-stably. Exported as the versioned
 //!   `sapsim.metrics/v1` JSON line; collected by [`MetricsRecorder`] (or
 //!   [`JsonlRecorder::with_metrics`]) and folded from engine snapshots
-//!   through [`Recorder::metrics_mut`].
+//!   through [`Recorder::metrics_mut`]. The registry also renders itself
+//!   as a Prometheus text page ([`MetricsRegistry::to_prometheus`]): the
+//!   one renderer behind `serve`'s `/metrics`, `sapsim obs metrics --prom`
+//!   and `sapsim obs summary --prom`.
 //! * [`ProgressRecorder`] — wraps any recorder and prints the live
 //!   `--progress` heartbeat from the [`Recorder::tick`]/`finish` hooks.
 //! * [`RunProfile`] — aggregated wall-clock timing per event-loop phase
@@ -45,8 +48,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(clippy::too_many_lines)]
 
 mod event;
+mod exposition;
 mod metrics;
 mod profile;
 mod progress;

@@ -23,6 +23,8 @@
 //! `sapsim.metrics/v1` schema: one line, self-describing histogram bucket
 //! upper bounds, stable field order. The registry reads it back through
 //! [`FromJson`], which is how `sapsim obs metrics` merges snapshots.
+//! [`MetricsRegistry::to_prometheus`] renders the same entries as a
+//! Prometheus text page.
 
 use crate::event::Name;
 use sapsim_json::{json_codec, DecodeError, ErrorKind, FromJson, JsonValue, Keyed, ToJson};
@@ -457,9 +459,9 @@ impl MetricsRegistry {
         }
     }
 
-    /// Counters saturate rather than wrap when folding file-supplied
-    /// snapshots.
-    fn add_counter(&mut self, key: MetricKey, value: u64) {
+    /// Add `value` to the counter at `key`, saturating rather than
+    /// wrapping: how counts read from files (snapshots, logs) fold.
+    pub fn add_counter(&mut self, key: MetricKey, value: u64) {
         let slot = self.counters.entry(key).or_insert(0);
         *slot = slot.saturating_add(value);
     }

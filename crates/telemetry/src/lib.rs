@@ -16,19 +16,17 @@
 //!   full-region runs don't need to retain every raw sample.
 //! * [`summary`] — percentile/mean/max helpers used by the contention and
 //!   ready-time analyses (Figures 8 and 9).
-//! * [`exposition`] — Prometheus text-format rendering of the latest
-//!   samples, matching how the paper's exporters serve these metrics, plus
-//!   counter-family rendering for the observability recorder's event
-//!   counters.
 //!
 //! The store is deliberately simple (sorted `Vec` per series, no
 //! compression): runs are bounded (30 days) and the analysis layer consumes
-//! everything sequentially.
+//! everything sequentially. The store speaks no wire format: the
+//! Prometheus text pages of the engine's own metrics are rendered by
+//! `sapsim-obs`'s `MetricsRegistry::to_prometheus`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(clippy::too_many_lines)]
 
-pub mod exposition;
 mod metric;
 mod registry;
 mod rollup;
