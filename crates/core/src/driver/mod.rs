@@ -458,7 +458,10 @@ impl SimDriver {
         let cloud = &engine.cloud;
 
         // --- Simulation state ----------------------------------------
+        #[cfg(not(test))]
         let mut sim: Simulation<Event> = Simulation::new();
+        #[cfg(test)]
+        let mut sim: Simulation<Event> = Simulation::with_backend(tests::QUEUE_BACKEND.get());
         let warmup = SimTime::from_days(cfg.warmup_days);
         let horizon = SimTime::from_days(cfg.warmup_days + cfg.days);
         // Dense tables for every node/BB/region series: the scrape's write
@@ -620,6 +623,7 @@ mod tests {
     use crate::config::PlacementGranularity;
     use sapsim_scheduler::PolicyKind;
     use sapsim_sim::QueueBackend;
+    use std::cell::Cell;
     use sapsim_telemetry::{EntityRef, MetricId};
 
     fn smoke(seed: u64) -> RunResult {
@@ -1083,15 +1087,19 @@ mod tests {
         );
     }
 
-    /// A cold run on the binary-heap queue: the state the production
-    /// build seeds, moved onto the heap before the first event fires.
+    thread_local! {
+        /// The event queue `build_state` starts a run on: the timing
+        /// wheel, or the binary-heap oracle while [`run_on_heap`] runs.
+        pub(super) static QUEUE_BACKEND: Cell<QueueBackend> =
+            const { Cell::new(QueueBackend::TimingWheel) };
+    }
+
+    /// A cold run on the binary-heap queue.
     fn run_on_heap<R: Recorder>(cfg: &SimConfig, rec: &mut R) -> RunResult {
-        let mut st = SimDriver::build_state(cfg, R::ENABLED);
-        let events = st.sim.snapshot_events();
-        let (now, stats, next_seq) = (st.sim.now(), st.sim.stats(), st.sim.next_seq());
-        st.sim = Simulation::restore(QueueBackend::BinaryHeap, now, stats, next_seq, events);
-        SimDriver::run_to_horizon(&mut st, rec);
-        SimDriver::finalize(st, rec)
+        QUEUE_BACKEND.set(QueueBackend::BinaryHeap);
+        let result = SimDriver::new(*cfg).unwrap().run_with_recorder(rec);
+        QUEUE_BACKEND.set(QueueBackend::TimingWheel);
+        result
     }
 
     /// The timing wheel must be byte-identical to the binary-heap oracle.

@@ -61,12 +61,17 @@ impl<E> Default for Simulation<E> {
 
 impl<E> Simulation<E> {
     /// Create a simulation with the clock at [`SimTime::ZERO`], on the
-    /// default (timing-wheel) event queue. [`Simulation::restore`] moves
-    /// one onto either backend.
+    /// default (timing-wheel) event queue.
     pub fn new() -> Self {
+        Self::with_backend(QueueBackend::default())
+    }
+
+    /// Create a simulation with the clock at [`SimTime::ZERO`] on the
+    /// given event-queue backend (the binary heap is the test oracle).
+    pub fn with_backend(backend: QueueBackend) -> Self {
         Simulation {
             now: SimTime::ZERO,
-            queue: EventQueue::new(),
+            queue: EventQueue::with_backend(backend),
             stats: SimulationStats::default(),
         }
     }
@@ -160,42 +165,6 @@ impl<E> Simulation<E> {
         }
     }
 
-    /// The seq the queue will assign to the next scheduled event (see
-    /// [`EventQueue::next_seq`]).
-    pub fn next_seq(&self) -> u64 {
-        self.queue.next_seq()
-    }
-
-    /// Copy out the pending-event set in pop order as
-    /// `(time, seq, payload)` triples, leaving the queue intact (see
-    /// [`EventQueue::snapshot_events`]).
-    pub fn snapshot_events(&mut self) -> Vec<(SimTime, u64, E)>
-    where
-        E: Clone,
-    {
-        self.queue.snapshot_events()
-    }
-
-    /// Rebuild a simulation from [`snapshot_events`](Self::snapshot_events),
-    /// [`stats`](Self::stats) and [`next_seq`](Self::next_seq) of another,
-    /// on `backend`: clock at `now`, and every pending event re-queued
-    /// under its original seq with the seq counter resumed at `next_seq`.
-    /// The rebuilt simulation fires the same events in the same order with
-    /// the same handles as the original; this is how a run moves onto the
-    /// binary-heap oracle the timing wheel is tested against.
-    pub fn restore(
-        backend: QueueBackend,
-        now: SimTime,
-        stats: SimulationStats,
-        next_seq: u64,
-        events: impl IntoIterator<Item = (SimTime, u64, E)>,
-    ) -> Simulation<E> {
-        Simulation {
-            now,
-            queue: EventQueue::restore(backend, next_seq, events),
-            stats,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -281,53 +250,6 @@ mod tests {
         assert_eq!(s.scheduled, 2);
         assert_eq!(s.cancelled, 1);
         assert_eq!(s.fired, 1);
-    }
-
-    #[test]
-    fn restore_replays_the_identical_future_on_both_backends() {
-        for backend in [QueueBackend::TimingWheel, QueueBackend::BinaryHeap] {
-            // Drive a simulation halfway, copy out its queue and counters,
-            // rebuild a fresh instance, and check both halves replay the
-            // same (time, handle, payload) tail.
-            let mut sim: Simulation<u32> =
-                Simulation::restore(backend, SimTime::ZERO, Default::default(), 0, []);
-            for i in 0..30u32 {
-                sim.schedule_at(SimTime::from_secs((i % 7) as u64 * 10), i);
-            }
-            let cutoff = SimTime::from_secs(30);
-            while sim.peek_time().is_some_and(|t| t < cutoff) {
-                sim.next_event();
-            }
-
-            let events = sim.snapshot_events();
-            let mut twin = Simulation::restore(
-                backend,
-                sim.now(),
-                sim.stats(),
-                sim.next_seq(),
-                events,
-            );
-            assert_eq!(twin.now(), sim.now());
-            assert_eq!(twin.stats(), sim.stats());
-            assert_eq!(twin.pending(), sim.pending());
-
-            loop {
-                let a = sim.next_event();
-                let b = twin.next_event();
-                match (a, b) {
-                    (None, None) => break,
-                    (Some(a), Some(b)) => {
-                        assert_eq!((a.time, a.handle, a.payload), (b.time, b.handle, b.payload));
-                    }
-                    (a, b) => panic!("streams diverged: {a:?} vs {b:?}"),
-                }
-            }
-            // Post-drain scheduling also stays in lockstep (seq counter
-            // was restored, so new handles match).
-            let ha = sim.schedule_after(SimDuration::from_secs(1), 99);
-            let hb = twin.schedule_after(SimDuration::from_secs(1), 99);
-            assert_eq!(ha, hb);
-        }
     }
 
     #[test]

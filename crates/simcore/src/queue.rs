@@ -248,78 +248,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// The seq the next [`push`](Self::push) will be assigned. Exposed for
-    /// [`restore`](Self::restore), which must resume the counter past every
-    /// seq ever issued so later pushes keep FIFO order behind every
-    /// restored event.
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// Insert under a caller-assigned seq without advancing `next_seq` —
-    /// the restore path, where seqs come from another queue rather than
-    /// the counter.
-    fn insert_raw(&mut self, time: SimTime, seq: u64, payload: E) {
-        match &mut self.inner {
-            Inner::Wheel(w) => w.insert(time, seq, payload),
-            Inner::Heap(h) => h.insert(time, seq, payload),
-        }
-    }
-
-    /// Remove every live event in `(time, handle)` pop order, returning
-    /// `(time, seq, payload)` triples. Cancelled husks are discarded, so
-    /// the result is exactly the future the queue still holds.
-    pub fn drain_sorted(&mut self) -> Vec<(SimTime, u64, E)> {
-        let mut out = Vec::with_capacity(self.len());
-        while let Some(ev) = self.pop() {
-            out.push((ev.time, ev.handle.raw(), ev.payload));
-        }
-        out
-    }
-
-    /// Copy out the pending-event set in `(time, handle)` pop order
-    /// *without* losing it: drains the backend, then re-inserts a clone of
-    /// every event under its original seq. Both backends order strictly by
-    /// `(time, seq)` — the wheel merges at-or-before-cursor inserts into
-    /// its sorted staging buffer at exactly that rank — so the subsequent
-    /// pop sequence is unchanged. [`restore`](Self::restore) takes the
-    /// result onto either backend. Timing-wheel health counters (cascades,
-    /// occupancy peaks) may shift from the drain; those are observational
-    /// and sit outside the canonical-bytes contract.
-    pub fn snapshot_events(&mut self) -> Vec<(SimTime, u64, E)>
-    where
-        E: Clone,
-    {
-        let drained = self.drain_sorted();
-        for (time, seq, payload) in &drained {
-            self.insert_raw(*time, *seq, payload.clone());
-        }
-        drained
-    }
-
-    /// Rebuild a queue from [`snapshot_events`](Self::snapshot_events)
-    /// output on `backend`: every `(time, seq, payload)`
-    /// re-enters under its original seq, and the seq counter resumes at
-    /// `next_seq` (which must exceed every restored seq, so post-restore
-    /// pushes tie-break behind every restored event exactly as they would
-    /// have in the uninterrupted run). Insertion order is irrelevant: both
-    /// backends serve strictly by `(time, seq)`.
-    pub fn restore(
-        backend: QueueBackend,
-        next_seq: u64,
-        events: impl IntoIterator<Item = (SimTime, u64, E)>,
-    ) -> EventQueue<E> {
-        let mut q = Self::with_backend(backend);
-        for (time, seq, payload) in events {
-            assert!(
-                seq < next_seq,
-                "restored event seq {seq} is not covered by next_seq {next_seq}"
-            );
-            q.insert_raw(time, seq, payload);
-        }
-        q.next_seq = next_seq;
-        q
-    }
 }
 
 #[cfg(test)]
@@ -455,83 +383,6 @@ mod tests {
         assert_eq!(stats.live, 1);
         let h: EventQueue<()> = EventQueue::with_backend(QueueBackend::BinaryHeap);
         assert!(h.wheel_stats().is_none(), "heap oracle has no wheel stats");
-    }
-
-    #[test]
-    fn snapshot_events_preserves_pop_order_and_seq_counter() {
-        for b in BACKENDS {
-            let mut q = EventQueue::with_backend(b);
-            let mut oracle = EventQueue::with_backend(b);
-            let mut handles = Vec::new();
-            for i in 0..50u64 {
-                let time = t(i % 9); // heavy ties
-                handles.push(q.push(time, i));
-                oracle.push(time, i);
-                if i % 7 == 0 {
-                    let victim = handles[(i as usize * 3) % handles.len()];
-                    q.cancel(victim);
-                    oracle.cancel(victim);
-                }
-            }
-            let snap = q.snapshot_events();
-            assert_eq!(snap.len(), q.len(), "snapshot covers every live event");
-            assert_eq!(q.next_seq(), oracle.next_seq());
-            // Pushes after the snapshot must order exactly as they would
-            // have without it.
-            q.push(t(4), 999);
-            oracle.push(t(4), 999);
-            loop {
-                let (a, b) = (q.pop(), oracle.pop());
-                match (a, b) {
-                    (None, None) => break,
-                    (Some(x), Some(y)) => {
-                        assert_eq!((x.time, x.handle, x.payload), (y.time, y.handle, y.payload));
-                    }
-                    (a, b) => panic!("length mismatch: {a:?} vs {b:?}"),
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn restore_rebuilds_an_identical_future() {
-        for b in BACKENDS {
-            let mut q = EventQueue::with_backend(b);
-            for i in 0..40u64 {
-                let h = q.push(t(i % 5), i);
-                if i % 6 == 0 {
-                    q.cancel(h);
-                }
-            }
-            let next_seq = q.next_seq();
-            let mut snap = q.snapshot_events();
-            // Restoration must not depend on input order.
-            snap.reverse();
-            let mut restored = EventQueue::restore(b, next_seq, snap);
-            assert_eq!(restored.len(), q.len());
-            assert_eq!(restored.next_seq(), next_seq);
-            q.push(t(2), 777);
-            restored.push(t(2), 777);
-            loop {
-                match (q.pop(), restored.pop()) {
-                    (None, None) => break,
-                    (Some(x), Some(y)) => {
-                        assert_eq!((x.time, x.handle, x.payload), (y.time, y.handle, y.payload));
-                    }
-                    (a, b) => panic!("length mismatch: {a:?} vs {b:?}"),
-                }
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "not covered by next_seq")]
-    fn restore_rejects_seqs_beyond_the_counter() {
-        let _ = EventQueue::restore(
-            QueueBackend::TimingWheel,
-            3,
-            vec![(t(1), 5u64, "late".to_string())],
-        );
     }
 
     #[test]
