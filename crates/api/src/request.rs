@@ -132,12 +132,6 @@ impl PlaceRequest {
         self.count = count;
         self
     }
-
-    /// Declare the expected lifetime in days.
-    pub fn with_lifetime_days(mut self, days: f64) -> Self {
-        self.lifetime_days = Some(days);
-        self
-    }
 }
 
 json_codec!(struct PlaceRequest {
@@ -454,16 +448,16 @@ mod tests {
     #[test]
     fn every_request_round_trips_through_the_codec() {
         let requests = vec![
-            ApiRequest::Place(
-                PlaceRequest::new(4, 32_768)
+            ApiRequest::Place(PlaceRequest {
+                lifetime_days: Some(30.5),
+                ..PlaceRequest::new(4, 32_768)
                     .with_id("r1")
                     .with_disk_gib(100)
                     .with_class(VmClass::Hana)
                     .in_az("az-a")
                     .with_count(3)
-                    .with_lifetime_days(30.5)
-                    .dry_run(),
-            ),
+                    .dry_run()
+            }),
             ApiRequest::Place(PlaceRequest::new(1, 1024)),
             ApiRequest::Resize(ResizeRequest::new(7, 8, 65_536).with_disk_gib(50).dry_run()),
             ApiRequest::Resize(ResizeRequest::new(0, 2, 2048).with_id("r2")),

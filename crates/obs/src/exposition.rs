@@ -152,6 +152,14 @@ mod tests {
     }
 
     #[test]
+    fn single_family_render() {
+        let mut registry = MetricsRegistry::new();
+        registry.counter_with("serve_requests_total", "op", "place", 3);
+        let page = registry.to_prometheus(HELP);
+        assert_eq!(page.lines().count(), 3, "HELP + TYPE + one series: {page}");
+    }
+
+    #[test]
     fn value_formatting_matches_prometheus() {
         assert_eq!(prom_float(42.0), "42");
         assert_eq!(prom_float(1.25), "1.25");

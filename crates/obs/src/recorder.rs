@@ -246,11 +246,6 @@ impl MetricsRecorder {
     pub fn registry(&self) -> &MetricsRegistry {
         &self.registry
     }
-
-    /// Consume the recorder, keeping the registry.
-    pub fn into_registry(self) -> MetricsRegistry {
-        self.registry
-    }
 }
 
 /// Fold one typed event into a registry — shared by every recorder that

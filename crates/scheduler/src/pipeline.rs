@@ -448,15 +448,6 @@ impl FilterScheduler {
         }
         Ok(())
     }
-
-    /// Convenience: the single best candidate.
-    pub fn select(
-        &mut self,
-        request: &PlacementRequest,
-        hosts: &[HostView],
-    ) -> Result<usize, ScheduleError> {
-        Ok(self.rank(request, hosts)?.best())
-    }
 }
 
 #[cfg(test)]

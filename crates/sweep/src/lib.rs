@@ -36,7 +36,7 @@ pub use summary::{ClassCount, RunSummary, UtilizationBands, RUN_SUMMARY_SCHEMA};
 
 use sapsim_analysis::cdf::{utilization_cdf, VmResource};
 use sapsim_analysis::contention::contention_aggregate;
-use sapsim_core::{Scenario, SimError, SweepSpec};
+use sapsim_core::{Scenario, SimError};
 use sapsim_obs::{JsonlRecorder, MetricsRecorder, MetricsRegistry, NullRecorder};
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -205,13 +205,6 @@ pub fn effective_workers(requested: usize, work: usize) -> usize {
     requested.clamp(1, work.max(1))
 }
 
-/// Expand `spec` and execute the grid. Convenience wrapper around
-/// [`run_sweep`].
-pub fn run_spec(spec: &SweepSpec, options: &SweepOptions) -> Result<SweepOutput, SweepError> {
-    let scenarios = spec.expand()?;
-    run_sweep(&scenarios, options)
-}
-
 /// Execute `scenarios` on the work-stealing pool and reduce
 /// deterministically.
 ///
@@ -367,7 +360,12 @@ fn execute_one(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sapsim_core::SimConfig;
+    use sapsim_core::{SimConfig, SweepSpec};
+
+    /// Expand `spec` and execute the grid.
+    fn run_spec(spec: &SweepSpec, options: &SweepOptions) -> Result<SweepOutput, SweepError> {
+        run_sweep(&spec.expand()?, options)
+    }
 
     fn tiny_spec() -> SweepSpec {
         let mut base = SimConfig::smoke_test();

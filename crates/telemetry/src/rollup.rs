@@ -79,11 +79,6 @@ impl RunningStat {
         let mean = self.sum / self.count as f64;
         Some((self.sum_sq / self.count as f64 - mean * mean).max(0.0))
     }
-
-    /// Population standard deviation; `None` when empty.
-    pub fn std_dev(&self) -> Option<f64> {
-        self.variance().map(f64::sqrt)
-    }
 }
 
 /// Aggregates of one simulated day for one series.
@@ -152,28 +147,9 @@ impl DailyRollup {
         total.mean()
     }
 
-    /// Maximum sample over the whole window.
-    pub fn overall_max(&self) -> Option<f64> {
-        let mut max: Option<f64> = None;
-        for c in self.days.iter().filter(|c| c.stat.count > 0) {
-            max = Some(match max {
-                None => c.stat.max,
-                Some(m) => m.max(c.stat.max),
-            });
-        }
-        max
-    }
-
     /// Number of days that received at least one sample.
     pub fn days_with_data(&self) -> usize {
         self.days.iter().filter(|c| c.stat.count > 0).count()
-    }
-
-    /// Number of days with no samples at all — the white cells of the
-    /// paper's heatmaps (maintenance windows, host failures, telemetry
-    /// dropouts).
-    pub fn gap_days(&self) -> usize {
-        self.num_days() - self.days_with_data()
     }
 
     /// Fraction of days with data, in `[0, 1]`. An empty window (zero
@@ -184,23 +160,6 @@ impl DailyRollup {
         } else {
             self.days_with_data() as f64 / self.num_days() as f64
         }
-    }
-
-    /// Length of the longest run of consecutive empty days — how long the
-    /// series was dark at a stretch, which distinguishes a multi-day
-    /// outage from scattered missing samples.
-    pub fn longest_gap_days(&self) -> usize {
-        let mut longest = 0usize;
-        let mut run = 0usize;
-        for c in &self.days {
-            if c.stat.count == 0 {
-                run += 1;
-                longest = longest.max(run);
-            } else {
-                run = 0;
-            }
-        }
-        longest
     }
 }
 
@@ -220,7 +179,6 @@ mod tests {
         assert_eq!(s.count, 8);
         assert_eq!(s.mean(), Some(5.0));
         assert_eq!(s.variance(), Some(4.0));
-        assert_eq!(s.std_dev(), Some(2.0));
         assert_eq!(s.min, 2.0);
         assert_eq!(s.max, 9.0);
     }
@@ -268,7 +226,6 @@ mod tests {
         r.push(SimTime::from_days(1) + h, 10.0);
         assert_eq!(r.daily_means(), vec![Some(2.0), Some(10.0), None]);
         assert_eq!(r.overall_mean(), Some(14.0 / 3.0));
-        assert_eq!(r.overall_max(), Some(10.0));
     }
 
     #[test]
@@ -277,7 +234,6 @@ mod tests {
         r.push(SimTime::from_days(5), 100.0);
         assert_eq!(r.daily_means(), vec![None, None]);
         assert_eq!(r.overall_mean(), None);
-        assert_eq!(r.overall_max(), None);
     }
 
     #[test]
@@ -294,9 +250,7 @@ mod tests {
         r.push(SimTime::ZERO, 1.0);
         r.push(SimTime::from_days(3), 2.0);
         assert_eq!(r.days_with_data(), 2);
-        assert_eq!(r.gap_days(), 3);
         assert!((r.coverage() - 0.4).abs() < 1e-12);
-        assert_eq!(r.longest_gap_days(), 2, "days 1-2 are the longest run");
     }
 
     #[test]
@@ -304,19 +258,14 @@ mod tests {
         // Fully dark window.
         let dark = DailyRollup::new(3);
         assert_eq!(dark.days_with_data(), 0);
-        assert_eq!(dark.gap_days(), 3);
         assert_eq!(dark.coverage(), 0.0);
-        assert_eq!(dark.longest_gap_days(), 3);
         // Fully covered window.
         let mut full = DailyRollup::new(2);
         full.push(SimTime::ZERO, 1.0);
         full.push(SimTime::from_days(1), 1.0);
-        assert_eq!(full.gap_days(), 0);
         assert_eq!(full.coverage(), 1.0);
-        assert_eq!(full.longest_gap_days(), 0);
         // Zero-day window: vacuously covered, no division by zero.
         let empty = DailyRollup::new(0);
         assert_eq!(empty.coverage(), 1.0);
-        assert_eq!(empty.longest_gap_days(), 0);
     }
 }

@@ -330,11 +330,6 @@ impl Topology {
         self.bb(self.node(id).bb).node_virtual_capacity()
     }
 
-    /// NIC line rate of a node in Gbps.
-    pub fn node_network_gbps(&self, id: NodeId) -> f64 {
-        self.bb(self.node(id).bb).profile.network_gbps
-    }
-
     /// Iterator over the node ids of one data center.
     pub fn nodes_in_dc(&self, dc: DcId) -> impl Iterator<Item = NodeId> + '_ {
         self.dc(dc)
@@ -481,7 +476,6 @@ mod tests {
         assert_eq!(t.node_virtual_capacity(gp_node).cpu_cores, 192);
         // No CPU overcommit on HANA blocks.
         assert_eq!(t.node_virtual_capacity(hana_node).cpu_cores, 224);
-        assert_eq!(t.node_network_gbps(gp_node), 200.0);
     }
 
     #[test]

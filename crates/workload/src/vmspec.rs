@@ -76,15 +76,6 @@ json_codec!(struct VmSpec {
 });
 
 impl VmSpec {
-    /// The resources requested at absolute simulation time `t` (before or
-    /// after the resize point).
-    pub fn resources_at(&self, t: SimTime) -> Resources {
-        match self.resize {
-            Some(r) if t >= self.arrival + r.after => r.resources,
-            _ => self.resources,
-        }
-    }
-
     /// Absolute instant of the resize, if one is planned *and* happens
     /// before departure.
     pub fn resize_time(&self) -> Option<SimTime> {
@@ -164,8 +155,6 @@ mod tests {
             after: SimDuration::from_days(5),
             resources: Resources::with_memory_gib(8, 64, 100),
         });
-        assert_eq!(s.resources_at(SimTime::from_days(6)).cpu_cores, 4);
-        assert_eq!(s.resources_at(SimTime::from_days(7)).cpu_cores, 8);
         assert_eq!(s.resize_time(), Some(SimTime::from_days(7)));
     }
 
@@ -177,8 +166,6 @@ mod tests {
             resources: Resources::with_memory_gib(8, 64, 100),
         });
         assert_eq!(s.resize_time(), None);
-        assert_eq!(s.resources_at(SimTime::from_days(20)).cpu_cores, 8,
-            "resources_at is a pure time function; scheduling is the sim's job");
     }
 
     #[test]
