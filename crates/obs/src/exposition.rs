@@ -258,6 +258,16 @@ mod tests {
     }
 
     #[test]
+    fn a_counter_and_a_gauge_of_one_name_are_two_families() {
+        let mut registry = MetricsRegistry::new();
+        registry.counter("vm_live", 2);
+        registry.gauge("vm_live", 3.0);
+        let page = registry.to_prometheus(HELP);
+        assert!(page.contains("# TYPE sapsim_vm_live counter\nsapsim_vm_live 2\n"), "{page}");
+        assert!(page.contains("# TYPE sapsim_vm_live gauge\nsapsim_vm_live 3\n"), "{page}");
+    }
+
+    #[test]
     fn label_values_are_escaped() {
         let mut registry = MetricsRegistry::new();
         registry.gauge_with("g", "k", "a\"b\\c\nd", 1.0);

@@ -253,6 +253,31 @@ mod tests {
     }
 
     #[test]
+    fn both_backends_fire_the_same_events_in_the_same_order() {
+        let run = |backend| {
+            let mut sim: Simulation<u32> = Simulation::with_backend(backend);
+            let mut fired = Vec::new();
+            for i in 0..30u32 {
+                let h = sim.schedule_at(SimTime::from_secs((i % 7) as u64 * 10), i);
+                if i % 4 == 0 {
+                    sim.cancel(h);
+                }
+            }
+            while let Some(ev) = sim.next_event_until(SimTime::from_secs(30)) {
+                fired.push((ev.time, ev.handle, ev.payload));
+            }
+            sim.schedule_after(SimDuration::from_secs(1), 99);
+            while let Some(ev) = sim.next_event() {
+                fired.push((ev.time, ev.handle, ev.payload));
+            }
+            (fired, sim.stats())
+        };
+        let wheel = run(QueueBackend::TimingWheel);
+        assert_eq!(wheel, run(QueueBackend::BinaryHeap));
+        assert_eq!(wheel.0.len(), 23, "30 scheduled, 8 cancelled, 1 late");
+    }
+
+    #[test]
     fn self_scheduling_loop_terminates_at_horizon() {
         // A periodic event that reschedules itself — the telemetry scraper
         // pattern used by sapsim-core.
