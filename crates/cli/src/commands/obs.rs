@@ -69,7 +69,11 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             if parsed.flag("prom") {
                 let mut counters = MetricsRegistry::new();
                 for (name, value) in summary.counters {
-                    counters.add_counter(MetricKey { name: name.into(), label: None }, value);
+                    let key = MetricKey {
+                        name: name.into(),
+                        label: None,
+                    };
+                    counters.add_counter(key, value);
                 }
                 let help = ["Simulator event counter"; 3];
                 write!(out, "{}", counters.to_prometheus(help))?;

@@ -623,8 +623,8 @@ mod tests {
     use crate::config::PlacementGranularity;
     use sapsim_scheduler::PolicyKind;
     use sapsim_sim::QueueBackend;
-    use std::cell::Cell;
     use sapsim_telemetry::{EntityRef, MetricId};
+    use std::cell::Cell;
 
     fn smoke(seed: u64) -> RunResult {
         let mut cfg = SimConfig::smoke_test();

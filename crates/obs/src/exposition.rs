@@ -263,8 +263,14 @@ mod tests {
         registry.counter("vm_live", 2);
         registry.gauge("vm_live", 3.0);
         let page = registry.to_prometheus(HELP);
-        assert!(page.contains("# TYPE sapsim_vm_live counter\nsapsim_vm_live 2\n"), "{page}");
-        assert!(page.contains("# TYPE sapsim_vm_live gauge\nsapsim_vm_live 3\n"), "{page}");
+        assert!(
+            page.contains("# TYPE sapsim_vm_live counter\nsapsim_vm_live 2\n"),
+            "{page}"
+        );
+        assert!(
+            page.contains("# TYPE sapsim_vm_live gauge\nsapsim_vm_live 3\n"),
+            "{page}"
+        );
     }
 
     #[test]

@@ -164,7 +164,6 @@ impl<E> Simulation<E> {
             }
         }
     }
-
 }
 
 #[cfg(test)]

@@ -247,7 +247,6 @@ impl<E> EventQueue<E> {
             Inner::Heap(_) => None,
         }
     }
-
 }
 
 #[cfg(test)]
