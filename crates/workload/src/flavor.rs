@@ -190,38 +190,6 @@ impl FlavorCatalog {
         self.flavors.iter().map(|f| f.population).sum()
     }
 
-    /// Population per vCPU class (regenerates Table 1).
-    pub fn population_by_cpu_class(&self) -> [(CpuClass, u32); 4] {
-        let mut out = [(CpuClass::Small, 0u32); 4];
-        for (i, c) in CpuClass::ALL.iter().enumerate() {
-            out[i] = (
-                *c,
-                self.flavors
-                    .iter()
-                    .filter(|f| f.cpu_class() == *c)
-                    .map(|f| f.population)
-                    .sum(),
-            );
-        }
-        out
-    }
-
-    /// Population per RAM class (regenerates Table 2).
-    pub fn population_by_ram_class(&self) -> [(RamClass, u32); 4] {
-        let mut out = [(RamClass::Small, 0u32); 4];
-        for (i, c) in RamClass::ALL.iter().enumerate() {
-            out[i] = (
-                *c,
-                self.flavors
-                    .iter()
-                    .filter(|f| f.ram_class() == *c)
-                    .map(|f| f.population)
-                    .sum(),
-            );
-        }
-        out
-    }
-
     /// Per-flavor populations scaled by `ratio` using the largest-remainder
     /// method so the scaled total equals `round(total * ratio)` and class
     /// proportions are preserved as closely as integer counts allow.
@@ -337,6 +305,15 @@ pub fn paper_flavor_catalog() -> FlavorCatalog {
 mod tests {
     use super::*;
 
+    /// Full-scale population per class, in `all` order.
+    fn population_by<C: Copy + PartialEq>(all: [C; 4], class: fn(&Flavor) -> C) -> [(C, u32); 4] {
+        let flavors = paper_flavor_catalog().flavors;
+        all.map(|c| {
+            let members = flavors.iter().filter(|f| class(f) == c);
+            (c, members.map(|f| f.population).sum())
+        })
+    }
+
     #[test]
     fn cpu_class_boundaries_match_table1() {
         assert_eq!(CpuClass::of(1), CpuClass::Small);
@@ -362,7 +339,7 @@ mod tests {
     #[test]
     fn catalog_reproduces_table1_exactly() {
         let cat = paper_flavor_catalog();
-        let by_cpu = cat.population_by_cpu_class();
+        let by_cpu = population_by(CpuClass::ALL, Flavor::cpu_class);
         assert_eq!(by_cpu[0], (CpuClass::Small, 28_446));
         assert_eq!(by_cpu[1], (CpuClass::Medium, 14_340));
         assert_eq!(by_cpu[2], (CpuClass::Large, 1_831));
@@ -372,8 +349,7 @@ mod tests {
 
     #[test]
     fn catalog_reproduces_table2_up_to_documented_reconciliation() {
-        let cat = paper_flavor_catalog();
-        let by_ram = cat.population_by_ram_class();
+        let by_ram = population_by(RamClass::ALL, Flavor::ram_class);
         assert_eq!(by_ram[0], (RamClass::Small, 991));
         // Paper: 41,395. A joint population matching Table 1's total of
         // 45,355 can carry at most 41,393 here (see the doc comment).
