@@ -19,24 +19,24 @@ use std::fmt::Write as _;
 #[derive(Debug, Clone, PartialEq)]
 pub struct AblationRow {
     /// Configuration label.
-    pub label: String,
+    pub(crate) label: String,
     /// Fraction of placement attempts that succeeded (the paper's
     /// "maximize the number of placeable VMs" objective).
     pub placement_success: f64,
     /// Nova retry count per 1,000 placements — intra-cluster
     /// fragmentation signal.
-    pub retries_per_k: f64,
+    pub(crate) retries_per_k: f64,
     /// Peak single-sample contention across all nodes (percent).
     pub peak_contention: f64,
     /// Highest daily-mean contention (percent).
-    pub peak_mean_contention: f64,
+    pub(crate) peak_mean_contention: f64,
     /// Standard deviation of per-node mean CPU utilization (percent) —
     /// the imbalance measure behind Figures 5–7.
-    pub cpu_imbalance: f64,
+    pub(crate) cpu_imbalance: f64,
     /// Migrations executed (DRS + cross-BB).
-    pub migrations: u64,
+    pub(crate) migrations: u64,
     /// Active nodes (≥1 VM at window end).
-    pub active_nodes: usize,
+    pub(crate) active_nodes: usize,
 }
 
 /// Extract ablation metrics from a finished run.

@@ -7,15 +7,7 @@ use sapsim_analysis::ablation::{ablation_csv, render_ablation, run_policy_ablati
 use sapsim_analysis::report;
 
 fn main() {
-    let mut base = report::experiment_config();
-    // Ten configurations run; default to a lighter per-run setting so the
-    // whole ablation finishes quickly (override with SAPSIM_SCALE/DAYS).
-    if std::env::var("SAPSIM_SCALE").is_err() {
-        base.scale = 0.05;
-    }
-    if std::env::var("SAPSIM_DAYS").is_err() {
-        base.days = 5;
-    }
+    let base = report::experiment_config();
     eprintln!(
         "sapsim: A1 policy ablation — 5 policies x 2 granularities at scale {:.2}, {} days each",
         base.scale, base.days

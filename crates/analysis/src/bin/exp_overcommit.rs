@@ -6,13 +6,7 @@ use sapsim_analysis::ablation::{ablation_csv, render_ablation, run_overcommit_sw
 use sapsim_analysis::report;
 
 fn main() {
-    let mut base = report::experiment_config();
-    if std::env::var("SAPSIM_SCALE").is_err() {
-        base.scale = 0.05;
-    }
-    if std::env::var("SAPSIM_DAYS").is_err() {
-        base.days = 5;
-    }
+    let base = report::experiment_config();
     let ratios = [1.0, 2.0, 4.0, 6.0, 8.0];
     eprintln!(
         "sapsim: A2 overcommit sweep over {ratios:?} at scale {:.2}, {} days each",

@@ -6,13 +6,7 @@ use sapsim_analysis::ablation::{ablation_csv, render_ablation, run_rebalance_abl
 use sapsim_analysis::report;
 
 fn main() {
-    let mut base = report::experiment_config();
-    if std::env::var("SAPSIM_SCALE").is_err() {
-        base.scale = 0.05;
-    }
-    if std::env::var("SAPSIM_DAYS").is_err() {
-        base.days = 5;
-    }
+    let base = report::experiment_config();
     eprintln!(
         "sapsim: A3 rebalancing ablation at scale {:.2}, {} days each",
         base.scale, base.days

@@ -7,9 +7,9 @@ use sapsim_telemetry::summary;
 /// The paper's classification thresholds (Section 5.5): a VM is
 /// *underutilized* below 70 % of its requested resources, *optimally
 /// utilized* in 70–85 %, *overutilized* above 85 %.
-pub const UNDER_THRESHOLD: f64 = 0.70;
+pub(crate) const UNDER_THRESHOLD: f64 = 0.70;
 /// Upper bound of the optimal band.
-pub const OVER_THRESHOLD: f64 = 0.85;
+pub(crate) const OVER_THRESHOLD: f64 = 0.85;
 
 /// Which per-VM ratio to analyze.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,7 +28,7 @@ pub struct UtilizationCdf {
     /// Number of VMs with samples.
     pub vms: usize,
     /// `(mean utilization, cumulative fraction)` pairs.
-    pub cdf: Vec<(f64, f64)>,
+    pub(crate) cdf: Vec<(f64, f64)>,
     /// Fraction of VMs below 70 %.
     pub under: f64,
     /// Fraction in 70–85 %.
@@ -39,7 +39,7 @@ pub struct UtilizationCdf {
 
 /// Per-VM mean utilization ratios of one resource, for every placed VM
 /// that was sampled at least once.
-pub fn vm_mean_ratios(run: &RunResult, resource: VmResource) -> Vec<f64> {
+pub(crate) fn vm_mean_ratios(run: &RunResult, resource: VmResource) -> Vec<f64> {
     run.vm_stats
         .iter()
         .filter(|v| v.placed)

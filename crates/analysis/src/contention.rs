@@ -7,22 +7,22 @@ use std::fmt::Write as _;
 
 /// One day's aggregate over all nodes.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ContentionDay {
+pub(crate) struct ContentionDay {
     /// Day index (0-based).
-    pub day: usize,
+    pub(crate) day: usize,
     /// Mean of node daily-mean contention (percent).
-    pub mean: f64,
+    pub(crate) mean: f64,
     /// 95th percentile of node daily means (percent).
-    pub p95: f64,
+    pub(crate) p95: f64,
     /// Maximum single sample across all nodes that day (percent).
-    pub max: f64,
+    pub(crate) max: f64,
 }
 
 /// The Figure 9 result.
 #[derive(Debug, Clone)]
 pub struct ContentionAggregate {
     /// Per-day aggregates.
-    pub days: Vec<ContentionDay>,
+    pub(crate) days: Vec<ContentionDay>,
 }
 
 /// Aggregate contention from a run's rollups: the daily mean and p95 are
@@ -82,7 +82,7 @@ impl ContentionAggregate {
     }
 
     /// Paper-style text summary.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "{:<5} {:>8} {:>8} {:>8}", "day", "mean%", "p95%", "max%");
         for d in &self.days {

@@ -40,11 +40,11 @@ impl HeatmapQuantity {
 #[derive(Debug, Clone)]
 pub struct Heatmap {
     /// Title for rendering.
-    pub title: String,
+    pub(crate) title: String,
     /// Entities, in display (sorted) order.
-    pub entities: Vec<EntityRef>,
+    pub(crate) entities: Vec<EntityRef>,
     /// `cells[day][col]`; `None` = missing data (white cell).
-    pub cells: Vec<Vec<Option<f64>>>,
+    pub(crate) cells: Vec<Vec<Option<f64>>>,
 }
 
 /// Scope of entities included in a heatmap.
@@ -199,7 +199,7 @@ impl Heatmap {
     }
 
     /// Cell value.
-    pub fn get(&self, day: usize, col: usize) -> Option<f64> {
+    pub(crate) fn get(&self, day: usize, col: usize) -> Option<f64> {
         self.cells.get(day)?.get(col).copied().flatten()
     }
 
@@ -220,7 +220,7 @@ impl Heatmap {
     /// ASCII rendering: one row per day, one character per entity, shaded
     /// from `' '` (100 = all free) to `'█'` (0 = none free). Missing cells
     /// render as `'.'`.
-    pub fn render_ascii(&self) -> String {
+    pub(crate) fn render_ascii(&self) -> String {
         const SHADES: [char; 6] = [' ', '░', '▒', '▓', '█', '█'];
         let mut out = String::new();
         let _ = writeln!(out, "# {}", self.title);
@@ -248,7 +248,7 @@ impl Heatmap {
     }
 
     /// CSV rendering: `day,entity,value` rows (empty value = missing).
-    pub fn to_csv(&self) -> String {
+    pub(crate) fn to_csv(&self) -> String {
         let mut out = String::from("day,entity,value\n");
         for (day, row) in self.cells.iter().enumerate() {
             for (col, v) in row.iter().enumerate() {
@@ -268,7 +268,7 @@ impl Heatmap {
     /// Spread statistics of the column means `(min, max)` — used by tests
     /// to assert the paper's qualitative imbalance ("some nodes <20 % free
     /// while others >90 % on the same day").
-    pub fn mean_spread(&self) -> Option<(f64, f64)> {
+    pub(crate) fn mean_spread(&self) -> Option<(f64, f64)> {
         let means: Vec<f64> = self.column_means().into_iter().flatten().collect();
         if means.is_empty() {
             return None;

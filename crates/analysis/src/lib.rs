@@ -12,7 +12,7 @@
 //! | Fig. 9 contention aggregates | [`contention`] | `fig9_contention.csv` |
 //! | Fig. 10 free-memory heatmap | [`heatmap`] | `fig10_memory_heatmap.csv` |
 //! | Fig. 11/12 network heatmaps | [`heatmap`] | `fig11_net_tx_heatmap.csv`, `fig12_net_rx_heatmap.csv` |
-//! | Fig. 13 free-storage heatmap | [`heatmap`], [`storage`] | `fig13_storage_heatmap.csv` |
+//! | Fig. 13 free-storage heatmap | [`heatmap`], `storage` | `fig13_storage_heatmap.csv` |
 //! | Fig. 14 utilization CDFs | [`cdf`] | `fig14a_cpu_cdf.csv`, `fig14b_mem_cdf.csv` |
 //! | Fig. 15 lifetime per flavor | [`lifetime`] | `fig15_lifetimes.csv` |
 //! | Tables 1/2 VM classification | [`classify`] | `report.txt` |
@@ -25,9 +25,6 @@
 //! against the paper's numbers. Rendering is plain text (ASCII heatmap
 //! shading + aligned tables) plus CSV emitters for external plotting.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod ablation;
 pub mod artifacts;
 pub mod cdf;
@@ -37,5 +34,5 @@ pub mod heatmap;
 pub mod lifetime;
 pub mod ready_time;
 pub mod report;
-pub mod storage;
+mod storage;
 pub mod tables;

@@ -12,15 +12,15 @@ use std::fmt::Write as _;
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlavorLifetime {
     /// Flavor name.
-    pub flavor: String,
+    pub(crate) flavor: String,
     /// vCPU class of the flavor.
-    pub cpu_class: CpuClass,
+    pub(crate) cpu_class: CpuClass,
     /// RAM class of the flavor.
-    pub ram_class: RamClass,
+    pub(crate) ram_class: RamClass,
     /// Number of instances observed.
-    pub instances: usize,
+    pub(crate) instances: usize,
     /// Mean lifetime in days.
-    pub mean_days: f64,
+    pub(crate) mean_days: f64,
     /// Minimum lifetime in days.
     pub min_days: f64,
     /// Maximum lifetime in days.
@@ -62,7 +62,7 @@ pub fn lifetime_per_flavor(run: &RunResult, min_instances: usize) -> Vec<FlavorL
 /// flavors — the paper finds no consistent relationship ("small VMs do
 /// not consistently live shorter, nor large VMs longer"). Returns the
 /// Pearson correlation of (log vCPUs, log mean lifetime).
-pub fn size_lifetime_correlation(run: &RunResult, min_instances: usize) -> f64 {
+pub(crate) fn size_lifetime_correlation(run: &RunResult, min_instances: usize) -> f64 {
     let flavors = lifetime_per_flavor(run, min_instances);
     let points: Vec<(f64, f64)> = flavors
         .iter()
@@ -104,7 +104,7 @@ fn pearson(points: &[(f64, f64)]) -> f64 {
 }
 
 /// Render the Figure 15 data as a grouped text table.
-pub fn render_lifetimes(flavors: &[FlavorLifetime]) -> String {
+pub(crate) fn render_lifetimes(flavors: &[FlavorLifetime]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,

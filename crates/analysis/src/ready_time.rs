@@ -9,13 +9,13 @@ use std::fmt::Write as _;
 #[derive(Debug, Clone)]
 pub struct ReadySeries {
     /// The node.
-    pub entity: EntityRef,
+    pub(crate) entity: EntityRef,
     /// Total ready time over the window, seconds.
-    pub total_ready_s: f64,
+    pub(crate) total_ready_s: f64,
     /// Maximum single-interval ready time, seconds.
-    pub max_ready_s: f64,
+    pub(crate) max_ready_s: f64,
     /// `(hours since window start, ready seconds)` samples.
-    pub points: Vec<(f64, f64)>,
+    pub(crate) points: Vec<(f64, f64)>,
 }
 
 /// The Figure 8 result: the top-`k` nodes by total ready time.
@@ -88,7 +88,7 @@ impl TopReadyNodes {
     }
 
     /// CSV: `entity,hours,ready_seconds`.
-    pub fn to_csv(&self) -> String {
+    pub(crate) fn to_csv(&self) -> String {
         let mut out = String::from("entity,hours,ready_seconds\n");
         for n in &self.nodes {
             for (h, s) in &n.points {
@@ -99,7 +99,7 @@ impl TopReadyNodes {
     }
 
     /// Paper-style summary table.
-    pub fn render_summary(&self) -> String {
+    pub(crate) fn render_summary(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(
             out,

@@ -7,16 +7,17 @@ use std::fs;
 use std::io;
 use std::path::PathBuf;
 
-/// The scale [`experiment_config`] falls back to: 10 % of the region
-/// (≈182 nodes, ≈4.5k VMs) — laptop-friendly while preserving every
-/// qualitative effect. Override with the `SAPSIM_SCALE` environment
-/// variable (e.g. `SAPSIM_SCALE=1.0` for the paper's full deployment).
-pub const DEFAULT_EXPERIMENT_SCALE: f64 = 0.10;
+/// The scale [`experiment_config`] falls back to: 5 % of the region
+/// (≈92 nodes, ≈2.3k VMs), so an ablation grid of ten runs finishes
+/// quickly while preserving every qualitative effect. Override with the
+/// `SAPSIM_SCALE` environment variable (e.g. `SAPSIM_SCALE=1.0` for the
+/// paper's full deployment).
+pub(crate) const DEFAULT_EXPERIMENT_SCALE: f64 = 0.05;
 
 /// The observation window [`experiment_config`] falls back to. The
 /// paper's is 30 days; the default here trades a shorter window for
 /// iteration speed. Override with `SAPSIM_DAYS`.
-pub const DEFAULT_EXPERIMENT_DAYS: u64 = 10;
+pub(crate) const DEFAULT_EXPERIMENT_DAYS: u64 = 5;
 
 /// Build the standard experiment configuration, honoring the
 /// `SAPSIM_SCALE`, `SAPSIM_DAYS`, and `SAPSIM_SEED` environment variables.
@@ -35,7 +36,7 @@ pub fn experiment_config() -> SimConfig {
 
 /// The output directory for experiment artifacts (`out/` under the
 /// workspace root, or `SAPSIM_OUT`).
-pub fn out_dir() -> PathBuf {
+pub(crate) fn out_dir() -> PathBuf {
     std::env::var("SAPSIM_OUT")
         .map(PathBuf::from)
         .unwrap_or_else(|_| PathBuf::from("out"))

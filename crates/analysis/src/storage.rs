@@ -8,20 +8,20 @@ use sapsim_telemetry::{EntityRef, MetricId};
 
 /// Distribution of per-node storage utilization over the window.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StorageDistribution {
+pub(crate) struct StorageDistribution {
     /// Nodes considered.
-    pub nodes: usize,
+    pub(crate) nodes: usize,
     /// Fraction of nodes whose mean free storage exceeds 90 %.
-    pub over_90_pct_free: f64,
+    pub(crate) over_90_pct_free: f64,
     /// Fraction of nodes using more than 30 % of their storage on average.
-    pub over_30_pct_used: f64,
+    pub(crate) over_30_pct_used: f64,
     /// Mean used fraction across nodes.
-    pub mean_used_fraction: f64,
+    pub(crate) mean_used_fraction: f64,
 }
 
 /// Compute the storage distribution from disk-usage rollups and node
 /// capacities.
-pub fn storage_distribution(run: &RunResult) -> StorageDistribution {
+pub(crate) fn storage_distribution(run: &RunResult) -> StorageDistribution {
     let topo = run.cloud.topology();
     let mut used_fractions: Vec<f64> = Vec::new();
     for node in topo.nodes() {
@@ -54,7 +54,7 @@ pub fn storage_distribution(run: &RunResult) -> StorageDistribution {
 
 impl StorageDistribution {
     /// One-line paper-style summary.
-    pub fn summary_line(&self) -> String {
+    pub(crate) fn summary_line(&self) -> String {
         format!(
             "{} nodes — {:.0}% of hosts >90% free storage, {:.0}% of hosts >30% used (mean used {:.0}%)",
             self.nodes,

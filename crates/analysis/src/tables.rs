@@ -7,29 +7,29 @@ use std::fmt::Write as _;
 
 /// One row of Table 3 (dataset comparison).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DatasetRow {
+pub(crate) struct DatasetRow {
     /// Dataset name.
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// Resource coverage: CPU, memory, network, storage, GPU.
-    pub resources: [bool; 5],
+    pub(crate) resources: [bool; 5],
     /// Workload coverage: batch jobs, VMs, lifetime info.
-    pub batch_jobs: bool,
+    pub(crate) batch_jobs: bool,
     /// Contains VM workloads.
-    pub vms: bool,
+    pub(crate) vms: bool,
     /// Lifetime range description.
-    pub lifetime: &'static str,
+    pub(crate) lifetime: &'static str,
     /// Scale description.
-    pub scale: &'static str,
+    pub(crate) scale: &'static str,
     /// Duration description.
-    pub duration: &'static str,
+    pub(crate) duration: &'static str,
     /// Sampling description.
-    pub sampling: &'static str,
+    pub(crate) sampling: &'static str,
     /// Publicly available.
-    pub public: bool,
+    pub(crate) public: bool,
 }
 
 /// Table 3 as printed in the paper: prior traces vs. the SAP dataset.
-pub fn table3_dataset_comparison() -> Vec<DatasetRow> {
+pub(crate) fn table3_dataset_comparison() -> Vec<DatasetRow> {
     let row = |name,
                resources,
                batch_jobs,

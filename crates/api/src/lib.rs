@@ -2,7 +2,7 @@
 //!
 //! One crate owns every schema the workspace speaks: the
 //! [`SchemaId`] registry, the envelope writer ([`envelope`]), the typed
-//! placement-service requests/responses ([`request`], [`response`]),
+//! placement-service requests/responses ([`ApiRequest`], [`ApiResponse`]),
 //! and the [`ProtocolError`] taxonomy whose variants project onto HTTP
 //! statuses and CLI exit codes from a single table.
 //!
@@ -22,14 +22,11 @@
 //! * Every request and response struct is `#[non_exhaustive]` with
 //!   builders, so the Rust surface can grow with the wire surface.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod envelope;
 mod error;
 pub use sapsim_json as json;
-pub mod request;
-pub mod response;
+mod request;
+mod response;
 mod schema;
 
 pub use error::ProtocolError;
@@ -38,14 +35,14 @@ pub use request::{
     StateRequest, VmClass, MAX_BATCH,
 };
 pub use response::{
-    ApiResponse, CommitResponse, ErrorResponse, EvacuateResponse, Moved, PlaceFailure,
-    PlaceResponse, Placement, ResizeOutcome, ResizeResponse, ShutdownResponse, StateResponse,
+    ApiResponse, CommitResponse, EvacuateResponse, Moved, PlaceResponse, Placement, ResizeOutcome,
+    ResizeResponse, ShutdownResponse, StateResponse,
 };
 pub use schema::SchemaId;
 
 /// The 64-bit FNV-1a hash the protocol uses for transaction tokens
 /// (same function the core crate uses for canonical state hashes).
-pub use sapsim_json::fnv1a_64;
+pub(crate) use sapsim_json::fnv1a_64;
 
 /// Derive the dry-run transaction token for `request` planned at engine
 /// `version`: 16 hex digits over the canonical request bytes, salted

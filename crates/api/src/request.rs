@@ -37,10 +37,10 @@ pub enum VmClass {
 
 impl VmClass {
     /// Every class, in wire-documentation order.
-    pub const ALL: [VmClass; 3] = [VmClass::GeneralPurpose, VmClass::Hana, VmClass::CiFarm];
+    pub(crate) const ALL: [VmClass; 3] = [VmClass::GeneralPurpose, VmClass::Hana, VmClass::CiFarm];
 
     /// The wire spelling.
-    pub const fn as_str(self) -> &'static str {
+    pub(crate) const fn as_str(self) -> &'static str {
         match self {
             VmClass::GeneralPurpose => "general-purpose",
             VmClass::Hana => "hana",
@@ -170,12 +170,6 @@ impl ResizeRequest {
             disk_gib: None,
             dry_run: false,
         }
-    }
-
-    /// Also change the disk allocation.
-    pub fn with_disk_gib(mut self, gib: u64) -> Self {
-        self.disk_gib = Some(gib);
-        self
     }
 }
 
@@ -358,7 +352,7 @@ impl ApiRequest {
     /// format. [`parse_line`](Self::parse_line) calls this; callers
     /// constructing requests with builders can run it themselves before
     /// dispatch.
-    pub fn validate(&self) -> Result<(), ProtocolError> {
+    pub(crate) fn validate(&self) -> Result<(), ProtocolError> {
         let at_least_one = |vcpus: u32, memory_mib: u64| match (vcpus, memory_mib) {
             (0, _) => Err(ProtocolError::Invalid("vcpus must be at least 1".into())),
             (_, 0) => Err(ProtocolError::Invalid("memory_mib must be at least 1".into())),
@@ -459,7 +453,13 @@ mod tests {
                     .dry_run()
             }),
             ApiRequest::Place(PlaceRequest::new(1, 1024)),
-            ApiRequest::Resize(ResizeRequest::new(7, 8, 65_536).with_disk_gib(50).dry_run()),
+            ApiRequest::Resize(
+                ResizeRequest {
+                    disk_gib: Some(50),
+                    ..ResizeRequest::new(7, 8, 65_536)
+                }
+                .dry_run(),
+            ),
             ApiRequest::Resize(ResizeRequest::new(0, 2, 2048).with_id("r2")),
             ApiRequest::Evacuate(EvacuateRequest::new("bb-000-n001").with_id("r3").dry_run()),
             ApiRequest::Commit(CommitRequest::new("0123456789abcdef")),

@@ -35,10 +35,10 @@ pub struct Placement {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlaceFailure {
     /// Zero-based index into the requested batch.
-    pub index: u64,
+    pub(crate) index: u64,
     /// `"no-candidate"` (no host passed the filters) or `"fragmented"`
     /// (hosts ranked but none could actually fit the VM).
-    pub reason: String,
+    pub(crate) reason: String,
 }
 
 json_codec!(struct Placement { vm, node, bb, az, #[default] retries });
@@ -60,7 +60,7 @@ json_codec!(struct Moved { vm, node });
 #[non_exhaustive]
 pub struct PlaceResponse {
     /// Echo of the request id.
-    pub id: Option<String>,
+    pub(crate) id: Option<String>,
     /// Whether this was a plan (`dry_run`) or a live mutation.
     pub dry_run: bool,
     /// The commit token (dry-run only).
@@ -115,10 +115,10 @@ pub enum ResizeOutcome {
 
 impl ResizeOutcome {
     /// Every outcome.
-    pub const ALL: [Self; 3] = [Self::InPlace, Self::Migrated, Self::Failed];
+    pub(crate) const ALL: [Self; 3] = [Self::InPlace, Self::Migrated, Self::Failed];
 
     /// The wire spelling.
-    pub const fn as_str(self) -> &'static str {
+    pub(crate) const fn as_str(self) -> &'static str {
         match self {
             ResizeOutcome::InPlace => "in-place",
             ResizeOutcome::Migrated => "migrated",
@@ -149,7 +149,7 @@ json_codec!(str ResizeOutcome: as_str);
 #[non_exhaustive]
 pub struct ResizeResponse {
     /// Echo of the request id.
-    pub id: Option<String>,
+    pub(crate) id: Option<String>,
     /// Whether this was a plan or a live mutation.
     pub dry_run: bool,
     /// The commit token (dry-run only).
@@ -195,7 +195,7 @@ json_codec!(struct ResizeResponse {
 #[non_exhaustive]
 pub struct EvacuateResponse {
     /// Echo of the request id.
-    pub id: Option<String>,
+    pub(crate) id: Option<String>,
     /// Whether this was a plan or a live mutation.
     pub dry_run: bool,
     /// The commit token (dry-run only).
@@ -232,7 +232,7 @@ json_codec!(struct EvacuateResponse {
 #[non_exhaustive]
 pub struct CommitResponse {
     /// Echo of the request id.
-    pub id: Option<String>,
+    pub(crate) id: Option<String>,
     /// The token that was consumed.
     pub txn: String,
     /// The live response of the replayed operation.
@@ -257,15 +257,15 @@ json_codec!(struct CommitResponse { #[default] id: Option::is_none, txn, applied
 #[non_exhaustive]
 pub struct StateResponse {
     /// Echo of the request id.
-    pub id: Option<String>,
+    pub(crate) id: Option<String>,
     /// Engine version (bumps once per applied mutation).
     pub version: u64,
     /// Live VM count.
-    pub vms: u64,
+    pub(crate) vms: u64,
     /// Total compute nodes in the estate.
-    pub nodes: u64,
+    pub(crate) nodes: u64,
     /// Nodes currently in the `Active` state.
-    pub active_nodes: u64,
+    pub(crate) active_nodes: u64,
     /// 16-hex-digit canonical hash of the full cloud state.
     pub hash: String,
 }
@@ -346,7 +346,7 @@ builders!(
 pub struct ErrorResponse {
     /// Echo of the request id, when the request parsed far enough to
     /// recover one.
-    pub id: Option<String>,
+    pub(crate) id: Option<String>,
     /// Stable kebab-case code ([`ProtocolError::code`]).
     pub code: String,
     /// The HTTP status this failure maps onto.
@@ -404,11 +404,6 @@ impl FromJson for ApiResponse {
 }
 
 impl ApiResponse {
-    /// The wire `op` label.
-    pub fn op(&self) -> &'static str {
-        self.tag()
-    }
-
     /// Build the wire form of a [`ProtocolError`], echoing the request
     /// id when one was recovered before the failure.
     pub fn from_error(err: &ProtocolError, id: Option<String>) -> ApiResponse {

@@ -5,7 +5,7 @@ use std::fmt;
 
 /// A parse failure with a human-readable message.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ArgError(pub String);
+pub(crate) struct ArgError(pub(crate) String);
 
 impl fmt::Display for ArgError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -15,7 +15,7 @@ impl fmt::Display for ArgError {
 
 /// Parsed arguments: options, boolean flags, and positionals.
 #[derive(Debug, Default, Clone)]
-pub struct Parsed {
+pub(crate) struct Parsed {
     options: HashMap<String, String>,
     flags: Vec<String>,
     positionals: Vec<String>,
@@ -24,7 +24,7 @@ pub struct Parsed {
 impl Parsed {
     /// Parse `argv` given the sets of known value-taking options and known
     /// boolean flags (both spelled without the leading `--`).
-    pub fn parse(
+    pub(crate) fn parse(
         argv: &[String],
         value_options: &[&str],
         bool_flags: &[&str],
@@ -57,22 +57,26 @@ impl Parsed {
     }
 
     /// Raw string value of an option, if given.
-    pub fn get(&self, key: &str) -> Option<&str> {
+    pub(crate) fn get(&self, key: &str) -> Option<&str> {
         self.options.get(key).map(String::as_str)
     }
 
     /// Whether a boolean flag was given.
-    pub fn flag(&self, key: &str) -> bool {
+    pub(crate) fn flag(&self, key: &str) -> bool {
         self.flags.iter().any(|f| f == key)
     }
 
     /// Positional arguments.
-    pub fn positionals(&self) -> &[String] {
+    pub(crate) fn positionals(&self) -> &[String] {
         &self.positionals
     }
 
     /// Typed option with default.
-    pub fn get_parsed<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, ArgError> {
+    pub(crate) fn get_parsed<T: std::str::FromStr>(
+        &self,
+        key: &str,
+        default: T,
+    ) -> Result<T, ArgError> {
         match self.get(key) {
             None => Ok(default),
             Some(raw) => raw

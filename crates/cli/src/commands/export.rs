@@ -8,7 +8,7 @@ use std::fs::File;
 use std::io::{BufWriter, Write};
 
 /// Execute the subcommand.
-pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
+pub(crate) fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let parsed = Parsed::parse(argv, SIM_VALUE_OPTIONS, SIM_BOOL_FLAGS)?;
     let [path] = parsed.positionals() else {
         return Err(CliError::Usage(

@@ -9,7 +9,7 @@ use std::fs::File;
 use std::io::{BufReader, Write};
 
 /// Execute the subcommand.
-pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
+pub(crate) fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let parsed = Parsed::parse(argv, &["days"], &[])?;
     let [path] = parsed.positionals() else {
         return Err(CliError::Usage(

@@ -1,11 +1,11 @@
 //! The `sapsim` subcommands.
 
-pub mod export;
-pub mod import;
+pub(crate) mod export;
+pub(crate) mod import;
 pub mod obs;
-pub mod simulate;
-pub mod sweep;
-pub mod tables;
+pub(crate) mod simulate;
+pub(crate) mod sweep;
+pub(crate) mod tables;
 
 use crate::args::Parsed;
 use crate::error::CliError;
@@ -22,7 +22,7 @@ use std::io::{BufWriter, Write};
 use std::path::Path;
 
 /// Options shared by `simulate` and `export`.
-pub const SIM_VALUE_OPTIONS: &[&str] = &[
+pub(crate) const SIM_VALUE_OPTIONS: &[&str] = &[
     "scale",
     "days",
     "seed",
@@ -38,10 +38,10 @@ pub const SIM_VALUE_OPTIONS: &[&str] = &[
     "faults",
 ];
 /// Boolean flags shared by `simulate` and `export`.
-pub const SIM_BOOL_FLAGS: &[&str] = &["no-drs", "cross-bb", "no-warmup", "progress"];
+pub(crate) const SIM_BOOL_FLAGS: &[&str] = &["no-drs", "cross-bb", "no-warmup", "progress"];
 
 /// Build a [`SimConfig`] from parsed CLI arguments.
-pub fn sim_config_from(parsed: &Parsed) -> Result<SimConfig, CliError> {
+pub(crate) fn sim_config_from(parsed: &Parsed) -> Result<SimConfig, CliError> {
     let mut cfg = SimConfig::default();
     cfg.scale = parsed.get_parsed("scale", 0.05)?;
     cfg.days = parsed.get_parsed("days", 5u64)?;
@@ -111,24 +111,24 @@ pub(crate) fn write_file(path: &Path, contents: &str) -> Result<(), CliError> {
 /// heartbeat, parsed from the shared `--obs-*`, `--metrics-out` and
 /// `--progress` options.
 #[derive(Debug)]
-pub struct ObsArgs {
+pub(crate) struct ObsArgs {
     /// Where to write the JSONL event log, if requested.
-    pub jsonl_path: Option<String>,
+    pub(crate) jsonl_path: Option<String>,
     /// Where to write the Chrome trace, if requested.
-    pub chrome_path: Option<String>,
+    pub(crate) chrome_path: Option<String>,
     /// Where to write the `sapsim.metrics/v1` snapshot, if requested.
-    pub metrics_path: Option<String>,
+    pub(crate) metrics_path: Option<String>,
     /// Recorder configuration (sampling rate, ring capacity).
-    pub config: ObsConfig,
+    pub(crate) config: ObsConfig,
     /// Print the live heartbeat on stderr (`--progress`).
-    pub progress: bool,
+    pub(crate) progress: bool,
 }
 
 /// Build the observability arguments from parsed CLI options. Returns
 /// `Ok(None)` when neither an `--obs-*`/`--metrics-out` output nor
 /// `--progress` was requested, so callers fall back to the zero-cost
 /// [`sapsim_core::obs::NullRecorder`] path.
-pub fn obs_args_from(parsed: &Parsed) -> Result<Option<ObsArgs>, CliError> {
+pub(crate) fn obs_args_from(parsed: &Parsed) -> Result<Option<ObsArgs>, CliError> {
     let jsonl_path = parsed.get("obs-out").map(str::to_string);
     let chrome_path = parsed.get("obs-chrome").map(str::to_string);
     let metrics_path = parsed.get("metrics-out").map(str::to_string);
@@ -185,7 +185,7 @@ fn observe<R: Recorder>(
 /// attached. `--progress` wraps whichever recorder runs (the
 /// [`NullRecorder`] when no output was requested) in a
 /// [`ProgressRecorder`].
-pub fn execute_with_obs(
+pub(crate) fn execute_with_obs(
     cfg: SimConfig,
     obs: Option<&ObsArgs>,
     out: &mut dyn Write,

@@ -3,9 +3,10 @@
 //! `sapsim obs summary run.jsonl` re-aggregates a decision/span log written
 //! by `simulate --obs-out` into the run's diagnostic headline: span timing
 //! per event-loop phase, placement outcomes, filter rejection totals, and
-//! the event counters. With `--prom` the counters fold into a
-//! [`MetricsRegistry`] (same-name counters add, so a concatenation of
-//! logs still has one family per name) and print as its Prometheus page.
+//! the event counters. The counters fold once into a [`MetricsRegistry`]
+//! (same-name counters add, so a concatenation of logs still has one line
+//! per name); the plain view lists that fold, and `--prom` prints it as
+//! its Prometheus page.
 //!
 //! `sapsim obs metrics FILE...` merges one or more `sapsim.metrics/v1`
 //! snapshots (from `simulate --metrics-out` or `sweep --metrics-dir`) into
@@ -46,7 +47,8 @@ struct Summary {
     retries_max: u64,
     candidates_total: u64,
     faults: BTreeMap<&'static str, u64>,
-    counters: Vec<(String, u64)>,
+    /// The event counters, folded by name.
+    counters: MetricsRegistry,
 }
 
 const USAGE: &str = "usage: sapsim obs summary <FILE.jsonl> [--prom]\n       sapsim obs metrics <FILE.json>... [--prom]";
@@ -67,16 +69,8 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             };
             let summary = summarize(&read(path)?)?;
             if parsed.flag("prom") {
-                let mut counters = MetricsRegistry::new();
-                for (name, value) in summary.counters {
-                    let key = MetricKey {
-                        name: name.into(),
-                        label: None,
-                    };
-                    counters.add_counter(key, value);
-                }
                 let help = ["Simulator event counter"; 3];
-                write!(out, "{}", counters.to_prometheus(help))?;
+                write!(out, "{}", summary.counters.to_prometheus(help))?;
                 return Ok(());
             }
             render(&summary, out)?;
@@ -143,7 +137,13 @@ fn summarize(text: &str) -> Result<Summary, CliError> {
                 }
             }
             LogLine::Fault(fault) => *s.faults.entry(fault.kind.name()).or_insert(0) += 1,
-            LogLine::Counter(c) => s.counters.push((c.name.into_owned(), c.value)),
+            LogLine::Counter(c) => {
+                let key = MetricKey {
+                    name: c.name,
+                    label: None,
+                };
+                s.counters.add_counter(key, c.value);
+            }
         }
     }
     Ok(s)
@@ -252,8 +252,8 @@ fn render(s: &Summary, out: &mut dyn Write) -> std::io::Result<()> {
 
     if !s.counters.is_empty() {
         writeln!(out, "\ncounters:")?;
-        for (name, value) in &s.counters {
-            writeln!(out, "  {name}: {value}")?;
+        for (key, value) in s.counters.counters() {
+            writeln!(out, "  {}: {value}", key.name)?;
         }
     }
     Ok(())
@@ -293,7 +293,12 @@ mod tests {
         assert_eq!(s.outcomes["placed"], 1);
         assert_eq!(s.rejections["wrong_az"], 8);
         assert_eq!(s.retries_total, 1);
-        assert_eq!(s.counters, vec![("placements".to_string(), 812)]);
+        let counters: Vec<_> = s
+            .counters
+            .counters()
+            .map(|(k, v)| (k.name.as_ref(), v))
+            .collect();
+        assert_eq!(counters, vec![("placements", 812)]);
         assert_eq!(s.faults["host_fail"], 2);
         assert_eq!(s.faults["evac_replaced"], 1);
     }

@@ -20,7 +20,7 @@ use std::path::Path;
 const SIMULATE_VALUE_OPTIONS: &[&str] = &["out"];
 
 /// Execute the subcommand.
-pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
+pub(crate) fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let flags = [SIM_BOOL_FLAGS, &["json"]].concat();
     let options = [SIM_VALUE_OPTIONS, SIMULATE_VALUE_OPTIONS].concat();
     let parsed = Parsed::parse(argv, &options, &flags)?;

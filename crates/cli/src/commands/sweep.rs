@@ -18,7 +18,7 @@ use std::io::Write;
 use std::path::Path;
 
 /// Execute the subcommand.
-pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
+pub(crate) fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let parsed = Parsed::parse(
         argv,
         &["workers", "out", "obs-dir", "metrics-dir"],

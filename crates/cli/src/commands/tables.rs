@@ -6,7 +6,7 @@ use sapsim_analysis::tables::{render_table3, render_table4, render_table5};
 use std::io::Write;
 
 /// Execute the subcommand.
-pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
+pub(crate) fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let parsed = Parsed::parse(argv, &[], &[])?;
     if !parsed.positionals().is_empty() {
         return Err(CliError::Usage("tables takes no arguments".into()));

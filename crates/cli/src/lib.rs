@@ -19,22 +19,19 @@
 //! ([`CliError`]) and map to stable exit codes: `2` usage, `3` invalid
 //! configuration, `4` I/O, `5` malformed input data.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
 #![warn(clippy::too_many_lines)]
 
-pub mod args;
+mod args;
 pub mod commands;
-pub mod error;
+mod error;
 pub mod serve;
 
-pub use args::{ArgError, Parsed};
 pub use error::CliError;
 
 use std::io::Write;
 
 /// Top-level usage text.
-pub const USAGE: &str = "\
+pub(crate) const USAGE: &str = "\
 sapsim — reproduction of the SAP Cloud Infrastructure dataset study (IMC '25)
 
 USAGE:

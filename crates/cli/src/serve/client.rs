@@ -15,7 +15,7 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 
 /// Load a script: every non-blank, non-comment line, in order.
-pub fn read_script(path: &str) -> Result<Vec<String>, CliError> {
+pub(crate) fn read_script(path: &str) -> Result<Vec<String>, CliError> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| CliError::Io(format!("cannot read script `{path}`: {e}")))?;
     Ok(text
@@ -54,7 +54,7 @@ fn send(stream: &mut TcpStream, addr: &str, request: &str) -> Result<(), CliErro
 
 /// Drive a server over the TCP fast path: a single persistent
 /// connection, one JSON line per request.
-pub fn run_tcp(addr: &str, script: &str, out: &mut dyn Write) -> Result<(), CliError> {
+pub(crate) fn run_tcp(addr: &str, script: &str, out: &mut dyn Write) -> Result<(), CliError> {
     let lines = read_script(script)?;
     let stream = connect(addr)?;
     let mut reader = BufReader::new(

@@ -18,27 +18,27 @@ pub const MAX_HEAD_BYTES: usize = 8 * 1024;
 
 /// One parsed HTTP request.
 #[derive(Debug)]
-pub struct HttpRequest {
+pub(crate) struct HttpRequest {
     /// The method verb (`GET`, `POST`, ...).
-    pub method: String,
+    pub(crate) method: String,
     /// The request path (`/v1/request`, `/metrics`, ...).
-    pub path: String,
+    pub(crate) path: String,
     /// The request body, exactly `Content-Length` bytes.
-    pub body: Vec<u8>,
+    pub(crate) body: Vec<u8>,
 }
 
 /// The request line and the headers the service reads, parsed from the
 /// front of the bytes received so far.
 #[derive(Debug, PartialEq, Eq)]
-pub struct RequestHead {
+pub(crate) struct RequestHead {
     /// The method verb (`GET`, `POST`, ...).
-    pub method: String,
+    pub(crate) method: String,
     /// The request path (`/v1/request`, `/metrics`, ...).
-    pub path: String,
+    pub(crate) path: String,
     /// The `Content-Length` header, if sent.
-    pub content_length: Option<usize>,
+    pub(crate) content_length: Option<usize>,
     /// Where the body starts: one past the blank line ending the head.
-    pub body_start: usize,
+    pub(crate) body_start: usize,
 }
 
 /// Parse the request head at the front of `bytes`, the bytes received so
@@ -48,7 +48,7 @@ pub struct RequestHead {
 /// that is not UTF-8, lacks a method or path, or carries a
 /// `Content-Length` that is not an integer or that disagrees with an
 /// earlier one (RFC 9112 §6.3) is [`Malformed`](ProtocolError::Malformed).
-pub fn parse_head(bytes: &[u8]) -> Result<Option<RequestHead>, ProtocolError> {
+pub(crate) fn parse_head(bytes: &[u8]) -> Result<Option<RequestHead>, ProtocolError> {
     let budget = &bytes[..bytes.len().min(MAX_HEAD_BYTES)];
     let Some(split) = head_end(budget) else {
         if bytes.len() >= MAX_HEAD_BYTES {
@@ -100,7 +100,10 @@ pub fn parse_head(bytes: &[u8]) -> Result<Option<RequestHead>, ProtocolError> {
 
 /// Read one HTTP request from the socket, enforcing `max_body` and the
 /// already-armed read timeout.
-pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<HttpRequest, ProtocolError> {
+pub(crate) fn read_request(
+    stream: &mut TcpStream,
+    max_body: usize,
+) -> Result<HttpRequest, ProtocolError> {
     let mut received = Vec::new();
     let mut buf = [0u8; 1024];
     let head = loop {
@@ -151,7 +154,7 @@ pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<HttpReque
 
 /// Write one response, head and body in a single write, and close out
 /// the exchange.
-pub fn write_response(
+pub(crate) fn write_response(
     stream: &mut TcpStream,
     status: u16,
     content_type: &str,
@@ -167,7 +170,7 @@ pub fn write_response(
 
 /// Arm the per-connection read timeout; failures here are internal
 /// (the socket is already broken).
-pub fn arm_timeout(stream: &TcpStream, timeout: Duration) -> Result<(), ProtocolError> {
+pub(crate) fn arm_timeout(stream: &TcpStream, timeout: Duration) -> Result<(), ProtocolError> {
     stream
         .set_read_timeout(Some(timeout))
         .map_err(|e| ProtocolError::Internal(format!("cannot arm read timeout: {e}")))
@@ -175,7 +178,7 @@ pub fn arm_timeout(stream: &TcpStream, timeout: Duration) -> Result<(), Protocol
 
 /// Map socket read failures onto the protocol taxonomy: a timeout is
 /// the slow-loris verdict, anything else is internal.
-pub fn io_to_protocol(err: io::Error) -> ProtocolError {
+pub(crate) fn io_to_protocol(err: io::Error) -> ProtocolError {
     match err.kind() {
         io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => {
             ProtocolError::Timeout("timed out waiting for request bytes".into())
@@ -185,7 +188,7 @@ pub fn io_to_protocol(err: io::Error) -> ProtocolError {
 }
 
 /// The reason phrase for every status the error table can produce.
-pub fn reason(status: u16) -> &'static str {
+pub(crate) fn reason(status: u16) -> &'static str {
     match status {
         200 => "OK",
         400 => "Bad Request",

@@ -47,7 +47,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 /// Value-taking options `sapsim serve` understands.
-pub const VALUE_OPTIONS: &[&str] = &[
+pub(crate) const VALUE_OPTIONS: &[&str] = &[
     "listen",
     "tcp",
     "workers",
@@ -64,10 +64,10 @@ pub const VALUE_OPTIONS: &[&str] = &[
 ];
 
 /// Boolean flags `sapsim serve` understands.
-pub const BOOL_FLAGS: &[&str] = &["strict"];
+pub(crate) const BOOL_FLAGS: &[&str] = &["strict"];
 
 /// Entry point for `sapsim serve`.
-pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
+pub(crate) fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let parsed = Parsed::parse(argv, VALUE_OPTIONS, BOOL_FLAGS)?;
     if let Some(addr) = parsed.get("connect") {
         return client::run_http(addr, require_script(&parsed)?, out);

@@ -23,25 +23,25 @@ use std::collections::{HashMap, VecDeque};
 /// Assumed lifetime for placements that do not declare one, feeding the
 /// lifetime-aware weigher. Thirty days sits in the middle of the
 /// paper's short-lived/long-lived split.
-pub const DEFAULT_LIFETIME_DAYS: f64 = 30.0;
+pub(crate) const DEFAULT_LIFETIME_DAYS: f64 = 30.0;
 
 /// Most dry-run plans retained at once; the oldest are forgotten first
 /// (their tokens then answer `commit` with `not-found`).
-pub const PENDING_CAP: usize = 1024;
+pub(crate) const PENDING_CAP: usize = 1024;
 
 /// One registered dry-run plan awaiting `commit`.
 #[derive(Debug, Clone)]
 pub struct PendingTxn {
     /// Engine version the plan was computed against. A commit replays
     /// only if the engine still sits at this version.
-    pub base_version: u64,
+    pub(crate) base_version: u64,
     /// The original (dry-run) request, replayed verbatim on commit.
-    pub request: ApiRequest,
+    pub(crate) request: ApiRequest,
 }
 
 /// Token → plan ledger with FIFO eviction at [`PENDING_CAP`].
 #[derive(Debug, Default)]
-pub struct PendingMap {
+pub(crate) struct PendingMap {
     map: HashMap<String, PendingTxn>,
     order: VecDeque<String>,
 }
@@ -50,7 +50,7 @@ impl PendingMap {
     /// Register a plan under its token, evicting the oldest entries
     /// beyond the cap. Re-planning the identical request at the same
     /// version yields the same token; re-registering it is a no-op.
-    pub fn register(&mut self, token: String, txn: PendingTxn) {
+    pub(crate) fn register(&mut self, token: String, txn: PendingTxn) {
         if self.map.insert(token.clone(), txn).is_none() {
             self.order.push_back(token);
         }
@@ -62,20 +62,10 @@ impl PendingMap {
     }
 
     /// Consume a plan by token.
-    pub fn take(&mut self, token: &str) -> Option<PendingTxn> {
+    pub(crate) fn take(&mut self, token: &str) -> Option<PendingTxn> {
         let txn = self.map.remove(token)?;
         self.order.retain(|t| t != token);
         Some(txn)
-    }
-
-    /// Number of plans currently retained.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether no plans are retained.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
     }
 }
 
@@ -85,9 +75,9 @@ pub struct Service {
     /// The live engine; mutated only through [`Service::execute`].
     pub engine: PlacementEngine,
     /// Dry-run plans awaiting commit.
-    pub pending: PendingMap,
+    pub(crate) pending: PendingMap,
     /// Set once a `shutdown` request has been executed.
-    pub shutdown: bool,
+    pub(crate) shutdown: bool,
 }
 
 impl Service {
@@ -155,7 +145,7 @@ impl Service {
 }
 
 /// Whether a request asks for a plan rather than a live mutation.
-pub fn is_dry_run(request: &ApiRequest) -> bool {
+pub(crate) fn is_dry_run(request: &ApiRequest) -> bool {
     match request {
         ApiRequest::Place(r) => r.dry_run,
         ApiRequest::Resize(r) => r.dry_run,
@@ -195,7 +185,7 @@ pub fn plan_dry_run(
 }
 
 /// Build a `state` response from any engine view.
-pub fn state_response(engine: &PlacementEngine, id: Option<String>) -> ApiResponse {
+pub(crate) fn state_response(engine: &PlacementEngine, id: Option<String>) -> ApiResponse {
     let (nodes, active_nodes) = engine.node_counts();
     ApiResponse::State(
         StateResponse::new(
@@ -306,7 +296,7 @@ pub fn apply_mutation(
 /// flag set, commit token attached, version pinned to the base the
 /// plan was computed against (the fork's post-mutation bump is
 /// hypothetical and must not leak).
-pub fn mark_dry_run(response: &mut ApiResponse, base_version: u64, token: String) {
+pub(crate) fn mark_dry_run(response: &mut ApiResponse, base_version: u64, token: String) {
     match response {
         ApiResponse::Place(r) => {
             r.dry_run = true;
@@ -328,7 +318,7 @@ pub fn mark_dry_run(response: &mut ApiResponse, base_version: u64, token: String
 }
 
 /// Map the wire workload class onto the scheduler's.
-pub fn workload_class(class: VmClass) -> WorkloadClass {
+pub(crate) fn workload_class(class: VmClass) -> WorkloadClass {
     match class {
         VmClass::GeneralPurpose => WorkloadClass::GeneralPurpose,
         VmClass::Hana => WorkloadClass::Hana,
@@ -409,7 +399,7 @@ mod tests {
         assert_eq!(plan.version, 0, "plan cites its base version");
         let token = plan.txn.clone().expect("plan carries a token");
         assert_eq!(svc.engine.vm_count(), 0, "plan must not mutate");
-        assert_eq!(svc.pending.len(), 1);
+        assert_eq!(svc.pending.map.len(), 1);
 
         let commit = ApiRequest::Commit(CommitRequest::new(token.clone()));
         let ApiResponse::Commit(applied) = svc.execute(&commit) else {
@@ -422,7 +412,7 @@ mod tests {
         assert_eq!(inner.placed.len(), 2);
         assert_eq!(inner.version, 1);
         assert_eq!(svc.engine.vm_count(), 2);
-        assert!(svc.pending.is_empty(), "token is consumed");
+        assert!(svc.pending.map.is_empty(), "token is consumed");
 
         // The plan predicted exactly what the commit did.
         assert_eq!(plan.placed, inner.placed);
@@ -548,7 +538,7 @@ mod tests {
                 },
             );
         }
-        assert_eq!(pending.len(), PENDING_CAP);
+        assert_eq!(pending.map.len(), PENDING_CAP);
         assert!(pending.take("0000000000000000").is_none(), "oldest evicted");
         assert!(pending.take(&format!("{:016x}", PENDING_CAP + 9)).is_some());
     }

@@ -378,6 +378,28 @@ fn obs_summary_prom_emits_one_family_per_counter_name() {
 }
 
 #[test]
+fn obs_summary_folds_each_counter_once() {
+    // The golden log concatenated with itself: the plain view adds each
+    // counter by name, as `--prom` does, and prints it once.
+    let fixture = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/golden/obs/run.obs.jsonl"
+    );
+    let log = std::fs::read_to_string(fixture)
+        .expect("golden log")
+        .repeat(2);
+    let path = std::env::temp_dir().join(format!("sapsim-cli-fold-{}.jsonl", std::process::id()));
+    std::fs::write(&path, log).expect("write log");
+    let text = run_capture(&["obs", "summary", path.to_str().unwrap()]).unwrap();
+    std::fs::remove_file(&path).expect("cleanup");
+    let departures: Vec<_> = text
+        .lines()
+        .filter(|l| l.trim_start().starts_with("departures:"))
+        .collect();
+    assert_eq!(departures, ["  departures: 166"], "{text}");
+}
+
+#[test]
 fn obs_knobs_without_output_error() {
     let err = run_capture(&["simulate", "--obs-sample", "0.5"]).unwrap_err();
     assert!(err.to_string().contains("--obs-out"), "{err}");

@@ -2,7 +2,6 @@
 
 use crate::config::PlacementGranularity;
 use crate::error::SimError;
-use crate::hypervisor;
 use crate::viewcache::{HostViewCache, WorldRefs};
 use sapsim_json::json_codec;
 use sapsim_scheduler::{CandidateIndex, HostView};
@@ -25,18 +24,18 @@ pub struct PlacedVm {
     /// updated by resizes.
     pub resources: Resources,
     /// Evolving demand-model noise.
-    pub usage_state: UsageState,
+    pub(crate) usage_state: UsageState,
     /// Per-VM random stream for the demand model.
-    pub rng: SimRng,
+    pub(crate) rng: SimRng,
     /// Demand at the last scrape, core-equivalents.
     pub last_cpu_demand_cores: f64,
     /// Consumed memory at the last scrape, MiB.
     pub last_mem_used_mib: f64,
     /// Filled disk at the last scrape, GiB (age-driven fill fraction of
     /// the flavor's disk allocation).
-    pub last_disk_used_gib: f64,
+    pub(crate) last_disk_used_gib: f64,
     /// Scheduled departure instant.
-    pub departure: SimTime,
+    pub(crate) departure: SimTime,
     /// Whether the rebalancers may migrate this VM. HANA VMs are pinned:
     /// "migrating VMs that exhibit high CPU or memory operations should be
     /// avoided" (paper Section 3.2).
@@ -54,28 +53,28 @@ json_codec!(struct PlacedVm {
 /// virtual capacities, the host-view cache). Two clouds that applied the
 /// same operations encode to the same bytes.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CloudState {
+pub(crate) struct CloudState {
     /// Operational state per node, indexed by `NodeId::raw`. The state
     /// bit lives inside the topology at runtime, but maintenance and
     /// fault transitions mutate it.
-    pub node_states: Vec<NodeState>,
+    pub(crate) node_states: Vec<NodeState>,
     /// Requested resources allocated per node.
-    pub node_alloc: Vec<Resources>,
+    pub(crate) node_alloc: Vec<Resources>,
     /// Resident VM ids per node, order preserved — scrape aggregation
     /// and evacuation both walk residency lists in order.
-    pub node_vms: Vec<Vec<VmId>>,
+    pub(crate) node_vms: Vec<Vec<VmId>>,
     /// Most recent sampled contention per node (percent).
-    pub node_contention: Vec<f64>,
+    pub(crate) node_contention: Vec<f64>,
     /// Per-node sum of resident departure instants (ms).
-    pub node_departure_sum_ms: Vec<f64>,
+    pub(crate) node_departure_sum_ms: Vec<f64>,
     /// Aggregated allocation per building block.
-    pub bb_alloc: Vec<Resources>,
+    pub(crate) bb_alloc: Vec<Resources>,
     /// The dense VM slot table (demand state and RNG streams included).
-    pub vm_slots: Vec<Option<PlacedVm>>,
+    pub(crate) vm_slots: Vec<Option<PlacedVm>>,
     /// Number of `Some` entries in `vm_slots`.
-    pub vm_count: usize,
+    pub(crate) vm_count: usize,
     /// Reserve building blocks, ascending id order.
-    pub reserved_bbs: Vec<BbId>,
+    pub(crate) reserved_bbs: Vec<BbId>,
 }
 
 json_codec!(struct CloudState {
@@ -230,7 +229,7 @@ impl Cloud {
     /// `Err(stuck_vm)` naming the first VM that could not be moved —
     /// pinned, or no sibling has room — in which case some VMs may
     /// already have moved (like a real half-completed evacuation).
-    pub fn evacuate_node(&mut self, node: NodeId) -> Result<u64, VmId> {
+    pub(crate) fn evacuate_node(&mut self, node: NodeId) -> Result<u64, VmId> {
         let bb = self.topo.node(node).bb;
         let residents: Vec<VmId> = self.node_vms[node.index()].clone();
         let mut moved = 0u64;
@@ -268,14 +267,14 @@ impl Cloud {
 
     /// Mutable access to a placed VM (the driver updates demand state
     /// during scrapes).
-    pub fn vm_mut(&mut self, id: VmId) -> Option<&mut PlacedVm> {
+    pub(crate) fn vm_mut(&mut self, id: VmId) -> Option<&mut PlacedVm> {
         self.vm_slots.get_mut(id.raw() as usize)?.as_mut()
     }
 
     /// The dense VM slot table, indexed by `VmId::raw` (`None` for ids not
     /// currently placed). The telemetry scrape walks this mutably,
     /// advancing each VM's independent demand model.
-    pub fn vm_slots_mut(&mut self) -> &mut [Option<PlacedVm>] {
+    pub(crate) fn vm_slots_mut(&mut self) -> &mut [Option<PlacedVm>] {
         &mut self.vm_slots
     }
 
@@ -315,13 +314,8 @@ impl Cloud {
         self.view_cache.mark_node(i, bb.index());
     }
 
-    /// Most recent contention of a node (percent).
-    pub fn node_contention(&self, node: NodeId) -> f64 {
-        self.node_contention[node.index()]
-    }
-
     /// Mean remaining lifetime (days) of the VMs on `node` at `now`.
-    pub fn node_mean_remaining_lifetime_days(&self, node: NodeId, now: SimTime) -> f64 {
+    pub(crate) fn node_mean_remaining_lifetime_days(&self, node: NodeId, now: SimTime) -> f64 {
         let count = self.node_vms[node.index()].len();
         if count == 0 {
             return 0.0;
@@ -452,7 +446,7 @@ impl Cloud {
     /// Activity counters of the incremental host-view cache: refresh and
     /// hit/dirty rates per layer, for the engine-health metrics export.
     /// Observational only — reading them cannot affect placement.
-    pub fn view_cache_stats(&self) -> crate::HostViewCacheStats {
+    pub fn view_cache_stats(&self) -> crate::viewcache::HostViewCacheStats {
         self.view_cache.stats()
     }
 
@@ -527,7 +521,7 @@ impl Cloud {
     /// on its failed host. Same capacity contract as `place`: the caller
     /// must have verified fit through the scheduling pipeline; violations
     /// panic.
-    pub fn readmit(&mut self, mut vm: PlacedVm, node: NodeId) {
+    pub(crate) fn readmit(&mut self, mut vm: PlacedVm, node: NodeId) {
         let free =
             self.node_virtual_cap[node.index()].saturating_sub(&self.node_alloc[node.index()]);
         assert!(
@@ -622,7 +616,7 @@ impl Cloud {
     /// Resize-with-migration: move the VM to `to` with its *new* size in
     /// one atomic step (Nova's resize re-schedule). Fails unchanged if the
     /// destination cannot hold the new size.
-    pub fn resize_to_node(&mut self, id: VmId, new: Resources, to: NodeId) -> bool {
+    pub(crate) fn resize_to_node(&mut self, id: VmId, new: Resources, to: NodeId) -> bool {
         let Some(vm) = self.vm(id) else {
             return false;
         };
@@ -656,23 +650,9 @@ impl Cloud {
         true
     }
 
-    /// Estimate the used disk on a node right now: resident VMs' fill
-    /// fraction of their allocated disk.
-    pub fn node_disk_used_gib(&self, node: NodeId, now: SimTime, specs: &[VmSpec]) -> f64 {
-        self.node_vms[node.index()]
-            .iter()
-            .map(|vmid| {
-                let vm = self.vm(*vmid).expect("resident");
-                let spec = &specs[vm.spec_index];
-                let age_days = spec.age_at(now).as_days_f64();
-                hypervisor::vm_disk_fill_fraction(age_days) * spec.resources.disk_gib as f64
-            })
-            .sum()
-    }
-
     /// Copy out the full mutable state. Pure read — the cloud is
     /// untouched and the image shares no mutable state with it.
-    pub fn capture_state(&self) -> CloudState {
+    pub(crate) fn capture_state(&self) -> CloudState {
         CloudState {
             node_states: self.topo.nodes().iter().map(|n| n.state).collect(),
             node_alloc: self.node_alloc.clone(),
@@ -737,7 +717,7 @@ mod tests {
 
     fn tiny_cloud() -> (Cloud, Vec<VmSpec>) {
         let mut topo = Topology::new();
-        let r = topo.add_region("r");
+        let r = topo.add_region();
         let az = topo.add_az(r, "az-a");
         let dc = topo.add_dc(az, "A");
         topo.add_bb(
@@ -988,19 +968,6 @@ mod tests {
             ),
             0.0
         );
-    }
-
-    #[test]
-    fn disk_usage_tracks_vm_ages() {
-        let (mut cloud, mut specs) = tiny_cloud();
-        let s = spec(0, 4, 32, 400);
-        let node = cloud.topology().bbs()[0].nodes[0];
-        specs.push(s.clone());
-        cloud.place(0, &s, node, SimRng::seed_from(1));
-        let early = cloud.node_disk_used_gib(node, SimTime::ZERO, &specs);
-        let late = cloud.node_disk_used_gib(node, SimTime::from_days(300), &specs);
-        assert!(late > early);
-        assert!(early >= 0.20 * 10.0 - 1e-9);
     }
 
     #[test]

@@ -24,7 +24,7 @@ json_codec!(enum PlacementGranularity { BuildingBlock, Node });
 
 impl PlacementGranularity {
     /// The stable CLI/manifest spelling (`bb` | `node`).
-    pub const fn as_str(self) -> &'static str {
+    pub(crate) const fn as_str(self) -> &'static str {
         match self {
             PlacementGranularity::BuildingBlock => "bb",
             PlacementGranularity::Node => "node",
@@ -57,8 +57,8 @@ impl std::str::FromStr for PlacementGranularity {
 ///
 /// Marked `#[non_exhaustive]` so fields can be added without breaking
 /// embedders: construct one by mutating [`SimConfig::default`] (or
-/// [`SimConfig::smoke_test`] / [`SimConfig::paper_full`]), or use
-/// [`SimConfig::builder`] for a validated fluent form. The JSON wire
+/// [`SimConfig::smoke_test`]), or use [`SimConfig::builder`] for a
+/// validated fluent form, which also sets the crate-private fields. The JSON wire
 /// format is unchanged by the attribute and is pinned by tests.
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
@@ -66,7 +66,7 @@ pub struct SimConfig {
     /// Root RNG seed.
     pub seed: u64,
     /// Observation window in days (the paper's is 30). Capped at
-    /// [`SimConfig::MAX_DAYS`].
+    /// `SimConfig::MAX_DAYS`.
     pub days: u64,
     /// Workload and topology scale. `1.0` is the full 1,823-node /
     /// ~45k-VM studied region; `0.1` a laptop-friendly tenth. Values
@@ -84,17 +84,17 @@ pub struct SimConfig {
     /// DRS tuning.
     pub drs: DrsConfig,
     /// How often DRS evaluates each building block.
-    pub drs_interval: SimDuration,
+    pub(crate) drs_interval: SimDuration,
     /// Whether the cross-BB rebalancer runs (off in the paper's production
     /// setup — enabling it is ablation A3).
     pub cross_bb_enabled: bool,
     /// How often the cross-BB rebalancer evaluates each data center.
-    pub cross_bb_interval: SimDuration,
+    pub(crate) cross_bb_interval: SimDuration,
     /// Telemetry scrape interval for vROps-style metrics (paper: 300 s).
-    pub scrape_interval: SimDuration,
+    pub(crate) scrape_interval: SimDuration,
     /// Telemetry interval for the Nova-DB gauges (paper: 30 s). Kept
     /// separate because the dataset's two exporters sample differently.
-    pub os_gauge_interval: SimDuration,
+    pub(crate) os_gauge_interval: SimDuration,
     /// Record full-resolution (raw) host contention and ready-time series
     /// in addition to daily rollups. Needed by the Figure 8/9 analyses;
     /// costs memory proportional to nodes × samples.
@@ -104,22 +104,22 @@ pub struct SimConfig {
     pub gp_cpu_overcommit: f64,
     /// Generate churn (creations/deletions) in addition to the initial
     /// population.
-    pub churn: bool,
+    pub(crate) churn: bool,
     /// Fraction of general-purpose building blocks held back as failover
     /// and expansion reserve (paper Section 5.1 explains the widespread
     /// idle capacity this produces in the heatmaps).
-    pub reserve_bb_fraction: f64,
+    pub(crate) reserve_bb_fraction: f64,
     /// Probability that a general-purpose VM carries one mid-life resize
     /// (paper Section 4 lists resize among the recorded events).
-    pub resize_probability: f64,
+    pub(crate) resize_probability: f64,
     /// Expected number of planned-maintenance windows per node per 30
     /// days. Nodes under maintenance are evacuated and stop reporting
     /// telemetry — the white cells of the paper's heatmaps ("compute
     /// hosts might have ... experienced operational changes e.g., planned
     /// maintenance", Section 5).
-    pub maintenance_rate_per_month: f64,
+    pub(crate) maintenance_rate_per_month: f64,
     /// Length of one maintenance window.
-    pub maintenance_duration: SimDuration,
+    pub(crate) maintenance_duration: SimDuration,
     /// Replicate the studied region this many times at the *per-region*
     /// [`SimConfig::scale`] — the orthogonal complement of `scale > 1`,
     /// which replicates only at full size. `region_replicas: 3` with
@@ -138,7 +138,7 @@ pub struct SimConfig {
     /// multiple of 7 so the weekday calendar of the observation window
     /// stays anchored on the paper's Wednesday epoch. Telemetry and VM
     /// statistics cover only the observation window. Capped at
-    /// [`SimConfig::MAX_DAYS`].
+    /// `SimConfig::MAX_DAYS`.
     pub warmup_days: u64,
     /// Fault injection: abrupt host failures (with evacuation through the
     /// normal scheduling pipeline), straggler nodes, and telemetry
@@ -207,7 +207,7 @@ impl SimConfig {
     /// ten years, 120× the paper's 30-day window — so their sum and its
     /// millisecond form cannot overflow, and a typo-sized horizon cannot
     /// ask for terabytes of daily rollups.
-    pub const MAX_DAYS: u64 = 3_650;
+    pub(crate) const MAX_DAYS: u64 = 3_650;
 
     /// A small, fast configuration for tests: 2 % scale, 3 days, no
     /// warm-up.
@@ -216,15 +216,6 @@ impl SimConfig {
             scale: 0.02,
             days: 3,
             warmup_days: 0,
-            ..SimConfig::default()
-        }
-    }
-
-    /// The paper's full-scale study configuration: 100 % scale, 30 days,
-    /// production policy, DRS on, no cross-BB rebalancing.
-    pub fn paper_full() -> Self {
-        SimConfig {
-            scale: 1.0,
             ..SimConfig::default()
         }
     }
@@ -258,6 +249,11 @@ impl SimConfig {
         }
         if self.drs_enabled && self.drs_interval.is_zero() {
             return invalid("drs_interval must be positive when DRS is enabled".into());
+        }
+        if self.cross_bb_enabled && self.cross_bb_interval.is_zero() {
+            return invalid(
+                "cross_bb_interval must be positive when cross-BB rebalancing is enabled".into(),
+            );
         }
         if !(0.0..=1.0).contains(&self.resize_probability) {
             return invalid(format!(
@@ -431,14 +427,6 @@ mod tests {
         assert_eq!(c.os_gauge_interval.as_secs(), 30);
         assert!(c.drs_enabled);
         assert!(!c.cross_bb_enabled, "production has no cross-BB rebalancer");
-        assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn paper_full_is_full_scale() {
-        let c = SimConfig::paper_full();
-        assert_eq!(c.scale, 1.0);
-        assert_eq!(c.policy, PolicyKind::PaperDefault);
         assert!(c.validate().is_ok());
     }
 
@@ -672,6 +660,38 @@ mod tests {
             mutated.to_json_string(),
             "builder must not perturb the wire format"
         );
+    }
+
+    #[test]
+    fn zero_interval_of_an_enabled_periodic_event_is_refused() {
+        // A zero interval reschedules its event at the same instant
+        // forever, so the run never ends. Each row switches its feature on
+        // and zeroes its interval; only `validate` and `build` run here.
+        type SwitchOnAndZero = fn(&mut SimConfig);
+        let rows: [(&str, SwitchOnAndZero); 4] = [
+            ("scrape_interval", |c| c.scrape_interval = SimDuration::ZERO),
+            ("os_gauge_interval", |c| {
+                c.os_gauge_interval = SimDuration::ZERO
+            }),
+            ("drs_interval", |c| {
+                c.drs_enabled = true;
+                c.drs_interval = SimDuration::ZERO;
+            }),
+            ("cross_bb_interval", |c| {
+                c.cross_bb_enabled = true;
+                c.cross_bb_interval = SimDuration::ZERO;
+            }),
+        ];
+        for (field, zero) in rows {
+            let mut cfg = SimConfig::smoke_test();
+            zero(&mut cfg);
+            let refused = |r: Result<(), SimError>| matches!(r, Err(SimError::InvalidConfig(_)));
+            assert!(refused(cfg.validate()), "{field}: validate");
+            assert!(
+                refused(cfg.to_builder().build().map(drop)),
+                "{field}: build"
+            );
+        }
     }
 
     #[test]

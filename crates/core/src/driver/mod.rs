@@ -297,11 +297,6 @@ impl SimDriver {
         Ok(SimDriver { config })
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &SimConfig {
-        &self.config
-    }
-
     /// Execute the run to completion without observability. Equivalent to
     /// `run_with_recorder(&mut NullRecorder)` — the instrumentation
     /// monomorphizes to nothing.

@@ -863,7 +863,7 @@ pub(crate) mod tests {
         use sapsim_topology::{HardwareProfile, OvercommitPolicy};
         let mut topo = Topology::new();
         for (r, purposes) in regions.iter().enumerate() {
-            let region = topo.add_region(format!("r{r}"));
+            let region = topo.add_region();
             let az = topo.add_az(region, format!("az-{r}"));
             let dc = topo.add_dc(az, format!("dc-{r}"));
             for (b, &purpose) in purposes.iter().enumerate() {

@@ -33,61 +33,61 @@ use sapsim_topology::Resources;
 
 /// Fraction of nominal pCPU capacity deliverable to VMs (scheduler and
 /// hypervisor overhead).
-pub const CPU_EFFICIENCY: f64 = 0.98;
+pub(crate) const CPU_EFFICIENCY: f64 = 0.98;
 
 /// Load level at which soft contention begins.
-pub const SOFT_CONTENTION_ONSET: f64 = 0.80;
+pub(crate) const SOFT_CONTENTION_ONSET: f64 = 0.80;
 
 /// Peak soft-contention fraction reached exactly at 100 % load.
-pub const SOFT_CONTENTION_AT_FULL: f64 = 0.03;
+pub(crate) const SOFT_CONTENTION_AT_FULL: f64 = 0.03;
 
 /// Hypervisor fixed memory overhead per node, MiB.
-pub const HYPERVISOR_MEM_OVERHEAD_MIB: f64 = 16.0 * 1024.0;
+pub(crate) const HYPERVISOR_MEM_OVERHEAD_MIB: f64 = 16.0 * 1024.0;
 
 /// Hypervisor base disk footprint per node, GiB.
-pub const HYPERVISOR_DISK_OVERHEAD_GIB: f64 = 120.0;
+pub(crate) const HYPERVISOR_DISK_OVERHEAD_GIB: f64 = 120.0;
 
 /// Network traffic generated per core-equivalent of served CPU demand, in
 /// kbps. Calibrated so a busy 48-core node emits a few Gbps — far below
 /// the 200 Gbps line rate, as the paper observes ("the network load is
 /// notably below the 200 Gbps").
-pub const NET_KBPS_PER_SERVED_CORE: f64 = 120_000.0;
+pub(crate) const NET_KBPS_PER_SERVED_CORE: f64 = 120_000.0;
 
 /// Baseline management-network traffic per node, kbps.
-pub const NET_BASE_KBPS: f64 = 50_000.0;
+pub(crate) const NET_BASE_KBPS: f64 = 50_000.0;
 
 /// Receive/transmit asymmetry: enterprise nodes receive slightly more
 /// (storage reads, replication ingress) than they send.
-pub const NET_RX_FACTOR: f64 = 1.15;
+pub(crate) const NET_RX_FACTOR: f64 = 1.15;
 
 /// Physical-load summary of one node for one sampling interval.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct NodeSample {
+pub(crate) struct NodeSample {
     /// Served CPU / physical cores, percent 0–100.
-    pub cpu_util_pct: f64,
+    pub(crate) cpu_util_pct: f64,
     /// Contention percentage per the paper's definition.
-    pub cpu_contention_pct: f64,
+    pub(crate) cpu_contention_pct: f64,
     /// Summed CPU ready time over the interval, milliseconds.
-    pub cpu_ready_ms: f64,
+    pub(crate) cpu_ready_ms: f64,
     /// Memory consumed / physical memory, percent 0–100.
-    pub mem_usage_pct: f64,
+    pub(crate) mem_usage_pct: f64,
     /// Transmit throughput, kbps.
-    pub net_tx_kbps: f64,
+    pub(crate) net_tx_kbps: f64,
     /// Receive throughput, kbps.
-    pub net_rx_kbps: f64,
+    pub(crate) net_rx_kbps: f64,
     /// Local disk used, GB.
-    pub disk_usage_gb: f64,
+    pub(crate) disk_usage_gb: f64,
 }
 
 /// Inputs to one node sample: aggregated VM-level quantities.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct NodeDemand {
+pub(crate) struct NodeDemand {
     /// Sum of `cpu_ratio × vcpus` over resident VMs (core-equivalents).
-    pub cpu_demand_cores: f64,
+    pub(crate) cpu_demand_cores: f64,
     /// Sum of consumed memory over resident VMs, MiB.
-    pub mem_used_mib: f64,
+    pub(crate) mem_used_mib: f64,
     /// Sum of used disk over resident VMs, GiB.
-    pub disk_used_gib: f64,
+    pub(crate) disk_used_gib: f64,
 }
 
 /// Compute the contention fraction (0–1) for a load ratio `rho = D/C_eff`.
@@ -95,7 +95,7 @@ pub struct NodeDemand {
 /// Piecewise: zero below the onset, a quadratic ramp to
 /// [`SOFT_CONTENTION_AT_FULL`] at `rho = 1`, and the proportional-share
 /// starvation fraction `1 − 1/rho` beyond (continuously joined via `max`).
-pub fn contention_fraction(rho: f64) -> f64 {
+pub(crate) fn contention_fraction(rho: f64) -> f64 {
     if rho <= SOFT_CONTENTION_ONSET {
         return 0.0;
     }
@@ -120,7 +120,7 @@ pub fn contention_fraction(rho: f64) -> f64 {
 ///   `C_eff`, so the same VM demand produces more unserved work: higher
 ///   CPU-ready, higher contention, and a utilization ceiling below the
 ///   healthy one.
-pub fn sample_node_with_throughput(
+pub(crate) fn sample_node_with_throughput(
     physical: &Resources,
     demand: &NodeDemand,
     interval_ms: u64,
@@ -174,7 +174,7 @@ pub fn sample_node_with_throughput(
 /// Fraction of its allocated disk a VM of age `age_days` has filled:
 /// starts at 20 % (image + swap) and saturates toward 55 % with a 120-day
 /// half-life — data accumulates early, then plateaus.
-pub fn vm_disk_fill_fraction(age_days: f64) -> f64 {
+pub(crate) fn vm_disk_fill_fraction(age_days: f64) -> f64 {
     0.20 + 0.35 * (age_days.max(0.0) / (age_days.max(0.0) + 120.0))
 }
 

@@ -15,7 +15,7 @@
 //!   placement pipeline with greedy retries across ranked candidates.
 //! * **Telemetry scrapes** — periodic sampling of every VM's demand model,
 //!   aggregation into per-node physical load, the CPU contention / ready
-//!   time model of [`hypervisor`], and recording into the TSDB.
+//!   time model of the `hypervisor` module, and recording into the TSDB.
 //! * **Rebalancing rounds** — DRS-style intra-building-block migration
 //!   planning, and (optionally) the cross-BB rebalancer the paper calls
 //!   for.
@@ -24,8 +24,6 @@
 //! minimal end-to-end run. Placement itself belongs to
 //! [`PlacementEngine`], which a run holds and `sapsim serve` exposes.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
 #![warn(clippy::too_many_lines)]
 
 mod cloud;
@@ -33,19 +31,18 @@ mod config;
 mod driver;
 mod engine;
 mod error;
-pub mod hypervisor;
+mod hypervisor;
 mod result;
 pub mod scenario;
 mod viewcache;
 
-pub use cloud::{Cloud, CloudState, PlacedVm};
-pub use config::{PlacementGranularity, SimConfig, SimConfigBuilder};
+pub use cloud::Cloud;
+pub use config::{PlacementGranularity, SimConfig};
 pub use driver::SimDriver;
-pub use engine::{EvacReport, PlaceOutcome, PlaceSpec, PlacementEngine, ResizeResult};
+pub use engine::{PlaceOutcome, PlaceSpec, PlacementEngine, ResizeResult};
 pub use error::SimError;
-pub use result::{DriverStats, FaultStats, RunResult, VmUsageSummary};
+pub use result::{DriverStats, RunResult};
 pub use scenario::{fnv1a_64, Scenario, SweepSpec};
-pub use viewcache::{HostViewCacheStats, LayerCacheStats};
 
 /// Re-export of the simulation duration: the [`SimConfig`] intervals
 /// (scrape, DRS, cross-BB) are [`SimDuration`]s, so embedders setting them
@@ -66,15 +63,15 @@ pub use sapsim_obs as obs;
 ///
 /// `use sapsim_core::prelude::*;` brings in everything needed to
 /// configure, run, and sweep simulations without reaching into module
-/// paths: the config surface ([`SimConfig`], [`SimConfigBuilder`],
+/// paths: the config surface ([`SimConfig`] and its builder,
 /// [`PlacementGranularity`], [`PolicyKind`](sapsim_scheduler::PolicyKind),
 /// [`FaultSpec`]), the session layer ([`Scenario`], [`SweepSpec`],
 /// [`SimDriver`]), the outputs ([`RunResult`], [`DriverStats`]), and the
 /// error type ([`SimError`]).
 pub mod prelude {
     pub use crate::{
-        DriverStats, FaultSpec, PlacementGranularity, RunResult, Scenario, SimConfig,
-        SimConfigBuilder, SimDriver, SimError, SweepSpec,
+        DriverStats, FaultSpec, PlacementGranularity, RunResult, Scenario, SimConfig, SimDriver,
+        SimError, SweepSpec,
     };
     pub use sapsim_scheduler::PolicyKind;
 }

@@ -12,7 +12,7 @@ use sapsim_workload::{VmId, VmSpec};
 #[derive(Debug, Clone)]
 pub struct VmUsageSummary {
     /// The VM.
-    pub id: VmId,
+    pub(crate) id: VmId,
     /// Index into [`RunResult::specs`].
     pub spec_index: usize,
     /// Whether the VM was ever successfully placed.

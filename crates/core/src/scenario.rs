@@ -22,7 +22,7 @@ use crate::config::{PlacementGranularity, SimConfig};
 use crate::error::SimError;
 use crate::result::RunResult;
 use sapsim_faults::FaultSpec;
-use sapsim_json::{json_codec, ToJson};
+use sapsim_json::ToJson;
 use sapsim_obs::Recorder;
 use sapsim_scheduler::PolicyKind;
 
@@ -59,11 +59,6 @@ impl Scenario {
     /// The report label.
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// The validated configuration.
-    pub fn config(&self) -> &SimConfig {
-        &self.config
     }
 
     /// Content address of the config: 16 lowercase hex digits of
@@ -115,14 +110,6 @@ pub struct SweepSpec {
     pub faults: Vec<FaultSpec>,
     /// Workload/topology scales (empty: just the base scale).
     pub scales: Vec<f64>,
-}
-
-json_codec!(struct SweepSpec: default { base, seeds, policies, granularities, drs, faults, scales });
-
-impl Default for SweepSpec {
-    fn default() -> Self {
-        SweepSpec::new(SimConfig::default())
-    }
 }
 
 impl SweepSpec {
@@ -272,7 +259,7 @@ mod tests {
         assert!(Scenario::new("", base()).is_err());
         let ok = Scenario::new("ok", base()).expect("valid");
         assert_eq!(ok.name(), "ok");
-        assert_eq!(ok.config().days, base().days);
+        assert_eq!(ok.config.days, base().days);
     }
 
     #[test]
@@ -295,7 +282,7 @@ mod tests {
         let scenarios = spec.expand().expect("valid");
         assert_eq!(scenarios.len(), 1);
         assert_eq!(scenarios[0].name(), format!("s{}", base().seed));
-        assert_eq!(*scenarios[0].config(), base());
+        assert_eq!(scenarios[0].config, base());
     }
 
     #[test]
@@ -322,7 +309,7 @@ mod tests {
         assert_eq!(scenarios[3].name(), "paper-default-bb-f1-s1");
         assert_eq!(scenarios[23].name(), "spread-node-f1-s3");
         // Seed varies fastest; policy slowest among the swept axes.
-        assert_eq!(scenarios[12].config().policy, PolicyKind::Spread);
+        assert_eq!(scenarios[12].config.policy, PolicyKind::Spread);
     }
 
     #[test]
@@ -338,18 +325,5 @@ mod tests {
         let mut spec = SweepSpec::new(base());
         spec.scales = vec![0.02, SimConfig::MAX_SCALE * 2.0];
         assert!(spec.expand().is_err());
-    }
-
-    #[test]
-    fn sweep_spec_round_trips_through_json() {
-        let mut spec = SweepSpec::new(base());
-        spec.seeds = vec![1, 2];
-        spec.drs = vec![true, false];
-        let back: SweepSpec = sapsim_json::decode(&spec.to_json_string()).expect("decodes");
-        assert_eq!(back, spec);
-        // Missing keys default: an axis-only document is a complete spec.
-        let sparse: SweepSpec = sapsim_json::decode(r#"{"seeds":[4,5]}"#).expect("decodes");
-        assert_eq!(sparse.base, SimConfig::default());
-        assert_eq!(sparse.seeds, vec![4, 5]);
     }
 }

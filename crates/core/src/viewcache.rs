@@ -27,15 +27,15 @@ use std::collections::BTreeSet;
 /// cache disjoint borrows of its bookkeeping arrays while the cache
 /// itself is borrowed mutably.
 pub(crate) struct WorldRefs<'a> {
-    pub topo: &'a Topology,
-    pub node_virtual_cap: &'a [Resources],
-    pub node_alloc: &'a [Resources],
-    pub node_vms: &'a [Vec<VmId>],
-    pub node_contention: &'a [f64],
-    pub node_departure_sum_ms: &'a [f64],
-    pub bb_virtual_cap: &'a [Resources],
-    pub bb_alloc: &'a [Resources],
-    pub reserved_bbs: &'a BTreeSet<BbId>,
+    pub(crate) topo: &'a Topology,
+    pub(crate) node_virtual_cap: &'a [Resources],
+    pub(crate) node_alloc: &'a [Resources],
+    pub(crate) node_vms: &'a [Vec<VmId>],
+    pub(crate) node_contention: &'a [f64],
+    pub(crate) node_departure_sum_ms: &'a [f64],
+    pub(crate) bb_virtual_cap: &'a [Resources],
+    pub(crate) bb_alloc: &'a [Resources],
+    pub(crate) reserved_bbs: &'a BTreeSet<BbId>,
 }
 
 /// Cumulative activity counters of one cache layer — how often the layer
@@ -50,13 +50,13 @@ pub struct LayerCacheStats {
     /// Refreshes that recomputed no dirty rows (lifetime-only or no-op).
     pub clean_refreshes: u64,
     /// Dirty rows recomputed across all refreshes.
-    pub rows_recomputed: u64,
+    pub(crate) rows_recomputed: u64,
     /// Refreshes whose `now` moved, forcing the lifetime-column pass.
-    pub lifetime_passes: u64,
+    pub(crate) lifetime_passes: u64,
     /// Full from-scratch builds (first use of the layer).
-    pub full_builds: u64,
+    pub(crate) full_builds: u64,
     /// Entries marked dirty by mutators (deduplicated per refresh cycle).
-    pub marks: u64,
+    pub(crate) marks: u64,
 }
 
 /// Both layers' [`LayerCacheStats`], as returned by
@@ -77,12 +77,12 @@ pub(crate) struct HostViewCache {
 }
 
 impl HostViewCache {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Snapshot both layers' activity counters.
-    pub fn stats(&self) -> HostViewCacheStats {
+    pub(crate) fn stats(&self) -> HostViewCacheStats {
         HostViewCacheStats {
             node: self.node.stats,
             bb: self.bb.stats,
@@ -92,24 +92,24 @@ impl HostViewCache {
     /// Mark one node and its building block stale in both layers — the
     /// common hook for placement, removal, migration, resize, contention
     /// updates, and node state changes.
-    pub fn mark_node(&mut self, node: usize, bb: usize) {
+    pub(crate) fn mark_node(&mut self, node: usize, bb: usize) {
         self.node.mark(node);
         self.bb.mark(bb);
     }
 
     /// Mark a single node-layer entry stale (reservation flips use this
     /// per node, paired with one [`mark_bb_entry`](Self::mark_bb_entry)).
-    pub fn mark_node_entry(&mut self, node: usize) {
+    pub(crate) fn mark_node_entry(&mut self, node: usize) {
         self.node.mark(node);
     }
 
     /// Mark a single BB-layer entry stale.
-    pub fn mark_bb_entry(&mut self, bb: usize) {
+    pub(crate) fn mark_bb_entry(&mut self, bb: usize) {
         self.bb.mark(bb);
     }
 
     /// Refresh and return the node-granularity snapshot.
-    pub fn refresh_node(
+    pub(crate) fn refresh_node(
         &mut self,
         world: &WorldRefs<'_>,
         now: SimTime,
@@ -118,7 +118,7 @@ impl HostViewCache {
     }
 
     /// Refresh and return the building-block-granularity snapshot.
-    pub fn refresh_bb(
+    pub(crate) fn refresh_bb(
         &mut self,
         world: &WorldRefs<'_>,
         now: SimTime,

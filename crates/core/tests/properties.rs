@@ -9,7 +9,7 @@ use sapsim_workload::{Archetype, UsageModel, VmId, VmSpec, WorkloadClass};
 
 fn fixture() -> Topology {
     let mut topo = Topology::new();
-    let r = topo.add_region("r");
+    let r = topo.add_region();
     let az = topo.add_az(r, "az");
     let dc = topo.add_dc(az, "A");
     topo.add_bb(

@@ -24,9 +24,6 @@
 //! the same seed yields byte-identical results at any thread count,
 //! because all fault handling happens in the sequential event-loop phase.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 use sapsim_json::json_codec;
 use sapsim_sim::{SimDuration, SimRng, SimTime, MILLIS_PER_DAY, MILLIS_PER_HOUR};
 use std::fmt;
@@ -313,11 +310,11 @@ pub struct HostFailure {
 
 /// One planned telemetry dropout window `[from, until)` for a node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DropoutWindow {
+pub(crate) struct DropoutWindow {
     /// First dropped instant.
-    pub from: SimTime,
+    pub(crate) from: SimTime,
     /// First instant scraped again.
-    pub until: SimTime,
+    pub(crate) until: SimTime,
 }
 
 /// The expansion of a [`FaultSpec`] against a concrete fleet: concrete
@@ -329,22 +326,15 @@ pub struct FaultPlan {
     pub host_failures: Vec<HostFailure>,
     /// Per-node pCPU throughput factor (1.0 = healthy). Empty when no
     /// stragglers were drawn — [`FaultPlan::throughput`] then reads 1.0.
-    pub throughput: Vec<f64>,
+    pub(crate) throughput: Vec<f64>,
     /// Per-node telemetry dropout windows. Empty when none were drawn.
-    pub dropouts: Vec<Vec<DropoutWindow>>,
+    pub(crate) dropouts: Vec<Vec<DropoutWindow>>,
 }
 
 impl FaultPlan {
     /// The empty plan: injects nothing, costs nothing.
-    pub fn none() -> Self {
+    pub(crate) fn none() -> Self {
         FaultPlan::default()
-    }
-
-    /// True when the plan injects nothing at all.
-    pub fn is_empty(&self) -> bool {
-        self.host_failures.is_empty()
-            && self.throughput.is_empty()
-            && self.dropouts.iter().all(|w| w.is_empty())
     }
 
     /// Expand `spec` against a fleet of `num_nodes` nodes observed over
@@ -496,7 +486,6 @@ mod tests {
         let (warmup, horizon) = window();
         let root = SimRng::seed_from(1);
         let plan = FaultPlan::generate(&FaultSpec::none(), 64, warmup, horizon, &root);
-        assert!(plan.is_empty());
         assert_eq!(plan, FaultPlan::none());
         assert_eq!(plan.throughput(0), 1.0);
         assert!(!plan.is_dropped_out(0, warmup));
@@ -508,7 +497,11 @@ mod tests {
         let a = FaultPlan::generate(&busy_spec(), 200, warmup, horizon, &SimRng::seed_from(42));
         let b = FaultPlan::generate(&busy_spec(), 200, warmup, horizon, &SimRng::seed_from(42));
         assert_eq!(a, b);
-        assert!(!a.is_empty(), "busy spec on 200 nodes should draw faults");
+        assert_ne!(
+            a,
+            FaultPlan::none(),
+            "busy spec on 200 nodes should draw faults"
+        );
         let c = FaultPlan::generate(&busy_spec(), 200, warmup, horizon, &SimRng::seed_from(43));
         assert_ne!(a, c, "different seeds should draw different plans");
     }

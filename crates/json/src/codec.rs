@@ -94,9 +94,9 @@ pub enum ErrorKind {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DecodeError {
     /// Member names and `[i]` indices, from the failing value outwards.
-    pub path: Vec<String>,
+    pub(crate) path: Vec<String>,
     /// What went wrong.
-    pub kind: ErrorKind,
+    pub(crate) kind: ErrorKind,
 }
 
 impl From<ErrorKind> for DecodeError {

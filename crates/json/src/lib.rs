@@ -11,7 +11,7 @@
 //!   and keeps non-negative integer literals exact up to `u64::MAX`
 //!   ([`JsonValue::Int`]) — RNG state words and histogram bucket bounds
 //!   use the full 64 bits.
-//! * [`push_str`] / [`push_u64`] / [`push_f64`] — deterministic emit
+//! * [`push_str`] / `push_u64` / `push_f64` — deterministic emit
 //!   helpers appending to one `String`.
 //! * [`ToJson`] / [`FromJson`] and the [`json_codec!`] macro — typed
 //!   encode (streamed into one `String`, no intermediate tree) and decode
@@ -152,9 +152,9 @@ impl std::ops::Index<usize> for JsonValue {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
     /// Byte offset of the failure in the input.
-    pub offset: usize,
+    pub(crate) offset: usize,
     /// Short description of what was expected or found.
-    pub msg: String,
+    pub(crate) msg: String,
 }
 
 impl fmt::Display for JsonError {
@@ -454,13 +454,13 @@ pub fn push_str(out: &mut String, s: &str) {
 }
 
 /// Append an unsigned integer.
-pub fn push_u64(out: &mut String, v: u64) {
+pub(crate) fn push_u64(out: &mut String, v: u64) {
     let _ = write!(out, "{v}");
 }
 
 /// Append an `f64` using Rust's shortest-round-trip `Display`; non-finite
 /// values become `null` (JSON has no NaN/Inf).
-pub fn push_f64(out: &mut String, v: f64) {
+pub(crate) fn push_f64(out: &mut String, v: f64) {
     if v.is_finite() {
         let _ = write!(out, "{v}");
     } else {

@@ -6,7 +6,7 @@ use sapsim_json::{json_codec, FromJson, JsonValue, Keyed, ObjectWriter, TaggedJs
 use std::borrow::Cow;
 
 /// A name: a `&'static str` when the simulator writes it, owned when read.
-pub type Name = Cow<'static, str>;
+pub(crate) type Name = Cow<'static, str>;
 
 /// How many ranked survivors a [`DecisionRecord`] keeps per decision,
 /// with their combined and per-weigher scores. Five is enough to see why
@@ -41,7 +41,7 @@ pub enum SpanKind {
 
 impl SpanKind {
     /// Number of variants (the size of a per-kind table).
-    pub const COUNT: usize = 9;
+    pub(crate) const COUNT: usize = 9;
 
     /// Every kind, in display order.
     pub const ALL: [SpanKind; SpanKind::COUNT] = [
@@ -72,7 +72,7 @@ impl SpanKind {
     }
 
     /// Dense index for per-kind tables.
-    pub const fn index(self) -> usize {
+    pub(crate) const fn index(self) -> usize {
         self as usize
     }
 }
@@ -93,7 +93,7 @@ pub enum DecisionOutcome {
 
 impl DecisionOutcome {
     /// Every outcome.
-    pub const ALL: [DecisionOutcome; 3] = [
+    pub(crate) const ALL: [DecisionOutcome; 3] = [
         DecisionOutcome::Placed,
         DecisionOutcome::Fragmented,
         DecisionOutcome::NoCandidate,
@@ -176,7 +176,7 @@ pub enum FaultEventKind {
 
 impl FaultEventKind {
     /// Every kind.
-    pub const ALL: [FaultEventKind; 6] = [
+    pub(crate) const ALL: [FaultEventKind; 6] = [
         FaultEventKind::HostFail,
         FaultEventKind::HostRecover,
         FaultEventKind::EvacReplaced,
@@ -237,7 +237,7 @@ pub enum ObsEvent {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LogMeta {
     /// Log format version (1).
-    pub version: u32,
+    pub(crate) version: u32,
     /// [`ObsConfig::decision_sample_rate`](crate::ObsConfig::decision_sample_rate).
     pub decision_sample_rate: f64,
     /// [`ObsConfig::ring_capacity`](crate::ObsConfig::ring_capacity).
@@ -256,7 +256,7 @@ pub struct SpanRecord {
     /// Which phase.
     pub kind: SpanKind,
     /// Start offset from the run origin (µs).
-    pub ts_us: u64,
+    pub(crate) ts_us: u64,
     /// Elapsed wall-clock time (µs).
     pub dur_us: u64,
 }
@@ -269,11 +269,11 @@ pub struct FaultRecord {
     /// What happened.
     pub kind: FaultEventKind,
     /// Simulation time of the event, in milliseconds.
-    pub sim_time_ms: u64,
+    pub(crate) sim_time_ms: u64,
     /// The host (see [`ObsEvent::Fault`]).
-    pub node: u32,
+    pub(crate) node: u32,
     /// The affected VM's uid; `None` for host-level events.
-    pub vm_uid: Option<u64>,
+    pub(crate) vm_uid: Option<u64>,
 }
 
 json_codec!(struct FaultRecord { kind, sim_time_ms, node, vm_uid });

@@ -46,8 +46,6 @@
 //! the `sapsim.metrics/v1` entries — and `sapsim obs` reads the files
 //! back through the same declarations.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
 #![warn(clippy::too_many_lines)]
 
 mod event;
@@ -58,14 +56,14 @@ mod progress;
 mod recorder;
 
 pub use event::{
-    DecisionOutcome, DecisionRecord, FaultEventKind, FaultRecord, HostScore, LogLine, LogMeta,
-    Name, ObsEvent, SpanKind, SpanRecord, DECISION_TOP_K,
+    DecisionOutcome, DecisionRecord, FaultEventKind, HostScore, LogLine, ObsEvent, SpanKind,
+    DECISION_TOP_K,
 };
 pub use metrics::{
-    bucket_index, bucket_upper_bound, Histogram, MetricKey, MetricsRegistry, Sample, HIST_BUCKETS,
-    HIST_SUB_BITS, HIST_SUB_BUCKETS, METRICS_SCHEMA,
+    bucket_index, bucket_upper_bound, Histogram, MetricKey, MetricsRegistry, HIST_BUCKETS,
+    METRICS_SCHEMA,
 };
-pub use profile::{PhaseStat, RunProfile};
+pub use profile::RunProfile;
 pub use progress::ProgressRecorder;
 pub use recorder::{
     JsonlRecorder, MetricsRecorder, NullRecorder, ObsConfig, ObsError, Recorder, RunProgress,

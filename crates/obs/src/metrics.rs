@@ -35,10 +35,10 @@ pub const METRICS_SCHEMA: &str = "sapsim.metrics/v1";
 
 /// Log-linear sub-bucket resolution: each power-of-two octave is split
 /// into `2^HIST_SUB_BITS` linear sub-buckets.
-pub const HIST_SUB_BITS: u32 = 2;
+pub(crate) const HIST_SUB_BITS: u32 = 2;
 
 /// Number of linear sub-buckets per power-of-two octave.
-pub const HIST_SUB_BUCKETS: usize = 1 << HIST_SUB_BITS;
+pub(crate) const HIST_SUB_BUCKETS: usize = 1 << HIST_SUB_BITS;
 
 /// Total number of histogram buckets: values `0..4` get exact buckets,
 /// then 62 octaves × 4 sub-buckets cover the rest of the `u64` range
@@ -120,7 +120,7 @@ impl Histogram {
     /// saturate rather than wrap: histograms are merged from
     /// file-supplied snapshots, and a saturated count is equally
     /// saturated on every platform.
-    pub fn merge(&mut self, other: &Histogram) {
+    pub(crate) fn merge(&mut self, other: &Histogram) {
         if other.count == 0 {
             return;
         }
@@ -163,26 +163,6 @@ impl Histogram {
     /// Mean observation, `None` when empty.
     pub fn mean(&self) -> Option<f64> {
         (self.count > 0).then(|| self.sum as f64 / self.count as f64)
-    }
-
-    /// The bucket upper bound at or below which a `q` fraction of the
-    /// observations fall (`q` clamped to `[0, 1]`); `None` when empty.
-    /// Bucket-resolution, like a Prometheus `histogram_quantile`: the
-    /// serve front end reports request-latency p50/p99 through this.
-    pub fn quantile(&self, q: f64) -> Option<u64> {
-        if self.count == 0 {
-            return None;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let rank = (q * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (ub, n) in self.buckets() {
-            seen += n;
-            if seen >= rank {
-                return Some(ub);
-            }
-        }
-        Some(self.max)
     }
 
     /// Non-empty buckets as `(inclusive upper bound, count)`, in bound
@@ -244,7 +224,7 @@ pub struct MetricKey {
 
 impl MetricKey {
     /// An unlabeled key.
-    pub fn plain(name: &'static str) -> Self {
+    pub(crate) fn plain(name: &'static str) -> Self {
         MetricKey {
             name: name.into(),
             label: None,
@@ -252,7 +232,7 @@ impl MetricKey {
     }
 
     /// A labeled key.
-    pub fn labeled(name: &'static str, key: &'static str, value: impl Into<String>) -> Self {
+    pub(crate) fn labeled(name: &'static str, key: &'static str, value: impl Into<String>) -> Self {
         MetricKey {
             name: name.into(),
             label: Some((key.into(), value.into())),
@@ -279,7 +259,7 @@ pub struct Sample<V> {
     /// Metric name.
     pub name: Name,
     /// Optional `{"<label name>":"<label value>"}` breakdown.
-    pub label: Option<Keyed<(Name, String)>>,
+    pub(crate) label: Option<Keyed<(Name, String)>>,
     /// The value.
     pub value: V,
 }
@@ -537,25 +517,43 @@ mod tests {
         assert_eq!(bucket_upper_bound(HIST_BUCKETS - 1), u64::MAX);
     }
 
+    /// The bucket upper bound at or below which a `q` fraction of the
+    /// observations fall (`q` clamped to `[0, 1]`); `None` when empty.
+    fn quantile(h: &Histogram, q: f64) -> Option<u64> {
+        if h.count == 0 {
+            return None;
+        }
+        let q = q.clamp(0.0, 1.0);
+        let rank = (q * h.count as f64).ceil().max(1.0) as u64;
+        let mut seen = 0u64;
+        for (ub, n) in h.buckets() {
+            seen += n;
+            if seen >= rank {
+                return Some(ub);
+            }
+        }
+        Some(h.max)
+    }
+
     #[test]
     fn quantiles_resolve_to_bucket_upper_bounds() {
         let mut h = Histogram::default();
-        assert_eq!(h.quantile(0.5), None);
+        assert_eq!(quantile(&h, 0.5), None);
         for v in 1..=100u64 {
             h.record(v);
         }
         // Bucket resolution: the answer is the upper bound of the bucket
         // containing the rank, so it is >= the exact quantile and never
         // beyond the recorded max's bucket.
-        let p50 = h.quantile(0.5).unwrap();
-        let p99 = h.quantile(0.99).unwrap();
+        let p50 = quantile(&h, 0.5).unwrap();
+        let p99 = quantile(&h, 0.99).unwrap();
         assert!((50..100).contains(&p50), "p50 = {p50}");
         assert!(p99 >= 99, "p99 = {p99}");
-        assert!(h.quantile(0.0).unwrap() >= 1);
-        assert!(h.quantile(1.0).unwrap() >= p99);
+        assert!(quantile(&h, 0.0).unwrap() >= 1);
+        assert!(quantile(&h, 1.0).unwrap() >= p99);
         let mut single = Histogram::default();
         single.record(7);
-        assert_eq!(single.quantile(0.5), Some(7));
+        assert_eq!(quantile(&single, 0.5), Some(7));
     }
 
     #[test]

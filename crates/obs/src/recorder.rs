@@ -334,11 +334,6 @@ impl JsonlRecorder {
         JsonlRecorder::default()
     }
 
-    /// The knobs this recorder was built with.
-    pub fn config(&self) -> ObsConfig {
-        self.config
-    }
-
     /// Buffered events, oldest first.
     pub fn events(&self) -> impl Iterator<Item = &ObsEvent> {
         self.ring.iter()

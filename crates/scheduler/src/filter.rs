@@ -18,7 +18,7 @@ pub trait Filter: Send + Sync {
 /// Rejects disabled / in-maintenance candidates (Nova's `ComputeFilter`
 /// host-status behaviour).
 #[derive(Debug, Default, Clone, Copy)]
-pub struct ComputeStatusFilter;
+pub(crate) struct ComputeStatusFilter;
 
 impl Filter for ComputeStatusFilter {
     fn name(&self) -> &'static str {
@@ -38,7 +38,7 @@ impl Filter for ComputeStatusFilter {
 /// (Nova's `AvailabilityZoneFilter`). Requests without an AZ constraint
 /// pass everywhere.
 #[derive(Debug, Default, Clone, Copy)]
-pub struct AvailabilityZoneFilter;
+pub(crate) struct AvailabilityZoneFilter;
 
 impl Filter for AvailabilityZoneFilter {
     fn name(&self) -> &'static str {
@@ -58,7 +58,7 @@ impl Filter for AvailabilityZoneFilter {
 /// HANA/GPU blocks "do not accommodate other VMs" and vice versa). The
 /// production equivalent is Nova's aggregate/tenant filtering.
 #[derive(Debug, Default, Clone, Copy)]
-pub struct PurposeFilter;
+pub(crate) struct PurposeFilter;
 
 impl Filter for PurposeFilter {
     fn name(&self) -> &'static str {
@@ -77,7 +77,7 @@ impl Filter for PurposeFilter {
 /// Removes candidates with insufficient free vCPU capacity (the CPU half
 /// of Nova's `ComputeFilter` / `CoreFilter`).
 #[derive(Debug, Default, Clone, Copy)]
-pub struct ComputeFilter;
+pub(crate) struct ComputeFilter;
 
 impl Filter for ComputeFilter {
     fn name(&self) -> &'static str {
@@ -95,7 +95,7 @@ impl Filter for ComputeFilter {
 
 /// Removes candidates with insufficient free memory (Nova's `RamFilter`).
 #[derive(Debug, Default, Clone, Copy)]
-pub struct RamFilter;
+pub(crate) struct RamFilter;
 
 impl Filter for RamFilter {
     fn name(&self) -> &'static str {
@@ -113,7 +113,7 @@ impl Filter for RamFilter {
 
 /// Removes candidates with insufficient free disk (Nova's `DiskFilter`).
 #[derive(Debug, Default, Clone, Copy)]
-pub struct DiskFilter;
+pub(crate) struct DiskFilter;
 
 impl Filter for DiskFilter {
     fn name(&self) -> &'static str {

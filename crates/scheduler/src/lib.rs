@@ -21,9 +21,6 @@
 //! scheduler works against the placement API's inventory records rather
 //! than live hypervisors.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod filter;
 mod index;
 mod packing;
@@ -33,19 +30,11 @@ mod rebalance;
 mod request;
 mod weigher;
 
-pub use filter::{
-    default_filters, AvailabilityZoneFilter, ComputeFilter, ComputeStatusFilter, DiskFilter,
-    Filter, PurposeFilter, RamFilter,
-};
+pub use filter::default_filters;
 pub use index::{Bucket, CandidateIndex};
-pub use packing::{pack_all, PackingOutcome, PackingStrategy};
-pub use pipeline::{FilterScheduler, IndexStats, PipelineStats, RankOptions, Ranking, ScheduleError};
+pub use packing::{pack_all, PackingStrategy};
+pub use pipeline::{FilterScheduler, RankOptions, Ranking, ScheduleError};
 pub use policies::{PlacementPolicy, PolicyKind};
-pub use rebalance::{
-    CrossBbRebalancer, DrsConfig, DrsRebalancer, HostLoad, Migration, NodeLoad, RebalanceReport,
-    Rebalancer, VmLoad,
-};
+pub use rebalance::{DrsConfig, HostLoad, Rebalancer, VmLoad};
 pub use request::{HostView, PlacementRequest, RejectReason};
-pub use weigher::{
-    ContentionWeigher, CpuWeigher, DiskWeigher, LifetimeAffinityWeigher, RamWeigher, Weigher,
-};
+pub use weigher::{CpuWeigher, RamWeigher, Weigher};

@@ -35,7 +35,7 @@ impl PackingStrategy {
     ];
 
     /// Whether the strategy pre-sorts items (offline).
-    pub fn is_decreasing(self) -> bool {
+    pub(crate) fn is_decreasing(self) -> bool {
         matches!(
             self,
             PackingStrategy::FirstFitDecreasing | PackingStrategy::BestFitDecreasing

@@ -40,12 +40,12 @@ pub struct PipelineStats {
     /// Placement decisions requested.
     pub requests: u64,
     /// Requests for which at least one candidate survived.
-    pub scheduled: u64,
+    pub(crate) scheduled: u64,
     /// Requests that failed outright.
-    pub failed: u64,
+    pub(crate) failed: u64,
     /// Candidates eliminated, by reason. A `BTreeMap` so iteration (and
     /// therefore every stats dump) has one deterministic order.
-    pub rejections: BTreeMap<RejectReason, u64>,
+    pub(crate) rejections: BTreeMap<RejectReason, u64>,
 }
 
 /// Cumulative effectiveness counters of [`CandidateIndex`] bucket pruning,
@@ -68,7 +68,7 @@ pub struct IndexStats {
     pub hosts_pruned: u64,
 }
 
-/// Execution options for one [`FilterScheduler::rank_into`] pass.
+/// Execution options for one `FilterScheduler::rank_into` pass.
 #[derive(Debug, Clone, Copy)]
 pub struct RankOptions<'a> {
     /// Purpose×AZ candidate index over the host slice, letting the filter
@@ -85,7 +85,7 @@ pub struct RankOptions<'a> {
     /// anything ≥ the survivor count) requests the classic full stable
     /// sort.
     pub top_k: usize,
-    /// Update [`PipelineStats`] and record this pass's rejections as new
+    /// Update `PipelineStats` and record this pass's rejections as new
     /// events. Pass `false` when re-ranking the same request against an
     /// unchanged world (to extend a top-k head), so nothing is counted
     /// twice.
@@ -130,25 +130,6 @@ pub struct Ranking {
     /// How many leading entries of `order` are guaranteed best-first.
     /// Equal to `order.len()` after a full sort.
     pub sorted_len: usize,
-}
-
-impl Ranking {
-    /// The winning candidate (index into the original `hosts` slice).
-    ///
-    /// # Panics
-    /// Never: a `Ranking` is only constructed with at least one survivor.
-    pub fn best(&self) -> usize {
-        self.order[0]
-    }
-
-    /// The best `k` candidates with their combined scores, best first.
-    pub fn top_k(&self, k: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
-        self.order
-            .iter()
-            .zip(&self.scores)
-            .take(k)
-            .map(|(&host, &score)| (host, score))
-    }
 }
 
 /// Reused buffers for the rank hot path, mirroring `DriverScratch` in the
@@ -213,12 +194,12 @@ impl FilterScheduler {
     }
 
     /// Pipeline activity counters.
-    pub fn stats(&self) -> &PipelineStats {
+    pub(crate) fn stats(&self) -> &PipelineStats {
         &self.stats
     }
 
     /// Candidate-index prune-effectiveness counters (see [`IndexStats`]).
-    pub fn index_stats(&self) -> &IndexStats {
+    pub(crate) fn index_stats(&self) -> &IndexStats {
         &self.index_stats
     }
 
@@ -251,7 +232,7 @@ impl FilterScheduler {
     /// bit-for-bit (the weigher comparator is a strict total order for
     /// finite scores, so partial selection agrees with the stable full
     /// sort; a custom weigher emitting NaN must not use `top_k`).
-    pub fn rank_into(
+    pub(crate) fn rank_into(
         &mut self,
         request: &PlacementRequest,
         hosts: &[HostView],
@@ -501,7 +482,7 @@ mod tests {
         let mut s = spread_scheduler();
         let ranked = s.rank(&req(2, 50), &hosts).unwrap();
         assert_eq!(ranked.order, vec![1, 2, 0]);
-        assert_eq!(ranked.best(), 1);
+        assert_eq!(ranked.order[0], 1);
     }
 
     #[test]
@@ -596,10 +577,6 @@ mod tests {
         }
         // Scores are best-first, aligned with `order`.
         assert!(ranked.scores.windows(2).all(|w| w[0] >= w[1]));
-        let top: Vec<_> = ranked.top_k(2).collect();
-        assert_eq!(top.len(), 2);
-        assert_eq!(top[0].0, ranked.order[0]);
-        assert_eq!(top[0].1, ranked.scores[0]);
     }
 
     #[test]

@@ -111,7 +111,6 @@ fn pack_memory_weighers() -> Vec<(f64, Box<dyn Weigher>)> {
 /// building-block purpose.
 #[derive(Debug)]
 pub struct PlacementPolicy {
-    kind: PolicyKind,
     general: FilterScheduler,
     hana: FilterScheduler,
 }
@@ -145,16 +144,7 @@ impl PlacementPolicy {
             PolicyKind::Spread => FilterScheduler::new(standard_filters(), spread_weighers()),
             _ => FilterScheduler::new(standard_filters(), pack_memory_weighers()),
         };
-        PlacementPolicy {
-            kind,
-            general,
-            hana,
-        }
-    }
-
-    /// The policy kind.
-    pub fn kind(&self) -> PolicyKind {
-        self.kind
+        PlacementPolicy { general, hana }
     }
 
     /// Rank candidates for one request (best first), with the full
@@ -174,7 +164,7 @@ impl PlacementPolicy {
     /// The hot-path form of [`rank`](PlacementPolicy::rank): writes into a
     /// reusable [`Ranking`] and accepts [`RankOptions`] (candidate index,
     /// top-k head, stats gating). Dispatches on the request purpose
-    /// exactly like `rank`. See [`FilterScheduler::rank_into`].
+    /// exactly like `rank`. See `FilterScheduler::rank_into`.
     pub fn rank_into(
         &mut self,
         request: &PlacementRequest,
@@ -194,8 +184,8 @@ impl PlacementPolicy {
     }
 
     /// Candidate-index prune counters `(general, hana)` — see
-    /// [`IndexStats`](crate::IndexStats).
-    pub fn index_stats(&self) -> (&crate::IndexStats, &crate::IndexStats) {
+    /// `IndexStats`.
+    pub fn index_stats(&self) -> (&crate::pipeline::IndexStats, &crate::pipeline::IndexStats) {
         (self.general.index_stats(), self.hana.index_stats())
     }
 }
@@ -237,11 +227,11 @@ mod tests {
             Resources::with_memory_gib(2, 8, 1),
             BbPurpose::GeneralPurpose,
         );
-        let best_gp = p.rank(&gp, &hosts_gradient()).unwrap().best();
+        let best_gp = p.rank(&gp, &hosts_gradient()).unwrap().order[0];
         assert_eq!(best_gp, 3, "GP goes to the emptiest host");
 
         let hana = PlacementRequest::new(2, Resources::with_memory_gib(2, 8, 1), BbPurpose::Hana);
-        let best_hana = p.rank(&hana, &hana_hosts_gradient()).unwrap().best();
+        let best_hana = p.rank(&hana, &hana_hosts_gradient()).unwrap().order[0];
         assert_eq!(best_hana, 0, "HANA goes to the fullest fitting host");
     }
 
@@ -249,7 +239,7 @@ mod tests {
     fn spread_policy_spreads_hana_too() {
         let mut p = PlacementPolicy::new(PolicyKind::Spread);
         let hana = PlacementRequest::new(2, Resources::with_memory_gib(2, 8, 1), BbPurpose::Hana);
-        let best = p.rank(&hana, &hana_hosts_gradient()).unwrap().best();
+        let best = p.rank(&hana, &hana_hosts_gradient()).unwrap().order[0];
         assert_eq!(best, 3);
     }
 
@@ -261,7 +251,7 @@ mod tests {
             Resources::with_memory_gib(2, 8, 1),
             BbPurpose::GeneralPurpose,
         );
-        let best = p.rank(&gp, &hosts_gradient()).unwrap().best();
+        let best = p.rank(&gp, &hosts_gradient()).unwrap().order[0];
         assert_eq!(best, 0);
     }
 
@@ -276,7 +266,7 @@ mod tests {
             Resources::with_memory_gib(2, 8, 1),
             BbPurpose::GeneralPurpose,
         );
-        let best = p.rank(&gp, &hosts).unwrap().best();
+        let best = p.rank(&gp, &hosts).unwrap().order[0];
         assert_ne!(best, 3, "the contended host loses despite being emptiest");
         assert_eq!(best, 2, "the next-emptiest quiet host wins");
     }
@@ -289,13 +279,15 @@ mod tests {
         hosts[2].mean_remaining_lifetime_days = 1.5;
         hosts[3].mean_remaining_lifetime_days = 600.0;
         let mut p = PlacementPolicy::new(PolicyKind::LifetimeAware);
-        let gp = PlacementRequest::new(
-            1,
-            Resources::with_memory_gib(2, 8, 1),
-            BbPurpose::GeneralPurpose,
-        )
-        .with_lifetime_hint(1.0);
-        let best = p.rank(&gp, &hosts).unwrap().best();
+        let gp = PlacementRequest {
+            lifetime_hint_days: Some(1.0),
+            ..PlacementRequest::new(
+                1,
+                Resources::with_memory_gib(2, 8, 1),
+                BbPurpose::GeneralPurpose,
+            )
+        };
+        let best = p.rank(&gp, &hosts).unwrap().order[0];
         assert_eq!(best, 2, "short-lived VM joins the short-lived cohort");
     }
 

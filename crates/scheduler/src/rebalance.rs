@@ -45,22 +45,19 @@ pub struct HostLoad<I> {
     pub vms: Vec<VmLoad>,
 }
 
-/// Alias for node-level (DRS) snapshots.
-pub type NodeLoad = HostLoad<sapsim_topology::NodeId>;
-
 impl<I> HostLoad<I> {
     /// Total CPU demand of resident VMs (core-equivalents).
-    pub fn cpu_demand(&self) -> f64 {
+    pub(crate) fn cpu_demand(&self) -> f64 {
         self.vms.iter().map(|v| v.cpu_demand).sum()
     }
 
     /// Total consumed memory of resident VMs (MiB).
-    pub fn mem_used(&self) -> f64 {
+    pub(crate) fn mem_used(&self) -> f64 {
         self.vms.iter().map(|v| v.mem_used_mib).sum()
     }
 
     /// CPU utilization (demand / capacity); 0 for zero-capacity hosts.
-    pub fn cpu_utilization(&self) -> f64 {
+    pub(crate) fn cpu_utilization(&self) -> f64 {
         if self.cpu_capacity <= 0.0 {
             0.0
         } else {
@@ -123,12 +120,6 @@ pub struct RebalanceReport<I> {
 pub struct Rebalancer {
     config: DrsConfig,
 }
-
-/// DRS-style intra-building-block rebalancer (node granularity).
-pub type DrsRebalancer = Rebalancer;
-/// Cross-building-block rebalancer (cluster granularity) — the "external
-/// rebalancer" the paper says is required.
-pub type CrossBbRebalancer = Rebalancer;
 
 impl Rebalancer {
     /// A planner with the given configuration.
@@ -248,7 +239,7 @@ mod tests {
         }
     }
 
-    fn node(i: u32, cpu_cap: f64, vms: Vec<VmLoad>) -> NodeLoad {
+    fn node(i: u32, cpu_cap: f64, vms: Vec<VmLoad>) -> HostLoad<NodeId> {
         HostLoad {
             id: NodeId::from_raw(i),
             cpu_capacity: cpu_cap,
@@ -396,7 +387,7 @@ mod tests {
                 vms: vec![vm(100, 5.0, 10_000.0)],
             },
         ];
-        let r = CrossBbRebalancer::default().plan(&loads);
+        let r = Rebalancer::default().plan(&loads);
         assert!(!r.migrations.is_empty());
         assert!(r.gap_after < r.gap_before);
     }

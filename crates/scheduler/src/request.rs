@@ -42,12 +42,6 @@ impl PlacementRequest {
         self.az = Some(az);
         self
     }
-
-    /// Set the lifetime hint.
-    pub fn with_lifetime_hint(mut self, days: f64) -> Self {
-        self.lifetime_hint_days = Some(days);
-        self
-    }
 }
 
 /// A snapshot of one placement candidate.
@@ -84,29 +78,13 @@ pub struct HostView {
 
 impl HostView {
     /// Free (unallocated) schedulable resources.
-    pub fn free(&self) -> Resources {
+    pub(crate) fn free(&self) -> Resources {
         self.capacity.saturating_sub(&self.allocated)
     }
 
     /// Whether `request` fits in the remaining capacity.
     pub fn fits(&self, request: &Resources) -> bool {
         self.free().fits(request)
-    }
-
-    /// Fraction of CPU capacity already allocated (0.0–1.0+).
-    pub fn cpu_allocation_ratio(&self) -> f64 {
-        if self.capacity.cpu_cores == 0 {
-            return 0.0;
-        }
-        self.allocated.cpu_cores as f64 / self.capacity.cpu_cores as f64
-    }
-
-    /// Fraction of memory capacity already allocated (0.0–1.0+).
-    pub fn memory_allocation_ratio(&self) -> f64 {
-        if self.capacity.memory_mib == 0 {
-            return 0.0;
-        }
-        self.allocated.memory_mib as f64 / self.capacity.memory_mib as f64
     }
 }
 
@@ -135,7 +113,7 @@ impl RejectReason {
     /// fixed `[u32; RejectReason::ALL.len()]` indexed by `reason as usize`
     /// and emitting in this order reproduces the ordering of a
     /// `BTreeMap<RejectReason, _>` without the allocation.
-    pub const ALL: [RejectReason; 6] = [
+    pub(crate) const ALL: [RejectReason; 6] = [
         RejectReason::HostDisabled,
         RejectReason::WrongAz,
         RejectReason::WrongPurpose,
@@ -179,7 +157,7 @@ pub(crate) mod test_support {
 
     /// A general-purpose candidate with the given free CPU/memory, indexed
     /// by `i`.
-    pub fn host(i: u32, cap: Resources, allocated: Resources) -> HostView {
+    pub(crate) fn host(i: u32, cap: Resources, allocated: Resources) -> HostView {
         HostView {
             bb: BbId::from_raw(i),
             node: None,
@@ -212,26 +190,11 @@ mod tests {
     }
 
     #[test]
-    fn allocation_ratios() {
-        let h = host(
-            0,
-            Resources::new(100, 1000, 100),
-            Resources::new(25, 850, 0),
-        );
-        assert!((h.cpu_allocation_ratio() - 0.25).abs() < 1e-12);
-        assert!((h.memory_allocation_ratio() - 0.85).abs() < 1e-12);
-        let empty_cap = host(1, Resources::ZERO, Resources::ZERO);
-        assert_eq!(empty_cap.cpu_allocation_ratio(), 0.0);
-        assert_eq!(empty_cap.memory_allocation_ratio(), 0.0);
-    }
-
-    #[test]
     fn request_builder() {
         let r = PlacementRequest::new(7, Resources::new(4, 4096, 10), BbPurpose::GeneralPurpose)
-            .in_az(AzId::from_raw(1))
-            .with_lifetime_hint(30.0);
+            .in_az(AzId::from_raw(1));
         assert_eq!(r.az, Some(AzId::from_raw(1)));
-        assert_eq!(r.lifetime_hint_days, Some(30.0));
+        assert_eq!(r.lifetime_hint_days, None);
         assert_eq!(r.vm_uid, 7);
     }
 

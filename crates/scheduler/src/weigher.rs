@@ -49,20 +49,6 @@ impl Weigher for RamWeigher {
     }
 }
 
-/// Prefers hosts with more free disk (Nova's `DiskWeigher`).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct DiskWeigher;
-
-impl Weigher for DiskWeigher {
-    fn name(&self) -> &'static str {
-        "DiskWeigher"
-    }
-
-    fn weigh(&self, _request: &PlacementRequest, host: &HostView) -> f64 {
-        host.free().disk_gib as f64
-    }
-}
-
 /// Penalizes hosts with recent CPU contention — the extension the paper
 /// derives from its findings (Section 7: "enhancements to the initial
 /// placement capabilities ... incorporating both current and historic
@@ -72,7 +58,7 @@ impl Weigher for DiskWeigher {
 /// least-contended candidate scores highest. Used with a positive
 /// multiplier.
 #[derive(Debug, Default, Clone, Copy)]
-pub struct ContentionWeigher;
+pub(crate) struct ContentionWeigher;
 
 impl Weigher for ContentionWeigher {
     fn name(&self) -> &'static str {
@@ -92,7 +78,7 @@ impl Weigher for ContentionWeigher {
 ///
 /// Requests without a hint score every candidate equally.
 #[derive(Debug, Default, Clone, Copy)]
-pub struct LifetimeAffinityWeigher;
+pub(crate) struct LifetimeAffinityWeigher;
 
 impl Weigher for LifetimeAffinityWeigher {
     fn name(&self) -> &'static str {
@@ -138,7 +124,6 @@ mod tests {
         );
         assert!(CpuWeigher.weigh(&req(), &roomy) > CpuWeigher.weigh(&req(), &tight));
         assert!(RamWeigher.weigh(&req(), &roomy) > RamWeigher.weigh(&req(), &tight));
-        assert!(DiskWeigher.weigh(&req(), &roomy) > DiskWeigher.weigh(&req(), &tight));
     }
 
     #[test]
@@ -164,7 +149,10 @@ mod tests {
 
     #[test]
     fn lifetime_weigher_prefers_similar_cohorts() {
-        let r = req().with_lifetime_hint(2.0);
+        let r = PlacementRequest {
+            lifetime_hint_days: Some(2.0),
+            ..req()
+        };
         let mut similar = host(0, Resources::new(10, 10, 10), Resources::ZERO);
         similar.mean_remaining_lifetime_days = 3.0;
         let mut dissimilar = similar;
@@ -177,7 +165,10 @@ mod tests {
 
     #[test]
     fn lifetime_weigher_is_symmetric_in_log_space() {
-        let r = req().with_lifetime_hint(10.0);
+        let r = PlacementRequest {
+            lifetime_hint_days: Some(10.0),
+            ..req()
+        };
         let mut shorter = host(0, Resources::new(10, 10, 10), Resources::ZERO);
         shorter.mean_remaining_lifetime_days = 5.0;
         let mut longer = shorter;
@@ -189,7 +180,10 @@ mod tests {
 
     #[test]
     fn empty_hosts_are_neutral_lifetime_targets() {
-        let r = req().with_lifetime_hint(2.0);
+        let r = PlacementRequest {
+            lifetime_hint_days: Some(2.0),
+            ..req()
+        };
         let empty = host(0, Resources::new(10, 10, 10), Resources::ZERO);
         assert_eq!(LifetimeAffinityWeigher.weigh(&r, &empty), 0.0);
     }

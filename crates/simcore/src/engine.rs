@@ -11,8 +11,6 @@ pub struct FiredEvent<E> {
     /// The instant at which the event fired (== the clock when it was
     /// returned).
     pub time: SimTime,
-    /// The handle the event was scheduled under.
-    pub handle: EventHandle,
     /// Caller-defined payload.
     pub payload: E,
 }
@@ -86,11 +84,6 @@ impl<E> Simulation<E> {
         self.stats
     }
 
-    /// Number of live pending events.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Timing-wheel health statistics, `None` on the heap oracle backend.
     pub fn wheel_stats(&self) -> Option<WheelStats> {
         self.queue.wheel_stats()
@@ -128,11 +121,6 @@ impl<E> Simulation<E> {
         ok
     }
 
-    /// Firing time of the next pending event without advancing the clock.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.queue.peek_time()
-    }
-
     /// Advance the clock to the next event and return it, or `None` if the
     /// queue is empty (the simulation has run to completion).
     pub fn next_event(&mut self) -> Option<FiredEvent<E>> {
@@ -142,7 +130,6 @@ impl<E> Simulation<E> {
         self.stats.fired += 1;
         Some(FiredEvent {
             time: ev.time,
-            handle: ev.handle,
             payload: ev.payload,
         })
     }
@@ -215,7 +202,7 @@ mod tests {
         }
         assert_eq!(fired, vec!["in"]);
         assert_eq!(sim.now(), horizon);
-        assert_eq!(sim.pending(), 1);
+        assert_eq!(sim.queue.len(), 1);
         // The out-of-horizon event is still deliverable afterwards.
         assert_eq!(sim.next_event().unwrap().payload, "out");
     }
@@ -263,11 +250,11 @@ mod tests {
                 }
             }
             while let Some(ev) = sim.next_event_until(SimTime::from_secs(30)) {
-                fired.push((ev.time, ev.handle, ev.payload));
+                fired.push((ev.time, ev.payload));
             }
             sim.schedule_after(SimDuration::from_secs(1), 99);
             while let Some(ev) = sim.next_event() {
-                fired.push((ev.time, ev.handle, ev.payload));
+                fired.push((ev.time, ev.payload));
             }
             (fired, sim.stats())
         };

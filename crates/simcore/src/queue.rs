@@ -33,7 +33,7 @@ pub struct EventHandle(u64);
 
 impl EventHandle {
     /// The raw sequence number. Exposed for logging/debugging only.
-    pub fn raw(self) -> u64 {
+    pub(crate) fn raw(self) -> u64 {
         self.0
     }
 
@@ -165,7 +165,7 @@ impl<E> Default for EventQueue<E> {
 
 impl<E> EventQueue<E> {
     /// Create an empty queue on the default (timing-wheel) backend.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::with_backend(QueueBackend::default())
     }
 
@@ -176,14 +176,6 @@ impl<E> EventQueue<E> {
             QueueBackend::BinaryHeap => Inner::Heap(HeapQueue::new()),
         };
         EventQueue { next_seq: 0, inner }
-    }
-
-    /// Which backend this queue runs on.
-    pub fn backend(&self) -> QueueBackend {
-        match self.inner {
-            Inner::Wheel(_) => QueueBackend::TimingWheel,
-            Inner::Heap(_) => QueueBackend::BinaryHeap,
-        }
     }
 
     /// Number of live (non-cancelled) events still queued.
@@ -224,7 +216,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Firing time of the next live event, if any.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
+    pub(crate) fn peek_time(&mut self) -> Option<SimTime> {
         match &mut self.inner {
             Inner::Wheel(w) => w.peek_time(),
             Inner::Heap(h) => h.peek_time(),
@@ -241,7 +233,7 @@ impl<E> EventQueue<E> {
 
     /// Health statistics of the timing-wheel backend, `None` on the heap
     /// oracle. Observational only: reading them cannot perturb pop order.
-    pub fn wheel_stats(&self) -> Option<WheelStats> {
+    pub(crate) fn wheel_stats(&self) -> Option<WheelStats> {
         match &self.inner {
             Inner::Wheel(w) => Some(w.stats()),
             Inner::Heap(_) => None,
@@ -263,7 +255,7 @@ mod tests {
     #[test]
     fn default_backend_is_the_wheel() {
         let q: EventQueue<()> = EventQueue::new();
-        assert_eq!(q.backend(), QueueBackend::TimingWheel);
+        assert!(matches!(q.inner, Inner::Wheel(_)));
     }
 
     #[test]

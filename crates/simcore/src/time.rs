@@ -10,9 +10,9 @@ use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
 /// Milliseconds per second.
-pub const MILLIS_PER_SECOND: u64 = 1_000;
+pub(crate) const MILLIS_PER_SECOND: u64 = 1_000;
 /// Milliseconds per minute.
-pub const MILLIS_PER_MINUTE: u64 = 60 * MILLIS_PER_SECOND;
+pub(crate) const MILLIS_PER_MINUTE: u64 = 60 * MILLIS_PER_SECOND;
 /// Milliseconds per hour.
 pub const MILLIS_PER_HOUR: u64 = 60 * MILLIS_PER_MINUTE;
 /// Milliseconds per day.
@@ -46,11 +46,6 @@ impl SimTime {
         SimTime(secs * MILLIS_PER_SECOND)
     }
 
-    /// Construct from whole hours since simulation start.
-    pub const fn from_hours(hours: u64) -> Self {
-        SimTime(hours * MILLIS_PER_HOUR)
-    }
-
     /// Construct from whole days since simulation start.
     pub const fn from_days(days: u64) -> Self {
         SimTime(days * MILLIS_PER_DAY)
@@ -76,36 +71,19 @@ impl SimTime {
         self.0 / MILLIS_PER_DAY
     }
 
-    /// Zero-based hour of day (0..24) of this instant.
-    pub const fn hour_of_day(self) -> u64 {
-        (self.0 % MILLIS_PER_DAY) / MILLIS_PER_HOUR
-    }
-
     /// Zero-based day of week, treating day 0 as a Wednesday.
     ///
     /// The paper's observation window starts on 2024-07-31, a Wednesday;
     /// weekday/weekend effects in the workload models key off this.
-    pub const fn day_of_week(self) -> u64 {
+    pub(crate) const fn day_of_week(self) -> u64 {
         // Day 0 = Wednesday = weekday index 2 (Monday = 0).
         (self.day_index() + 2) % 7
     }
 
     /// Whether this instant falls on a Saturday or Sunday (see
-    /// [`day_of_week`](Self::day_of_week) for the calendar anchoring).
+    /// `day_of_week` for the calendar anchoring).
     pub const fn is_weekend(self) -> bool {
         self.day_of_week() >= 5
-    }
-
-    /// Duration elapsed since an earlier instant. Panics in debug builds if
-    /// `earlier` is later than `self`; saturates in release builds.
-    pub fn since(self, earlier: SimTime) -> SimDuration {
-        debug_assert!(earlier.0 <= self.0, "since() called with a later instant");
-        SimDuration(self.0.saturating_sub(earlier.0))
-    }
-
-    /// Checked addition of a duration.
-    pub fn checked_add(self, d: SimDuration) -> Option<SimTime> {
-        self.0.checked_add(d.0).map(SimTime)
     }
 }
 
@@ -278,7 +256,7 @@ mod tests {
     fn day_and_hour_indexing() {
         let t = SimTime::from_days(3) + SimDuration::from_hours(7);
         assert_eq!(t.day_index(), 3);
-        assert_eq!(t.hour_of_day(), 7);
+        assert_eq!(t.to_string(), "d03 07:00:00");
     }
 
     #[test]
@@ -299,7 +277,6 @@ mod tests {
         let b = a + SimDuration::from_secs(50);
         assert_eq!(b.as_secs(), 150);
         assert_eq!((b - a).as_secs(), 50);
-        assert_eq!(b.since(a).as_secs(), 50);
         assert_eq!(SimDuration::from_secs(10) * 6, SimDuration::from_mins(1));
         assert_eq!(SimDuration::from_mins(1) / 2, SimDuration::from_secs(30));
     }

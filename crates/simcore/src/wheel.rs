@@ -49,7 +49,7 @@ const MASK: u64 = BUCKETS as u64 - 1;
 const LEVELS: usize = 6;
 
 /// Number of levels in the hierarchical wheel, as reported by
-/// [`WheelStats::occupied_buckets`].
+/// `WheelStats::occupied_buckets`.
 pub const WHEEL_LEVELS: usize = LEVELS;
 
 /// Engine-health statistics of one timing wheel: cumulative cascade work

@@ -23,16 +23,13 @@
 //! optional per-run observability JSONL ([`ScenarioArtifacts::obs_jsonl`]):
 //! it contains wall-clock span timings by design.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod manifest;
 mod report;
 mod summary;
 
 pub use manifest::{parse_manifest, Manifest};
 pub use report::{ScenarioOutcome, SweepReport, SWEEP_REPORT_SCHEMA};
-pub use summary::{ClassCount, RunSummary, UtilizationBands, RUN_SUMMARY_SCHEMA};
+pub use summary::RunSummary;
 
 use sapsim_analysis::cdf::{utilization_cdf, VmResource};
 use sapsim_analysis::contention::contention_aggregate;
@@ -117,12 +114,12 @@ pub struct ScenarioArtifacts {
     pub name: String,
     /// Figure 14 CPU CDF (`utilization,cumulative_fraction`). Empty
     /// unless artifacts were collected.
-    pub cpu_cdf_csv: String,
+    pub(crate) cpu_cdf_csv: String,
     /// Figure 14 memory CDF. Empty unless artifacts were collected.
-    pub memory_cdf_csv: String,
+    pub(crate) memory_cdf_csv: String,
     /// Daily contention aggregate CSV. Empty unless artifacts were
     /// collected.
-    pub contention_csv: String,
+    pub(crate) contention_csv: String,
     /// Observability JSONL of the run. **Not** covered by the byte-
     /// equality contract: it contains wall-clock span timings.
     pub obs_jsonl: Option<String>,

@@ -39,7 +39,7 @@ json_codec!(struct ScenarioOutcome { name, id, summary });
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepReport {
     /// Always [`SWEEP_REPORT_SCHEMA`]; rejected on mismatch when parsing.
-    pub schema: String,
+    pub(crate) schema: String,
     /// Per-scenario outcomes in expansion order — never in completion
     /// order, which is what makes the report independent of the worker
     /// count.
@@ -79,7 +79,7 @@ impl SweepReport {
     /// The cross-run comparison table: one aligned row per scenario with
     /// the placement, fragmentation, contention, and footprint columns
     /// the Section 7 ablations compare.
-    pub fn comparison_table(&self) -> String {
+    pub(crate) fn comparison_table(&self) -> String {
         let width = self
             .scenarios
             .iter()
@@ -125,7 +125,7 @@ impl SweepReport {
 
     /// Per-scenario Table 1/2 and footprint deltas against the first
     /// scenario (the grid's baseline).
-    pub fn delta_table(&self) -> String {
+    pub(crate) fn delta_table(&self) -> String {
         let mut out = String::new();
         let Some(base) = self.scenarios.first() else {
             return out;

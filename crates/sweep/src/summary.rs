@@ -20,32 +20,32 @@ use crate::SweepError;
 /// Schema identifier embedded in every serialized [`RunSummary`] —
 /// spelled by the `sapsim-api` schema registry ([`SchemaId::RunSummaryV1`]).
 /// Bump the `/v1` suffix on any breaking change to the JSON shape.
-pub const RUN_SUMMARY_SCHEMA: &str = SchemaId::RunSummaryV1.as_str();
+pub(crate) const RUN_SUMMARY_SCHEMA: &str = SchemaId::RunSummaryV1.as_str();
 
 /// Average-alive VM count of one size class (a Table 1 or Table 2 row).
 #[derive(Debug, Clone, PartialEq)]
-pub struct ClassCount {
+pub(crate) struct ClassCount {
     /// Class label (`Small`, `Medium`, `Large`, `Extra Large`).
-    pub class: String,
+    pub(crate) class: String,
     /// Average number of VMs of that class alive over the window.
-    pub avg_vms: f64,
+    pub(crate) avg_vms: f64,
 }
 
 json_codec!(struct ClassCount { class, avg_vms });
 
 /// The Figure 14 under/optimal/over split for one resource.
 #[derive(Debug, Clone, PartialEq)]
-pub struct UtilizationBands {
+pub(crate) struct UtilizationBands {
     /// Which resource (`cpu` or `memory`).
-    pub resource: String,
+    pub(crate) resource: String,
     /// VMs with at least one sample.
-    pub vms: usize,
+    pub(crate) vms: usize,
     /// Fraction of VMs below 70 % mean utilization.
-    pub under: f64,
+    pub(crate) under: f64,
     /// Fraction in 70–85 %.
-    pub optimal: f64,
+    pub(crate) optimal: f64,
     /// Fraction above 85 %.
-    pub over: f64,
+    pub(crate) over: f64,
 }
 
 json_codec!(struct UtilizationBands { resource, vms, under, optimal, over });
@@ -60,7 +60,7 @@ json_codec!(struct UtilizationBands { resource, vms, under, optimal, over });
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunSummary {
     /// Always [`RUN_SUMMARY_SCHEMA`]; rejected on mismatch when parsing.
-    pub schema: String,
+    pub(crate) schema: String,
     /// The run configuration.
     pub config: SimConfig,
     /// 16 hex digits of FNV-1a 64 over the run's canonical bytes — the
@@ -69,22 +69,22 @@ pub struct RunSummary {
     /// Driver counters (placements, migrations, faults, ...).
     pub stats: DriverStats,
     /// Total hypervisor nodes in the topology.
-    pub nodes: usize,
+    pub(crate) nodes: usize,
     /// Nodes hosting at least one VM at window end (the Table 5 view of
     /// this run's footprint).
-    pub active_nodes: usize,
+    pub(crate) active_nodes: usize,
     /// Table 1: average-alive VM counts per vCPU class.
-    pub table1_by_vcpu: Vec<ClassCount>,
+    pub(crate) table1_by_vcpu: Vec<ClassCount>,
     /// Table 2: average-alive VM counts per RAM class.
-    pub table2_by_ram: Vec<ClassCount>,
+    pub(crate) table2_by_ram: Vec<ClassCount>,
     /// Figure 14 bands, one entry per resource (`cpu`, then `memory`).
-    pub utilization: Vec<UtilizationBands>,
+    pub(crate) utilization: Vec<UtilizationBands>,
     /// Peak single-sample host CPU contention (percent).
-    pub peak_contention_pct: f64,
+    pub(crate) peak_contention_pct: f64,
     /// Highest daily-mean host CPU contention (percent).
-    pub peak_mean_contention_pct: f64,
+    pub(crate) peak_mean_contention_pct: f64,
     /// Highest daily-p95 host CPU contention (percent).
-    pub peak_p95_contention_pct: f64,
+    pub(crate) peak_p95_contention_pct: f64,
 }
 
 json_codec!(struct RunSummary {

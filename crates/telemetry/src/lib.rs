@@ -23,8 +23,6 @@
 //! Prometheus text pages of the engine's own metrics are rendered by
 //! `sapsim-obs`'s `MetricsRegistry::to_prometheus`.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
 #![warn(clippy::too_many_lines)]
 
 mod metric;
@@ -35,7 +33,7 @@ mod store;
 pub mod summary;
 
 pub use metric::{EntityRef, MetricId, MetricKind, Subsystem};
-pub use registry::{metric_catalog, MetricInfo};
-pub use rollup::{DailyRollup, DayCell, RunningStat};
+pub use registry::metric_catalog;
+pub use rollup::{DailyRollup, RunningStat};
 pub use series::TimeSeries;
-pub use store::{SeriesKey, TsdbStore};
+pub use store::TsdbStore;

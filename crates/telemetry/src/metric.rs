@@ -2,7 +2,6 @@
 //! entities they are recorded against.
 
 use sapsim_json::{json_codec, variant, write_variant, DecodeError, FromJson, JsonValue, ToJson};
-use sapsim_sim::SimDuration;
 use std::fmt;
 
 /// Which resource a metric describes (Table 4 "Resource" column).
@@ -87,7 +86,7 @@ json_codec!(enum MetricId {
 impl MetricId {
     /// Number of metrics in the catalog — the row count of Table 4 and the
     /// per-metric stride of dense storage tables.
-    pub const COUNT: usize = MetricId::ALL.len();
+    pub(crate) const COUNT: usize = MetricId::ALL.len();
 
     /// All metrics in Table 4 order.
     pub const ALL: [MetricId; 14] = [
@@ -110,7 +109,7 @@ impl MetricId {
     /// Dense table index of this metric: its position in [`MetricId::ALL`]
     /// (the enum is declared in Table 4 order, so the discriminant *is* the
     /// position — asserted by a unit test).
-    pub const fn index(self) -> usize {
+    pub(crate) const fn index(self) -> usize {
         self as usize
     }
 
@@ -140,7 +139,7 @@ impl MetricId {
     }
 
     /// Which resource the metric describes.
-    pub const fn kind(self) -> MetricKind {
+    pub(crate) const fn kind(self) -> MetricKind {
         match self {
             MetricId::HostCpuUtilPct
             | MetricId::HostCpuContentionPct
@@ -165,29 +164,6 @@ impl MetricId {
             MetricId::OsInstancesTotal => Subsystem::Region,
             _ => Subsystem::ComputeHost,
         }
-    }
-
-    /// Default sampling interval of the collecting exporter. vROps scrapes
-    /// every 300 s; the Nova database exporter every 30 s (the paper's
-    /// "granularities ranging from 30 to 300 seconds").
-    pub const fn sampling_interval(self) -> SimDuration {
-        if self.is_vrops() {
-            SimDuration::from_secs(300)
-        } else {
-            SimDuration::from_secs(30)
-        }
-    }
-
-    /// True for vROps-exported metrics (`vrops_` prefix).
-    pub const fn is_vrops(self) -> bool {
-        !matches!(
-            self,
-            MetricId::OsVcpus
-                | MetricId::OsVcpusUsed
-                | MetricId::OsMemoryMb
-                | MetricId::OsMemoryMbUsed
-                | MetricId::OsInstancesTotal
-        )
     }
 }
 
@@ -255,14 +231,14 @@ mod tests {
     #[test]
     fn catalog_is_complete_and_named_like_table4() {
         assert_eq!(MetricId::ALL.len(), 14);
-        // Every vROps metric is prefixed vrops_, every Nova metric
-        // openstack_compute_ — the paper's two exporter prefixes.
+        // Every metric carries one of the paper's two exporter prefixes:
+        // vrops_ (vROps) or openstack_compute_ (the Nova exporter).
         for m in MetricId::ALL {
-            if m.is_vrops() {
-                assert!(m.name().starts_with("vrops_"), "{m}");
-            } else {
-                assert!(m.name().starts_with("openstack_compute_"), "{m}");
-            }
+            let name = m.name();
+            assert!(
+                name.starts_with("vrops_") || name.starts_with("openstack_compute_"),
+                "{m}"
+            );
         }
     }
 
@@ -283,15 +259,6 @@ mod tests {
             assert_eq!(MetricId::from_name(m.name()), Some(m));
         }
         assert_eq!(MetricId::from_name("nonexistent_metric"), None);
-    }
-
-    #[test]
-    fn sampling_intervals_span_30_to_300_seconds() {
-        assert_eq!(
-            MetricId::HostCpuContentionPct.sampling_interval().as_secs(),
-            300
-        );
-        assert_eq!(MetricId::OsInstancesTotal.sampling_interval().as_secs(), 30);
     }
 
     #[test]

@@ -6,7 +6,7 @@ use crate::metric::{MetricId, MetricKind, Subsystem};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetricInfo {
     /// The metric.
-    pub id: MetricId,
+    pub(crate) id: MetricId,
     /// Exporter name.
     pub name: &'static str,
     /// Resource column.

@@ -17,7 +17,7 @@ pub struct RunningStat {
     /// Sum of samples.
     pub sum: f64,
     /// Sum of squared samples (for variance).
-    pub sum_sq: f64,
+    pub(crate) sum_sq: f64,
     /// Minimum sample (meaningless when `count == 0`).
     pub min: f64,
     /// Maximum sample (meaningless when `count == 0`).
@@ -69,15 +69,6 @@ impl RunningStat {
         } else {
             Some(self.sum / self.count as f64)
         }
-    }
-
-    /// Population variance; `None` when empty.
-    pub fn variance(&self) -> Option<f64> {
-        if self.count == 0 {
-            return None;
-        }
-        let mean = self.sum / self.count as f64;
-        Some((self.sum_sq / self.count as f64 - mean * mean).max(0.0))
     }
 }
 
@@ -146,21 +137,6 @@ impl DailyRollup {
         }
         total.mean()
     }
-
-    /// Number of days that received at least one sample.
-    pub fn days_with_data(&self) -> usize {
-        self.days.iter().filter(|c| c.stat.count > 0).count()
-    }
-
-    /// Fraction of days with data, in `[0, 1]`. An empty window (zero
-    /// days) counts as fully covered.
-    pub fn coverage(&self) -> f64 {
-        if self.days.is_empty() {
-            1.0
-        } else {
-            self.days_with_data() as f64 / self.num_days() as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -172,13 +148,12 @@ mod tests {
     fn running_stat_basics() {
         let mut s = RunningStat::new();
         assert_eq!(s.mean(), None);
-        assert_eq!(s.variance(), None);
         for v in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
             s.push(v);
         }
         assert_eq!(s.count, 8);
         assert_eq!(s.mean(), Some(5.0));
-        assert_eq!(s.variance(), Some(4.0));
+        assert_eq!(s.sum_sq, 232.0);
         assert_eq!(s.min, 2.0);
         assert_eq!(s.max, 9.0);
     }
@@ -249,23 +224,26 @@ mod tests {
         // Data on days 0 and 3; days 1-2 and 4 are dark.
         r.push(SimTime::ZERO, 1.0);
         r.push(SimTime::from_days(3), 2.0);
-        assert_eq!(r.days_with_data(), 2);
-        assert!((r.coverage() - 0.4).abs() < 1e-12);
+        assert_eq!(
+            r.daily_means(),
+            vec![Some(1.0), None, None, Some(2.0), None]
+        );
     }
 
     #[test]
     fn gap_accounting_edge_cases() {
         // Fully dark window.
         let dark = DailyRollup::new(3);
-        assert_eq!(dark.days_with_data(), 0);
-        assert_eq!(dark.coverage(), 0.0);
+        assert_eq!(dark.daily_means(), vec![None; 3]);
+        assert_eq!(dark.overall_mean(), None);
         // Fully covered window.
         let mut full = DailyRollup::new(2);
         full.push(SimTime::ZERO, 1.0);
         full.push(SimTime::from_days(1), 1.0);
-        assert_eq!(full.coverage(), 1.0);
-        // Zero-day window: vacuously covered, no division by zero.
+        assert_eq!(full.daily_means(), vec![Some(1.0); 2]);
+        // Zero-day window: no days, no mean, no division by zero.
         let empty = DailyRollup::new(0);
-        assert_eq!(empty.coverage(), 1.0);
+        assert!(empty.daily_means().is_empty());
+        assert_eq!(empty.overall_mean(), None);
     }
 }

@@ -46,11 +46,6 @@ impl TimeSeries {
         self.values.push(value);
     }
 
-    /// The most recent sample.
-    pub fn last(&self) -> Option<(SimTime, f64)> {
-        Some((*self.times.last()?, *self.values.last()?))
-    }
-
     /// Iterate over all samples in time order.
     pub fn iter(&self) -> impl Iterator<Item = (SimTime, f64)> + '_ {
         self.times.iter().copied().zip(self.values.iter().copied())
@@ -83,38 +78,11 @@ impl TimeSeries {
             Some(self.values.iter().sum::<f64>() / self.values.len() as f64)
         }
     }
-
-    /// Maximum value; `None` when empty.
-    pub fn max(&self) -> Option<f64> {
-        self.values.iter().copied().fold(None, |acc, v| {
-            Some(match acc {
-                None => v,
-                Some(a) => a.max(v),
-            })
-        })
-    }
-
-    /// Mean of the samples within `[start, end)`; `None` if the window is
-    /// empty.
-    pub fn mean_in(&self, start: SimTime, end: SimTime) -> Option<f64> {
-        let mut sum = 0.0;
-        let mut n = 0usize;
-        for (_, v) in self.range(start, end) {
-            sum += v;
-            n += 1;
-        }
-        if n == 0 {
-            None
-        } else {
-            Some(sum / n as f64)
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sapsim_sim::SimDuration;
 
     fn t(s: u64) -> SimTime {
         SimTime::from_secs(s)
@@ -129,7 +97,6 @@ mod tests {
         assert_eq!(s.len(), 3);
         let v: Vec<_> = s.iter().collect();
         assert_eq!(v, vec![(t(0), 1.0), (t(30), 2.0), (t(60), 3.0)]);
-        assert_eq!(s.last(), Some((t(60), 3.0)));
     }
 
     #[test]
@@ -164,26 +131,9 @@ mod tests {
     fn mean_and_max() {
         let mut s = TimeSeries::new();
         assert_eq!(s.mean(), None);
-        assert_eq!(s.max(), None);
         s.push(t(0), 2.0);
         s.push(t(1), 4.0);
         s.push(t(2), 0.0);
         assert_eq!(s.mean(), Some(2.0));
-        assert_eq!(s.max(), Some(4.0));
-    }
-
-    #[test]
-    fn mean_in_window() {
-        let mut s = TimeSeries::new();
-        let day = SimDuration::from_days(1);
-        for i in 0..48 {
-            s.push(SimTime::ZERO + day * i / 24, (i % 24) as f64);
-        }
-        // First day: values 0..24.
-        let m = s
-            .mean_in(SimTime::ZERO, SimTime::ZERO + day)
-            .unwrap();
-        assert!((m - 11.5).abs() < 1e-9);
-        assert_eq!(s.mean_in(t(999_999), t(1_000_000)), None);
     }
 }

@@ -33,18 +33,18 @@ use std::collections::BTreeMap;
 /// The identity of one series: `(metric, entity)` — equivalent to a
 /// Prometheus metric name plus its label set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct SeriesKey {
+pub(crate) struct SeriesKey {
     /// Which metric.
-    pub metric: MetricId,
+    pub(crate) metric: MetricId,
     /// Which entity it is recorded against.
-    pub entity: EntityRef,
+    pub(crate) entity: EntityRef,
 }
 
 json_codec!(struct SeriesKey { metric, entity });
 
 impl SeriesKey {
     /// Construct a key.
-    pub fn new(metric: MetricId, entity: EntityRef) -> Self {
+    pub(crate) fn new(metric: MetricId, entity: EntityRef) -> Self {
         SeriesKey { metric, entity }
     }
 }

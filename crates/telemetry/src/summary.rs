@@ -13,20 +13,6 @@ pub fn mean(values: &[f64]) -> Option<f64> {
     }
 }
 
-/// Maximum; `None` for an empty slice. NaNs are ignored.
-pub fn max(values: &[f64]) -> Option<f64> {
-    values
-        .iter()
-        .copied()
-        .filter(|v| !v.is_nan())
-        .fold(None, |acc, v| {
-            Some(match acc {
-                None => v,
-                Some(a) => a.max(v),
-            })
-        })
-}
-
 /// Quantile with linear interpolation between closest ranks
 /// (the "linear" / R-7 method used by NumPy's default and by PromQL's
 /// `quantile()`), so `q = 0.5` of `[1, 2, 3, 4]` is `2.5`.
@@ -45,7 +31,7 @@ pub fn quantile(values: &[f64], q: f64) -> Option<f64> {
 }
 
 /// Quantile (R-7) of an already ascending-sorted, NaN-free slice.
-pub fn quantile_of_sorted(sorted: &[f64], q: f64) -> f64 {
+pub(crate) fn quantile_of_sorted(sorted: &[f64], q: f64) -> f64 {
     debug_assert!(!sorted.is_empty());
     let q = q.clamp(0.0, 1.0);
     let pos = q * (sorted.len() - 1) as f64;
@@ -99,9 +85,6 @@ mod tests {
     fn mean_and_max_basics() {
         assert_eq!(mean(&[]), None);
         assert_eq!(mean(&[1.0, 2.0, 3.0]), Some(2.0));
-        assert_eq!(max(&[]), None);
-        assert_eq!(max(&[1.0, 5.0, 3.0]), Some(5.0));
-        assert_eq!(max(&[f64::NAN, 2.0]), Some(2.0));
     }
 
     #[test]

@@ -12,40 +12,27 @@ use crate::ids::DcId;
 use crate::topology::{BbPurpose, Topology};
 use sapsim_sim::SimRng;
 
-/// Specification of one building block to create.
-#[derive(Debug, Clone)]
-pub struct BuildingBlockSpec {
-    /// Reservation class.
-    pub purpose: BbPurpose,
-    /// Hardware of every node in the block.
-    pub profile: HardwareProfile,
-    /// Overcommit policy.
-    pub overcommit: OvercommitPolicy,
-    /// Number of nodes (2–128 per the paper).
-    pub node_count: usize,
-}
-
-/// Builds data centers out of building-block specs, either explicit or
-/// randomized under the paper's constraints.
+/// Builds data centers out of building blocks randomized under the
+/// paper's constraints.
 #[derive(Debug)]
 pub struct TopologyBuilder {
     /// Fraction of a DC's nodes that go into HANA-reserved blocks.
-    pub hana_node_fraction: f64,
+    pub(crate) hana_node_fraction: f64,
     /// Fraction of a DC's nodes that go into GPU-reserved blocks.
-    pub gpu_node_fraction: f64,
+    pub(crate) gpu_node_fraction: f64,
     /// Fraction of a DC's nodes that go into dedicated CI-farm blocks.
-    pub ci_farm_node_fraction: f64,
+    pub(crate) ci_farm_node_fraction: f64,
     /// CPU overcommit ratio of CI-farm blocks. CI executors are idle
     /// between builds, so farms run much higher ratios than the general
     /// pool.
-    pub ci_cpu_overcommit: f64,
+    pub(crate) ci_cpu_overcommit: f64,
     /// Fraction of general-purpose nodes using the dense profile.
-    pub dense_gp_fraction: f64,
+    pub(crate) dense_gp_fraction: f64,
     /// Inclusive bounds on general-purpose block sizes.
-    pub gp_bb_size: (usize, usize),
+    pub(crate) gp_bb_size: (usize, usize),
     /// Inclusive bounds on HANA block sizes (HANA clusters are small:
     /// few large hosts per cluster).
-    pub hana_bb_size: (usize, usize),
+    pub(crate) hana_bb_size: (usize, usize),
     /// CPU overcommit ratio applied to general-purpose blocks.
     pub gp_cpu_overcommit: f64,
 }
@@ -71,36 +58,11 @@ impl TopologyBuilder {
         Self::default()
     }
 
-    /// Populate `dc` with explicit building blocks.
-    pub fn build_dc_from_specs(
-        &self,
-        topo: &mut Topology,
-        dc: DcId,
-        specs: &[BuildingBlockSpec],
-    ) {
-        for (i, spec) in specs.iter().enumerate() {
-            let base = topo.bbs().len();
-            debug_assert!(
-                (2..=128).contains(&spec.node_count),
-                "paper constraint: BB sizes in 2..=128 (got {})",
-                spec.node_count
-            );
-            topo.add_bb(
-                dc,
-                format!("{}-bb{:03}", topo.dc(dc).name.to_lowercase(), base + i),
-                spec.purpose,
-                spec.profile.clone(),
-                spec.overcommit,
-                spec.node_count,
-            );
-        }
-    }
-
     /// Populate `dc` with approximately `node_budget` nodes split into
     /// randomized building blocks following the configured mix. Returns the
     /// exact number of nodes created (the last block of each class is
     /// shrunk to fit so the budget is met exactly whenever it is ≥ 2).
-    pub fn build_dc_randomized(
+    pub(crate) fn build_dc_randomized(
         &self,
         topo: &mut Topology,
         dc: DcId,
@@ -196,7 +158,7 @@ mod tests {
     use crate::capacity::Resources;
 
     fn dc_fixture(topo: &mut Topology) -> DcId {
-        let r = topo.add_region("region-t");
+        let r = topo.add_region();
         let az = topo.add_az(r, "az-a");
         topo.add_dc(az, "A")
     }
@@ -248,30 +210,6 @@ mod tests {
             .sum();
         // Configured 22% ±5 points.
         assert!((170..=270).contains(&hana), "hana nodes = {hana}");
-    }
-
-    #[test]
-    fn explicit_specs_are_honored() {
-        let mut topo = Topology::new();
-        let dc = dc_fixture(&mut topo);
-        let specs = vec![
-            BuildingBlockSpec {
-                purpose: BbPurpose::GeneralPurpose,
-                profile: HardwareProfile::general_purpose(),
-                overcommit: OvercommitPolicy::general_purpose(),
-                node_count: 10,
-            },
-            BuildingBlockSpec {
-                purpose: BbPurpose::Hana,
-                profile: HardwareProfile::hana_xlarge(),
-                overcommit: OvercommitPolicy::hana(),
-                node_count: 3,
-            },
-        ];
-        TopologyBuilder::new().build_dc_from_specs(&mut topo, dc, &specs);
-        assert_eq!(topo.bbs().len(), 2);
-        assert_eq!(topo.dc_node_count(dc), 13);
-        assert_eq!(topo.bbs()[1].profile.name, "hana-448c-12t");
     }
 
     #[test]

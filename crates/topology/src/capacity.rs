@@ -21,11 +21,6 @@ pub enum ResourceKind {
     Storage,
 }
 
-impl ResourceKind {
-    /// All tracked dimensions, in canonical order.
-    pub const ALL: [ResourceKind; 3] = [ResourceKind::Cpu, ResourceKind::Memory, ResourceKind::Storage];
-}
-
 impl fmt::Display for ResourceKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -108,16 +103,6 @@ impl Resources {
         }
     }
 
-    /// Checked per-dimension subtraction; `None` if any dimension would
-    /// underflow.
-    pub fn checked_sub(&self, other: &Resources) -> Option<Resources> {
-        Some(Resources {
-            cpu_cores: self.cpu_cores.checked_sub(other.cpu_cores)?,
-            memory_mib: self.memory_mib.checked_sub(other.memory_mib)?,
-            disk_gib: self.disk_gib.checked_sub(other.disk_gib)?,
-        })
-    }
-
     /// Scale each dimension by a non-negative factor, rounding down.
     /// Used to apply overcommit ratios to physical capacity.
     pub fn scale(&self, factor: f64) -> Resources {
@@ -129,49 +114,9 @@ impl Resources {
         }
     }
 
-    /// Per-dimension utilization ratio of `used` against `self` as capacity.
-    /// Dimensions with zero capacity report 0.0 (not NaN).
-    pub fn utilization_of(&self, used: &Resources) -> ResourceRatios {
-        fn ratio(used: f64, cap: f64) -> f64 {
-            if cap <= 0.0 {
-                0.0
-            } else {
-                used / cap
-            }
-        }
-        ResourceRatios {
-            cpu: ratio(used.cpu_cores as f64, self.cpu_cores as f64),
-            memory: ratio(used.memory_mib as f64, self.memory_mib as f64),
-            storage: ratio(used.disk_gib as f64, self.disk_gib as f64),
-        }
-    }
-
     /// True if all dimensions are zero.
     pub fn is_zero(&self) -> bool {
         *self == Resources::ZERO
-    }
-}
-
-/// Per-dimension utilization ratios (0.0 = idle, 1.0 = full; may exceed 1.0
-/// under overcommitment).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct ResourceRatios {
-    /// CPU utilization ratio.
-    pub cpu: f64,
-    /// Memory utilization ratio.
-    pub memory: f64,
-    /// Storage utilization ratio.
-    pub storage: f64,
-}
-
-impl ResourceRatios {
-    /// Ratio for one dimension.
-    pub fn get(&self, kind: ResourceKind) -> f64 {
-        match kind {
-            ResourceKind::Cpu => self.cpu,
-            ResourceKind::Memory => self.memory,
-            ResourceKind::Storage => self.storage,
-        }
     }
 }
 
@@ -195,7 +140,7 @@ impl AddAssign for Resources {
 impl Sub for Resources {
     type Output = Resources;
     /// Saturating per-dimension subtraction (capacity accounting should
-    /// never wrap; use [`Resources::checked_sub`] to detect underflow).
+    /// never wrap).
     fn sub(self, rhs: Resources) -> Resources {
         self.saturating_sub(&rhs)
     }
@@ -240,8 +185,6 @@ mod tests {
         let b = Resources::new(2, 4096, 50);
         assert_eq!(a + b, Resources::new(6, 12288, 150));
         assert_eq!((a + b) - b, a);
-        assert_eq!(a.checked_sub(&b), Some(Resources::new(2, 4096, 50)));
-        assert_eq!(b.checked_sub(&a), None);
         assert_eq!(b - a, Resources::ZERO);
     }
 
@@ -252,27 +195,6 @@ mod tests {
         assert_eq!(virtual_cap.cpu_cores, 192);
         assert_eq!(virtual_cap.memory_mib, 4 * 768 * 1024);
         assert_eq!(physical.scale(0.5).cpu_cores, 24);
-    }
-
-    #[test]
-    fn utilization_handles_zero_capacity() {
-        let cap = Resources::new(0, 0, 0);
-        let used = Resources::new(4, 1024, 10);
-        let r = cap.utilization_of(&used);
-        assert_eq!(r.cpu, 0.0);
-        assert_eq!(r.memory, 0.0);
-        assert_eq!(r.storage, 0.0);
-    }
-
-    #[test]
-    fn utilization_ratios() {
-        let cap = Resources::new(100, 1000, 10);
-        let used = Resources::new(40, 850, 10);
-        let r = cap.utilization_of(&used);
-        assert!((r.cpu - 0.4).abs() < 1e-12);
-        assert!((r.memory - 0.85).abs() < 1e-12);
-        assert!((r.storage - 1.0).abs() < 1e-12);
-        assert_eq!(r.get(ResourceKind::Cpu), r.cpu);
     }
 
     #[test]

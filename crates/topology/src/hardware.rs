@@ -16,7 +16,7 @@ pub struct HardwareProfile {
     /// Physical capacity of one node.
     pub physical: Resources,
     /// NIC line rate in Gbps. The paper's DC supports 200 Gbps per node.
-    pub network_gbps: f64,
+    pub(crate) network_gbps: f64,
 }
 
 impl HardwareProfile {
@@ -52,22 +52,12 @@ impl HardwareProfile {
 
     /// Extra-large HANA host: 8 sockets, 12 TiB RAM — hosts the paper's
     /// up-to-12-TB-per-VM memory allocations (Table 3 caption).
-    pub fn hana_xlarge() -> Self {
+    pub(crate) fn hana_xlarge() -> Self {
         HardwareProfile {
             name: "hana-448c-12t".to_string(),
             physical: Resources::with_memory_gib(448, 12288, 32768),
             network_gbps: 200.0,
         }
-    }
-
-    /// All built-in profiles.
-    pub fn all() -> [HardwareProfile; 4] {
-        [
-            Self::general_purpose(),
-            Self::general_purpose_dense(),
-            Self::hana_large(),
-            Self::hana_xlarge(),
-        ]
     }
 }
 
@@ -81,13 +71,13 @@ impl HardwareProfile {
 pub struct OvercommitPolicy {
     /// vCPU : pCPU ratio (≥ 1.0). 4.0 means a 48-core node exposes 192
     /// schedulable vCPUs.
-    pub cpu_ratio: f64,
+    pub(crate) cpu_ratio: f64,
     /// Virtual : physical memory ratio. Memory is typically *not*
     /// overcommitted for enterprise workloads (1.0); HANA hosts even reserve
     /// headroom (<1.0 is allowed to model reserved capacity).
-    pub memory_ratio: f64,
+    pub(crate) memory_ratio: f64,
     /// Virtual : physical disk ratio (thin provisioning).
-    pub disk_ratio: f64,
+    pub(crate) disk_ratio: f64,
 }
 
 impl OvercommitPolicy {
@@ -128,7 +118,7 @@ impl OvercommitPolicy {
     }
 
     /// A copy of this policy with a different CPU ratio (for the A2 sweep).
-    pub fn with_cpu_ratio(mut self, ratio: f64) -> Self {
+    pub(crate) fn with_cpu_ratio(mut self, ratio: f64) -> Self {
         assert!(ratio > 0.0, "cpu overcommit ratio must be positive");
         self.cpu_ratio = ratio;
         self
@@ -147,7 +137,12 @@ mod tests {
 
     #[test]
     fn profiles_are_distinct_and_sane() {
-        let all = HardwareProfile::all();
+        let all = [
+            HardwareProfile::general_purpose(),
+            HardwareProfile::general_purpose_dense(),
+            HardwareProfile::hana_large(),
+            HardwareProfile::hana_xlarge(),
+        ];
         for p in &all {
             assert!(p.physical.cpu_cores >= 48);
             assert!(p.physical.memory_mib >= 768 * 1024);

@@ -41,12 +41,12 @@ arena_id!(
     "region-"
 );
 arena_id!(
-    /// Identifies an [`AvailabilityZone`](crate::AvailabilityZone).
+    /// Identifies an `AvailabilityZone`.
     AzId,
     "az-"
 );
 arena_id!(
-    /// Identifies a [`DataCenter`](crate::DataCenter).
+    /// Identifies a `DataCenter`.
     DcId,
     "dc-"
 );
@@ -57,7 +57,7 @@ arena_id!(
     "bb-"
 );
 arena_id!(
-    /// Identifies a [`ComputeNode`](crate::ComputeNode) (ESXi hypervisor).
+    /// Identifies a `ComputeNode` (ESXi hypervisor).
     NodeId,
     "node-"
 );

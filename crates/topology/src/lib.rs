@@ -22,9 +22,6 @@
 //! arithmetic, hardware profiles, and builders — including presets for the
 //! paper's Appendix D (Table 5) regional deployments.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod builder;
 mod capacity;
 mod hardware;
@@ -32,15 +29,9 @@ mod ids;
 mod presets;
 mod topology;
 
-pub use builder::{BuildingBlockSpec, TopologyBuilder};
+pub use builder::TopologyBuilder;
 pub use capacity::{Resources, ResourceKind};
 pub use hardware::{HardwareProfile, OvercommitPolicy};
-pub use ids::{AzId, BbId, DcId, NodeId, RegionId};
-pub use presets::{
-    paper_estate, paper_estate_custom, paper_estate_replicated, paper_region,
-    paper_region_custom, paper_table5, scaled_paper_region, DcPreset, PresetScale, RegionDcs,
-};
-pub use topology::{
-    AvailabilityZone, BbPurpose, BuildingBlock, ComputeNode, DataCenter, NodeState, Region,
-    Topology, TopologyError,
-};
+pub use ids::{AzId, BbId, DcId, NodeId};
+pub use presets::{paper_estate_custom, paper_estate_replicated, paper_table5, RegionDcs};
+pub use topology::{BbPurpose, BuildingBlock, NodeState, Region, Topology, TopologyError};

@@ -5,10 +5,13 @@
 //! `sapsim-analysis` regenerates the table from these presets (`sapsim
 //! tables`, and `table5_datacenters.txt` under `sapsim simulate --out`).
 //!
-//! [`paper_region`] builds the *studied* regional deployment: the paper
-//! analyzes a single region with ~1,800 hypervisors and ~48,000 VMs, which
-//! matches region 9 in Table 5 (DC A: 751 hypervisors / 19,464 VMs; DC B:
-//! 1,072 / 27,652 → 1,823 hypervisors, 47,116 VMs).
+//! [`paper_estate_custom`] builds the *studied* regional deployment (at
+//! scale ≤ 1; replicas of it above): the paper analyzes a single region
+//! with ~1,800 hypervisors and ~48,000 VMs, which matches region 9 in
+//! Table 5 (DC A: 751 hypervisors / 19,464 VMs; DC B: 1,072 / 27,652 →
+//! 1,823 hypervisors, 47,116 VMs). One region, two availability zones,
+//! one DC in each; per-DC VM counts come from the workload generator, the
+//! topology only fixes the hardware inventory.
 
 use crate::builder::TopologyBuilder;
 use crate::ids::{DcId, RegionId};
@@ -66,7 +69,7 @@ pub fn paper_table5() -> &'static [DcPreset] {
 
 /// Scale applied to a preset when building a topology.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum PresetScale {
+pub(crate) enum PresetScale {
     /// Build the full preset (1,823 hypervisors for the studied region).
     Full,
     /// Build a proportionally shrunk deployment; 0.1 builds ~10% of the
@@ -87,40 +90,11 @@ impl PresetScale {
     }
 }
 
-/// Build the studied regional deployment (region 9 of Table 5): one region,
-/// two availability zones, DC "A" (751 hypervisors) and DC "B" (1,072
-/// hypervisors). Returns the topology and the two DC ids `(a, b)`.
-///
-/// Per-DC VM counts come from the workload generator, not from here; the
-/// topology only fixes the hardware inventory.
-pub fn paper_region(scale: PresetScale, seed: u64) -> (Topology, DcId, DcId) {
-    paper_region_custom(scale, seed, &TopologyBuilder::new())
-}
-
-/// [`paper_region`] with an explicit builder, for runs that tune the
-/// hardware mix or the general-purpose CPU overcommit ratio (the A2
-/// ablation sweeps the latter).
-pub fn paper_region_custom(
-    scale: PresetScale,
-    seed: u64,
-    builder: &TopologyBuilder,
-) -> (Topology, DcId, DcId) {
-    let mut topo = Topology::new();
-    let r = add_studied_region(&mut topo, scale, seed, builder, None);
-    topo.validate().expect("preset topology must be internally consistent");
-    (topo, r.dc_a, r.dc_b)
-}
-
-/// Convenience wrapper: the studied region at a given scale ratio.
-pub fn scaled_paper_region(ratio: f64, seed: u64) -> (Topology, DcId, DcId) {
-    paper_region(PresetScale::Ratio(ratio), seed)
-}
-
 /// Handles of one region replica in a multi-region estate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RegionDcs {
     /// The region.
-    pub region: RegionId,
+    pub(crate) region: RegionId,
     /// Its DC "A" (az-a).
     pub dc_a: DcId,
     /// Its DC "B" (az-b).
@@ -130,12 +104,11 @@ pub struct RegionDcs {
 /// Build a multi-region estate by replicating the studied region:
 /// `floor(scale)` full replicas plus, if `scale` has a fractional part,
 /// one remainder region at that ratio. `scale = 10.0` therefore yields a
-/// ten-region, ~18,230-node estate; `scale ≤ 1.0` yields exactly the
-/// single region that [`paper_region_custom`] builds (same names, same
-/// RNG streams, same inventory — bit-for-bit).
+/// ten-region, ~18,230-node estate; `scale ≤ 1.0` yields the single
+/// studied region, with the historical names and RNG streams.
 ///
 /// Replicated regions get deterministic per-replica id namespaces
-/// ("region-9-r00", "az-a-r00", …) and per-replica RNG streams (the
+/// ("az-a-r00", "az-b-r00", …) and per-replica RNG streams (the
 /// "topology" stream split by replica index), so the estate is a pure
 /// function of `(scale, seed)` and every replica's hardware mix differs.
 pub fn paper_estate_custom(
@@ -184,11 +157,6 @@ pub fn paper_estate_custom(
     (topo, regions)
 }
 
-/// [`paper_estate_custom`] with the default hardware mix.
-pub fn paper_estate(scale: f64, seed: u64) -> (Topology, Vec<RegionDcs>) {
-    paper_estate_custom(scale, seed, &TopologyBuilder::new())
-}
-
 /// Build a multi-region estate of `replicas` copies of the studied region,
 /// each scaled by `scale ∈ (0, 1]` — the orthogonal complement of
 /// [`paper_estate_custom`], which replicates only at full size. Three tiny
@@ -229,9 +197,9 @@ pub fn paper_estate_replicated(
 }
 
 /// Add one copy of the studied region to `topo`. `replica: None` is the
-/// historical single-region layout (names "region-9"/"az-a"/"az-b",
+/// historical single-region layout (names "az-a"/"az-b",
 /// RNG streams "topology"/"dc-a"/"dc-b" — unchanged so existing runs stay
-/// byte-identical); `Some(k)` namespaces the region/AZ names with `-r{k}`
+/// byte-identical); `Some(k)` namespaces the AZ names with `-r{k}`
 /// and splits the topology stream by `k`. DC names stay "A"/"B" as in the
 /// paper — building-block names are globally unique regardless (they
 /// carry a topology-wide index).
@@ -246,7 +214,7 @@ fn add_studied_region(
         None => String::new(),
         Some(k) => format!("-r{k:02}"),
     };
-    let region = topo.add_region(format!("region-9{suffix}"));
+    let region = topo.add_region();
     // "Each region consists of up to two data centers" grouped into AZs for
     // high availability (paper Sections 2.1, 3.1); the studied region's two
     // DCs sit in separate AZs.
@@ -300,9 +268,19 @@ mod tests {
         assert_eq!(vms, 47_116);
     }
 
+    fn estate(scale: f64, seed: u64) -> (Topology, Vec<RegionDcs>) {
+        paper_estate_custom(scale, seed, &TopologyBuilder::new())
+    }
+
+    /// The studied region at a scale ≤ 1.
+    fn region(scale: f64, seed: u64) -> (Topology, DcId, DcId) {
+        let (topo, regions) = estate(scale, seed);
+        (topo, regions[0].dc_a, regions[0].dc_b)
+    }
+
     #[test]
     fn full_paper_region_builds() {
-        let (topo, dc_a, dc_b) = paper_region(PresetScale::Full, 42);
+        let (topo, dc_a, dc_b) = region(1.0, 42);
         let a = topo.dc_node_count(dc_a);
         let b = topo.dc_node_count(dc_b);
         assert!((747..=751).contains(&a), "dc A nodes = {a}");
@@ -316,7 +294,7 @@ mod tests {
 
     #[test]
     fn scaled_region_is_smaller_but_complete() {
-        let (topo, dc_a, dc_b) = scaled_paper_region(0.05, 42);
+        let (topo, dc_a, dc_b) = region(0.05, 42);
         assert!(topo.dc_node_count(dc_a) >= 4);
         assert!(topo.dc_node_count(dc_b) >= 4);
         assert!(topo.nodes().len() < 200);
@@ -325,8 +303,8 @@ mod tests {
 
     #[test]
     fn preset_is_reproducible() {
-        let (t1, ..) = paper_region(PresetScale::Ratio(0.1), 9);
-        let (t2, ..) = paper_region(PresetScale::Ratio(0.1), 9);
+        let (t1, ..) = region(0.1, 9);
+        let (t2, ..) = region(0.1, 9);
         let sig = |t: &Topology| {
             t.bbs()
                 .iter()
@@ -338,8 +316,8 @@ mod tests {
 
     #[test]
     fn different_seeds_differ() {
-        let (t1, ..) = paper_region(PresetScale::Ratio(0.1), 1);
-        let (t2, ..) = paper_region(PresetScale::Ratio(0.1), 2);
+        let (t1, ..) = region(0.1, 1);
+        let (t2, ..) = region(0.1, 2);
         let sig = |t: &Topology| {
             t.bbs()
                 .iter()
@@ -352,37 +330,30 @@ mod tests {
     #[test]
     #[should_panic(expected = "scale ratio")]
     fn invalid_ratio_panics() {
-        let _ = paper_region(PresetScale::Ratio(0.0), 1);
+        let _ = PresetScale::Ratio(0.0).apply(751);
     }
 
     #[test]
     fn estate_at_or_below_one_is_the_single_region() {
-        let sig = |t: &Topology| {
-            t.bbs()
-                .iter()
-                .map(|b| (b.name.clone(), b.purpose, b.profile.name.clone(), b.nodes.len()))
-                .collect::<Vec<_>>()
-        };
-        let (single, ..) = scaled_paper_region(0.1, 9);
-        let (estate, regions) = paper_estate(0.1, 9);
-        assert_eq!(regions.len(), 1);
-        assert_eq!(sig(&single), sig(&estate), "scale ≤ 1 must stay bit-identical");
-        assert_eq!(estate.region(regions[0].region).name, "region-9");
-
-        let (full_single, ..) = paper_region(PresetScale::Full, 9);
-        let (full_estate, _) = paper_estate(1.0, 9);
-        assert_eq!(sig(&full_single), sig(&full_estate));
+        for scale in [0.1, 1.0] {
+            let (single, regions) = estate(scale, 9);
+            assert_eq!(regions.len(), 1);
+            assert_eq!(single.regions().len(), 1);
+            // The historical names: no replica suffix.
+            let names: Vec<_> = single.azs().iter().map(|az| az.name.as_str()).collect();
+            assert_eq!(names, ["az-a", "az-b"]);
+        }
     }
 
     #[test]
     fn multi_region_estate_replicates_with_namespaced_ids() {
-        let (topo, regions) = paper_estate(2.5, 42);
+        let (topo, regions) = estate(2.5, 42);
         assert_eq!(regions.len(), 3, "2 full replicas + 1 remainder");
         assert_eq!(topo.regions().len(), 3);
         assert_eq!(topo.azs().len(), 6);
         assert_eq!(topo.dcs().len(), 6);
-        assert_eq!(topo.region(regions[0].region).name, "region-9-r00");
-        assert_eq!(topo.region(regions[2].region).name, "region-9-r02");
+        assert_eq!(topo.azs()[0].name, "az-a-r00");
+        assert_eq!(topo.azs()[4].name, "az-a-r02");
         // Full replicas carry the full inventory; the remainder is ~half.
         let nodes = |r: &RegionDcs| topo.dc_node_count(r.dc_a) + topo.dc_node_count(r.dc_b);
         assert!((1815..=1823).contains(&nodes(&regions[0])), "r0 = {}", nodes(&regions[0]));
@@ -411,8 +382,8 @@ mod tests {
                 .map(|b| (b.name.clone(), b.nodes.len()))
                 .collect::<Vec<_>>()
         };
-        let (t1, _) = paper_estate(3.25, 7);
-        let (t2, _) = paper_estate(3.25, 7);
+        let (t1, _) = estate(3.25, 7);
+        let (t2, _) = estate(3.25, 7);
         assert_eq!(sig(&t1), sig(&t2));
     }
 }

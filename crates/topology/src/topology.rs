@@ -5,7 +5,7 @@ use crate::hardware::{HardwareProfile, OvercommitPolicy};
 use crate::ids::{AzId, BbId, DcId, NodeId, RegionId};
 use std::fmt;
 
-/// A broken cross-reference found by [`Topology::validate`].
+/// A broken cross-reference found by `Topology::validate`.
 ///
 /// Marked `#[non_exhaustive]`; keep a wildcard arm.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -30,9 +30,7 @@ impl std::error::Error for TopologyError {}
 #[derive(Debug, Clone)]
 pub struct Region {
     /// Arena id.
-    pub id: RegionId,
-    /// Human-readable name (anonymized in the dataset, e.g. `"region-9"`).
-    pub name: String,
+    pub(crate) id: RegionId,
     /// Availability zones in this region.
     pub azs: Vec<AzId>,
 }
@@ -59,7 +57,7 @@ pub struct DataCenter {
     /// Owning availability zone.
     pub az: AzId,
     /// Name following the paper's Appendix D convention (`"A"`, `"B"`, `"D"`).
-    pub name: String,
+    pub(crate) name: String,
     /// Building blocks hosted in this DC.
     pub bbs: Vec<BbId>,
 }
@@ -112,14 +110,14 @@ pub struct BuildingBlock {
     /// within a BB, paper Section 3.2).
     pub profile: HardwareProfile,
     /// Overcommit policy applied to each node.
-    pub overcommit: OvercommitPolicy,
+    pub(crate) overcommit: OvercommitPolicy,
     /// Member nodes.
     pub nodes: Vec<NodeId>,
 }
 
 impl BuildingBlock {
     /// Schedulable (virtual) capacity of one member node.
-    pub fn node_virtual_capacity(&self) -> Resources {
+    pub(crate) fn node_virtual_capacity(&self) -> Resources {
         self.overcommit.virtual_capacity(&self.profile.physical)
     }
 
@@ -169,7 +167,7 @@ pub struct ComputeNode {
 /// All cross-references (`ComputeNode::bb`, `BuildingBlock::dc`, …) are
 /// maintained by the `add_*` methods; constructing hierarchy by hand is
 /// possible but the [`TopologyBuilder`](crate::TopologyBuilder) and
-/// [`paper_region`](crate::paper_region) presets are the intended entry
+/// [`paper_estate_custom`](crate::paper_estate_custom) presets are the intended entry
 /// points.
 #[derive(Debug, Clone, Default)]
 pub struct Topology {
@@ -187,11 +185,10 @@ impl Topology {
     }
 
     /// Append a region.
-    pub fn add_region(&mut self, name: impl Into<String>) -> RegionId {
+    pub fn add_region(&mut self) -> RegionId {
         let id = RegionId::from_raw(self.regions.len() as u32);
         self.regions.push(Region {
             id,
-            name: name.into(),
             azs: Vec::new(),
         });
         id
@@ -284,11 +281,6 @@ impl Topology {
         &self.nodes
     }
 
-    /// Look up a region.
-    pub fn region(&self, id: RegionId) -> &Region {
-        &self.regions[id.index()]
-    }
-
     /// Look up an availability zone.
     pub fn az(&self, id: AzId) -> &AvailabilityZone {
         &self.azs[id.index()]
@@ -371,7 +363,7 @@ impl Topology {
     /// Internal consistency check: every cross-reference resolves and
     /// every child points back at its parent. Used by tests and by the
     /// builders after construction.
-    pub fn validate(&self) -> Result<(), TopologyError> {
+    pub(crate) fn validate(&self) -> Result<(), TopologyError> {
         let broken = |msg: String| Err(TopologyError::Invariant(msg));
         for (i, r) in self.regions.iter().enumerate() {
             if r.id.index() != i {
@@ -431,7 +423,7 @@ mod tests {
 
     fn tiny() -> Topology {
         let mut t = Topology::new();
-        let r = t.add_region("region-1");
+        let r = t.add_region();
         let az = t.add_az(r, "az-a");
         let dc = t.add_dc(az, "A");
         t.add_bb(

@@ -12,7 +12,7 @@ use std::collections::HashMap;
 
 /// A salted, consistent name hasher with a memoized mapping.
 #[derive(Debug, Clone)]
-pub struct Anonymizer {
+pub(crate) struct Anonymizer {
     salt: u64,
     memo: HashMap<String, String>,
 }
@@ -20,7 +20,7 @@ pub struct Anonymizer {
 impl Anonymizer {
     /// An anonymizer with the given salt. Different salts produce
     /// unlinkable token spaces.
-    pub fn new(salt: u64) -> Self {
+    pub(crate) fn new(salt: u64) -> Self {
         Anonymizer {
             salt,
             memo: HashMap::new(),
@@ -28,18 +28,13 @@ impl Anonymizer {
     }
 
     /// Hash a name to its anonymous token (16 lowercase hex digits).
-    pub fn token(&mut self, name: &str) -> String {
+    pub(crate) fn token(&mut self, name: &str) -> String {
         if let Some(t) = self.memo.get(name) {
             return t.clone();
         }
         let t = format!("{:016x}", Self::hash(self.salt, name));
         self.memo.insert(name.to_string(), t.clone());
         t
-    }
-
-    /// Number of distinct names seen so far.
-    pub fn distinct(&self) -> usize {
-        self.memo.len()
     }
 
     fn hash(salt: u64, name: &str) -> u64 {
@@ -65,7 +60,7 @@ mod tests {
         let t1 = a.token("node-042.dc-a.example");
         let t2 = a.token("node-042.dc-a.example");
         assert_eq!(t1, t2);
-        assert_eq!(a.distinct(), 1);
+        assert_eq!(a.memo.len(), 1);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! * [`TraceReader`] — stream a CSV trace back into a `TsdbStore`, so the
 //!   `sapsim-analysis` figure/table pipelines can run unchanged on the
 //!   real dataset once it is dropped in.
-//! * [`Anonymizer`] — the consistent (salted) hashing applied to entity
+//! * `Anonymizer` — the consistent (salted) hashing applied to entity
 //!   names on export.
 //!
 //! The CSV schema is one row per sample:
@@ -21,16 +21,12 @@
 //! 300000,vrops_hostsystem_cpu_contention_percentage,node-42,1.25
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod anonymize;
 mod reader;
 mod writer;
 
-pub use anonymize::Anonymizer;
-pub use reader::{ReadSummary, TraceReader};
-pub use writer::{TraceWriter, WriteSummary};
+pub use reader::TraceReader;
+pub use writer::TraceWriter;
 
 /// The CSV header line shared by writer and reader.
 pub const CSV_HEADER: &str = "timestamp_ms,metric,entity,value";

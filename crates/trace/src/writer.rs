@@ -18,7 +18,7 @@ pub struct WriteSummary {
 ///
 /// Only *raw* series are exported — the daily rollups are derived data
 /// that any consumer can recompute, and the published dataset likewise
-/// ships raw samples. Entity names are anonymized when an [`Anonymizer`]
+/// ships raw samples. Entity names are anonymized when an `Anonymizer`
 /// is supplied, mirroring the published dataset's consistent hashing.
 #[derive(Debug)]
 pub struct TraceWriter {

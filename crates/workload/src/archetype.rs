@@ -34,18 +34,8 @@ sapsim_json::json_codec!(enum Archetype {
 });
 
 impl Archetype {
-    /// All archetypes.
-    pub const ALL: [Archetype; 6] = [
-        Archetype::HanaDb,
-        Archetype::AbapAppServer,
-        Archetype::CiCd,
-        Archetype::DevEnvironment,
-        Archetype::KubernetesNode,
-        Archetype::GenericService,
-    ];
-
     /// The statistical parameters of this archetype.
-    pub fn params(self) -> ArchetypeParams {
+    pub(crate) fn params(self) -> ArchetypeParams {
         match self {
             // HANA: the paper's headline workload. Memory consumed sits
             // close to the request (column store is resident); CPU is
@@ -174,44 +164,57 @@ impl fmt::Display for Archetype {
 /// All CPU/memory quantities are fractions of the VM's *requested*
 /// resources (what `vrops_virtualmachine_*_ratio` reports in the dataset).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ArchetypeParams {
+pub(crate) struct ArchetypeParams {
     /// Per-VM mean CPU utilization is drawn uniformly from this range
     /// (the cold majority; see `cpu_hot_prob`).
-    pub cpu_mean_range: (f64, f64),
+    pub(crate) cpu_mean_range: (f64, f64),
     /// Probability that a VM is a *hot* outlier whose mean CPU is drawn
     /// from the high band instead — the small optimally-/over-utilized
     /// tail of Figure 14(a).
-    pub cpu_hot_prob: f64,
+    pub(crate) cpu_hot_prob: f64,
     /// Amplitude of the business-hours sinusoid added to CPU.
-    pub cpu_diurnal_amp: f64,
+    pub(crate) cpu_diurnal_amp: f64,
     /// Standard deviation of the Ornstein–Uhlenbeck CPU noise.
-    pub cpu_noise_sigma: f64,
+    pub(crate) cpu_noise_sigma: f64,
     /// Probability that a sampling interval carries a CPU spike.
-    pub cpu_spike_prob: f64,
+    pub(crate) cpu_spike_prob: f64,
     /// Magnitude of a CPU spike (added to the base level).
-    pub cpu_spike_mag: f64,
+    pub(crate) cpu_spike_mag: f64,
     /// How much weekday load exceeds weekend load, 0 = no difference,
     /// 1 = weekends fully idle. Applied to the diurnal component.
-    pub weekend_dampening: f64,
+    pub(crate) weekend_dampening: f64,
     /// Low component of the per-VM mean memory-consumed mixture (the
     /// under-/optimally-utilized minority of Figure 14(b)).
-    pub mem_mean_range: (f64, f64),
+    pub(crate) mem_mean_range: (f64, f64),
     /// Probability that a VM's memory mean comes from the high band
     /// (0.86–0.99) instead — the >85 % majority of Figure 14(b).
-    pub mem_high_prob: f64,
+    pub(crate) mem_high_prob: f64,
     /// Standard deviation of memory noise.
-    pub mem_noise_sigma: f64,
+    pub(crate) mem_noise_sigma: f64,
     /// Linear memory growth per day (HANA delta-merge growth etc.).
-    pub mem_daily_drift: f64,
+    pub(crate) mem_daily_drift: f64,
     /// Median lifetime in days (log-normal).
-    pub lifetime_median_days: f64,
+    pub(crate) lifetime_median_days: f64,
     /// Log-space sigma of the lifetime distribution.
-    pub lifetime_sigma: f64,
+    pub(crate) lifetime_sigma: f64,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Archetype {
+        /// Every archetype, for the tests (here and in `lifetime` and
+        /// `usage`) that sweep all of them.
+        pub(crate) const ALL: [Archetype; 6] = [
+            Archetype::HanaDb,
+            Archetype::AbapAppServer,
+            Archetype::CiCd,
+            Archetype::DevEnvironment,
+            Archetype::KubernetesNode,
+            Archetype::GenericService,
+        ];
+    }
 
     #[test]
     fn params_are_sane_for_every_archetype() {

@@ -34,14 +34,6 @@ impl CpuClass {
         }
     }
 
-    /// All classes in table order.
-    pub const ALL: [CpuClass; 4] = [
-        CpuClass::Small,
-        CpuClass::Medium,
-        CpuClass::Large,
-        CpuClass::ExtraLarge,
-    ];
-
     /// Table label.
     pub const fn label(self) -> &'static str {
         match self {
@@ -82,14 +74,6 @@ impl RamClass {
             _ => RamClass::ExtraLarge,
         }
     }
-
-    /// All classes in table order.
-    pub const ALL: [RamClass; 4] = [
-        RamClass::Small,
-        RamClass::Medium,
-        RamClass::Large,
-        RamClass::ExtraLarge,
-    ];
 
     /// Table label.
     pub const fn label(self) -> &'static str {
@@ -139,28 +123,16 @@ impl WorkloadClass {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Flavor {
     /// Flavor name, e.g. `"gp-c4-m32"` or `"hana-c48-m1024"`.
-    pub name: String,
+    pub(crate) name: String,
     /// Requested resources.
     pub resources: Resources,
     /// The application archetype run by instances of this flavor.
-    pub archetype: Archetype,
+    pub(crate) archetype: Archetype,
     /// Placement class.
     pub class: WorkloadClass,
     /// Number of instances of this flavor in the full-scale workload
     /// (the calibration weight).
     pub population: u32,
-}
-
-impl Flavor {
-    /// vCPU class per Table 1.
-    pub fn cpu_class(&self) -> CpuClass {
-        CpuClass::of(self.resources.cpu_cores)
-    }
-
-    /// RAM class per Table 2.
-    pub fn ram_class(&self) -> RamClass {
-        RamClass::of(self.resources.memory_gib())
-    }
 }
 
 /// An ordered collection of flavors with calibration weights.
@@ -171,18 +143,13 @@ pub struct FlavorCatalog {
 
 impl FlavorCatalog {
     /// Build from a flavor list.
-    pub fn new(flavors: Vec<Flavor>) -> Self {
+    pub(crate) fn new(flavors: Vec<Flavor>) -> Self {
         FlavorCatalog { flavors }
     }
 
     /// All flavors.
     pub fn flavors(&self) -> &[Flavor] {
         &self.flavors
-    }
-
-    /// Look up a flavor by name.
-    pub fn get(&self, name: &str) -> Option<&Flavor> {
-        self.flavors.iter().find(|f| f.name == name)
     }
 
     /// Total full-scale population.
@@ -306,7 +273,10 @@ mod tests {
     use super::*;
 
     /// Full-scale population per class, in `all` order.
-    fn population_by<C: Copy + PartialEq>(all: [C; 4], class: fn(&Flavor) -> C) -> [(C, u32); 4] {
+    fn population_by<C: Copy + PartialEq>(
+        all: [C; 4],
+        class: impl Fn(&Flavor) -> C,
+    ) -> [(C, u32); 4] {
         let flavors = paper_flavor_catalog().flavors;
         all.map(|c| {
             let members = flavors.iter().filter(|f| class(f) == c);
@@ -339,7 +309,13 @@ mod tests {
     #[test]
     fn catalog_reproduces_table1_exactly() {
         let cat = paper_flavor_catalog();
-        let by_cpu = population_by(CpuClass::ALL, Flavor::cpu_class);
+        let classes = [
+            CpuClass::Small,
+            CpuClass::Medium,
+            CpuClass::Large,
+            CpuClass::ExtraLarge,
+        ];
+        let by_cpu = population_by(classes, |f| CpuClass::of(f.resources.cpu_cores));
         assert_eq!(by_cpu[0], (CpuClass::Small, 28_446));
         assert_eq!(by_cpu[1], (CpuClass::Medium, 14_340));
         assert_eq!(by_cpu[2], (CpuClass::Large, 1_831));
@@ -349,7 +325,13 @@ mod tests {
 
     #[test]
     fn catalog_reproduces_table2_up_to_documented_reconciliation() {
-        let by_ram = population_by(RamClass::ALL, Flavor::ram_class);
+        let classes = [
+            RamClass::Small,
+            RamClass::Medium,
+            RamClass::Large,
+            RamClass::ExtraLarge,
+        ];
+        let by_ram = population_by(classes, |f| RamClass::of(f.resources.memory_gib()));
         assert_eq!(by_ram[0], (RamClass::Small, 991));
         // Paper: 41,395. A joint population matching Table 1's total of
         // 45,355 can carry at most 41,393 here (see the doc comment).
@@ -371,7 +353,11 @@ mod tests {
             }
         }
         // The largest flavor carries the dataset's headline 12 TB memory.
-        let biggest = cat.get("hana-c192-m12288").unwrap();
+        let biggest = cat
+            .flavors()
+            .iter()
+            .find(|f| f.name == "hana-c192-m12288")
+            .unwrap();
         assert_eq!(biggest.resources.memory_gib(), 12_288);
     }
 
@@ -381,8 +367,7 @@ mod tests {
         let names: std::collections::HashSet<_> =
             cat.flavors().iter().map(|f| f.name.as_str()).collect();
         assert_eq!(names.len(), cat.flavors().len());
-        assert!(cat.get("gp-c4-m32").is_some());
-        assert!(cat.get("nope").is_none());
+        assert!(names.contains("gp-c4-m32"));
     }
 
     #[test]

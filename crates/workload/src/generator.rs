@@ -81,12 +81,6 @@ impl WorkloadGenerator {
         WorkloadGenerator { catalog, config }
     }
 
-    /// The generating catalog.
-    pub fn catalog(&self) -> &FlavorCatalog {
-        &self.catalog
-    }
-
-
     /// Draw an optional mid-life resize for a spec under construction.
     /// Only general-purpose VMs resize (HANA systems are re-platformed,
     /// not resized; CI executors are immutable), doubling CPU and memory —
@@ -337,7 +331,10 @@ mod tests {
         // steady-state rate).
         let gen = WorkloadGenerator::new(paper_flavor_catalog(), small_config(0.05, true));
         let specs = gen.generate();
-        let alive_at = |t: SimTime| specs.iter().filter(|s| s.alive_at(t)).count() as f64;
+        let alive_at = |t: SimTime| {
+            let alive = specs.iter().filter(|s| s.arrival <= t && t < s.departure());
+            alive.count() as f64
+        };
         let start = alive_at(SimTime::ZERO);
         let end = alive_at(SimTime::from_days(29));
         assert!(

@@ -10,10 +10,10 @@ use crate::archetype::Archetype;
 use sapsim_sim::{SimDuration, SimRng};
 
 /// Shortest representable lifetime: 2 minutes.
-pub const MIN_LIFETIME: SimDuration = SimDuration::from_secs(120);
+pub(crate) const MIN_LIFETIME: SimDuration = SimDuration::from_secs(120);
 /// Longest representable lifetime: 3 years (the paper's retrospective
 /// collection spans "multiple years").
-pub const MAX_LIFETIME: SimDuration = SimDuration::from_days(3 * 365);
+pub(crate) const MAX_LIFETIME: SimDuration = SimDuration::from_days(3 * 365);
 
 /// Log-normal lifetime model for one archetype.
 #[derive(Debug, Clone, Copy)]
@@ -28,7 +28,7 @@ pub struct LifetimeModel {
 
 impl LifetimeModel {
     /// The model for an archetype, parameterized by
-    /// [`ArchetypeParams::lifetime_median_days`](crate::ArchetypeParams)
+    /// `ArchetypeParams::lifetime_median_days`
     /// and `lifetime_sigma`.
     pub fn for_archetype(archetype: Archetype) -> LifetimeModel {
         let p = archetype.params();
@@ -52,7 +52,7 @@ impl LifetimeModel {
     /// length-biased toward long lifetimes — the inspection paradox — and
     /// drawing them from the plain distribution would make the initial
     /// cohort die out faster than steady-state churn replenishes it.
-    pub fn draw_length_biased(&self, rng: &mut SimRng) -> SimDuration {
+    pub(crate) fn draw_length_biased(&self, rng: &mut SimRng) -> SimDuration {
         let days = rng.lognormal(self.biased_mu, self.sigma);
         let d = SimDuration::from_secs_f64(days * 86_400.0);
         d.clamp(MIN_LIFETIME, MAX_LIFETIME)
@@ -61,7 +61,7 @@ impl LifetimeModel {
     /// Expected (mean) lifetime in days, after clamping is ignored:
     /// `median · exp(σ²/2)`. Used by the generator to derive steady-state
     /// arrival rates.
-    pub fn mean_days(archetype: Archetype) -> f64 {
+    pub(crate) fn mean_days(archetype: Archetype) -> f64 {
         let p = archetype.params();
         p.lifetime_median_days * (p.lifetime_sigma * p.lifetime_sigma / 2.0).exp()
     }

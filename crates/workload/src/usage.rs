@@ -37,25 +37,25 @@ const MEM_HIGH_RANGE: (f64, f64) = (0.86, 0.99);
 #[derive(Debug, Clone, PartialEq)]
 pub struct UsageModel {
     /// Long-run mean CPU utilization (fraction of requested vCPUs).
-    pub cpu_mean: f64,
+    pub(crate) cpu_mean: f64,
     /// Diurnal amplitude, relative to `cpu_mean` (0.5 = ±50 % swing).
-    pub cpu_diurnal_amp: f64,
+    pub(crate) cpu_diurnal_amp: f64,
     /// OU noise stationary standard deviation (CPU).
-    pub cpu_noise_sigma: f64,
+    pub(crate) cpu_noise_sigma: f64,
     /// Per-sample spike probability.
-    pub cpu_spike_prob: f64,
+    pub(crate) cpu_spike_prob: f64,
     /// Spike magnitude.
-    pub cpu_spike_mag: f64,
+    pub(crate) cpu_spike_mag: f64,
     /// Weekend dampening factor (0 = none, 1 = fully idle weekends).
-    pub weekend_dampening: f64,
+    pub(crate) weekend_dampening: f64,
     /// Hour of day at which this VM's load peaks.
-    pub peak_hour: f64,
+    pub(crate) peak_hour: f64,
     /// Long-run mean memory-consumed ratio.
-    pub mem_mean: f64,
+    pub(crate) mem_mean: f64,
     /// OU noise stationary standard deviation (memory).
-    pub mem_noise_sigma: f64,
+    pub(crate) mem_noise_sigma: f64,
     /// Linear memory growth per day of VM age.
-    pub mem_daily_drift: f64,
+    pub(crate) mem_daily_drift: f64,
 }
 
 json_codec!(struct UsageModel {
@@ -101,12 +101,6 @@ impl UsageModel {
     /// per VM and hands it to every [`step`](Self::step).
     pub fn peak_phase(&self) -> DayPhase {
         DayPhase::of_hour(self.peak_hour)
-    }
-
-    /// Deterministic expected CPU level at `time` (no noise, no spikes).
-    /// Exposed for tests and for cheap contention estimation.
-    pub fn cpu_level(&self, time: SimTime) -> f64 {
-        self.level(self.peak_phase(), &ScrapeTick::new(time, SimDuration::ZERO))
     }
 
     /// The deterministic CPU level at the tick's instant.
@@ -177,7 +171,7 @@ pub struct DayPhase {
 
 impl DayPhase {
     /// The phase of `hour` (in hours, any real; the circle wraps at 24).
-    pub fn of_hour(hour: f64) -> DayPhase {
+    pub(crate) fn of_hour(hour: f64) -> DayPhase {
         let (sin, cos) = (TAU * hour / 24.0).sin_cos();
         DayPhase { cos, sin }
     }
@@ -225,9 +219,9 @@ impl ScrapeTick {
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct UsageState {
     /// OU deviation of CPU from its deterministic level.
-    pub ou_cpu: f64,
+    pub(crate) ou_cpu: f64,
     /// OU deviation of memory from its mean.
-    pub ou_mem: f64,
+    pub(crate) ou_mem: f64,
 }
 
 json_codec!(struct UsageState { ou_cpu, ou_mem });
@@ -254,6 +248,11 @@ impl UsageState {
 mod tests {
     use super::*;
     use sapsim_sim::for_each_seed;
+
+    /// Deterministic expected CPU level at `time` (no noise, no spikes).
+    fn cpu_level(m: &UsageModel, time: SimTime) -> f64 {
+        m.level(m.peak_phase(), &ScrapeTick::new(time, SimDuration::ZERO))
+    }
 
     fn model(archetype: Archetype, seed: u64) -> (UsageModel, SimRng) {
         let mut rng = SimRng::seed_from(seed);
@@ -315,7 +314,7 @@ mod tests {
         let peak_ms = (m.peak_hour * sapsim_sim::MILLIS_PER_HOUR as f64) as u64;
         let weekday = SimTime::from_millis(peak_ms);
         let weekend = SimTime::from_days(3) + SimDuration::from_millis(peak_ms);
-        assert!(m.cpu_level(weekday) > m.cpu_level(weekend));
+        assert!(cpu_level(&m, weekday) > cpu_level(&m, weekend));
     }
 
     #[test]
@@ -324,9 +323,10 @@ mod tests {
         let (mut m, _) = model(Archetype::AbapAppServer, 9);
         m.cpu_mean = 0.5;
         let at = |h: f64| {
-            m.cpu_level(SimTime::from_millis(
-                (h * sapsim_sim::MILLIS_PER_HOUR as f64) as u64,
-            ))
+            cpu_level(
+                &m,
+                SimTime::from_millis((h * sapsim_sim::MILLIS_PER_HOUR as f64) as u64),
+            )
         };
         let peak = at(m.peak_hour);
         let trough = at((m.peak_hour + 12.0) % 24.0);

@@ -15,7 +15,7 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResizeSpec {
     /// When the resize happens, measured from the VM's arrival.
-    pub after: SimDuration,
+    pub(crate) after: SimDuration,
     /// The new resource request (the target flavor's template).
     pub resources: Resources,
 }
@@ -90,12 +90,6 @@ impl VmSpec {
         self.arrival + (self.lifetime - self.age_at_arrival)
     }
 
-    /// Whether the VM is still alive at `t` (arrival inclusive, departure
-    /// exclusive).
-    pub fn alive_at(&self, t: SimTime) -> bool {
-        t >= self.arrival && t < self.departure()
-    }
-
     /// The VM's age at absolute simulation time `t`.
     pub fn age_at(&self, t: SimTime) -> SimDuration {
         self.age_at_arrival + (t - self.arrival)
@@ -131,15 +125,6 @@ mod tests {
         assert_eq!(s.departure(), SimTime::from_days(30));
         let fresh = spec(5, 0, 10);
         assert_eq!(fresh.departure(), SimTime::from_days(15));
-    }
-
-    #[test]
-    fn alive_window_is_half_open() {
-        let s = spec(5, 0, 10);
-        assert!(!s.alive_at(SimTime::from_days(4)));
-        assert!(s.alive_at(SimTime::from_days(5)));
-        assert!(s.alive_at(SimTime::from_days(14)));
-        assert!(!s.alive_at(SimTime::from_days(15)));
     }
 
     #[test]

@@ -23,7 +23,7 @@ use sapsim_workload::{Archetype, UsageModel, VmId, VmSpec, WorkloadClass};
 /// profiles — enough structure that every purpose×AZ bucket shape occurs.
 fn build_world() -> Cloud {
     let mut topo = Topology::new();
-    let region = topo.add_region("r1");
+    let region = topo.add_region();
     let az_a = topo.add_az(region, "az-a");
     let az_b = topo.add_az(region, "az-b");
     let dc_a = topo.add_dc(az_a, "dc-a");
