@@ -117,7 +117,15 @@ fn summarize(text: &str) -> Result<Summary, CliError> {
             decode(line).map_err(|e| CliError::Data(format!("line {}: {e}", lineno + 1)))?;
         match record {
             LogLine::Meta(m) => {
-                s.meta = Some((m.decision_sample_rate, m.ring_capacity, m.events, m.dropped));
+                // Concatenated logs carry one meta line each: their events
+                // and drops add up like every other total here.
+                let (events, dropped) = s.meta.map_or((0, 0), |(_, _, e, d)| (e, d));
+                s.meta = Some((
+                    m.decision_sample_rate,
+                    m.ring_capacity,
+                    events.saturating_add(m.events),
+                    dropped.saturating_add(m.dropped),
+                ));
             }
             LogLine::Span(span) => {
                 let agg = s.spans.entry(span.kind.name()).or_default();

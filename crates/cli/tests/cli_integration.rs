@@ -400,6 +400,28 @@ fn obs_summary_folds_each_counter_once() {
 }
 
 #[test]
+fn obs_summary_adds_up_the_meta_lines_of_concatenated_logs() {
+    // The golden log twice, the second copy with 5 drops: the header
+    // counts both logs' events and drops, as the other totals do.
+    let fixture = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/golden/obs/run.obs.jsonl"
+    );
+    let one = std::fs::read_to_string(fixture).expect("golden log");
+    assert!(one.starts_with(r#"{"type":"meta""#) && one.contains(r#""events":9348,"dropped":0}"#));
+    let log = one.clone() + &one.replacen(r#""dropped":0}"#, r#""dropped":5}"#, 1);
+    let path = std::env::temp_dir().join(format!("sapsim-cli-meta-{}.jsonl", std::process::id()));
+    std::fs::write(&path, log).expect("write log");
+    let text = run_capture(&["obs", "summary", path.to_str().unwrap()]).unwrap();
+    std::fs::remove_file(&path).expect("cleanup");
+    let header = text.lines().next().unwrap_or_default();
+    assert_eq!(
+        header,
+        "log: 18696 events buffered, 5 dropped (ring 65536, decision sample rate 0.01)"
+    );
+}
+
+#[test]
 fn obs_knobs_without_output_error() {
     let err = run_capture(&["simulate", "--obs-sample", "0.5"]).unwrap_err();
     assert!(err.to_string().contains("--obs-out"), "{err}");

@@ -133,6 +133,14 @@ pub struct Cloud {
     /// never observable — [`host_views`](Cloud::host_views) remains the
     /// from-scratch oracle the cache is tested against.
     view_cache: HostViewCache,
+    /// Per building block, a counter that every mutator touching the
+    /// block advances (with the view-cache mark, in [`Cloud::mark`]), and
+    /// that [`vm_slots_mut`](Cloud::vm_slots_mut) advances for all of
+    /// them. An unchanged epoch means unchanged residency, allocation,
+    /// node states and scraped demands, so a rebalancing round that
+    /// applied nothing would plan the same again. Acceleration state like
+    /// `view_cache`: never serialized, not part of [`CloudState`].
+    bb_epoch: Vec<u64>,
 }
 
 impl Cloud {
@@ -163,6 +171,7 @@ impl Cloud {
             vm_count: 0,
             reserved_bbs: BTreeSet::new(),
             view_cache: HostViewCache::new(),
+            bb_epoch: vec![0; b],
         }
     }
 
@@ -208,6 +217,7 @@ impl Cloud {
             for &n in &self.topo.bb(bb).nodes {
                 self.view_cache.mark_node_entry(n.index());
             }
+            self.bb_epoch[bb.index()] += 1;
         }
     }
 
@@ -220,7 +230,7 @@ impl Cloud {
     pub fn set_node_state(&mut self, node: NodeId, state: NodeState) {
         let bb = self.topo.node(node).bb;
         self.topo.node_mut(node).state = state;
-        self.view_cache.mark_node(node.index(), bb.index());
+        self.mark(node.index(), bb.index());
     }
 
     /// Evacuate every VM off `node` to other nodes of the same building
@@ -273,9 +283,26 @@ impl Cloud {
 
     /// The dense VM slot table, indexed by `VmId::raw` (`None` for ids not
     /// currently placed). The telemetry scrape walks this mutably,
-    /// advancing each VM's independent demand model.
+    /// advancing each VM's independent demand model; since that rewrites
+    /// the scraped demands, every block's epoch advances.
     pub(crate) fn vm_slots_mut(&mut self) -> &mut [Option<PlacedVm>] {
+        for epoch in &mut self.bb_epoch {
+            *epoch += 1;
+        }
         &mut self.vm_slots
+    }
+
+    /// The change counter of building block `bb` (see the field's doc).
+    pub(crate) fn bb_epoch(&self, bb: BbId) -> u64 {
+        self.bb_epoch[bb.index()]
+    }
+
+    /// Mark node `node` and its block `bb` (both by index) stale in the
+    /// view cache and advance the block's epoch: the one hook every
+    /// mutator calls.
+    fn mark(&mut self, node: usize, bb: usize) {
+        self.view_cache.mark_node(node, bb);
+        self.bb_epoch[bb] += 1;
     }
 
     /// Ids of VMs resident on a node.
@@ -311,7 +338,7 @@ impl Cloud {
         }
         self.node_contention[i] = pct;
         let bb = self.topo.node(node).bb;
-        self.view_cache.mark_node(i, bb.index());
+        self.mark(i, bb.index());
     }
 
     /// Mean remaining lifetime (days) of the VMs on `node` at `now`.
@@ -497,7 +524,7 @@ impl Cloud {
         self.node_departure_sum_ms[node.index()] += departure.as_millis() as f64;
         let bb = self.topo.node(node).bb;
         self.bb_alloc[bb.index()] += spec.resources;
-        self.view_cache.mark_node(node.index(), bb.index());
+        self.mark(node.index(), bb.index());
         *self.slot_entry_mut(spec.id, "placement") = Some(PlacedVm {
             spec_index,
             id: spec.id,
@@ -534,7 +561,7 @@ impl Cloud {
         self.node_departure_sum_ms[node.index()] += vm.departure.as_millis() as f64;
         let bb = self.topo.node(node).bb;
         self.bb_alloc[bb.index()] += vm.resources;
-        self.view_cache.mark_node(node.index(), bb.index());
+        self.mark(node.index(), bb.index());
         vm.node = node;
         let id = vm.id;
         *self.slot_entry_mut(id, "readmission") = Some(vm);
@@ -552,7 +579,7 @@ impl Cloud {
         self.node_departure_sum_ms[node.index()] -= vm.departure.as_millis() as f64;
         let bb = self.topo.node(node).bb;
         self.bb_alloc[bb.index()] -= vm.resources;
-        self.view_cache.mark_node(node.index(), bb.index());
+        self.mark(node.index(), bb.index());
         Some(vm)
     }
 
@@ -585,8 +612,8 @@ impl Cloud {
         let to_bb = self.topo.node(to).bb;
         self.bb_alloc[to_bb.index()] += resources;
 
-        self.view_cache.mark_node(from.index(), from_bb.index());
-        self.view_cache.mark_node(to.index(), to_bb.index());
+        self.mark(from.index(), from_bb.index());
+        self.mark(to.index(), to_bb.index());
         self.vm_mut(id).expect("checked above").node = to;
         true
     }
@@ -608,7 +635,7 @@ impl Cloud {
         self.node_alloc[node.index()] = after;
         let bb = self.topo.node(node).bb;
         self.bb_alloc[bb.index()] = self.bb_alloc[bb.index()].saturating_sub(&old) + new;
-        self.view_cache.mark_node(node.index(), bb.index());
+        self.mark(node.index(), bb.index());
         self.vm_mut(id).expect("checked above").resources = new;
         true
     }
@@ -642,8 +669,8 @@ impl Cloud {
         let to_bb = self.topo.node(to).bb;
         self.bb_alloc[to_bb.index()] += new;
 
-        self.view_cache.mark_node(from.index(), from_bb.index());
-        self.view_cache.mark_node(to.index(), to_bb.index());
+        self.mark(from.index(), from_bb.index());
+        self.mark(to.index(), to_bb.index());
         let vm = self.vm_mut(id).expect("checked above");
         vm.node = to;
         vm.resources = new;
@@ -1132,5 +1159,95 @@ mod tests {
         assert!(cloud.resize_in_place(VmId(0), Resources::with_memory_gib(2, 16, 10)));
         assert_eq!(cloud.node_allocated(node).cpu_cores, 2);
         cloud.verify_accounting(&specs).unwrap();
+    }
+
+    /// Which blocks' epochs `change` advanced, in block order.
+    fn bumped(cloud: &mut Cloud, change: impl FnOnce(&mut Cloud)) -> Vec<usize> {
+        let before = cloud.bb_epoch.clone();
+        change(cloud);
+        let after = &cloud.bb_epoch;
+        assert!(
+            after.iter().zip(&before).all(|(a, b)| a >= b),
+            "epochs only grow"
+        );
+        (0..after.len())
+            .filter(|&i| after[i] != before[i])
+            .collect()
+    }
+
+    #[test]
+    fn every_mutator_advances_exactly_the_epochs_of_the_blocks_it_touches() {
+        let mut topo = Topology::new();
+        let region = topo.add_region();
+        let az = topo.add_az(region, "az-a");
+        let dc = topo.add_dc(az, "A");
+        for name in ["bb0", "bb1", "bb2"] {
+            topo.add_bb(
+                dc,
+                name,
+                BbPurpose::GeneralPurpose,
+                HardwareProfile::general_purpose(),
+                OvercommitPolicy::general_purpose(),
+                2,
+            );
+        }
+        let mut cloud = Cloud::new(topo);
+        let node = |cloud: &Cloud, bb: usize, i: usize| cloud.topology().bbs()[bb].nodes[i];
+        let (a0, a1, b0, c0) = (
+            node(&cloud, 0, 0),
+            node(&cloud, 0, 1),
+            node(&cloud, 1, 0),
+            node(&cloud, 2, 0),
+        );
+        let small = Resources::with_memory_gib(2, 16, 10);
+        let place = |id: usize, mem_gib, node| {
+            move |c: &mut Cloud| {
+                let vm = spec(id as u64, 4, mem_gib, 10);
+                c.place(id, &vm, node, SimRng::seed_from(id as u64));
+            }
+        };
+
+        assert_eq!(bumped(&mut cloud, place(0, 32, a0)), [0]);
+        assert_eq!(bumped(&mut cloud, |c| assert!(c.migrate(VmId(0), a1))), [0]);
+        assert_eq!(
+            bumped(&mut cloud, |c| assert!(c.migrate(VmId(0), b0))),
+            [0, 1]
+        );
+        let shrunk = |c: &mut Cloud| assert!(c.resize_in_place(VmId(0), small));
+        assert_eq!(bumped(&mut cloud, shrunk), [1]);
+        let moved = |c: &mut Cloud| assert!(c.resize_to_node(VmId(0), small, c0));
+        assert_eq!(bumped(&mut cloud, moved), [1, 2]);
+        let down = |c: &mut Cloud| c.set_node_state(a1, NodeState::Maintenance);
+        assert_eq!(bumped(&mut cloud, down), [0]);
+        assert_eq!(bumped(&mut cloud, |c| c.set_node_contention(b0, 12.5)), [1]);
+        let reserve = |c: &mut Cloud| c.set_bb_reserved(BbId::from_raw(2), true);
+        assert_eq!(bumped(&mut cloud, reserve), [2]);
+        let remove = |c: &mut Cloud| assert!(c.remove(VmId(0)).is_some());
+        assert_eq!(bumped(&mut cloud, remove), [2]);
+
+        // Refusals and repeats leave every epoch alone: a migration to a
+        // full node, onto its own node or of an unknown id, a resize that
+        // does not fit, an unchanged contention or reservation.
+        assert_eq!(bumped(&mut cloud, place(1, 32, a0)), [0]);
+        assert_eq!(bumped(&mut cloud, place(2, 768 - 32, b0)), [1]);
+        assert_eq!(bumped(&mut cloud, place(3, 32, b0)), [1]);
+        let refusals = |c: &mut Cloud| {
+            assert!(!c.migrate(VmId(1), b0), "b0's memory is all allocated");
+            assert!(!c.migrate(VmId(1), a0));
+            assert!(!c.migrate(VmId(9), c0));
+            assert!(!c.resize_in_place(VmId(3), Resources::with_memory_gib(4, 64, 10)));
+            assert!(!c.resize_to_node(VmId(1), small, b0));
+            c.set_node_contention(b0, 12.5);
+            reserve(c);
+        };
+        assert_eq!(bumped(&mut cloud, refusals), []);
+
+        let removed = cloud.remove(VmId(1)).expect("placed");
+        assert_eq!(bumped(&mut cloud, |c| c.readmit(removed, c0)), [2]);
+        // The scrape's write path may rewrite any VM's demand.
+        let scrape = |c: &mut Cloud| {
+            c.vm_slots_mut();
+        };
+        assert_eq!(bumped(&mut cloud, scrape), [0, 1, 2]);
     }
 }

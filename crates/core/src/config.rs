@@ -255,6 +255,20 @@ impl SimConfig {
                 "cross_bb_interval must be positive when cross-BB rebalancing is enabled".into(),
             );
         }
+        // NaN is in no range. A negative gap threshold lets the planner
+        // bounce a VM between two hosts until `max_migrations`.
+        if !(0.0..).contains(&self.drs.cpu_gap_threshold) {
+            return invalid(format!(
+                "drs.cpu_gap_threshold must be non-negative, got {}",
+                self.drs.cpu_gap_threshold
+            ));
+        }
+        if !(self.drs.mem_ceiling > 0.0 && self.drs.mem_ceiling <= 1.0) {
+            return invalid(format!(
+                "drs.mem_ceiling must be in (0, 1], got {}",
+                self.drs.mem_ceiling
+            ));
+        }
         if !(0.0..=1.0).contains(&self.resize_probability) {
             return invalid(format!(
                 "resize_probability must be in [0, 1], got {}",
@@ -667,8 +681,7 @@ mod tests {
         // A zero interval reschedules its event at the same instant
         // forever, so the run never ends. Each row switches its feature on
         // and zeroes its interval; only `validate` and `build` run here.
-        type SwitchOnAndZero = fn(&mut SimConfig);
-        let rows: [(&str, SwitchOnAndZero); 4] = [
+        let rows: [(&str, ConfigEdit); 4] = [
             ("scrape_interval", |c| c.scrape_interval = SimDuration::ZERO),
             ("os_gauge_interval", |c| {
                 c.os_gauge_interval = SimDuration::ZERO
@@ -682,16 +695,45 @@ mod tests {
                 c.cross_bb_interval = SimDuration::ZERO;
             }),
         ];
-        for (field, zero) in rows {
+        assert_each_refused(&rows);
+    }
+
+    type ConfigEdit = fn(&mut SimConfig);
+
+    /// Each row edits the smoke-test config; `validate` and `build` must
+    /// both refuse the result as invalid.
+    fn assert_each_refused(rows: &[(&str, ConfigEdit)]) {
+        for (row, edit) in rows {
             let mut cfg = SimConfig::smoke_test();
-            zero(&mut cfg);
+            edit(&mut cfg);
             let refused = |r: Result<(), SimError>| matches!(r, Err(SimError::InvalidConfig(_)));
-            assert!(refused(cfg.validate()), "{field}: validate");
-            assert!(
-                refused(cfg.to_builder().build().map(drop)),
-                "{field}: build"
-            );
+            assert!(refused(cfg.validate()), "{row}: validate");
+            assert!(refused(cfg.to_builder().build().map(drop)), "{row}: build");
         }
+    }
+
+    #[test]
+    fn out_of_range_drs_tuning_is_refused() {
+        // Each row sets one `drs` field to a value the planner cannot
+        // honour; the boundary values beside them stay accepted.
+        let rows: [(&str, ConfigEdit); 6] = [
+            ("negative cpu_gap_threshold", |c| {
+                c.drs.cpu_gap_threshold = -0.01
+            }),
+            ("NaN cpu_gap_threshold", |c| {
+                c.drs.cpu_gap_threshold = f64::NAN
+            }),
+            ("zero mem_ceiling", |c| c.drs.mem_ceiling = 0.0),
+            ("mem_ceiling above 1", |c| c.drs.mem_ceiling = 1.01),
+            ("negative mem_ceiling", |c| c.drs.mem_ceiling = -0.5),
+            ("NaN mem_ceiling", |c| c.drs.mem_ceiling = f64::NAN),
+        ];
+        assert_each_refused(&rows);
+        let mut edge = SimConfig::smoke_test();
+        edge.drs.cpu_gap_threshold = 0.0;
+        edge.drs.mem_ceiling = 1.0;
+        edge.validate()
+            .expect("a zero threshold and a full ceiling are valid");
     }
 
     #[test]

@@ -160,7 +160,8 @@ fn tally<R: Recorder>(rec: &mut R, field: &mut u64, name: &'static str, n: u64) 
 
 /// Reusable buffers for the periodic events, allocated once per run so the
 /// hot paths (scrape, rebalancing rounds) run allocation-free in steady
-/// state. Scratch never carries state across events.
+/// state. Only the two quiet-epoch tables carry state across events, and
+/// they only let a rebalancer skip a pass whose outcome they already know.
 #[derive(Default)]
 struct DriverScratch {
     /// Per-node demand accumulator for `scrape`.
@@ -171,6 +172,13 @@ struct DriverScratch {
     bb_loads: Vec<HostLoad<BbId>>,
     /// Recycled per-host VM-load vectors for both rebalancers.
     vm_load_pool: Vec<Vec<VmLoad>>,
+    /// Per building block, its epoch when DRS last planned it (`u64::MAX`
+    /// before any): `drs_round` skips the block while its epoch still
+    /// equals this, since the last plan then applied nothing.
+    drs_quiet: Vec<u64>,
+    /// Per data center, the sum of its general-purpose blocks' epochs
+    /// when the cross-BB rebalancer last planned it.
+    cross_quiet: Vec<u64>,
 }
 
 /// Everything about a run's workload that is a pure function of its
@@ -467,9 +475,12 @@ impl SimDriver {
             cloud.topology().bbs().len(),
         );
         let mut stats = DriverStats::default();
-        // The only pre-sized scratch buffer: the per-node demand sums.
+        // The pre-sized scratch buffers: the per-node demand sums and the
+        // rebalancers' quiet epochs, which no epoch equals yet.
         let scratch = DriverScratch {
             demands: vec![NodeDemand::default(); cloud.topology().nodes().len()],
+            drs_quiet: vec![u64::MAX; cloud.topology().bbs().len()],
+            cross_quiet: vec![u64::MAX; cloud.topology().dcs().len()],
             ..DriverScratch::default()
         };
         let vm_stats: Vec<VmUsageSummary> = specs
@@ -1080,6 +1091,100 @@ mod tests {
             cached.canonical_bytes() == naive.canonical_bytes(),
             "cached and naive runs diverged: {cfg:?}"
         );
+    }
+
+    /// A cell whose scrapes, like `sim-controlplane`'s, are rarer than its
+    /// DRS rounds, so most rounds find most blocks unchanged.
+    fn sparse_scrapes(cfg: SimConfig) -> SimConfig {
+        SimConfig {
+            scrape_interval: sapsim_sim::SimDuration::from_hours(2),
+            ..cfg
+        }
+    }
+
+    /// Skipping the blocks and data centers unchanged since they were last
+    /// planned must be byte-identical to planning every one on every pass.
+    fn assert_drs_skip_agrees(cfg: SimConfig) {
+        let skipping = SimDriver::new(cfg).unwrap().run();
+        let every =
+            rebalance::tests::with_every_unit_planned(|| SimDriver::new(cfg).unwrap().run());
+        assert_eq!(skipping.stats, every.stats, "{cfg:?}");
+        assert!(
+            skipping.canonical_bytes() == every.canonical_bytes(),
+            "skipping and planning-every-block runs diverged: {cfg:?}"
+        );
+    }
+
+    #[test]
+    fn drs_skip_matches_planning_every_block_across_seeds_and_faults() {
+        for seed in [61, 62] {
+            for faults in [
+                sapsim_faults::FaultSpec::none(),
+                faulty_cfg(seed).faults,
+                busy_faults(),
+            ] {
+                assert_drs_skip_agrees(sparse_scrapes(cell(seed, 0.02, 2, faults)));
+            }
+        }
+    }
+
+    /// Half-hourly cross-BB rounds under memory packing, which at 5 %
+    /// scale leaves blocks uneven enough for the rounds to migrate.
+    fn cross_bb_cell(faults: sapsim_faults::FaultSpec) -> SimConfig {
+        SimConfig {
+            policy: PolicyKind::PackMemory,
+            cross_bb_enabled: true,
+            cross_bb_interval: sapsim_sim::SimDuration::from_mins(30),
+            ..sparse_scrapes(cell(63, 0.05, 2, faults))
+        }
+    }
+
+    #[test]
+    fn drs_skip_matches_planning_every_block_with_cross_bb_on() {
+        for faults in [sapsim_faults::FaultSpec::none(), busy_faults()] {
+            assert_drs_skip_agrees(cross_bb_cell(faults));
+        }
+    }
+
+    #[test]
+    fn drs_skip_matches_planning_every_block_at_node_granularity() {
+        assert_drs_skip_agrees(SimConfig {
+            granularity: PlacementGranularity::Node,
+            ..sparse_scrapes(cell(64, 0.02, 2, busy_faults()))
+        });
+    }
+
+    /// The work counters at one small seed: every pass visits each unit
+    /// once, planned or skipped, and the counters leave the bytes alone.
+    #[test]
+    fn rebalancing_work_counters_are_pinned() {
+        let cfg = cross_bb_cell(sapsim_faults::FaultSpec::none());
+        let mut rec = sapsim_obs::MetricsRecorder::new();
+        let r = SimDriver::new(cfg).unwrap().run_with_recorder(&mut rec);
+        assert!(r.canonical_bytes() == SimDriver::new(cfg).unwrap().run().canonical_bytes());
+        let counter = |name| rec.registry().counter_value(name).unwrap_or(0);
+        let topo = r.cloud.topology();
+        let drs_rounds = r.profile.phase(SpanKind::DrsRound).count;
+        let cross_rounds = r.profile.phase(SpanKind::CrossBbRound).count;
+        let (planned, unchanged) = (
+            counter("drs_blocks_planned"),
+            counter("drs_blocks_unchanged"),
+        );
+        assert_eq!(planned + unchanged, drs_rounds * topo.bbs().len() as u64);
+        let (dcs_planned, dcs_unchanged) = (
+            counter("cross_bb_dcs_planned"),
+            counter("cross_bb_dcs_unchanged"),
+        );
+        assert_eq!(
+            dcs_planned + dcs_unchanged,
+            cross_rounds * topo.dcs().len() as u64
+        );
+        assert_eq!(
+            [planned, unchanged, dcs_planned, dcs_unchanged],
+            [559, 1745, 117, 75],
+            "drs {drs_rounds} rounds, cross-BB {cross_rounds} rounds"
+        );
+        assert!(r.stats.drs_migrations > 0 && r.stats.cross_bb_migrations > 0);
     }
 
     thread_local! {

@@ -48,13 +48,38 @@ fn host_load<I>(
     }
 }
 
+/// What one rebalancing pass did: the migrations it applied, the units
+/// (building blocks for DRS, data centers across blocks) it gathered and
+/// planned, and the units it skipped as unchanged since a quiet pass.
+#[derive(Default)]
+struct Pass {
+    applied: u64,
+    planned: u64,
+    unchanged: u64,
+}
+
+/// Whether the unchanged-unit skip is on: always, except inside
+/// `tests::with_every_unit_planned`, the oracle the skip is tested
+/// against.
+fn skip_unchanged() -> bool {
+    #[cfg(test)]
+    if tests::PLAN_EVERY_UNIT.get() {
+        return false;
+    }
+    true
+}
+
 impl RunState {
     /// `DrsRound`: plan and apply migrations inside each building block,
     /// then schedule the next round.
     pub(super) fn drs_round<R: Recorder>(&mut self, rec: &mut R) {
-        let migrated = self.timed(rec, SpanKind::DrsRound, |st, _| st.drs_migrations());
+        let pass = self.timed(rec, SpanKind::DrsRound, |st, _| st.drs_migrations());
         let applied = &mut self.stats.drs_migrations;
-        tally(rec, applied, "drs_migrations", migrated);
+        tally(rec, applied, "drs_migrations", pass.applied);
+        if R::ENABLED {
+            rec.counter_add("drs_blocks_planned", pass.planned);
+            rec.counter_add("drs_blocks_unchanged", pass.unchanged);
+        }
         self.sim
             .schedule_after(self.cfg.drs_interval, Event::DrsRound);
     }
@@ -62,17 +87,25 @@ impl RunState {
     /// `CrossBbRound`: rebalance each data center's general-purpose
     /// blocks, then schedule the next round.
     pub(super) fn cross_bb_round<R: Recorder>(&mut self, rec: &mut R) {
-        let migrated = self.timed(rec, SpanKind::CrossBbRound, |st, _| {
+        let pass = self.timed(rec, SpanKind::CrossBbRound, |st, _| {
             st.cross_bb_migrations()
         });
         let applied = &mut self.stats.cross_bb_migrations;
-        tally(rec, applied, "cross_bb_migrations", migrated);
+        tally(rec, applied, "cross_bb_migrations", pass.applied);
+        if R::ENABLED {
+            rec.counter_add("cross_bb_dcs_planned", pass.planned);
+            rec.counter_add("cross_bb_dcs_unchanged", pass.unchanged);
+        }
         self.sim
             .schedule_after(self.cfg.cross_bb_interval, Event::CrossBbRound);
     }
 
-    /// One DRS pass over every building block; the migrations applied.
-    fn drs_migrations(&mut self) -> u64 {
+    /// One DRS pass over every building block. A block whose epoch has
+    /// not moved since it was last planned is skipped: that plan applied
+    /// nothing (an applied migration advances the epoch), the plan is a
+    /// pure function of the block's loads and node states, and a refused
+    /// migration changes nothing, so the pass would apply nothing again.
+    fn drs_migrations(&mut self) -> Pass {
         let RunState {
             engine,
             drs,
@@ -80,9 +113,15 @@ impl RunState {
             ..
         } = self;
         let cloud = &mut engine.cloud;
-        let mut applied = 0u64;
+        let mut pass = Pass::default();
         for bb_idx in 0..cloud.topology().bbs().len() {
             let bb = BbId::from_raw(bb_idx as u32);
+            let epoch = cloud.bb_epoch(bb);
+            if skip_unchanged() && scratch.drs_quiet[bb_idx] == epoch {
+                pass.unchanged += 1;
+                continue;
+            }
+            pass.planned += 1;
             recycle_loads(&mut scratch.node_loads, &mut scratch.vm_load_pool);
             for &nid in &cloud.topology().bb(bb).nodes {
                 if cloud.topology().node(nid).state != NodeState::Active {
@@ -96,24 +135,27 @@ impl RunState {
                 let load = host_load(cloud, pool, nid, &[nid], physical);
                 scratch.node_loads.push(load);
             }
-            if scratch.node_loads.len() < 2 {
-                continue;
-            }
-            let plan = drs.plan(&scratch.node_loads);
-            for m in plan.migrations {
-                if cloud.migrate(VmId(m.vm_uid), m.to) {
-                    applied += 1;
+            // An applied migration advances the epoch past this record.
+            scratch.drs_quiet[bb_idx] = epoch;
+            if scratch.node_loads.len() >= 2 {
+                for m in drs.plan(&scratch.node_loads).migrations {
+                    if cloud.migrate(VmId(m.vm_uid), m.to) {
+                        pass.applied += 1;
+                    }
                 }
             }
         }
-        applied
+        pass
     }
 
     /// One cross-BB pass per data center: rebalance general-purpose load
     /// across that DC's general-purpose blocks. A migration plan names a
     /// destination block; the actual node is chosen like any initial
-    /// placement. Returns the migrations applied.
-    fn cross_bb_migrations(&mut self) -> u64 {
+    /// placement. A data center is skipped by the DRS rule, keyed on the
+    /// sum of its general-purpose blocks' epochs: epochs only grow, so
+    /// an equal sum means no block changed, and `choose_node_within_bb`
+    /// reads only those blocks.
+    fn cross_bb_migrations(&mut self) -> Pass {
         let RunState {
             engine,
             cross,
@@ -121,33 +163,60 @@ impl RunState {
             ..
         } = self;
         let cloud = &mut engine.cloud;
-        let mut applied = 0u64;
+        let mut pass = Pass::default();
         for dc_idx in 0..cloud.topology().dcs().len() {
-            recycle_loads(&mut scratch.bb_loads, &mut scratch.vm_load_pool);
             let dc = cloud.topology().dcs()[dc_idx].id;
-            for &bb in &cloud.topology().dc(dc).bbs {
+            let general = |&bb: &BbId| cloud.topology().bb(bb).purpose == BbPurpose::GeneralPurpose;
+            let blocks = &cloud.topology().dc(dc).bbs;
+            let key: u64 = blocks
+                .iter()
+                .filter(|bb| general(bb))
+                .map(|&bb| cloud.bb_epoch(bb))
+                .sum();
+            if skip_unchanged() && scratch.cross_quiet[dc_idx] == key {
+                pass.unchanged += 1;
+                continue;
+            }
+            pass.planned += 1;
+            recycle_loads(&mut scratch.bb_loads, &mut scratch.vm_load_pool);
+            for &bb in blocks.iter().filter(|bb| general(bb)) {
                 let block = cloud.topology().bb(bb);
-                if block.purpose != BbPurpose::GeneralPurpose {
-                    continue;
-                }
                 let pool = &mut scratch.vm_load_pool;
                 let load = host_load(cloud, pool, bb, &block.nodes, block.profile.physical);
                 scratch.bb_loads.push(load);
             }
-            if scratch.bb_loads.len() < 2 {
-                continue;
-            }
-            let plan = cross.plan(&scratch.bb_loads);
-            for m in plan.migrations {
-                let vm_id = VmId(m.vm_uid);
-                let resources = cloud.vm(vm_id).expect("planned VM exists").resources;
-                if let Some(node) = cloud.choose_node_within_bb(m.to, &resources) {
-                    if cloud.migrate(vm_id, node) {
-                        applied += 1;
+            scratch.cross_quiet[dc_idx] = key;
+            if scratch.bb_loads.len() >= 2 {
+                for m in cross.plan(&scratch.bb_loads).migrations {
+                    let vm_id = VmId(m.vm_uid);
+                    let resources = cloud.vm(vm_id).expect("planned VM exists").resources;
+                    if let Some(node) = cloud.choose_node_within_bb(m.to, &resources) {
+                        if cloud.migrate(vm_id, node) {
+                            pass.applied += 1;
+                        }
                     }
                 }
             }
         }
-        applied
+        pass
+    }
+}
+
+#[cfg(test)]
+pub(super) mod tests {
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Set while [`with_every_unit_planned`] runs: both rebalancers
+        /// then gather and plan every unit on every pass.
+        pub(super) static PLAN_EVERY_UNIT: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// Run `f` with the unchanged-unit skip off on this thread.
+    pub(in crate::driver) fn with_every_unit_planned<T>(f: impl FnOnce() -> T) -> T {
+        PLAN_EVERY_UNIT.set(true);
+        let out = f();
+        PLAN_EVERY_UNIT.set(false);
+        out
     }
 }

@@ -134,18 +134,21 @@ impl Rebalancer {
 
     /// Plan migrations over a load snapshot. The snapshot is copied and
     /// moves are applied to the copy, so each subsequent pick sees the
-    /// effect of earlier ones.
+    /// effect of earlier ones. Each host's utilization is summed once;
+    /// after a move only the two hosts it touched are re-summed, in the
+    /// same `Vec` order, so every value equals a fresh sum bit for bit.
     pub fn plan<I: Copy + Eq>(&self, loads: &[HostLoad<I>]) -> RebalanceReport<I> {
         let mut work: Vec<HostLoad<I>> = loads.to_vec();
-        let gap_before = Self::gap(&work);
+        let mut utils: Vec<f64> = work.iter().map(HostLoad::cpu_utilization).collect();
+        let gap_before = Self::gap(&utils);
         let mut migrations = Vec::new();
 
         while migrations.len() < self.config.max_migrations {
-            let gap = Self::gap(&work);
+            let gap = Self::gap(&utils);
             if gap <= self.config.cpu_gap_threshold {
                 break;
             }
-            let (hot, cool) = match Self::extremes(&work) {
+            let (hot, cool) = match Self::extremes(&utils) {
                 Some(x) => x,
                 None => break,
             };
@@ -153,9 +156,7 @@ impl Rebalancer {
             // the gap without overshooting (never make the cool host hotter
             // than the hot host was) and without violating the destination
             // memory ceiling.
-            let hot_util = work[hot].cpu_utilization();
-            let cool_util = work[cool].cpu_utilization();
-            let half_gap_cores = (hot_util - cool_util) / 2.0 * work[hot].cpu_capacity;
+            let half_gap_cores = (utils[hot] - utils[cool]) / 2.0 * work[hot].cpu_capacity;
             let mem_room =
                 work[cool].mem_capacity_mib * self.config.mem_ceiling - work[cool].mem_used();
             let candidate = work[hot]
@@ -177,6 +178,8 @@ impl Rebalancer {
             let vm = work[hot].vms.remove(vm_idx);
             let (from, to) = (work[hot].id, work[cool].id);
             work[cool].vms.push(vm);
+            utils[hot] = work[hot].cpu_utilization();
+            utils[cool] = work[cool].cpu_utilization();
             migrations.push(Migration {
                 vm_uid: vm.vm_uid,
                 from,
@@ -185,35 +188,34 @@ impl Rebalancer {
         }
 
         RebalanceReport {
-            gap_after: Self::gap(&work),
+            gap_after: Self::gap(&utils),
             gap_before,
             migrations,
         }
     }
 
-    /// Max − min CPU utilization across hosts; 0 for fewer than two hosts.
-    fn gap<I>(loads: &[HostLoad<I>]) -> f64 {
-        if loads.len() < 2 {
+    /// Max − min of the hosts' CPU utilizations; 0 for fewer than two.
+    fn gap(utils: &[f64]) -> f64 {
+        if utils.len() < 2 {
             return 0.0;
         }
-        let utils = loads.iter().map(|l| l.cpu_utilization());
-        let max = utils.clone().fold(f64::NEG_INFINITY, f64::max);
-        let min = utils.fold(f64::INFINITY, f64::min);
+        let max = utils.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let min = utils.iter().copied().fold(f64::INFINITY, f64::min);
         max - min
     }
 
-    /// Indices of the hottest and coolest hosts.
-    fn extremes<I>(loads: &[HostLoad<I>]) -> Option<(usize, usize)> {
-        if loads.len() < 2 {
+    /// Indices of the hottest and coolest hosts (the first of equals).
+    fn extremes(utils: &[f64]) -> Option<(usize, usize)> {
+        if utils.len() < 2 {
             return None;
         }
         let mut hot = 0;
         let mut cool = 0;
-        for (i, l) in loads.iter().enumerate() {
-            if l.cpu_utilization() > loads[hot].cpu_utilization() {
+        for (i, &u) in utils.iter().enumerate() {
+            if u > utils[hot] {
                 hot = i;
             }
-            if l.cpu_utilization() < loads[cool].cpu_utilization() {
+            if u < utils[cool] {
                 cool = i;
             }
         }

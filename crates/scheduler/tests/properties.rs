@@ -2,8 +2,8 @@
 //! set looks like, the pipeline's outputs obey its contracts.
 
 use sapsim_scheduler::{
-    default_filters, pack_all, CpuWeigher, FilterScheduler, HostLoad, HostView, PackingStrategy,
-    PlacementRequest, RamWeigher, Rebalancer, VmLoad, Weigher,
+    default_filters, pack_all, CpuWeigher, DrsConfig, FilterScheduler, HostLoad, HostView,
+    PackingStrategy, PlacementRequest, RamWeigher, Rebalancer, VmLoad, Weigher,
 };
 use sapsim_sim::{for_each_seed, SimRng};
 use sapsim_topology::{AzId, BbId, BbPurpose, NodeId, ResourceKind, Resources};
@@ -163,4 +163,125 @@ fn drs_plan_invariants() {
             assert!(m.from != m.to);
         }
     });
+}
+
+/// A plan as `(vm_uid, from, to)` moves plus the gap before and after,
+/// the gaps as bits so equal means bit-identical.
+type PlanSummary = (Vec<(u64, NodeId, NodeId)>, u64, u64);
+
+/// The planner as written before it kept per-host utilizations: every
+/// gap, every extreme and every half-gap re-sums each host from its VMs.
+/// `plan` must agree with it bit for bit.
+fn reference_plan(config: DrsConfig, loads: &[HostLoad<NodeId>]) -> PlanSummary {
+    fn util(h: &HostLoad<NodeId>) -> f64 {
+        if h.cpu_capacity <= 0.0 {
+            0.0
+        } else {
+            h.vms.iter().map(|v| v.cpu_demand).sum::<f64>() / h.cpu_capacity
+        }
+    }
+    fn gap(hosts: &[HostLoad<NodeId>]) -> f64 {
+        if hosts.len() < 2 {
+            return 0.0;
+        }
+        let max = hosts.iter().map(util).fold(f64::NEG_INFINITY, f64::max);
+        let min = hosts.iter().map(util).fold(f64::INFINITY, f64::min);
+        max - min
+    }
+    fn extremes(hosts: &[HostLoad<NodeId>]) -> Option<(usize, usize)> {
+        if hosts.len() < 2 {
+            return None;
+        }
+        let (mut hot, mut cool) = (0, 0);
+        for (i, h) in hosts.iter().enumerate() {
+            if util(h) > util(&hosts[hot]) {
+                hot = i;
+            }
+            if util(h) < util(&hosts[cool]) {
+                cool = i;
+            }
+        }
+        (hot != cool).then_some((hot, cool))
+    }
+    let mut work = loads.to_vec();
+    let gap_before = gap(&work);
+    let mut moves = Vec::new();
+    while moves.len() < config.max_migrations {
+        if gap(&work) <= config.cpu_gap_threshold {
+            break;
+        }
+        let Some((hot, cool)) = extremes(&work) else {
+            break;
+        };
+        let half_gap_cores = (util(&work[hot]) - util(&work[cool])) / 2.0 * work[hot].cpu_capacity;
+        let mem_used: f64 = work[cool].vms.iter().map(|v| v.mem_used_mib).sum();
+        let mem_room = work[cool].mem_capacity_mib * config.mem_ceiling - mem_used;
+        let candidate = work[hot]
+            .vms
+            .iter()
+            .enumerate()
+            .filter(|(_, v)| v.movable && v.mem_used_mib <= mem_room)
+            .filter(|(_, v)| v.cpu_demand > 0.0 && v.cpu_demand <= half_gap_cores * 2.0)
+            .min_by(|(_, a), (_, b)| {
+                let da = (a.cpu_demand - half_gap_cores).abs();
+                let db = (b.cpu_demand - half_gap_cores).abs();
+                da.partial_cmp(&db).expect("demands are finite")
+            })
+            .map(|(i, _)| i);
+        let Some(vm_idx) = candidate else {
+            break;
+        };
+        let vm = work[hot].vms.remove(vm_idx);
+        moves.push((vm.vm_uid, work[hot].id, work[cool].id));
+        work[cool].vms.push(vm);
+    }
+    (moves, gap_before.to_bits(), gap(&work).to_bits())
+}
+
+/// `plan` makes the reference's moves and reports its gaps bit for bit,
+/// on loads built to hit the edges: utilization ties (demands on a
+/// half-core grid over equal capacities), zero-capacity hosts, pinned and
+/// idle VMs, and memory ceilings tight enough to refuse most moves.
+#[test]
+fn drs_plan_matches_the_reference_planner() {
+    let mut moved = 0;
+    for_each_seed(512, |rng| {
+        let config = DrsConfig {
+            cpu_gap_threshold: [0.0, 0.05, 0.15][rng.range(0, 3) as usize],
+            max_migrations: [1, 8, 64][rng.range(0, 3) as usize],
+            mem_ceiling: [0.02, 0.1, 0.5, 0.95, 1.0][rng.range(0, 5) as usize],
+        };
+        let loads: Vec<HostLoad<NodeId>> = (0..rng.range(0, 10))
+            .map(|i| HostLoad {
+                id: NodeId::from_raw(i as u32),
+                cpu_capacity: if rng.bool(0.1) { 0.0 } else { 16.0 },
+                mem_capacity_mib: 64.0 * 1024.0,
+                vms: (0..rng.range(0, 12))
+                    .map(|j| VmLoad {
+                        vm_uid: i * 1000 + j,
+                        cpu_demand: rng.range(0, 9) as f64 / 2.0,
+                        mem_used_mib: rng.range(0, 8) as f64 * 1024.0,
+                        movable: rng.bool(0.7),
+                    })
+                    .collect(),
+            })
+            .collect();
+        let report = Rebalancer::new(config).plan(&loads);
+        let moves = report
+            .migrations
+            .iter()
+            .map(|m| (m.vm_uid, m.from, m.to))
+            .collect();
+        let got = (
+            moves,
+            report.gap_before.to_bits(),
+            report.gap_after.to_bits(),
+        );
+        assert_eq!(got, reference_plan(config, &loads), "{config:?}");
+        moved += got.0.len();
+    });
+    assert!(
+        moved > 0,
+        "the cases must exercise moves, not only early exits"
+    );
 }
