@@ -337,7 +337,7 @@ impl ApiRequest {
     }
 
     /// `true` for ops that (outside dry-run) mutate engine state and
-    /// must therefore run on the serialized writer.
+    /// must therefore run under the service's one lock.
     pub fn is_mutation(&self) -> bool {
         match self {
             ApiRequest::Place(r) => !r.dry_run,

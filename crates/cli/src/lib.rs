@@ -114,8 +114,8 @@ SERVE OPTIONS:
                          GET /metrics (Prometheus text)
     --tcp <ADDR>         also serve JSONL-over-TCP (one envelope per line,
                          persistent connections, same codec as HTTP)
-    --workers <N>        read-path worker threads          [default: 4]
-                         mutations always serialize onto one writer thread
+    --workers <N>        worker threads, at most 256       [default: 4]
+                         mutations and commits take one service lock
     --strict             reject unknown envelope fields (default tolerates)
     --max-body-kib <N>   largest request body / line, KiB  [default: 64]
     --read-timeout-ms <N> socket read budget per request   [default: 2000]

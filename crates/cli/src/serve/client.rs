@@ -81,29 +81,29 @@ pub(crate) fn run_tcp(addr: &str, script: &str, out: &mut dyn Write) -> Result<(
 
 /// POST one envelope line and return the response body.
 pub fn post_request(addr: &str, line: &str) -> Result<String, CliError> {
-    let mut stream = connect(addr)?;
-    let request = format!(
-        "POST /v1/request HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{line}",
-        line.len(),
-    );
-    send(&mut stream, addr, &request)?;
-    let mut raw = Vec::new();
-    stream
-        .read_to_end(&mut raw)
-        .map_err(|e| CliError::Io(format!("cannot read from `{addr}`: {e}")))?;
-    let text = String::from_utf8_lossy(&raw);
-    let body = text
-        .split_once("\r\n\r\n")
-        .map(|(_, body)| body)
-        .unwrap_or(&text);
+    let body = exchange(
+        addr,
+        &format!(
+            "POST /v1/request HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{line}",
+            line.len(),
+        ),
+    )?;
     Ok(body.trim_end().to_string())
 }
 
 /// GET a path (used for `/healthz` readiness polling and `/metrics`).
 pub fn get(addr: &str, path: &str) -> Result<String, CliError> {
+    exchange(
+        addr,
+        &format!("GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n"),
+    )
+}
+
+/// Send one HTTP request on a fresh connection and return what follows
+/// the response head (the whole response when no head ends in it).
+fn exchange(addr: &str, request: &str) -> Result<String, CliError> {
     let mut stream = connect(addr)?;
-    let request = format!("GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n");
-    send(&mut stream, addr, &request)?;
+    send(&mut stream, addr, request)?;
     let mut raw = Vec::new();
     stream
         .read_to_end(&mut raw)
@@ -111,7 +111,6 @@ pub fn get(addr: &str, path: &str) -> Result<String, CliError> {
     let text = String::from_utf8_lossy(&raw);
     Ok(text
         .split_once("\r\n\r\n")
-        .map(|(_, body)| body)
-        .unwrap_or(&text)
+        .map_or(&*text, |(_, body)| body)
         .to_string())
 }

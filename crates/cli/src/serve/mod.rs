@@ -4,7 +4,7 @@
 //! One process, three modes:
 //!
 //! * **Server** (default): load the paper estate, keep a live
-//!   [`PlacementEngine`] behind a single writer thread, and answer
+//!   [`PlacementEngine`] behind one service lock, and answer
 //!   `sapsim.api/v1` requests over hand-rolled HTTP/1.1
 //!   (`POST /v1/request`) and an optional JSONL-over-TCP fast path
 //!   (`--tcp`) that shares the same codec.
@@ -18,15 +18,17 @@
 //! Concurrency model: one accept loop per listener blocks in `accept`
 //! and hands each connection (with `TCP_NODELAY` set) to a worker pool.
 //! Workers answer reads (`state`, dry-run planning) from a published
-//! snapshot fork; every mutation and every commit is funneled through
-//! one writer thread that owns the live engine, so interleaved what-ifs
+//! snapshot fork. Every mutation and every commit runs under one
+//! `Mutex<Service>` that owns the live engine, so interleaved what-ifs
 //! can never corrupt state — a commit whose base version has been
-//! overtaken is answered `conflict`, never applied. The writer
-//! republishes the snapshot after each write; a fork is a field copy of
-//! the engine, so its cost is a memory copy of the estate. Every reply
-//! leaves in one `write_all`. `shutdown` raises a flag and dials each
-//! listener once, so a loop blocked in `accept` wakes, sees the flag and
-//! exits.
+//! overtaken is answered `conflict`, never applied — and commits apply
+//! in lock order. The worker holding the lock republishes the snapshot
+//! before it unlocks, so a client that has seen version v never plans on
+//! an older one; a fork is a field copy of the engine, so its cost is a
+//! memory copy of the estate. A dry run takes the lock only to register
+//! its plan, before the client sees the token. Every reply leaves in one
+//! `write_all`. `shutdown` raises a flag and dials each listener once,
+//! so a loop blocked in `accept` wakes, sees the flag and exits.
 
 pub mod client;
 pub mod http;
@@ -38,11 +40,11 @@ use sapsim_api::{ApiRequest, ApiResponse, ProtocolError, ShutdownResponse};
 use sapsim_core::{PlacementEngine, PlacementGranularity, SimConfig};
 use sapsim_obs::MetricsRegistry;
 use sapsim_scheduler::PolicyKind;
-use service::{PendingTxn, Service};
-use std::io::{BufRead, BufReader, Write};
+use service::Service;
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex, RwLock};
+use std::sync::{mpsc, Arc, Mutex, PoisonError, RwLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -111,8 +113,8 @@ fn require_script(parsed: &Parsed) -> Result<&str, CliError> {
     })
 }
 
-/// Offline applier: the same [`Service::execute`] path the server's
-/// writer runs, printed line for line. A served session replaying the
+/// Offline applier: the same [`Service::execute`] path the server runs
+/// under its lock, printed line for line. A served session replaying the
 /// same script produces byte-identical envelopes and the same final
 /// state hash.
 fn run_offline(
@@ -135,19 +137,64 @@ fn run_offline(
     Ok(())
 }
 
+/// Most worker threads `--workers` may ask for. Each worker is an OS
+/// thread that holds one connection at a time, and every write waits on
+/// the one service lock, so a larger pool buys no throughput.
+const MAX_WORKERS: usize = 256;
+
+/// The server's pool and socket limits, range-checked before the estate
+/// boots or any thread starts.
+#[derive(Debug, PartialEq, Eq)]
+struct Limits {
+    /// Worker threads, 1 to [`MAX_WORKERS`].
+    workers: usize,
+    /// Largest accepted request body / JSONL line, bytes.
+    max_body: usize,
+    /// Per-connection socket read budget (the slow-loris bound).
+    read_timeout: Duration,
+}
+
+impl Limits {
+    fn from_args(parsed: &Parsed) -> Result<Limits, CliError> {
+        let workers = parsed.get_parsed("workers", 4usize)?.max(1);
+        if workers > MAX_WORKERS {
+            return Err(CliError::Usage(format!(
+                "`--workers` is at most {MAX_WORKERS}, got {workers}"
+            )));
+        }
+        let kib = parsed.get_parsed("max-body-kib", 64usize)?.max(1);
+        let max_body = kib.checked_mul(1024).ok_or_else(|| {
+            CliError::Usage(format!(
+                "`--max-body-kib` is at most {}, got {kib}",
+                usize::MAX / 1024
+            ))
+        })?;
+        let read_timeout =
+            Duration::from_millis(parsed.get_parsed("read-timeout-ms", 2000u64)?.max(1));
+        Ok(Limits {
+            workers,
+            max_body,
+            read_timeout,
+        })
+    }
+}
+
 /// State shared by the accept loops and worker threads.
 struct Shared {
-    /// The published engine view, republished by the writer after every
-    /// applied mutation. Reads clone the `Arc` and drop the lock.
+    /// The live engine and the dry-run ledger. A worker holds the lock
+    /// to execute a mutation or a commit and republish the snapshot, or
+    /// to register a plan it made on the snapshot.
+    service: Mutex<Service>,
+    /// The published engine view, republished under the service lock
+    /// after every executed request. Reads clone the `Arc` and drop the
+    /// lock.
     snapshot: RwLock<Arc<PlacementEngine>>,
     /// Request latency histograms, throughput counters, version gauge.
     metrics: Mutex<MetricsRegistry>,
     /// Reject unknown envelope fields.
     strict: bool,
-    /// Largest accepted request body / JSONL line, bytes.
-    max_body: usize,
-    /// Per-connection socket read budget (the slow-loris bound).
-    read_timeout: Duration,
+    /// Pool size, body cap and read budget.
+    limits: Limits,
     /// Raised by [`Shared::shut_down`]; accept loops drain and exit.
     shutdown: AtomicBool,
     /// One dialable address per listener: the bound address, with an
@@ -156,6 +203,11 @@ struct Shared {
 }
 
 impl Shared {
+    /// The published engine view.
+    fn snapshot(&self) -> Arc<PlacementEngine> {
+        self.snapshot.read().expect("snapshot lock").clone()
+    }
+
     /// Raise the shutdown flag, once, and wake every accept loop blocked
     /// in `accept` by dialing its listener. The connection only has to
     /// reach the kernel's backlog, so the caller never waits on a loop.
@@ -179,22 +231,6 @@ fn dialable(mut addr: SocketAddr) -> SocketAddr {
     addr
 }
 
-/// Work for the serialized writer thread.
-enum WriteMsg {
-    /// Apply a live mutation or commit and reply with its response.
-    Apply {
-        request: ApiRequest,
-        reply: mpsc::SyncSender<ApiResponse>,
-    },
-    /// Register a worker-planned dry-run; acked so the plan is durable
-    /// before the client sees its token.
-    Register {
-        token: String,
-        txn: PendingTxn,
-        reply: mpsc::SyncSender<()>,
-    },
-}
-
 /// Which front end accepted a connection.
 #[derive(Clone, Copy)]
 enum ConnKind {
@@ -210,9 +246,8 @@ struct Conn {
 /// Boot the estate and serve until a `shutdown` request lands.
 fn run_server(cfg: SimConfig, parsed: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
     let listen = parsed.get("listen").unwrap_or("127.0.0.1:7070");
-    let workers = parsed.get_parsed("workers", 4usize)?.max(1);
-    let max_body = parsed.get_parsed("max-body-kib", 64usize)?.max(1) * 1024;
-    let read_timeout = Duration::from_millis(parsed.get_parsed("read-timeout-ms", 2000u64)?.max(1));
+    let limits = Limits::from_args(parsed)?;
+    let workers = limits.workers;
 
     let service = Service::new(cfg)?;
     let (total_nodes, _) = service.engine.node_counts();
@@ -232,15 +267,15 @@ fn run_server(cfg: SimConfig, parsed: &Parsed, out: &mut dyn Write) -> Result<()
         listen_addrs.push(dialable(l.local_addr()?));
     }
 
-    let shared = Arc::new(Shared {
+    let shared = Shared {
         snapshot: RwLock::new(Arc::new(service.engine.fork())),
+        service: Mutex::new(service),
         metrics: Mutex::new(MetricsRegistry::new()),
         strict: parsed.flag("strict"),
-        max_body,
-        read_timeout,
+        limits,
         shutdown: AtomicBool::new(false),
         listen_addrs,
-    });
+    };
 
     writeln!(
         out,
@@ -256,46 +291,36 @@ fn run_server(cfg: SimConfig, parsed: &Parsed, out: &mut dyn Write) -> Result<()
     }
     out.flush()?;
 
-    let (write_tx, write_rx) = mpsc::channel::<WriteMsg>();
-    let writer = {
-        let shared = Arc::clone(&shared);
-        thread::spawn(move || writer_loop(service, shared, write_rx))
-    };
-
     let (conn_tx, conn_rx) = mpsc::channel::<Conn>();
-    let conn_rx = Arc::new(Mutex::new(conn_rx));
-    let mut worker_handles = Vec::new();
-    for _ in 0..workers {
-        let shared = Arc::clone(&shared);
-        let conn_rx = Arc::clone(&conn_rx);
-        let write_tx = write_tx.clone();
-        worker_handles.push(thread::spawn(move || worker_loop(shared, conn_rx, write_tx)));
-    }
-
-    let tcp_accept = tcp_listener.map(|l| {
-        let shared = Arc::clone(&shared);
-        let conn_tx = conn_tx.clone();
-        thread::spawn(move || accept_loop(l, ConnKind::Jsonl, conn_tx, shared))
+    let conn_rx = Mutex::new(conn_rx);
+    let (shared, conn_rx) = (&shared, &conn_rx);
+    thread::scope(|s| {
+        let pool: Vec<_> = (0..workers)
+            .map(|_| s.spawn(move || worker_loop(shared, conn_rx)))
+            .collect();
+        if let Some(l) = tcp_listener {
+            let conn_tx = conn_tx.clone();
+            s.spawn(move || accept_loop(l, ConnKind::Jsonl, conn_tx, shared));
+        }
+        accept_loop(listener, ConnKind::Http, conn_tx, shared);
+        // Once both accept loops are done no sender is left: the workers
+        // drain the queue and exit. Joining them here keeps a worker's
+        // panic from ending the server.
+        for worker in pool {
+            let _ = worker.join();
+        }
     });
 
-    accept_loop(listener, ConnKind::Http, conn_tx, Arc::clone(&shared));
-    if let Some(handle) = tcp_accept {
-        let _ = handle.join();
-    }
-    // All senders are gone: workers drain the queue and exit.
-    for handle in worker_handles {
-        let _ = handle.join();
-    }
-    drop(write_tx);
-    let _ = writer.join();
-
-    let final_view = shared.snapshot.read().expect("snapshot lock").clone();
+    let service = shared
+        .service
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
     writeln!(
         out,
         "serve: shut down at version {} with {} vms (state {})",
-        final_view.version(),
-        final_view.vm_count(),
-        final_view.state_hash()
+        service.engine.version(),
+        service.engine.vm_count(),
+        service.engine.state_hash()
     )?;
     Ok(())
 }
@@ -309,7 +334,7 @@ fn accept_loop(
     listener: TcpListener,
     kind: ConnKind,
     conn_tx: mpsc::Sender<Conn>,
-    shared: Arc<Shared>,
+    shared: &Shared,
 ) {
     for stream in listener.incoming() {
         if shared.shutdown.load(Ordering::SeqCst) {
@@ -321,33 +346,7 @@ fn accept_loop(
     }
 }
 
-/// The single mutating thread: owns the live [`Service`], applies
-/// mutations and commits in arrival order, republishes the snapshot.
-fn writer_loop(mut service: Service, shared: Arc<Shared>, rx: mpsc::Receiver<WriteMsg>) {
-    for msg in rx {
-        match msg {
-            WriteMsg::Apply { request, reply } => {
-                let response = service.execute(&request);
-                *shared.snapshot.write().expect("snapshot lock") =
-                    Arc::new(service.engine.fork());
-                if service.shutdown {
-                    shared.shut_down();
-                }
-                let _ = reply.send(response);
-            }
-            WriteMsg::Register { token, txn, reply } => {
-                service.pending.register(token, txn);
-                let _ = reply.send(());
-            }
-        }
-    }
-}
-
-fn worker_loop(
-    shared: Arc<Shared>,
-    conn_rx: Arc<Mutex<mpsc::Receiver<Conn>>>,
-    write_tx: mpsc::Sender<WriteMsg>,
-) {
+fn worker_loop(shared: &Shared, conn_rx: &Mutex<mpsc::Receiver<Conn>>) {
     loop {
         let conn = {
             let guard = conn_rx.lock().expect("connection queue lock");
@@ -355,94 +354,65 @@ fn worker_loop(
         };
         let Ok(conn) = conn else { break };
         match conn.kind {
-            ConnKind::Http => handle_http(&shared, &write_tx, conn.stream),
-            ConnKind::Jsonl => handle_jsonl(&shared, &write_tx, conn.stream),
+            ConnKind::Http => handle_http(shared, conn.stream),
+            ConnKind::Jsonl => handle_jsonl(shared, conn.stream),
         }
     }
 }
 
 /// One HTTP exchange: route, answer, close.
-fn handle_http(shared: &Shared, write_tx: &mpsc::Sender<WriteMsg>, mut stream: TcpStream) {
-    if http::arm_timeout(&stream, shared.read_timeout).is_err() {
+fn handle_http(shared: &Shared, mut stream: TcpStream) {
+    if http::arm_timeout(&stream, shared.limits.read_timeout).is_err() {
         return;
     }
-    let request = match http::read_request(&mut stream, shared.max_body) {
-        Ok(request) => request,
-        Err(e) => {
-            record_protocol_error(shared, &e);
-            let response = ApiResponse::from_error(&e, None);
-            let _ = http::write_response(
-                &mut stream,
-                response.http_status(),
-                "application/json",
-                &response.to_json_line(),
-            );
-            return;
-        }
+    let response = match http::read_request(&mut stream, shared.limits.max_body) {
+        Err(e) => refuse(shared, &e),
+        Ok(request) => match (request.method.as_str(), request.path.as_str()) {
+            ("GET", "/healthz") => {
+                let _ = http::write_response(&mut stream, 200, "text/plain", "ok\n");
+                return;
+            }
+            ("GET", "/metrics") => {
+                let page = shared
+                    .metrics
+                    .lock()
+                    .expect("metrics lock")
+                    .to_prometheus(SERVE_HELP);
+                let _ = http::write_response(&mut stream, 200, "text/plain; version=0.0.4", &page);
+                return;
+            }
+            ("GET", "/v1/state") => {
+                let started = Instant::now();
+                let response = service::state_response(&shared.snapshot(), None);
+                observe(shared, "state", &response, started.elapsed());
+                response
+            }
+            ("POST", "/v1/request") => answer_line(shared, &String::from_utf8_lossy(&request.body)),
+            (method, path @ ("/healthz" | "/metrics" | "/v1/state" | "/v1/request")) => refuse(
+                shared,
+                &ProtocolError::MethodNotAllowed(format!(
+                    "method `{method}` not allowed on `{path}`"
+                )),
+            ),
+            (_, path) => refuse(
+                shared,
+                &ProtocolError::NotFound(format!("no route `{path}`")),
+            ),
+        },
     };
-    match (request.method.as_str(), request.path.as_str()) {
-        ("GET", "/healthz") => {
-            let _ = http::write_response(&mut stream, 200, "text/plain", "ok\n");
-        }
-        ("GET", "/metrics") => {
-            let page = shared.metrics.lock().expect("metrics lock").to_prometheus(SERVE_HELP);
-            let _ = http::write_response(&mut stream, 200, "text/plain; version=0.0.4", &page);
-        }
-        ("GET", "/v1/state") => {
-            let started = Instant::now();
-            let snapshot = shared.snapshot.read().expect("snapshot lock").clone();
-            let response = service::state_response(&snapshot, None);
-            observe(shared, "state", &response, started.elapsed());
-            let _ = http::write_response(
-                &mut stream,
-                response.http_status(),
-                "application/json",
-                &response.to_json_line(),
-            );
-        }
-        ("POST", "/v1/request") => {
-            let body = String::from_utf8_lossy(&request.body).into_owned();
-            let response = answer_line(shared, write_tx, &body);
-            let _ = http::write_response(
-                &mut stream,
-                response.http_status(),
-                "application/json",
-                &response.to_json_line(),
-            );
-        }
-        (_, "/healthz" | "/metrics" | "/v1/state" | "/v1/request") => {
-            let err = ProtocolError::MethodNotAllowed(format!(
-                "method `{}` not allowed on `{}`",
-                request.method, request.path
-            ));
-            record_protocol_error(shared, &err);
-            let response = ApiResponse::from_error(&err, None);
-            let _ = http::write_response(
-                &mut stream,
-                response.http_status(),
-                "application/json",
-                &response.to_json_line(),
-            );
-        }
-        (_, path) => {
-            let err = ProtocolError::NotFound(format!("no route `{path}`"));
-            record_protocol_error(shared, &err);
-            let response = ApiResponse::from_error(&err, None);
-            let _ = http::write_response(
-                &mut stream,
-                response.http_status(),
-                "application/json",
-                &response.to_json_line(),
-            );
-        }
-    }
+    let _ = http::write_response(
+        &mut stream,
+        response.http_status(),
+        "application/json",
+        &response.to_json_line(),
+    );
 }
 
 /// The JSONL-over-TCP fast path: a persistent connection, one request
 /// envelope per line, one response envelope per line, same codec and
 /// same dispatch as HTTP.
-fn handle_jsonl(shared: &Shared, write_tx: &mpsc::Sender<WriteMsg>, stream: TcpStream) {
-    if http::arm_timeout(&stream, shared.read_timeout).is_err() {
+fn handle_jsonl(shared: &Shared, stream: TcpStream) {
+    if http::arm_timeout(&stream, shared.limits.read_timeout).is_err() {
         return;
     }
     let Ok(read_half) = stream.try_clone() else {
@@ -451,14 +421,14 @@ fn handle_jsonl(shared: &Shared, write_tx: &mpsc::Sender<WriteMsg>, stream: TcpS
     let mut reader = BufReader::new(read_half);
     let mut writer = stream;
     loop {
-        match read_jsonl_line(&mut reader, shared.max_body) {
+        match read_jsonl_line(&mut reader, shared.limits.max_body) {
             Ok(None) => break,
             Ok(Some(line)) => {
                 let line = line.trim();
                 if line.is_empty() {
                     continue;
                 }
-                let response = answer_line(shared, write_tx, line);
+                let response = answer_line(shared, line);
                 let closing = matches!(response, ApiResponse::Shutdown(_));
                 if write_line(&mut writer, &response).is_err() {
                     break;
@@ -468,8 +438,7 @@ fn handle_jsonl(shared: &Shared, write_tx: &mpsc::Sender<WriteMsg>, stream: TcpS
                 }
             }
             Err(e) => {
-                record_protocol_error(shared, &e);
-                let _ = write_line(&mut writer, &ApiResponse::from_error(&e, None));
+                let _ = write_line(&mut writer, &refuse(shared, &e));
                 break;
             }
         }
@@ -483,34 +452,28 @@ fn write_line(stream: &mut TcpStream, response: &ApiResponse) -> std::io::Result
     stream.write_all(line.as_bytes())
 }
 
-/// Read one `\n`-terminated line with a byte cap; `Ok(None)` on clean
-/// EOF before any byte.
-fn read_jsonl_line(
-    reader: &mut impl BufRead,
-    cap: usize,
-) -> Result<Option<String>, ProtocolError> {
+/// Read one `\n`-terminated line of at most `cap` bytes before the
+/// `\n`; `Ok(None)` on clean EOF before any byte.
+fn read_jsonl_line(reader: &mut impl BufRead, cap: usize) -> Result<Option<String>, ProtocolError> {
     let mut buf = Vec::new();
-    loop {
-        let mut byte = [0u8; 1];
-        let n = reader.read(&mut byte).map_err(http::io_to_protocol)?;
-        if n == 0 {
-            if buf.is_empty() {
-                return Ok(None);
-            }
-            return Err(ProtocolError::Malformed(
-                "connection closed mid-line".into(),
-            ));
-        }
-        if byte[0] == b'\n' {
-            break;
-        }
-        buf.push(byte[0]);
-        if buf.len() > cap {
-            return Err(ProtocolError::TooLarge {
-                limit: cap,
-                got: buf.len(),
-            });
-        }
+    let limit = u64::try_from(cap).map_or(u64::MAX, |cap| cap.saturating_add(1));
+    reader
+        .take(limit)
+        .read_until(b'\n', &mut buf)
+        .map_err(http::io_to_protocol)?;
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+    } else if buf.len() > cap {
+        return Err(ProtocolError::TooLarge {
+            limit: cap,
+            got: buf.len(),
+        });
+    } else if buf.is_empty() {
+        return Ok(None);
+    } else {
+        return Err(ProtocolError::Malformed(
+            "connection closed mid-line".into(),
+        ));
     }
     String::from_utf8(buf)
         .map(Some)
@@ -518,79 +481,60 @@ fn read_jsonl_line(
 }
 
 /// Parse one envelope line, dispatch it, and record metrics.
-fn answer_line(shared: &Shared, write_tx: &mpsc::Sender<WriteMsg>, line: &str) -> ApiResponse {
+fn answer_line(shared: &Shared, line: &str) -> ApiResponse {
     let started = Instant::now();
     let (op, response) = match ApiRequest::parse_line(line, shared.strict) {
-        Ok(request) => {
-            let op = request.op();
-            (op, dispatch(shared, write_tx, request))
-        }
+        Ok(request) => (request.op(), dispatch(shared, &request)),
         Err(e) => ("invalid", ApiResponse::from_error(&e, None)),
     };
     observe(shared, op, &response, started.elapsed());
     response
 }
 
-/// Route one parsed request: dry-runs plan on the snapshot and register
-/// with the writer; mutations and commits go *through* the writer;
-/// state and shutdown answer from the snapshot.
-fn dispatch(shared: &Shared, write_tx: &mpsc::Sender<WriteMsg>, request: ApiRequest) -> ApiResponse {
-    if service::is_dry_run(&request) {
-        let snapshot = shared.snapshot.read().expect("snapshot lock").clone();
-        let (response, registration) = service::plan_dry_run(&snapshot, &request);
-        if let Some((token, txn)) = registration {
-            let (ack_tx, ack_rx) = mpsc::sync_channel(1);
-            if write_tx
-                .send(WriteMsg::Register {
-                    token,
-                    txn,
-                    reply: ack_tx,
-                })
-                .is_ok()
-            {
-                // The plan must be registered before the client can
-                // commit it; wait for the writer's ack.
-                let _ = ack_rx.recv();
-            }
-        }
-        return response;
-    }
-    if request.is_mutation() {
-        let id = request.client_id().map(str::to_string);
-        let (reply_tx, reply_rx) = mpsc::sync_channel(1);
-        if write_tx
-            .send(WriteMsg::Apply {
-                request,
-                reply: reply_tx,
-            })
-            .is_err()
-        {
-            return ApiResponse::from_error(
-                &ProtocolError::Internal("writer thread is gone".into()),
-                id,
-            );
-        }
-        return reply_rx.recv().unwrap_or_else(|_| {
-            ApiResponse::from_error(
-                &ProtocolError::Internal("writer thread dropped the request".into()),
-                id,
-            )
-        });
-    }
+/// Route one parsed request. `state` and `shutdown` answer without the
+/// service lock; a dry run plans on the snapshot and takes the lock
+/// only to register its plan; every other request executes under it.
+fn dispatch(shared: &Shared, request: &ApiRequest) -> ApiResponse {
     match request {
-        ApiRequest::State(r) => {
-            let snapshot = shared.snapshot.read().expect("snapshot lock").clone();
-            service::state_response(&snapshot, r.id.clone())
-        }
+        ApiRequest::State(r) => return service::state_response(&shared.snapshot(), r.id.clone()),
         ApiRequest::Shutdown(r) => {
             shared.shut_down();
-            ApiResponse::Shutdown(ShutdownResponse::new().with_id(r.id.clone()))
+            return ApiResponse::Shutdown(ShutdownResponse::new().with_id(r.id.clone()));
         }
-        other => ApiResponse::from_error(
-            &ProtocolError::Internal(format!("unroutable op `{}`", other.op())),
-            None,
-        ),
+        _ => {}
     }
+    if service::is_dry_run(request) {
+        let (response, registration) = service::plan_dry_run(&shared.snapshot(), request);
+        let Some((token, txn)) = registration else {
+            return response;
+        };
+        // The plan is registered before the client can see its token.
+        return match shared.service.lock() {
+            Ok(mut service) => {
+                service.pending.register(token, txn);
+                response
+            }
+            Err(_) => poisoned(request),
+        };
+    }
+    let Ok(mut service) = shared.service.lock() else {
+        return poisoned(request);
+    };
+    let response = service.execute(request);
+    // Republish before unlocking: a client that has seen version v
+    // never plans on an older snapshot.
+    let view = Arc::new(service.engine.fork());
+    *shared.snapshot.write().expect("snapshot lock") = view;
+    response
+}
+
+/// The answer once a worker has panicked while holding the service lock:
+/// the engine may be half-mutated, so nothing touches it again.
+fn poisoned(request: &ApiRequest) -> ApiResponse {
+    ApiResponse::from_error(
+        &ProtocolError::Internal("the placement service failed on an earlier request".into()),
+        request.client_id().map(str::to_string),
+    )
 }
 
 /// Record one answered request: latency histogram and throughput
@@ -622,11 +566,13 @@ fn observe(shared: &Shared, op: &'static str, response: &ApiResponse, elapsed: D
     }
 }
 
-/// Record a protocol failure that never reached dispatch (bad head,
-/// oversized body, slow-loris timeout).
-fn record_protocol_error(shared: &Shared, err: &ProtocolError) {
+/// Count a protocol failure that never reached dispatch (bad head,
+/// oversized body, slow-loris timeout, unknown route) and build its
+/// error envelope.
+fn refuse(shared: &Shared, err: &ProtocolError) -> ApiResponse {
     let mut metrics = shared.metrics.lock().expect("metrics lock");
     metrics.counter_with("serve_errors_total", "code", err.code(), 1);
+    ApiResponse::from_error(err, None)
 }
 
 /// Help texts of the `/metrics` page's families.
@@ -689,5 +635,63 @@ mod tests {
         let err = read_jsonl_line(&mut oversized, 10).unwrap_err();
         assert_eq!(err.code(), "too-large");
         assert_eq!(err.http_status(), 413);
+
+        // A line of exactly `cap` bytes fits, and the reader stops at its
+        // `\n`; one byte more is refused as `cap + 1` bytes.
+        let mut at_cap = std::io::Cursor::new(b"0123456789\nnext\n".to_vec());
+        assert_eq!(
+            read_jsonl_line(&mut at_cap, 10).unwrap(),
+            Some("0123456789".to_string())
+        );
+        assert_eq!(
+            read_jsonl_line(&mut at_cap, 10).unwrap(),
+            Some("next".to_string())
+        );
+        let mut past_cap = std::io::Cursor::new(b"0123456789a\n".to_vec());
+        let err = read_jsonl_line(&mut past_cap, 10).unwrap_err();
+        assert_eq!(err, ProtocolError::TooLarge { limit: 10, got: 11 });
+    }
+
+    fn serve_args(args: &[&str]) -> Parsed {
+        let argv: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        Parsed::parse(&argv, VALUE_OPTIONS, BOOL_FLAGS).expect("known options")
+    }
+
+    #[test]
+    fn pool_and_body_limits_are_range_checked_before_anything_starts() {
+        assert_eq!(
+            Limits::from_args(&serve_args(&[])).unwrap(),
+            Limits {
+                workers: 4,
+                max_body: 64 * 1024,
+                read_timeout: Duration::from_millis(2000),
+            }
+        );
+        let largest_kib = usize::MAX / 1024;
+        let limits = Limits::from_args(&serve_args(&[
+            "--workers",
+            &MAX_WORKERS.to_string(),
+            "--max-body-kib",
+            &largest_kib.to_string(),
+        ]))
+        .unwrap();
+        assert_eq!(limits.workers, MAX_WORKERS);
+        assert_eq!(limits.max_body, largest_kib * 1024);
+        assert_eq!(
+            Limits::from_args(&serve_args(&["--workers", "0"]))
+                .unwrap()
+                .workers,
+            1
+        );
+
+        for args in [
+            ["--workers", &(MAX_WORKERS + 1).to_string()],
+            ["--workers", &usize::MAX.to_string()],
+            ["--max-body-kib", &(largest_kib + 1).to_string()],
+            ["--max-body-kib", &usize::MAX.to_string()],
+        ] {
+            let err = Limits::from_args(&serve_args(&args)).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{args:?}: {err}");
+        }
     }
 }

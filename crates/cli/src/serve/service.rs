@@ -4,10 +4,10 @@
 //! transaction ledger, and [`Service::execute`] is the *single* code
 //! path that turns an [`ApiRequest`] into an [`ApiResponse`]. The
 //! offline applier (`sapsim serve --script`) calls it directly; the
-//! server's writer thread calls it for every mutation; the server's
-//! worker threads call the same [`plan_dry_run`] helper on snapshot
-//! forks. One path, therefore byte-identical responses online and
-//! offline — which is what lets CI diff a served session against an
+//! server's workers call it under one `Mutex<Service>` for every
+//! mutation and commit, and call the same [`plan_dry_run`] helper on
+//! snapshot forks. One path, therefore byte-identical responses online
+//! and offline — which is what lets CI diff a served session against an
 //! offline replay.
 
 use sapsim_api::{
@@ -91,9 +91,9 @@ impl Service {
     }
 
     /// Execute one request against the live engine and return its wire
-    /// response. This is the serialized-writer path: callers must
-    /// guarantee mutual exclusion (the server funnels every call
-    /// through one thread; the offline applier is single-threaded).
+    /// response. Callers guarantee mutual exclusion: the server calls
+    /// it only while holding its service lock, and the offline applier
+    /// is single-threaded.
     pub fn execute(&mut self, request: &ApiRequest) -> ApiResponse {
         if is_dry_run(request) {
             let (response, registration) = plan_dry_run(&self.engine, request);
@@ -157,7 +157,7 @@ pub(crate) fn is_dry_run(request: &ApiRequest) -> bool {
 /// Plan a dry-run request on a fork of `view` (which may be the live
 /// engine or a published snapshot — forks of either are equivalent).
 /// Returns the wire response and, on success, the `(token, plan)` pair
-/// the caller must register with the writer before replying.
+/// the caller must register with the live service before replying.
 pub fn plan_dry_run(
     view: &PlacementEngine,
     request: &ApiRequest,

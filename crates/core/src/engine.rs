@@ -166,7 +166,7 @@ pub struct EvacReport {
 /// indexed by id.
 ///
 /// All operations are sequential (`&mut self`); the serve layer
-/// serializes mutations onto one writer thread and forks snapshots for
+/// serializes mutations under one lock and forks snapshots for
 /// concurrent reads, so the engine itself never needs interior
 /// synchronization.
 #[derive(Debug)]

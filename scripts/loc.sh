@@ -28,8 +28,9 @@ for dir in crates/*/ bench/; do
     sum_total=$((sum_total + total))
     sum_non_test=$((sum_non_test + non_test))
 done
-# The simulation driver: one file before it was split into modules.
-for dir in crates/core/src crates/core/src/driver*; do
+# The simulation driver: one file before it was split into modules; and
+# the placement server.
+for dir in crates/core/src crates/core/src/driver* crates/cli/src/serve; do
     read -r total non_test < <(count "$dir")
     printf '%-26s %8d %9d\n' "$dir" "$total" "$non_test"
 done

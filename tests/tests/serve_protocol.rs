@@ -7,17 +7,20 @@
 //!    from the outside (malformed bodies, unknown schemas, oversized
 //!    requests, slow-loris reads, stale commits, ...) and arrives with
 //!    its registered wire code and HTTP status.
-//! 2. **Serialized-writer invariant** — interleaving a live write
-//!    between a dry-run plan and its commit yields `conflict`, never a
-//!    silently-corrupted state.
+//! 2. **Serialized-service invariant** — every write runs under the
+//!    server's one `Mutex<Service>`: interleaving a live write between a
+//!    dry-run plan and its commit yields `conflict`, never a
+//!    silently-corrupted state, and concurrent clients see each write
+//!    applied exactly once, at consecutive versions, in an order the
+//!    offline applier replays to the same state hash.
 //! 3. **Online/offline equivalence** — a scripted place/resize/evacuate
 //!    session through the HTTP server is byte-identical to the same
 //!    script through the offline applier, ending at the same state
 //!    hash. This is the differential oracle CI re-runs from a shell.
 
 use sapsim_api::{
-    txn_token, ApiRequest, CommitRequest, EvacuateRequest, PlaceRequest, ProtocolError,
-    ResizeRequest, ShutdownRequest, StateRequest,
+    txn_token, ApiRequest, ApiResponse, CommitRequest, EvacuateRequest, PlaceRequest,
+    ProtocolError, ResizeRequest, ShutdownRequest, StateRequest,
 };
 use sapsim_cli::serve::client;
 use sapsim_cli::serve::http::MAX_HEAD_BYTES;
@@ -281,7 +284,7 @@ fn every_protocol_error_variant_is_exercised() {
         ),
     );
 
-    // conflict: the serialized-writer invariant. Plan a dry run, let a
+    // conflict: the serialized-service invariant. Plan a dry run, let a
     // live write overtake it, then commit the stale plan.
     let dry = ApiRequest::Place(PlaceRequest::new(2, 4096).dry_run()).to_json_line();
     let plan: JsonValue = sapsim_json::parse(
@@ -486,6 +489,149 @@ fn shutdown_wakes_a_server_bound_to_the_unspecified_address() {
     let line = ApiRequest::Shutdown(ShutdownRequest::new()).to_json_line();
     client::post_request(&format!("127.0.0.1:{port}"), &line).expect("shutdown answers");
     server.join_within(Duration::from_secs(5));
+}
+
+// ------------------------------------------------- concurrent clients
+
+/// A persistent JSONL connection to a live server.
+struct JsonlClient {
+    stream: TcpStream,
+    reader: BufReader<TcpStream>,
+}
+
+impl JsonlClient {
+    fn connect(addr: &str) -> JsonlClient {
+        let stream = TcpStream::connect(addr).expect("connect tcp");
+        let reader = BufReader::new(stream.try_clone().expect("clone"));
+        JsonlClient { stream, reader }
+    }
+
+    /// Send one request and return its reply, parsed and as received.
+    fn ask(&mut self, request: &ApiRequest) -> (ApiResponse, String) {
+        let line = request.to_json_line() + "\n";
+        self.stream
+            .write_all(line.as_bytes())
+            .expect("send request");
+        let mut reply = String::new();
+        self.reader.read_line(&mut reply).expect("read reply");
+        let reply = reply.trim_end().to_string();
+        let response = ApiResponse::parse_line(&reply)
+            .unwrap_or_else(|e| panic!("reply is not an envelope ({e}): {reply}"));
+        (response, reply)
+    }
+}
+
+/// A request the server applied, with the version it produced and the
+/// reply it sent. A committed plan is kept as its dry-run request.
+struct Applied {
+    version: u64,
+    request: ApiRequest,
+    reply: String,
+}
+
+#[test]
+fn concurrent_clients_apply_each_write_once_in_a_replayable_order() {
+    const CLIENTS: u32 = 4;
+    const ROUNDS: u32 = 20;
+    let server = LiveServer::boot(&["--tcp", "127.0.0.1:0", "--workers", "4", "--scale", "0.05"]);
+    let tcp_addr = server.tcp.clone().expect("tcp listener requested");
+
+    // Each client runs dry-run + commit pairs between live places, and
+    // checks that it never plans on a snapshot older than a version it
+    // has already been told about.
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|c| {
+            let tcp_addr = tcp_addr.clone();
+            std::thread::spawn(move || {
+                let mut client = JsonlClient::connect(&tcp_addr);
+                let mut applied = Vec::new();
+                let mut seen = 0;
+                for round in 0..ROUNDS {
+                    let vcpus = 1 + (c + round) % 4;
+                    // The id keeps plans of different clients apart: the same
+                    // request planned at the same version is one token.
+                    let plan = ApiRequest::Place(
+                        PlaceRequest::new(vcpus, 2048 * u64::from(vcpus))
+                            .with_id(format!("c{c}r{round}"))
+                            .dry_run(),
+                    );
+                    let (ApiResponse::Place(planned), _) = client.ask(&plan) else {
+                        panic!("client {c}: a dry-run place answers with a plan");
+                    };
+                    assert!(
+                        planned.version >= seen,
+                        "client {c} planned on version {} after seeing {seen}",
+                        planned.version
+                    );
+                    let token = planned.txn.expect("a plan carries a token");
+                    match client.ask(&ApiRequest::Commit(CommitRequest::new(token))) {
+                        (ApiResponse::Commit(commit), reply) => {
+                            let ApiResponse::Place(inner) = commit.applied.as_ref() else {
+                                panic!("client {c}: a commit wraps the replayed place");
+                            };
+                            seen = seen.max(inner.version);
+                            applied.push(Applied {
+                                version: inner.version,
+                                request: plan,
+                                reply,
+                            });
+                        }
+                        (ApiResponse::Error(e), _) => {
+                            assert_eq!(e.code, "conflict", "client {c}: {}", e.error);
+                        }
+                        (_, reply) => panic!("client {c}: unexpected commit reply {reply}"),
+                    }
+                    let live = ApiRequest::Place(
+                        PlaceRequest::new(vcpus, 4096).with_count(u64::from(1 + round % 2)),
+                    );
+                    let (ApiResponse::Place(placed), reply) = client.ask(&live) else {
+                        panic!("client {c}: a live place answers with its placements");
+                    };
+                    seen = seen.max(placed.version);
+                    applied.push(Applied {
+                        version: placed.version,
+                        request: live,
+                        reply,
+                    });
+                }
+                applied
+            })
+        })
+        .collect();
+    let mut applied: Vec<Applied> = clients
+        .into_iter()
+        .flat_map(|client| client.join().expect("client thread must not panic"))
+        .collect();
+    applied.sort_by_key(|a| a.version);
+    let versions: Vec<u64> = applied.iter().map(|a| a.version).collect();
+    let expected: Vec<u64> = (1..=applied.len() as u64).collect();
+    assert_eq!(versions, expected, "every write applied once, none lost");
+
+    // Replaying the applied requests in version order offline gives the
+    // same replies and the same final state.
+    let cfg = service::engine_config(
+        0.05,
+        0,
+        PolicyKind::PaperDefault,
+        PlacementGranularity::BuildingBlock,
+        4.0,
+    )
+    .expect("valid config");
+    let mut offline = Service::new(cfg).expect("engine boots");
+    for a in &applied {
+        let mut response = offline.execute(&a.request);
+        if let ApiResponse::Place(plan) = &response {
+            if let Some(token) = &plan.txn {
+                response = offline.execute(&ApiRequest::Commit(CommitRequest::new(token.clone())));
+            }
+        }
+        assert_eq!(response.to_json_line(), a.reply, "version {}", a.version);
+    }
+    let state = ApiRequest::State(StateRequest::new()).to_json_line();
+    let served = client::post_request(&server.http, &state).expect("state answers");
+    let replayed = offline.execute(&ApiRequest::State(StateRequest::new()));
+    assert_eq!(served, replayed.to_json_line());
+    server.shutdown();
 }
 
 // -------------------------------------------- online/offline equivalence
