@@ -279,6 +279,28 @@ impl Heatmap {
     }
 }
 
+/// Standard deviation (percentage points) of the per-node mean CPU
+/// utilization over the window: the imbalance behind Figures 5–7, as
+/// one number per run. Nodes without samples are left out.
+pub fn cpu_imbalance(run: &RunResult) -> f64 {
+    let utils: Vec<f64> = run
+        .cloud
+        .topology()
+        .nodes()
+        .iter()
+        .filter_map(|node| {
+            let e = EntityRef::Node(node.id.index() as u32);
+            run.store
+                .rollup(MetricId::HostCpuUtilPct, e)?
+                .overall_mean()
+        })
+        .collect();
+    let n = utils.len().max(1) as f64;
+    let mean = utils.iter().sum::<f64>() / n;
+    let var = utils.iter().map(|u| (u - mean) * (u - mean)).sum::<f64>() / n;
+    var.sqrt()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,7 +1,7 @@
 //! # sapsim-analysis — figure and table regeneration
 //!
 //! Consumes a [`RunResult`](sapsim_core::RunResult) (or a trace imported
-//! via `sapsim-trace`) and reproduces every artifact of the paper's
+//! via [`trace`]) and reproduces every artifact of the paper's
 //! evaluation. [`artifacts::paper_artifacts`] computes all of them from
 //! one run; `sapsim simulate --out DIR` writes them:
 //!
@@ -19,20 +19,22 @@
 //! | Table 3 dataset comparison | [`tables`] | `table3_comparison.txt` |
 //! | Table 4 metric catalog | [`tables`] | `table4_metrics.txt` |
 //! | Table 5 DC overview | [`tables`] | `table5_datacenters.txt` |
-//! | Ablations A1–A3 | [`ablation`] | binaries `exp_ablation`, `exp_overcommit`, `exp_rebalance` |
+//! | Ablations A1–A3 | [`heatmap::cpu_imbalance`] and the sweep summary | `experiments/*.json`, run by `sapsim sweep` |
 //!
 //! `report.txt` also holds the ASCII heatmaps and each artifact's check
 //! against the paper's numbers. Rendering is plain text (ASCII heatmap
 //! shading + aligned tables) plus CSV emitters for external plotting.
 
-pub mod ablation;
+mod anonymize;
 pub mod artifacts;
 pub mod cdf;
 pub mod classify;
 pub mod contention;
 pub mod heatmap;
 pub mod lifetime;
+mod reader;
 pub mod ready_time;
-pub mod report;
 mod storage;
 pub mod tables;
+pub mod trace;
+mod writer;

@@ -1,6 +1,6 @@
 //! CSV import: load a trace back into a queryable store.
 
-use crate::CSV_HEADER;
+use crate::trace::CSV_HEADER;
 use sapsim_sim::SimTime;
 use sapsim_telemetry::{EntityRef, MetricId, Subsystem, TsdbStore};
 use std::collections::HashMap;

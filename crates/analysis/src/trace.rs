@@ -1,18 +1,21 @@
-//! # sapsim-trace — dataset input/output
+//! Dataset input/output.
 //!
 //! The published SAP Cloud Infrastructure dataset (Zenodo
 //! 10.5281/zenodo.17141306) is "anonymized telemetry data in CSV format"
 //! (paper Appendix B), with metadata "consistently hashed or removed"
-//! (Appendix A). This crate implements that interchange format for the
+//! (Appendix A). This module implements that interchange format for the
 //! simulator:
 //!
 //! * [`TraceWriter`] — export a recorded [`TsdbStore`](sapsim_telemetry::TsdbStore) to CSV using the
 //!   exact Table 4 metric names, one sample per row.
 //! * [`TraceReader`] — stream a CSV trace back into a `TsdbStore`, so the
-//!   `sapsim-analysis` figure/table pipelines can run unchanged on the
+//!   figure/table pipelines of this crate can run unchanged on the
 //!   real dataset once it is dropped in.
 //! * `Anonymizer` — the consistent (salted) hashing applied to entity
 //!   names on export.
+//!
+//! They live in the crate-private `reader`, `writer` and `anonymize`
+//! modules; this module is their public face.
 //!
 //! The CSV schema is one row per sample:
 //!
@@ -21,12 +24,8 @@
 //! 300000,vrops_hostsystem_cpu_contention_percentage,node-42,1.25
 //! ```
 
-mod anonymize;
-mod reader;
-mod writer;
-
-pub use reader::TraceReader;
-pub use writer::TraceWriter;
+pub use crate::reader::TraceReader;
+pub use crate::writer::TraceWriter;
 
 /// The CSV header line shared by writer and reader.
 pub const CSV_HEADER: &str = "timestamp_ms,metric,entity,value";

@@ -1,7 +1,7 @@
 //! CSV export of a recorded telemetry store.
 
 use crate::anonymize::Anonymizer;
-use crate::CSV_HEADER;
+use crate::trace::CSV_HEADER;
 use sapsim_telemetry::{MetricId, TsdbStore};
 use std::io::{self, Write};
 

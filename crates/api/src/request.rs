@@ -336,18 +336,6 @@ impl ApiRequest {
         }
     }
 
-    /// `true` for ops that (outside dry-run) mutate engine state and
-    /// must therefore run under the service's one lock.
-    pub fn is_mutation(&self) -> bool {
-        match self {
-            ApiRequest::Place(r) => !r.dry_run,
-            ApiRequest::Resize(r) => !r.dry_run,
-            ApiRequest::Evacuate(r) => !r.dry_run,
-            ApiRequest::Commit(_) => true,
-            ApiRequest::State(_) | ApiRequest::Shutdown(_) => false,
-        }
-    }
-
     /// Semantic validation beyond shape: ranges, batch caps, token
     /// format. [`parse_line`](Self::parse_line) calls this; callers
     /// constructing requests with builders can run it themselves before
@@ -489,7 +477,6 @@ mod tests {
         assert_eq!(p.count, 1);
         assert_eq!(p.lifetime_days, None);
         assert!(!p.dry_run);
-        assert!(req.is_mutation(), "live place is a mutation");
     }
 
     #[test]
@@ -568,14 +555,5 @@ mod tests {
             assert_eq!(class.to_string().parse::<VmClass>().unwrap(), class);
         }
         assert!("spicy".parse::<VmClass>().is_err());
-    }
-
-    #[test]
-    fn mutation_classification_drives_the_writer_path() {
-        assert!(ApiRequest::Place(PlaceRequest::new(1, 1)).is_mutation());
-        assert!(!ApiRequest::Place(PlaceRequest::new(1, 1).dry_run()).is_mutation());
-        assert!(ApiRequest::Commit(CommitRequest::new("0000000000000000")).is_mutation());
-        assert!(!ApiRequest::State(StateRequest::new()).is_mutation());
-        assert!(!ApiRequest::Shutdown(ShutdownRequest::new()).is_mutation());
     }
 }

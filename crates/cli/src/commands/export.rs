@@ -3,7 +3,7 @@
 use super::{execute_with_obs, obs_args_from, sim_config_from, SIM_BOOL_FLAGS, SIM_VALUE_OPTIONS};
 use crate::args::Parsed;
 use crate::error::CliError;
-use sapsim_trace::TraceWriter;
+use sapsim_analysis::trace::TraceWriter;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 

@@ -4,7 +4,7 @@
 use crate::args::Parsed;
 use crate::error::CliError;
 use sapsim_telemetry::{summary, MetricId};
-use sapsim_trace::TraceReader;
+use sapsim_analysis::trace::TraceReader;
 use std::fs::File;
 use std::io::{BufReader, Write};
 

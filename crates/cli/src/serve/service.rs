@@ -18,6 +18,7 @@ use sapsim_api::{
 use sapsim_core::{PlaceOutcome, PlaceSpec, PlacementEngine, ResizeResult, SimConfig, SimError};
 use sapsim_topology::Resources;
 use sapsim_workload::{VmId, WorkloadClass};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 
 /// Assumed lifetime for placements that do not declare one, feeding the
@@ -39,20 +40,27 @@ pub struct PendingTxn {
     pub(crate) request: ApiRequest,
 }
 
-/// Token → plan ledger with FIFO eviction at [`PENDING_CAP`].
+/// Token → plan ledger with FIFO eviction at [`PENDING_CAP`] tokens.
+///
+/// Planning the identical request at the same version yields the same
+/// token (two clients may do so), so each token counts its
+/// registrations and every one of them may be committed once.
 #[derive(Debug, Default)]
 pub(crate) struct PendingMap {
-    map: HashMap<String, PendingTxn>,
+    map: HashMap<String, (PendingTxn, u32)>,
     order: VecDeque<String>,
 }
 
 impl PendingMap {
-    /// Register a plan under its token, evicting the oldest entries
-    /// beyond the cap. Re-planning the identical request at the same
-    /// version yields the same token; re-registering it is a no-op.
+    /// Register a plan under its token, evicting the oldest tokens
+    /// beyond the cap.
     pub(crate) fn register(&mut self, token: String, txn: PendingTxn) {
-        if self.map.insert(token.clone(), txn).is_none() {
-            self.order.push_back(token);
+        match self.map.entry(token) {
+            Entry::Occupied(mut entry) => entry.get_mut().1 += 1,
+            Entry::Vacant(entry) => {
+                self.order.push_back(entry.key().clone());
+                entry.insert((txn, 1));
+            }
         }
         while self.order.len() > PENDING_CAP {
             if let Some(old) = self.order.pop_front() {
@@ -61,11 +69,16 @@ impl PendingMap {
         }
     }
 
-    /// Consume a plan by token.
+    /// Consume one registration of a plan by token; the token is
+    /// forgotten when its last registration is taken.
     pub(crate) fn take(&mut self, token: &str) -> Option<PendingTxn> {
-        let txn = self.map.remove(token)?;
+        let (txn, count) = self.map.get_mut(token)?;
+        *count -= 1;
+        if *count > 0 {
+            return Some(txn.clone());
+        }
         self.order.retain(|t| t != token);
-        Some(txn)
+        self.map.remove(token).map(|(txn, _)| txn)
     }
 }
 
@@ -523,6 +536,30 @@ mod tests {
         let (from_live, reg_b) = plan_dry_run(&svc.engine, &request);
         assert_eq!(from_snapshot.to_json_line(), from_live.to_json_line());
         assert_eq!(reg_a.map(|r| r.0), reg_b.map(|r| r.0), "same token");
+    }
+
+    #[test]
+    fn identical_plans_from_two_clients_commit_once_each() {
+        let mut svc = small_service();
+        let request = ApiRequest::Place(PlaceRequest::new(2, 8192).dry_run());
+        let plan = |svc: &mut Service| match svc.execute(&request) {
+            ApiResponse::Place(plan) => plan.txn.expect("plan carries a token"),
+            other => panic!("expected a place plan, got {other:?}"),
+        };
+        let (first, second) = (plan(&mut svc), plan(&mut svc));
+        assert_eq!(first, second, "same version and request, same token");
+
+        let commit = ApiRequest::Commit(CommitRequest::new(first));
+        assert!(matches!(svc.execute(&commit), ApiResponse::Commit(_)));
+        let ApiResponse::Error(err) = svc.execute(&commit) else {
+            panic!("the second client's commit must fail");
+        };
+        assert_eq!(err.code, "conflict", "the engine moved; the plan was known");
+        let ApiResponse::Error(err) = svc.execute(&commit) else {
+            panic!("no registration is left");
+        };
+        assert_eq!(err.code, "not-found");
+        assert!(svc.pending.map.is_empty() && svc.pending.order.is_empty());
     }
 
     #[test]

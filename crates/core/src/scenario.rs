@@ -12,7 +12,8 @@
 //!   that must produce identical results share an id regardless of
 //!   worker count or label.
 //! * [`SweepSpec`] — a base config plus per-axis value lists
-//!   (seeds × policies × granularity × DRS × faults × scale).
+//!   (scale × policy × granularity × overcommit × DRS × cross-BB ×
+//!   faults × seeds).
 //!   [`SweepSpec::expand`] produces the full cross product in a fixed
 //!   nested order with stable, human-readable names — the same order at
 //!   any worker count, which is what makes the sweep executor's output
@@ -91,9 +92,10 @@ impl Scenario {
 /// An empty axis means "inherit the base config's value"; a non-empty
 /// axis sweeps every listed value. [`SweepSpec::expand`] takes the full
 /// cross product in a fixed nested order — scale (outermost), policy,
-/// granularity, DRS, faults, seed (innermost) — and derives a stable
-/// name per scenario from the axes that actually vary (the seed always
-/// appears, so names stay unique across the commonest sweeps).
+/// granularity, overcommit, DRS, cross-BB, faults, seed (innermost) —
+/// and derives a stable name per scenario from the axes that actually
+/// vary (the seed always appears, so names stay unique across the
+/// commonest sweeps).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepSpec {
     /// The config every scenario starts from.
@@ -104,13 +106,22 @@ pub struct SweepSpec {
     pub policies: Vec<PolicyKind>,
     /// Placement granularities (empty: just the base granularity).
     pub granularities: Vec<PlacementGranularity>,
+    /// General-purpose vCPU:pCPU overcommit ratios (empty: just the
+    /// base ratio).
+    pub overcommits: Vec<f64>,
     /// DRS rebalancer on/off (empty: just the base setting).
     pub drs: Vec<bool>,
+    /// Cross-building-block rebalancer on/off (empty: just the base
+    /// setting).
+    pub cross_bbs: Vec<bool>,
     /// Fault specs (empty: just the base spec).
     pub faults: Vec<FaultSpec>,
     /// Workload/topology scales (empty: just the base scale).
     pub scales: Vec<f64>,
 }
+
+/// A scenario being expanded: its config and the name parts so far.
+type Cell = (SimConfig, Vec<String>);
 
 impl SweepSpec {
     /// A sweep over nothing: expands to the base config alone.
@@ -120,7 +131,9 @@ impl SweepSpec {
             seeds: Vec::new(),
             policies: Vec::new(),
             granularities: Vec::new(),
+            overcommits: Vec::new(),
             drs: Vec::new(),
+            cross_bbs: Vec::new(),
             faults: Vec::new(),
             scales: Vec::new(),
         }
@@ -128,13 +141,19 @@ impl SweepSpec {
 
     /// Number of scenarios [`SweepSpec::expand`] will produce.
     pub fn len(&self) -> usize {
-        let axis = |n: usize| n.max(1);
-        axis(self.scales.len())
-            * axis(self.policies.len())
-            * axis(self.granularities.len())
-            * axis(self.drs.len())
-            * axis(self.faults.len())
-            * axis(self.seeds.len())
+        [
+            self.scales.len(),
+            self.policies.len(),
+            self.granularities.len(),
+            self.overcommits.len(),
+            self.drs.len(),
+            self.cross_bbs.len(),
+            self.faults.len(),
+            self.seeds.len(),
+        ]
+        .iter()
+        .map(|&n| n.max(1))
+        .product()
     }
 
     /// True when the grid is the base config alone.
@@ -145,45 +164,64 @@ impl SweepSpec {
     /// Expand the grid into named, validated scenarios.
     ///
     /// The order is total and independent of execution: scale varies
-    /// slowest, then policy, granularity, DRS, fault spec, and seed
-    /// fastest. Every expanded config is validated, and duplicate
-    /// scenario names (possible only through duplicated axis values)
-    /// are rejected rather than silently collapsed.
+    /// slowest, then policy, granularity, overcommit, DRS, cross-BB,
+    /// fault spec, and seed fastest. A scenario's name holds one part
+    /// per axis with two or more values, then the seed, joined with
+    /// `-`. Every expanded config is validated, and duplicate scenario
+    /// names (possible only through duplicated axis values) are
+    /// rejected rather than silently collapsed.
     pub fn expand(&self) -> Result<Vec<Scenario>, SimError> {
-        let scales = non_empty(&self.scales, self.base.scale);
-        let policies = non_empty(&self.policies, self.base.policy);
-        let granularities = non_empty(&self.granularities, self.base.granularity);
-        let drs = non_empty(&self.drs, self.base.drs_enabled);
-        let faults = non_empty(&self.faults, self.base.faults);
-        let seeds = non_empty(&self.seeds, self.base.seed);
-
-        let mut scenarios = Vec::with_capacity(self.len());
-        for &scale in &scales {
-            for &policy in &policies {
-                for &granularity in &granularities {
-                    for &drs_enabled in &drs {
-                        for (fault_index, &fault_spec) in faults.iter().enumerate() {
-                            for &seed in &seeds {
-                                let mut config = self.base;
-                                config.scale = scale;
-                                config.policy = policy;
-                                config.granularity = granularity;
-                                config.drs_enabled = drs_enabled;
-                                config.faults = fault_spec;
-                                config.seed = seed;
-                                let name = self.scenario_name(
-                                    &config,
-                                    fault_index,
-                                    scales.len(),
-                                    faults.len(),
-                                );
-                                scenarios.push(Scenario::new(name, config)?);
-                            }
-                        }
-                    }
-                }
+        let mut cells: Vec<Cell> = vec![(self.base, Vec::new())];
+        widen(&mut cells, &self.scales, |c, v, _| {
+            c.scale = v;
+            format!("scale{v}")
+        });
+        widen(&mut cells, &self.policies, |c, v, _| {
+            c.policy = v;
+            v.name().to_string()
+        });
+        widen(&mut cells, &self.granularities, |c, v, _| {
+            c.granularity = v;
+            match v {
+                PlacementGranularity::BuildingBlock => "bb".to_string(),
+                PlacementGranularity::Node => "node".to_string(),
             }
-        }
+        });
+        widen(&mut cells, &self.overcommits, |c, v, _| {
+            c.gp_cpu_overcommit = v;
+            format!("oc{v}")
+        });
+        widen(&mut cells, &self.drs, |c, v, _| {
+            c.drs_enabled = v;
+            if v { "drs" } else { "nodrs" }.to_string()
+        });
+        widen(&mut cells, &self.cross_bbs, |c, v, _| {
+            c.cross_bb_enabled = v;
+            if v { "crossbb" } else { "nocrossbb" }.to_string()
+        });
+        widen(&mut cells, &self.faults, |c, v, i| {
+            c.faults = v;
+            if v.is_none() {
+                "nofaults".to_string()
+            } else {
+                format!("f{i}")
+            }
+        });
+        widen(&mut cells, &self.seeds, |c, v, _| {
+            c.seed = v;
+            format!("s{v}")
+        });
+
+        let scenarios = cells
+            .into_iter()
+            .map(|(config, mut parts)| {
+                if self.seeds.len() < 2 {
+                    // An unswept seed still names the scenario.
+                    parts.push(format!("s{}", config.seed));
+                }
+                Scenario::new(parts.join("-"), config)
+            })
+            .collect::<Result<Vec<_>, _>>()?;
         let mut names: Vec<&str> = scenarios.iter().map(|s| s.name()).collect();
         names.sort_unstable();
         if let Some(dup) = names.windows(2).find(|w| w[0] == w[1]) {
@@ -194,53 +232,33 @@ impl SweepSpec {
         }
         Ok(scenarios)
     }
-
-    /// Stable per-scenario name: one component per axis that varies
-    /// (≥ 2 values), plus the seed, joined with `-`.
-    fn scenario_name(
-        &self,
-        config: &SimConfig,
-        fault_index: usize,
-        num_scales: usize,
-        num_faults: usize,
-    ) -> String {
-        let mut parts: Vec<String> = Vec::new();
-        if num_scales > 1 {
-            parts.push(format!("scale{}", config.scale));
-        }
-        if self.policies.len() > 1 {
-            parts.push(config.policy.name().to_string());
-        }
-        if self.granularities.len() > 1 {
-            parts.push(
-                match config.granularity {
-                    PlacementGranularity::BuildingBlock => "bb",
-                    PlacementGranularity::Node => "node",
-                }
-                .to_string(),
-            );
-        }
-        if self.drs.len() > 1 {
-            parts.push(if config.drs_enabled { "drs" } else { "nodrs" }.to_string());
-        }
-        if num_faults > 1 {
-            parts.push(if config.faults.is_none() {
-                "nofaults".to_string()
-            } else {
-                format!("f{fault_index}")
-            });
-        }
-        parts.push(format!("s{}", config.seed));
-        parts.join("-")
-    }
 }
 
-fn non_empty<T: Copy>(axis: &[T], base: T) -> Vec<T> {
+/// Cross `cells` with one axis, keeping the cells' order outermost.
+/// `apply(config, value, value index)` sets the value and returns its
+/// name part, which is kept when the axis has two or more values. An
+/// empty axis leaves the base value.
+fn widen<T: Copy>(
+    cells: &mut Vec<Cell>,
+    axis: &[T],
+    apply: impl Fn(&mut SimConfig, T, usize) -> String,
+) {
     if axis.is_empty() {
-        vec![base]
-    } else {
-        axis.to_vec()
+        return;
     }
+    let mut wider = Vec::with_capacity(cells.len() * axis.len());
+    for (config, parts) in cells.drain(..) {
+        for (i, &value) in axis.iter().enumerate() {
+            let mut config = config;
+            let part = apply(&mut config, value, i);
+            let mut parts = parts.clone();
+            if axis.len() > 1 {
+                parts.push(part);
+            }
+            wider.push((config, parts));
+        }
+    }
+    *cells = wider;
 }
 
 #[cfg(test)]
@@ -310,6 +328,33 @@ mod tests {
         assert_eq!(scenarios[23].name(), "spread-node-f1-s3");
         // Seed varies fastest; policy slowest among the swept axes.
         assert_eq!(scenarios[12].config.policy, PolicyKind::Spread);
+    }
+
+    #[test]
+    fn overcommit_and_cross_bb_axes_nest_inside_granularity() {
+        let mut spec = SweepSpec::new(base());
+        spec.granularities = vec![
+            PlacementGranularity::BuildingBlock,
+            PlacementGranularity::Node,
+        ];
+        spec.overcommits = vec![2.0, 4.0];
+        spec.drs = vec![false, true];
+        spec.cross_bbs = vec![false, true];
+        assert_eq!(spec.len(), 16);
+        let scenarios = spec.expand().expect("valid");
+        let seed = base().seed;
+        assert_eq!(
+            scenarios[0].name(),
+            format!("bb-oc2-nodrs-nocrossbb-s{seed}")
+        );
+        assert_eq!(scenarios[1].name(), format!("bb-oc2-nodrs-crossbb-s{seed}"));
+        assert_eq!(
+            scenarios[15].name(),
+            format!("node-oc4-drs-crossbb-s{seed}")
+        );
+        assert_eq!(scenarios[4].config.gp_cpu_overcommit, 4.0);
+        // Cross-BB without DRS is a valid cell of its own.
+        assert!(scenarios[1].config.cross_bb_enabled && !scenarios[1].config.drs_enabled);
     }
 
     #[test]

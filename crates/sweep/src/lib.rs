@@ -467,6 +467,71 @@ mod tests {
         assert!(plain.artifacts.is_empty());
     }
 
+    /// The micro grid the A2/A3 behaviours are checked on: 1 % of the
+    /// region, 2 observed days after the default warm-up.
+    fn micro_spec() -> SweepSpec {
+        let base = SimConfig::builder()
+            .seed(81)
+            .scale(0.01)
+            .days(2)
+            .build()
+            .expect("valid micro config");
+        SweepSpec::new(base)
+    }
+
+    #[test]
+    fn rebalancer_axes_show_the_drs_effect() {
+        let mut spec = micro_spec();
+        spec.drs = vec![false, true];
+        spec.cross_bbs = vec![false, true];
+        let report = run_spec(&spec, &SweepOptions::default())
+            .expect("sweep runs")
+            .report;
+        let names: Vec<&str> = report.scenarios.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "nodrs-nocrossbb-s81",
+                "nodrs-crossbb-s81",
+                "drs-nocrossbb-s81",
+                "drs-crossbb-s81"
+            ]
+        );
+        let migrations = |i: usize| {
+            let stats = &report.scenarios[i].summary.stats;
+            stats.drs_migrations + stats.cross_bb_migrations
+        };
+        assert_eq!(migrations(0), 0, "no rebalancing, no migrations");
+        assert!(migrations(2) >= migrations(0), "DRS migrates");
+        for s in &report.scenarios {
+            assert!(s.summary.stats.placement_success_rate() > 0.9, "{}", s.name);
+        }
+    }
+
+    #[test]
+    fn overcommit_axis_trades_contention_for_capacity() {
+        let mut spec = micro_spec();
+        spec.overcommits = vec![1.0, 8.0];
+        let report = run_spec(&spec, &SweepOptions::default())
+            .expect("sweep runs")
+            .report;
+        let [tight, loose] = &report.scenarios[..] else {
+            panic!("two cells");
+        };
+        assert_eq!(
+            (tight.name.as_str(), loose.name.as_str()),
+            ("oc1-s81", "oc8-s81")
+        );
+        // Tight overcommit (1:1) cannot show more contention than loose
+        // 8:1 packing of the same demand onto the same hardware.
+        assert!(
+            tight.summary.peak_contention_pct <= loose.summary.peak_contention_pct + 1e-9,
+            "1:1 = {:.2}%, 8:1 = {:.2}%",
+            tight.summary.peak_contention_pct,
+            loose.summary.peak_contention_pct
+        );
+    }
+
     #[test]
     fn empty_sweeps_are_rejected() {
         assert_eq!(
@@ -481,6 +546,7 @@ mod tests {
         let text = output.report.render();
         assert!(text.contains("sweep report — 4 scenarios"));
         assert!(text.contains("placed%"));
+        assert!(text.contains("imbalance"));
         assert!(text.contains("deltas vs baseline"));
         assert!(text.contains("utilization bands"));
         let table = output.report.comparison_table();

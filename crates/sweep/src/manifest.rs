@@ -20,6 +20,14 @@
 //! }
 //! ```
 //!
+//! Base overrides: `seed`, `days`, `scale`, `warmup_days`. Axes:
+//! `seeds`, `policies`, `granularities`, `overcommits` (the
+//! general-purpose vCPU:pCPU ratio), `drs`, `cross_bbs` (the cross-BB
+//! rebalancer on/off), `faults` and `scales`. A one-value axis sets that
+//! value for every scenario without adding to the names. The paper's
+//! Section 7 ablations A1–A3 are the manifests in the repository's
+//! `experiments/` directory.
+//!
 //! The `scale` override and the `scales` axis accept any value in
 //! `(0, 100]`: values at or below 1 shrink the studied region, values
 //! above 1 replicate it into a multi-region estate (`10.0` sweeps a
@@ -43,18 +51,19 @@ struct RawManifest {
     days: Option<u64>,
     scale: Option<f64>,
     warmup_days: Option<u64>,
-    cross_bb: Option<bool>,
     seeds: Vec<u64>,
     policies: Vec<String>,
     granularities: Vec<String>,
+    overcommits: Vec<f64>,
     drs: Vec<bool>,
+    cross_bbs: Vec<bool>,
     faults: Vec<Option<String>>,
     scales: Vec<f64>,
 }
 
 sapsim_json::json_codec!(struct RawManifest: default, deny_unknown {
-    name, seed, days, scale, warmup_days, cross_bb, seeds, policies, granularities, drs, faults,
-    scales,
+    name, seed, days, scale, warmup_days, seeds, policies, granularities, overcommits, drs,
+    cross_bbs, faults, scales,
 });
 
 /// A parsed sweep manifest: a display name plus the typed grid.
@@ -84,13 +93,12 @@ pub fn parse_manifest(text: &str) -> Result<Manifest, SweepError> {
     if let Some(warmup) = raw.warmup_days {
         base.warmup_days = warmup;
     }
-    if let Some(cross_bb) = raw.cross_bb {
-        base.cross_bb_enabled = cross_bb;
-    }
 
     let mut spec = SweepSpec::new(base);
     spec.seeds = raw.seeds;
+    spec.overcommits = raw.overcommits;
     spec.drs = raw.drs;
+    spec.cross_bbs = raw.cross_bbs;
     spec.scales = raw.scales;
     spec.policies = raw
         .policies
@@ -146,7 +154,9 @@ mod tests {
                 "seeds": [1, 2, 3],
                 "policies": ["paper-default", "spread"],
                 "granularities": ["bb", "node"],
+                "overcommits": [1, 2.5],
                 "drs": [true, false],
+                "cross_bbs": [false, true],
                 "faults": [null, "fail=2,downtime=6"]
             }"#,
         )
@@ -167,10 +177,12 @@ mod tests {
                 PlacementGranularity::Node
             ]
         );
+        assert_eq!(m.spec.overcommits, vec![1.0, 2.5]);
         assert_eq!(m.spec.drs, vec![true, false]);
+        assert_eq!(m.spec.cross_bbs, vec![false, true]);
         assert!(m.spec.faults[0].is_none());
         assert_eq!(m.spec.faults[1].host_fail_rate_per_month, 2.0);
-        assert_eq!(m.spec.len(), 48);
+        assert_eq!(m.spec.len(), 192);
     }
 
     #[test]

@@ -77,8 +77,8 @@ impl SweepReport {
     }
 
     /// The cross-run comparison table: one aligned row per scenario with
-    /// the placement, fragmentation, contention, and footprint columns
-    /// the Section 7 ablations compare.
+    /// the placement, fragmentation, contention, imbalance, and
+    /// footprint columns the Section 7 ablations (`experiments/`) compare.
     pub(crate) fn comparison_table(&self) -> String {
         let width = self
             .scenarios
@@ -90,12 +90,13 @@ impl SweepReport {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "{:<width$} {:>9} {:>10} {:>10} {:>10} {:>10} {:>8} {:>17}",
+            "{:<width$} {:>9} {:>10} {:>10} {:>10} {:>10} {:>10} {:>8} {:>17}",
             "scenario",
             "placed%",
             "retries/k",
             "peak-cont%",
             "mean-cont%",
+            "imbalance",
             "migrations",
             "nodes",
             "hash"
@@ -109,12 +110,13 @@ impl SweepReport {
             };
             let _ = writeln!(
                 out,
-                "{:<width$} {:>9.2} {:>10.2} {:>10.2} {:>10.3} {:>10} {:>8} {:>17}",
+                "{:<width$} {:>9.2} {:>10.2} {:>10.2} {:>10.3} {:>10.2} {:>10} {:>8} {:>17}",
                 s.name,
                 stats.placement_success_rate() * 100.0,
                 retries_per_k,
                 s.summary.peak_contention_pct,
                 s.summary.peak_mean_contention_pct,
+                s.summary.cpu_imbalance_pct,
                 stats.drs_migrations + stats.cross_bb_migrations,
                 s.summary.active_nodes,
                 s.summary.canonical_hash,

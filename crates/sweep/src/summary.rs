@@ -10,6 +10,7 @@
 use sapsim_analysis::cdf::{utilization_cdf, VmResource};
 use sapsim_analysis::classify::{table1_by_vcpu, table2_by_ram};
 use sapsim_analysis::contention::contention_aggregate;
+use sapsim_analysis::heatmap::cpu_imbalance;
 use sapsim_api::SchemaId;
 use sapsim_core::scenario::fnv1a_64;
 use sapsim_core::{DriverStats, RunResult, SimConfig};
@@ -85,11 +86,16 @@ pub struct RunSummary {
     pub(crate) peak_mean_contention_pct: f64,
     /// Highest daily-p95 host CPU contention (percent).
     pub(crate) peak_p95_contention_pct: f64,
+    /// Std-dev of per-node mean CPU utilization (percentage points;
+    /// [`cpu_imbalance`]). Added after v1 shipped, so a summary written
+    /// without it reads as 0.
+    pub(crate) cpu_imbalance_pct: f64,
 }
 
 json_codec!(struct RunSummary {
     schema, config, canonical_hash, stats, nodes, active_nodes, table1_by_vcpu, table2_by_ram,
     utilization, peak_contention_pct, peak_mean_contention_pct, peak_p95_contention_pct,
+    #[default] cpu_imbalance_pct,
 });
 
 impl RunSummary {
@@ -142,6 +148,7 @@ impl RunSummary {
             peak_contention_pct: agg.peak_max(),
             peak_mean_contention_pct: agg.peak_mean(),
             peak_p95_contention_pct: agg.peak_p95(),
+            cpu_imbalance_pct: cpu_imbalance(run),
         }
     }
 

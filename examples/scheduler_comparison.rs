@@ -7,9 +7,9 @@
 //! cargo run --release --bin scheduler_comparison
 //! ```
 
-use sapsim_analysis::ablation::{ablation_row, render_ablation};
-use sapsim_core::{SimConfig, SimDriver};
+use sapsim_core::{SimConfig, SweepSpec};
 use sapsim_scheduler::PolicyKind;
+use sapsim_sweep::{run_sweep, SweepOptions};
 
 fn main() {
     let base = SimConfig::builder()
@@ -25,23 +25,14 @@ fn main() {
         base.scale * 100.0
     );
 
-    let mut rows = Vec::new();
-    for policy in [PolicyKind::Spread, PolicyKind::ContentionAware] {
-        let cfg = base.to_builder().policy(policy).build().expect("valid config");
-        let run = SimDriver::new(cfg).expect("valid config").run();
-        rows.push(ablation_row(policy.name(), &run));
-    }
-    println!("{}", render_ablation(&rows));
+    // A two-cell grid on the sweep pool: the same runs `sapsim sweep`
+    // makes from a manifest with `"policies": ["spread", "contention-aware"]`.
+    let mut spec = SweepSpec::new(base);
+    spec.policies = vec![PolicyKind::Spread, PolicyKind::ContentionAware];
+    let scenarios = spec.expand().expect("valid grid");
+    let output = run_sweep(&scenarios, &SweepOptions::default()).expect("sweep runs");
+    print!("{}", output.report.render());
 
-    let (spread, aware) = (&rows[0], &rows[1]);
-    println!(
-        "contention-aware vs spread: peak contention {:.1}% -> {:.1}%, \
-         placement success {:.1}% -> {:.1}%",
-        spread.peak_contention,
-        aware.peak_contention,
-        spread.placement_success * 100.0,
-        aware.placement_success * 100.0
-    );
     println!(
         "\nthe paper's guidance (Section 7): extend the Nova scheduler with \
          'current and historic utilization data, for example the contention \

@@ -9,7 +9,7 @@
 
 use sapsim_core::{SimConfig, SimDriver};
 use sapsim_telemetry::{summary, MetricId};
-use sapsim_trace::{TraceReader, TraceWriter};
+use sapsim_analysis::trace::{TraceReader, TraceWriter};
 use std::io::BufReader;
 
 fn main() {

@@ -3,7 +3,7 @@
 
 use sapsim_core::{SimConfig, SimDriver};
 use sapsim_telemetry::MetricId;
-use sapsim_trace::{TraceReader, TraceWriter, CSV_HEADER};
+use sapsim_analysis::trace::{TraceReader, TraceWriter, CSV_HEADER};
 use std::io::BufReader;
 
 fn small_run() -> sapsim_core::RunResult {

@@ -3,7 +3,7 @@
 
 use sapsim_core::{SimConfig, SimDriver};
 use sapsim_telemetry::MetricId;
-use sapsim_trace::TraceWriter;
+use sapsim_analysis::trace::TraceWriter;
 
 fn cfg(seed: u64) -> SimConfig {
     SimConfig::builder()

@@ -134,3 +134,49 @@ fn expansion_is_stable_and_names_are_unique() {
     assert_eq!(first[1].name(), "paper-default-bb-s2");
     assert_eq!(first[11].name(), "spread-node-s3");
 }
+
+/// The Section 7 ablations A1–A3 are committed manifests; each must
+/// parse and expand to its grid (CI re-runs them against
+/// `out/ablations/`).
+#[test]
+fn committed_experiment_manifests_parse_and_expand() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../experiments");
+    let mut found: Vec<(String, usize)> = std::fs::read_dir(&dir)
+        .expect("experiments/ exists")
+        .map(|entry| {
+            let path = entry.expect("readable entry").path();
+            let text = std::fs::read_to_string(&path).expect("readable manifest");
+            let manifest =
+                parse_manifest(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            assert_eq!(
+                path.file_stem().and_then(|s| s.to_str()),
+                Some(manifest.name.as_str()),
+                "a manifest's name is its file stem (its out/ablations/ directory)"
+            );
+            let cells = manifest.spec.expand().expect("valid grid").len();
+            (manifest.name, cells)
+        })
+        .collect();
+    found.sort();
+    let expected = [
+        ("a1-policies", 10),
+        ("a2-overcommit", 5),
+        ("a3-rebalance", 4),
+    ];
+    let expected: Vec<(String, usize)> =
+        expected.iter().map(|&(n, c)| (n.to_string(), c)).collect();
+    assert_eq!(found, expected);
+}
+
+/// `cpu_imbalance_pct` was appended to `sapsim.run-summary/v1`; a line
+/// written before it still decodes, with the field at 0.
+#[test]
+fn a_run_summary_written_before_the_imbalance_field_still_decodes() {
+    let line = include_str!("../golden/run_summary_v1_before_imbalance.json");
+    assert!(!line.contains("cpu_imbalance_pct"));
+    let summary = RunSummary::from_json_str(line.trim_end()).expect("decodes");
+    assert_eq!(summary.canonical_hash, "0950fb7cb91f801d");
+    assert_eq!(summary.config.seed, 3);
+    let again = RunSummary::from_json_str(&summary.to_json()).expect("re-decodes");
+    assert_eq!(again, summary);
+}
