@@ -3,8 +3,8 @@
 
 use crate::args::Parsed;
 use crate::error::CliError;
-use sapsim_telemetry::{summary, MetricId};
 use sapsim_analysis::trace::TraceReader;
+use sapsim_telemetry::{summary, MetricId};
 use std::fs::File;
 use std::io::{BufReader, Write};
 

@@ -7,9 +7,9 @@
 //! cargo run --release --bin trace_export
 //! ```
 
+use sapsim_analysis::trace::{TraceReader, TraceWriter};
 use sapsim_core::{SimConfig, SimDriver};
 use sapsim_telemetry::{summary, MetricId};
-use sapsim_analysis::trace::{TraceReader, TraceWriter};
 use std::io::BufReader;
 
 fn main() {

@@ -1,9 +1,9 @@
 //! Integration: simulate → export CSV (anonymized) → re-import → verify
 //! the telemetry survives bit-exactly and the analyses agree.
 
+use sapsim_analysis::trace::{TraceReader, TraceWriter, CSV_HEADER};
 use sapsim_core::{SimConfig, SimDriver};
 use sapsim_telemetry::MetricId;
-use sapsim_analysis::trace::{TraceReader, TraceWriter, CSV_HEADER};
 use std::io::BufReader;
 
 fn small_run() -> sapsim_core::RunResult {

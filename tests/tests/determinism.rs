@@ -1,9 +1,9 @@
 //! Integration: whole-system determinism — a run is a pure function of
 //! its configuration, across every crate boundary at once.
 
+use sapsim_analysis::trace::TraceWriter;
 use sapsim_core::{SimConfig, SimDriver};
 use sapsim_telemetry::MetricId;
-use sapsim_analysis::trace::TraceWriter;
 
 fn cfg(seed: u64) -> SimConfig {
     SimConfig::builder()
